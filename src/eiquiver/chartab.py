@@ -14,10 +14,7 @@ eigenvectors of the class-multiplication matrices over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-
-from sympy.ntheory import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
+from math import isqrt, lcm
 
 from . import linalg
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
@@ -28,6 +25,12 @@ PRIME_SEARCH_BOUND = 10**6
 
 class CharTableError(ValueError):
     pass
+
+
+def _isprime(n: int) -> bool:
+    """Trial division: every prime tested here is at most
+    PRIME_SEARCH_BOUND."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ def splitting_prime_for(exponent: int, max_order: int) -> SplittingPrime:
     else:
         p = max(p, 3)
     while p <= PRIME_SEARCH_BOUND:
-        if p > 2 * max_order and isprime(p):
+        if p > 2 * max_order and _isprime(p):
             return SplittingPrime(p, exponent, max_order)
         p += exponent if exponent > 1 else 1
     raise CharTableError(f"no splitting prime below {PRIME_SEARCH_BOUND}")
@@ -64,7 +67,11 @@ def certified_prime(p: int, groups) -> SplittingPrime:
     for g in groups:
         ex = lcm(ex, g.exponent())
         mx = max(mx, len(g))
-    if not isprime(p):
+    # beyond the bound, linalg.matmul can overflow int64 and
+    # linalg.poly_roots scans all of F_p
+    if p > PRIME_SEARCH_BOUND:
+        raise CharTableError(f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
+    if not _isprime(p):
         raise CharTableError(f"{p} is not prime")
     if p % ex != 1 and ex > 1:
         raise CharTableError(f"{p} is not 1 mod the group exponent {ex}")
@@ -194,10 +201,10 @@ def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
         for k in range(r):
             acc = (acc + om[k] * om[inv_class[k]] * linalg.inv_scalar(len(classes[k]), p)) % p
         d2 = n * linalg.inv_scalar(acc, p) % p
-        root = sqrt_mod(d2, p)
-        if root is None:
-            raise CharTableError("character degree is not a square mod p")
-        d = min(int(root), p - int(root))
+        # d² ≤ |G| < p, so d² is its own least residue
+        d = isqrt(d2)
+        if d * d != d2:
+            raise CharTableError("squared character degree is not a square")
         row = tuple(d * om[k] % p * linalg.inv_scalar(len(classes[k]), p) % p
                     for k in range(r))
         rows.append(row)

@@ -86,7 +86,7 @@ def cmd_quiver(args) -> int:
 def cmd_classify(args) -> int:
     from .reptype import rep_type
     cat = _load(args)
-    verdict = rep_type(cat, _prime(args, cat))
+    verdict = rep_type(cat, _prime(args, cat), max_paths=args.max_paths)
     payload = {"verdict": verdict.verdict,
                "certificates": [{"rule": r, "witness": w}
                                 for r, w in verdict.certificates]}

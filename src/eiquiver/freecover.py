@@ -3,25 +3,30 @@
 The free category on an EI quiver has the quiver's groups as
 endomorphisms and, between distinct objects, the disjoint union over
 directed paths of glued biset products: tuples of arrow-biset elements
-modulo the middle-vertex moves (t·h, s) ~ (t, h·s).  Composition is
-concatenation followed by class lookup.
+modulo the middle-vertex moves (t·h, s) ~ (t, h·s).  The glued product is
+the biset tensor product over the middle group, which is associative, so
+each path biset is built as a left fold over the path's arrows.
+Composition walks a concatenated tuple through the glued prefixes' class
+maps.
 
 A category is free exactly when the canonical functor from the free
 category on its own quiver of unfactorizables is bijective on hom-sets;
 since it is always surjective, comparing cardinalities suffices.  An
 independent oracle checks the equivalent unique-factorization property
-directly by enumerating decompositions.
+locally: every non-endomorphism α that is not unfactorizable must have
+its first steps (z, β, δ), with β unfactorizable and δ∘β = α, all pass
+through one object z and form a single Aut(z)-orbit under
+h·(β, δ) = (h∘β, δ∘h⁻¹).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import SchemaError, ValidationError
-from .eicat import (ArrowBiset, EICategory, EIQuiverData, MorphId,
-                    _object_order, compose, ei_quiver_of, make_homset,
-                    unfactorizables, validate_category)
+from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
+                    ei_quiver_of, make_homset, unfactorizables,
+                    validate_category)
 from .permgrp import PermGroup
 
 DEFAULT_PATH_BOUND = 100000
@@ -52,36 +57,59 @@ def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
     return EIQuiverData(tuple(objects), dict(groups), tuple(arrows))
 
 
+@dataclass(frozen=True)
+class GluedBiset(ArrowBiset):
+    """A glued product with its quotient map: class_of[s][t] is the
+    class of the pair (s, t), and least[c] is the least pair of class c."""
+    class_of: tuple[tuple[int, ...], ...] = ()
+    least: tuple[tuple[int, int], ...] = ()
+
+
 def biset_product(b2: ArrowBiset, b1: ArrowBiset,
-                  middle: PermGroup) -> ArrowBiset:
+                  middle: PermGroup) -> GluedBiset:
     """Glued product of an (K, H)-biset with an (H, G)-biset.
 
-    Elements are pairs (t, s) modulo the moves (t·h, s) ~ (t, h·s) over
-    the generators h of the middle group; the outer actions descend to
-    the classes.  This is the two-arrow case of _path_classes, kept as a
-    standalone operation for composing covers arrow by arrow.
+    Elements are pairs (s, t), s in b1 and t in b2, modulo the moves
+    (s, t·h) ~ (h·s, t) over the generators h of the middle group; the
+    outer actions descend to the classes.  Classes are numbered by their
+    least pair.  If b1's classes are numbered by their least path tuple
+    R(s), so are the product's, since the least tuple of a class is the
+    least R(s) + (t,) over its pairs.
     """
     if b2.source != b1.target:
         raise ValidationError("biset-middle-mismatch",
                               f"cannot glue {b1.source}->{b1.target} with "
                               f"{b2.source}->{b2.target}")
-    uf = _UnionFind()
-    pairs = [(t, s) for t in range(b2.size) for s in range(b1.size)]
+    n2 = b2.size
+    # (s, t) ~ (h·s, t·h⁻¹): the classes are orbits of these permutations
+    moves = []
     for k in range(len(middle.generators)):
-        ract, lact = b2.right_gen[k], b1.left_gen[k]
-        for t, s in pairs:
-            uf.union((ract[t], s), (t, lact[s]))
-    roots = sorted({uf.find(pr) for pr in pairs})
-    idx = {r: i for i, r in enumerate(roots)}
-
-    def descend(move):
-        return tuple(idx[uf.find(move(t, s))] for t, s in roots)
-
-    left_gen = tuple(descend(lambda t, s, a=act: (a[t], s))
+        rinv = [0] * n2
+        for t, u in enumerate(b2.right_gen[k]):
+            rinv[u] = t
+        moves.append((b1.left_gen[k], rinv))
+    cls = [-1] * (b1.size * n2)
+    least = []
+    for start in range(len(cls)):
+        if cls[start] >= 0:
+            continue
+        cls[start] = len(least)
+        least.append(divmod(start, n2))
+        stack = [start]
+        while stack:
+            s, t = divmod(stack.pop(), n2)
+            for lact, rinv in moves:
+                j = lact[s] * n2 + rinv[t]
+                if cls[j] < 0:
+                    cls[j] = cls[start]
+                    stack.append(j)
+    left_gen = tuple(tuple(cls[s * n2 + act[t]] for s, t in least)
                      for act in b2.left_gen)
-    right_gen = tuple(descend(lambda t, s, a=act: (t, a[s]))
+    right_gen = tuple(tuple(cls[act[s] * n2 + t] for s, t in least)
                       for act in b1.right_gen)
-    return ArrowBiset(b1.source, b2.target, len(roots), left_gen, right_gen)
+    class_of = tuple(tuple(cls[s * n2:(s + 1) * n2]) for s in range(b1.size))
+    return GluedBiset(b1.source, b2.target, len(least), left_gen, right_gen,
+                      class_of=class_of, least=tuple(least))
 
 
 def _quiver_paths(quiv: EIQuiverData, bound: int):
@@ -118,116 +146,70 @@ def _quiver_paths(quiv: EIQuiverData, bound: int):
     return paths
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, a):
-        p = self.parent.setdefault(a, a)
-        if p != a:
-            p = self.parent[a] = self.find(p)
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically least tuple as the root
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _path_classes(quiv: EIQuiverData, path: tuple[int, ...], bound: int):
-    """Equivalence classes of biset-element tuples along one path.
-
-    Returns (class representatives in least-tuple order, tuple -> class id).
-    """
-    sizes = [quiv.arrows[i].size for i in path]
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > bound:
-            raise ValidationError("path-bound",
-                                  f"path biset exceeds {bound} tuples")
-    uf = _UnionFind()
-    moves = []
-    for i in range(len(path) - 1):
-        mid = quiv.arrows[path[i]].target
-        for k in range(len(quiv.groups[mid].generators)):
-            moves.append((i, quiv.arrows[path[i]].left_gen[k],
-                          quiv.arrows[path[i + 1]].right_gen[k]))
-    for t in itertools.product(*(range(s) for s in sizes)):
-        for i, lact, ract in moves:
-            # (t_{i+1}·h, t_i) ~ (t_{i+1}, h·t_i)
-            a = t[:i + 1] + (ract[t[i + 1]],) + t[i + 2:]
-            b = t[:i] + (lact[t[i]],) + t[i + 1:]
-            uf.union(a, b)
-        uf.find(t)
-    roots: dict[tuple, list[tuple]] = {}
-    for t in itertools.product(*(range(s) for s in sizes)):
-        roots.setdefault(uf.find(t), []).append(t)
-    reps = sorted(roots)
-    class_of = {}
-    for ci, r in enumerate(reps):
-        for t in roots[r]:
-            class_of[t] = ci
-    return reps, class_of
-
-
 def generate_free_category(quiv: EIQuiverData,
                            max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
-    """The free EI category on the quiver, as a fully explicit category."""
-    paths = _quiver_paths(quiv, max_paths)
+    """The free EI category on the quiver, as a fully explicit category.
 
-    # per pair: global element order is (path in sorted order, class in
-    # least-representative order)
-    elem_of: dict[tuple[str, str], dict] = {}      # (path, tuple) -> index
-    elems: dict[tuple[str, str], list] = {}        # index -> (path, rep tuple)
-    for key, plist in paths.items():
-        lookup: dict = {}
-        flat: list = []
-        for path in plist:
-            reps, class_of = _path_classes(quiv, path, max_paths)
-            base = len(flat)
-            flat.extend((path, r) for r in reps)
-            for t, ci in class_of.items():
-                lookup[(path, t)] = base + ci
-        elem_of[key] = lookup
-        elems[key] = flat
+    Each path biset is a left fold of biset_product over the path's
+    arrows, memoised by prefix.  Hom elements are ordered by path (sorted),
+    then by class in least-tuple order.
+    """
+    paths = _quiver_paths(quiv, max_paths)
+    biset: dict[tuple[int, ...], ArrowBiset] = {}
+    reps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # least tuples
+    for path in sorted((p for plist in paths.values() for p in plist),
+                       key=len):
+        arrow = quiv.arrows[path[-1]]
+        if len(path) > 1:
+            b = biset_product(arrow, biset[path[:-1]],
+                              quiv.groups[arrow.source])
+        else:
+            b = arrow
+        if b.size > max_paths:
+            raise ValidationError("path-bound",
+                                  f"a path biset exceeds {max_paths} elements")
+        biset[path] = b
+        reps[path] = ([reps[path[:-1]][s] + (t,) for s, t in b.least]
+                      if len(path) > 1 else [(t,) for t in range(b.size)])
 
     homs = {}
-    for (x, y), flat in elems.items():
-        left_gen = []
-        for k in range(len(quiv.groups[y].generators)):
-            perm = []
-            for path, rep in flat:
-                act = quiv.arrows[path[-1]].left_gen[k]
-                moved = rep[:-1] + (act[rep[-1]],)
-                perm.append(elem_of[(x, y)][(path, moved)])
-            left_gen.append(tuple(perm))
-        right_gen = []
-        for k in range(len(quiv.groups[x].generators)):
-            perm = []
-            for path, rep in flat:
-                act = quiv.arrows[path[0]].right_gen[k]
-                moved = (act[rep[0]],) + rep[1:]
-                perm.append(elem_of[(x, y)][(path, moved)])
-            right_gen.append(tuple(perm))
-        homs[(x, y)] = make_homset(x, y, len(flat), left_gen, right_gen,
+    base: dict[tuple[int, ...], int] = {}     # offset of a path's classes
+    for (x, y), plist in paths.items():
+        size = 0
+        for path in plist:
+            base[path] = size
+            size += biset[path].size
+        left_gen = tuple(tuple(base[p] + c for p in plist
+                               for c in biset[p].left_gen[k])
+                         for k in range(len(quiv.groups[y].generators)))
+        right_gen = tuple(tuple(base[p] + c for p in plist
+                                for c in biset[p].right_gen[k])
+                          for k in range(len(quiv.groups[x].generators)))
+        homs[(x, y)] = make_homset(x, y, size, left_gen, right_gen,
                                    quiv.groups[x], quiv.groups[y])
 
+    # the composite of (rpath, rc) and (qpath, qc) is the class of
+    # rc's tuples followed by qc's least tuple, walked through the
+    # class maps of the glued prefixes
     comp = {}
-    for (x, y) in elems:
-        for (y2, z) in elems:
-            if y2 != y or z == x or (x, z) not in elems:
+    for (x, y), inner in paths.items():
+        for (y2, z), outer in paths.items():
+            if y2 != y:
                 continue
-            table = []
-            for qpath, qrep in elems[(y, z)]:
-                row = []
-                for rpath, rrep in elems[(x, y)]:
-                    row.append(elem_of[(x, z)][(rpath + qpath, rrep + qrep)])
-                table.append(tuple(row))
-            comp[(x, y, z)] = tuple(table)
+            table = [[0] * homs[(x, y)].size for _ in range(homs[(y, z)].size)]
+            for qpath in outer:
+                for rpath in inner:
+                    full = rpath + qpath
+                    maps = [biset[full[:j]].class_of
+                            for j in range(len(rpath) + 1, len(full) + 1)]
+                    for qc, qrep in enumerate(reps[qpath]):
+                        row = table[base[qpath] + qc]
+                        for rc in range(biset[rpath].size):
+                            c = rc
+                            for m, t in zip(maps, qrep):
+                                c = m[c][t]
+                            row[base[rpath] + rc] = base[full] + c
+            comp[(x, y, z)] = tuple(map(tuple, table))
 
     topo = _object_order(quiv.objects, homs)
     cat = EICategory(quiv.objects, dict(quiv.groups), homs, comp, topo)
@@ -240,87 +222,82 @@ def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICatego
     return generate_free_category(ei_quiver_of(cat), max_paths=max_paths)
 
 
-def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> bool:
+def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND,
+            cover: EICategory | None = None) -> bool:
     """Whether the canonical functor from the free cover is bijective.
 
     The functor is always surjective, so equality of hom-set sizes over
-    every object pair decides it.
+    every object pair decides it.  A cover already built may be passed in.
     """
-    cover = free_cover(cat, max_paths=max_paths)
+    if cover is None:
+        cover = free_cover(cat, max_paths=max_paths)
     pairs = set(cat.homs) | set(cover.homs)
     return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
 
 
-# ---------------------------------------------------------------------------
-# unique factorization oracle (independent of the cover construction)
-
-def decompositions(cat: EICategory, alpha: MorphId,
-                   _unfact=None) -> list[tuple[MorphId, ...]]:
-    """All ways to write alpha as a composite of unfactorizables."""
-    if _unfact is None:
-        _unfact = unfactorizables(cat)
-    x, y = alpha.source, alpha.target
-    out = []
-    if alpha.index in _unfact.get((x, y), ()):
-        out.append((alpha,))
-    for z in cat.objects:
-        if z in (x, y) or (x, z) not in cat.homs or (z, y) not in cat.homs:
-            continue
-        for bi in _unfact[(x, z)]:
-            beta = MorphId(x, z, bi)
-            for di in range(cat.homs[(z, y)].size):
-                delta = MorphId(z, y, di)
-                if compose(cat, delta, beta) == alpha:
-                    for rest in decompositions(cat, delta, _unfact):
-                        out.append((beta,) + rest)
-    return out
-
-
-def _relatable(cat: EICategory, d1, d2) -> bool:
-    """Whether two decompositions differ by an interleaved chain of
-    automorphisms at the intermediate objects."""
-    if len(d1) != len(d2):
-        return False
-    if any(a.source != b.source or a.target != b.target
-           for a, b in zip(d1, d2)):
-        return False
-    n = len(d1)
-    if n == 1:
-        return d1[0] == d2[0]
-    # candidates h_i with d2_i * h_{i-1} = h_i * d1_i, h_0 = h_n = identity
-    mid = d1[0].target
-    cand = {h for h in range(len(cat.groups[mid]))
-            if compose(cat, MorphId(mid, mid, h), d1[0]) == d2[0]}
-    for i in range(1, n - 1):
-        mid2 = d1[i].target
-        nxt = set()
-        for h in range(len(cat.groups[mid2])):
-            lhs = compose(cat, MorphId(mid2, mid2, h), d1[i])
-            if any(compose(cat, d2[i], MorphId(mid, mid, hp)) == lhs
-                   for hp in cand):
-                nxt.add(h)
-        cand, mid = nxt, mid2
-        if not cand:
-            return False
-    return any(compose(cat, d2[-1], MorphId(mid, mid, hp)) == d1[-1]
-               for hp in cand)
-
-
-def has_unique_factorization(cat: EICategory, alpha: MorphId) -> bool:
-    """Whether every pair of decompositions of alpha is related by an
-    automorphism chain."""
-    ds = decompositions(cat, alpha)
-    if not ds:
-        return False
-    return all(_relatable(cat, ds[0], d) for d in ds[1:])
+def _first_step_orbit(cat: EICategory, x: str, z: str, y: str,
+                      beta: int, delta: int) -> set[tuple[int, int]]:
+    """The orbit of (β, δ) under h·(β, δ) = (h∘β, δ∘h⁻¹), h in Aut(z)."""
+    grp = cat.groups[z]
+    after = cat.homs[(z, y)].right_elem
+    moves = [(lact, after[grp.inv(grp.index_of[g])])
+             for lact, g in zip(cat.homs[(x, z)].left_gen, grp.generators)]
+    seen = {(beta, delta)}
+    stack = [(beta, delta)]
+    while stack:
+        b, d = stack.pop()
+        for lact, ract in moves:
+            nxt = (lact[b], ract[d])
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def category_has_ufp(cat: EICategory) -> bool:
-    """Whether every non-endomorphism factors uniquely; equivalent to
-    freeness, which the tests exploit as an independent oracle."""
+    """Whether every non-endomorphism factors uniquely into unfactorizables,
+    up to automorphisms at the intermediate objects.
+
+    Tested locally on the first-step sets
+    P(α) = {(z, β, δ) : β ∈ unfact(x, z), δ ∈ hom(z, y), δ∘β = α}
+    of the non-endomorphisms α: x -> y.  P(α) is empty exactly when α is
+    unfactorizable: a composite of non-isomorphisms has an unfactorizable
+    first factor, since the object order is finite.  Every other P(α)
+    must pass through one object z and form one orbit of Aut(z) under
+    h·(β, δ) = (h∘β, δ∘h⁻¹).
+
+    Proof of equivalence with the global property U(α) (α has a
+    decomposition, and any two are related by automorphism chains), by
+    induction on the length ℓ(α) of α's longest decomposition.  An
+    unfactorizable α has only the decomposition (α,), so U holds and the
+    local test has nothing to check.  Otherwise the decompositions of α
+    are the (β,) + d with (z, β, δ) ∈ P(α) and d a decomposition of δ,
+    and ℓ(δ) < ℓ(α).  If the local test holds everywhere: P(α) is
+    nonempty and U(δ) holds by induction, so α has a decomposition; given
+    two, (β,) + d and (β',) + d', both go through z, and β' = h∘β,
+    δ' = δ∘h⁻¹ for some h; then d'·h (first factor precomposed with h) is
+    a decomposition of δ, related to d by U(δ), so h followed by that
+    chain relates the two.  Conversely, if U holds everywhere: a first
+    step of any decomposition lies in P(α); two elements of P(α) extend
+    (by U of their δ) to decompositions of α, which being related pass
+    through the same objects, and the first automorphism h of their chain
+    gives β' = h∘β while the rest telescopes to δ' = δ∘h⁻¹.
+
+    Only composition tables and actions are read, so this stays
+    independent of the cover construction and serves as an oracle for
+    is_free.
+    """
     unfact = unfactorizables(cat)
-    for (x, y), hs in cat.homs.items():
-        for i in range(hs.size):
-            if not has_unique_factorization(cat, MorphId(x, y, i)):
-                return False
+    first_steps: dict[tuple[str, str, int], list] = {}
+    for (x, z, y), table in cat.comp.items():
+        for beta in unfact[(x, z)]:
+            for delta, row in enumerate(table):
+                first_steps.setdefault((x, y, row[beta]), []).append(
+                    (z, beta, delta))
+    for (x, y, _), steps in first_steps.items():
+        # the orbit lies in the part of P(α) through z, so it is all of
+        # P(α), through one object, exactly when the sizes agree
+        z, beta, delta = steps[0]
+        if len(_first_step_orbit(cat, x, z, y, beta, delta)) != len(steps):
+            return False
     return True

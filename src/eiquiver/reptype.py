@@ -19,7 +19,7 @@ from .chartab import (SplittingPrime, character_table, choose_splitting_prime,
                       ClassFunction)
 from .eicat import EICategory, MorphId, stabilizer_data, _orbit
 from .errors import InvariantError
-from .freecover import free_cover, is_free
+from .freecover import DEFAULT_PATH_BOUND, free_cover, is_free
 from .quiveralg import BuiltQuiver, build_quiver
 
 
@@ -126,11 +126,13 @@ def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
     return out
 
 
-def is_hereditary(cat: EICategory, prime: SplittingPrime) -> bool:
-    """Free with all group orders invertible mod p."""
+def is_hereditary(cat: EICategory, prime: SplittingPrime,
+                  cover: EICategory | None = None) -> bool:
+    """Free with all group orders invertible mod p (cover: the free
+    cover, if already built)."""
     if any(len(g) % prime.p == 0 for g in cat.groups.values()):
         return False
-    return is_free(cat)
+    return is_free(cat, cover=cover)
 
 
 @dataclass(frozen=True)
@@ -149,17 +151,19 @@ def _graph_verdict(comps) -> str:
     return "Wild"
 
 
-def rep_type(cat: EICategory, prime: SplittingPrime | None = None) -> RepTypeVerdict:
+def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
+             max_paths: int = DEFAULT_PATH_BOUND) -> RepTypeVerdict:
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
-    if is_hereditary(cat, prime):
+    # both branches need the free cover: build it once
+    cover = free_cover(cat, max_paths=max_paths)
+    if is_hereditary(cat, prime, cover):
         q = build_quiver(cat, prime)
         comps = classify_graph(q)
         names = ", ".join(c.name for c in comps)
         return RepTypeVerdict(
             _graph_verdict(comps),
             (("hereditary-graph", f"components: {names}"),))
-    cover = free_cover(cat)
     qc = build_quiver(cover, prime)
     comps = classify_graph(qc)
     if all(c.kind == "Dynkin" for c in comps):

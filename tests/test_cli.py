@@ -80,6 +80,15 @@ def test_explicit_good_prime_accepted(capsys):
     assert len(payload["arrows"]) == 4
 
 
+def test_prime_above_search_bound_rejected(capsys):
+    # prime and 1 mod the exponent, but far beyond what the linear algebra
+    # supports: rejected before any work, not left to spin
+    code, _, err = run(capsys, "--prime", "3000000019",
+                       "quiver", fx("four_object_mixed"))
+    assert code == 2
+    assert "bad-prime" in err and "exceeds the prime bound" in err
+
+
 def test_quiver_dot_shows_double_arrow(capsys):
     code, out, _ = run(capsys, "--format", "dot",
                        "quiver", fx("two_object_trivial_s3"))

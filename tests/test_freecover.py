@@ -1,6 +1,7 @@
 """Biset products, free categories, the freeness decision and the
 unique-factorization oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,12 +10,12 @@ from conftest import fixture_doc
 from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of, load_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
-                                decompositions, free_cover,
-                                generate_free_category,
-                                has_unique_factorization, is_free)
+                                free_cover, generate_free_category, is_free)
 from eiquiver.permgrp import named_group, pmul
 from randcats import (explicit_document, random_free_category,
-                      random_nonfree_category)
+                      random_nonfree_category, random_quiver_document)
+from ufp_reference import (decompositions, has_unique_factorization,
+                           reference_has_ufp)
 
 
 def regular_biset(group, src_name, tgt_name):
@@ -191,3 +192,82 @@ def test_generated_free_categories_pass_is_free():
     rng = random.Random(917)
     for _ in range(10):
         assert is_free(random_free_category(rng, max_mor=150))
+
+
+# ---------------------------------------------------------------------------
+# element order and composition pinned to the tuple-enumerating construction
+
+def free_category_digest(cat):
+    """Digest of every hom-set's actions and every composition table."""
+    homs = sorted((pair, hs.size, hs.left_gen, hs.right_gen)
+                  for pair, hs in cat.homs.items())
+    comp = sorted(cat.comp.items())
+    return hashlib.sha256(repr((homs, comp)).encode()).hexdigest()[:16]
+
+
+# recorded from the construction that enumerated every path tuple and merged
+# them with a union-find; random_quiver_document seeds with paths of up
+# to three arrows and parallel paths
+PINNED_DIGESTS = {
+    "line_quiver_free": "fb16dcd5f1ff399e",
+    "four_object_mixed": "0e718f30085af8c4",
+    5: "a6125481a8e46a09",
+    53: "a52f9d85e4ba3f42",
+    168: "0d7d6ef722b01058",
+    191: "533642e9313d69a7",
+    244: "2b76a7e0e1d8f7b6",
+    264: "ddf1f5ac1552d38a",
+}
+
+
+def test_free_category_element_order_pinned():
+    for key, want in PINNED_DIGESTS.items():
+        doc = (fixture_doc(key) if isinstance(key, str)
+               else random_quiver_document(random.Random(key)))
+        assert free_category_digest(load_category(doc)) == want, key
+
+
+def s3_chain_document(k):
+    """Objects c0..c{k-1}, each with group S3, joined c_i -> c_{i+1} by
+    the regular S3-biset."""
+    s3 = named_group("S3")
+    reg = regular_biset(s3, "", "")
+    return {
+        "mode": "ei-quiver",
+        "objects": [{"id": f"c{i}", "degree": s3.degree,
+                     "generators": [list(g) for g in s3.generators]}
+                    for i in range(k)],
+        "homs": [{"from": f"c{i}", "to": f"c{i + 1}", "size": reg.size,
+                  "left_action": [list(g) for g in reg.left_gen],
+                  "right_action": [list(g) for g in reg.right_gen]}
+                 for i in range(k - 1)],
+    }
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_s3_regular_chain(k):
+    # 6^(k-1) path tuples, but every glued hom is one regular biset
+    cat = load_category(s3_chain_document(k))
+    assert len(cat.homs) == k * (k - 1) // 2
+    assert all(hs.size == 6 for hs in cat.homs.values())
+    cover = free_cover(cat)
+    assert {pr: hs.size for pr, hs in cover.homs.items()} == \
+        {pr: hs.size for pr, hs in cat.homs.items()}
+    assert is_free(cat) is True
+    assert category_has_ufp(cat) is True
+
+
+def test_local_ufp_matches_reference_on_fixtures(categories):
+    for name, cat in categories.items():
+        assert category_has_ufp(cat) == reference_has_ufp(cat), name
+
+
+def test_local_ufp_matches_reference_on_random_categories():
+    rng = random.Random(2024)
+    verdicts = []
+    for i in range(120):
+        make = random_free_category if i % 2 else random_nonfree_category
+        cat = make(rng, max_mor=80)
+        verdicts.append(category_has_ufp(cat))
+        assert verdicts[-1] == reference_has_ufp(cat) == is_free(cat), i
+    assert verdicts.count(True) == verdicts.count(False) == 60
