@@ -60,19 +60,25 @@ def splitting_prime_for(exponent: int, max_order: int) -> SplittingPrime:
     raise CharTableError(f"no splitting prime below {PRIME_SEARCH_BOUND}")
 
 
-def certified_prime(p: int, groups) -> SplittingPrime:
-    """Certify a user-supplied prime against the given groups, or raise."""
+def _exponent_and_max_order(groups) -> tuple[int, int]:
+    """The lcm of the groups' exponents and their largest order."""
     ex = 1
     mx = 1
     for g in groups:
         ex = lcm(ex, g.exponent())
         mx = max(mx, len(g))
+    return ex, mx
+
+
+def certified_prime(p: int, groups) -> SplittingPrime:
+    """Certify a user-supplied prime against the given groups, or raise."""
     # beyond the bound, linalg.matmul can overflow int64 and
     # linalg.poly_roots scans all of F_p
     if p > PRIME_SEARCH_BOUND:
         raise CharTableError(f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
     if not _isprime(p):
         raise CharTableError(f"{p} is not prime")
+    ex, mx = _exponent_and_max_order(groups)
     if p % ex != 1 and ex > 1:
         raise CharTableError(f"{p} is not 1 mod the group exponent {ex}")
     if p <= 2 * mx:
@@ -84,12 +90,7 @@ def choose_splitting_prime(groups) -> SplittingPrime:
     groups = list(groups)
     if not groups:
         raise CharTableError("need at least one group")
-    ex = 1
-    mx = 1
-    for g in groups:
-        ex = lcm(ex, g.exponent())
-        mx = max(mx, len(g))
-    return splitting_prime_for(ex, mx)
+    return splitting_prime_for(*_exponent_and_max_order(groups))
 
 
 @dataclass(frozen=True)
@@ -230,17 +231,6 @@ def _check_orthogonality(t: CharTable) -> None:
         raise CharTableError("first irreducible is not the trivial character")
 
 
-def class_fusion(sub: SubgroupHandle, sub_table: CharTable,
-                 parent_table: CharTable) -> list[int]:
-    """Map each subgroup class to the parent class containing it."""
-    out = []
-    parent = sub.parent
-    for c in sub_table.classes:
-        perm = sub_table.group.elements[c.rep]
-        out.append(parent_table.class_of[parent.index_of[perm]])
-    return out
-
-
 def restrict(chi: ClassFunction, sub: SubgroupHandle) -> ClassFunction:
     vals = tuple(chi.values[i] for i in sub.member_positions)
     return ClassFunction(sub.as_group(), vals)
@@ -267,15 +257,6 @@ def transport(chi: ClassFunction, iso: GroupIso) -> ClassFunction:
     """Move a class function along a quotient isomorphism (value at q is
     the value at iso^{-1}(q))."""
     back = iso.inverse()
-    tgt, _ = iso.target.as_group()
+    tgt = iso.target.as_group()
     vals = tuple(chi.values[back(c)] for c in range(len(iso.target)))
     return ClassFunction(tgt, vals)
-
-
-def permutation_character(g: PermGroup, act, npoints: int, p: int) -> ClassFunction:
-    """Fixed-point character of the action `act(element_pos, point) -> point`."""
-    vals = []
-    for i in range(len(g)):
-        fixed = sum(1 for pt in range(npoints) if act(i, pt) == pt)
-        vals.append(fixed % p)
-    return ClassFunction(g, tuple(vals))

@@ -182,9 +182,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="bound on free-category path enumeration")
     parser.add_argument("--max-group", type=int, default=10000,
                         help="bound on group enumeration")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized internals (outputs are "
-                             "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, extra in (
             ("validate", cmd_validate, False),

@@ -18,45 +18,8 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
-                      SubgroupHandle, enumerate_group, pidentity, quotient)
-
-
-def _compose_perm(a, b):
-    # apply b first
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def extend_left_action(group: PermGroup, gen_perms: tuple[Perm, ...],
-                       n: int) -> tuple[Perm, ...]:
-    """Action of every group element from generator actions via BFS words.
-
-    Left actions compose covariantly: the action of a*b applies b's
-    permutation first.
-    """
-    out = []
-    for w in group.words:
-        acc = _perm_identity(n)
-        for k in w:
-            acc = _compose_perm(acc, gen_perms[k])
-        out.append(acc)
-    return tuple(out)
-
-
-def extend_right_action(group: PermGroup, gen_perms: tuple[Perm, ...],
-                        n: int) -> tuple[Perm, ...]:
-    """Right actions compose contravariantly: the action of a*b is
-    (action of b) after (action of a)."""
-    out = []
-    for w in group.words:
-        acc = _perm_identity(n)
-        for k in w:
-            acc = _compose_perm(gen_perms[k], acc)
-        out.append(acc)
-    return tuple(out)
+                      SubgroupHandle, enumerate_group, pidentity, pmul,
+                      quotient, word_products)
 
 
 @dataclass(frozen=True)
@@ -73,8 +36,12 @@ class HomSet:
 def make_homset(source: str, target: str, size: int,
                 left_gen, right_gen,
                 src_group: PermGroup, tgt_group: PermGroup) -> HomSet:
-    left_gen = tuple(tuple(map(int, g)) for g in left_gen)
-    right_gen = tuple(tuple(map(int, g)) for g in right_gen)
+    try:
+        left_gen = tuple(tuple(int(i) for i in g) for g in left_gen)
+        right_gen = tuple(tuple(int(i) for i in g) for g in right_gen)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"hom {source}->{target}: each action must be a "
+                          f"list of integers: {e}") from e
     if len(left_gen) != len(tgt_group.generators):
         raise SchemaError(f"hom {source}->{target}: need one left action per "
                           f"generator of Aut({target})")
@@ -86,28 +53,30 @@ def make_homset(source: str, target: str, size: int,
             raise ValidationError("bad-action",
                                   f"hom {source}->{target}: action is not a "
                                   f"permutation of {size} elements")
-    left_elem = extend_left_action(tgt_group, left_gen, size)
-    right_elem = extend_right_action(src_group, right_gen, size)
+    ident = pidentity(size)
+    left_elem = word_products(tgt_group, left_gen, ident, pmul)
+    right_elem = word_products(src_group, right_gen, ident,
+                               lambda acc, g: pmul(g, acc))
     hs = HomSet(source, target, size, left_gen, right_gen, left_elem, right_elem)
     _check_actions(hs, src_group, tgt_group)
     return hs
 
 
 def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> None:
-    ident = _perm_identity(hs.size)
+    ident = pidentity(hs.size)
     # word extension must be independent of the word: compare against every
     # (element, generator) product, which fixes all products by induction
     for e in range(len(tgt_group)):
         for k in range(len(tgt_group.generators)):
             prod = tgt_group.mul(e, tgt_group.index_of[tgt_group.generators[k]])
-            if hs.left_elem[prod] != _compose_perm(hs.left_elem[e], hs.left_gen[k]):
+            if hs.left_elem[prod] != pmul(hs.left_elem[e], hs.left_gen[k]):
                 raise ValidationError("action-inconsistent",
                                       f"left action on hom {hs.source}->{hs.target} "
                                       "does not respect the group relations")
     for e in range(len(src_group)):
         for k in range(len(src_group.generators)):
             prod = src_group.mul(e, src_group.index_of[src_group.generators[k]])
-            if hs.right_elem[prod] != _compose_perm(hs.right_gen[k], hs.right_elem[e]):
+            if hs.right_elem[prod] != pmul(hs.right_gen[k], hs.right_elem[e]):
                 raise ValidationError("action-inconsistent",
                                       f"right action on hom {hs.source}->{hs.target} "
                                       "does not respect the group relations")
@@ -118,7 +87,7 @@ def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> No
                               f"{hs.source}->{hs.target}")
     for lg in hs.left_gen:
         for rg in hs.right_gen:
-            if _compose_perm(lg, rg) != _compose_perm(rg, lg):
+            if pmul(lg, rg) != pmul(rg, lg):
                 raise ValidationError("actions-not-commuting",
                                       f"left and right actions on hom "
                                       f"{hs.source}->{hs.target} do not commute")
@@ -330,7 +299,7 @@ def load_category(document: dict, max_group: int = 10000,
         try:
             oid = str(spec["id"])
             degree = int(spec["degree"])
-            gens = spec.get("generators", [])
+            gens = list(spec.get("generators", []))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad object entry: {e}") from e
         if oid in groups:
@@ -371,11 +340,14 @@ def load_category(document: dict, max_group: int = 10000,
             homs[(x, y)] = make_homset(x, y, size, lga, rga, groups[x], groups[y])
 
     comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
-    for cspec in document.get("compositions", []):
+    compspecs = document.get("compositions", [])
+    if not isinstance(compspecs, list):
+        raise SchemaError("'compositions' must be an array")
+    for cspec in compspecs:
         try:
             ox, oy = map(str, cspec["outer"])
             ix, iy = map(str, cspec["inner"])
-            table = cspec["table"]
+            table = tuple(tuple(int(v) for v in row) for row in cspec["table"])
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad composition entry: {e}") from e
         if iy != ox:
@@ -383,7 +355,7 @@ def load_category(document: dict, max_group: int = 10000,
         key = (ix, ox, oy)
         if key in comp:
             raise SchemaError(f"duplicate composition table for {key}")
-        comp[key] = tuple(tuple(int(v) for v in row) for row in table)
+        comp[key] = table
 
     # report two-way hom pairs as the skeletality violation they are,
     # rather than as the object cycle they induce
@@ -392,6 +364,13 @@ def load_category(document: dict, max_group: int = 10000,
             raise ValidationError("hom-both-directions",
                                   f"hom sets {x}->{y} and {y}->{x} are "
                                   "both nonempty")
+    # after the two-way check: over a two-way pair, a table x->y->x names
+    # the absent hom x->x
+    for (x, y, z) in comp:
+        for a, b in ((x, y), (y, z), (x, z)):
+            if (a, b) not in homs:
+                raise SchemaError(f"composition table {x}->{y}->{z} names "
+                                  f"the empty hom {a}->{b}")
     topo = _object_order(tuple(objects), homs)
     cat = EICategory(tuple(objects), groups, homs, comp, topo)
     validate_category(cat)
@@ -418,17 +397,26 @@ def unfactorizables(cat: EICategory) -> dict[tuple[str, str], tuple[int, ...]]:
     return out
 
 
-def _orbit(hs: HomSet, start: int) -> tuple[int, ...]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for perm in hs.left_gen + hs.right_gen:
-            j = perm[i]
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return tuple(sorted(seen))
+def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:
+    """The two-sided orbits meeting the given hom indices, each sorted,
+    in order of least member."""
+    gens = hs.left_gen + hs.right_gen
+    remaining = set(indices)
+    out = []
+    while remaining:
+        start = min(remaining)
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for perm in gens:
+                j = perm[i]
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        remaining -= seen
+        out.append(tuple(sorted(seen)))
+    return out
 
 
 def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...]]]:
@@ -438,15 +426,11 @@ def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...
     out = []
     pos = {x: i for i, x in enumerate(cat.objects)}
     for (x, y) in sorted(cat.homs, key=lambda k: (pos[k[0]], pos[k[1]])):
-        remaining = set(unfact[(x, y)])
-        hs = cat.homs[(x, y)]
-        while remaining:
-            start = min(remaining)
-            orb = _orbit(hs, start)
-            if not set(orb) <= set(unfact[(x, y)]):
+        mine = set(unfact[(x, y)])
+        for orb in homset_orbits(cat.homs[(x, y)], mine):
+            if not set(orb) <= mine:
                 raise InvariantError(
                     "orbit of an unfactorizable leaves the unfactorizable set")
-            remaining -= set(orb)
             out.append((MorphId(x, y, orb[0]), orb))
     return out
 

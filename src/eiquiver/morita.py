@@ -23,9 +23,9 @@ import numpy as np
 
 from . import linalg
 from .chartab import CharTable
-from .eicat import EICategory, MorphId, compose, orbit_representatives
+from .eicat import EICategory, MorphId, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
-from .permgrp import PermGroup
+from .permgrp import PermGroup, word_products
 from .quiveralg import BuiltQuiver
 
 
@@ -34,13 +34,8 @@ from .quiveralg import BuiltQuiver
 
 def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
     """Matrix of every group element, by word products over generators."""
-    out = []
-    for w in group.words:
-        m = linalg.eye(dim)
-        for k in w:
-            m = linalg.matmul(m, gen_mats[k], p)
-        out.append(m)
-    return out
+    return word_products(group, gen_mats, linalg.eye(dim),
+                         lambda acc, m: linalg.matmul(acc, m, p))
 
 
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
@@ -386,34 +381,24 @@ def load_quiverrep(built: BuiltQuiver, doc: dict) -> QuiverRep:
 # the functor and its inverse
 
 class MoritaContext:
-    """Caches all canonical models and intertwiner bases for one quiver."""
+    """Caches the intertwiner bases for one quiver; canonical models come
+    from the module-level cache of irreducible_model."""
 
     def __init__(self, built: BuiltQuiver):
         self.built = built
         self.cat = built.cat
         self.p = built.prime.p
         self.arrows = expanded_arrows(built)
-        self._models = {}
         self._kappa = {}
         self._mu = {}
-        self._qmodels = {}
 
     def model(self, x: str, v: int):
         """(generator matrices, element matrices) of irreducible v at x."""
-        key = (x, v)
-        if key not in self._models:
-            self._models[key] = irreducible_model(self.cat.groups[x],
-                                                  self.built.tables[x], v)
-        return self._models[key]
+        return irreducible_model(self.cat.groups[x], self.built.tables[x], v)
 
     def quotient_model(self, r: int, u: int):
-        key = (r, u)
-        if key not in self._qmodels:
-            od = self.built.orbits[r]
-            qmodel, _ = od.stab.quotG.as_group()
-            self._qmodels[key] = irreducible_model(qmodel,
-                                                   od.quotient_table, u)
-        return self._qmodels[key]
+        table = self.built.orbits[r].quotient_table
+        return irreducible_model(table.group, table, u)
 
     def kappa(self, r: int, u: int, v: int):
         """Basis of Hom_{G1}(infl U, V restricted), V at the source object."""
@@ -549,15 +534,14 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
                 total += dv
                 blocks.append((v, dv))
         obj_dims[x] = total
-        mats = []
-        for k in range(len(built.cat.groups[x].generators)):
-            m = linalg.zeros(total, total)
-            pos = 0
-            for v, dv in blocks:
-                gm, _ = ctx.model(x, v)
-                m[pos:pos + dv, pos:pos + dv] = gm[k]
-                pos += dv
-            mats.append(m)
+        mats = [linalg.zeros(total, total)
+                for _ in built.cat.groups[x].generators]
+        pos = 0
+        for v, dv in blocks:
+            gm, _ = ctx.model(x, v)
+            for m, g in zip(mats, gm):
+                m[pos:pos + dv, pos:pos + dv] = g
+            pos += dv
         gen_mats[x] = tuple(mats)
 
     def embedding(x, v, t):
@@ -704,32 +688,3 @@ def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
         return total
     system = np.vstack(rows) % p
     return int(linalg.nullspace(system, p).shape[0])
-
-
-def transport_hom(ctx: MoritaContext, r1: CatRep, r2: CatRep,
-                  nat: dict) -> dict:
-    """Image under F of a natural transformation (one matrix per object):
-    one matrix per vertex, acting between the copy spaces."""
-    p = ctx.p
-    out = {}
-    for idx, vert in enumerate(ctx.built.vertices):
-        x, v = vert.object, vert.irr
-        th1 = ctx.theta(r1, x, v)
-        th2 = ctx.theta(r2, x, v)
-        mat = linalg.zeros(len(th2), len(th1))
-        if th1 and th2:
-            cols = np.stack([t.flatten(order="F") for t in th2], axis=1) % p
-            for i, t in enumerate(th1):
-                moved = linalg.matmul(nat[x], t, p)
-                sol = linalg.solve(cols, moved.flatten(order="F"), p)
-                if sol is None:
-                    raise InvariantError("transported copy leaves the "
-                                         "isotypic component")
-                mat[:, i] = sol[:, 0]
-        elif th1:
-            for i, t in enumerate(th1):
-                if np.any(linalg.matmul(nat[x], t, p)):
-                    raise InvariantError("transported copy leaves the "
-                                         "isotypic component")
-        out[idx] = mat % p
-    return out

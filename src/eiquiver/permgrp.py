@@ -25,7 +25,11 @@ Perm = tuple[int, ...]  # images of 0..degree-1
 
 
 def check_perm(images, degree: int) -> Perm:
-    t = tuple(int(i) for i in images)
+    try:
+        t = tuple(int(i) for i in images)
+    except (TypeError, ValueError) as e:
+        raise GroupError(f"not a permutation of degree {degree}: "
+                         f"{images}") from e
     if len(t) != degree or sorted(t) != list(range(degree)):
         raise GroupError(f"not a permutation of degree {degree}: {images}")
     return t
@@ -45,6 +49,24 @@ def pinv(a: Perm) -> Perm:
 
 def pidentity(degree: int) -> Perm:
     return tuple(range(degree))
+
+
+def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
+    """Image of every element of group, in element order, as the product of
+    its generators' images along the element's BFS word: each letter k
+    turns acc into product(acc, gen_images[k]).
+
+    A left action passes pmul (the action of a*b applies b's permutation
+    first); a right action passes pmul with its arguments swapped (the
+    action of a*b is b's after a's); matrices pass their product mod p.
+    """
+    out = []
+    for w in group.words:
+        acc = identity
+        for k in w:
+            acc = product(acc, gen_images[k])
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -160,9 +182,6 @@ class SubgroupHandle:
     def __len__(self) -> int:
         return len(self.member_positions)
 
-    def __contains__(self, pos: int) -> bool:
-        return pos in set(self.member_positions)
-
     def as_group(self) -> PermGroup:
         """The subgroup as a standalone PermGroup, elements in parent order."""
         elems = tuple(self.parent.elements[i] for i in self.member_positions)
@@ -188,27 +207,6 @@ def trivial_subgroup(g: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(g, (g.identity_pos,))
 
 
-def stabilizer_closure(parent: PermGroup, members) -> SubgroupHandle:
-    """Smallest subgroup of parent containing the given member positions."""
-    for m in members:
-        if not 0 <= m < len(parent):
-            raise GroupError(f"position {m} outside parent group")
-    closure = {parent.identity_pos}
-    frontier = list(dict.fromkeys(members))
-    closure.update(frontier)
-    gens = list(frontier)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in gens:
-                for j in (parent.mul(i, s), parent.inv(i)):
-                    if j not in closure:
-                        closure.add(j)
-                        nxt.append(j)
-        frontier = nxt
-    return SubgroupHandle(parent, tuple(sorted(closure)))
-
-
 @dataclass(frozen=True)
 class QuotientGroup:
     base: SubgroupHandle
@@ -220,32 +218,18 @@ class QuotientGroup:
     def __len__(self) -> int:
         return len(self.cosets)
 
-    @property
-    def identity_coset(self) -> int:
-        return self.projection[self.base.parent.identity_pos]
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        for b in range(len(self)):
-            if self.table[a][b] == self.identity_coset:
-                return b
-        raise GroupError("quotient table has no inverse")  # unreachable
-
-    def as_group(self) -> tuple[PermGroup, list[int]]:
-        """Left-regular permutation model; returns (group, coset -> position).
-
-        The model keeps coset order: element q is the permutation
-        c -> q*c of coset indices, listed in coset index order.
-        """
+    def as_group(self) -> PermGroup:
+        """Left-regular permutation model, in coset order: element q is
+        the permutation c -> q*c of coset indices."""
         n = len(self)
         elems = tuple(tuple(self.table[q][c] for c in range(n)) for q in range(n))
         # regular model is faithful, so all permutations are distinct
         index_of = {e: k for k, e in enumerate(elems)}
-        grp = PermGroup(n, elems, elems, index_of,
-                        tuple((k,) for k in range(n)))
-        return grp, list(range(n))
+        return PermGroup(n, elems, elems, index_of,
+                         tuple((k,) for k in range(n)))
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:

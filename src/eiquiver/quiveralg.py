@@ -95,8 +95,7 @@ def build_quiver(cat: EICategory, prime: SplittingPrime | None = None) -> BuiltQ
     counts: dict[tuple[int, int], list[ArrowUnit]] = {}
     for ridx, (rep, orb) in enumerate(orbit_representatives(cat)):
         sd = stabilizer_data(cat, rep)
-        qmodel, _ = sd.quotG.as_group()
-        qtable = character_table(qmodel, prime)
+        qtable = character_table(sd.quotG.as_group(), prime)
         orbits.append(OrbitData(rep, orb, sd, qtable))
         x, y = rep.source, rep.target
         for u in range(len(qtable)):

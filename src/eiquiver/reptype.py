@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chartab import (SplittingPrime, character_table, choose_splitting_prime,
-                      inner_product, restriction_multiplicity, restrict,
-                      ClassFunction)
-from .eicat import EICategory, MorphId, stabilizer_data, _orbit
-from .errors import InvariantError
+from .chartab import (ClassFunction, SplittingPrime, character_table,
+                      choose_splitting_prime, restriction_multiplicity)
+from .eicat import EICategory, MorphId, homset_orbits, stabilizer_data
 from .freecover import DEFAULT_PATH_BOUND, free_cover, is_free
+from .permgrp import SubgroupHandle
 from .quiveralg import BuiltQuiver, build_quiver
 
 
@@ -183,18 +182,6 @@ def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
 # ---------------------------------------------------------------------------
 # two-object screens
 
-def _trivial_mult_on(chi: ClassFunction, handle, p: int) -> int:
-    """Multiplicity of the trivial module in chi restricted to the
-    subgroup whose parent positions are handle.member_positions, where chi
-    lives on a possibly larger subgroup of the same parent."""
-    grp = chi.group
-    acc = 0
-    for pos in handle.member_positions:
-        acc = (acc + chi.values[grp.index_of[handle.parent.elements[pos]]]) % p
-    from .linalg import inv_scalar
-    return acc * inv_scalar(len(handle), p) % p
-
-
 def screen_two_object(cat: EICategory, prime: SplittingPrime):
     """Infinite-type screens over every connected two-object full
     subcategory.  Returns a list of ((x, y), rule, witness) findings."""
@@ -203,12 +190,7 @@ def screen_two_object(cat: EICategory, prime: SplittingPrime):
     pos = {x: i for i, x in enumerate(cat.objects)}
     for (x, y) in sorted(cat.homs, key=lambda k: (pos[k[0]], pos[k[1]])):
         hs = cat.homs[(x, y)]
-        remaining = set(range(hs.size))
-        orbits = []
-        while remaining:
-            orb = _orbit(hs, min(remaining))
-            remaining -= set(orb)
-            orbits.append(orb)
+        orbits = homset_orbits(hs, range(hs.size))
         if len(orbits) > 1:
             findings.append(((x, y), "multiple-orbits",
                              f"{len(orbits)} biset orbits"))
@@ -226,13 +208,18 @@ def screen_two_object(cat: EICategory, prime: SplittingPrime):
         if g_transitive:   # opposite category: source-side tower G0 ≤ G1 ≤ G
             sides.append(("source", sd.G0, sd.G1, cat.groups[x]))
         for side, k0, k1, big in sides:
-            sub_table = character_table(k1.as_group(), prime)
+            k1_group = k1.as_group()
+            sub_table = character_table(k1_group, prime)
             big_table = character_table(big, prime)
+            in_k0 = set(k0.member_positions)
+            k0_in_k1 = SubgroupHandle(k1_group, tuple(
+                k for k, pos in enumerate(k1.member_positions) if pos in in_k0))
+            trivial = ClassFunction(k0_in_k1.as_group(), (1,) * len(k0_in_k1))
             for s in range(len(sub_table)):
                 chi_s = sub_table.irreducible(s)
                 # S is a summand of the induction of k from K0 iff its
                 # restriction to K0 contains the trivial module
-                if _trivial_mult_on(chi_s, k0, p) == 0:
+                if restriction_multiplicity(chi_s, k0_in_k1, trivial, p) == 0:
                     continue
                 mults = [restriction_multiplicity(big_table.irreducible(t),
                                                   k1, chi_s, p)

@@ -5,13 +5,12 @@ import pytest
 from eiquiver import linalg
 from eiquiver.chartab import (CharTableError, ClassFunction, certified_prime,
                               character_table, choose_splitting_prime,
-                              class_fusion, inflate, inner_product,
-                              permutation_character, restrict,
+                              inflate, inner_product, restrict,
                               restriction_multiplicity, splitting_prime_for,
                               transport)
-from eiquiver.permgrp import (GroupIso, named_group, quotient,
-                              stabilizer_closure, trivial_subgroup,
-                              whole_group)
+from eiquiver.permgrp import (GroupIso, SubgroupHandle, named_group, quotient,
+                              trivial_subgroup, whole_group)
+from randcats import closure_positions
 
 S3 = named_group("S3")
 P13 = choose_splitting_prime([S3])
@@ -91,28 +90,10 @@ def test_all_catalog_tables():
                     (1 if i == j else 0)
 
 
-def test_class_fusion():
-    t_parent = character_table(S3, P13)
-    transposition = S3.index_of[(1, 0, 2)]
-    c2 = stabilizer_closure(S3, [transposition])
-    t_sub = character_table(c2.as_group(), P13)
-    fusion = class_fusion(c2, t_sub, t_parent)
-    assert fusion[0] == t_parent.class_of[S3.identity_pos]
-    assert fusion[1] == t_parent.class_of[transposition]
-    # trivial subgroup: everything fuses to the identity class
-    triv = trivial_subgroup(S3)
-    t_triv = character_table(triv.as_group(), P13)
-    assert class_fusion(triv, t_triv, t_parent) == \
-        [t_parent.class_of[S3.identity_pos]]
-    # sub = parent: identity fusion
-    whole = whole_group(S3)
-    assert class_fusion(whole, t_parent, t_parent) == \
-        list(range(len(t_parent.classes)))
-
-
 def test_restriction_multiplicities_s3_to_c2():
     t = character_table(S3, P13)
-    c2 = stabilizer_closure(S3, [S3.index_of[(1, 0, 2)]])
+    c2 = SubgroupHandle(
+        S3, tuple(closure_positions(S3, [S3.index_of[(1, 0, 2)]])))
     t_sub = character_table(c2.as_group(), P13)
     triv, sign = t_sub.irreducible(0), t_sub.irreducible(1)
     v2 = t.irreducible(2)
@@ -140,7 +121,8 @@ def test_frobenius_reciprocity():
         g = named_group(name)
         prime = choose_splitting_prime([g])
         t = character_table(g, prime)
-        sub = stabilizer_closure(g, [g.index_of[seed]])
+        sub = SubgroupHandle(
+            g, tuple(closure_positions(g, [g.index_of[seed]])))
         t_sub = character_table(sub.as_group(), prime)
         for i in range(len(t)):
             chi = t.irreducible(i)
@@ -154,9 +136,9 @@ def test_frobenius_reciprocity():
 
 def test_inflate():
     three_cycle = S3.index_of[(1, 2, 0)]
-    kernel = stabilizer_closure(S3, [three_cycle])
+    kernel = SubgroupHandle(S3, tuple(closure_positions(S3, [three_cycle])))
     q = quotient(whole_group(S3), kernel)
-    model, _ = q.as_group()
+    model = q.as_group()
     t_q = character_table(model, P13)
     t = character_table(S3, P13)
     # trivial inflates to trivial
@@ -174,7 +156,7 @@ def test_inflate():
 def test_transport():
     g = named_group("C3")
     q = quotient(whole_group(g), trivial_subgroup(g))
-    model, _ = q.as_group()
+    model = q.as_group()
     t = character_table(model, choose_splitting_prime([g]))
     ident = GroupIso(q, q, (0, 1, 2))
     invmap = GroupIso(q, q, (0, 2, 1))
@@ -190,19 +172,3 @@ def test_transport():
         for j in range(3):
             assert inner_product(moved[i], moved[j], p) == \
                 (1 if i == j else 0)
-
-
-def test_permutation_character():
-    p = P13.p
-    regular = permutation_character(
-        S3, lambda e, pt: S3.mul(e, pt), len(S3), p)
-    assert regular.values[S3.identity_pos] == 6
-    assert sum(regular.values) == 6
-    one_point = permutation_character(S3, lambda e, pt: pt, 1, p)
-    assert set(one_point.values) == {1}
-    # Burnside: <perm char, trivial> = number of orbits
-    t = character_table(S3, P13)
-    assert inner_product(regular, t.irreducible(0), p) == 1
-    # the regular character contains each irreducible dim-many times
-    for i in range(3):
-        assert inner_product(regular, t.irreducible(i), p) == t.dims[i]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_doc, fixture_path
 from eiquiver.cli import main
 
 
@@ -60,6 +60,45 @@ def test_invalid_category_is_validation_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(f))
     assert code == 2
     assert "hom-both-directions" in err
+
+
+def _set(path, value):
+    """Mutation that replaces doc[path[0]][path[1]]... by value."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("fixture, mutate, code, prefix", [
+    # composition naming the empty hom x->y
+    ("line_subcategory_nonfree",
+     _set(("compositions", 0, "outer"), ["x", "y"]), 3, "schema error"),
+    ("line_subcategory_nonfree",
+     _set(("compositions", 0, "table"), [["a"]]), 3, "schema error"),
+    ("line_subcategory_nonfree",
+     _set(("compositions", 0, "table"), 5), 3, "schema error"),
+    ("line_subcategory_nonfree",
+     _set(("compositions",), 5), 3, "schema error"),
+    ("fork_merge_free", _set(("objects", 1, "generators"), [1]),
+     2, "validation error: bad-group"),
+    ("fork_merge_free", _set(("objects", 1, "generators"), 5),
+     3, "schema error"),
+    ("fork_merge_free", _set(("homs", 0, "left_action"), [1, 2]),
+     3, "schema error"),
+])
+def test_malformed_tables_and_actions_end_in_a_finding(
+        capsys, tmp_path, fixture, mutate, code, prefix):
+    doc = fixture_doc(fixture)
+    mutate(doc)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "validate", str(f))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1 and \
+        err.endswith("\n")
 
 
 def test_uncertifiable_prime_rejected(capsys):

@@ -15,7 +15,7 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              intertwiner_basis, inverse_functor,
                              irreducible_model, load_catrep, load_quiverrep,
-                             quiverrep_document, transport_hom)
+                             quiverrep_document)
 from eiquiver.permgrp import named_group
 from eiquiver.quiveralg import build_quiver
 
@@ -154,18 +154,6 @@ def test_hom_dims_agree(rep_setup):
     cat, rep, ctx = rep_setup
     q = apply_functor(ctx, rep)
     assert hom_dim_cat(rep, rep) == hom_dim_quiver(q, q) == 2
-
-
-def test_transport_hom_identity_and_zero(rep_setup):
-    cat, rep, ctx = rep_setup
-    ident = {x: linalg.eye(rep.dims[x]) for x in cat.objects}
-    q = apply_functor(ctx, rep)
-    out = transport_hom(ctx, rep, rep, ident)
-    for idx, mat in out.items():
-        assert np.array_equal(mat, linalg.eye(q.dims[idx]))
-    zero = {x: linalg.zeros(rep.dims[x], rep.dims[x]) for x in cat.objects}
-    out = transport_hom(ctx, rep, rep, zero)
-    assert all(not np.any(m) for m in out.values())
 
 
 def test_quiverrep_document_round_trip(rep_setup):
