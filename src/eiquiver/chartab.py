@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
+import numpy as np
+
 from . import linalg
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
                       GroupIso, class_index_of, conjugacy_classes)
@@ -137,15 +139,18 @@ class CharTable:
 
 
 def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
-    """M_i with (M_i)[j,k] = #{(u,v) in C_i x C_j : uv = w_k} for fixed w_k."""
+    """M_i with (M_i)[j,k] = #{(u,v) in C_i x C_j : uv = w_k} for fixed w_k.
+
+    For each k, v = u^-1 w_k over all u is the inverse table read along
+    the Cayley row of w_k^-1, so each column is one bincount.
+    """
     r = len(classes)
-    mats = [linalg.zeros(r, r) for _ in range(r)]
+    cls = np.asarray(class_of)
+    mats = np.zeros((r, r, r), dtype=np.int64)
     for k in range(r):
-        w = classes[k].rep
-        for i in range(r):
-            for u in classes[i].members:
-                v = g.mul(g.inv(u), w)
-                mats[i][class_of[v], k] += 1
+        v = g.inverse[g.row(g.inv(classes[k].rep))]
+        mats[:, :, k] = np.bincount(cls * r + cls[v],
+                                    minlength=r * r).reshape(r, r)
     return [m % p for m in mats]
 
 
@@ -221,12 +226,16 @@ def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
 
 
 def _check_orthogonality(t: CharTable) -> None:
-    irr = t.irreducibles()
-    for i in range(len(irr)):
-        for j in range(i, len(irr)):
-            ip = inner_product(irr[i], irr[j], t.p)
-            if ip != (1 if i == j else 0):
-                raise CharTableError("row orthogonality fails")
+    """Row orthogonality in class space: with X the table, s_k = |C_k|
+    and k' the class of the inverses of C_k,
+    sum_k s_k X[i,k] X[j,k'] = |G| [i = j], one r x r product mod p."""
+    g, p = t.group, t.p
+    x = np.array(t.rows, dtype=np.int64)
+    sizes = np.array([len(c) for c in t.classes], dtype=np.int64)
+    inv_class = [t.class_of[g.inv(c.rep)] for c in t.classes]
+    gram = linalg.matmul(x * sizes % p, x[:, inv_class].T, p)
+    if not np.array_equal(gram, len(g) * linalg.eye(len(t)) % p):
+        raise CharTableError("row orthogonality fails")
     if any(v != 1 for v in t.rows[0]):
         raise CharTableError("first irreducible is not the trivial character")
 

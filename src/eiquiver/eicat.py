@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
-                      SubgroupHandle, enumerate_group, pidentity, pmul,
-                      quotient, word_products)
+                      SubgroupHandle, enumerate_group, is_int, pidentity,
+                      pmul, quotient, word_products)
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,14 @@ def make_homset(source: str, target: str, size: int,
                 left_gen, right_gen,
                 src_group: PermGroup, tgt_group: PermGroup) -> HomSet:
     try:
-        left_gen = tuple(tuple(int(i) for i in g) for g in left_gen)
-        right_gen = tuple(tuple(int(i) for i in g) for g in right_gen)
-    except (TypeError, ValueError) as e:
+        left_gen = tuple(tuple(g) for g in left_gen)
+        right_gen = tuple(tuple(g) for g in right_gen)
+    except TypeError as e:
         raise SchemaError(f"hom {source}->{target}: each action must be a "
                           f"list of integers: {e}") from e
+    if not all(is_int(i) for g in left_gen + right_gen for i in g):
+        raise SchemaError(f"hom {source}->{target}: each action must be a "
+                          "list of integers")
     if len(left_gen) != len(tgt_group.generators):
         raise SchemaError(f"hom {source}->{target}: need one left action per "
                           f"generator of Aut({target})")
@@ -298,7 +301,9 @@ def load_category(document: dict, max_group: int = 10000,
     for spec in objs:
         try:
             oid = str(spec["id"])
-            degree = int(spec["degree"])
+            degree = spec["degree"]
+            if not is_int(degree):
+                raise TypeError(f"degree {degree!r} is not an integer")
             gens = list(spec.get("generators", []))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad object entry: {e}") from e
@@ -323,7 +328,9 @@ def load_category(document: dict, max_group: int = 10000,
     for hspec in homspecs:
         try:
             x, y = str(hspec["from"]), str(hspec["to"])
-            size = int(hspec["size"])
+            size = hspec["size"]
+            if not is_int(size):
+                raise TypeError(f"size {size!r} is not an integer")
             lga = hspec.get("left_action", [])
             rga = hspec.get("right_action", [])
         except (KeyError, TypeError, ValueError) as e:
@@ -345,9 +352,14 @@ def load_category(document: dict, max_group: int = 10000,
         raise SchemaError("'compositions' must be an array")
     for cspec in compspecs:
         try:
-            ox, oy = map(str, cspec["outer"])
-            ix, iy = map(str, cspec["inner"])
-            table = tuple(tuple(int(v) for v in row) for row in cspec["table"])
+            outer, inner = cspec["outer"], cspec["inner"]
+            if not (isinstance(outer, list) and isinstance(inner, list)):
+                raise TypeError("outer and inner must be [from, to] lists")
+            ox, oy = map(str, outer)
+            ix, iy = map(str, inner)
+            table = tuple(tuple(row) for row in cspec["table"])
+            if not all(is_int(v) for row in table for v in row):
+                raise TypeError("table entries must be integers")
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad composition entry: {e}") from e
         if iy != ox:

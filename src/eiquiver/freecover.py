@@ -27,7 +27,7 @@ from .errors import SchemaError, ValidationError
 from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
                     ei_quiver_of, make_homset, unfactorizables,
                     validate_category)
-from .permgrp import PermGroup
+from .permgrp import PermGroup, is_int
 
 DEFAULT_PATH_BOUND = 100000
 
@@ -39,7 +39,9 @@ def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
     for hspec in homspecs:
         try:
             x, y = str(hspec["from"]), str(hspec["to"])
-            size = int(hspec["size"])
+            size = hspec["size"]
+            if not is_int(size):
+                raise TypeError(f"size {size!r} is not an integer")
             lga = hspec.get("left_action", [])
             rga = hspec.get("right_action", [])
         except (KeyError, TypeError, ValueError) as e:

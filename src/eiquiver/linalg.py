@@ -2,7 +2,11 @@
 
 Matrices are numpy int64 arrays with entries reduced to {0..p-1}.  All
 routines use deterministic pivoting (first nonzero column, topmost row)
-so that downstream artifacts are reproducible byte-for-byte.
+so that downstream artifacts are reproducible byte-for-byte.  Each
+elimination step is one whole-array update of the rows it touches, so
+no routine loops over rows in Python; the characteristic polynomial
+comes from a Hessenberg reduction, O(n^3).  Products stay below
+n * p^2, which fits int64 for p up to ~10^6.
 """
 
 from __future__ import annotations
@@ -32,30 +36,35 @@ def inv_scalar(x: int, p: int) -> int:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    r = asmod(a, p).copy()
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Per pivot, the rows with a nonzero entry in its column are cleared
+    in one array operation.
+    """
+    r = asmod(a, p)
     m, n = r.shape
     pivots: list[int] = []
     row = 0
     for col in range(n):
-        if row >= m:
+        if row == m:
             break
-        sel = -1
-        for i in range(row, m):
-            if r[i, col] % p != 0:
-                sel = i
-                break
-        if sel < 0:
+        nz = r[:, col].nonzero()[0]
+        k = nz.searchsorted(row)
+        if k == nz.size:
             continue
+        sel = nz[k]
         if sel != row:
+            # row held a zero here, so nz minus sel are the rows to clear
             r[[row, sel]] = r[[sel, row]]
-        r[row] = (r[row] * inv_scalar(r[row, col], p)) % p
-        for i in range(m):
-            if i != row and r[i, col] % p != 0:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        piv = r[row]
+        piv *= inv_scalar(piv[col], p)
+        piv %= p
+        if nz.size > 1:
+            others = nz[nz != sel]
+            r[others] = (r[others] - r[others, col, None] * piv) % p
         pivots.append(col)
         row += 1
-    return r % p, pivots
+    return r, pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -71,101 +80,82 @@ def row_space(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {x : a x = 0} as rows, in echelon-determined order."""
-    m, n = a.shape
+    """Basis of {x : a x = 0} as rows, in echelon-determined order: one
+    row per free column j, with 1 at j and -R[i, j] at pivot column i."""
+    n = a.shape[1]
     r, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = zeros(len(free), n)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, j]) % p
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    basis = zeros(free.size, n)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -r[:len(pivots), free].T % p
     return basis
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution x of a x = b (columns of b), or None if inconsistent."""
-    m, n = a.shape
+    n = a.shape[1]
     b = asmod(b, p)
     if b.ndim == 1:
         b = b.reshape(-1, 1)
-    aug = np.hstack([asmod(a, p), b])
-    r, pivots = rref(aug, p)
-    k = b.shape[1]
-    for i in range(len(pivots)):
-        if pivots[i] >= n:
-            return None
-    # rows below the pivots must be zero on the rhs too
-    if len(pivots) < m and np.any(r[len(pivots):, n:] % p):
+    r, pivots = rref(np.hstack([asmod(a, p), b]), p)
+    # a pivot in the right-hand block is a row 0 = nonzero
+    if pivots and pivots[-1] >= n:
         return None
-    x = zeros(n, k)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
-    return x % p
+    x = zeros(n, b.shape[1])
+    x[pivots] = r[:len(pivots), n:]
+    return x
 
 
 def inv(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
-    x = solve(a, eye(n), p)
-    if x is None or rank(a, p) < n:
+    r, pivots = rref(np.hstack([asmod(a, p), eye(n)]), p)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible mod %d" % p)
-    return x
-
-
-def det(a: np.ndarray, p: int) -> int:
-    a = asmod(a, p).copy()
-    n = a.shape[0]
-    d = 1
-    for col in range(n):
-        sel = -1
-        for i in range(col, n):
-            if a[i, col] % p:
-                sel = i
-                break
-        if sel < 0:
-            return 0
-        if sel != col:
-            a[[col, sel]] = a[[sel, col]]
-            d = (-d) % p
-        d = (d * int(a[col, col])) % p
-        piv_inv = inv_scalar(a[col, col], p)
-        for i in range(col + 1, n):
-            if a[i, col] % p:
-                a[i] = (a[i] - a[i, col] * piv_inv % p * a[col]) % p
-    return d % p
+    return r[:, n:]
 
 
 def char_poly(a: np.ndarray, p: int) -> list[int]:
-    """Coefficients of det(xI - a), highest degree first, via interpolation.
+    """Coefficients of det(xI - a), highest degree first.
 
-    Requires p > deg, which holds for every splitting prime in this package.
+    Elimination similarities bring a to upper Hessenberg form H; the
+    characteristic polynomials P_k of H's leading k x k blocks then obey
+    P_k = (x - H[k-1,k-1]) P_{k-1}
+          - sum_{i<k} H[k-i-1,k-1] H[k-1,k-2]...H[k-i,k-i-1] P_{k-i-1}
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.2.9).  O(n^3) in all, and valid for every p.
     """
-    n = a.shape[0]
-    if n == 0:
-        return [1]
-    xs = list(range(n + 1))
-    ys = [det((x * eye(n) - a) % p, p) for x in xs]
-    # Lagrange interpolation at 0..n
-    coeffs = [0] * (n + 1)
-    for i, xi in enumerate(xs):
-        # basis polynomial prod_{j!=i} (x - xj) / (xi - xj)
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom = denom * (xi - xj) % p
-        scale = ys[i] * inv_scalar(denom, p) % p
-        basis = [1]  # poly coefficients, highest first
-        for j, xj in enumerate(xs):
-            if j != i:
-                nxt = [0] * (len(basis) + 1)
-                for k, c in enumerate(basis):
-                    nxt[k] = (nxt[k] + c) % p
-                    nxt[k + 1] = (nxt[k + 1] - c * xj) % p
-                basis = nxt
-        off = n + 1 - len(basis)
-        for k, c in enumerate(basis):
-            coeffs[off + k] = (coeffs[off + k] + scale * c) % p
-    return [c % p for c in coeffs]
+    h = asmod(a, p)
+    n = h.shape[0]
+    for m in range(1, n - 1):
+        nz = np.flatnonzero(h[m:, m - 1])
+        if nz.size == 0:
+            continue
+        i = m + int(nz[0])
+        if i != m:
+            h[[m, i]] = h[[i, m]]
+            h[:, [m, i]] = h[:, [i, m]]
+        # rows below m lose u * row m; column m gains u * those columns
+        u = h[m + 1:, m - 1] * inv_scalar(h[m, m - 1], p) % p
+        h[m + 1:] = (h[m + 1:] - u[:, None] * h[m]) % p
+        h[:, m] = (h[:, m] + h[:, m + 1:] @ u) % p
+    hl = h.tolist()
+    polys = zeros(n + 1, n + 1)   # row k: P_k, lowest degree first
+    polys[0, 0] = 1
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        cur = polys[k]
+        cur[1:] = prev[:-1]
+        cur -= hl[k - 1][k - 1] * prev
+        t, c = 1, []
+        for i in range(1, k):
+            t = t * hl[k - i][k - i - 1] % p
+            c.append(hl[k - i - 1][k - 1] * t % p)
+        if c:
+            cur -= np.array(c, dtype=np.int64) @ polys[k - 2::-1]
+        cur %= p
+    return [int(v) for v in polys[n, ::-1]]
 
 
 def poly_eval(coeffs: list[int], x: int, p: int) -> int:

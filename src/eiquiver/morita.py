@@ -79,31 +79,28 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     The result is certified by comparing all traces with the character.
     """
     p = table.p
-    key = (p, group.elements, group.generators, i)
+    key = (p, group.key, i)
     if key in _MODEL_CACHE:
         return _MODEL_CACHE[key]
     n = len(group)
     chi = table.irreducible(i)
     d = table.dims[i]
-    left = []
-    for g in range(n):
-        m = linalg.zeros(n, n)
-        for j in range(n):
-            m[group.mul(g, j), j] = 1
-        left.append(m)
-    proj = linalg.zeros(n, n)
-    for g in range(n):
-        proj = (proj + chi.at_inverse(g) * left[g]) % p
-    proj = proj * d % p * linalg.inv_scalar(n, p) % p
+    # The regular module from the Cayley table, as index arrays.  L_g has
+    # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
+    # the isotypic projection d/|G| sum_g chi(g^-1) L_g has (a, j) entry
+    # d/|G| chi(j * a^-1).
+    moves = [group.row(group.inv(group.index_of[s]))
+             for s in group.generators]
+    cayley = np.array([group.row(g) for g in range(n)])
+    proj = np.asarray(chi.values, dtype=np.int64)[
+        cayley[:, group.inverse]].T * d % p * linalg.inv_scalar(n, p) % p
     w = linalg.row_space(proj.T, p).T % p  # columns span the isotypic part
     rng = random.Random(0xE1)
     while w.shape[1] > d:
         m = w.shape[1]
         acts = []
-        gens = group.generators or ()
-        for s in gens:
-            gm = linalg.matmul(left[group.index_of[s]], w, p)
-            a = linalg.solve(w, gm, p)
+        for mv in moves:
+            a = linalg.solve(w, w[mv], p)
             if a is None:
                 raise InvariantError("isotypic component is not invariant")
             acts.append(a)
@@ -114,9 +111,12 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
             for b in comm:
                 c = (c + rng.randrange(p) * b) % p
             candidates.append(c)
+        # the least eigenvalue whose eigenspace is a proper nonzero
+        # subspace: the least such root of the candidate's char poly
         cut = None
         for cand in candidates:
-            for lam in range(p):
+            roots = linalg.poly_roots(linalg.char_poly(cand, p), p)
+            for lam in sorted(set(roots)):
                 ker = linalg.nullspace((cand - lam * linalg.eye(m)) % p, p)
                 if 0 < ker.shape[0] < m:
                     cut = ker
@@ -128,9 +128,8 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
         w = linalg.matmul(w, cut.T % p, p)
         w = linalg.row_space(w.T, p).T % p
     gen_mats = []
-    for s in group.generators:
-        gm = linalg.matmul(left[group.index_of[s]], w, p)
-        a = linalg.solve(w, gm, p)
+    for mv in moves:
+        a = linalg.solve(w, w[mv], p)
         if a is None:
             raise InvariantError("irreducible copy is not invariant")
         gen_mats.append(a % p)

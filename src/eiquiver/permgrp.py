@@ -1,18 +1,31 @@
-"""Finite permutation groups by full enumeration.
+"""Finite permutation groups by full enumeration, with table-driven
+arithmetic on element positions.
 
-Groups here are tiny (the tool targets orders up to ~10^4, typical inputs
-are far smaller), so everything is done by explicit element lists instead
-of stabilizer chains.  Element order is globally deterministic: breadth
-first from the identity, generators in the given order, ties broken
-lexicographically on image sequences.  Every downstream artifact (class
-order, character rows, quiver vertex labels) inherits its reproducibility
-from this order.
+Groups here are small (the tool targets orders up to ~10^4, typical inputs
+are far smaller), so a group is its explicit element list instead of a
+stabilizer chain.  Products and inverses of elements, named by their
+positions in that list, are table lookups in the manner of Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory* (2005): each group keeps
+an inverse table and a Cayley table, both numpy int32.  Cayley rows are
+built one at a time, on first use, so a group holds only the rows its
+callers have asked for, never a full |G| x |G| table up front.  A row
+composes one element with the whole element array in numpy and looks the
+results up; pmul composes single permutations, for enumeration and biset
+actions, and with pinv is the plain definition the tables must match.
+
+Element order is globally deterministic: breadth first from the identity,
+generators in the given order, ties broken lexicographically on image
+sequences.  Every downstream artifact (class order, character rows, quiver
+vertex labels) inherits its reproducibility from this order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+
+import numpy as np
 
 DEFAULT_SIZE_BOUND = 10000
 
@@ -24,13 +37,20 @@ class GroupError(ValueError):
 Perm = tuple[int, ...]  # images of 0..degree-1
 
 
+def is_int(v) -> bool:
+    """True for an integer as JSON gives it: no float or string, and no
+    bool (whose type is a subclass of int, not int)."""
+    return type(v) is int
+
+
 def check_perm(images, degree: int) -> Perm:
     try:
-        t = tuple(int(i) for i in images)
-    except (TypeError, ValueError) as e:
+        t = tuple(images)
+    except TypeError as e:
         raise GroupError(f"not a permutation of degree {degree}: "
                          f"{images}") from e
-    if len(t) != degree or sorted(t) != list(range(degree)):
+    if not all(is_int(i) for i in t) or len(t) != degree or \
+            sorted(t) != list(range(degree)):
         raise GroupError(f"not a permutation of degree {degree}: {images}")
     return t
 
@@ -59,14 +79,14 @@ def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
     A left action passes pmul (the action of a*b applies b's permutation
     first); a right action passes pmul with its arguments swapped (the
     action of a*b is b's after a's); matrices pass their product mod p.
+    A word less its last letter is the word of an earlier element, so
+    each image is one product from that element's.
     """
-    out = []
+    image = {(): identity}
     for w in group.words:
-        acc = identity
-        for k in w:
-            acc = product(acc, gen_images[k])
-        out.append(acc)
-    return tuple(out)
+        if w:
+            image[w] = product(image[w[:-1]], gen_images[w[-1]])
+    return tuple(image[w] for w in group.words)
 
 
 @dataclass(frozen=True)
@@ -85,24 +105,69 @@ class PermGroup:
     def identity_pos(self) -> int:
         return self.index_of[pidentity(self.degree)]
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The elements as an n x degree int32 array, row k element k."""
+        return np.array(self.elements, dtype=np.int32).reshape(
+            len(self), self.degree)
+
+    def positions(self, perms: np.ndarray) -> np.ndarray:
+        """Position of each row of an m x degree array of elements."""
+        index_of = self.index_of
+        return np.array([index_of[t] for t in map(tuple, perms.tolist())],
+                        dtype=np.int32)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse table: inverse[i] is the position of element i's
+        inverse."""
+        return self.positions(np.argsort(self.array, axis=1))
+
+    @cached_property
+    def _rows(self) -> list:
+        return [None] * len(self)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i of the Cayley table, built on first use: row(i)[j] is
+        the position of element i times element j (j applied first)."""
+        r = self._rows[i]
+        if r is None:
+            a = self.array
+            r = self._rows[i] = self.positions(a[i][a])
+        return r
+
     def mul(self, i: int, j: int) -> int:
-        return self.index_of[pmul(self.elements[i], self.elements[j])]
+        return int(self.row(i)[j])
 
     def inv(self, i: int) -> int:
-        return self.index_of[pinv(self.elements[i])]
+        return int(self.inverse[i])
+
+    @cached_property
+    def key(self) -> int:
+        """A small integer naming this group's generators and elements:
+        equal groups get equal keys, and a cache keyed on it hashes one
+        int per lookup instead of the element list."""
+        return _GROUP_KEYS.setdefault((self.generators, self.elements),
+                                      len(_GROUP_KEYS))
 
     def exponent(self) -> int:
-        from math import lcm
-
+        """The lcm of the element orders, each the lcm of its cycle
+        lengths."""
         e = 1
         for g in self.elements:
-            n, x = 1, g
-            ident = pidentity(self.degree)
-            while x != ident:
-                x = pmul(x, g)
-                n += 1
-            e = lcm(e, n)
+            seen = [False] * self.degree
+            for start in range(self.degree):
+                n, x = 0, start
+                while not seen[x]:
+                    seen[x] = True
+                    x = g[x]
+                    n += 1
+                if n:
+                    e = lcm(e, n)
         return e
+
+
+_GROUP_KEYS: dict = {}
 
 
 def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) -> PermGroup:
@@ -147,18 +212,26 @@ class ConjClass:
 
 def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     """Classes in order of first appearance in the element enumeration
-    (the identity class always comes first)."""
+    (the identity class always comes first), found as orbits under
+    conjugation by the generators: O(|G| * #generators) lookups."""
+    a = g.array
+    conj = []   # conj[k][j]: position of s^-1 * element j * s, s = gens[k]
+    for s in g.generators:
+        s = np.array(s, dtype=np.int32)
+        conj.append(g.positions(np.argsort(s)[a[:, s]]).tolist())
     seen = [False] * len(g)
     classes = []
     for i in range(len(g)):
         if seen[i]:
             continue
-        orbit = set()
-        for t in range(len(g)):
-            c = g.mul(g.mul(t, i), g.inv(t))
-            orbit.add(c)
+        seen[i] = True
+        orbit = [i]
         for j in orbit:
-            seen[j] = True
+            for c in conj:
+                k = c[j]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
         members = tuple(sorted(orbit))
         rep = min(members, key=lambda j: g.elements[j])
         classes.append(ConjClass(rep, members))
@@ -183,7 +256,12 @@ class SubgroupHandle:
         return len(self.member_positions)
 
     def as_group(self) -> PermGroup:
-        """The subgroup as a standalone PermGroup, elements in parent order."""
+        """The subgroup as a standalone PermGroup, elements in parent order
+        (built once per handle, so its tables are too)."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> PermGroup:
         elems = tuple(self.parent.elements[i] for i in self.member_positions)
         index_of = {e: k for k, e in enumerate(elems)}
         return PermGroup(self.parent.degree, elems, elems, index_of,
@@ -223,7 +301,12 @@ class QuotientGroup:
 
     def as_group(self) -> PermGroup:
         """Left-regular permutation model, in coset order: element q is
-        the permutation c -> q*c of coset indices."""
+        the permutation c -> q*c of coset indices (built once per
+        quotient)."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> PermGroup:
         n = len(self)
         elems = tuple(tuple(self.table[q][c] for c in range(n)) for q in range(n))
         # regular model is faithful, so all permutations are distinct

@@ -88,6 +88,25 @@ def _set(path, value):
      3, "schema error"),
     ("fork_merge_free", _set(("homs", 0, "left_action"), [1, 2]),
      3, "schema error"),
+    # non-integers are rejected, not truncated; a string is not a pair
+    pytest.param("fork_merge_free",
+                 _set(("objects", 1, "generators"), [[1.7, 0]]),
+                 2, "validation error: bad-group", id="float-generator"),
+    pytest.param("fork_merge_free",
+                 _set(("compositions", 0, "table"), [[0.5], [0]]),
+                 3, "schema error", id="float-table-entry"),
+    pytest.param("fork_merge_free", _set(("compositions", 0, "inner"), "xy"),
+                 3, "schema error", id="string-as-pair"),
+    pytest.param("fork_merge_free",
+                 _set(("objects", 1, "generators"), [[True, False]]),
+                 2, "validation error: bad-group", id="bool-generator"),
+    pytest.param("fork_merge_free",
+                 _set(("homs", 1, "right_action"), [[1.0, 0]]),
+                 3, "schema error", id="float-action"),
+    pytest.param("fork_merge_free", _set(("objects", 1, "degree"), 2.0),
+                 3, "schema error", id="float-degree"),
+    pytest.param("fork_merge_free", _set(("homs", 1, "size"), "2"),
+                 3, "schema error", id="string-size"),
 ])
 def test_malformed_tables_and_actions_end_in_a_finding(
         capsys, tmp_path, fixture, mutate, code, prefix):
