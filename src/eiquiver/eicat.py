@@ -69,16 +69,14 @@ def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> No
     ident = pidentity(hs.size)
     # word extension must be independent of the word: compare against every
     # (element, generator) product, which fixes all products by induction
-    for e in range(len(tgt_group)):
-        for k in range(len(tgt_group.generators)):
-            prod = tgt_group.mul(e, tgt_group.index_of[tgt_group.generators[k]])
+    for k, s in enumerate(tgt_group.generators):
+        for e, prod in enumerate(tgt_group.right_products(s).tolist()):
             if hs.left_elem[prod] != pmul(hs.left_elem[e], hs.left_gen[k]):
                 raise ValidationError("action-inconsistent",
                                       f"left action on hom {hs.source}->{hs.target} "
                                       "does not respect the group relations")
-    for e in range(len(src_group)):
-        for k in range(len(src_group.generators)):
-            prod = src_group.mul(e, src_group.index_of[src_group.generators[k]])
+    for k, s in enumerate(src_group.generators):
+        for e, prod in enumerate(src_group.right_products(s).tolist()):
             if hs.right_elem[prod] != pmul(hs.right_gen[k], hs.right_elem[e]):
                 raise ValidationError("action-inconsistent",
                                       f"right action on hom {hs.source}->{hs.target} "
@@ -461,12 +459,12 @@ class StabilizerData:
 
 def _assert_closed(g: PermGroup, members: tuple[int, ...], what: str) -> None:
     s = set(members)
+    js = list(members)
     for a in members:
         if g.inv(a) not in s:
             raise InvariantError(f"{what} not closed under inverse")
-        for b in members:
-            if g.mul(a, b) not in s:
-                raise InvariantError(f"{what} not closed under product")
+        if not s.issuperset(g.left_products(a, js).tolist()):
+            raise InvariantError(f"{what} not closed under product")
 
 
 def stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:

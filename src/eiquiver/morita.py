@@ -42,9 +42,8 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     """Verify the generator matrices define a representation; return the
     per-element matrices."""
     mats = element_matrices(group, gen_mats, dim, p)
-    for e in range(len(group)):
-        for k in range(len(group.generators)):
-            prod = group.mul(e, group.index_of[group.generators[k]])
+    for k, s in enumerate(group.generators):
+        for e, prod in enumerate(group.right_products(s).tolist()):
             if not np.array_equal(mats[prod],
                                   linalg.matmul(mats[e], gen_mats[k], p)):
                 raise ValidationError(

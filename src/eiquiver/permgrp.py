@@ -10,8 +10,11 @@ an inverse table and a Cayley table, both numpy int32.  Cayley rows are
 built one at a time, on first use, so a group holds only the rows its
 callers have asked for, never a full |G| x |G| table up front.  A row
 composes one element with the whole element array in numpy and looks the
-results up; pmul composes single permutations, for enumeration and biset
-actions, and with pinv is the plain definition the tables must match.
+results up.  Loops that meet each element once (action checks, closure
+and normality tests, cosets) take the same whole-array products without
+storing them, so they never fill the table either.  pmul composes single
+permutations, for enumeration and biset actions, and with pinv is the
+plain definition the tables must match.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import lcm
 
 import numpy as np
 
@@ -132,9 +134,20 @@ class PermGroup:
         the position of element i times element j (j applied first)."""
         r = self._rows[i]
         if r is None:
-            a = self.array
-            r = self._rows[i] = self.positions(a[i][a])
+            r = self._rows[i] = self.left_products(i, slice(None))
         return r
+
+    def left_products(self, i: int, js) -> np.ndarray:
+        """Positions of element i times each element in js (positions),
+        without storing a Cayley row: for loops that meet each i once."""
+        a = self.array
+        return self.positions(a[i][a[js]])
+
+    def right_products(self, s: Perm) -> np.ndarray:
+        """Position of every element times the permutation s (s applied
+        first), in element order: one map per generator instead of a
+        Cayley row per element."""
+        return self.positions(self.array[:, np.asarray(s, dtype=np.intp)])
 
     def mul(self, i: int, j: int) -> int:
         return int(self.row(i)[j])
@@ -151,19 +164,16 @@ class PermGroup:
                                       len(_GROUP_KEYS))
 
     def exponent(self) -> int:
-        """The lcm of the element orders, each the lcm of its cycle
-        lengths."""
+        from math import lcm
+
         e = 1
         for g in self.elements:
-            seen = [False] * self.degree
-            for start in range(self.degree):
-                n, x = 0, start
-                while not seen[x]:
-                    seen[x] = True
-                    x = g[x]
-                    n += 1
-                if n:
-                    e = lcm(e, n)
+            n, x = 1, g
+            ident = pidentity(self.degree)
+            while x != ident:
+                x = pmul(x, g)
+                n += 1
+            e = lcm(e, n)
         return e
 
 
@@ -213,10 +223,11 @@ class ConjClass:
 def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     """Classes in order of first appearance in the element enumeration
     (the identity class always comes first), found as orbits under
-    conjugation by the generators: O(|G| * #generators) lookups."""
+    conjugation by a generating set of at most log2|G| elements:
+    O(|G| log |G|) lookups."""
     a = g.array
     conj = []   # conj[k][j]: position of s^-1 * element j * s, s = gens[k]
-    for s in g.generators:
+    for s in _generating_subset(g):
         s = np.array(s, dtype=np.int32)
         conj.append(g.positions(np.argsort(s)[a[:, s]]).tolist())
     seen = [False] * len(g)
@@ -236,6 +247,25 @@ def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
         rep = min(members, key=lambda j: g.elements[j])
         classes.append(ConjClass(rep, members))
     return classes
+
+
+def _generating_subset(g: PermGroup) -> list[Perm]:
+    """The generators of g less each one in the closure of those kept
+    before it.  A kept generator at least doubles that closure, so at most
+    log2|G| remain, even for a group whose generators are all its
+    elements."""
+    gens = g.generators
+    kept: list[Perm] = []
+    closure = {pidentity(g.degree)}
+    for n, s in enumerate(gens):
+        if len(closure) == len(g):
+            break
+        if s in closure:
+            continue
+        kept.append(s)
+        if n + 1 < len(gens):
+            closure = enumerate_group(g.degree, kept, len(g)).index_of
+    return kept
 
 
 def class_index_of(g: PermGroup, classes: list[ConjClass]) -> list[int]:
@@ -269,11 +299,14 @@ class SubgroupHandle:
 
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
         g = self.parent
+        a = g.array
         mine = set(self.member_positions)
+        members = a[list(self.member_positions)]
         for t in other.member_positions:
-            for i in self.member_positions:
-                if g.mul(g.mul(t, i), g.inv(t)) not in mine:
-                    return False
+            # t * i * t^-1 for every member i, without Cayley rows
+            conj = g.positions(a[t][members[:, a[g.inv(t)]]])
+            if not mine.issuperset(conj.tolist()):
+                return False
         return True
 
 
@@ -324,18 +357,23 @@ def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
         raise GroupError("kernel is not contained in base")
     if not kernel.is_normal_in(base):
         raise GroupError("kernel is not normal in base")
+    # products with kernel members and coset representatives only: no
+    # Cayley row is stored, even when base is the whole group
     cosets: list[tuple[int, ...]] = []
     projection: dict[int, int] = {}
+    kernel_pos = list(kernel.member_positions)
     for i in base.member_positions:
         if i in projection:
             continue
-        coset = tuple(sorted(g.mul(i, k) for k in kernel.member_positions))
+        coset = tuple(sorted(g.left_products(i, kernel_pos).tolist()))
         ci = len(cosets)
         cosets.append(coset)
         for j in coset:
             projection[j] = ci
+    reps = [c[0] for c in cosets]
     table = tuple(
-        tuple(projection[g.mul(c1[0], c2[0])] for c2 in cosets) for c1 in cosets
+        tuple(projection[j] for j in g.left_products(r, reps).tolist())
+        for r in reps
     )
     return QuotientGroup(base, kernel, tuple(cosets), projection, table)
 

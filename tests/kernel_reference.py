@@ -6,8 +6,6 @@ serves as the reference for the table-driven and whole-array versions in
 eiquiver.linalg and eiquiver.permgrp.
 """
 
-from math import gcd
-
 from eiquiver.permgrp import PermGroup, pinv, pmul
 
 
@@ -92,18 +90,6 @@ def mul(g: PermGroup, i: int, j: int) -> int:
 
 def inv(g: PermGroup, i: int) -> int:
     return g.index_of[pinv(g.elements[i])]
-
-
-def exponent(g: PermGroup) -> int:
-    """The lcm of the element orders, each found by repeated products."""
-    e = 1
-    for i in range(len(g)):
-        n, x = 1, i
-        while x != g.identity_pos:
-            x = mul(g, x, i)
-            n += 1
-        e = e * n // gcd(e, n)
-    return e
 
 
 def conjugacy_classes(g: PermGroup) -> list[tuple[int, ...]]:

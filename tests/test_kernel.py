@@ -8,7 +8,10 @@ import pytest
 
 import kernel_reference as ref
 from eiquiver import linalg
-from eiquiver.permgrp import conjugacy_classes, enumerate_group, named_group
+from eiquiver.eicat import load_category
+from eiquiver.permgrp import (SubgroupHandle, conjugacy_classes,
+                              enumerate_group, named_group, quotient,
+                              whole_group)
 
 PRIMES = (2, 3, 13, 433, 999983)
 NAMED = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
@@ -103,7 +106,6 @@ def test_tables_match_composition(g):
         assert g.inv(i) == ref.inv(g, i)
         assert g.row(i).tolist() == [ref.mul(g, i, j) for j in range(len(g))]
         assert g.mul(i, len(g) - 1) == ref.mul(g, i, len(g) - 1)
-    assert g.exponent() == ref.exponent(g)
 
 
 @pytest.mark.parametrize("g", _groups(), ids=lambda g: f"order{len(g)}")
@@ -112,6 +114,39 @@ def test_classes_match_brute_force_conjugation(g):
     assert [c.members for c in classes] == ref.conjugacy_classes(g)
     for c in classes:
         assert c.rep == min(c.members, key=lambda j: g.elements[j])
+
+
+def test_classes_of_groups_generated_by_all_their_elements():
+    # as_group() groups list every element as a generator; S5 x C3 on
+    # 8 points has order 360, and its quotient by C3 is S5 in a regular
+    # model of degree 120
+    g = enumerate_group(8, [[1, 0, 2, 3, 4, 5, 6, 7],
+                            [1, 2, 3, 4, 0, 5, 6, 7],
+                            [0, 1, 2, 3, 4, 6, 7, 5]])
+    c3 = SubgroupHandle(g, tuple(i for i, e in enumerate(g.elements)
+                                 if e[:5] == (0, 1, 2, 3, 4)))
+    for h in (whole_group(g).as_group(),
+              quotient(whole_group(g), c3).as_group()):
+        assert len(h.generators) == len(h)
+        assert [c.members for c in conjugacy_classes(h)] == \
+            ref.conjugacy_classes(h)
+
+
+def _s7_category():
+    # S7 acts by its sign on t->s (left) and on s->u (right); the
+    # composite lands in t->u as the sum of the two signs
+    s7 = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    sign = [[1, 0], [0, 1]]
+    return {"objects": [{"id": "t", "degree": 1},
+                        {"id": "s", "degree": 7, "generators": s7},
+                        {"id": "u", "degree": 1}],
+            "homs": [{"from": "t", "to": "s", "size": 2,
+                      "left_action": sign},
+                     {"from": "s", "to": "u", "size": 2,
+                      "right_action": sign},
+                     {"from": "t", "to": "u", "size": 2}],
+            "compositions": [{"outer": ["s", "u"], "inner": ["t", "s"],
+                              "table": [[0, 1], [1, 0]]}]}
 
 
 def test_s7_classes_build_no_cayley_table():
@@ -124,4 +159,16 @@ def test_s7_classes_build_no_cayley_table():
     finally:
         tracemalloc.stop()
     assert (len(g), len(classes)) == (5040, 15)
+    assert peak < 20 * 2**20
+
+
+def test_loading_an_s7_category_builds_no_cayley_table():
+    # checking the hom actions multiplies every element by each generator
+    tracemalloc.start()
+    try:
+        cat = load_category(_s7_category())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cat.morphism_count() == 5040 + 2 + 6
     assert peak < 20 * 2**20
