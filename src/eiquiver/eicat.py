@@ -14,12 +14,15 @@ every downstream computation silently assumes the axioms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
                       SubgroupHandle, enumerate_group, is_int, pidentity,
-                      pmul, quotient, word_products)
+                      pmul, quotient, respects_relations, word_products)
 
 
 @dataclass(frozen=True)
@@ -58,29 +61,26 @@ def make_homset(source: str, target: str, size: int,
                                   f"permutation of {size} elements")
     ident = pidentity(size)
     left_elem = word_products(tgt_group, left_gen, ident, pmul)
-    right_elem = word_products(src_group, right_gen, ident,
-                               lambda acc, g: pmul(g, acc))
+    right_elem = word_products(src_group, right_gen, ident, _right_pmul)
     hs = HomSet(source, target, size, left_gen, right_gen, left_elem, right_elem)
     _check_actions(hs, src_group, tgt_group)
     return hs
 
 
+def _right_pmul(acc: Perm, g: Perm) -> Perm:
+    """A right action's product: the action of a*b is b's after a's."""
+    return pmul(g, acc)
+
+
 def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> None:
     ident = pidentity(hs.size)
-    # word extension must be independent of the word: compare against every
-    # (element, generator) product, which fixes all products by induction
-    for k, s in enumerate(tgt_group.generators):
-        for e, prod in enumerate(tgt_group.right_products(s).tolist()):
-            if hs.left_elem[prod] != pmul(hs.left_elem[e], hs.left_gen[k]):
-                raise ValidationError("action-inconsistent",
-                                      f"left action on hom {hs.source}->{hs.target} "
-                                      "does not respect the group relations")
-    for k, s in enumerate(src_group.generators):
-        for e, prod in enumerate(src_group.right_products(s).tolist()):
-            if hs.right_elem[prod] != pmul(hs.right_gen[k], hs.right_elem[e]):
-                raise ValidationError("action-inconsistent",
-                                      f"right action on hom {hs.source}->{hs.target} "
-                                      "does not respect the group relations")
+    for side, group, elem, gens, product in (
+            ("left", tgt_group, hs.left_elem, hs.left_gen, pmul),
+            ("right", src_group, hs.right_elem, hs.right_gen, _right_pmul)):
+        if not respects_relations(group, elem, gens, product):
+            raise ValidationError("action-inconsistent",
+                                  f"{side} action on hom {hs.source}->{hs.target} "
+                                  "does not respect the group relations")
     if hs.left_elem[tgt_group.identity_pos] != ident or \
        hs.right_elem[src_group.identity_pos] != ident:
         raise ValidationError("identity-law",
@@ -137,6 +137,12 @@ class EICategory:
 
     def identity(self, x: str) -> MorphId:
         return MorphId(x, x, self.groups[x].identity_pos)
+
+    @cached_property
+    def unfactorizables(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
+        """unfactorizables(self), computed once per category and shared
+        read-only by its callers."""
+        return MappingProxyType(unfactorizables(self))
 
 
 def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
@@ -432,7 +438,7 @@ def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:
 def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...]]]:
     """One (representative, orbit) per two-sided orbit of unfactorizables,
     in deterministic (source, target, least-index) order."""
-    unfact = unfactorizables(cat)
+    unfact = cat.unfactorizables
     out = []
     pos = {x: i for i, x in enumerate(cat.objects)}
     for (x, y) in sorted(cat.homs, key=lambda k: (pos[k[0]], pos[k[1]])):

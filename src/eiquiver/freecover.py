@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from .errors import SchemaError, ValidationError
 from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
-                    ei_quiver_of, make_homset, unfactorizables,
-                    validate_category)
+                    ei_quiver_of, make_homset, validate_category)
 from .permgrp import PermGroup, is_int
 
 DEFAULT_PATH_BOUND = 100000
@@ -289,7 +288,7 @@ def category_has_ufp(cat: EICategory) -> bool:
     independent of the cover construction and serves as an oracle for
     is_free.
     """
-    unfact = unfactorizables(cat)
+    unfact = cat.unfactorizables
     first_steps: dict[tuple[str, str, int], list] = {}
     for (x, z, y), table in cat.comp.items():
         for beta in unfact[(x, z)]:

@@ -11,7 +11,12 @@ block-diagonal canonical models and solves for the morphism matrices.
 
 All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module, and all hom-space bases are
-echelon bases of explicit intertwiner systems.
+echelon bases of explicit intertwiner systems.  Every such system, and
+both Hom-dimension checks, is one linalg.sylvester_system: matrices T_v
+at vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
+are symmetric: kappa (source, G1 acting on U through G1/G0) and mu
+(target, H1 acting through phi^-1 of H1/H0) are one stabilizer_hom, and
+the isotypic embeddings of U on either side come from one units.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chartab import CharTable
+from .chartab import PRIME_SEARCH_BOUND, CharTable
 from .eicat import EICategory, MorphId, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
-from .permgrp import PermGroup, word_products
+from .permgrp import PermGroup, is_int, respects_relations, word_products
 from .quiveralg import BuiltQuiver
 
 
@@ -42,24 +47,19 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     """Verify the generator matrices define a representation; return the
     per-element matrices."""
     mats = element_matrices(group, gen_mats, dim, p)
-    for k, s in enumerate(group.generators):
-        for e, prod in enumerate(group.right_products(s).tolist()):
-            if not np.array_equal(mats[prod],
-                                  linalg.matmul(mats[e], gen_mats[k], p)):
-                raise ValidationError(
-                    "not-a-representation",
-                    "generator matrices violate the group relations")
+    if not respects_relations(group, mats, gen_mats,
+                              lambda acc, m: linalg.matmul(acc, m, p),
+                              np.array_equal):
+        raise ValidationError("not-a-representation",
+                              "generator matrices violate the group relations")
     return mats
 
 
 def intertwiner_basis(As, Bs, p: int, a: int, b: int):
-    """Echelon basis of {T (b x a) : T A_i = B_i T for all i}."""
-    if not As:
-        system = linalg.zeros(0, a * b)
-    else:
-        rows = [(np.kron(A.T, linalg.eye(b)) -
-                 np.kron(linalg.eye(a), B)) % p for A, B in zip(As, Bs)]
-        system = np.vstack(rows) % p
+    """Echelon basis of {T (b x a) : T A_i = B_i T for all i}: one vertex
+    with a loop edge per pair."""
+    system = linalg.sylvester_system(
+        [a], [b], [(0, 0, A, B) for A, B in zip(As, Bs)], p)
     ns = linalg.nullspace(system, p)
     return [ns[k].reshape((b, a), order="F") % p for k in range(ns.shape[0])]
 
@@ -159,17 +159,22 @@ class CatRep:
         return self.mor_mats[(m.source, m.target)][m.index]
 
 
+# An object without generator matrices (a trivial group) takes its
+# dimension from "dim" alone: no square matrix in the document bounds it,
+# and its identity matrix is built from it.
+MAX_FREE_DIM = 1024
+
+
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                  alpha_mats, dims_hint: dict | None = None) -> CatRep:
     """Assemble and validate a full representation from generator and
     representative matrices.  Objects whose group has no generators carry
-    no matrices, so their dimension must come from dims_hint."""
+    no matrices, so their dimension must come from dims_hint.  Every
+    shape is checked before any element matrix is built."""
     dims = {}
-    elem_mats = {}
     for x in cat.objects:
         mats = gen_mats.get(x, ())
-        g = cat.groups[x]
-        if len(mats) != len(g.generators):
+        if len(mats) != len(cat.groups[x].generators):
             raise SchemaError(f"object {x}: need one matrix per generator")
         if mats:
             dim = mats[0].shape[0]
@@ -180,17 +185,28 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                 raise SchemaError(f"object {x}: declared dim disagrees with "
                                   "the matrices")
         elif dims_hint is not None and x in dims_hint:
-            dim = int(dims_hint[x])
+            dim = dims_hint[x]
         else:
             raise SchemaError(f"object {x}: dimension cannot be inferred "
                               "without generator matrices")
         dims[x] = dim
-        elem_mats[x] = tuple(check_group_rep(g, mats, dim, p))
 
     reps = orbit_representatives(cat)
-    alpha_mats = tuple(np.asarray(a, dtype=np.int64) % p for a in alpha_mats)
     if len(alpha_mats) != len(reps):
         raise SchemaError("need one matrix per representative unfactorizable")
+    checked = []
+    for (rep, _), amat in zip(reps, alpha_mats):
+        shape = (dims[rep.target], dims[rep.source])
+        amat = np.asarray(amat, dtype=np.int64) % p
+        # JSON writes every matrix with no rows as []
+        if amat.shape != shape and not amat.size == 0 == shape[0]:
+            raise SchemaError(f"representative {rep.source}->{rep.target}: "
+                              f"matrix must be {shape[0]}x{shape[1]}")
+        checked.append(amat.reshape(shape))
+    alpha_mats = tuple(checked)
+    elem_mats = {x: tuple(check_group_rep(cat.groups[x], gen_mats.get(x, ()),
+                                          dims[x], p))
+                 for x in cat.objects}
     assigned: dict[tuple[str, str], list] = {
         key: [None] * hs.size for key, hs in cat.homs.items()}
 
@@ -203,12 +219,8 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                 "not-functorial",
                 f"morphism {key}[{idx}] receives two different matrices")
 
-    for (rep, orb), amat in zip(reps, alpha_mats):
-        x, y = rep.source, rep.target
-        if amat.shape != (dims[y], dims[x]):
-            raise SchemaError(f"representative {x}->{y}: matrix must be "
-                              f"{dims[y]}x{dims[x]}")
-        put((x, y), rep.index, amat)
+    for (rep, _), amat in zip(reps, alpha_mats):
+        put((rep.source, rep.target), rep.index, amat)
 
     # saturate: spread by the group actions and composition tables until
     # every morphism has a matrix, checking consistency at every meeting
@@ -291,25 +303,48 @@ def catrep_document(r: CatRep) -> dict:
     return {"p": r.p, "objects": objs, "alpha_matrices": alphas}
 
 
+def _matrix(rows, p: int) -> np.ndarray:
+    """A JSON matrix mod p: a list of equally long lists of integers."""
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(is_int(v) for v in r) for r in rows):
+        raise TypeError("a matrix must be a list of lists of integers")
+    width = len(rows[0]) if rows else 0
+    return np.array([[v % p for v in r] for r in rows],
+                    dtype=np.int64).reshape(len(rows), width)
+
+
 def load_catrep(cat: EICategory, doc: dict) -> CatRep:
+    """A representation from its document; JSON integers only, and every
+    size checked before it is used."""
     try:
-        p = int(doc["p"])
+        p = doc["p"]
+        if not is_int(p) or not 2 <= p <= PRIME_SEARCH_BOUND:
+            raise ValueError(f"p {p!r} is not an integer in "
+                             f"2..{PRIME_SEARCH_BOUND}")
         gen_mats = {}
         dims_hint = {}
         for ospec in doc["objects"]:
             oid = str(ospec["id"])
-            dims_hint[oid] = int(ospec["dim"])
-            gen_mats[oid] = tuple(
-                np.asarray(m, dtype=np.int64) % p
-                for m in ospec["generator_matrices"])
-        alphas = sorted(doc["alpha_matrices"], key=lambda a: int(a["rep_index"]))
-        amats = [np.asarray(a["matrix"], dtype=np.int64) % p for a in alphas]
+            gen_mats[oid] = tuple(_matrix(m, p)
+                                  for m in ospec["generator_matrices"])
+            dims_hint[oid] = dim = ospec["dim"]
+            if not is_int(dim) or dim < 0:
+                raise ValueError(f"object {oid}: dim {dim!r} is not a "
+                                 "nonnegative integer")
+            if not gen_mats[oid] and dim > MAX_FREE_DIM:
+                raise ValueError(f"object {oid}: dim {dim} exceeds "
+                                 f"{MAX_FREE_DIM} and no matrix carries it")
+        alphas = doc["alpha_matrices"]
+        index = [a["rep_index"] for a in alphas]
+        if not all(is_int(i) for i in index) or \
+                sorted(index) != list(range(len(index))):
+            raise ValueError("alpha_matrices must cover rep_index 0..r-1")
+        amats = [_matrix(a["matrix"], p)
+                 for _, a in sorted(zip(index, alphas), key=lambda t: t[0])]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad representation document: {e}") from e
     if set(gen_mats) != set(cat.objects):
         raise SchemaError("representation objects do not match the category")
-    if [int(a["rep_index"]) for a in alphas] != list(range(len(alphas))):
-        raise SchemaError("alpha_matrices must cover rep_index 0..r-1")
     return build_catrep(cat, p, gen_mats, amats, dims_hint)
 
 
@@ -358,23 +393,6 @@ def quiverrep_document(r: QuiverRep) -> dict:
     return {"p": r.p, "vertices": verts, "arrows": arrows}
 
 
-def load_quiverrep(built: BuiltQuiver, doc: dict) -> QuiverRep:
-    eas = expanded_arrows(built)
-    try:
-        p = int(doc["p"])
-        dims = tuple(int(v["dim"]) for v in doc["vertices"])
-        mats = [np.asarray(a["matrix"], dtype=np.int64) % p
-                for a in doc["arrows"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"bad quiver representation document: {e}") from e
-    if len(dims) != len(built.vertices) or len(mats) != len(eas):
-        raise SchemaError("representation does not match the quiver")
-    for ea, m in zip(eas, mats):
-        if m.shape != (dims[ea.target], dims[ea.source]):
-            raise SchemaError("arrow matrix has the wrong shape")
-    return QuiverRep(built, p, dims, tuple(mats))
-
-
 # ---------------------------------------------------------------------------
 # the functor and its inverse
 
@@ -387,8 +405,7 @@ class MoritaContext:
         self.cat = built.cat
         self.p = built.prime.p
         self.arrows = expanded_arrows(built)
-        self._kappa = {}
-        self._mu = {}
+        self._stab_homs = {}
 
     def model(self, x: str, v: int):
         """(generator matrices, element matrices) of irreducible v at x."""
@@ -400,57 +417,49 @@ class MoritaContext:
 
     def kappa(self, r: int, u: int, v: int):
         """Basis of Hom_{G1}(infl U, V restricted), V at the source object."""
-        key = (r, u, v)
-        if key not in self._kappa:
-            od = self.built.orbits[r]
-            x = od.rep.source
-            du = od.quotient_table.dims[u]
-            dv = self.built.tables[x].dims[v]
-            _, uelems = self.quotient_model(r, u)
-            _, velems = self.model(x, v)
-            As = [uelems[od.stab.quotG.projection[g]]
-                  for g in od.stab.G1.member_positions]
-            Bs = [velems[g] for g in od.stab.G1.member_positions]
-            self._kappa[key] = intertwiner_basis(As, Bs, self.p, du, dv)
-        return self._kappa[key]
+        st = self.built.orbits[r].stab
+        return self.stabilizer_hom(r, u, st.alpha.source, v, st.G1,
+                                   st.quotG.projection.__getitem__)
 
     def mu(self, r: int, u: int, w: int):
         """Basis of Hom_{H1}(transported U, W restricted), W at the target."""
-        key = (r, u, w)
-        if key not in self._mu:
-            od = self.built.orbits[r]
-            y = od.rep.target
-            du = od.quotient_table.dims[u]
-            dw = self.built.tables[y].dims[w]
+        st = self.built.orbits[r].stab
+        back = st.phi.inverse()
+        return self.stabilizer_hom(r, u, st.alpha.target, w, st.H1,
+                                   lambda h: back(st.quotH.projection[h]))
+
+    def stabilizer_hom(self, r: int, u: int, x: str, v: int, k1, to_quotient):
+        """Basis of Hom_{K1}(U, V restricted): U the quotient irreducible u
+        of orbit r, on which K1 acts through to_quotient (a K1 position to
+        a coset index), and V the irreducible v at object x."""
+        key = (r, u, x, v)
+        if key not in self._stab_homs:
             _, uelems = self.quotient_model(r, u)
-            _, welems = self.model(y, w)
-            back = od.stab.phi.inverse()
-            As = [uelems[back(od.stab.quotH.projection[h])]
-                  for h in od.stab.H1.member_positions]
-            Bs = [welems[h] for h in od.stab.H1.member_positions]
-            self._mu[key] = intertwiner_basis(As, Bs, self.p, du, dw)
-        return self._mu[key]
+            _, velems = self.model(x, v)
+            pos = k1.member_positions
+            self._stab_homs[key] = intertwiner_basis(
+                [uelems[to_quotient(g)] for g in pos],
+                [velems[g] for g in pos], self.p,
+                uelems[0].shape[0], velems[0].shape[0])
+        return self._stab_homs[key]
 
     def theta(self, rep: CatRep, x: str, v: int):
         """Echelon basis of Hom_G(V, R(x)): the copies of V inside R(x)."""
         gmats, _ = self.model(x, v)
-        dv = self.built.tables[x].dims[v]
-        As = list(gmats)
-        Bs = [rep.gen_mats[x][k] for k in range(len(As))]
-        return intertwiner_basis(As, Bs, self.p, dv, rep.dims[x])
+        return intertwiner_basis(list(gmats), list(rep.gen_mats[x]), self.p,
+                                 self.built.tables[x].dims[v], rep.dims[x])
 
-    def target_units(self, rep_mats_theta, r: int, u: int, y: str):
-        """All composite embeddings xi_j . mu_l of U into R(y), with their
-        (vertex irreducible, j, l) labels."""
+    def units(self, r: int, u: int, x: str, bases, copies: dict):
+        """Every embedding copy_j . basis_l of the quotient irreducible u
+        of orbit r into a module at object x, labelled (w, j, l): basis_l
+        runs over bases(r, u, w) (kappa or mu) and copy_j over
+        copies[(x, w)], the copies of irreducible w in the module."""
         units = []
-        for w in range(len(self.built.tables[y])):
-            mus = self.mu(r, u, w)
-            if not mus:
-                continue
-            xis = rep_mats_theta(y, w)
-            for j, xi in enumerate(xis):
-                for l, m in enumerate(mus):
-                    units.append(((w, j, l), linalg.matmul(xi, m, self.p)))
+        for w in range(len(self.built.tables[x])):
+            basis = bases(r, u, w)
+            for j, emb in enumerate(copies.get((x, w), ())):
+                units.extend(((w, j, l), linalg.matmul(emb, b, self.p))
+                             for l, b in enumerate(basis))
         return units
 
 
@@ -460,47 +469,34 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
         raise ValidationError("prime-mismatch",
                               "representation and quiver use different primes")
     p = ctx.p
-    thetas = {}
-    for idx, vert in enumerate(ctx.built.vertices):
-        thetas[(vert.object, vert.irr)] = ctx.theta(rep, vert.object, vert.irr)
+    thetas = {(v.object, v.irr): ctx.theta(rep, v.object, v.irr)
+              for v in ctx.built.vertices}
     dims = tuple(len(thetas[(v.object, v.irr)]) for v in ctx.built.vertices)
 
     unit_cache = {}
-
-    def theta_of(y, w):
-        return thetas[(y, w)]
-
     mats = []
     for ea in ctx.arrows:
         sv = ctx.built.vertices[ea.source]
         tv = ctx.built.vertices[ea.target]
         x, v = sv.object, sv.irr
         y, w = tv.object, tv.irr
-        a = dims[ea.source]
-        b = dims[ea.target]
         alpha = rep.alpha_mats[ea.rep_index]
         kappas = ctx.kappa(ea.rep_index, ea.u, v)
         ukey = (ea.rep_index, ea.u, y)
         if ukey not in unit_cache:
-            units = ctx.target_units(theta_of, ea.rep_index, ea.u, y)
-            if units:
-                cols = np.stack([m.flatten(order="F") for _, m in units],
-                                axis=1) % p
-                if linalg.rank(cols, p) != cols.shape[1]:
-                    raise InvariantError("target embeddings are dependent")
-            else:
-                cols = None
+            units = ctx.units(ea.rep_index, ea.u, y, ctx.mu, thetas)
+            du = ctx.built.orbits[ea.rep_index].quotient_table.dims[ea.u]
+            cols = linalg.zeros(rep.dims[y] * du, len(units))
+            for k, (_, m) in enumerate(units):
+                cols[:, k] = m.flatten(order="F")
+            if linalg.rank(cols, p) != len(units):
+                raise InvariantError("target embeddings are dependent")
             unit_cache[ukey] = (units, cols)
         units, cols = unit_cache[ukey]
-        mat = linalg.zeros(b, a)
+        mat = linalg.zeros(dims[ea.target], dims[ea.source])
         for i, th in enumerate(thetas[(x, v)]):
             psi = linalg.matmul(linalg.matmul(alpha, th, p),
                                 kappas[ea.s], p)
-            if cols is None:
-                if np.any(psi):
-                    raise InvariantError("image of an isotypic copy leaves "
-                                         "the span of the target embeddings")
-                continue
             sol = linalg.solve(cols, psi.flatten(order="F"), p)
             if sol is None:
                 raise InvariantError("image of an isotypic copy leaves the "
@@ -516,38 +512,27 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     """Assemble the canonical category representation with F(R) = qrep."""
     p = ctx.p
     built = ctx.built
-    dims_by_vertex = qrep.dims
-    # canonical module per object: blocks (irreducible v, copy t)
+    # canonical module per object: blocks (irreducible v, copy t), each
+    # with its embedding, the block's columns of the identity
     obj_dims = {}
-    offsets = {}   # (x, v, copy) -> column offset in R(x)
+    embeddings = {}   # (x, v) -> one embedding per copy
     gen_mats = {}
     for x in built.cat.objects:
-        total = 0
-        blocks = []
-        for v in range(len(built.tables[x])):
-            vi = built.vertex_index[(x, v)]
-            dv = built.tables[x].dims[v]
-            for t in range(dims_by_vertex[vi]):
-                offsets[(x, v, t)] = total
-                total += dv
-                blocks.append((v, dv))
-        obj_dims[x] = total
+        blocks = [v for v in range(len(built.tables[x]))
+                  for _ in range(qrep.dims[built.vertex_index[(x, v)]])]
+        total = obj_dims[x] = sum(built.tables[x].dims[v] for v in blocks)
+        ident = linalg.eye(total)
         mats = [linalg.zeros(total, total)
                 for _ in built.cat.groups[x].generators]
         pos = 0
-        for v, dv in blocks:
+        for v in blocks:
             gm, _ = ctx.model(x, v)
+            dv = built.tables[x].dims[v]
             for m, g in zip(mats, gm):
                 m[pos:pos + dv, pos:pos + dv] = g
+            embeddings.setdefault((x, v), []).append(ident[:, pos:pos + dv])
             pos += dv
         gen_mats[x] = tuple(mats)
-
-    def embedding(x, v, t):
-        dv = built.tables[x].dims[v]
-        e = linalg.zeros(obj_dims[x], dv)
-        off = offsets[(x, v, t)]
-        e[off:off + dv] = linalg.eye(dv)
-        return e
 
     elem_mats = {x: element_matrices(built.cat.groups[x], gen_mats[x],
                                      obj_dims[x], p)
@@ -562,35 +547,12 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     alpha_mats = []
     for r, od in enumerate(built.orbits):
         x, y = od.rep.source, od.rep.target
-        qtable = od.quotient_table
         src_cols = []
         img_cols = []
-        for u in range(len(qtable)):
-            du = qtable.dims[u]
-            # source embeddings (v, copy i, s) of U into R(x)
-            src_units = []
-            for v in range(len(built.tables[x])):
-                kappas = ctx.kappa(r, u, v)
-                if not kappas:
-                    continue
-                nv = dims_by_vertex[built.vertex_index[(x, v)]]
-                for i in range(nv):
-                    emb = embedding(x, v, i)
-                    for s, kap in enumerate(kappas):
-                        src_units.append(((v, i, s),
-                                          linalg.matmul(emb, kap, p)))
-            tgt_units = []
-            for w in range(len(built.tables[y])):
-                mus = ctx.mu(r, u, w)
-                if not mus:
-                    continue
-                nw = dims_by_vertex[built.vertex_index[(y, w)]]
-                for j in range(nw):
-                    emb = embedding(y, w, j)
-                    for l, m in enumerate(mus):
-                        tgt_units.append(((w, j, l),
-                                          linalg.matmul(emb, m, p)))
-            for (v, i, s), esrc in src_units:
+        for u in range(len(od.quotient_table)):
+            du = od.quotient_table.dims[u]
+            tgt_units = ctx.units(r, u, y, ctx.mu, embeddings)
+            for (v, i, s), esrc in ctx.units(r, u, x, ctx.kappa, embeddings):
                 img = linalg.zeros(obj_dims[y], du)
                 for (w, j, l), etgt in tgt_units:
                     bm = arrow_mat.get((r, u, v, w, s, l))
@@ -601,16 +563,13 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
         # the representative matrix kills everything outside the fixed
         # points of G0, so complete the column system with that complement
         g0 = od.stab.G0
-        proj = linalg.zeros(obj_dims[x], obj_dims[x])
-        for g in g0.member_positions:
-            proj = (proj + elem_mats[x][g]) % p
-        proj = proj * linalg.inv_scalar(len(g0), p) % p
+        proj = sum((elem_mats[x][g] for g in g0.member_positions),
+                   linalg.zeros(obj_dims[x], obj_dims[x]))
+        proj = proj % p * linalg.inv_scalar(len(g0), p) % p
         comp = linalg.row_space((linalg.eye(obj_dims[x]) - proj).T % p, p).T
-        cmat = np.hstack([c for c in src_cols] + [comp]) % p \
-            if src_cols or comp.size else linalg.zeros(obj_dims[x], 0)
-        dmat = np.hstack([c for c in img_cols] +
-                         [linalg.zeros(obj_dims[y], comp.shape[1])]) % p \
-            if src_cols or comp.size else linalg.zeros(obj_dims[y], 0)
+        cmat = np.hstack(src_cols + [comp]) % p
+        dmat = np.hstack(img_cols +
+                         [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
         if cmat.shape != (obj_dims[x], obj_dims[x]):
             raise InvariantError("isotypic embeddings do not fill the module")
         alpha = linalg.matmul(dmat, linalg.inv(cmat, p), p)
@@ -620,69 +579,27 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
 
 
 # ---------------------------------------------------------------------------
-# hom spaces
+# hom spaces: one T_v per vertex, commuting with the matrices on each edge
 
 def hom_dim_cat(r1: CatRep, r2: CatRep) -> int:
-    """dim of the space of natural transformations R1 -> R2."""
+    """dim of the space of natural transformations R1 -> R2: a loop edge
+    per object generator and an edge per orbit representative."""
     cat = r1.cat
-    p = r1.p
-    order = list(cat.objects)
-    off = {}
-    total = 0
-    for x in order:
-        off[x] = total
-        total += r1.dims[x] * r2.dims[x]
-    rows = []
-    for x in order:
-        d1, d2 = r1.dims[x], r2.dims[x]
-        for k in range(len(cat.groups[x].generators)):
-            a = r1.gen_mats[x][k]
-            b = r2.gen_mats[x][k]
-            row = linalg.zeros(d1 * d2, total)
-            row[:, off[x]:off[x] + d1 * d2] = \
-                (np.kron(a.T, linalg.eye(d2)) -
-                 np.kron(linalg.eye(d1), b)) % p
-            rows.append(row)
-    for i, (rep, _) in enumerate(orbit_representatives(cat)):
-        x, y = rep.source, rep.target
-        a1 = r1.alpha_mats[i]
-        a2 = r2.alpha_mats[i]
-        d1x, d2x = r1.dims[x], r2.dims[x]
-        d1y, d2y = r1.dims[y], r2.dims[y]
-        row = linalg.zeros(d1x * d2y, total)
-        row[:, off[y]:off[y] + d1y * d2y] = np.kron(a1.T, linalg.eye(d2y)) % p
-        row[:, off[x]:off[x] + d1x * d2x] = \
-            (row[:, off[x]:off[x] + d1x * d2x] -
-             np.kron(linalg.eye(d1x), a2)) % p
-        rows.append(row)
-    if not rows:
-        return total
-    system = np.vstack(rows) % p
-    return int(linalg.nullspace(system, p).shape[0])
+    at = {x: i for i, x in enumerate(cat.objects)}
+    edges = [(at[x], at[x], a, b) for x in cat.objects
+             for a, b in zip(r1.gen_mats[x], r2.gen_mats[x])]
+    edges += [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
+              in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
+    system = linalg.sylvester_system([r1.dims[x] for x in cat.objects],
+                                     [r2.dims[x] for x in cat.objects],
+                                     edges, r1.p)
+    return int(linalg.nullspace(system, r1.p).shape[0])
 
 
 def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
-    """dim Hom between two quiver representations."""
-    built = q1.built
-    p = q1.p
-    off = []
-    total = 0
-    for i in range(len(built.vertices)):
-        off.append(total)
-        total += q1.dims[i] * q2.dims[i]
-    rows = []
-    for ea, m1, m2 in zip(expanded_arrows(built), q1.arrow_mats,
-                          q2.arrow_mats):
-        d1s, d2s = q1.dims[ea.source], q2.dims[ea.source]
-        d1t, d2t = q1.dims[ea.target], q2.dims[ea.target]
-        row = linalg.zeros(d1s * d2t, total)
-        row[:, off[ea.target]:off[ea.target] + q1.dims[ea.target] * d2t] = \
-            np.kron(m1.T, linalg.eye(d2t)) % p
-        row[:, off[ea.source]:off[ea.source] + d1s * d2s] = \
-            (row[:, off[ea.source]:off[ea.source] + d1s * d2s] -
-             np.kron(linalg.eye(d1s), m2)) % p
-        rows.append(row)
-    if not rows:
-        return total
-    system = np.vstack(rows) % p
-    return int(linalg.nullspace(system, p).shape[0])
+    """dim Hom between two quiver representations: an edge per expanded
+    arrow."""
+    edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
+             zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
+    system = linalg.sylvester_system(q1.dims, q2.dims, edges, q1.p)
+    return int(linalg.nullspace(system, q1.p).shape[0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import EICategory, MorphId, compose, unfactorizables
+from .eicat import EICategory, MorphId, compose
 from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
@@ -87,7 +87,7 @@ def radical_report(alg: CategoryAlgebra) -> RadicalReport:
             raise InvariantError("span of non-isomorphisms is not nilpotent")
         layers.append(nxt)
     rad_sq = layers[1] if len(layers) > 1 else set()
-    unfact = unfactorizables(cat)
+    unfact = cat.unfactorizables
     expected = {alg.index[MorphId(x, y, i)]
                 for (x, y), idxs in unfact.items() for i in idxs}
     got = noniso_set - rad_sq
@@ -109,7 +109,7 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
     mod p so the check stays sound even past that bound.
     """
     p = prime.p
-    unfact = unfactorizables(cat)
+    unfact = cat.unfactorizables
     out: dict = {}
     for (x, y), idxs in unfact.items():
         if not idxs:

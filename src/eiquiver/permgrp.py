@@ -24,6 +24,7 @@ vertex labels) inherits its reproducibility from this order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -89,6 +90,20 @@ def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
         if w:
             image[w] = product(image[w[:-1]], gen_images[w[-1]])
     return tuple(image[w] for w in group.words)
+
+
+def respects_relations(group: PermGroup, images, gen_images, product,
+                       equal=operator.eq) -> bool:
+    """Whether images[e * s_k] equals product(images[e], gen_images[k])
+    for every element e and generator s_k.  By induction on word length
+    this holds exactly when images (from word_products) does not depend
+    on the words chosen, that is, when the generator images satisfy the
+    group's relations."""
+    for k, s in enumerate(group.generators):
+        for e, es in enumerate(group.right_products(s).tolist()):
+            if not equal(images[es], product(images[e], gen_images[k])):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

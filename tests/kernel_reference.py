@@ -6,6 +6,8 @@ serves as the reference for the table-driven and whole-array versions in
 eiquiver.linalg and eiquiver.permgrp.
 """
 
+import numpy as np
+
 from eiquiver.permgrp import PermGroup, pinv, pmul
 
 
@@ -62,6 +64,29 @@ def solve(a, b, p, n, k):
     for i, pc in enumerate(pivots):
         x[pc] = r[i][n:]
     return x
+
+
+def sylvester_system(dims1, dims2, edges, p):
+    """The rows of {(T_v) : T_t M1 = M2 T_s for every edge (s, t, M1, M2)}
+    with Kronecker products, vec(T M1) = (M1^T (x) I) vec(T) and
+    vec(M2 T) = (I (x) M2) vec(T): one full-width block of rows per edge,
+    T_v (dims2[v] x dims1[v]) column-major at its vertex's offset."""
+    off = [0]
+    for a, b in zip(dims1, dims2):
+        off.append(off[-1] + a * b)
+    rows = []
+    for s, t, m1, m2 in edges:
+        a, b = dims1[s], dims2[t]
+        row = np.zeros((a * b, off[-1]), dtype=np.int64)
+        row[:, off[t]:off[t + 1]] = \
+            np.kron(m1.T, np.eye(b, dtype=np.int64)) % p
+        row[:, off[s]:off[s + 1]] = \
+            (row[:, off[s]:off[s + 1]] -
+             np.kron(np.eye(a, dtype=np.int64), m2)) % p
+        rows.append(row)
+    if not rows:
+        return np.zeros((0, off[-1]), dtype=np.int64)
+    return np.vstack(rows) % p
 
 
 def det(a, p):

@@ -216,6 +216,89 @@ def test_functor_output(capsys):
     assert len(payload["arrows"]) == 4
 
 
+def _trivial_s3_rep(x_dim=1, y_dim=1):
+    """A representation of two_object_trivial_s3: x has the trivial
+    group, so only "dim" sizes it; S3 acts trivially at y."""
+    one = [[1] * y_dim] if y_dim else []
+    return {"p": 13,
+            "objects": [{"id": "x", "dim": x_dim, "generator_matrices": []},
+                        {"id": "y", "dim": y_dim,
+                         "generator_matrices": [one, one]}],
+            "alpha_matrices": [{"rep_index": 0,
+                                "matrix": [[1] * x_dim] * y_dim}]}
+
+
+@pytest.mark.parametrize("x_dim, y_dim", [(1, 1), (2, 0), (0, 1)])
+def test_functor_on_zero_dimensional_objects(capsys, tmp_path, x_dim, y_dim):
+    # a matrix with no rows is [] in JSON, whatever its width
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(_trivial_s3_rep(x_dim, y_dim)))
+    code, out, err = run(capsys, "functor", fx("two_object_trivial_s3"),
+                         str(f))
+    assert (code, err) == (0, "")
+    assert [v["dim"] for v in json.loads(out)["vertices"]] == \
+        [x_dim, y_dim, 0, 0]
+
+
+def _rep_set(path, value, base=lambda: fixture_doc("two_object_c2_s3_rep")):
+    """A representation document with one field replaced."""
+    def make():
+        doc = base()
+        _set(path, value)(doc)
+        return doc
+    return make
+
+
+@pytest.mark.parametrize("fixture, make_rep, code, prefix", [
+    pytest.param("two_object_c2_s3", _rep_set(("p",), 13.5), 3,
+                 "schema error", id="float-p"),
+    pytest.param("two_object_c2_s3", _rep_set(("p",), "13"), 3,
+                 "schema error", id="string-p"),
+    pytest.param("two_object_c2_s3", _rep_set(("p",), 10**30), 3,
+                 "schema error", id="huge-p"),
+    pytest.param("two_object_c2_s3", _rep_set(("p",), 0), 3,
+                 "schema error", id="zero-p"),
+    pytest.param("two_object_c2_s3", _rep_set(("p",), 7), 2,
+                 "validation error", id="other-p"),
+    pytest.param("two_object_c2_s3", _rep_set(("objects", 0, "dim"), 3.0),
+                 3, "schema error", id="float-dim"),
+    pytest.param("two_object_c2_s3",
+                 _rep_set(("alpha_matrices", 0, "matrix", 0, 0), 0.5),
+                 3, "schema error", id="float-matrix-entry"),
+    pytest.param("two_object_c2_s3",
+                 _rep_set(("objects", 0, "generator_matrices", 0, 0, 0),
+                          True),
+                 3, "schema error", id="bool-matrix-entry"),
+    pytest.param("two_object_c2_s3",
+                 _rep_set(("alpha_matrices", 0, "matrix"), [[1, 2], [3]]),
+                 3, "schema error", id="ragged-matrix"),
+    pytest.param("two_object_c2_s3",
+                 _rep_set(("alpha_matrices", 0, "matrix"), [[1]]),
+                 3, "schema error", id="wrong-alpha-shape"),
+    pytest.param("two_object_c2_s3",
+                 _rep_set(("alpha_matrices", 0, "rep_index"), 0.2),
+                 3, "schema error", id="float-rep-index"),
+    pytest.param("two_object_trivial_s3",
+                 _rep_set(("objects", 0, "dim"), -1, _trivial_s3_rep),
+                 3, "schema error", id="negative-dim"),
+    # R(y) = 0, so the representative's matrix is [] and no matrix
+    # carries x's dim
+    pytest.param("two_object_trivial_s3", lambda: _trivial_s3_rep(10**7, 0),
+                 3, "schema error", id="huge-dim-no-matrix"),
+    pytest.param("two_object_trivial_s3",
+                 _rep_set(("objects", 0, "dim"), 10**7, _trivial_s3_rep),
+                 3, "schema error", id="huge-dim-against-alpha"),
+])
+def test_malformed_representations_end_in_a_finding(
+        capsys, tmp_path, fixture, make_rep, code, prefix):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(make_rep()))
+    got, out, err = run(capsys, "functor", fx(fixture), str(f))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1 and \
+        err.endswith("\n")
+
+
 def test_max_paths_bound(capsys):
     code, _, err = run(capsys, "--max-paths", "2",
                        "validate", fx("four_object_mixed"))

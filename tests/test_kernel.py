@@ -92,6 +92,37 @@ def test_char_poly_of_companion_matrix(p):
         assert linalg.char_poly(comp, p) == [1] + low[::-1]
 
 
+def _sylvester_cases(p, rng):
+    """(dims1, dims2, edges): loop edges on one vertex with a != b and
+    zero dims, no edges at all, and random s != t and loop edges."""
+    def edge(d1, d2, s, t):
+        return (s, t, rng.integers(0, p, (d1[t], d1[s])),
+                rng.integers(0, p, (d2[t], d2[s])))
+
+    out = []
+    for a, b in ((1, 1), (2, 3), (3, 2), (4, 4), (0, 2), (2, 0), (0, 0)):
+        out.append(([a], [b], [edge([a], [b], 0, 0) for _ in range(3)]))
+    out.append(([2, 1], [3, 0], []))
+    out.append(([], [], []))
+    for d1, d2 in (([2, 0, 3, 1], [1, 2, 2, 0]), ([1, 2, 3], [3, 2, 1]),
+                   ([2, 2], [2, 2])):
+        n = len(d1)
+        pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, (8, 2))]
+        pairs += [(0, n - 1), (n - 1, n - 1)]
+        out.append((d1, d2, [edge(d1, d2, s, t) for s, t in pairs]))
+    return out
+
+
+@pytest.mark.parametrize("p", (13, 433))
+def test_sylvester_system_matches_kronecker_assembly(p):
+    rng = np.random.default_rng(p + 4)
+    for d1, d2, edges in _sylvester_cases(p, rng):
+        got = linalg.sylvester_system(d1, d2, edges, p)
+        want = ref.sylvester_system(d1, d2, edges, p)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 def _groups():
     return [named_group(name) for name in NAMED] + [
         enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]]),

@@ -1,6 +1,8 @@
 """Canonical irreducible models, the functor to quiver representations
 and its inverse, and hom-space dimensions."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -9,12 +11,13 @@ import pytest
 from conftest import fixture_doc
 from eiquiver import linalg
 from eiquiver.chartab import certified_prime, character_table
+from eiquiver.eicat import orbit_representatives
 from eiquiver.errors import SchemaError, ValidationError
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              intertwiner_basis, inverse_functor,
-                             irreducible_model, load_catrep, load_quiverrep,
+                             irreducible_model, load_catrep,
                              quiverrep_document)
 from eiquiver.permgrp import named_group
 from eiquiver.quiveralg import build_quiver
@@ -77,6 +80,23 @@ def test_catrep_document_round_trip(rep_setup):
     doc = catrep_document(rep)
     again = load_catrep(cat, doc)
     assert catrep_document(again) == doc
+
+
+def test_catrep_document_round_trip_with_zero_dimensions(rep_setup):
+    # R(y) = 0: the representative's matrix has no rows, which JSON
+    # writes as [] whatever its width
+    cat, rep, ctx = rep_setup
+    for dims in ((2, 1, 0, 0, 0), (0, 0, 1, 0, 2), (0,) * 5):
+        zero = QuiverRep(ctx.built, ctx.p, dims, tuple(
+            linalg.zeros(dims[ea.target], dims[ea.source])
+            for ea in ctx.arrows))
+        doc = catrep_document(inverse_functor(ctx, zero))
+        again = load_catrep(cat, json.loads(json.dumps(doc)))
+        assert again.dims == {x: sum(
+            n * ctx.built.tables[x].dims[v.irr]
+            for n, v in zip(dims, ctx.built.vertices) if v.object == x)
+            for x in cat.objects}
+        assert catrep_document(again) == doc
 
 
 def test_load_catrep_rejects_bad_document(rep_setup):
@@ -156,17 +176,19 @@ def test_hom_dims_agree(rep_setup):
     assert hom_dim_cat(rep, rep) == hom_dim_quiver(q, q) == 2
 
 
-def test_quiverrep_document_round_trip(rep_setup):
+def test_quiverrep_document(rep_setup):
     cat, rep, ctx = rep_setup
     q = apply_functor(ctx, rep)
     doc = quiverrep_document(q)
-    again = load_quiverrep(ctx.built, doc)
-    assert again.dims == q.dims
-    for m1, m2 in zip(again.arrow_mats, q.arrow_mats):
-        assert np.array_equal(m1, m2)
-    bad = {**doc, "vertices": doc["vertices"][:-1]}
-    with pytest.raises(SchemaError):
-        load_quiverrep(ctx.built, bad)
+    assert doc["p"] == q.p
+    assert [v["dim"] for v in doc["vertices"]] == list(q.dims)
+    assert [(v["object"], v["irreducible"]) for v in doc["vertices"]] == \
+        [(v.object, v.irr) for v in ctx.built.vertices]
+    assert len(doc["arrows"]) == len(ctx.arrows)
+    for a, ea, m in zip(doc["arrows"], ctx.arrows, q.arrow_mats):
+        assert (a["from"], a["to"], a["rep_index"], a["u"], a["s"], a["l"]) \
+            == (ea.source, ea.target, ea.rep_index, ea.u, ea.s, ea.l)
+        assert a["matrix"] == m.tolist()
 
 
 def _random_quiverrep(ctx, rng, max_dim=2):
@@ -192,3 +214,60 @@ def test_random_quiver_reps_round_trip(rep_setup):
         for m1, m2 in zip(again.arrow_mats, q.arrow_mats):
             assert np.array_equal(m1, m2)
         assert hom_dim_cat(r, r) == hom_dim_quiver(q, q)
+
+
+# sha256 of the matrices below, recorded with the Kronecker-product
+# assembly that kernel_reference.sylvester_system keeps: a change in any
+# canonical basis (models, theta, kappa, mu) or in the assembly shows here
+FUNCTOR_DIGEST = "73c6aa54d74f774eee2c24c320f7a0d8e948d3937a3fd3563f2fd8c8805be603"
+
+
+def _random_invertible(n, p, rng):
+    while True:
+        m = np.array([[rng.randrange(p) for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64).reshape(n, n)
+        if linalg.rank(m, p) == n:
+            return m
+
+
+def _functor_digest(categories):
+    h = hashlib.sha256()
+
+    def put(m):
+        m = np.asarray(m, dtype=np.int64)
+        h.update(repr(m.shape).encode())
+        h.update(m.tobytes())
+
+    for seed, name in enumerate(("four_object_mixed", "two_object_c2_s3",
+                                 "fork_merge_free")):
+        cat = categories[name]
+        ctx = MoritaContext(build_quiver(cat))
+        p = ctx.p
+        rng = random.Random(seed)
+        for _ in range(5):
+            r = inverse_functor(ctx, _random_quiverrep(ctx, rng, 3))
+            for x in cat.objects:
+                for m in r.gen_mats[x]:
+                    put(m)
+            for m in r.alpha_mats:
+                put(m)
+            # the same representation in a random basis, so that F has
+            # to find the isotypic copies itself
+            bases = {x: _random_invertible(r.dims[x], p, rng)
+                     for x in cat.objects}
+            back = {x: linalg.inv(b, p) for x, b in bases.items()}
+            gens = {x: tuple(linalg.matmul(linalg.matmul(bases[x], m, p),
+                                           back[x], p)
+                             for m in r.gen_mats[x]) for x in cat.objects}
+            alphas = [linalg.matmul(linalg.matmul(bases[rep.target], a, p),
+                                    back[rep.source], p)
+                      for (rep, _), a in zip(orbit_representatives(cat),
+                                             r.alpha_mats)]
+            moved = build_catrep(cat, p, gens, alphas, r.dims)
+            for m in apply_functor(ctx, moved).arrow_mats:
+                put(m)
+    return h.hexdigest()
+
+
+def test_functor_matrices_pinned(categories):
+    assert _functor_digest(categories) == FUNCTOR_DIGEST
