@@ -9,6 +9,13 @@ as least nonnegative residues.
 
 Character tables are computed by the Burnside/Dixon method: simultaneous
 eigenvectors of the class-multiplication matrices over F_p.
+
+_MODEL_CACHE holds, for the life of the process and without a bound,
+every character table on (p, group.key) and every irreducible model
+(morita.irreducible_model) on (p, group.key, i).  group.key names a
+group's generators and element order, and a table or model is a
+deterministic function of those and p, so a hit is exactly what a fresh
+computation would give.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
                       GroupIso, class_index_of, conjugacy_classes)
 
 PRIME_SEARCH_BOUND = 10**6
+
+_MODEL_CACHE: dict = {}
 
 
 class CharTableError(ValueError):
@@ -185,8 +194,17 @@ def _split_common_eigenvectors(mats, r: int, p: int):
 
 
 def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
+    """The character table of g over F_p, computed once per (p, g.key).
+    The prime is certified for g on every call.  A hit returns the table
+    of the first equal group seen, whose group is equal to g."""
     prime.certify(g)
-    p = prime.p
+    key = (prime.p, g.key)
+    if key not in _MODEL_CACHE:
+        _MODEL_CACHE[key] = _compute_table(g, prime.p)
+    return _MODEL_CACHE[key]
+
+
+def _compute_table(g: PermGroup, p: int) -> CharTable:
     classes = tuple(conjugacy_classes(g))
     class_of = tuple(class_index_of(g, list(classes)))
     r = len(classes)

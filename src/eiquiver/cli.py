@@ -156,7 +156,7 @@ def cmd_functor(args) -> int:
     from .quiveralg import build_quiver
     cat = _load(args)
     q = build_quiver(cat, _prime(args, cat))
-    rep = load_catrep(cat, _read_json(args.rep))
+    rep = load_catrep(cat, _read_json(args.rep), q.prime.p)
     ctx = MoritaContext(q)
     qrep = apply_functor(ctx, rep)
     payload = quiverrep_document(qrep)

@@ -25,6 +25,19 @@ from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
                       pmul, quotient, respects_relations, word_products)
 
 
+# The largest permutation degree, hom size or arrow size a document may
+# declare.  A group without generators, or a hom between two such groups,
+# carries that number in no list of the document, so it is checked
+# before anything is built from it.
+MAX_POINTS = 100000
+
+
+def check_points(n: int, what: str) -> None:
+    """Reject a declared degree or size above MAX_POINTS."""
+    if n > MAX_POINTS:
+        raise ValidationError("too-large", f"{what} {n} exceeds {MAX_POINTS}")
+
+
 @dataclass(frozen=True)
 class HomSet:
     source: str
@@ -313,6 +326,7 @@ def load_category(document: dict, max_group: int = 10000,
             raise SchemaError(f"bad object entry: {e}") from e
         if oid in groups:
             raise SchemaError(f"duplicate object id {oid!r}")
+        check_points(degree, f"object {oid}: degree")
         try:
             groups[oid] = enumerate_group(degree, gens, bound=max_group)
         except ValueError as e:
@@ -347,6 +361,7 @@ def load_category(document: dict, max_group: int = 10000,
                                   "not a hom entry")
         if (x, y) in homs:
             raise SchemaError(f"duplicate hom entry {x}->{y}")
+        check_points(size, f"hom {x}->{y}: size")
         if size > 0:
             homs[(x, y)] = make_homset(x, y, size, lga, rga, groups[x], groups[y])
 

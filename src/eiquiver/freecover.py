@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from .errors import SchemaError, ValidationError
 from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
-                    ei_quiver_of, make_homset, validate_category)
+                    check_points, ei_quiver_of, make_homset,
+                    validate_category)
 from .permgrp import PermGroup, is_int
 
 DEFAULT_PATH_BOUND = 100000
@@ -52,6 +53,7 @@ def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
                                   "loop arrows make the free category infinite")
         if size <= 0:
             raise SchemaError(f"arrow {x}->{y} must have positive size")
+        check_points(size, f"arrow {x}->{y}: size")
         # reuse the hom-set validator: same action axioms apply to arrows
         hs = make_homset(x, y, size, lga, rga, groups[x], groups[y])
         arrows.append(ArrowBiset(x, y, size, hs.left_gen, hs.right_gen))

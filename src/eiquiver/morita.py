@@ -11,7 +11,9 @@ block-diagonal canonical models and solves for the morphism matrices.
 
 All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module, and all hom-space bases are
-echelon bases of explicit intertwiner systems.  Every such system, and
+echelon bases of explicit intertwiner systems.  Models are kept for the
+life of the process in chartab._MODEL_CACHE, beside the character
+tables, and imported here under the same name.  Every such system, and
 both Hom-dimension checks, is one linalg.sylvester_system: matrices T_v
 at vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
 are symmetric: kappa (source, G1 acting on U through G1/G0) and mu
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chartab import PRIME_SEARCH_BOUND, CharTable
+from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
 from .eicat import EICategory, MorphId, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, respects_relations, word_products
@@ -67,15 +69,13 @@ def intertwiner_basis(As, Bs, p: int, a: int, b: int):
 # ---------------------------------------------------------------------------
 # canonical irreducible models
 
-_MODEL_CACHE: dict = {}
-
-
 def irreducible_model(group: PermGroup, table: CharTable, i: int):
     """Deterministic matrices (one per generator) of the i-th irreducible.
 
     Found inside the regular module: project onto the isotypic component,
     then cut down to a single copy with eigenspaces of commutant elements.
-    The result is certified by comparing all traces with the character.
+    The result is certified by comparing all traces with the character,
+    and kept in chartab._MODEL_CACHE on (p, group.key, i).
     """
     p = table.p
     key = (p, group.key, i)
@@ -313,14 +313,20 @@ def _matrix(rows, p: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(rows), width)
 
 
-def load_catrep(cat: EICategory, doc: dict) -> CatRep:
-    """A representation from its document; JSON integers only, and every
-    size checked before it is used."""
+def load_catrep(cat: EICategory, doc: dict, expected_p: int) -> CatRep:
+    """A representation over F_{expected_p} from its document; JSON
+    integers only, and every size checked before it is used.  A document
+    for another prime is a prime-mismatch, found before any matrix is
+    read."""
     try:
         p = doc["p"]
         if not is_int(p) or not 2 <= p <= PRIME_SEARCH_BOUND:
             raise ValueError(f"p {p!r} is not an integer in "
                              f"2..{PRIME_SEARCH_BOUND}")
+        if p != expected_p:
+            raise ValidationError("prime-mismatch",
+                                  f"the representation is over F_{p}, the "
+                                  f"quiver over F_{expected_p}")
         gen_mats = {}
         dims_hint = {}
         for ospec in doc["objects"]:
@@ -398,7 +404,7 @@ def quiverrep_document(r: QuiverRep) -> dict:
 
 class MoritaContext:
     """Caches the intertwiner bases for one quiver; canonical models come
-    from the module-level cache of irreducible_model."""
+    from irreducible_model, which keeps them in chartab._MODEL_CACHE."""
 
     def __init__(self, built: BuiltQuiver):
         self.built = built
@@ -436,7 +442,9 @@ class MoritaContext:
         if key not in self._stab_homs:
             _, uelems = self.quotient_model(r, u)
             _, velems = self.model(x, v)
-            pos = k1.member_positions
+            # a generating set of K1 cuts out the same hom space, so the
+            # system has the same row space, rref and basis
+            pos = k1.generator_positions
             self._stab_homs[key] = intertwiner_basis(
                 [uelems[to_quotient(g)] for g in pos],
                 [velems[g] for g in pos], self.p,

@@ -312,6 +312,13 @@ class SubgroupHandle:
         return PermGroup(self.parent.degree, elems, elems, index_of,
                          tuple((k,) for k in range(len(elems))))
 
+    @cached_property
+    def generator_positions(self) -> tuple[int, ...]:
+        """Parent positions of _generating_subset(as_group()): at most
+        log2 of the subgroup's order elements that generate it."""
+        return tuple(self.parent.index_of[s]
+                     for s in _generating_subset(self.as_group()))
+
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
         g = self.parent
         a = g.array

@@ -178,7 +178,7 @@ def test_criterion_09_functor_round_trip(categories):
     start = time.perf_counter()
     cat = categories["two_object_c2_s3"]
     ctx = MoritaContext(build_quiver(cat))
-    rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"))
+    rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"), ctx.p)
     q = apply_functor(ctx, rep)
     assert [v.label for v in ctx.built.vertices] == \
         ["x:X0", "x:X1", "y:X0", "y:X1", "y:X2"]

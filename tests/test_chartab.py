@@ -2,17 +2,20 @@
 
 import pytest
 
-from eiquiver import linalg
-from eiquiver.chartab import (CharTableError, ClassFunction, certified_prime,
+from eiquiver import chartab, linalg
+from eiquiver.chartab import (_MODEL_CACHE, CharTableError, ClassFunction,
+                              SplittingPrime, certified_prime,
                               character_table, choose_splitting_prime,
                               inflate, inner_product, restrict,
                               restriction_multiplicity, splitting_prime_for,
                               transport)
-from eiquiver.permgrp import (GroupIso, SubgroupHandle, named_group, quotient,
-                              trivial_subgroup, whole_group)
+from eiquiver.permgrp import (GroupIso, SubgroupHandle, enumerate_group,
+                              named_group, quotient, trivial_subgroup,
+                              whole_group)
 from randcats import closure_positions
 
 S3 = named_group("S3")
+CATALOG = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
 P13 = choose_splitting_prime([S3])
 
 
@@ -76,7 +79,7 @@ def test_s3_table_dims():
 
 
 def test_all_catalog_tables():
-    for name in ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2"):
+    for name in CATALOG:
         g = named_group(name)
         prime = choose_splitting_prime([g])
         t = character_table(g, prime)
@@ -88,6 +91,56 @@ def test_all_catalog_tables():
             for j in range(len(irr)):
                 assert inner_product(irr[i], irr[j], t.p) == \
                     (1 if i == j else 0)
+
+
+def _s3_mod_c3():
+    """A fresh quotient S3/C3: each call gives a distinct as_group()
+    object with the same key."""
+    kernel = SubgroupHandle(
+        S3, tuple(closure_positions(S3, [S3.index_of[(1, 2, 0)]])))
+    return quotient(whole_group(S3), kernel).as_group()
+
+
+def test_cached_table_equals_a_fresh_one():
+    first, second = _s3_mod_c3(), _s3_mod_c3()
+    assert first is not second and first.key == second.key
+    pairs = [(named_group(n), named_group(n)) for n in CATALOG]
+    for g, again in pairs + [(first, second)]:
+        prime = choose_splitting_prime([g])
+        cached = character_table(g, prime)
+        hit = character_table(again, prime)
+        # a hit is the first equal group's table, equal to the caller's
+        assert hit is cached and hit.group == again
+        _MODEL_CACHE.clear()
+        fresh = character_table(again, prime)
+        assert fresh is not hit and fresh.group is again
+        assert fresh == hit
+
+
+def test_certify_runs_on_a_cache_hit():
+    c4 = named_group("C4")
+    prime = choose_splitting_prime([c4])
+    character_table(c4, prime)
+    # same p, but certified only for exponent 2
+    narrow = SplittingPrime(prime.p, 2, prime.certified_max_order)
+    with pytest.raises(CharTableError):
+        character_table(c4, narrow)
+
+
+def test_equal_group_does_no_elimination(monkeypatch):
+    calls = []
+    split = chartab._split_common_eigenvectors
+    monkeypatch.setattr(chartab, "_split_common_eigenvectors",
+                        lambda *a: calls.append(a) or split(*a))
+    _MODEL_CACHE.clear()
+    gens = ((1, 2, 3, 0), (1, 0, 3, 2))
+    d4, again = enumerate_group(4, gens), enumerate_group(4, gens)
+    assert d4 is not again and d4 == again
+    prime = choose_splitting_prime([d4])
+    table = character_table(d4, prime)
+    assert len(calls) == 1
+    assert character_table(again, prime) is table
+    assert len(calls) == 1
 
 
 def test_restriction_multiplicities_s3_to_c2():

@@ -1,6 +1,8 @@
 """The command-line front end: exit codes, output formats, determinism."""
 
+import contextlib
 import json
+import resource
 
 import pytest
 
@@ -297,6 +299,63 @@ def test_malformed_representations_end_in_a_finding(
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1 and \
         err.endswith("\n")
+
+
+def test_functor_rep_for_another_prime_is_a_prime_mismatch(capsys, tmp_path):
+    # found before the matrices, which are no representation over F_7
+    doc = fixture_doc("two_object_c2_s3_rep")
+    doc["p"] = 7
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "functor", fx("two_object_c2_s3"), str(f))
+    assert (code, out) == (2, "")
+    assert "prime-mismatch" in err and err.count("\n") == 1
+
+
+@contextlib.contextmanager
+def address_space_limit(extra_bytes: int):
+    """Cap this process's address space a little above its current size,
+    so that a size that slips past its check fails with MemoryError
+    instead of exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * resource.getpagesize()
+    limit = used + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _one_trivial_object(degree):
+    return {"objects": [{"id": "x", "degree": degree, "generators": []}]}
+
+
+def _one_hom(size, mode):
+    # trivial groups at both ends: no action list carries the size
+    return {"mode": mode,
+            "objects": [{"id": "x", "degree": 1, "generators": []},
+                        {"id": "y", "degree": 1, "generators": []}],
+            "homs": [{"from": "x", "to": "y", "size": size,
+                      "left_action": [], "right_action": []}]}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_one_trivial_object(10**9), id="degree-1e9"),
+    pytest.param(_one_trivial_object(10**30), id="degree-1e30"),
+    pytest.param(_one_hom(10**9, "explicit"), id="hom-size-1e9"),
+    pytest.param(_one_hom(10**9, "ei-quiver"), id="arrow-size-1e9"),
+])
+def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+    with address_space_limit(512 * 2**20):
+        code, out, err = run(capsys, "validate", str(f))
+    assert (code, out) == (2, "")
+    assert "too-large" in err and err.count("\n") == 1
 
 
 def test_max_paths_bound(capsys):

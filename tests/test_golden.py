@@ -17,6 +17,7 @@ import pathlib
 import pytest
 
 from conftest import FIXTURES
+from eiquiver.chartab import _MODEL_CACHE
 from eiquiver.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
@@ -61,6 +62,15 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case):
     assert run_cli(CASES[case]) == EXPECTED[case]
+
+
+def test_json_cases_in_reverse_order_from_a_cold_cache():
+    # tables and models persist across calls in one process; the order
+    # in which they were filled must never reach the output
+    _MODEL_CACHE.clear()
+    for case in sorted((c for c in CASES if c.startswith("json ")),
+                       reverse=True):
+        assert run_cli(CASES[case]) == EXPECTED[case], case
 
 
 if __name__ == "__main__":

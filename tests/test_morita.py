@@ -32,8 +32,8 @@ def s3_table():
 @pytest.fixture(scope="module")
 def rep_setup(categories):
     cat = categories["two_object_c2_s3"]
-    rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"))
     ctx = MoritaContext(build_quiver(cat))
+    rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"), ctx.p)
     return cat, rep, ctx
 
 
@@ -78,7 +78,7 @@ def test_load_catrep_fixture(rep_setup):
 def test_catrep_document_round_trip(rep_setup):
     cat, rep, _ = rep_setup
     doc = catrep_document(rep)
-    again = load_catrep(cat, doc)
+    again = load_catrep(cat, doc, rep.p)
     assert catrep_document(again) == doc
 
 
@@ -91,7 +91,7 @@ def test_catrep_document_round_trip_with_zero_dimensions(rep_setup):
             linalg.zeros(dims[ea.target], dims[ea.source])
             for ea in ctx.arrows))
         doc = catrep_document(inverse_functor(ctx, zero))
-        again = load_catrep(cat, json.loads(json.dumps(doc)))
+        again = load_catrep(cat, json.loads(json.dumps(doc)), ctx.p)
         assert again.dims == {x: sum(
             n * ctx.built.tables[x].dims[v.irr]
             for n, v in zip(dims, ctx.built.vertices) if v.object == x)
@@ -104,7 +104,7 @@ def test_load_catrep_rejects_bad_document(rep_setup):
     doc = catrep_document(rep)
     broken = {**doc, "objects": doc["objects"][:1]}
     with pytest.raises(SchemaError):
-        load_catrep(cat, broken)
+        load_catrep(cat, broken, rep.p)
 
 
 def test_apply_functor_golden(rep_setup):
@@ -271,3 +271,31 @@ def _functor_digest(categories):
 
 def test_functor_matrices_pinned(categories):
     assert _functor_digest(categories) == FUNCTOR_DIGEST
+
+
+def test_stabilizer_homs_from_generators_match_all_members(categories):
+    # a generating set of K1 cuts out the same system row space as all
+    # of K1, so kappa and mu keep the all-members echelon basis
+    for cat in categories.values():
+        ctx = MoritaContext(build_quiver(cat))
+        for r, od in enumerate(ctx.built.orbits):
+            st = od.stab
+            back = st.phi.inverse()
+            sides = ((ctx.kappa, st.alpha.source, st.G1,
+                      st.quotG.projection.__getitem__),
+                     (ctx.mu, st.alpha.target, st.H1,
+                      lambda h: back(st.quotH.projection[h])))
+            for u in range(len(od.quotient_table)):
+                _, uelems = ctx.quotient_model(r, u)
+                for basis, x, k1, to_quotient in sides:
+                    for v in range(len(ctx.built.tables[x])):
+                        _, velems = ctx.model(x, v)
+                        pos = k1.member_positions
+                        full = intertwiner_basis(
+                            [uelems[to_quotient(g)] for g in pos],
+                            [velems[g] for g in pos], ctx.p,
+                            uelems[0].shape[0], velems[0].shape[0])
+                        got = basis(r, u, v)
+                        assert len(got) == len(full)
+                        assert all(np.array_equal(a, b)
+                                   for a, b in zip(got, full))
