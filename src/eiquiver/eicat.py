@@ -319,8 +319,9 @@ def load_category(document: dict, max_group: int = 10000,
         try:
             oid = str(spec["id"])
             degree = spec["degree"]
-            if not is_int(degree):
-                raise TypeError(f"degree {degree!r} is not an integer")
+            if not is_int(degree) or degree < 0:
+                raise TypeError(f"degree {degree!r} is not a nonnegative "
+                                "integer")
             gens = list(spec.get("generators", []))
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad object entry: {e}") from e
@@ -347,8 +348,8 @@ def load_category(document: dict, max_group: int = 10000,
         try:
             x, y = str(hspec["from"]), str(hspec["to"])
             size = hspec["size"]
-            if not is_int(size):
-                raise TypeError(f"size {size!r} is not an integer")
+            if not is_int(size) or size < 0:
+                raise TypeError(f"size {size!r} is not a nonnegative integer")
             lga = hspec.get("left_action", [])
             rga = hspec.get("right_action", [])
         except (KeyError, TypeError, ValueError) as e:
@@ -538,8 +539,6 @@ class ArrowBiset:
     size: int
     left_gen: tuple[Perm, ...]
     right_gen: tuple[Perm, ...]
-    # provenance inside the originating category, when extracted from one
-    orbit: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -558,5 +557,5 @@ def ei_quiver_of(cat: EICategory) -> EIQuiverData:
         posmap = {m: i for i, m in enumerate(orb)}
         left = tuple(tuple(posmap[perm[m]] for m in orb) for perm in hs.left_gen)
         right = tuple(tuple(posmap[perm[m]] for m in orb) for perm in hs.right_gen)
-        arrows.append(ArrowBiset(rep.source, rep.target, len(orb), left, right, orb))
+        arrows.append(ArrowBiset(rep.source, rep.target, len(orb), left, right))
     return EIQuiverData(cat.objects, dict(cat.groups), tuple(arrows))

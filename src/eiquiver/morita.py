@@ -3,11 +3,13 @@ representations for free categories with invertible group orders.
 
 A category representation assigns a module to each object and a matrix
 to each representative unfactorizable morphism; everything else is
-derived by functoriality.  The functor F sends it to a representation of
-the ordinary quiver: vertex (x, V) gets k^a where a is the multiplicity
-of V in R(x), and each arrow gets the scalar block read off from the
-induced map between aligned isotypic copies.  The inverse assembles
-block-diagonal canonical models and solves for the morphism matrices.
+derived by functoriality, in one pass that also checks it on group
+generators and composable pairs, which suffices (see build_catrep).
+The functor F sends it to a representation of the ordinary quiver:
+vertex (x, V) gets k^a where a is the multiplicity of V in R(x), and
+each arrow gets the scalar block read off from the induced map between
+aligned isotypic copies.  The inverse assembles block-diagonal
+canonical models and solves for the morphism matrices.
 
 All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module, and all hom-space bases are
@@ -24,13 +26,14 @@ the isotypic embeddings of U on either side come from one units.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
-from .eicat import EICategory, MorphId, orbit_representatives
+from .eicat import EICategory, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, respects_relations, word_products
 from .quiveralg import BuiltQuiver
@@ -149,14 +152,8 @@ class CatRep:
     p: int
     dims: dict[str, int]
     gen_mats: dict[str, tuple]         # per object, per group generator
-    elem_mats: dict[str, tuple]        # per object, per group element
     mor_mats: dict[tuple[str, str], tuple]  # per hom element
     alpha_mats: tuple                  # per orbit representative
-
-    def matrix(self, m: MorphId):
-        if m.is_endo:
-            return self.elem_mats[m.source][m.index]
-        return self.mor_mats[(m.source, m.target)][m.index]
 
 
 # An object without generator matrices (a trivial group) takes its
@@ -168,9 +165,18 @@ MAX_FREE_DIM = 1024
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                  alpha_mats, dims_hint: dict | None = None) -> CatRep:
     """Assemble and validate a full representation from generator and
-    representative matrices.  Objects whose group has no generators carry
-    no matrices, so their dimension must come from dims_hint.  Every
-    shape is checked before any element matrix is built."""
+    representative matrices; objects whose group has no generators take
+    their dimension from dims_hint.  Every shape is checked first.
+
+    One worklist pass derives each morphism's matrix and checks
+    functoriality: a morphism, taken once, puts its product with each
+    generator matrix of either endpoint group and with each composable
+    partner that has a matrix already, and a filled slot must receive
+    the same matrix.  check_group_rep has verified the group relations
+    and the hom actions are group actions (checked at load), so
+    agreement on generators gives agreement on every element, by
+    induction along its word; every composable pair meets when the
+    later of its two morphisms is taken."""
     dims = {}
     for x in cat.objects:
         mats = gen_mats.get(x, ())
@@ -204,16 +210,18 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                               f"matrix must be {shape[0]}x{shape[1]}")
         checked.append(amat.reshape(shape))
     alpha_mats = tuple(checked)
-    elem_mats = {x: tuple(check_group_rep(cat.groups[x], gen_mats.get(x, ()),
-                                          dims[x], p))
-                 for x in cat.objects}
-    assigned: dict[tuple[str, str], list] = {
-        key: [None] * hs.size for key, hs in cat.homs.items()}
+    gens = {x: tuple(gen_mats.get(x, ())) for x in cat.objects}
+    for x in cat.objects:
+        check_group_rep(cat.groups[x], gens[x], dims[x], p)
+
+    assigned = {key: [None] * hs.size for key, hs in cat.homs.items()}
+    todo = deque()
 
     def put(key, idx, mat):
         cur = assigned[key][idx]
         if cur is None:
             assigned[key][idx] = mat % p
+            todo.append((key, idx))
         elif not np.array_equal(cur, mat % p):
             raise ValidationError(
                 "not-functorial",
@@ -221,77 +229,29 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
 
     for (rep, _), amat in zip(reps, alpha_mats):
         put((rep.source, rep.target), rep.index, amat)
-
-    # saturate: spread by the group actions and composition tables until
-    # every morphism has a matrix, checking consistency at every meeting
-    changed = True
-    while changed:
-        changed = False
-        for (x, y), hs in cat.homs.items():
-            gx, gy = cat.groups[x], cat.groups[y]
-            for idx in range(hs.size):
-                mat = assigned[(x, y)][idx]
-                if mat is None:
-                    continue
-                for k in range(len(gy.generators)):
-                    tgt = hs.left_gen[k][idx]
-                    if assigned[(x, y)][tgt] is None:
-                        gpos = gy.index_of[gy.generators[k]]
-                        put((x, y), tgt,
-                            linalg.matmul(elem_mats[y][gpos], mat, p))
-                        changed = True
-                for k in range(len(gx.generators)):
-                    tgt = hs.right_gen[k][idx]
-                    if assigned[(x, y)][tgt] is None:
-                        gpos = gx.index_of[gx.generators[k]]
-                        put((x, y), tgt,
-                            linalg.matmul(mat, elem_mats[x][gpos], p))
-                        changed = True
-        for (x, z, y), table in cat.comp.items():
-            for b in range(cat.homs[(z, y)].size):
-                mb = assigned[(z, y)][b]
-                if mb is None:
-                    continue
-                for a in range(cat.homs[(x, z)].size):
-                    ma = assigned[(x, z)][a]
-                    if ma is not None and assigned[(x, y)][table[b][a]] is None:
-                        put((x, y), table[b][a], linalg.matmul(mb, ma, p))
-                        changed = True
+    while todo:
+        key, idx = todo.popleft()
+        (x, y), mat = key, assigned[key][idx]
+        hs = cat.homs[key]
+        for act, g in zip(hs.left_gen, gens[y]):
+            put(key, act[idx], linalg.matmul(g, mat, p))
+        for act, g in zip(hs.right_gen, gens[x]):
+            put(key, act[idx], linalg.matmul(mat, g, p))
+        for (u, v, w), table in cat.comp.items():
+            if key == (u, v):   # key is the inner factor
+                for b, m in enumerate(assigned[(v, w)]):
+                    if m is not None:
+                        put((u, w), table[b][idx], linalg.matmul(m, mat, p))
+            if key == (v, w):   # key is the outer factor
+                for a, m in enumerate(assigned[(u, v)]):
+                    if m is not None:
+                        put((u, w), table[idx][a], linalg.matmul(mat, m, p))
     for key, mats in assigned.items():
         if any(m is None for m in mats):
             raise InvariantError(f"hom {key} has unreachable morphisms")
 
-    # full functoriality check: actions and every composition table
-    for (x, y), hs in cat.homs.items():
-        gx, gy = cat.groups[x], cat.groups[y]
-        for idx in range(hs.size):
-            mat = assigned[(x, y)][idx]
-            for h in range(len(gy)):
-                expect = linalg.matmul(elem_mats[y][h], mat, p)
-                if not np.array_equal(assigned[(x, y)][hs.left_elem[h][idx]],
-                                      expect):
-                    raise ValidationError("not-functorial",
-                                          f"left action fails on hom {x}->{y}")
-            for g in range(len(gx)):
-                expect = linalg.matmul(mat, elem_mats[x][g], p)
-                if not np.array_equal(assigned[(x, y)][hs.right_elem[g][idx]],
-                                      expect):
-                    raise ValidationError("not-functorial",
-                                          f"right action fails on hom {x}->{y}")
-    for (x, z, y), table in cat.comp.items():
-        for b in range(cat.homs[(z, y)].size):
-            for a in range(cat.homs[(x, z)].size):
-                expect = linalg.matmul(assigned[(z, y)][b],
-                                       assigned[(x, z)][a], p)
-                if not np.array_equal(assigned[(x, y)][table[b][a]], expect):
-                    raise ValidationError(
-                        "not-functorial",
-                        f"composition {x}->{z}->{y} is not respected")
-
     mor_mats = {key: tuple(mats) for key, mats in assigned.items()}
-    return CatRep(cat, p, dims,
-                  {x: tuple(gen_mats.get(x, ())) for x in cat.objects},
-                  elem_mats, mor_mats, alpha_mats)
+    return CatRep(cat, p, dims, gens, mor_mats, alpha_mats)
 
 
 def catrep_document(r: CatRep) -> dict:

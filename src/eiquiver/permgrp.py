@@ -13,8 +13,8 @@ composes one element with the whole element array in numpy and looks the
 results up.  Loops that meet each element once (action checks, closure
 and normality tests, cosets) take the same whole-array products without
 storing them, so they never fill the table either.  pmul composes single
-permutations, for enumeration and biset actions, and with pinv is the
-plain definition the tables must match.
+permutations, for enumeration and biset actions, and is the plain
+definition the tables must match.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -61,13 +61,6 @@ def check_perm(images, degree: int) -> Perm:
 def pmul(a: Perm, b: Perm) -> Perm:
     """Composite a∘b (apply b first)."""
     return tuple(a[b[i]] for i in range(len(a)))
-
-
-def pinv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 def pidentity(degree: int) -> Perm:
@@ -332,14 +325,6 @@ class SubgroupHandle:
         return True
 
 
-def whole_group(g: PermGroup) -> SubgroupHandle:
-    return SubgroupHandle(g, tuple(range(len(g))))
-
-
-def trivial_subgroup(g: PermGroup) -> SubgroupHandle:
-    return SubgroupHandle(g, (g.identity_pos,))
-
-
 @dataclass(frozen=True)
 class QuotientGroup:
     base: SubgroupHandle
@@ -426,20 +411,3 @@ class GroupIso:
                 if lhs != rhs:
                     raise GroupError("quotient map is not multiplicative")
 
-
-# small catalog used by the property-test generators
-@lru_cache(maxsize=None)
-def named_group(name: str) -> PermGroup:
-    cat = {
-        "1": (1, ()),
-        "C2": (2, ((1, 0),)),
-        "C3": (3, ((1, 2, 0),)),
-        "C4": (4, ((1, 2, 3, 0),)),
-        "V4": (4, ((1, 0, 3, 2), (2, 3, 0, 1))),
-        "S3": (3, ((1, 0, 2), (1, 2, 0))),
-        "C6": (6, ((1, 2, 3, 4, 5, 0),)),
-        "D4": (4, ((1, 2, 3, 0), (1, 0, 3, 2))),
-        "C2xC2xC2": (6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4))),
-    }
-    degree, gens = cat[name]
-    return enumerate_group(degree, gens)

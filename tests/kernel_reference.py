@@ -1,14 +1,23 @@
-"""Plain reference versions of the F_p kernel and of group arithmetic.
+"""Plain reference versions of the F_p kernel, of group arithmetic and
+of category representation assembly.
 
-Each routine loops in Python, one row or one element at a time, exactly
-as textbook Gaussian elimination and permutation composition do, and
-serves as the reference for the table-driven and whole-array versions in
-eiquiver.linalg and eiquiver.permgrp.
+Each kernel routine loops in Python, one row or one element at a time,
+exactly as textbook Gaussian elimination and permutation composition do,
+and serves as the reference for the table-driven and whole-array
+versions in eiquiver.linalg and eiquiver.permgrp.  build_catrep is the
+two-phase assembly that eiquiver.morita.build_catrep replaced: it fills
+every morphism by repeated sweeps, then checks functoriality against
+every group element's matrix and every composable pair.
 """
 
 import numpy as np
 
-from eiquiver.permgrp import PermGroup, pinv, pmul
+from eiquiver import linalg
+from eiquiver.eicat import EICategory, orbit_representatives
+from eiquiver.errors import InvariantError, SchemaError, ValidationError
+from eiquiver.morita import check_group_rep
+from eiquiver.permgrp import PermGroup, pmul
+from groups import pinv
 
 
 def rref(a, p):
@@ -129,3 +138,131 @@ def conjugacy_classes(g: PermGroup) -> list[tuple[int, ...]]:
         seen |= orbit
         out.append(tuple(sorted(orbit)))
     return out
+
+
+def build_catrep(cat: EICategory, p: int, gen_mats: dict,
+                 alpha_mats, dims_hint: dict | None = None) -> dict:
+    """Assemble and validate a full representation from generator and
+    representative matrices.  Objects whose group has no generators carry
+    no matrices, so their dimension must come from dims_hint.  Every
+    shape is checked before any element matrix is built."""
+    dims = {}
+    for x in cat.objects:
+        mats = gen_mats.get(x, ())
+        if len(mats) != len(cat.groups[x].generators):
+            raise SchemaError(f"object {x}: need one matrix per generator")
+        if mats:
+            dim = mats[0].shape[0]
+            if any(mm.shape != (dim, dim) for mm in mats):
+                raise SchemaError(f"object {x}: matrices must be square and "
+                                  "equally sized")
+            if dims_hint is not None and dims_hint.get(x, dim) != dim:
+                raise SchemaError(f"object {x}: declared dim disagrees with "
+                                  "the matrices")
+        elif dims_hint is not None and x in dims_hint:
+            dim = dims_hint[x]
+        else:
+            raise SchemaError(f"object {x}: dimension cannot be inferred "
+                              "without generator matrices")
+        dims[x] = dim
+
+    reps = orbit_representatives(cat)
+    if len(alpha_mats) != len(reps):
+        raise SchemaError("need one matrix per representative unfactorizable")
+    checked = []
+    for (rep, _), amat in zip(reps, alpha_mats):
+        shape = (dims[rep.target], dims[rep.source])
+        amat = np.asarray(amat, dtype=np.int64) % p
+        # JSON writes every matrix with no rows as []
+        if amat.shape != shape and not amat.size == 0 == shape[0]:
+            raise SchemaError(f"representative {rep.source}->{rep.target}: "
+                              f"matrix must be {shape[0]}x{shape[1]}")
+        checked.append(amat.reshape(shape))
+    alpha_mats = tuple(checked)
+    elem_mats = {x: tuple(check_group_rep(cat.groups[x], gen_mats.get(x, ()),
+                                          dims[x], p))
+                 for x in cat.objects}
+    assigned: dict[tuple[str, str], list] = {
+        key: [None] * hs.size for key, hs in cat.homs.items()}
+
+    def put(key, idx, mat):
+        cur = assigned[key][idx]
+        if cur is None:
+            assigned[key][idx] = mat % p
+        elif not np.array_equal(cur, mat % p):
+            raise ValidationError(
+                "not-functorial",
+                f"morphism {key}[{idx}] receives two different matrices")
+
+    for (rep, _), amat in zip(reps, alpha_mats):
+        put((rep.source, rep.target), rep.index, amat)
+
+    # saturate: spread by the group actions and composition tables until
+    # every morphism has a matrix, checking consistency at every meeting
+    changed = True
+    while changed:
+        changed = False
+        for (x, y), hs in cat.homs.items():
+            gx, gy = cat.groups[x], cat.groups[y]
+            for idx in range(hs.size):
+                mat = assigned[(x, y)][idx]
+                if mat is None:
+                    continue
+                for k in range(len(gy.generators)):
+                    tgt = hs.left_gen[k][idx]
+                    if assigned[(x, y)][tgt] is None:
+                        gpos = gy.index_of[gy.generators[k]]
+                        put((x, y), tgt,
+                            linalg.matmul(elem_mats[y][gpos], mat, p))
+                        changed = True
+                for k in range(len(gx.generators)):
+                    tgt = hs.right_gen[k][idx]
+                    if assigned[(x, y)][tgt] is None:
+                        gpos = gx.index_of[gx.generators[k]]
+                        put((x, y), tgt,
+                            linalg.matmul(mat, elem_mats[x][gpos], p))
+                        changed = True
+        for (x, z, y), table in cat.comp.items():
+            for b in range(cat.homs[(z, y)].size):
+                mb = assigned[(z, y)][b]
+                if mb is None:
+                    continue
+                for a in range(cat.homs[(x, z)].size):
+                    ma = assigned[(x, z)][a]
+                    if ma is not None and assigned[(x, y)][table[b][a]] is None:
+                        put((x, y), table[b][a], linalg.matmul(mb, ma, p))
+                        changed = True
+    for key, mats in assigned.items():
+        if any(m is None for m in mats):
+            raise InvariantError(f"hom {key} has unreachable morphisms")
+
+    # full functoriality check: actions and every composition table
+    for (x, y), hs in cat.homs.items():
+        gx, gy = cat.groups[x], cat.groups[y]
+        for idx in range(hs.size):
+            mat = assigned[(x, y)][idx]
+            for h in range(len(gy)):
+                expect = linalg.matmul(elem_mats[y][h], mat, p)
+                if not np.array_equal(assigned[(x, y)][hs.left_elem[h][idx]],
+                                      expect):
+                    raise ValidationError("not-functorial",
+                                          f"left action fails on hom {x}->{y}")
+            for g in range(len(gx)):
+                expect = linalg.matmul(mat, elem_mats[x][g], p)
+                if not np.array_equal(assigned[(x, y)][hs.right_elem[g][idx]],
+                                      expect):
+                    raise ValidationError("not-functorial",
+                                          f"right action fails on hom {x}->{y}")
+    for (x, z, y), table in cat.comp.items():
+        for b in range(cat.homs[(z, y)].size):
+            for a in range(cat.homs[(x, z)].size):
+                expect = linalg.matmul(assigned[(z, y)][b],
+                                       assigned[(x, z)][a], p)
+                if not np.array_equal(assigned[(x, y)][table[b][a]], expect):
+                    raise ValidationError(
+                        "not-functorial",
+                        f"composition {x}->{z}->{y} is not respected")
+
+    # the morphism matrices, on which the two assemblies are compared
+    return {key: tuple(mats) for key, mats in assigned.items()}
+

@@ -12,7 +12,8 @@ import random
 from eiquiver.eicat import EICategory, load_category
 from eiquiver.errors import EIQuiverError
 from eiquiver.freecover import is_free
-from eiquiver.permgrp import PermGroup, named_group
+from eiquiver.permgrp import PermGroup
+from groups import named_group
 
 GROUP_NAMES = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
 

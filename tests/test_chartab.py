@@ -10,8 +10,8 @@ from eiquiver.chartab import (_MODEL_CACHE, CharTableError, ClassFunction,
                               restriction_multiplicity, splitting_prime_for,
                               transport)
 from eiquiver.permgrp import (GroupIso, SubgroupHandle, enumerate_group,
-                              named_group, quotient, trivial_subgroup,
-                              whole_group)
+                              quotient)
+from groups import named_group, trivial_subgroup, whole_group
 from randcats import closure_positions
 
 S3 = named_group("S3")

@@ -109,6 +109,11 @@ def _set(path, value):
                  3, "schema error", id="float-degree"),
     pytest.param("fork_merge_free", _set(("homs", 1, "size"), "2"),
                  3, "schema error", id="string-size"),
+    # negative sizes are rejected, not read as an empty hom
+    pytest.param("fork_merge_free", _set(("objects", 0, "degree"), -3),
+                 3, "schema error: bad object entry", id="negative-degree"),
+    pytest.param("fork_merge_free", _set(("homs", 1, "size"), -5),
+                 3, "schema error: bad hom entry", id="negative-size"),
 ])
 def test_malformed_tables_and_actions_end_in_a_finding(
         capsys, tmp_path, fixture, mutate, code, prefix):
@@ -120,6 +125,17 @@ def test_malformed_tables_and_actions_end_in_a_finding(
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1 and \
         err.endswith("\n")
+
+
+def test_zero_size_hom_is_an_empty_hom(capsys, tmp_path):
+    # an empty z->x beside the nonempty x->z is no two-way pair
+    doc = fixture_doc("fork_merge_free")
+    doc["homs"].append({"from": "z", "to": "x", "size": 0,
+                        "left_action": [], "right_action": []})
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(f))[:2] == \
+        run(capsys, "validate", fx("fork_merge_free"))[:2]
 
 
 def test_uncertifiable_prime_rejected(capsys):

@@ -11,7 +11,8 @@ from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of, load_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
                                 free_cover, generate_free_category, is_free)
-from eiquiver.permgrp import named_group, pmul
+from eiquiver.permgrp import pmul
+from groups import named_group
 from randcats import (explicit_document, random_free_category,
                       random_nonfree_category, random_quiver_document)
 from ufp_reference import (decompositions, has_unique_factorization,

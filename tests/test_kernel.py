@@ -10,8 +10,8 @@ import kernel_reference as ref
 from eiquiver import linalg
 from eiquiver.eicat import load_category
 from eiquiver.permgrp import (SubgroupHandle, conjugacy_classes,
-                              enumerate_group, named_group, quotient,
-                              whole_group)
+                              enumerate_group, quotient)
+from groups import named_group, whole_group
 
 PRIMES = (2, 3, 13, 433, 999983)
 NAMED = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")

@@ -4,23 +4,26 @@ and its inverse, and hom-space dimensions."""
 import hashlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from conftest import fixture_doc
-from eiquiver import linalg
+from eiquiver import linalg, morita
 from eiquiver.chartab import certified_prime, character_table
 from eiquiver.eicat import orbit_representatives
-from eiquiver.errors import SchemaError, ValidationError
+from eiquiver.errors import EIQuiverError, SchemaError, ValidationError
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              intertwiner_basis, inverse_functor,
                              irreducible_model, load_catrep,
                              quiverrep_document)
-from eiquiver.permgrp import named_group
 from eiquiver.quiveralg import build_quiver
+from groups import named_group
+from randcats import random_free_category, random_nonfree_category
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,137 @@ def test_build_catrep_rejects_nonequivariant_representative(rep_setup):
     with pytest.raises(ValidationError) as exc:
         build_catrep(cat, p, gen_mats, [np.array([[1]])])
     assert exc.value.finding == "not-functorial"
+
+
+def test_build_catrep_rejects_a_composition_it_cannot_respect(categories):
+    # every group is trivial, so no action can disagree: beta_0 . alpha
+    # and beta_1 . alpha name the same morphism x->z but get 1 and 2
+    cat = categories["fork_merge_nonfree"]
+    value = {("x", "y", 0): 1, ("y", "z", 0): 1, ("y", "z", 1): 2}
+    alphas = [np.array([[value[(rep.source, rep.target, rep.index)]]])
+              for rep, _ in orbit_representatives(cat)]
+    dims = {x: 1 for x in cat.objects}
+    with pytest.raises(ValidationError) as exc:
+        build_catrep(cat, 13, {}, alphas, dims)
+    assert exc.value.finding == "not-functorial"
+    assert "('x', 'z')[0]" in str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        ref.build_catrep(cat, 13, {}, alphas, dims)
+    assert exc.value.finding == "not-functorial"
+
+
+def _random_matrix(rows, cols, p, rng):
+    return np.array([[rng.randrange(p) for _ in range(cols)]
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+
+
+def _random_module(group, p, rng):
+    """(dim, generator matrices): a trivial module, the permutation module
+    in the standard or a random basis, or random matrices, which are
+    seldom a representation."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        d = rng.randrange(3)
+        return d, tuple(linalg.eye(d) for _ in group.generators)
+    d = group.degree
+    if kind == 5:
+        return d, tuple(_random_matrix(d, d, p, rng) for _ in group.generators)
+    mats = []
+    for s in group.generators:
+        m = linalg.zeros(d, d)
+        m[list(s), list(range(d))] = 1
+        mats.append(m)
+    if kind == 4:
+        b = _random_invertible(d, p, rng)
+        back = linalg.inv(b, p)
+        mats = [linalg.matmul(linalg.matmul(b, m, p), back, p) for m in mats]
+    return d, tuple(mats)
+
+
+def _assembly(build, cat, p, gens, alphas, dims):
+    """The morphism matrices as bytes, or the error class and finding."""
+    try:
+        mats = build(cat, p, gens, alphas, dims)
+    except EIQuiverError as e:
+        return type(e).__name__, getattr(e, "finding", None)
+    mats = getattr(mats, "mor_mats", mats)
+    return {key: [(m.shape, m.dtype.str, m.tobytes()) for m in ms]
+            for key, ms in mats.items()}
+
+
+def _assembly_cases(categories, rng):
+    """(category, p, generator matrices, representative matrices, dims):
+    random modules with random or zero representatives, then canonical
+    representations from inverse_functor, half of them with one
+    representative entry changed."""
+    p = 13
+    cats = list(categories.values())
+    cats += [random_free_category(rng, max_mor=80) for _ in range(6)]
+    cats += [random_nonfree_category(rng, max_mor=80) for _ in range(6)]
+    for cat in cats:
+        reps = orbit_representatives(cat)
+        for _ in range(8):
+            dims, gens = {}, {}
+            for x in cat.objects:
+                dims[x], gens[x] = _random_module(cat.groups[x], p, rng)
+            yield cat, p, gens, [
+                _random_matrix(dims[rep.target], dims[rep.source], p, rng)
+                * rng.randrange(2) for rep, _ in reps], dims
+    for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        for _ in range(6):
+            r = inverse_functor(ctx, _random_quiverrep(ctx, rng, 2))
+            alphas = [a.copy() for a in r.alpha_mats]
+            k = rng.randrange(len(alphas))
+            if rng.randrange(2) and alphas[k].size:
+                alphas[k][0, 0] += 1
+            yield r.cat, r.p, r.gen_mats, alphas, r.dims
+
+
+def test_build_catrep_matches_two_phase_reference(categories):
+    # the one-pass assembly and the two-phase reference (fill by sweeps,
+    # then check every element and pair) reach the same finding, or the
+    # same morphism matrices byte for byte
+    seen = Counter()
+    for case in _assembly_cases(categories, random.Random(0xB17D)):
+        got = _assembly(build_catrep, *case)
+        assert got == _assembly(ref.build_catrep, *case)
+        seen[got[1] if isinstance(got, tuple) else "functor"] += 1
+    # representations whose morphism matrices are built, and ones that
+    # fail at an action or a composition, both occur
+    assert seen["functor"] >= 20 and seen["not-functorial"] >= 20, seen
+
+
+def test_build_catrep_multiplies_on_generators_and_pairs(monkeypatch,
+                                                         categories):
+    # per morphism one product per generator of either endpoint group,
+    # and at most two per composable pair (one for each order in which
+    # its two factors are taken); the group relations are checked apart
+    cat = categories["four_object_mixed"]
+    ctx = MoritaContext(build_quiver(cat))
+    rep = load_catrep(cat, fixture_doc("four_object_mixed_rep"), ctx.p)
+    ngens = {x: len(cat.groups[x].generators) for x in cat.objects}
+    bound = sum(hs.size * (ngens[x] + ngens[y])
+                for (x, y), hs in cat.homs.items())
+    bound += 2 * sum(cat.homs[(x, z)].size * cat.homs[(z, y)].size
+                     for x, z, y in cat.comp)
+    calls = []
+    matmul, check = linalg.matmul, morita.check_group_rep
+
+    def uncounted(*args):
+        monkeypatch.setattr(linalg, "matmul", matmul)
+        check(*args)
+        monkeypatch.setattr(linalg, "matmul", counted)
+
+    def counted(a, b, p):
+        calls.append(1)
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(morita, "check_group_rep", uncounted)
+    monkeypatch.setattr(linalg, "matmul", counted)
+    again = build_catrep(cat, rep.p, rep.gen_mats, rep.alpha_mats, rep.dims)
+    assert 0 < len(calls) <= bound
+    assert again.mor_mats.keys() == rep.mor_mats.keys()
 
 
 def test_hom_dims_agree(rep_setup):

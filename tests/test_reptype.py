@@ -9,8 +9,8 @@ from eiquiver.eicat import load_category
 from eiquiver.quiveralg import build_quiver
 from eiquiver.reptype import (classify_graph, is_hereditary, rep_type,
                               screen_two_object)
+from groups import named_group, trivial_subgroup
 from randcats import coset_biset, random_free_category
-from eiquiver.permgrp import named_group, trivial_subgroup
 
 
 def graph(n, edges):

@@ -184,21 +184,38 @@ def main():
         ],
     })
 
-    # a category representation over two_object_c2_s3 with module
-    # R(x) = k^2 + S and R(y) = k + eps + V2^2, assembled in canonical
-    # bases from seeded quiver data
+    # category representations assembled in canonical bases from seeded
+    # quiver data: over two_object_c2_s3, R(x) = k^2 + S and
+    # R(y) = k + eps + V2^2; over four_object_mixed, whose composites
+    # G->H->K and G->H->L come with composition tables, every object
+    # carries each of its irreducibles once or twice (L's X1 not at all)
+    write("two_object_c2_s3_rep.json", canonical_rep(
+        "two_object_c2_s3",
+        {("x", 0): 2, ("x", 1): 1, ("y", 0): 1, ("y", 1): 1, ("y", 2): 2},
+        7301))
+    write("four_object_mixed_rep.json", canonical_rep(
+        "four_object_mixed",
+        {("G", 0): 1, ("G", 1): 2, ("H", 0): 1, ("H", 1): 1, ("H", 2): 2,
+         ("K", 0): 2, ("K", 1): 1, ("K", 2): 1, ("L", 0): 1, ("L", 1): 0,
+         ("L", 2): 1},
+        7302))
+
+
+def canonical_rep(name, want, seed):
+    """The representation document of inverse_functor applied to a quiver
+    representation with multiplicity want[(object, irreducible)] at each
+    vertex and arrow matrices drawn from random.Random(seed)."""
     from eiquiver.eicat import load_category
     from eiquiver.quiveralg import build_quiver
     from eiquiver.morita import (MoritaContext, QuiverRep, catrep_document,
                                  expanded_arrows, inverse_functor)
     from eiquiver import linalg
 
-    cat = load_category(json.loads((OUT / "two_object_c2_s3.json").read_text()))
+    cat = load_category(json.loads((OUT / f"{name}.json").read_text()))
     q = build_quiver(cat)
     ctx = MoritaContext(q)
-    want = {("x", 0): 2, ("x", 1): 1, ("y", 0): 1, ("y", 1): 1, ("y", 2): 2}
     dims = tuple(want[(v.object, v.irr)] for v in q.vertices)
-    rng = random.Random(7301)
+    rng = random.Random(seed)
     mats = []
     for ea in expanded_arrows(q):
         b, a = dims[ea.target], dims[ea.source]
@@ -208,9 +225,7 @@ def main():
                 m[i, j] = rng.randrange(q.prime.p)
         mats.append(m)
     qrep = QuiverRep(q, q.prime.p, dims, tuple(mats))
-    rep = inverse_functor(ctx, qrep)
-    write("two_object_c2_s3_rep.json", catrep_document(rep))
-
+    return catrep_document(inverse_functor(ctx, qrep))
 
 if __name__ == "__main__":
     main()
