@@ -51,7 +51,7 @@ class SplittingPrime:
     certified_max_order: int
 
     def certify(self, g: PermGroup) -> None:
-        if self.certified_exponent % g.exponent() != 0 or len(g) > self.certified_max_order:
+        if self.certified_exponent % g.exponent != 0 or len(g) > self.certified_max_order:
             raise CharTableError(
                 f"prime {self.p} not certified for a group of order {len(g)}")
 
@@ -76,15 +76,15 @@ def _exponent_and_max_order(groups) -> tuple[int, int]:
     ex = 1
     mx = 1
     for g in groups:
-        ex = lcm(ex, g.exponent())
+        ex = lcm(ex, g.exponent)
         mx = max(mx, len(g))
     return ex, mx
 
 
 def certified_prime(p: int, groups) -> SplittingPrime:
     """Certify a user-supplied prime against the given groups, or raise."""
-    # beyond the bound, linalg.matmul can overflow int64 and
-    # linalg.poly_roots scans all of F_p
+    # beyond the bound, products in linalg.matmul and linalg.poly_roots
+    # can overflow int64
     if p > PRIME_SEARCH_BOUND:
         raise CharTableError(f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
     if not _isprime(p):

@@ -11,6 +11,8 @@ n * p^2, which fits int64 for p up to ~10^6.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 
@@ -187,23 +189,64 @@ def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     return acc
 
 
+def _monic(a, p: int) -> np.ndarray:
+    a = np.trim_zeros(asmod(a, p), "f")
+    return a * inv_scalar(a[0], p) % p if a.size else a
+
+
+def _divmod(a, f: np.ndarray, p: int):
+    """Quotient and remainder of a by monic f."""
+    a = asmod(a, p)
+    for i in range(a.size - f.size + 1):
+        a[i + 1:i + f.size] = (a[i + 1:i + f.size] - a[i] * f[1:]) % p
+    return np.split(a, [max(a.size - f.size + 1, 0)])
+
+
+def _gcd(a, b, p: int) -> np.ndarray:
+    a, b = _monic(a, p), _monic(b, p)
+    while b.size:
+        a, b = b, _monic(_divmod(a, b, p)[1], p)
+    return a
+
+
+def _powmod(base: list[int], e: int, f: np.ndarray, p: int) -> np.ndarray:
+    """base^e mod monic f, by repeated squaring."""
+    if not e:
+        return np.ones(1, dtype=np.int64)
+    half = _powmod(base, e >> 1, f, p)
+    sq = np.convolve(half, half) % p
+    return _divmod(np.convolve(sq, base) if e & 1 else sq, f, p)[1]
+
+
+def _split(g: np.ndarray, p: int, a: int = 0) -> list[int]:
+    """The roots of g, a product of distinct monic linear factors, split
+    by the first proper gcd((x+a')^((p-1)/2) - 1, g), a' >= a; for odd p
+    one has a' < a + p, as no nonzero shift fixes the nonzero squares."""
+    if g.size <= 2:
+        return [int(-g[1] % p)] if g.size == 2 else []
+    while True:
+        h = _gcd(g, np.polysub(_powmod([1, a % p], p // 2, g, p), [1]), p)
+        a += 1
+        if 1 < h.size < g.size:
+            return _split(h, p, a) + _split(_divmod(g, h, p)[0], p, a)
+
+
+SCAN_BELOW = 1 << 12
+
+
 def poly_roots(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p with multiplicity, ascending. Assumes the polynomial
-    splits (true for class-sum matrices over a splitting prime)."""
-    coeffs = [c % p for c in coeffs]
-    roots: list[int] = []
-    deg = len(coeffs) - 1
-    for lam in range(p):
-        if deg == 0:
-            break
-        while deg > 0 and poly_eval(coeffs, lam, p) == 0:
-            # synthetic division by (x - lam)
-            out = []
-            acc = 0
-            for c in coeffs:
-                acc = (acc * lam + c) % p
-                out.append(acc)
-            coeffs = out[:-1]
-            deg -= 1
+    """All roots in F_p with multiplicity, ascending.  Candidates: all of
+    F_p below SCAN_BELOW, where trying each is cheaper than the numpy
+    squarings and splits of Cantor-Zassenhaus; above it, the roots of
+    gcd(f, x^p - x) (x^p mod f by repeated squaring) found by _split."""
+    coeffs, roots, candidates = [c % p for c in coeffs], [], range(p)
+    if p >= SCAN_BELOW:
+        f = _monic(coeffs, p)
+        xp = np.polysub(_powmod([1, 0], p, f, p), [1, 0]) if f.size > 1 else f
+        candidates = sorted(_split(_gcd(f, xp, p), p))
+    for lam in candidates:
+        while len(coeffs) > 1 and poly_eval(coeffs, lam, p) == 0:
+            coeffs = list(accumulate(coeffs, lambda acc, c: (acc * lam + c)
+                                     % p))[:-1]
             roots.append(lam)
     return roots

@@ -12,12 +12,13 @@ aligned isotypic copies.  The inverse assembles block-diagonal
 canonical models and solves for the morphism matrices.
 
 All canonical bases are deterministic: irreducible models come from a
-fixed reduction of the regular module, and all hom-space bases are
-echelon bases of explicit intertwiner systems.  Models are kept for the
-life of the process in chartab._MODEL_CACHE, beside the character
-tables, and imported here under the same name.  Every such system, and
-both Hom-dimension checks, is one linalg.sylvester_system: matrices T_v
-at vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
+fixed reduction of the regular module (its commutants spanned by right
+translations, see commutant), and all hom-space bases are echelon bases
+of explicit intertwiner systems.  Models are kept for the life of the
+process in chartab._MODEL_CACHE, beside the character tables, and
+imported here under the same name.  Every such system, and both
+Hom-dimension checks, is one linalg.sylvester_system: matrices T_v at
+vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
 are symmetric: kappa (source, G1 acting on U through G1/G0) and mu
 (target, H1 acting through phi^-1 of H1/H0) are one stabilizer_hom, and
 the isotypic embeddings of U on either side come from one units.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -72,13 +74,52 @@ def intertwiner_basis(As, Bs, p: int, a: int, b: int):
 # ---------------------------------------------------------------------------
 # canonical irreducible models
 
+def canonical_span(mats: np.ndarray, p: int) -> np.ndarray:
+    """The span of mats (k x m x m) in intertwiner_basis's basis: as a
+    nullspace vector ends at its free column, that is the reduced echelon
+    basis of the column-major vecs in reversed column order, reversed."""
+    k, m, _ = mats.shape
+    basis = linalg.row_space(
+        mats.transpose(0, 2, 1).reshape(k, -1)[:, ::-1], p)
+    return basis[::-1, ::-1].reshape(-1, m, m).transpose(0, 2, 1)
+
+
+def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
+    """End_G(W), W spanned by w's columns in the regular module (w[piv]
+    = I), in intertwiner_basis's basis but from no Sylvester system.
+    With no base, W is an isotypic component, a two-sided ideal, so the
+    right translations span End_G(W) (End_{FG}(FG) = (FG)^op): R_h on W
+    is the piv rows of w[cayley[:, h^-1]].  They are taken in a fixed
+    shuffled order (early elements are short words, often dependent).
+    With base = (w0, piv0, comm0), W lies in w0 and End_G(W) = {pi B iota
+    : B in comm0}: iota = w[piv0] embeds W, and pi, the average over g of
+    A_g sigma A0_g^-1 (actions on W and w0, sigma = w0[piv]), retracts."""
+    m, n = w.shape[1], len(inverse)
+    if base is None:
+        comm, h = np.zeros((0, m, m), np.int64), 0
+        order = inverse[random.Random(0).sample(range(n), n)]
+        while len(comm) < m:
+            if h == n:
+                raise InvariantError("right translations miss the commutant")
+            hs = order[h:h + m - len(comm) + m // 8]
+            h += len(hs)
+            comm = canonical_span(np.concatenate(
+                (comm, w[cayley[np.ix_(piv, hs)]].transpose(1, 0, 2))), p)
+        return comm
+    w0, piv0, comm0 = base
+    pi = sum(w[cayley[inverse[g], piv]] @ w0[cayley[g, piv]] % p
+             for g in range(n)) * linalg.inv_scalar(n, p) % p
+    return canonical_span((pi @ comm0) % p @ w[piv0] % p, p)
+
+
 def irreducible_model(group: PermGroup, table: CharTable, i: int):
     """Deterministic matrices (one per generator) of the i-th irreducible.
 
     Found inside the regular module: project onto the isotypic component,
-    then cut down to a single copy with eigenspaces of commutant elements.
-    The result is certified by comparing all traces with the character,
-    and kept in chartab._MODEL_CACHE on (p, group.key, i).
+    then cut down to a single copy with eigenspaces of commutant elements
+    (right translations and retractions, see commutant).  The result is
+    certified by comparing all traces with the character, and kept in
+    chartab._MODEL_CACHE on (p, group.key, i).
     """
     p = table.p
     key = (p, group.key, i)
@@ -96,23 +137,18 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     cayley = np.array([group.row(g) for g in range(n)])
     proj = np.asarray(chi.values, dtype=np.int64)[
         cayley[:, group.inverse]].T * d % p * linalg.inv_scalar(n, p) % p
-    w = linalg.row_space(proj.T, p).T % p  # columns span the isotypic part
+    r, piv = linalg.rref(proj.T, p)
+    w = r[:len(piv)].T   # columns span the isotypic part; w[piv] = I
+    base = None
     rng = random.Random(0xE1)
     while w.shape[1] > d:
         m = w.shape[1]
-        acts = []
-        for mv in moves:
-            a = linalg.solve(w, w[mv], p)
-            if a is None:
-                raise InvariantError("isotypic component is not invariant")
-            acts.append(a)
-        comm = intertwiner_basis(acts, acts, p, m, m)
-        candidates = list(comm)
-        for _ in range(50):
-            c = linalg.zeros(m, m)
-            for b in comm:
-                c = (c + rng.randrange(p) * b) % p
-            candidates.append(c)
+        comm = commutant(w, piv, cayley, group.inverse, p, base)
+        base = base or (w, piv, comm)
+        # drawn even if unused, so that later cuts see the same draws
+        coefs = [[rng.randrange(p) for _ in comm] for _ in range(50)]
+        candidates = chain(comm, (np.tensordot(c, comm, 1) % p
+                                  for c in coefs))
         # the least eigenvalue whose eigenspace is a proper nonzero
         # subspace: the least such root of the candidate's char poly
         cut = None
@@ -127,8 +163,8 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
                 break
         if cut is None:
             raise InvariantError("could not split the isotypic component")
-        w = linalg.matmul(w, cut.T % p, p)
-        w = linalg.row_space(w.T, p).T % p
+        r, piv = linalg.rref(linalg.matmul(w, cut.T % p, p).T, p)
+        w = r[:len(piv)].T
     gen_mats = []
     for mv in moves:
         a = linalg.solve(w, w[mv], p)
@@ -483,6 +519,7 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     # canonical module per object: blocks (irreducible v, copy t), each
     # with its embedding, the block's columns of the identity
     obj_dims = {}
+    elems = {}        # (x, v) -> element matrices of each model present
     embeddings = {}   # (x, v) -> one embedding per copy
     gen_mats = {}
     for x in built.cat.objects:
@@ -494,17 +531,13 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
                 for _ in built.cat.groups[x].generators]
         pos = 0
         for v in blocks:
-            gm, _ = ctx.model(x, v)
+            gm, elems[(x, v)] = ctx.model(x, v)
             dv = built.tables[x].dims[v]
             for m, g in zip(mats, gm):
                 m[pos:pos + dv, pos:pos + dv] = g
             embeddings.setdefault((x, v), []).append(ident[:, pos:pos + dv])
             pos += dv
         gen_mats[x] = tuple(mats)
-
-    elem_mats = {x: element_matrices(built.cat.groups[x], gen_mats[x],
-                                     obj_dims[x], p)
-                 for x in built.cat.objects}
 
     # arrow matrices indexed for assembly
     arrow_mat = {}
@@ -530,10 +563,11 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
                 img_cols.append(img)
         # the representative matrix kills everything outside the fixed
         # points of G0, so complete the column system with that complement
-        g0 = od.stab.G0
-        proj = sum((elem_mats[x][g] for g in g0.member_positions),
-                   linalg.zeros(obj_dims[x], obj_dims[x]))
-        proj = proj % p * linalg.inv_scalar(len(g0), p) % p
+        g0 = od.stab.G0.member_positions
+        proj = sum(e @ (sum(el[g] for g in g0) % p) @ e.T
+                   for (z, v), el in elems.items() if z == x
+                   for e in embeddings[(z, v)])
+        proj = proj * linalg.inv_scalar(len(g0), p) % p
         comp = linalg.row_space((linalg.eye(obj_dims[x]) - proj).T % p, p).T
         cmat = np.hstack(src_cols + [comp]) % p
         dmat = np.hstack(img_cols +

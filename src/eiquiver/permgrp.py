@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -171,17 +172,18 @@ class PermGroup:
         return _GROUP_KEYS.setdefault((self.generators, self.elements),
                                       len(_GROUP_KEYS))
 
+    @cached_property
     def exponent(self) -> int:
-        from math import lcm
-
+        """The lcm of the cycle lengths of every element."""
         e = 1
         for g in self.elements:
-            n, x = 1, g
-            ident = pidentity(self.degree)
-            while x != ident:
-                x = pmul(x, g)
-                n += 1
-            e = lcm(e, n)
+            seen = [False] * self.degree
+            for j in range(self.degree):
+                n = 0
+                while not seen[j]:
+                    seen[j] = True
+                    j, n = g[j], n + 1
+                e = lcm(e, n or 1)
         return e
 
 

@@ -4,10 +4,12 @@ of category representation assembly.
 Each kernel routine loops in Python, one row or one element at a time,
 exactly as textbook Gaussian elimination and permutation composition do,
 and serves as the reference for the table-driven and whole-array
-versions in eiquiver.linalg and eiquiver.permgrp.  build_catrep is the
-two-phase assembly that eiquiver.morita.build_catrep replaced: it fills
-every morphism by repeated sweeps, then checks functoriality against
-every group element's matrix and every composable pair.
+versions in eiquiver.linalg and eiquiver.permgrp; poly_roots is the
+scan over all of F_p, which eiquiver.linalg.poly_roots keeps only for
+small primes.  build_catrep is the two-phase assembly that
+eiquiver.morita.build_catrep replaced: it fills every morphism by
+repeated sweeps, then checks functoriality against every group
+element's matrix and every composable pair.
 """
 
 import numpy as np
@@ -266,3 +268,24 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     # the morphism matrices, on which the two assemblies are compared
     return {key: tuple(mats) for key, mats in assigned.items()}
 
+
+def poly_roots(coeffs, p):
+    """The roots in F_p with multiplicity, ascending, by evaluating the
+    polynomial (highest degree first) at every element of F_p and
+    dividing out each root found."""
+    coeffs = [c % p for c in coeffs]
+    roots = []
+    deg = len(coeffs) - 1
+    for lam in range(p):
+        if deg == 0:
+            break
+        while deg > 0 and linalg.poly_eval(coeffs, lam, p) == 0:
+            out = []
+            acc = 0
+            for c in coeffs:
+                acc = (acc * lam + c) % p
+                out.append(acc)
+            coeffs = out[:-1]
+            deg -= 1
+            roots.append(lam)
+    return roots

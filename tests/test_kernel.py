@@ -1,6 +1,7 @@
 """The whole-array F_p kernel and the table-driven group arithmetic,
 checked against the plain loop versions in kernel_reference."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,36 @@ def test_char_poly_of_companion_matrix(p):
         comp[np.arange(1, n), np.arange(n - 1)] = 1
         comp[:, n - 1] = [-c % p for c in low]
         assert linalg.char_poly(comp, p) == [1] + low[::-1]
+
+
+def _polymul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES + (241, 1621, 7919, 131071))
+def test_poly_roots_match_the_scan(monkeypatch, p):
+    # split polynomials with repeated roots and a nonmonic leading
+    # coefficient, some times a quadratic, which may have no root; for
+    # odd p each also through Cantor-Zassenhaus, however small.  The scan
+    # over F_p costs p evaluations, so large primes get fewer cases
+    rng = random.Random(p)
+    for _ in range(3 if p > 10 ** 5 else 60):
+        f = [rng.randrange(1, p)]
+        for _ in range(rng.randrange(8)):
+            r = rng.choice((rng.randrange(p), 0, 1, p - 1))
+            f = _polymul(f, [1, -r % p], p)
+        if rng.random() < 0.3:
+            f = _polymul(f, [1, rng.randrange(p), rng.randrange(p)], p)
+        want = ref.poly_roots(f, p)
+        assert linalg.poly_roots(f, p) == want
+        if p > 2:
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "SCAN_BELOW", 3)
+                assert linalg.poly_roots(f, p) == want
 
 
 def _sylvester_cases(p, rng):

@@ -12,7 +12,8 @@ import pytest
 import kernel_reference as ref
 from conftest import fixture_doc
 from eiquiver import linalg, morita
-from eiquiver.chartab import certified_prime, character_table
+from eiquiver.chartab import (certified_prime, character_table,
+                              choose_splitting_prime)
 from eiquiver.eicat import orbit_representatives
 from eiquiver.errors import EIQuiverError, SchemaError, ValidationError
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
@@ -21,6 +22,7 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              intertwiner_basis, inverse_functor,
                              irreducible_model, load_catrep,
                              quiverrep_document)
+from eiquiver.permgrp import enumerate_group
 from eiquiver.quiveralg import build_quiver
 from groups import named_group
 from randcats import random_free_category, random_nonfree_category
@@ -51,6 +53,95 @@ def test_irreducible_models_s3(s3_table):
         for e in range(len(g)):
             assert int(np.trace(elems[e])) % 13 == table.rows[i][
                 table.class_of[e]]
+
+
+def _symmetric(n):
+    g = enumerate_group(n, [[1, 0] + list(range(2, n)),
+                            list(range(1, n)) + [0]])
+    return g, character_table(g, choose_splitting_prime([g]))
+
+
+# sha256 over the shape and bytes of every generator and element matrix
+# of S5's irreducible models of degree 5 and 6, in table order, as the
+# Sylvester-system commutant built them (p = 241)
+S5_LARGE_MODELS_DIGEST = ("eb635d398c0b554172ebf96edf8913a5"
+                          "b1c9e7c947a1eb4f8d127a9a1d17e96d")
+
+
+def test_s5_models_of_degree_5_and_6_pinned(monkeypatch):
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    g, table = _symmetric(5)
+    h = hashlib.sha256()
+    for i in range(len(table)):
+        if table.dims[i] >= 5:
+            gens, elems = irreducible_model(g, table, i)
+            for m in gens + elems:
+                h.update(repr(m.shape).encode())
+                h.update(m.tobytes())
+    assert h.hexdigest() == S5_LARGE_MODELS_DIGEST
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
+    # the commutant from right translations and retractions is, byte for
+    # byte, the nullspace basis of the Sylvester system for the action
+    # on the current copies, at every split of every irreducible
+    g, table = _symmetric(n)
+    moves = [g.row(g.inv(g.index_of[s])) for s in g.generators]
+    seen = Counter()
+    commutant = morita.commutant
+
+    def checked(w, piv, cayley, inverse, p, base=None):
+        got = commutant(w, piv, cayley, inverse, p, base)
+        m = w.shape[1]
+        acts = [linalg.solve(w, w[mv], p) for mv in moves]
+        want = intertwiner_basis(acts, acts, p, m, m)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+        seen[base is None] += 1
+        return got
+
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(morita, "commutant", checked)
+    for i in range(len(table)):
+        irreducible_model(g, table, i)
+    # every irreducible of degree > 1 is split from its whole component,
+    # and some need further cuts
+    assert seen[True] == sum(d > 1 for d in table.dims)
+    assert seen[False] > 0
+
+
+def test_irreducible_model_builds_no_sylvester_system(monkeypatch):
+    calls = []
+    system = linalg.sylvester_system
+    monkeypatch.setattr(linalg, "sylvester_system",
+                        lambda *a: calls.append(a) or system(*a))
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    for n in (4, 5):
+        g, table = _symmetric(n)
+        for i in range(len(table)):
+            irreducible_model(g, table, i)
+    assert calls == []
+
+
+def test_inverse_functor_builds_element_matrices_only_to_check(
+        monkeypatch, categories):
+    # the G0 averages come from the cached models block by block, so the
+    # only element matrices built are check_group_rep's, one per object
+    cat = categories["four_object_mixed"]
+    ctx = MoritaContext(build_quiver(cat))
+    qrep = _random_quiverrep(ctx, random.Random(3), 2)
+    want = inverse_functor(ctx, qrep)
+    calls = []
+    build = morita.element_matrices
+    monkeypatch.setattr(morita, "element_matrices",
+                        lambda *a: calls.append(a[0]) or build(*a))
+    got = inverse_functor(ctx, qrep)
+    assert len(calls) == len(cat.objects)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got.alpha_mats, want.alpha_mats))
 
 
 def test_check_group_rep_rejects_wrong_order():

@@ -67,7 +67,7 @@ def test_named_group_orders_and_exponents():
     for name, (order, exponent) in expected.items():
         g = named_group(name)
         assert len(g) == order
-        assert g.exponent() == exponent
+        assert g.exponent == exponent
 
 
 def test_s3_conjugacy_classes():
