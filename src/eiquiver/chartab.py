@@ -83,8 +83,7 @@ def _exponent_and_max_order(groups) -> tuple[int, int]:
 
 def certified_prime(p: int, groups) -> SplittingPrime:
     """Certify a user-supplied prime against the given groups, or raise."""
-    # beyond the bound, products in linalg.matmul and linalg.poly_roots
-    # can overflow int64
+    # beyond the bound, products in linalg.matmul can overflow int64
     if p > PRIME_SEARCH_BOUND:
         raise CharTableError(f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
     if not _isprime(p):

@@ -11,7 +11,7 @@ n * p^2, which fits int64 for p up to ~10^6.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import dropwhile
 
 import numpy as np
 
@@ -189,64 +189,66 @@ def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     return acc
 
 
-def _monic(a, p: int) -> np.ndarray:
-    a = np.trim_zeros(asmod(a, p), "f")
-    return a * inv_scalar(a[0], p) % p if a.size else a
+def _monic(a: list[int], p: int) -> list[int]:
+    a = list(dropwhile(lambda c: not c, (c % p for c in a)))
+    s = inv_scalar(a[0], p) if a else 0
+    return [c * s % p for c in a]
 
 
-def _divmod(a, f: np.ndarray, p: int):
-    """Quotient and remainder of a by monic f."""
-    a = asmod(a, p)
-    for i in range(a.size - f.size + 1):
-        a[i + 1:i + f.size] = (a[i + 1:i + f.size] - a[i] * f[1:]) % p
-    return np.split(a, [max(a.size - f.size + 1, 0)])
+def _divmod(a: list[int], f: list[int], p: int):
+    """Quotient and remainder of a by monic f, reduced mod p."""
+    a, n = list(a), len(f) - 1
+    k = max(len(a) - n, 0)
+    for i in range(k):
+        c = a[i] = a[i] % p
+        if c:
+            for j, y in enumerate(f[1:], i + 1):
+                a[j] -= c * y
+    return a[:k], [c % p for c in a[k:]]
 
 
-def _gcd(a, b, p: int) -> np.ndarray:
-    a, b = _monic(a, p), _monic(b, p)
-    while b.size:
-        a, b = b, _monic(_divmod(a, b, p)[1], p)
-    return a
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b := _monic(b, p):
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
 
 
-def _powmod(base: list[int], e: int, f: np.ndarray, p: int) -> np.ndarray:
-    """base^e mod monic f, by repeated squaring."""
-    if not e:
-        return np.ones(1, dtype=np.int64)
-    half = _powmod(base, e >> 1, f, p)
-    sq = np.convolve(half, half) % p
-    return _divmod(np.convolve(sq, base) if e & 1 else sq, f, p)[1]
+def _powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + a)^e mod monic f, by repeated squaring."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, x in enumerate(r):
+            for j, y in enumerate(r, i):
+                sq[j] += x * y
+        r = _divmod(sq, f, p)[1]
+        if bit == "1":
+            r = _divmod([c + a * d for c, d in zip(r + [0], [0] + r)], f, p)[1]
+    return r
 
 
-def _split(g: np.ndarray, p: int, a: int = 0) -> list[int]:
-    """The roots of g, a product of distinct monic linear factors, split
-    by the first proper gcd((x+a')^((p-1)/2) - 1, g), a' >= a; for odd p
-    one has a' < a + p, as no nonzero shift fixes the nonzero squares."""
-    if g.size <= 2:
-        return [int(-g[1] % p)] if g.size == 2 else []
+def _split(g: list[int], p: int, a: int = 0) -> list[int]:
+    """The roots of g, a product of distinct monic linear factors, split by
+    the first proper gcd((x+a')^(p//2) - 1, g), a' >= a (a' < a + p)."""
+    if len(g) <= 2:
+        return [-g[1] % p] if len(g) == 2 else []
     while True:
-        h = _gcd(g, np.polysub(_powmod([1, a % p], p // 2, g, p), [1]), p)
+        t = _powmod(a % p, p // 2, g, p)
+        t[-1] -= 1
+        h = _gcd(g, t, p)
         a += 1
-        if 1 < h.size < g.size:
+        if 1 < len(h) < len(g):
             return _split(h, p, a) + _split(_divmod(g, h, p)[0], p, a)
 
 
-SCAN_BELOW = 1 << 12
-
-
 def poly_roots(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p with multiplicity, ascending.  Candidates: all of
-    F_p below SCAN_BELOW, where trying each is cheaper than the numpy
-    squarings and splits of Cantor-Zassenhaus; above it, the roots of
-    gcd(f, x^p - x) (x^p mod f by repeated squaring) found by _split."""
-    coeffs, roots, candidates = [c % p for c in coeffs], [], range(p)
-    if p >= SCAN_BELOW:
-        f = _monic(coeffs, p)
-        xp = np.polysub(_powmod([1, 0], p, f, p), [1, 0]) if f.size > 1 else f
-        candidates = sorted(_split(_gcd(f, xp, p), p))
-    for lam in candidates:
-        while len(coeffs) > 1 and poly_eval(coeffs, lam, p) == 0:
-            coeffs = list(accumulate(coeffs, lambda acc, c: (acc * lam + c)
-                                     % p))[:-1]
+    """All roots in F_p of a nonzero f with multiplicity, ascending: those
+    of gcd(f, x^p - x) by _split, each divided out as often as it divides f."""
+    f, roots = _monic(coeffs, p), []
+    xp = [0, 0] + _powmod(0, p, f, p)   # x^p mod f, with room for - x
+    xp[-2] -= 1
+    for lam in sorted(_split(_gcd(f, xp, p), p)):
+        while poly_eval(f, lam, p) == 0:
+            f = _divmod(f, [1, -lam], p)[0]
             roots.append(lam)
     return roots

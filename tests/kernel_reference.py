@@ -5,9 +5,9 @@ Each kernel routine loops in Python, one row or one element at a time,
 exactly as textbook Gaussian elimination and permutation composition do,
 and serves as the reference for the table-driven and whole-array
 versions in eiquiver.linalg and eiquiver.permgrp; poly_roots is the
-scan over all of F_p, which eiquiver.linalg.poly_roots keeps only for
-small primes.  build_catrep is the two-phase assembly that
-eiquiver.morita.build_catrep replaced: it fills every morphism by
+scan over all of F_p that Cantor-Zassenhaus root finding replaced in
+eiquiver.linalg.poly_roots.  build_catrep is the two-phase assembly
+that eiquiver.morita.build_catrep replaced: it fills every morphism by
 repeated sweeps, then checks functoriality against every group
 element's matrix and every composable pair.
 """

