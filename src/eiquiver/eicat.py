@@ -10,14 +10,24 @@ duplicated in tables.
 Validation is eager and total at load time: every axiom is checked
 exhaustively, which is affordable at the scales this tool targets, and
 every downstream computation silently assumes the axioms.
+
+A category is immutable once loaded, so what is derived from it is
+derived once: `EICategory.memo` keeps, per category, its unfactorizables,
+its free cover per path bound (freecover), the stabilizer data of each
+representative (below) and, while a caller holds it, its quiver per
+splitting prime (quiveralg).  Every caller shares the one cached object
+and must not modify it.  A build that raises caches nothing, so the
+next call raises again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
+from weakref import WeakValueDictionary
+
+import numpy as np
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
@@ -126,6 +136,11 @@ class EICategory:
     # comp[(x, y, z)][outer][inner] = index in hom(x, z)
     comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]]
     topological_order: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
+    _weak_memo: WeakValueDictionary = field(
+        default_factory=WeakValueDictionary, init=False, compare=False,
+        repr=False)
 
     def hom_size(self, x: str, y: str) -> int:
         if x == y:
@@ -151,32 +166,26 @@ class EICategory:
     def identity(self, x: str) -> MorphId:
         return MorphId(x, x, self.groups[x].identity_pos)
 
-    @cached_property
+    def memo(self, key, build, weak: bool = False):
+        """build(), called once per key for this category; every later
+        call returns the same object, shared read-only.  Nothing is
+        stored when build raises.  A value that refers back to the
+        category (weak=True) is kept only while a caller holds it: held
+        by the category, it would make a reference cycle that only the
+        garbage collector frees, and a pass over many categories would
+        keep them all alive meanwhile."""
+        store = self._weak_memo if weak else self._memo
+        try:
+            return store[key]
+        except KeyError:
+            value = store[key] = build()
+            return value
+
+    @property
     def unfactorizables(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
-        """unfactorizables(self), computed once per category and shared
-        read-only by its callers."""
-        return MappingProxyType(unfactorizables(self))
-
-
-def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
-    """The composite f∘g (g first); raises on a non-composable pair."""
-    if f.source != g.target:
-        raise ValidationError("non-composable",
-                              f"cannot compose {f} after {g}")
-    if f.is_endo and g.is_endo:
-        return MorphId(f.source, f.target, cat.groups[f.source].mul(f.index, g.index))
-    if f.is_endo:
-        hs = cat.homs[(g.source, g.target)]
-        return MorphId(g.source, g.target, hs.left_elem[f.index][g.index])
-    if g.is_endo:
-        hs = cat.homs[(f.source, f.target)]
-        return MorphId(f.source, f.target, hs.right_elem[g.index][f.index])
-    table = cat.comp.get((g.source, g.target, f.target))
-    if table is None:
-        raise ValidationError("missing-composition",
-                              f"no composition table for "
-                              f"{g.source}->{g.target}->{f.target}")
-    return MorphId(g.source, f.target, table[f.index][g.index])
+        """unfactorizables(self), through the memo."""
+        return self.memo("unfactorizables",
+                         lambda: MappingProxyType(unfactorizables(self)))
 
 
 def _object_order(objects, homs) -> tuple[str, ...]:
@@ -479,19 +488,36 @@ class StabilizerData:
     phi: GroupIso           # quotG -> quotH
 
 
+# The most entries (rows × members × degree) one closure check's product
+# array holds: a subgroup of S7 is checked in chunks of rows, never as a
+# whole multiplication table.
+CLOSURE_CHUNK = 1 << 16
+
+
 def _assert_closed(g: PermGroup, members: tuple[int, ...], what: str) -> None:
-    s = set(members)
-    js = list(members)
-    for a in members:
-        if g.inv(a) not in s:
-            raise InvariantError(f"{what} not closed under inverse")
-        if not s.issuperset(g.left_products(a, js).tolist()):
+    pos = np.array(members, dtype=np.intp)
+    inside = np.zeros(len(g), dtype=bool)
+    inside[pos] = True
+    if not inside[g.inverse[pos]].all():
+        raise InvariantError(f"{what} not closed under inverse")
+    a = g.array[pos]
+    rows = max(1, CLOSURE_CHUNK // max(1, a.size))
+    for start in range(0, len(pos), rows):
+        # products[k, l] = member start+k applied after member l
+        products = a[start:start + rows][:, a]
+        flat = products.reshape(len(products) * len(pos), g.degree)
+        if not inside[g.positions(flat)].all():
             raise InvariantError(f"{what} not closed under product")
 
 
 def stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     """Pointwise and orbit-wise stabilizers of alpha, with the canonical
-    quotient isomorphism solving alpha∘g = h∘alpha."""
+    quotient isomorphism solving alpha∘g = h∘alpha; once per alpha,
+    through the category's memo."""
+    return cat.memo(("stabilizer", alpha), lambda: _stabilizer_data(cat, alpha))
+
+
+def _stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     hs = cat.homs[(alpha.source, alpha.target)]
     G = cat.groups[alpha.source]
     H = cat.groups[alpha.target]

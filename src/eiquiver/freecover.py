@@ -221,19 +221,19 @@ def generate_free_category(quiv: EIQuiverData,
 
 
 def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
-    """Free category on the category's quiver of unfactorizables."""
-    return generate_free_category(ei_quiver_of(cat), max_paths=max_paths)
+    """Free category on the category's quiver of unfactorizables, built
+    once per path bound through the category's memo."""
+    return cat.memo(("free_cover", max_paths), lambda: generate_free_category(
+        ei_quiver_of(cat), max_paths=max_paths))
 
 
-def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND,
-            cover: EICategory | None = None) -> bool:
+def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> bool:
     """Whether the canonical functor from the free cover is bijective.
 
     The functor is always surjective, so equality of hom-set sizes over
-    every object pair decides it.  A cover already built may be passed in.
+    every object pair decides it.
     """
-    if cover is None:
-        cover = free_cover(cat, max_paths=max_paths)
+    cover = free_cover(cat, max_paths=max_paths)
     pairs = set(cat.homs) | set(cover.homs)
     return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
 

@@ -50,9 +50,21 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
                          lambda acc, m: linalg.matmul(acc, m, p))
 
 
+# The most int64 entries check_group_rep may store: one dim x dim matrix
+# per group element, which the document's generator matrices (two for
+# S6) do not bound.
+MAX_ELEMENT_ENTRIES = 1 << 22
+
+
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     """Verify the generator matrices define a representation; return the
-    per-element matrices."""
+    per-element matrices, after checking that they fit in
+    MAX_ELEMENT_ENTRIES."""
+    if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
+        raise ValidationError(
+            "too-large", f"a group of order {len(group)} in dimension {dim} "
+            f"needs {len(group) * dim * dim} matrix entries, more than "
+            f"{MAX_ELEMENT_ENTRIES}")
     mats = element_matrices(group, gen_mats, dim, p)
     if not respects_relations(group, mats, gen_mats,
                               lambda acc, m: linalg.matmul(acc, m, p),

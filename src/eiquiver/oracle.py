@@ -11,15 +11,27 @@ fixed-point counts,
 
 Any disagreement with the stabilizer-quotient computation raises
 OracleMismatch.
+
+Everything is whole-array work on index tables.  The multiplication table
+is one int32 |Mor|×|Mor| array assembled block by block: endomorphism ×
+endomorphism from the groups' Cayley rows, endomorphism × hom and hom ×
+endomorphism from the hom-sets' left and right actions, hom × hom from the
+composition tables.  The radical's ideal, power and rad/rad² checks are
+boolean masks over that array, the fixed points are one gather per h, and
+the character sums are two matrix products mod p.  Only the category's
+actions, Cayley rows and composition tables are read: nothing is shared
+with quiveralg's stabilizer data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import EICategory, MorphId, compose
+from .eicat import EICategory, MorphId
 from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
@@ -28,9 +40,11 @@ from .quiveralg import BuiltQuiver
 class CategoryAlgebra:
     cat: EICategory
     basis: tuple[MorphId, ...]
-    index: dict[MorphId, int]
-    # prod[i][j] = basis index of basis[i]∘basis[j], or -1 when undefined
-    prod: tuple[tuple[int, ...], ...]
+    # basis position of the first morphism x -> y (for x == y, of the
+    # identity block: the group's elements in element order)
+    offset: dict[tuple[str, str], int]
+    # prod[i, j] = basis index of basis[i]∘basis[j], or -1 when undefined
+    prod: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -39,17 +53,26 @@ class CategoryAlgebra:
 
 def build_algebra(cat: EICategory) -> CategoryAlgebra:
     basis = tuple(cat.morphisms())
-    index = {m: i for i, m in enumerate(basis)}
-    prod = []
-    for f in basis:
-        row = []
-        for g in basis:
-            if f.source == g.target:
-                row.append(index[compose(cat, f, g)])
-            else:
-                row.append(-1)
-        prod.append(tuple(row))
-    return CategoryAlgebra(cat, basis, index, tuple(prod))
+    offset: dict[tuple[str, str], int] = {}
+    for i, m in enumerate(basis):
+        offset.setdefault((m.source, m.target), i)
+    prod = np.full((len(basis), len(basis)), -1, dtype=np.int32)
+
+    def put(outer, inner, values):
+        """The block of outer-hom × inner-hom products: values are indices
+        in the composite's hom-set, rows by outer, columns by inner."""
+        i, j = offset[outer], offset[inner]
+        rows, cols = values.shape
+        prod[i:i + rows, j:j + cols] = offset[(inner[0], outer[1])] + values
+
+    for x, g in cat.groups.items():
+        put((x, x), (x, x), np.array([g.row(i) for i in range(len(g))]))
+    for (x, y), hs in cat.homs.items():
+        put((y, y), (x, y), np.array(hs.left_elem, dtype=np.int32))
+        put((x, y), (x, x), np.array(hs.right_elem, dtype=np.int32).T)
+    for (x, y, z), table in cat.comp.items():
+        put((y, z), (x, y), np.array(table, dtype=np.int32))
+    return CategoryAlgebra(cat, basis, offset, prod)
 
 
 @dataclass(frozen=True)
@@ -66,37 +89,41 @@ def radical_report(alg: CategoryAlgebra) -> RadicalReport:
     The radical of an EI category algebra is spanned by the
     non-isomorphisms; this function does not assume that but verifies it:
     the span must be a nilpotent two-sided ideal of the right
-    codimension, hence contained in and equal to the radical.
+    codimension, hence contained in and equal to the radical.  Sets of
+    basis elements are boolean masks over the basis.
     """
-    cat = alg.cat
-    noniso = tuple(i for i, m in enumerate(alg.basis) if not m.is_endo)
-    noniso_set = set(noniso)
-    n = len(alg.basis)
-    for i in range(n):
-        for j in noniso:
-            for k in (alg.prod[i][j], alg.prod[j][i]):
-                if k >= 0 and k not in noniso_set:
-                    raise InvariantError("non-isomorphisms do not span an ideal")
+    n = alg.dim
+    noniso = np.array([not m.is_endo for m in alg.basis], dtype=bool)
+    non = np.flatnonzero(noniso)
+
+    def spanned(products: np.ndarray) -> np.ndarray:
+        """The basis elements among the defined products."""
+        out = np.zeros(n, dtype=bool)
+        out[products[products >= 0]] = True
+        return out
+
+    if (spanned(alg.prod[:, non]) | spanned(alg.prod[non]))[~noniso].any():
+        raise InvariantError("non-isomorphisms do not span an ideal")
     # powers of the ideal, as sets of basis elements (products of basis
     # morphisms are basis morphisms, so no linear algebra is needed)
-    layers = [noniso_set]
-    while layers[-1]:
-        nxt = {alg.prod[i][j] for i in noniso for j in layers[-1]
-               if alg.prod[i][j] >= 0}
-        if nxt == layers[-1]:
+    layers = [noniso]
+    while layers[-1].any():
+        nxt = spanned(alg.prod[np.ix_(non, np.flatnonzero(layers[-1]))])
+        if np.array_equal(nxt, layers[-1]):
             raise InvariantError("span of non-isomorphisms is not nilpotent")
         layers.append(nxt)
-    rad_sq = layers[1] if len(layers) > 1 else set()
-    unfact = cat.unfactorizables
-    expected = {alg.index[MorphId(x, y, i)]
-                for (x, y), idxs in unfact.items() for i in idxs}
-    got = noniso_set - rad_sq
-    if got != expected:
+    rad_sq = layers[1] if len(layers) > 1 else np.zeros(n, dtype=bool)
+    expected = np.zeros(n, dtype=bool)
+    for key, idxs in alg.cat.unfactorizables.items():
+        expected[alg.offset[key] + np.array(idxs, dtype=np.intp)] = True
+    got = noniso & ~rad_sq
+    if not np.array_equal(got, expected):
         raise InvariantError("rad/rad² basis disagrees with the "
                              "unfactorizable morphisms")
     # layers[i] spans rad^{i+1}; the last layer is the first zero power
-    return RadicalReport(noniso, tuple(sorted(rad_sq)), tuple(sorted(got)),
-                         len(layers))
+    return RadicalReport(tuple(non.tolist()),
+                         tuple(np.flatnonzero(rad_sq).tolist()),
+                         tuple(np.flatnonzero(got).tolist()), len(layers))
 
 
 def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
@@ -109,36 +136,27 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
     mod p so the check stays sound even past that bound.
     """
     p = prime.p
-    unfact = cat.unfactorizables
     out: dict = {}
-    for (x, y), idxs in unfact.items():
+    for (x, y), idxs in cat.unfactorizables.items():
         if not idxs:
             continue
         G, H = cat.groups[x], cat.groups[y]
         hs = cat.homs[(x, y)]
-        fix = [[0] * len(G) for _ in range(len(H))]
-        for h in range(len(H)):
-            for g in range(len(G)):
-                ginv = G.inv(g)
-                fix[h][g] = sum(
-                    1 for b in idxs
-                    if hs.left_elem[h][hs.right_elem[ginv][b]] == b)
-        scale = linalg.inv_scalar(len(G) * len(H) % p, p)
+        beta = np.array(idxs, dtype=np.intp)
+        left = np.array(hs.left_elem, dtype=np.intp)
+        # after[g, k] = β_k∘g^{-1}, so fix[h, g] = #{β : h·β·g^{-1} = β}
+        after = np.array(hs.right_elem, dtype=np.intp)[G.inverse][:, beta]
+        fix = np.array([(left[h][after] == beta).sum(axis=1)
+                        for h in range(len(H))]) % p
         tG, tH = tables[x], tables[y]
-        chis_v = [tG.irreducible(v) for v in range(len(tG))]
-        chis_w = [tH.irreducible(w) for w in range(len(tH))]
-        for v, chi_v in enumerate(chis_v):
-            for w, chi_w in enumerate(chis_w):
-                acc = 0
-                for h in range(len(H)):
-                    cwh = chi_w.at_inverse(h)
-                    if cwh == 0:
-                        continue
-                    row = fix[h]
-                    for g in range(len(G)):
-                        if row[g]:
-                            acc = (acc + row[g] * cwh * chi_v.values[g]) % p
-                m = acc * scale % p
+        chi_g = np.array(tG.rows)[:, np.array(tG.class_of)]      # χ_V(g)
+        chi_h = np.array(tH.rows)[:, np.array(tH.class_of)[H.inverse]]
+        # sums[w, v] = Σ_{h,g} fix[h, g] χ_W(h^{-1}) χ_V(g)
+        sums = linalg.matmul(linalg.matmul(chi_h, fix, p), chi_g.T, p)
+        scale = linalg.inv_scalar(len(G) * len(H) % p, p)
+        for v in range(len(tG)):
+            for w in range(len(tH)):
+                m = int(sums[w, v]) * scale % p
                 if m:
                     out[((x, v), (y, w))] = m
     return out

@@ -79,8 +79,16 @@ class BuiltQuiver:
 
 
 def build_quiver(cat: EICategory, prime: SplittingPrime | None = None) -> BuiltQuiver:
+    """The quiver over F_p (by default the least splitting prime), built
+    once per prime while any caller holds it, through the category's
+    memo (weakly, as the quiver refers back to the category)."""
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
+    return cat.memo(("quiver", prime), lambda: _build_quiver(cat, prime),
+                    weak=True)
+
+
+def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
     p = prime.p
     tables = {x: character_table(cat.groups[x], prime) for x in cat.objects}
 

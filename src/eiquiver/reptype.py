@@ -126,12 +126,11 @@ def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
 
 
 def is_hereditary(cat: EICategory, prime: SplittingPrime,
-                  cover: EICategory | None = None) -> bool:
-    """Free with all group orders invertible mod p (cover: the free
-    cover, if already built)."""
+                  max_paths: int = DEFAULT_PATH_BOUND) -> bool:
+    """Free with all group orders invertible mod p."""
     if any(len(g) % prime.p == 0 for g in cat.groups.values()):
         return False
-    return is_free(cat, cover=cover)
+    return is_free(cat, max_paths)
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,14 @@ def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
              max_paths: int = DEFAULT_PATH_BOUND) -> RepTypeVerdict:
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
-    # both branches need the free cover: build it once
-    cover = free_cover(cat, max_paths=max_paths)
-    if is_hereditary(cat, prime, cover):
+    if is_hereditary(cat, prime, max_paths):
         q = build_quiver(cat, prime)
         comps = classify_graph(q)
         names = ", ".join(c.name for c in comps)
         return RepTypeVerdict(
             _graph_verdict(comps),
             (("hereditary-graph", f"components: {names}"),))
-    qc = build_quiver(cover, prime)
+    qc = build_quiver(free_cover(cat, max_paths), prime)
     comps = classify_graph(qc)
     if all(c.kind == "Dynkin" for c in comps):
         names = ", ".join(c.name for c in comps)

@@ -9,13 +9,16 @@ scan over all of F_p that Cantor-Zassenhaus root finding replaced in
 eiquiver.linalg.poly_roots.  build_catrep is the two-phase assembly
 that eiquiver.morita.build_catrep replaced: it fills every morphism by
 repeated sweeps, then checks functoriality against every group
-element's matrix and every composable pair.
+element's matrix and every composable pair.  compose, build_algebra,
+radical_report and ext_quiver_oracle are the category algebra one
+product at a time, through MorphId and compose, that the index arrays of
+eiquiver.oracle replaced.
 """
 
 import numpy as np
 
 from eiquiver import linalg
-from eiquiver.eicat import EICategory, orbit_representatives
+from eiquiver.eicat import EICategory, MorphId, orbit_representatives
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.morita import check_group_rep
 from eiquiver.permgrp import PermGroup, pmul
@@ -289,3 +292,104 @@ def poly_roots(coeffs, p):
             deg -= 1
             roots.append(lam)
     return roots
+
+
+def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
+    """The composite f∘g (g first); raises on a non-composable pair."""
+    if f.source != g.target:
+        raise ValidationError("non-composable",
+                              f"cannot compose {f} after {g}")
+    if f.is_endo and g.is_endo:
+        return MorphId(f.source, f.target,
+                       cat.groups[f.source].mul(f.index, g.index))
+    if f.is_endo:
+        hs = cat.homs[(g.source, g.target)]
+        return MorphId(g.source, g.target, hs.left_elem[f.index][g.index])
+    if g.is_endo:
+        hs = cat.homs[(f.source, f.target)]
+        return MorphId(f.source, f.target, hs.right_elem[g.index][f.index])
+    table = cat.comp.get((g.source, g.target, f.target))
+    if table is None:
+        raise ValidationError("missing-composition",
+                              f"no composition table for "
+                              f"{g.source}->{g.target}->{f.target}")
+    return MorphId(g.source, f.target, table[f.index][g.index])
+
+
+def build_algebra(cat: EICategory):
+    """(basis, index, prod): prod[i][j] is the basis index of
+    basis[i]∘basis[j], or -1 when undefined, one compose call each."""
+    basis = tuple(cat.morphisms())
+    index = {m: i for i, m in enumerate(basis)}
+    prod = []
+    for f in basis:
+        row = []
+        for g in basis:
+            if f.source == g.target:
+                row.append(index[compose(cat, f, g)])
+            else:
+                row.append(-1)
+        prod.append(tuple(row))
+    return basis, index, tuple(prod)
+
+
+def radical_report(cat: EICategory, basis, index, prod):
+    """(rad, rad², rad/rad², nilpotency degree) positions, from the
+    table as sets of basis elements."""
+    noniso = tuple(i for i, m in enumerate(basis) if not m.is_endo)
+    noniso_set = set(noniso)
+    for i in range(len(basis)):
+        for j in noniso:
+            for k in (prod[i][j], prod[j][i]):
+                if k >= 0 and k not in noniso_set:
+                    raise InvariantError("non-isomorphisms do not span an "
+                                         "ideal")
+    layers = [noniso_set]
+    while layers[-1]:
+        nxt = {prod[i][j] for i in noniso for j in layers[-1]
+               if prod[i][j] >= 0}
+        if nxt == layers[-1]:
+            raise InvariantError("span of non-isomorphisms is not nilpotent")
+        layers.append(nxt)
+    rad_sq = layers[1] if len(layers) > 1 else set()
+    expected = {index[MorphId(x, y, i)]
+                for (x, y), idxs in cat.unfactorizables.items() for i in idxs}
+    got = noniso_set - rad_sq
+    if got != expected:
+        raise InvariantError("rad/rad² basis disagrees with the "
+                             "unfactorizable morphisms")
+    return noniso, tuple(sorted(rad_sq)), tuple(sorted(got)), len(layers)
+
+
+def ext_quiver_oracle(cat: EICategory, prime, tables) -> dict:
+    """Arrow multiplicities mod p, counting each fixed point and summing
+    each character product one element pair at a time."""
+    p = prime.p
+    out: dict = {}
+    for (x, y), idxs in cat.unfactorizables.items():
+        if not idxs:
+            continue
+        G, H = cat.groups[x], cat.groups[y]
+        hs = cat.homs[(x, y)]
+        fix = [[0] * len(G) for _ in range(len(H))]
+        for h in range(len(H)):
+            for g in range(len(G)):
+                ginv = G.inv(g)
+                fix[h][g] = sum(
+                    1 for b in idxs
+                    if hs.left_elem[h][hs.right_elem[ginv][b]] == b)
+        scale = linalg.inv_scalar(len(G) * len(H) % p, p)
+        tG, tH = tables[x], tables[y]
+        for v in range(len(tG)):
+            chi_v = tG.irreducible(v)
+            for w in range(len(tH)):
+                chi_w = tH.irreducible(w)
+                acc = 0
+                for h in range(len(H)):
+                    cwh = chi_w.at_inverse(h)
+                    for g in range(len(G)):
+                        acc = (acc + fix[h][g] * cwh * chi_v.values[g]) % p
+                m = acc * scale % p
+                if m:
+                    out[((x, v), (y, w))] = m
+    return out

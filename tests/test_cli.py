@@ -394,3 +394,29 @@ def test_reruns_are_byte_identical(capsys):
         assert code == 0
         outs.append(out)
     assert outs[2] == outs[3]
+
+
+def test_representation_too_large_to_check_is_rejected_first(
+        capsys, tmp_path, monkeypatch):
+    # S6 in dimension 77: two 77x77 generator matrices in the document,
+    # but 720 element matrices of 77x77 to check the group relations
+    from eiquiver import morita
+    from eiquiver.chartab import choose_splitting_prime
+    from eiquiver.permgrp import enumerate_group
+    s6 = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+    dim = 77
+    assert 720 * dim * dim > morita.MAX_ELEMENT_ENTRIES
+    monkeypatch.setattr(morita, "element_matrices", None)
+    cat = tmp_path / "s6.json"
+    cat.write_text(json.dumps({"objects": [{"id": "x", "degree": 6,
+                                            "generators": s6}]}))
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({
+        "p": choose_splitting_prime([enumerate_group(6, s6)]).p,
+        "objects": [{"id": "x", "dim": dim,
+                     "generator_matrices": [eye, eye]}],
+        "alpha_matrices": []}))
+    code, out, err = run(capsys, "functor", str(cat), str(rep))
+    assert (code, out) == (2, "")
+    assert "too-large" in err and err.count("\n") == 1

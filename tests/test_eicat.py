@@ -6,10 +6,11 @@ import copy
 import pytest
 
 from conftest import fixture_doc
-from eiquiver.eicat import (MorphId, compose, ei_quiver_of, load_category,
+from eiquiver.eicat import (MorphId, ei_quiver_of, load_category,
                             orbit_representatives, stabilizer_data,
                             unfactorizables)
 from eiquiver.errors import SchemaError, ValidationError
+from kernel_reference import compose
 
 ALL_FIXTURES = ("line_quiver_free", "line_subcategory_nonfree",
                 "fork_merge_free", "fork_merge_nonfree", "one_object_c2",
@@ -268,3 +269,26 @@ def test_ei_quiver_of(categories):
     assert quiv.arrows[0].size == 6
     quiv = ei_quiver_of(categories["one_object_c2"])
     assert len(quiv.objects) == 1 and not quiv.arrows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_closure_check_in_chunks(monkeypatch, chunk):
+    from eiquiver import eicat
+    from eiquiver.errors import InvariantError
+    from eiquiver.permgrp import enumerate_group
+    monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
+    s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    pos = s4.index_of
+    eicat._assert_closed(s4, tuple(range(24)), "S4")
+    a4 = tuple(i for i, e in enumerate(s4.elements)
+               if sum(e[j] > e[k] for j in range(4)
+                      for k in range(j + 1, 4)) % 2 == 0)
+    eicat._assert_closed(s4, a4, "A4")
+    # a 3-cycle without its inverse; two transpositions without their
+    # product
+    for members, what in (((pos[(0, 1, 2, 3)], pos[(1, 2, 0, 3)]),
+                           "inverse"),
+                          ((pos[(0, 1, 2, 3)], pos[(1, 0, 2, 3)],
+                            pos[(0, 2, 1, 3)]), "product")):
+        with pytest.raises(InvariantError, match=f"under {what}"):
+            eicat._assert_closed(s4, tuple(sorted(members)), "set")

@@ -272,3 +272,24 @@ def test_local_ufp_matches_reference_on_random_categories():
         verdicts.append(category_has_ufp(cat))
         assert verdicts[-1] == reference_has_ufp(cat) == is_free(cat), i
     assert verdicts.count(True) == verdicts.count(False) == 60
+
+
+def test_free_cover_is_built_once_per_category_and_path_bound(monkeypatch):
+    from eiquiver import freecover
+    from eiquiver.reptype import rep_type
+    cat = load_category(fixture_doc("four_object_mixed"))
+    calls = []
+    build = freecover.generate_free_category
+    monkeypatch.setattr(freecover, "generate_free_category",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    assert is_free(cat)
+    assert rep_type(cat).verdict == "Finite"
+    cover = free_cover(cat)
+    assert len(calls) == 1
+    assert free_cover(cat) is cover
+    # a build that fails is not kept: a smaller bound still fails
+    for _ in range(2):
+        with pytest.raises(ValidationError) as exc:
+            is_free(cat, max_paths=2)
+        assert exc.value.finding == "path-bound"
+    assert len(calls) == 3

@@ -14,7 +14,7 @@ from conftest import fixture_doc
 from eiquiver import linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
-from eiquiver.eicat import orbit_representatives
+from eiquiver.eicat import load_category, orbit_representatives
 from eiquiver.errors import EIQuiverError, SchemaError, ValidationError
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
@@ -126,11 +126,10 @@ def test_irreducible_model_builds_no_sylvester_system(monkeypatch):
     assert calls == []
 
 
-def test_inverse_functor_builds_element_matrices_only_to_check(
-        monkeypatch, categories):
+def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
     # the G0 averages come from the cached models block by block, so the
     # only element matrices built are check_group_rep's, one per object
-    cat = categories["four_object_mixed"]
+    cat = load_category(fixture_doc("four_object_mixed"))
     ctx = MoritaContext(build_quiver(cat))
     qrep = _random_quiverrep(ctx, random.Random(3), 2)
     want = inverse_functor(ctx, qrep)
@@ -363,12 +362,11 @@ def test_build_catrep_matches_two_phase_reference(categories):
     assert seen["functor"] >= 20 and seen["not-functorial"] >= 20, seen
 
 
-def test_build_catrep_multiplies_on_generators_and_pairs(monkeypatch,
-                                                         categories):
+def test_build_catrep_multiplies_on_generators_and_pairs(monkeypatch):
     # per morphism one product per generator of either endpoint group,
     # and at most two per composable pair (one for each order in which
     # its two factors are taken); the group relations are checked apart
-    cat = categories["four_object_mixed"]
+    cat = load_category(fixture_doc("four_object_mixed"))
     ctx = MoritaContext(build_quiver(cat))
     rep = load_catrep(cat, fixture_doc("four_object_mixed_rep"), ctx.p)
     ngens = {x: len(cat.groups[x].generators) for x in cat.objects}

@@ -151,3 +151,52 @@ def test_quiver_dot_expands_multiplicity(categories):
     edges = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(edges) == sum(a.mult for a in q.arrows) == 4
     assert edges.count("  v0 -> v3;") == 2
+
+
+def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
+    from eiquiver import eicat
+    from eiquiver.chartab import certified_prime, choose_splitting_prime
+    from eiquiver.eicat import load_category
+    from eiquiver.reptype import rep_type, screen_two_object
+    from conftest import fixture_doc
+    alphas = []
+    build = eicat._stabilizer_data
+    monkeypatch.setattr(eicat, "_stabilizer_data",
+                        lambda c, a: alphas.append((id(c), a)) or build(c, a))
+    cat = load_category(fixture_doc("fork_merge_nonfree"))
+    q = build_quiver(cat)
+    assert build_quiver(cat, choose_splitting_prime(
+        cat.groups.values())) is q
+    screen = screen_two_object(cat, q.prime)
+    assert rep_type(cat, q.prime).verdict == "InfiniteUncertified"
+    assert screen_two_object(cat, q.prime) == screen
+    # the stabilizers of the category (quiver and screens) and of its
+    # cover (its quiver, in rep_type), each once
+    assert len(alphas) == len(set(alphas)) > len(q.orbits)
+    other = build_quiver(cat, certified_prime(37, cat.groups.values()))
+    assert other is not q and other.prime.p == 37
+
+
+def test_a_category_and_its_memo_are_freed_without_the_collector():
+    # the quiver refers back to its category, so the memo holds it weakly:
+    # nothing derived is left in a reference cycle
+    import gc
+    import weakref
+    from eiquiver.eicat import load_category
+    from eiquiver.oracle import check_against_quiver
+    from eiquiver.reptype import rep_type, screen_two_object
+    from conftest import fixture_doc
+    gc.disable()
+    try:
+        for name in ("fork_merge_nonfree", "four_object_mixed"):
+            cat = load_category(fixture_doc(name))
+            q = build_quiver(cat)
+            check_against_quiver(q)
+            rep_type(cat, q.prime)
+            screen_two_object(cat, q.prime)
+            free_cover(cat)
+            gone = weakref.ref(cat)
+            del cat, q
+            assert gone() is None, name
+    finally:
+        gc.enable()

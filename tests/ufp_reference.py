@@ -7,7 +7,8 @@ path length, and serves as the reference for the local criterion in
 eiquiver.freecover.category_has_ufp.
 """
 
-from eiquiver.eicat import EICategory, MorphId, compose, unfactorizables
+from eiquiver.eicat import EICategory, MorphId, unfactorizables
+from kernel_reference import compose
 
 
 def decompositions(cat: EICategory, alpha: MorphId,
