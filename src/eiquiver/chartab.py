@@ -175,11 +175,7 @@ def _split_common_eigenvectors(mats, r: int, p: int):
             s = linalg.solve(c, mc, p)
             if s is None:
                 raise CharTableError("class-sum matrix does not stabilize subspace")
-            roots = sorted(set(linalg.poly_roots(linalg.char_poly(s, p), p)))
-            for lam in roots:
-                ns = linalg.nullspace((s - lam * linalg.eye(s.shape[0])) % p, p)
-                if ns.shape[0] == 0:
-                    continue
+            for ns in linalg.eigenspaces(s, p):
                 sub = linalg.matmul(c, ns.T % p, p)
                 # canonicalize the spanning columns
                 sub = linalg.row_space(sub.T, p).T

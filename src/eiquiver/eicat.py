@@ -31,8 +31,9 @@ import numpy as np
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
-                      SubgroupHandle, enumerate_group, is_int, pidentity,
-                      pmul, quotient, respects_relations, word_products)
+                      SubgroupHandle, enumerate_group, is_int, orbit_members,
+                      orbits, pidentity, pmul, quotient, respects_relations,
+                      word_products)
 
 
 # The largest permutation degree, hom size or arrow size a document may
@@ -262,28 +263,26 @@ def validate_category(cat: EICategory) -> None:
                         raise SchemaError(f"table {x}->{y}->{z} entry out of range")
 
     # tables must commute with the endomorphism actions (associativity of
-    # every triple containing an endomorphism reduces to the generator cases)
+    # every triple containing an endomorphism reduces to the generator
+    # cases); make_homset's relation check makes each generator's element
+    # act by its generator action, so those are read directly
     for (x, y, z), table in cat.comp.items():
         inner, outer, tgt = cat.homs[(x, y)], cat.homs[(y, z)], cat.homs[(x, z)]
         for b in range(outer.size):
             for a in range(inner.size):
                 c = table[b][a]
-                for k, act in enumerate(outer.left_gen):
-                    if table[act[b]][a] != tgt.left_elem[
-                            cat.groups[z].index_of[cat.groups[z].generators[k]]][c]:
+                for act, tact in zip(outer.left_gen, tgt.left_gen):
+                    if table[act[b]][a] != tact[c]:
                         raise ValidationError(
                             "associativity",
                             f"(h∘β)∘α ≠ h∘(β∘α) for hom chain {x}->{y}->{z}")
-                for k, act in enumerate(inner.right_gen):
-                    if table[b][act[a]] != tgt.right_elem[
-                            cat.groups[x].index_of[cat.groups[x].generators[k]]][c]:
+                for act, tact in zip(inner.right_gen, tgt.right_gen):
+                    if table[b][act[a]] != tact[c]:
                         raise ValidationError(
                             "associativity",
                             f"(β∘α)∘g ≠ β∘(α∘g) for hom chain {x}->{y}->{z}")
-                for k in range(len(cat.groups[y].generators)):
-                    gpos = cat.groups[y].index_of[cat.groups[y].generators[k]]
-                    if table[outer.right_elem[gpos][b]][a] != \
-                            table[b][inner.left_elem[gpos][a]]:
+                for ract, lact in zip(outer.right_gen, inner.left_gen):
+                    if table[ract[b]][a] != table[b][lact[a]]:
                         raise ValidationError(
                             "associativity",
                             f"(β∘h)∘α ≠ β∘(h∘α) for hom chain {x}->{y}->{z}")
@@ -441,23 +440,8 @@ def unfactorizables(cat: EICategory) -> dict[tuple[str, str], tuple[int, ...]]:
 def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:
     """The two-sided orbits meeting the given hom indices, each sorted,
     in order of least member."""
-    gens = hs.left_gen + hs.right_gen
-    remaining = set(indices)
-    out = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for perm in gens:
-                j = perm[i]
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        remaining -= seen
-        out.append(tuple(sorted(seen)))
-    return out
+    label, least = orbits(hs.size, hs.left_gen + hs.right_gen, indices)
+    return orbit_members(label, len(least))
 
 
 def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...]]]:

@@ -27,7 +27,7 @@ from .errors import SchemaError, ValidationError
 from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
                     check_points, ei_quiver_of, make_homset,
                     validate_category)
-from .permgrp import PermGroup, is_int
+from .permgrp import PermGroup, is_int, orbits
 
 DEFAULT_PATH_BOUND = 100000
 
@@ -84,28 +84,16 @@ def biset_product(b2: ArrowBiset, b1: ArrowBiset,
                               f"cannot glue {b1.source}->{b1.target} with "
                               f"{b2.source}->{b2.target}")
     n2 = b2.size
-    # (s, t) ~ (h·s, t·h⁻¹): the classes are orbits of these permutations
+    # (s, t) ~ (h·s, t·h⁻¹), pair (s, t) at s·n2 + t: the classes are the
+    # orbits of these permutations of the pairs
     moves = []
     for k in range(len(middle.generators)):
         rinv = [0] * n2
         for t, u in enumerate(b2.right_gen[k]):
             rinv[u] = t
-        moves.append((b1.left_gen[k], rinv))
-    cls = [-1] * (b1.size * n2)
-    least = []
-    for start in range(len(cls)):
-        if cls[start] >= 0:
-            continue
-        cls[start] = len(least)
-        least.append(divmod(start, n2))
-        stack = [start]
-        while stack:
-            s, t = divmod(stack.pop(), n2)
-            for lact, rinv in moves:
-                j = lact[s] * n2 + rinv[t]
-                if cls[j] < 0:
-                    cls[j] = cls[start]
-                    stack.append(j)
+        moves.append([ls * n2 + rt for ls in b1.left_gen[k] for rt in rinv])
+    cls, first = orbits(b1.size * n2, moves)
+    least = [divmod(m, n2) for m in first]
     left_gen = tuple(tuple(cls[s * n2 + act[t]] for s, t in least)
                      for act in b2.left_gen)
     right_gen = tuple(tuple(cls[act[s] * n2 + t] for s, t in least)
@@ -238,25 +226,6 @@ def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> bool:
     return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
 
 
-def _first_step_orbit(cat: EICategory, x: str, z: str, y: str,
-                      beta: int, delta: int) -> set[tuple[int, int]]:
-    """The orbit of (β, δ) under h·(β, δ) = (h∘β, δ∘h⁻¹), h in Aut(z)."""
-    grp = cat.groups[z]
-    after = cat.homs[(z, y)].right_elem
-    moves = [(lact, after[grp.inv(grp.index_of[g])])
-             for lact, g in zip(cat.homs[(x, z)].left_gen, grp.generators)]
-    seen = {(beta, delta)}
-    stack = [(beta, delta)]
-    while stack:
-        b, d = stack.pop()
-        for lact, ract in moves:
-            nxt = (lact[b], ract[d])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def category_has_ufp(cat: EICategory) -> bool:
     """Whether every non-endomorphism factors uniquely into unfactorizables,
     up to automorphisms at the intermediate objects.
@@ -267,7 +236,11 @@ def category_has_ufp(cat: EICategory) -> bool:
     unfactorizable: a composite of non-isomorphisms has an unfactorizable
     first factor, since the object order is finite.  Every other P(α)
     must pass through one object z and form one orbit of Aut(z) under
-    h·(β, δ) = (h∘β, δ∘h⁻¹).
+    h·(β, δ) = (h∘β, δ∘h⁻¹).  That orbit of a step lies in P(α), since
+    h∘β is unfactorizable and (δ∘h⁻¹)∘(h∘β) = α; so the pairs (β, δ) of
+    each composable triple (x, z, y) are labelled by orbit in one pass,
+    and P(α) is one orbit through one object exactly when all its steps
+    carry the same object and orbit number.
 
     Proof of equivalence with the global property U(α) (α has a
     decomposition, and any two are related by automorphism chains), by
@@ -277,30 +250,35 @@ def category_has_ufp(cat: EICategory) -> bool:
     are the (β,) + d with (z, β, δ) ∈ P(α) and d a decomposition of δ,
     and ℓ(δ) < ℓ(α).  If the local test holds everywhere: P(α) is
     nonempty and U(δ) holds by induction, so α has a decomposition; given
-    two, (β,) + d and (β',) + d', both go through z, and β' = h∘β,
-    δ' = δ∘h⁻¹ for some h; then d'·h (first factor precomposed with h) is
-    a decomposition of δ, related to d by U(δ), so h followed by that
-    chain relates the two.  Conversely, if U holds everywhere: a first
-    step of any decomposition lies in P(α); two elements of P(α) extend
-    (by U of their δ) to decompositions of α, which being related pass
-    through the same objects, and the first automorphism h of their chain
-    gives β' = h∘β while the rest telescopes to δ' = δ∘h⁻¹.
+    two, (β,) + d and (β',) + d', both go through z and share an orbit
+    number, so β' = h∘β, δ' = δ∘h⁻¹ for some h; then d'·h (first factor
+    precomposed with h) is a decomposition of δ, related to d by U(δ),
+    so h followed by that chain relates the two.  Conversely, if U holds
+    everywhere: a first step of any decomposition lies in P(α); two
+    elements of P(α) extend (by U of their δ) to decompositions of α,
+    which being related pass through the same objects, and the first
+    automorphism h of their chain gives β' = h∘β while the rest
+    telescopes to δ' = δ∘h⁻¹, so the two steps share z and an orbit.
 
     Only composition tables and actions are read, so this stays
     independent of the cover construction and serves as an oracle for
     is_free.
     """
     unfact = cat.unfactorizables
-    first_steps: dict[tuple[str, str, int], list] = {}
+    step_orbit: dict[tuple[str, str, int], tuple[str, int]] = {}
     for (x, z, y), table in cat.comp.items():
+        grp, n = cat.groups[z], cat.homs[(z, y)].size
+        after = cat.homs[(z, y)].right_elem
+        # (β, δ) at β·n + δ, moved to (h∘β, δ∘h⁻¹) by each generator h
+        moves = []
+        for lact, h in zip(cat.homs[(x, z)].left_gen, grp.generators):
+            ract = after[grp.inv(grp.index_of[h])]
+            moves.append([lb * n + rd for lb in lact for rd in ract])
+        label, _ = orbits(cat.homs[(x, z)].size * n, moves,
+                          [b * n + d for b in unfact[(x, z)] for d in range(n)])
         for beta in unfact[(x, z)]:
             for delta, row in enumerate(table):
-                first_steps.setdefault((x, y, row[beta]), []).append(
-                    (z, beta, delta))
-    for (x, y, _), steps in first_steps.items():
-        # the orbit lies in the part of P(α) through z, so it is all of
-        # P(α), through one object, exactly when the sizes agree
-        z, beta, delta = steps[0]
-        if len(_first_step_orbit(cat, x, z, y, beta, delta)) != len(steps):
-            return False
+                step = (z, label[beta * n + delta])
+                if step_orbit.setdefault((x, y, row[beta]), step) != step:
+                    return False
     return True

@@ -182,6 +182,16 @@ def char_poly(a: np.ndarray, p: int) -> list[int]:
     return [int(v) for v in polys[n, ::-1]]
 
 
+def eigenspaces(a: np.ndarray, p: int):
+    """The nullspace of a - lam*I, rows as nullspace gives them, for each
+    distinct root lam of a's characteristic polynomial, in ascending order
+    of lam.  Yielded one at a time, so a caller that stops at the first
+    builds only that one."""
+    m = a.shape[0]
+    for lam in sorted(set(poly_roots(char_poly(a, p), p))):
+        yield nullspace((a - lam * eye(m)) % p, p)
+
+
 def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     acc = 0
     for c in coeffs:

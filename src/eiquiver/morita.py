@@ -161,19 +161,14 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
         coefs = [[rng.randrange(p) for _ in comm] for _ in range(50)]
         candidates = chain(comm, (np.tensordot(c, comm, 1) % p
                                   for c in coefs))
-        # the least eigenvalue whose eigenspace is a proper nonzero
-        # subspace: the least such root of the candidate's char poly
-        cut = None
+        # the eigenspace of the candidate's least eigenvalue in F_p: a
+        # proper subspace unless the candidate is scalar, whose one
+        # eigenspace is everything
         for cand in candidates:
-            roots = linalg.poly_roots(linalg.char_poly(cand, p), p)
-            for lam in sorted(set(roots)):
-                ker = linalg.nullspace((cand - lam * linalg.eye(m)) % p, p)
-                if 0 < ker.shape[0] < m:
-                    cut = ker
-                    break
-            if cut is not None:
+            cut = next(linalg.eigenspaces(cand, p), None)
+            if cut is not None and cut.shape[0] < m:
                 break
-        if cut is None:
+        else:
             raise InvariantError("could not split the isotypic component")
         r, piv = linalg.rref(linalg.matmul(w, cut.T % p, p).T, p)
         w = r[:len(piv)].T

@@ -16,6 +16,12 @@ storing them, so they never fill the table either.  pmul composes single
 permutations, for enumeration and biset actions, and is the plain
 definition the tables must match.
 
+orbits is the package's one orbit search, numbering orbits by least
+member: conjugacy classes, two-sided hom-set orbits, glued-biset
+classes, the first-step orbits of the unique-factorization test and the
+cosets of a quotient are all orbits of a few permutations.  Normality
+and cosets need only a subgroup's generators, at most log2 of its order.
+
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
 sequences.  Every downstream artifact (class order, character rows, quiver
@@ -230,6 +236,50 @@ class ConjClass:
         return len(self.members)
 
 
+def orbits(n: int, perms, points=None) -> tuple[list[int], list[int]]:
+    """The orbits of 0..n-1 under perms, each a sequence of images,
+    numbered in order of least member: label[i] is the orbit number of
+    point i and least[c] the least member of orbit c.  Given points, only
+    the orbits meeting them are labelled, and every other point gets -1.
+
+    """
+    label = [-1] * n
+    least = []
+    for start in range(n) if points is None else sorted(points):
+        if label[start] >= 0:
+            continue
+        c = len(least)
+        label[start] = c
+        low = start
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for perm in perms:
+                j = perm[i]
+                if label[j] < 0:
+                    label[j] = c
+                    stack.append(j)
+                    if j < low:
+                        low = j
+        least.append(low)
+    if least != sorted(least):
+        # an orbit may meet points above a member outside them
+        rank = sorted(range(len(least)), key=least.__getitem__)
+        new = {c: k for k, c in enumerate(rank)}
+        label = [new[c] if c >= 0 else -1 for c in label]
+        least.sort()
+    return label, least
+
+
+def orbit_members(label: list[int], count: int) -> list[tuple[int, ...]]:
+    """The members of each of count orbits, sorted, from orbits' label."""
+    members: list[list[int]] = [[] for _ in range(count)]
+    for i, c in enumerate(label):
+        if c >= 0:
+            members[c].append(i)
+    return [tuple(m) for m in members]
+
+
 def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     """Classes in order of first appearance in the element enumeration
     (the identity class always comes first), found as orbits under
@@ -240,23 +290,9 @@ def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     for s in _generating_subset(g):
         s = np.array(s, dtype=np.int32)
         conj.append(g.positions(np.argsort(s)[a[:, s]]).tolist())
-    seen = [False] * len(g)
-    classes = []
-    for i in range(len(g)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        orbit = [i]
-        for j in orbit:
-            for c in conj:
-                k = c[j]
-                if not seen[k]:
-                    seen[k] = True
-                    orbit.append(k)
-        members = tuple(sorted(orbit))
-        rep = min(members, key=lambda j: g.elements[j])
-        classes.append(ConjClass(rep, members))
-    return classes
+    label, least = orbits(len(g), conj)
+    return [ConjClass(min(members, key=lambda j: g.elements[j]), members)
+            for members in orbit_members(label, len(least))]
 
 
 def _generating_subset(g: PermGroup) -> list[Perm]:
@@ -315,11 +351,14 @@ class SubgroupHandle:
                      for s in _generating_subset(self.as_group()))
 
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
+        """Whether other's generators conjugate this subgroup into itself,
+        which for a finite subgroup is normality: t*N*t^-1 within N has
+        |N| members, so it is N."""
         g = self.parent
         a = g.array
         mine = set(self.member_positions)
         members = a[list(self.member_positions)]
-        for t in other.member_positions:
+        for t in other.generator_positions:
             # t * i * t^-1 for every member i, without Cayley rows
             conj = g.positions(a[t][members[:, a[g.inv(t)]]])
             if not mine.issuperset(conj.tolist()):
@@ -366,19 +405,13 @@ def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
         raise GroupError("kernel is not contained in base")
     if not kernel.is_normal_in(base):
         raise GroupError("kernel is not normal in base")
-    # products with kernel members and coset representatives only: no
-    # Cayley row is stored, even when base is the whole group
-    cosets: list[tuple[int, ...]] = []
-    projection: dict[int, int] = {}
-    kernel_pos = list(kernel.member_positions)
-    for i in base.member_positions:
-        if i in projection:
-            continue
-        coset = tuple(sorted(g.left_products(i, kernel_pos).tolist()))
-        ci = len(cosets)
-        cosets.append(coset)
-        for j in coset:
-            projection[j] = ci
+    # the cosets i*K are the orbits of right multiplication by K's
+    # generators: one map per generator, and no Cayley row is stored
+    label, least = orbits(len(g), [g.right_products(g.elements[k]).tolist()
+                                   for k in kernel.generator_positions],
+                          points=base.member_positions)
+    cosets = orbit_members(label, len(least))
+    projection = {i: label[i] for i in base.member_positions}
     reps = [c[0] for c in cosets]
     table = tuple(
         tuple(projection[j] for j in g.left_products(r, reps).tolist())

@@ -106,6 +106,38 @@ def test_associativity_violation_reported():
     assert "w->x->y->z" in str(exc.value)
 
 
+def _chain_doc(group_at, xy, yz, xz, table):
+    """Objects x -> y -> z, C2 at group_at and trivial groups elsewhere;
+    each hom is (size, left_action, right_action)."""
+    objects = [{"id": o, "degree": 2, "generators": [[1, 0]] if o == group_at
+                else []} for o in "xyz"]
+    homs = [{"from": a, "to": b, "size": size, "left_action": left,
+             "right_action": right}
+            for (a, b), (size, left, right) in
+            ((("x", "y"), xy), (("y", "z"), yz), (("x", "z"), xz))]
+    return {"mode": "explicit", "objects": objects, "homs": homs,
+            "compositions": [{"inner": ["x", "y"], "outer": ["y", "z"],
+                              "table": table}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # Aut(z) swaps hom(y, z) but fixes the composites in hom(x, z)
+    (_chain_doc("z", (1, [], []), (2, [[1, 0]], []), (2, [[0, 1]], []),
+                [[0], [1]]), "(h∘β)∘α ≠ h∘(β∘α)"),
+    # Aut(x) swaps hom(x, y) but fixes the composites in hom(x, z)
+    (_chain_doc("x", (2, [], [[1, 0]]), (1, [], []), (2, [], [[0, 1]]),
+                [[0, 1]]), "(β∘α)∘g ≠ β∘(α∘g)"),
+    # Aut(y) swaps hom(x, y) but fixes hom(y, z)
+    (_chain_doc("y", (2, [[1, 0]], []), (2, [], [[0, 1]]), (2, [], []),
+                [[0, 1], [0, 1]]), "(β∘h)∘α ≠ β∘(h∘α)"),
+])
+def test_tables_must_commute_with_each_generator_action(doc, message):
+    with pytest.raises(ValidationError) as exc:
+        load_category(doc)
+    assert exc.value.finding == "associativity"
+    assert str(exc.value).endswith(f"{message} for hom chain x->y->z")
+
+
 def test_bad_action_rejected():
     doc = copy.deepcopy(fixture_doc("two_object_c2_s3"))
     doc["homs"][0]["right_action"] = [[0, 0, 1, 2, 3, 4]]

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from eiquiver.permgrp import (GroupError, GroupIso, SubgroupHandle,
+from eiquiver.permgrp import (GroupError, GroupIso, PermGroup, SubgroupHandle,
                               check_perm, conjugacy_classes, class_index_of,
-                              enumerate_group, pidentity, pmul, quotient)
+                              enumerate_group, orbits, pidentity, pmul,
+                              quotient)
 from groups import named_group, pinv, trivial_subgroup, whole_group
 from randcats import closure_positions
 
@@ -143,3 +144,100 @@ def test_group_iso_validation():
         GroupIso(q, q, (1, 0, 2)).validate()   # does not fix the identity
     with pytest.raises(GroupError):
         GroupIso(q, q, (0, 0, 1)).validate()   # not a bijection
+
+
+def _closure_orbit(i: int, perms) -> frozenset:
+    orbit = {i}
+    while True:
+        grown = orbit | {p[j] for p in perms for j in orbit}
+        if grown == orbit:
+            return frozenset(orbit)
+        orbit = grown
+
+
+def _random_perm(rng: random.Random, n: int) -> list[int]:
+    images = list(range(n))
+    rng.shuffle(images)
+    return images
+
+
+def _orbit_cases():
+    rng = random.Random(23)
+    yield 0, [], None
+    yield 5, [], None
+    yield 5, [], [3, 1]
+    p = [1, 2, 0, 4, 3, 5]
+    yield 6, [p, p], None
+    yield 6, [p, list(p)], [4, 5]
+    # the orbit {0, 5} meets points only at 5, above orbit {1, 3}'s 3
+    yield 6, [[5, 3, 2, 1, 4, 0]], [3, 5]
+    for _ in range(60):
+        n = rng.randrange(1, 13)
+        perms = [_random_perm(rng, n) for _ in range(rng.randrange(4))]
+        if perms and rng.random() < 0.3:
+            perms.append(list(rng.choice(perms)))
+        points = (None if rng.random() < 0.5 else
+                  rng.sample(range(n), rng.randrange(n + 1)))
+        yield n, perms, points
+
+
+@pytest.mark.parametrize("n, perms, points", list(_orbit_cases()))
+def test_orbits_match_brute_force_closure(n, perms, points):
+    orbit_of = [_closure_orbit(i, perms) for i in range(n)]
+    meeting = {orbit_of[i] for i in (range(n) if points is None else points)}
+    ordered = sorted(meeting, key=min)
+    label, least = orbits(n, perms, points)
+    assert least == [min(o) for o in ordered]
+    assert label == [ordered.index(o) if o in meeting else -1
+                     for o in orbit_of]
+
+
+def _subgroups(g: PermGroup) -> list[tuple[int, ...]]:
+    """Every subgroup of g generated by at most two elements."""
+    return sorted({tuple(closure_positions(g, [a, b]))
+                   for a in range(len(g)) for b in range(a, len(g))})
+
+
+def test_quotient_cosets_match_brute_force_on_s4():
+    g = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    subgroups = _subgroups(g)   # all of S4's subgroups are 2-generated
+    assert len(subgroups) == 30
+    checked = 0
+    for base in subgroups:
+        for kernel in subgroups:
+            if not set(kernel) <= set(base) or any(
+                    g.mul(g.mul(t, k), g.inv(t)) not in kernel
+                    for t in base for k in kernel):
+                continue
+            cosets = sorted({tuple(sorted(g.mul(i, k) for k in kernel))
+                             for i in base})
+            coset_of = {i: c for c, coset in enumerate(cosets) for i in coset}
+            q = quotient(SubgroupHandle(g, base), SubgroupHandle(g, kernel))
+            assert q.cosets == tuple(cosets)
+            assert q.projection == coset_of
+            assert q.table == tuple(
+                tuple(coset_of[g.mul(a[0], b[0])] for b in cosets)
+                for a in cosets)
+            checked += 1
+    # 93 pairs, among them S4 over each of its four normal subgroups
+    assert checked == 93
+
+
+def test_quotient_by_a_normal_subgroup_takes_few_position_lookups(
+        monkeypatch):
+    s5 = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    even = tuple(i for i, e in enumerate(s5.elements)
+                 if sum(e[a] > e[b] for a in range(5)
+                        for b in range(a + 1, 5)) % 2 == 0)
+    calls = []
+    positions = PermGroup.positions
+
+    def counted(self, perms):
+        calls.append(len(perms))
+        return positions(self, perms)
+
+    monkeypatch.setattr(PermGroup, "positions", counted)
+    q = quotient(whole_group(s5), SubgroupHandle(s5, even))
+    assert len(q) == 2
+    # the parent made one call per member of S5 and per coset: 125
+    assert len(calls) <= 12
