@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
-                      GroupIso, class_index_of, conjugacy_classes)
+                      class_index_of, conjugacy_classes)
 
 PRIME_SEARCH_BOUND = 10**6
 
@@ -273,12 +273,3 @@ def inflate(chi: ClassFunction, quot: QuotientGroup) -> ClassFunction:
     base = quot.base
     vals = tuple(chi.values[quot.projection[i]] for i in base.member_positions)
     return ClassFunction(base.as_group(), vals)
-
-
-def transport(chi: ClassFunction, iso: GroupIso) -> ClassFunction:
-    """Move a class function along a quotient isomorphism (value at q is
-    the value at iso^{-1}(q))."""
-    back = iso.inverse()
-    tgt = iso.target.as_group()
-    vals = tuple(chi.values[back(c)] for c in range(len(iso.target)))
-    return ClassFunction(tgt, vals)

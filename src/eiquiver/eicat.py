@@ -30,9 +30,9 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from .errors import SchemaError, ValidationError, InvariantError
-from .permgrp import (GroupIso, Perm, PermGroup, QuotientGroup,
-                      SubgroupHandle, enumerate_group, is_int, orbit_members,
-                      orbits, pidentity, pmul, quotient, respects_relations,
+from .permgrp import (Perm, PermGroup, QuotientGroup, SubgroupHandle,
+                      enumerate_group, is_int, orbit_members, orbits,
+                      pidentity, pmul, quotient, respects_relations,
                       word_products)
 
 
@@ -231,13 +231,10 @@ def _check_connected(objects, homs) -> None:
 
 
 def validate_category(cat: EICategory) -> None:
-    """All axioms: skeletality, connectivity, composition closure,
-    identity laws (via actions) and associativity over every composable
-    triple of non-endomorphisms mixed with generator endomorphisms."""
-    for (x, y) in cat.homs:
-        if (y, x) in cat.homs:
-            raise ValidationError("hom-both-directions",
-                                  f"hom-sets {x}->{y} and {y}->{x} both nonempty")
+    """All axioms but skeletality (load_category's check): connectivity,
+    composition closure, identity laws (via actions) and associativity
+    over every composable triple of non-endomorphisms mixed with
+    generator endomorphisms."""
     _check_connected(cat.objects, cat.homs)
 
     # every composable pair of homs must have a target hom-set and a table
@@ -468,8 +465,7 @@ class StabilizerData:
     H0: SubgroupHandle
     H1: SubgroupHandle
     quotG: QuotientGroup
-    quotH: QuotientGroup
-    phi: GroupIso           # quotG -> quotH
+    quotH: QuotientGroup    # numbered through the biset, on quotG's table
 
 
 # The most entries (rows × members × degree) one closure check's product
@@ -495,9 +491,11 @@ def _assert_closed(g: PermGroup, members: tuple[int, ...], what: str) -> None:
 
 
 def stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
-    """Pointwise and orbit-wise stabilizers of alpha, with the canonical
-    quotient isomorphism solving alpha∘g = h∘alpha; once per alpha,
-    through the category's memo."""
+    """Pointwise and orbit-wise stabilizers of alpha and the quotient
+    G1/G0; once per alpha, through the category's memo.  The biset gives
+    G1/G0 ≅ H1/H0: h∘alpha = alpha∘g sends h to g's coset, so quotH is
+    H1 numbered on quotG's cosets and table.  Its checks make that a
+    homomorphism onto G1/G0 with kernel H0, so H0 is normal."""
     return cat.memo(("stabilizer", alpha), lambda: _stabilizer_data(cat, alpha))
 
 
@@ -506,37 +504,41 @@ def _stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     G = cat.groups[alpha.source]
     H = cat.groups[alpha.target]
     a = alpha.index
-    g0 = tuple(g for g in range(len(G)) if hs.right_elem[g][a] == a)
-    h0 = tuple(h for h in range(len(H)) if hs.left_elem[h][a] == a)
-    h_orbit = {hs.left_elem[h][a] for h in range(len(H))}
-    g_orbit = {hs.right_elem[g][a] for g in range(len(G))}
-    g1 = tuple(g for g in range(len(G)) if hs.right_elem[g][a] in h_orbit)
-    h1 = tuple(h for h in range(len(H)) if hs.left_elem[h][a] in g_orbit)
+    right = [hs.right_elem[g][a] for g in range(len(G))]    # alpha∘g
+    left = [hs.left_elem[h][a] for h in range(len(H))]      # h∘alpha
+    g0 = tuple(g for g in range(len(G)) if right[g] == a)
+    h0 = tuple(h for h in range(len(H)) if left[h] == a)
+    h_orbit, g_orbit = set(left), set(right)
+    g1 = tuple(g for g in range(len(G)) if right[g] in h_orbit)
+    h1 = tuple(h for h in range(len(H)) if left[h] in g_orbit)
     for grp, members, name in ((G, g0, "G0"), (G, g1, "G1"),
                                (H, h0, "H0"), (H, h1, "H1")):
         _assert_closed(grp, members, name)
     G0, G1 = SubgroupHandle(G, g0), SubgroupHandle(G, g1)
     H0, H1 = SubgroupHandle(H, h0), SubgroupHandle(H, h1)
     quotG = quotient(G1, G0)
-    quotH = quotient(H1, H0)
-    if len(quotG) != len(quotH):
-        raise InvariantError("quotient orders |G1|/|G0| and |H1|/|H0| differ")
 
-    mapping = [-1] * len(quotG)
-    for ci, coset in enumerate(quotG.cosets):
-        g = coset[0]
-        target_idx = hs.right_elem[g][a]
-        h = next(h for h in h1 if hs.left_elem[h][a] == target_idx)
-        mapping[ci] = quotH.projection[h]
-    phi = GroupIso(quotG, quotH, tuple(mapping))
-    phi.validate()
-    # every g in G1 must match phi on its full coset
+    coset_at: dict[int, int] = {}
     for g in g1:
-        target_idx = hs.right_elem[g][a]
-        hset = {quotH.projection[h] for h in h1 if hs.left_elem[h][a] == target_idx}
-        if hset != {phi(quotG.projection[g])}:
-            raise InvariantError("quotient isomorphism disagrees with the biset")
-    return StabilizerData(alpha, G0, G1, H0, H1, quotG, quotH, phi)
+        c = quotG.projection[g]
+        if coset_at.setdefault(right[g], c) != c:
+            raise InvariantError("two cosets of G1/G0 reach one point of "
+                                 "the biset")
+    proj = {h: coset_at[left[h]] for h in h1}
+    cosets = orbit_members([proj.get(h, -1) for h in range(len(H))],
+                           len(quotG))
+    if cosets[0] != h0 or any(len(c) != len(h0) for c in cosets):
+        raise InvariantError("the biset's fibres over G1/G0 are not the "
+                             "cosets of H0")
+    table = quotG.table
+    for s in H1.generator_positions:
+        times_s = H.right_products(H.elements[s]).tolist()
+        ps = proj[s]
+        if any(proj[times_s[h]] != table[proj[h]][ps] for h in h1):
+            raise InvariantError("the biset's map H1 -> G1/G0 is not "
+                                 "multiplicative")
+    quotH = QuotientGroup(H1, H0, tuple(cosets), proj, table)
+    return StabilizerData(alpha, G0, G1, H0, H1, quotG, quotH)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ imported here under the same name.  Every such system, and both
 Hom-dimension checks, is one linalg.sylvester_system: matrices T_v at
 vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
 are symmetric: kappa (source, G1 acting on U through G1/G0) and mu
-(target, H1 acting through phi^-1 of H1/H0) are one stabilizer_hom, and
-the isotypic embeddings of U on either side come from one units.
+(target, H1 acting through H1/H0, whose cosets carry G1/G0's numbers)
+are one stabilizer_hom, and the isotypic embeddings of U on either side
+come from one units.
 """
 
 from __future__ import annotations
@@ -431,11 +432,10 @@ class MoritaContext:
                                    st.quotG.projection.__getitem__)
 
     def mu(self, r: int, u: int, w: int):
-        """Basis of Hom_{H1}(transported U, W restricted), W at the target."""
+        """Basis of Hom_{H1}(infl U, W restricted), W at the target."""
         st = self.built.orbits[r].stab
-        back = st.phi.inverse()
         return self.stabilizer_hom(r, u, st.alpha.target, w, st.H1,
-                                   lambda h: back(st.quotH.projection[h]))
+                                   st.quotH.projection.__getitem__)
 
     def stabilizer_hom(self, r: int, u: int, x: str, v: int, k1, to_quotient):
         """Basis of Hom_{K1}(U, V restricted): U the quotient irreducible u

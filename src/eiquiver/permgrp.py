@@ -377,9 +377,6 @@ class QuotientGroup:
     def __len__(self) -> int:
         return len(self.cosets)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def as_group(self) -> PermGroup:
         """Left-regular permutation model, in coset order: element q is
         the permutation c -> q*c of coset indices (built once per
@@ -418,31 +415,3 @@ def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
         for r in reps
     )
     return QuotientGroup(base, kernel, tuple(cosets), projection, table)
-
-
-@dataclass(frozen=True)
-class GroupIso:
-    source: QuotientGroup
-    target: QuotientGroup
-    mapping: tuple[int, ...]  # source coset index -> target coset index
-
-    def __call__(self, c: int) -> int:
-        return self.mapping[c]
-
-    def inverse(self) -> "GroupIso":
-        back = [0] * len(self.mapping)
-        for a, b in enumerate(self.mapping):
-            back[b] = a
-        return GroupIso(self.target, self.source, tuple(back))
-
-    def validate(self) -> None:
-        n = len(self.source)
-        if len(self.target) != n or sorted(self.mapping) != list(range(n)):
-            raise GroupError("quotient map is not a bijection")
-        for a in range(n):
-            for b in range(n):
-                lhs = self.mapping[self.source.mul(a, b)]
-                rhs = self.target.mul(self.mapping[a], self.mapping[b])
-                if lhs != rhs:
-                    raise GroupError("quotient map is not multiplicative")
-

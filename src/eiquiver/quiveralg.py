@@ -5,10 +5,12 @@ group).  For each two-sided orbit of unfactorizable morphisms, with
 stabilizer quotients G1/G0 ≅ H1/H0, the number of arrows from (x, V) to
 (y, W) contributed by the orbit is
 
-    Σ_U  ⟨V↓G1, infl U⟩ · ⟨W↓H1, infl φ(U)⟩
+    Σ_U  ⟨V↓G1, infl U⟩ · ⟨W↓H1, infl U⟩
 
-summed over the irreducibles U of G1/G0.  All multiplicities are exact
-integers recovered from F_p inner products.
+summed over the irreducibles U of G1/G0.  H1/H0 is numbered through the
+biset on G1/G0's cosets (eicat.stabilizer_data), so one U inflates to
+both sides.  All multiplicities are exact integers recovered from F_p
+inner products.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .chartab import (CharTable, ClassFunction, SplittingPrime,
                       character_table, choose_splitting_prime, inflate,
-                      restriction_multiplicity, transport)
+                      restriction_multiplicity)
 from .eicat import EICategory, MorphId, StabilizerData, orbit_representatives, \
     stabilizer_data
 from .errors import InvariantError
@@ -109,7 +111,7 @@ def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
         for u in range(len(qtable)):
             chi_u: ClassFunction = qtable.irreducible(u)
             infl_g = inflate(chi_u, sd.quotG)
-            infl_h = inflate(transport(chi_u, sd.phi), sd.quotH)
+            infl_h = inflate(chi_u, sd.quotH)
             es = [restriction_multiplicity(tables[x].irreducible(v), sd.G1,
                                            infl_g, p)
                   for v in range(len(tables[x]))]

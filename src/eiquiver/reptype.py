@@ -7,17 +7,19 @@ underlying multigraph of the quiver (Dynkin = finite, Euclidean = tame,
 anything else = wild).  For non-free categories only two certificates
 exist: finite type when the free cover's quiver is all-Dynkin, and
 infinite type when a two-object screen fires; tame-vs-wild is never
-claimed there.
+claimed there.  The free cover has the category's own unfactorizable
+bisets, so its quiver is the category's quiver, and the finite-cover
+rule reads that one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chartab import (ClassFunction, SplittingPrime, character_table,
                       choose_splitting_prime, restriction_multiplicity)
 from .eicat import EICategory, MorphId, homset_orbits, stabilizer_data
-from .freecover import DEFAULT_PATH_BOUND, free_cover, is_free
+from .freecover import DEFAULT_PATH_BOUND, is_free
 from .permgrp import SubgroupHandle
 from .quiveralg import BuiltQuiver, build_quiver
 
@@ -137,8 +139,6 @@ def is_hereditary(cat: EICategory, prime: SplittingPrime,
 class RepTypeVerdict:
     verdict: str    # Finite | Tame | Wild | InfiniteUncertified | Unknown
     certificates: tuple[tuple[str, str], ...]  # (rule, witness)
-    cover_quiver: BuiltQuiver | None = field(default=None, compare=False,
-                                             repr=False)
 
 
 def _graph_verdict(comps) -> str:
@@ -153,27 +153,23 @@ def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
              max_paths: int = DEFAULT_PATH_BOUND) -> RepTypeVerdict:
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
-    if is_hereditary(cat, prime, max_paths):
-        q = build_quiver(cat, prime)
-        comps = classify_graph(q)
-        names = ", ".join(c.name for c in comps)
+    hereditary = is_hereditary(cat, prime, max_paths)
+    comps = classify_graph(build_quiver(cat, prime))
+    names = ", ".join(c.name for c in comps)
+    if hereditary:
         return RepTypeVerdict(
             _graph_verdict(comps),
             (("hereditary-graph", f"components: {names}"),))
-    qc = build_quiver(free_cover(cat, max_paths), prime)
-    comps = classify_graph(qc)
     if all(c.kind == "Dynkin" for c in comps):
-        names = ", ".join(c.name for c in comps)
         return RepTypeVerdict(
             "Finite",
-            (("finite-cover", f"cover quiver components: {names}"),),
-            cover_quiver=qc)
+            (("finite-cover", f"cover quiver components: {names}"),))
     findings = screen_two_object(cat, prime)
     if findings:
         certs = tuple((rule, f"{pair}: {witness}")
                       for pair, rule, witness in findings)
-        return RepTypeVerdict("InfiniteUncertified", certs, cover_quiver=qc)
-    return RepTypeVerdict("Unknown", (), cover_quiver=qc)
+        return RepTypeVerdict("InfiniteUncertified", certs)
+    return RepTypeVerdict("Unknown", ())
 
 
 # ---------------------------------------------------------------------------

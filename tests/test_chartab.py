@@ -7,10 +7,8 @@ from eiquiver.chartab import (_MODEL_CACHE, CharTableError, ClassFunction,
                               SplittingPrime, certified_prime,
                               character_table, choose_splitting_prime,
                               inflate, inner_product, restrict,
-                              restriction_multiplicity, splitting_prime_for,
-                              transport)
-from eiquiver.permgrp import (GroupIso, SubgroupHandle, enumerate_group,
-                              quotient)
+                              restriction_multiplicity, splitting_prime_for)
+from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from groups import named_group, trivial_subgroup, whole_group
 from randcats import closure_positions
 
@@ -204,24 +202,3 @@ def test_inflate():
     assert sgn.values == tuple(eps.values[i]
                                for i in whole_group(S3).member_positions)
     assert sgn.values[0] == 1   # degree preserved
-
-
-def test_transport():
-    g = named_group("C3")
-    q = quotient(whole_group(g), trivial_subgroup(g))
-    model = q.as_group()
-    t = character_table(model, choose_splitting_prime([g]))
-    ident = GroupIso(q, q, (0, 1, 2))
-    invmap = GroupIso(q, q, (0, 2, 1))
-    p = t.p
-    for i in range(3):
-        chi = t.irreducible(i)
-        assert transport(chi, ident).values == chi.values
-        back = transport(transport(chi, invmap), invmap.inverse())
-        assert back.values == chi.values
-    # transport preserves orthogonality
-    moved = [transport(t.irreducible(i), invmap) for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            assert inner_product(moved[i], moved[j], p) == \
-                (1 if i == j else 0)

@@ -2,6 +2,7 @@
 and stabilizer data."""
 
 import copy
+import random
 
 import pytest
 
@@ -9,8 +10,9 @@ from conftest import fixture_doc
 from eiquiver.eicat import (MorphId, ei_quiver_of, load_category,
                             orbit_representatives, stabilizer_data,
                             unfactorizables)
-from eiquiver.errors import SchemaError, ValidationError
+from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from kernel_reference import compose
+from randcats import random_free_category, random_nonfree_category
 
 ALL_FIXTURES = ("line_quiver_free", "line_subcategory_nonfree",
                 "fork_merge_free", "fork_merge_nonfree", "one_object_c2",
@@ -264,7 +266,7 @@ def test_stabilizer_data_two_object(categories):
     sd = stabilizer_data(cat, MorphId("x", "y", 0))
     assert (len(sd.G0), len(sd.G1), len(sd.H0), len(sd.H1)) == (1, 2, 1, 2)
     assert len(sd.quotG) == len(sd.quotH) == 2
-    sd.phi.validate()
+    assert sd.quotH.table is sd.quotG.table
 
 
 def test_stabilizer_data_mixed(categories):
@@ -290,6 +292,98 @@ def test_quotient_order_invariant(categories):
         for rep, _ in orbit_representatives(cat):
             sd = stabilizer_data(cat, rep)
             assert len(sd.G1) * len(sd.H0) == len(sd.H1) * len(sd.G0)
+
+
+def _orbit_categories(categories):
+    rng = random.Random(11)
+    return (list(categories.values())
+            + [random_free_category(rng, max_mor=150) for _ in range(8)]
+            + [random_nonfree_category(rng, max_mor=150) for _ in range(4)])
+
+
+def test_quotH_is_numbered_through_the_biset(categories):
+    # h∘alpha = alpha∘g puts h in the coset numbered as g's, on G1/G0's
+    # own table, and the numbering is a homomorphism with kernel H0
+    for cat in _orbit_categories(categories):
+        for rep, _ in orbit_representatives(cat):
+            sd = stabilizer_data(cat, rep)
+            hs = cat.homs[(rep.source, rep.target)]
+            H, a = cat.groups[rep.target], rep.index
+            qG, qH = sd.quotG, sd.quotH
+            assert qH.table is qG.table
+            assert qH.cosets[0] == sd.H0.member_positions
+            for h in sd.H1.member_positions:
+                for g in sd.G1.member_positions:
+                    if hs.left_elem[h][a] == hs.right_elem[g][a]:
+                        assert qH.projection[h] == qG.projection[g]
+                for k in sd.H1.member_positions:
+                    assert qH.projection[H.mul(h, k)] == \
+                        qG.table[qH.projection[h]][qH.projection[k]]
+
+
+def test_stabilizer_data_builds_one_quotient(monkeypatch, categories):
+    from eiquiver import eicat
+    calls = []
+    build = eicat.quotient
+    monkeypatch.setattr(eicat, "quotient",
+                        lambda b, k: calls.append(b) or build(b, k))
+    for cat in categories.values():
+        for rep, _ in orbit_representatives(cat):
+            calls.clear()
+            eicat._stabilizer_data(cat, rep)
+            assert len(calls) == 1
+
+
+# S3 acting on a C2 hom through the sign, C2 regularly: G0 = A3 < G1 = S3
+SIGN_BISET = {
+    "mode": "ei-quiver",
+    "objects": [{"id": "x", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+                {"id": "y", "degree": 2, "generators": [[1, 0]]}],
+    "homs": [{"from": "x", "to": "y", "size": 2, "left_action": [[1, 0]],
+              "right_action": [[1, 0], [0, 1]]}],
+}
+
+
+def _relabel(q, moves):
+    """q with each member g in moves given the coset moves[g]."""
+    from eiquiver.permgrp import QuotientGroup
+    proj = dict(q.projection)
+    proj.update(moves)
+    return QuotientGroup(q.base, q.kernel, q.cosets, proj, q.table)
+
+
+def _swap(q, i, j):
+    """q with cosets i and j trading numbers in its projection."""
+    return _relabel(q, {g: i + j - c for g, c in q.projection.items()
+                        if c in (i, j)})
+
+
+def _order_2_and_3(q):
+    return (next(c for c in range(1, len(q)) if q.table[c][c] == 0),
+            next(c for c in range(1, len(q)) if q.table[c][c] != 0))
+
+
+@pytest.mark.parametrize("doc, pair, corrupt, match", [
+    # one transposition leaves its coset of A3: sign(t) gets two cosets
+    (SIGN_BISET, ("x", "y"), lambda q: _relabel(q, {q.cosets[1][0]: 0}),
+     "two cosets of G1/G0 reach one point"),
+    # coset 0 no longer holds the identity: its fibre is not H0
+    ("four_object_mixed", ("G", "H"), lambda q: _swap(q, 0, 1),
+     "fibres over G1/G0 are not the cosets of H0"),
+    # an involution and a 3-cycle of S3 trade numbers: no automorphism
+    ("four_object_mixed", ("H", "K"), lambda q: _swap(q, *_order_2_and_3(q)),
+     "not multiplicative"),
+])
+def test_a_wrong_quotient_is_caught(monkeypatch, doc, pair, corrupt, match):
+    from eiquiver import eicat
+    cat = load_category(fixture_doc(doc) if isinstance(doc, str) else doc)
+    rep = next(r for r, _ in orbit_representatives(cat)
+               if (r.source, r.target) == pair)
+    eicat._stabilizer_data(cat, rep)
+    build = eicat.quotient
+    monkeypatch.setattr(eicat, "quotient", lambda b, k: corrupt(build(b, k)))
+    with pytest.raises(InvariantError, match=match):
+        eicat._stabilizer_data(cat, rep)
 
 
 def test_ei_quiver_of(categories):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from eiquiver.permgrp import (GroupError, GroupIso, PermGroup, SubgroupHandle,
+from eiquiver.permgrp import (GroupError, PermGroup, SubgroupHandle,
                               check_perm, conjugacy_classes, class_index_of,
                               enumerate_group, orbits, pidentity, pmul,
                               quotient)
@@ -106,7 +106,7 @@ def test_quotient_s3_by_c3():
     # projection is a homomorphism on all pairs
     for a in range(6):
         for b in range(6):
-            assert q.mul(q.projection[a], q.projection[b]) == \
+            assert q.table[q.projection[a]][q.projection[b]] == \
                 q.projection[S3.mul(a, b)]
     model = q.as_group()
     assert len(model) == 2
@@ -132,18 +132,6 @@ def test_subgroup_as_group_round_trip():
     model = h.as_group()
     assert len(model) == 2
     assert set(model.elements) <= set(S3.elements)
-
-
-def test_group_iso_validation():
-    g = named_group("C3")
-    q = quotient(whole_group(g), trivial_subgroup(g))
-    GroupIso(q, q, (0, 1, 2)).validate()
-    # inversion x -> x^2 is an automorphism of C3
-    GroupIso(q, q, (0, 2, 1)).validate()
-    with pytest.raises(GroupError):
-        GroupIso(q, q, (1, 0, 2)).validate()   # does not fix the identity
-    with pytest.raises(GroupError):
-        GroupIso(q, q, (0, 0, 1)).validate()   # not a bijection
 
 
 def _closure_orbit(i: int, perms) -> frozenset:

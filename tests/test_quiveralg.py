@@ -91,16 +91,12 @@ def test_multiplicity_units_recompute(categories):
                 od = q.orbits[un.rep_index]
                 sd = od.stab
                 chi_u = od.quotient_table.irreducible(un.u)
-                for handle, quot, chi, want, use_phi in (
+                for handle, quot, chi, want in (
                         (sd.G1, sd.quotG, q.tables[sv.object].irreducible(sv.irr),
-                         un.e, False),
+                         un.e),
                         (sd.H1, sd.quotH, q.tables[tv.object].irreducible(tv.irr),
-                         un.f, True)):
-                    if use_phi:
-                        from eiquiver.chartab import transport
-                        infl = inflate(transport(chi_u, sd.phi), quot)
-                    else:
-                        infl = inflate(chi_u, quot)
+                         un.f)):
+                    infl = inflate(chi_u, quot)
                     down = restrict(chi, handle)
                     acc = 0
                     sub = down.group
@@ -170,9 +166,10 @@ def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
     screen = screen_two_object(cat, q.prime)
     assert rep_type(cat, q.prime).verdict == "InfiniteUncertified"
     assert screen_two_object(cat, q.prime) == screen
-    # the stabilizers of the category (quiver and screens) and of its
-    # cover (its quiver, in rep_type), each once
+    # the stabilizers of the category (quiver and screens), each once;
+    # rep_type reads the category's own quiver, so none of its cover
     assert len(alphas) == len(set(alphas)) > len(q.orbits)
+    assert {c for c, _ in alphas} == {id(cat)}
     other = build_quiver(cat, certified_prime(37, cat.groups.values()))
     assert other is not q and other.prime.p == 37
 

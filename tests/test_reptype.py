@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 from eiquiver.chartab import SplittingPrime, choose_splitting_prime
 from eiquiver.eicat import load_category
-from eiquiver.quiveralg import build_quiver
+from eiquiver.freecover import free_cover
+from eiquiver.quiveralg import build_quiver, quivers_equal
 from eiquiver.reptype import (classify_graph, is_hereditary, rep_type,
                               screen_two_object)
 from groups import named_group, trivial_subgroup
@@ -129,12 +130,14 @@ def test_rep_type_one_object():
 
 
 def test_rep_type_nonfree(categories):
-    v = rep_type(categories["fork_merge_nonfree"])
-    assert v.verdict == "InfiniteUncertified"
-    assert v.cover_quiver is not None
-    v = rep_type(categories["line_subcategory_nonfree"])
-    assert v.verdict == "Unknown"
-    assert v.cover_quiver is not None
+    # the finite-cover rule reads the category's own quiver, which is
+    # its free cover's
+    for name, verdict in (("fork_merge_nonfree", "InfiniteUncertified"),
+                          ("line_subcategory_nonfree", "Unknown")):
+        cat = categories[name]
+        assert rep_type(cat).verdict == verdict
+        assert quivers_equal(build_quiver(cat),
+                             build_quiver(free_cover(cat)))
 
 
 def test_screen_regular_biset(categories):
