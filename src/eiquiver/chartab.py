@@ -8,7 +8,10 @@ agree with their characteristic-0 counterparts and are recovered exactly
 as least nonnegative residues.
 
 Character tables are computed by the Burnside/Dixon method: simultaneous
-eigenvectors of the class-multiplication matrices over F_p.
+eigenvectors of the class-multiplication matrices over F_p, each
+eigenvector of a simple eigenvalue taken from one Krylov basis per matrix
+(linalg.eigenspaces).  Class 0 is the identity class, whose matrix is the
+identity and splits nothing, so it is skipped.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
 every character table on (p, group.key) and every irreducible model
@@ -163,9 +166,10 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
 
 
 def _split_common_eigenvectors(mats, r: int, p: int):
-    """Intersect eigenspaces of the commuting matrices until 1-dimensional."""
+    """Intersect eigenspaces of the commuting matrices until 1-dimensional.
+    mats[0], the identity class's matrix, is the identity: it is skipped."""
     spaces = [linalg.eye(r)]  # columns span each subspace
-    for m in mats:
+    for m in mats[1:]:
         nxt = []
         for c in spaces:
             if c.shape[1] == 1:
@@ -206,6 +210,7 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
     inv_class = [class_of[g.inv(classes[k].rep)] for k in range(r)]
     mats = _class_mult_matrices(g, classes, class_of, p)
     omegas = _split_common_eigenvectors(mats, r, p)
+    inv_sizes = [linalg.inv_scalar(len(c), p) for c in classes]
 
     n = len(g)
     rows = []
@@ -218,14 +223,13 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
         # ω_k = |C_k| χ(g_k) / d and orthogonality pin down d^2
         acc = 0
         for k in range(r):
-            acc = (acc + om[k] * om[inv_class[k]] * linalg.inv_scalar(len(classes[k]), p)) % p
+            acc = (acc + om[k] * om[inv_class[k]] * inv_sizes[k]) % p
         d2 = n * linalg.inv_scalar(acc, p) % p
         # d² ≤ |G| < p, so d² is its own least residue
         d = isqrt(d2)
         if d * d != d2:
             raise CharTableError("squared character degree is not a square")
-        row = tuple(d * om[k] % p * linalg.inv_scalar(len(classes[k]), p) % p
-                    for k in range(r))
+        row = tuple(d * om[k] % p * inv_sizes[k] % p for k in range(r))
         rows.append(row)
 
     rows.sort(key=lambda row: (row[0], row))

@@ -5,13 +5,15 @@ routines use deterministic pivoting (first nonzero column, topmost row)
 so that downstream artifacts are reproducible byte-for-byte.  Each
 elimination step is one whole-array update of the rows it touches, so
 no routine loops over rows in Python; the characteristic polynomial
-comes from a Hessenberg reduction, O(n^3).  Products stay below
+comes from a Hessenberg reduction, O(n^3).  Eigenspaces of simple roots
+come from one Krylov basis per matrix, O(n^2) each after its O(n^3)
+build, rather than one elimination each.  Products stay below
 n * p^2, which fits int64 for p up to ~10^6.
 """
 
 from __future__ import annotations
 
-from itertools import dropwhile
+from itertools import dropwhile, groupby
 
 import numpy as np
 
@@ -184,11 +186,34 @@ def char_poly(a: np.ndarray, p: int) -> list[int]:
 
 def eigenspaces(a: np.ndarray, p: int):
     """The nullspace of a - lam*I, rows as nullspace gives them, for each
-    distinct root lam of a's characteristic polynomial, in ascending order
-    of lam.  Yielded one at a time, so a caller that stops at the first
-    builds only that one."""
+    distinct root lam of f = det(xI - a), in ascending order of lam.
+    Yielded one at a time, so a caller that stops at the first builds
+    only that one.
+
+    A simple root's eigenspace is the line through q(a) e_0, q = f/(x -
+    lam): q(a) kills every other primary component and maps onto the
+    eigenline.  That vector is K times q's coefficients, K = [e_0, a e_0,
+    ..., a^(m-1) e_0] built once at the first simple root, and is scaled
+    so that its last nonzero entry is 1, which is the one row nullspace
+    gives.  A repeated root, or a simple one whose q(a) e_0 is 0, goes
+    through nullspace.
+    """
     m = a.shape[0]
-    for lam in sorted(set(poly_roots(char_poly(a, p), p))):
+    f = char_poly(a, p)
+    krylov = None
+    for lam, run in groupby(poly_roots(f, p)):
+        if len(list(run)) == 1:
+            if krylov is None:
+                krylov = zeros(m, m)   # row i: a^i e_0
+                krylov[0, 0] = 1
+                for i in range(1, m):
+                    krylov[i] = a @ krylov[i - 1] % p
+            q = _divmod(f, [1, -lam], p)[0]
+            v = np.array(q[::-1], dtype=np.int64) @ krylov % p
+            nz = np.flatnonzero(v)
+            if nz.size:
+                yield (v * inv_scalar(v[nz[-1]], p) % p)[None]
+                continue
         yield nullspace((a - lam * eye(m)) % p, p)
 
 

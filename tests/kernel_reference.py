@@ -6,7 +6,11 @@ exactly as textbook Gaussian elimination and permutation composition do,
 and serves as the reference for the table-driven and whole-array
 versions in eiquiver.linalg and eiquiver.permgrp; poly_roots is the
 scan over all of F_p that Cantor-Zassenhaus root finding replaced in
-eiquiver.linalg.poly_roots.  build_catrep is the two-phase assembly
+eiquiver.linalg.poly_roots.  split_common_eigenvectors is the
+Burnside/Dixon split with one nullspace per eigenvalue of every class
+matrix, that of the identity class included, that the Krylov
+eigenvectors of eiquiver.linalg.eigenspaces replaced.  build_catrep is
+the two-phase assembly
 that eiquiver.morita.build_catrep replaced: it fills every morphism by
 repeated sweeps, then checks functoriality against every group
 element's matrix and every composable pair.  compose, build_algebra,
@@ -292,6 +296,29 @@ def poly_roots(coeffs, p):
             deg -= 1
             roots.append(lam)
     return roots
+
+
+def split_common_eigenvectors(mats, r, p):
+    """The common eigenvectors of the class matrices mats (r x r), one
+    column per irreducible: each subspace, as columns, is cut by the
+    nullspace of s - lam*I for every root lam of the matrix s by which
+    the next class matrix acts on it, until every subspace is a line."""
+    spaces = [linalg.eye(r)]
+    for m in mats:
+        nxt = []
+        for c in spaces:
+            if c.shape[1] == 1:
+                nxt.append(c)
+                continue
+            s = linalg.solve(c, linalg.matmul(m, c, p), p)
+            for lam in sorted(set(linalg.poly_roots(linalg.char_poly(s, p),
+                                                    p))):
+                ns = linalg.nullspace((s - lam * linalg.eye(len(s))) % p, p)
+                sub = linalg.matmul(c, ns.T % p, p)
+                nxt.append(linalg.row_space(sub.T, p).T)
+        spaces = nxt
+    assert all(c.shape[1] == 1 for c in spaces)
+    return [c[:, 0] for c in spaces]
 
 
 def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import kernel_reference as ref
 from eiquiver import chartab, linalg
 from eiquiver.chartab import (_MODEL_CACHE, CharTableError, ClassFunction,
                               SplittingPrime, certified_prime,
@@ -89,6 +90,42 @@ def test_all_catalog_tables():
             for j in range(len(irr)):
                 assert inner_product(irr[i], irr[j], t.p) == \
                     (1 if i == j else 0)
+
+
+def _cycle(n):
+    return list(range(1, n)) + [0]
+
+
+# degree and generators: D48 has order 96
+LADDER = {"C24": (24, [_cycle(24)]), "C48": (48, [_cycle(48)]),
+          "D48": (48, [_cycle(48), [(-i) % 48 for i in range(48)]]),
+          **{f"S{n}": (n, [[1, 0] + list(range(2, n)), _cycle(n)])
+             for n in (4, 5, 6)}}
+
+
+@pytest.mark.parametrize("name", CATALOG + tuple(LADDER))
+def test_tables_match_the_nullspace_split(name, monkeypatch):
+    # the same rows as one nullspace per eigenvalue of every class
+    # matrix, the identity class's included
+    g = enumerate_group(*LADDER[name]) if name in LADDER else named_group(name)
+    p = choose_splitting_prime([g]).p
+    table = chartab._compute_table(g, p)
+    monkeypatch.setattr(chartab, "_split_common_eigenvectors",
+                        ref.split_common_eigenvectors)
+    assert chartab._compute_table(g, p) == table
+
+
+def test_cyclic_tables_do_no_elimination(monkeypatch):
+    # in C24 and C48 the first class matrix after the identity's has r
+    # simple eigenvalues, and each eigenvector comes from the Krylov basis
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda *a: calls.append(a) or nullspace(*a))
+    for name in ("C24", "C48"):
+        g = enumerate_group(*LADDER[name])
+        chartab._compute_table(g, choose_splitting_prime([g]).p)
+    assert calls == []
 
 
 def _s3_mod_c3():

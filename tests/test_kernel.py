@@ -117,6 +117,48 @@ def test_poly_roots_match_the_scan(p):
         assert linalg.poly_roots(f, p) == ref.poly_roots(f, p)
 
 
+def _eigen_cases(p, rng):
+    """(matrix, its eigenvalues): conjugates P D P^-1 of diagonal D with
+    distinct and with repeated entries, diagonal matrices (e_0 is an
+    eigenvector, so q(a) e_0 = 0 for every other root) and 1 x 1s."""
+    out = []
+    for m in (2, 3, 5, 8):
+        distinct = rng.sample(range(p), min(m, p))
+        repeated = [rng.choice(distinct[:2]) for _ in range(m)]
+        for diag in (distinct, repeated, distinct[:1] + repeated[1:]):
+            d = np.diag(diag).astype(np.int64)
+            out.append((d, diag))
+            while True:
+                pm = np.array([[rng.randrange(p) for _ in diag]
+                               for _ in diag], dtype=np.int64)
+                if ref.det(pm.tolist(), p):
+                    break
+            out.append((pm @ d % p @ linalg.inv(pm, p) % p, diag))
+    for c in (0, 1, p - 1, rng.randrange(p)):
+        out.append((np.array([[c]], dtype=np.int64), [c]))
+    return out
+
+
+@pytest.mark.parametrize("p", (5, 13, 433, 1621, 999983))
+def test_eigenspaces_are_the_nullspaces_of_a_minus_lambda(p, monkeypatch):
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda *a: calls.append(1) or nullspace(*a))
+    yields = 0
+    for a, lams in _eigen_cases(p, random.Random(p)):
+        m = a.shape[0]
+        got = list(linalg.eigenspaces(a, p))
+        want = [nullspace((a - lam * np.eye(m, dtype=np.int64)) % p, p)
+                for lam in sorted(set(lams))]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        yields += len(got)
+    # simple roots mostly take the Krylov step, not an elimination
+    assert 0 < len(calls) < yields
+
+
 def _sylvester_cases(p, rng):
     """(dims1, dims2, edges): loop edges on one vertex with a != b and
     zero dims, no edges at all, and random s != t and loop edges."""
