@@ -13,6 +13,11 @@ eigenvector of a simple eigenvalue taken from one Krylov basis per matrix
 (linalg.eigenspaces).  Class 0 is the identity class, whose matrix is the
 identity and splits nothing, so it is skipped.
 
+Characters are kept in one form: a table's rows, one value per class,
+and CharTable.values, the same rows read at every element.  Restriction
+multiplicities and inflation work on whole tables at once: each is one
+array product or one gather over those values.
+
 _MODEL_CACHE holds, for the life of the process and without a bound,
 every character table on (p, group.key) and every irreducible model
 (morita.irreducible_model) on (p, group.key, i).  group.key names a
@@ -24,6 +29,7 @@ computation would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, lcm
 
 import numpy as np
@@ -107,28 +113,6 @@ def choose_splitting_prime(groups) -> SplittingPrime:
 
 
 @dataclass(frozen=True)
-class ClassFunction:
-    """A class function stored by element position (groups are tiny)."""
-    group: PermGroup
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.values) == len(self.group.elements)
-
-    def at_inverse(self, pos: int) -> int:
-        return self.values[self.group.inv(pos)]
-
-
-def inner_product(f: ClassFunction, g: ClassFunction, p: int) -> int:
-    """⟨f, g⟩ = |G|^{-1} Σ f(x) g(x^{-1}) in F_p, as a least residue."""
-    grp = f.group
-    acc = 0
-    for i in range(len(grp)):
-        acc = (acc + f.values[i] * g.at_inverse(i)) % p
-    return acc * linalg.inv_scalar(len(grp), p) % p
-
-
-@dataclass(frozen=True)
 class CharTable:
     group: PermGroup
     p: int
@@ -136,17 +120,15 @@ class CharTable:
     class_of: tuple[int, ...]              # element position -> class index
     rows: tuple[tuple[int, ...], ...]      # irreducible values per class
     dims: tuple[int, ...]
-    labels: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def irreducible(self, i: int) -> ClassFunction:
-        vals = tuple(self.rows[i][self.class_of[e]] for e in range(len(self.group)))
-        return ClassFunction(self.group, vals)
-
-    def irreducibles(self):
-        return [self.irreducible(i) for i in range(len(self))]
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Each irreducible character at each element, an r x |G| int64
+        array: values[i, e] = rows[i][class_of[e]]."""
+        return np.array(self.rows, dtype=np.int64)[:, list(self.class_of)]
 
 
 def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
@@ -236,8 +218,7 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
     dims = tuple(row[0] for row in rows)
     if sum(d * d for d in dims) != n:
         raise CharTableError("sum of squared degrees does not match group order")
-    labels = tuple(f"X{i}" for i in range(r))
-    table = CharTable(g, p, classes, class_of, tuple(rows), dims, labels)
+    table = CharTable(g, p, classes, class_of, tuple(rows), dims)
     _check_orthogonality(table)
     return table
 
@@ -257,23 +238,24 @@ def _check_orthogonality(t: CharTable) -> None:
         raise CharTableError("first irreducible is not the trivial character")
 
 
-def restrict(chi: ClassFunction, sub: SubgroupHandle) -> ClassFunction:
-    vals = tuple(chi.values[i] for i in sub.member_positions)
-    return ClassFunction(sub.as_group(), vals)
+def restriction_multiplicity(table: CharTable, sub: SubgroupHandle,
+                             mu: np.ndarray, p: int) -> np.ndarray:
+    """The matrix of multiplicities <chi_i restricted to sub, mu_j>, for
+    the irreducible characters chi_i of table (on sub's parent) and the
+    class functions mu_j on sub (rows of mu, indexed by member):
+    |sub|^-1 sum_k chi_i(k) mu_j(k^-1), one product mod p.
 
-
-def restriction_multiplicity(chi: ClassFunction, sub: SubgroupHandle,
-                             mu: ClassFunction, p: int) -> int:
-    """Multiplicity of mu (on sub) inside chi restricted to sub.
-
-    Valid as an integer because p exceeds twice every group order, so
+    Each entry is an integer, as p exceeds twice every group order, so
     every multiplicity is its own least residue.
     """
-    return inner_product(restrict(chi, sub), mu, p)
+    members = np.asarray(sub.member_positions)
+    inv = np.searchsorted(members, sub.parent.inverse[members])
+    return linalg.matmul(table.values[:, members], mu[:, inv].T,
+                         p) * linalg.inv_scalar(len(sub), p) % p
 
 
-def inflate(chi: ClassFunction, quot: QuotientGroup) -> ClassFunction:
-    """Pull a class function on the quotient back to the base subgroup."""
-    base = quot.base
-    vals = tuple(chi.values[quot.projection[i]] for i in base.member_positions)
-    return ClassFunction(base.as_group(), vals)
+def inflate(table: CharTable, quot: QuotientGroup) -> np.ndarray:
+    """The quotient's irreducible characters pulled back to its base
+    subgroup: one row per character, indexed by member of the base."""
+    return table.values[:, [quot.projection[i]
+                            for i in quot.base.member_positions]]

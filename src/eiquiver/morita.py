@@ -139,7 +139,7 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     if key in _MODEL_CACHE:
         return _MODEL_CACHE[key]
     n = len(group)
-    chi = table.irreducible(i)
+    chi = table.values[i]
     d = table.dims[i]
     # The regular module from the Cayley table, as index arrays.  L_g has
     # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
@@ -148,8 +148,8 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     moves = [group.row(group.inv(group.index_of[s]))
              for s in group.generators]
     cayley = np.array([group.row(g) for g in range(n)])
-    proj = np.asarray(chi.values, dtype=np.int64)[
-        cayley[:, group.inverse]].T * d % p * linalg.inv_scalar(n, p) % p
+    proj = chi[cayley[:, group.inverse]].T * d % p * \
+        linalg.inv_scalar(n, p) % p
     r, piv = linalg.rref(proj.T, p)
     w = r[:len(piv)].T   # columns span the isotypic part; w[piv] = I
     base = None
@@ -181,7 +181,7 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
         gen_mats.append(a % p)
     elems = element_matrices(group, gen_mats, d, p)
     for g in range(n):
-        if int(np.trace(elems[g])) % p != chi.values[g]:
+        if int(np.trace(elems[g])) % p != chi[g]:
             raise InvariantError("model traces disagree with the character")
     _MODEL_CACHE[key] = (tuple(gen_mats), tuple(elems))
     return _MODEL_CACHE[key]
@@ -335,6 +335,8 @@ def load_catrep(cat: EICategory, doc: dict, expected_p: int) -> CatRep:
         dims_hint = {}
         for ospec in doc["objects"]:
             oid = str(ospec["id"])
+            if oid in gen_mats:
+                raise ValueError(f"duplicate object id {oid!r}")
             gen_mats[oid] = tuple(_matrix(m, p)
                                   for m in ospec["generator_matrices"])
             dims_hint[oid] = dim = ospec["dim"]
@@ -505,16 +507,19 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
             unit_cache[ukey] = (units, cols)
         units, cols = unit_cache[ukey]
         mat = linalg.zeros(dims[ea.target], dims[ea.source])
-        for i, th in enumerate(thetas[(x, v)]):
-            psi = linalg.matmul(linalg.matmul(alpha, th, p),
-                                kappas[ea.s], p)
-            sol = linalg.solve(cols, psi.flatten(order="F"), p)
+        if dims[ea.source]:
+            # column i is the image of copy i of V: one system for all
+            psi = linalg.zeros(cols.shape[0], dims[ea.source])
+            for i, th in enumerate(thetas[(x, v)]):
+                psi[:, i] = linalg.matmul(linalg.matmul(alpha, th, p),
+                                          kappas[ea.s], p).flatten(order="F")
+            sol = linalg.solve(cols, psi, p)
             if sol is None:
                 raise InvariantError("image of an isotypic copy leaves the "
                                      "span of the target embeddings")
             for k, ((w2, j, l2), _) in enumerate(units):
                 if w2 == w and l2 == ea.l:
-                    mat[j, i] = sol[k, 0]
+                    mat[j] = sol[k]
         mats.append(mat % p)
     return QuiverRep(ctx.built, p, dims, tuple(mats))
 

@@ -149,8 +149,8 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
         fix = np.array([(left[h][after] == beta).sum(axis=1)
                         for h in range(len(H))]) % p
         tG, tH = tables[x], tables[y]
-        chi_g = np.array(tG.rows)[:, np.array(tG.class_of)]      # χ_V(g)
-        chi_h = np.array(tH.rows)[:, np.array(tH.class_of)[H.inverse]]
+        chi_g = tG.values                       # χ_V(g)
+        chi_h = tH.values[:, H.inverse]         # χ_W(h⁻¹)
         # sums[w, v] = Σ_{h,g} fix[h, g] χ_W(h^{-1}) χ_V(g)
         sums = linalg.matmul(linalg.matmul(chi_h, fix, p), chi_g.T, p)
         scale = linalg.inv_scalar(len(G) * len(H) % p, p)

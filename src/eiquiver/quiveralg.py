@@ -9,16 +9,18 @@ stabilizer quotients G1/G0 ≅ H1/H0, the number of arrows from (x, V) to
 
 summed over the irreducibles U of G1/G0.  H1/H0 is numbered through the
 biset on G1/G0's cosets (eicat.stabilizer_data), so one U inflates to
-both sides.  All multiplicities are exact integers recovered from F_p
-inner products.
+both sides.  Each orbit takes two products: the matrix of
+⟨V↓G1, infl U⟩ over every (V, U), and that of ⟨W↓H1, infl U⟩ over every
+(W, U).  All multiplicities are exact integers recovered from F_p inner
+products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import (CharTable, ClassFunction, SplittingPrime,
-                      character_table, choose_splitting_prime, inflate,
+from .chartab import (CharTable, SplittingPrime, character_table,
+                      choose_splitting_prime, inflate,
                       restriction_multiplicity)
 from .eicat import EICategory, MorphId, StabilizerData, orbit_representatives, \
     stabilizer_data
@@ -108,20 +110,16 @@ def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
         qtable = character_table(sd.quotG.as_group(), prime)
         orbits.append(OrbitData(rep, orb, sd, qtable))
         x, y = rep.source, rep.target
+        # es[u][v] = ⟨V↓G1, infl U⟩ and fs[u][w] = ⟨W↓H1, infl U⟩
+        es = restriction_multiplicity(tables[x], sd.G1,
+                                      inflate(qtable, sd.quotG), p).T.tolist()
+        fs = restriction_multiplicity(tables[y], sd.H1,
+                                      inflate(qtable, sd.quotH), p).T.tolist()
         for u in range(len(qtable)):
-            chi_u: ClassFunction = qtable.irreducible(u)
-            infl_g = inflate(chi_u, sd.quotG)
-            infl_h = inflate(chi_u, sd.quotH)
-            es = [restriction_multiplicity(tables[x].irreducible(v), sd.G1,
-                                           infl_g, p)
-                  for v in range(len(tables[x]))]
-            fs = [restriction_multiplicity(tables[y].irreducible(w), sd.H1,
-                                           infl_h, p)
-                  for w in range(len(tables[y]))]
-            for v, e in enumerate(es):
+            for v, e in enumerate(es[u]):
                 if e == 0:
                     continue
-                for w, f in enumerate(fs):
+                for w, f in enumerate(fs[u]):
                     if f == 0:
                         continue
                     key = (vertex_index[(x, v)], vertex_index[(y, w)])

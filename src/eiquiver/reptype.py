@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import (ClassFunction, SplittingPrime, character_table,
-                      choose_splitting_prime, restriction_multiplicity)
+from .chartab import (SplittingPrime, character_table, choose_splitting_prime,
+                      restriction_multiplicity)
 from .eicat import EICategory, MorphId, homset_orbits, stabilizer_data
 from .freecover import DEFAULT_PATH_BOUND, is_free
-from .permgrp import SubgroupHandle
 from .quiveralg import BuiltQuiver, build_quiver
 
 
@@ -201,24 +200,21 @@ def screen_two_object(cat: EICategory, prime: SplittingPrime):
         if g_transitive:   # opposite category: source-side tower G0 ≤ G1 ≤ G
             sides.append(("source", sd.G0, sd.G1, cat.groups[x]))
         for side, k0, k1, big in sides:
-            k1_group = k1.as_group()
-            sub_table = character_table(k1_group, prime)
-            big_table = character_table(big, prime)
+            sub_table = character_table(k1.as_group(), prime)
             in_k0 = set(k0.member_positions)
-            k0_in_k1 = SubgroupHandle(k1_group, tuple(
-                k for k, pos in enumerate(k1.member_positions) if pos in in_k0))
-            trivial = ClassFunction(k0_in_k1.as_group(), (1,) * len(k0_in_k1))
+            # S is a summand of the induction of k from K0 iff its
+            # restriction to K0 contains the trivial module, iff S summed
+            # over K0 is nonzero
+            on_k0 = sub_table.values[:, [pos in in_k0 for pos in
+                                         k1.member_positions]].sum(1) % p
+            # mults[s][t] = <T restricted to K1, S>
+            mults = restriction_multiplicity(
+                character_table(big, prime), k1, sub_table.values, p).T
             for s in range(len(sub_table)):
-                chi_s = sub_table.irreducible(s)
-                # S is a summand of the induction of k from K0 iff its
-                # restriction to K0 contains the trivial module
-                if restriction_multiplicity(chi_s, k0_in_k1, trivial, p) == 0:
+                if on_k0[s] == 0:
                     continue
-                mults = [restriction_multiplicity(big_table.irreducible(t),
-                                                  k1, chi_s, p)
-                         for t in range(len(big_table))]
-                repeated = any(m >= 2 for m in mults)
-                distinct = sum(1 for m in mults if m)
+                repeated = any(m >= 2 for m in mults[s])
+                distinct = sum(1 for m in mults[s] if m)
                 if repeated or distinct > 3:
                     why = ("not multiplicity free" if repeated
                            else f"{distinct} distinct summands")

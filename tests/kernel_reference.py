@@ -16,7 +16,10 @@ repeated sweeps, then checks functoriality against every group
 element's matrix and every composable pair.  compose, build_algebra,
 radical_report and ext_quiver_oracle are the category algebra one
 product at a time, through MorphId and compose, that the index arrays of
-eiquiver.oracle replaced.
+eiquiver.oracle replaced.  character, inner_product, restrict, inflate
+and restriction_multiplicity are character arithmetic one element at a
+time, each character read from a table's class rows, that the table
+arrays of eiquiver.chartab replaced.
 """
 
 import numpy as np
@@ -133,6 +136,39 @@ def mul(g: PermGroup, i: int, j: int) -> int:
 
 def inv(g: PermGroup, i: int) -> int:
     return g.index_of[pinv(g.elements[i])]
+
+
+def character(table, i: int) -> list[int]:
+    """The i-th irreducible of a table at each element, from its class
+    row."""
+    return [table.rows[i][table.class_of[e]] for e in range(len(table.group))]
+
+
+def inner_product(g: PermGroup, f, h, p: int) -> int:
+    """<f, h> = |G|^-1 sum_x f(x) h(x^-1) in F_p, for class functions on g
+    listed by element."""
+    acc = 0
+    for i in range(len(g)):
+        acc = (acc + f[i] * h[inv(g, i)]) % p
+    return acc * pow(len(g), p - 2, p) % p
+
+
+def restrict(values, sub) -> list[int]:
+    """A function on sub's parent read at sub's members."""
+    return [values[i] for i in sub.member_positions]
+
+
+def inflate(values, quot) -> list[int]:
+    """A function on the quotient read at each member of its base."""
+    return [values[quot.projection[i]] for i in quot.base.member_positions]
+
+
+def restriction_multiplicity(table, sub, mu, p: int) -> list[list[int]]:
+    """[i][j] = <chi_i restricted to sub, mu_j>, one inner product per
+    pair."""
+    g = sub.as_group()
+    return [[inner_product(g, restrict(character(table, i), sub), m, p)
+             for m in mu] for i in range(len(table))]
 
 
 def conjugacy_classes(g: PermGroup) -> list[tuple[int, ...]]:
@@ -408,14 +444,15 @@ def ext_quiver_oracle(cat: EICategory, prime, tables) -> dict:
         scale = linalg.inv_scalar(len(G) * len(H) % p, p)
         tG, tH = tables[x], tables[y]
         for v in range(len(tG)):
-            chi_v = tG.irreducible(v)
+            row_v = tG.rows[v]
             for w in range(len(tH)):
-                chi_w = tH.irreducible(w)
+                row_w = tH.rows[w]
                 acc = 0
                 for h in range(len(H)):
-                    cwh = chi_w.at_inverse(h)
+                    cwh = row_w[tH.class_of[H.inv(h)]]
                     for g in range(len(G)):
-                        acc = (acc + fix[h][g] * cwh * chi_v.values[g]) % p
+                        acc = (acc + fix[h][g] * cwh *
+                               row_v[tG.class_of[g]]) % p
                 m = acc * scale % p
                 if m:
                     out[((x, v), (y, w))] = m

@@ -1,13 +1,13 @@
 """Splitting primes, character tables and character operations."""
 
+import numpy as np
 import pytest
 
 import kernel_reference as ref
 from eiquiver import chartab, linalg
-from eiquiver.chartab import (_MODEL_CACHE, CharTableError, ClassFunction,
-                              SplittingPrime, certified_prime,
-                              character_table, choose_splitting_prime,
-                              inflate, inner_product, restrict,
+from eiquiver.chartab import (_MODEL_CACHE, CharTableError, SplittingPrime,
+                              certified_prime, character_table,
+                              choose_splitting_prime, inflate,
                               restriction_multiplicity, splitting_prime_for)
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from groups import named_group, trivial_subgroup, whole_group
@@ -18,10 +18,10 @@ CATALOG = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
 P13 = choose_splitting_prime([S3])
 
 
-def induced_character(mu: ClassFunction, handle, parent, p: int):
+def induced_character(mu, handle, parent, p: int) -> list[int]:
     """Induced character by the standard formula, as an independent
-    oracle for Frobenius reciprocity: the subgroup model of `handle`
-    carries mu, positions follow handle.member_positions."""
+    oracle for Frobenius reciprocity: mu is a class function on the
+    subgroup `handle`, listed in the order of handle.member_positions."""
     sub_pos = {pos: k for k, pos in enumerate(handle.member_positions)}
     scale = linalg.inv_scalar(len(handle), p)
     vals = []
@@ -30,9 +30,9 @@ def induced_character(mu: ClassFunction, handle, parent, p: int):
         for t in range(len(parent)):
             conj = parent.mul(parent.mul(parent.inv(t), g), t)
             if conj in sub_pos:
-                acc = (acc + mu.values[sub_pos[conj]]) % p
+                acc = (acc + int(mu[sub_pos[conj]])) % p
         vals.append(acc * scale % p)
-    return ClassFunction(parent, tuple(vals))
+    return vals
 
 
 def test_splitting_prime_selection():
@@ -74,7 +74,9 @@ def test_c2_table():
 def test_s3_table_dims():
     t = character_table(S3, P13)
     assert t.dims == (1, 1, 2)
-    assert t.labels == ("X0", "X1", "X2")
+    # values reads each class row at every element
+    assert t.values.shape == (3, 6)
+    assert t.values.tolist() == [ref.character(t, i) for i in range(3)]
 
 
 def test_all_catalog_tables():
@@ -85,11 +87,9 @@ def test_all_catalog_tables():
         assert sum(d * d for d in t.dims) == len(g)
         assert all(v == 1 for v in t.rows[0])
         assert list(t.dims) == sorted(t.dims)
-        irr = t.irreducibles()
-        for i in range(len(irr)):
-            for j in range(len(irr)):
-                assert inner_product(irr[i], irr[j], t.p) == \
-                    (1 if i == j else 0)
+        # <chi_i, chi_j> = [i = j]: restriction to the whole group
+        gram = restriction_multiplicity(t, whole_group(g), t.values, t.p)
+        assert gram.tolist() == np.eye(len(t), dtype=int).tolist()
 
 
 def _cycle(n):
@@ -183,13 +183,13 @@ def test_restriction_multiplicities_s3_to_c2():
     c2 = SubgroupHandle(
         S3, tuple(closure_positions(S3, [S3.index_of[(1, 0, 2)]])))
     t_sub = character_table(c2.as_group(), P13)
-    triv, sign = t_sub.irreducible(0), t_sub.irreducible(1)
-    v2 = t.irreducible(2)
-    eps = t.irreducible(1)
-    assert restriction_multiplicity(v2, c2, triv, P13.p) == 1
-    assert restriction_multiplicity(v2, c2, sign, P13.p) == 1
-    assert restriction_multiplicity(eps, c2, sign, P13.p) == 1
-    assert restriction_multiplicity(eps, c2, triv, P13.p) == 0
+    # rows: trivial, eps, the 2-dimensional V; columns: trivial, sign
+    m = restriction_multiplicity(t, c2, t_sub.values, P13.p)
+    v2, eps, triv, sign = 2, 1, 0, 1
+    assert m[v2, triv] == 1
+    assert m[v2, sign] == 1
+    assert m[eps, sign] == 1
+    assert m[eps, triv] == 0
 
 
 def test_restriction_to_whole_and_trivial():
@@ -197,11 +197,11 @@ def test_restriction_to_whole_and_trivial():
     whole = whole_group(S3)
     triv = trivial_subgroup(S3)
     t_triv = character_table(triv.as_group(), P13)
+    on_whole = restriction_multiplicity(t, whole, t.values, P13.p)
+    on_triv = restriction_multiplicity(t, triv, t_triv.values, P13.p)
     for i in range(3):
-        chi = t.irreducible(i)
-        assert restriction_multiplicity(chi, whole, chi, P13.p) == 1
-        assert restriction_multiplicity(
-            chi, triv, t_triv.irreducible(0), P13.p) == t.dims[i]
+        assert on_whole[i, i] == 1
+        assert on_triv[i, 0] == t.dims[i]
 
 
 def test_frobenius_reciprocity():
@@ -212,14 +212,13 @@ def test_frobenius_reciprocity():
         sub = SubgroupHandle(
             g, tuple(closure_positions(g, [g.index_of[seed]])))
         t_sub = character_table(sub.as_group(), prime)
+        down = restriction_multiplicity(t, sub, t_sub.values, prime.p)
+        induced = np.array([induced_character(mu, sub, g, prime.p)
+                            for mu in t_sub.values])
+        up = restriction_multiplicity(t, whole_group(g), induced, prime.p)
         for i in range(len(t)):
-            chi = t.irreducible(i)
             for j in range(len(t_sub)):
-                mu = t_sub.irreducible(j)
-                down = restriction_multiplicity(chi, sub, mu, prime.p)
-                up = inner_product(chi, induced_character(mu, sub, g, prime.p),
-                                   prime.p)
-                assert down == up
+                assert down[i, j] == up[i, j]
 
 
 def test_inflate():
@@ -229,13 +228,11 @@ def test_inflate():
     model = q.as_group()
     t_q = character_table(model, P13)
     t = character_table(S3, P13)
+    triv, sgn = inflate(t_q, q).tolist()
     # trivial inflates to trivial
-    triv = inflate(t_q.irreducible(0), q)
-    assert set(triv.values) == {1}
+    assert set(triv) == {1}
     # the sign of the order-2 quotient inflates to the character with
     # kernel C3, i.e. the restriction of epsilon
-    sgn = inflate(t_q.irreducible(1), q)
-    eps = t.irreducible(1)
-    assert sgn.values == tuple(eps.values[i]
-                               for i in whole_group(S3).member_positions)
-    assert sgn.values[0] == 1   # degree preserved
+    eps = t.values[1]
+    assert sgn == [eps[i] for i in whole_group(S3).member_positions]
+    assert sgn[0] == 1   # degree preserved

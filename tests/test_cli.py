@@ -267,6 +267,17 @@ def _rep_set(path, value, base=lambda: fixture_doc("two_object_c2_s3_rep")):
     return make
 
 
+def _duplicate_x_rep():
+    """The fixture's representation with a copy of x, every generator
+    matrix zeroed, listed before the real one."""
+    doc = fixture_doc("two_object_c2_s3_rep")
+    x = next(o for o in doc["objects"] if o["id"] == "x")
+    zero = {**x, "generator_matrices": [[[0] * len(row) for row in m]
+                                        for m in x["generator_matrices"]]}
+    doc["objects"].insert(0, zero)
+    return doc
+
+
 @pytest.mark.parametrize("fixture, make_rep, code, prefix", [
     pytest.param("two_object_c2_s3", _rep_set(("p",), 13.5), 3,
                  "schema error", id="float-p"),
@@ -296,6 +307,9 @@ def _rep_set(path, value, base=lambda: fixture_doc("two_object_c2_s3_rep")):
     pytest.param("two_object_c2_s3",
                  _rep_set(("alpha_matrices", 0, "rep_index"), 0.2),
                  3, "schema error", id="float-rep-index"),
+    # a second entry for x must not replace the first
+    pytest.param("two_object_c2_s3", _duplicate_x_rep, 3,
+                 "schema error", id="duplicate-object"),
     pytest.param("two_object_trivial_s3",
                  _rep_set(("objects", 0, "dim"), -1, _trivial_s3_rep),
                  3, "schema error", id="negative-dim"),

@@ -9,10 +9,14 @@ import pytest
 
 import kernel_reference as ref
 from eiquiver import linalg
-from eiquiver.eicat import load_category
+from eiquiver.chartab import (character_table, choose_splitting_prime,
+                              inflate, restriction_multiplicity)
+from eiquiver.eicat import load_category, orbit_representatives, \
+    stabilizer_data
 from eiquiver.permgrp import (SubgroupHandle, conjugacy_classes,
                               enumerate_group, quotient)
 from groups import named_group, whole_group
+from randcats import random_free_category, random_nonfree_category
 
 PRIMES = (2, 3, 13, 433, 999983)
 NAMED = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
@@ -270,3 +274,40 @@ def test_loading_an_s7_category_builds_no_cayley_table():
         tracemalloc.stop()
     assert cat.morphism_count() == 5040 + 2 + 6
     assert peak < 20 * 2**20
+
+
+# C4 acting regularly on both sides: G1/G0 is C4, whose characters are
+# not real, so reading mu at k instead of k^-1 shows
+C4_REGULAR = {"mode": "ei-quiver",
+              "objects": [{"id": "x", "degree": 4,
+                           "generators": [[1, 2, 3, 0]]},
+                          {"id": "y", "degree": 4,
+                           "generators": [[1, 2, 3, 0]]}],
+              "homs": [{"from": "x", "to": "y", "size": 4,
+                        "left_action": [[1, 2, 3, 0]],
+                        "right_action": [[1, 2, 3, 0]]}]}
+
+
+def test_character_arrays_match_the_element_loops(categories):
+    # inflation and restriction multiplicities on both sides of every
+    # orbit, against one inner product per pair over class rows
+    rng = random.Random(13)
+    cats = list(categories.values()) + [load_category(C4_REGULAR)] + [
+        make(rng, max_mor=150)
+        for make in (random_free_category, random_nonfree_category)
+        for _ in range(6)]
+    for cat in cats:
+        prime = choose_splitting_prime(cat.groups.values())
+        for rep, _ in orbit_representatives(cat):
+            sd = stabilizer_data(cat, rep)
+            qtable = character_table(sd.quotG.as_group(), prime)
+            for x, k1, quot in ((rep.source, sd.G1, sd.quotG),
+                                (rep.target, sd.H1, sd.quotH)):
+                want = [ref.inflate(ref.character(qtable, u), quot)
+                        for u in range(len(qtable))]
+                infl = inflate(qtable, quot)
+                assert infl.tolist() == want
+                table = character_table(cat.groups[x], prime)
+                assert restriction_multiplicity(
+                    table, k1, infl, prime.p).tolist() == \
+                    ref.restriction_multiplicity(table, k1, want, prime.p)

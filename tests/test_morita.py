@@ -209,6 +209,29 @@ def test_apply_functor_golden(rep_setup):
     assert [m.shape for m in q.arrow_mats] == [(1, 2), (2, 2), (1, 1), (2, 1)]
 
 
+def test_apply_functor_solves_once_per_arrow(categories, monkeypatch):
+    # every copy of the source irreducible is one column of one system,
+    # and an arrow from an irreducible with no copy needs none
+    solve = linalg.solve
+    calls = []
+    for name in ("two_object_c2_s3", "four_object_mixed"):
+        cat = categories[name]
+        ctx = MoritaContext(build_quiver(cat))
+        rng = random.Random(7)
+        for _ in range(3):
+            rep = inverse_functor(ctx, _random_quiverrep(ctx, rng, 2))
+            want = apply_functor(ctx, rep)
+            calls.clear()
+            monkeypatch.setattr(linalg, "solve",
+                                lambda *a: calls.append(a) or solve(*a))
+            got = apply_functor(ctx, rep)
+            monkeypatch.setattr(linalg, "solve", solve)
+            assert len(calls) == sum(1 for ea in ctx.arrows
+                                     if got.dims[ea.source])
+            assert all(np.array_equal(m1, m2)
+                       for m1, m2 in zip(got.arrow_mats, want.arrow_mats))
+
+
 def test_round_trip_through_inverse(rep_setup):
     cat, rep, ctx = rep_setup
     q = apply_functor(ctx, rep)

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from eiquiver import linalg
-from eiquiver.chartab import inflate, restrict
+import kernel_reference as ref
+from eiquiver import quiveralg
+from eiquiver.chartab import choose_splitting_prime
 from eiquiver.eicat import stabilizer_data
 from eiquiver.errors import InvariantError
 from eiquiver.freecover import free_cover
@@ -90,21 +91,28 @@ def test_multiplicity_units_recompute(categories):
             for un in a.units:
                 od = q.orbits[un.rep_index]
                 sd = od.stab
-                chi_u = od.quotient_table.irreducible(un.u)
-                for handle, quot, chi, want in (
-                        (sd.G1, sd.quotG, q.tables[sv.object].irreducible(sv.irr),
-                         un.e),
-                        (sd.H1, sd.quotH, q.tables[tv.object].irreducible(tv.irr),
-                         un.f)):
-                    infl = inflate(chi_u, quot)
-                    down = restrict(chi, handle)
-                    acc = 0
-                    sub = down.group
-                    for i in range(len(sub)):
-                        acc = (acc + down.values[i] *
-                               infl.values[sub.inv(i)]) % p
-                    got = acc * linalg.inv_scalar(len(sub), p) % p
+                chi_u = ref.character(od.quotient_table, un.u)
+                for handle, quot, vert, want in (
+                        (sd.G1, sd.quotG, sv, un.e),
+                        (sd.H1, sd.quotH, tv, un.f)):
+                    infl = ref.inflate(chi_u, quot)
+                    down = ref.restrict(
+                        ref.character(q.tables[vert.object], vert.irr), handle)
+                    got = ref.inner_product(handle.as_group(), down, infl, p)
                     assert got == want
+                    assert type(got) is type(want) is int
+
+
+def test_each_orbit_takes_two_multiplicity_products(categories, monkeypatch):
+    calls = []
+    product = quiveralg.restriction_multiplicity
+    monkeypatch.setattr(quiveralg, "restriction_multiplicity",
+                        lambda *a: calls.append(a) or product(*a))
+    for cat in categories.values():
+        prime = choose_splitting_prime(cat.groups.values())
+        calls.clear()
+        q = quiveralg._build_quiver(cat, prime)
+        assert len(calls) == 2 * len(q.orbits)
 
 
 def test_cover_quiver_equality(categories):
@@ -151,7 +159,7 @@ def test_quiver_dot_expands_multiplicity(categories):
 
 def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
     from eiquiver import eicat
-    from eiquiver.chartab import certified_prime, choose_splitting_prime
+    from eiquiver.chartab import certified_prime
     from eiquiver.eicat import load_category
     from eiquiver.reptype import rep_type, screen_two_object
     from conftest import fixture_doc
