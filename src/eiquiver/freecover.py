@@ -205,14 +205,21 @@ def generate_free_category(quiv: EIQuiverData,
     topo = _object_order(quiv.objects, homs)
     cat = EICategory(quiv.objects, dict(quiv.groups), homs, comp, topo)
     validate_category(cat)
+    # its quiver of unfactorizables is quiv again, so it is its own free
+    # cover at this bound (see free_cover)
+    cat.memo(("free_cover", max_paths), lambda: None)
     return cat
 
 
 def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
     """Free category on the category's quiver of unfactorizables, built
-    once per path bound through the category's memo."""
-    return cat.memo(("free_cover", max_paths), lambda: generate_free_category(
+    once per path bound through the category's memo.  A category that
+    generate_free_category built (an ei-quiver document's, or a cover) is
+    its own cover at the bound it was built at: its memo holds None there,
+    not the category itself, so that no reference cycle keeps it alive."""
+    cover = cat.memo(("free_cover", max_paths), lambda: generate_free_category(
         ei_quiver_of(cat), max_paths=max_paths))
+    return cat if cover is None else cover
 
 
 def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> bool:

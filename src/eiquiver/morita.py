@@ -13,16 +13,18 @@ canonical models and solves for the morphism matrices.
 
 All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module (its commutants spanned by right
-translations, see commutant), and all hom-space bases are echelon bases
-of explicit intertwiner systems.  Models are kept for the life of the
-process in chartab._MODEL_CACHE, beside the character tables, and
-imported here under the same name.  Every such system, and both
-Hom-dimension checks, is one linalg.sylvester_system: matrices T_v at
-vertices with T_t M1 = M2 T_s along edges.  The two stabilizer sides
-are symmetric: kappa (source, G1 acting on U through G1/G0) and mu
-(target, H1 acting through H1/H0, whose cosets carry G1/G0's numbers)
-are one stabilizer_hom, and the isotypic embeddings of U on either side
-come from one units.
+translations, see commutant), and every hom-space basis is the nullspace
+echelon basis of its space, whatever spanning set it was found from
+(canonical_span).  Models are kept for the life of the process in
+chartab._MODEL_CACHE, beside the character tables, and imported here
+under the same name.  The functor's Hom bases come from Serre's
+projections (projection_basis), with no linear system; Sylvester
+systems (linalg.sylvester_system) serve only the two Hom-dimension
+checks, hom_dim_cat and hom_dim_quiver, which stay independent of the
+functor.  The two stabilizer sides are symmetric: kappa (source, G1
+acting on U through G1/G0) and mu (target, H1 acting through H1/H0,
+whose cosets carry G1/G0's numbers) are one stabilizer_hom, and the
+isotypic embeddings of U on either side come from one units.
 """
 
 from __future__ import annotations
@@ -75,31 +77,39 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     return mats
 
 
-def intertwiner_basis(As, Bs, p: int, a: int, b: int):
-    """Echelon basis of {T (b x a) : T A_i = B_i T for all i}: one vertex
-    with a loop edge per pair."""
-    system = linalg.sylvester_system(
-        [a], [b], [(0, 0, A, B) for A, B in zip(As, Bs)], p)
-    ns = linalg.nullspace(system, p)
-    return [ns[k].reshape((b, a), order="F") % p for k in range(ns.shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # canonical irreducible models
 
 def canonical_span(mats: np.ndarray, p: int) -> np.ndarray:
-    """The span of mats (k x m x m) in intertwiner_basis's basis: as a
+    """The span of mats (k x b x a) in its nullspace echelon basis: as a
     nullspace vector ends at its free column, that is the reduced echelon
     basis of the column-major vecs in reversed column order, reversed."""
-    k, m, _ = mats.shape
+    k, b, a = mats.shape
     basis = linalg.row_space(
-        mats.transpose(0, 2, 1).reshape(k, -1)[:, ::-1], p)
-    return basis[::-1, ::-1].reshape(-1, m, m).transpose(0, 2, 1)
+        mats.transpose(0, 2, 1).reshape(k, a * b)[:, ::-1], p)
+    return basis[::-1, ::-1].reshape(len(basis), a, b).transpose(0, 2, 1)
+
+
+def projection_basis(coefs: np.ndarray, velems: np.ndarray,
+                     p: int) -> np.ndarray:
+    """Hom_K(U, V) in its nullspace echelon basis, U absolutely
+    irreducible of degree d, from coefs[g, a] = U(g^-1)[0, a] and velems[g]
+    = V(g) over the elements g of K, |K| invertible mod p (Serre, Linear
+    Representations of Finite Groups, 2.7, Prop. 8): no linear system.
+    p_a = d/|K| sum_g U(g^-1)[0, a] V(g) sends f(e_0) to f(e_a) for every
+    K-map f: U -> V and kills the other basis vectors of U's copies and
+    V's other isotypic parts.  So the matrix T_j whose column a is p_a e_j
+    is the K-map f with f(e_0) = p_0 e_j, and the T_j over V's basis span
+    Hom_K(U, V)."""
+    k, d = coefs.shape
+    # stack[j, i, a] = p_a[i, j]: the T_j
+    stack = np.einsum("ga,gij->jia", coefs, velems) % p
+    return canonical_span(stack * (d * linalg.inv_scalar(k, p) % p) % p, p)
 
 
 def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     """End_G(W), W spanned by w's columns in the regular module (w[piv]
-    = I), in intertwiner_basis's basis but from no Sylvester system.
+    = I), in the nullspace echelon basis but from no Sylvester system.
     With no base, W is an isotypic component, a two-sided ideal, so the
     right translations span End_G(W) (End_{FG}(FG) = (FG)^op): R_h on W
     is the piv rows of w[cayley[:, h^-1]].  They are taken in a fixed
@@ -196,6 +206,7 @@ class CatRep:
     p: int
     dims: dict[str, int]
     gen_mats: dict[str, tuple]         # per object, per group generator
+    elem_mats: dict[str, np.ndarray]   # per object, |G| x dim x dim
     mor_mats: dict[tuple[str, str], tuple]  # per hom element
     alpha_mats: tuple                  # per orbit representative
 
@@ -255,8 +266,8 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
         checked.append(amat.reshape(shape))
     alpha_mats = tuple(checked)
     gens = {x: tuple(gen_mats.get(x, ())) for x in cat.objects}
-    for x in cat.objects:
-        check_group_rep(cat.groups[x], gens[x], dims[x], p)
+    elems = {x: np.array(check_group_rep(cat.groups[x], gens[x], dims[x], p))
+             for x in cat.objects}
 
     assigned = {key: [None] * hs.size for key, hs in cat.homs.items()}
     todo = deque()
@@ -295,7 +306,7 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
             raise InvariantError(f"hom {key} has unreachable morphisms")
 
     mor_mats = {key: tuple(mats) for key, mats in assigned.items()}
-    return CatRep(cat, p, dims, gens, mor_mats, alpha_mats)
+    return CatRep(cat, p, dims, gens, elems, mor_mats, alpha_mats)
 
 
 def catrep_document(r: CatRep) -> dict:
@@ -447,20 +458,18 @@ class MoritaContext:
         if key not in self._stab_homs:
             _, uelems = self.quotient_model(r, u)
             _, velems = self.model(x, v)
-            # a generating set of K1 cuts out the same hom space, so the
-            # system has the same row space, rref and basis
-            pos = k1.generator_positions
-            self._stab_homs[key] = intertwiner_basis(
-                [uelems[to_quotient(g)] for g in pos],
-                [velems[g] for g in pos], self.p,
-                uelems[0].shape[0], velems[0].shape[0])
+            pos = k1.member_positions
+            inverse = self.cat.groups[x].inverse
+            self._stab_homs[key] = projection_basis(
+                np.array([uelems[to_quotient(inverse[g])][0] for g in pos]),
+                np.array([velems[g] for g in pos]), self.p)
         return self._stab_homs[key]
 
     def theta(self, rep: CatRep, x: str, v: int):
         """Echelon basis of Hom_G(V, R(x)): the copies of V inside R(x)."""
-        gmats, _ = self.model(x, v)
-        return intertwiner_basis(list(gmats), list(rep.gen_mats[x]), self.p,
-                                 self.built.tables[x].dims[v], rep.dims[x])
+        _, uelems = self.model(x, v)
+        coefs = np.array([uelems[g][0] for g in self.cat.groups[x].inverse])
+        return projection_basis(coefs, rep.elem_mats[x], self.p)
 
     def units(self, r: int, u: int, x: str, bases, copies: dict):
         """Every embedding copy_j . basis_l of the quotient irreducible u

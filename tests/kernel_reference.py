@@ -6,14 +6,16 @@ exactly as textbook Gaussian elimination and permutation composition do,
 and serves as the reference for the table-driven and whole-array
 versions in eiquiver.linalg and eiquiver.permgrp; poly_roots is the
 scan over all of F_p that Cantor-Zassenhaus root finding replaced in
-eiquiver.linalg.poly_roots.  split_common_eigenvectors is the
-Burnside/Dixon split with one nullspace per eigenvalue of every class
-matrix, that of the identity class included, that the Krylov
-eigenvectors of eiquiver.linalg.eigenspaces replaced.  build_catrep is
-the two-phase assembly
-that eiquiver.morita.build_catrep replaced: it fills every morphism by
-repeated sweeps, then checks functoriality against every group
-element's matrix and every composable pair.  compose, build_algebra,
+eiquiver.linalg.poly_roots.  intertwiner_basis is the nullspace of a
+one-vertex Sylvester system that the projections of
+eiquiver.morita.projection_basis replaced in the functor's Hom bases.
+split_common_eigenvectors is the Burnside/Dixon split with one
+nullspace per eigenvalue of every class matrix, that of the identity
+class included, that the Krylov eigenvectors of
+eiquiver.linalg.eigenspaces replaced.  build_catrep is the two-phase
+assembly that eiquiver.morita.build_catrep replaced: it fills every
+morphism by repeated sweeps, then checks functoriality against every
+group element's matrix and every composable pair.  compose, build_algebra,
 radical_report and ext_quiver_oracle are the category algebra one
 product at a time, through MorphId and compose, that the index arrays of
 eiquiver.oracle replaced.  character, inner_product, restrict, inflate
@@ -108,6 +110,16 @@ def sylvester_system(dims1, dims2, edges, p):
     if not rows:
         return np.zeros((0, off[-1]), dtype=np.int64)
     return np.vstack(rows) % p
+
+
+def intertwiner_basis(As, Bs, p, a, b):
+    """Echelon basis of {T (b x a) : T A_i = B_i T for all i}: the
+    nullspace of the Sylvester system with one vertex and a loop edge per
+    pair, each vector read back column-major."""
+    system = linalg.sylvester_system(
+        [a], [b], [(0, 0, A, B) for A, B in zip(As, Bs)], p)
+    ns = linalg.nullspace(system, p)
+    return [ns[k].reshape((b, a), order="F") % p for k in range(ns.shape[0])]
 
 
 def det(a, p):

@@ -277,7 +277,9 @@ def test_local_ufp_matches_reference_on_random_categories():
 def test_free_cover_is_built_once_per_category_and_path_bound(monkeypatch):
     from eiquiver import freecover
     from eiquiver.reptype import rep_type
-    cat = load_category(fixture_doc("four_object_mixed"))
+    # the explicit serialization: an ei-quiver load is its own cover
+    cat = load_category(explicit_document(
+        load_category(fixture_doc("four_object_mixed"))))
     calls = []
     build = freecover.generate_free_category
     monkeypatch.setattr(freecover, "generate_free_category",
@@ -293,3 +295,43 @@ def test_free_cover_is_built_once_per_category_and_path_bound(monkeypatch):
             is_free(cat, max_paths=2)
         assert exc.value.finding == "path-bound"
     assert len(calls) == 3
+
+
+def test_an_ei_quiver_load_is_its_own_cover_at_its_bound(monkeypatch):
+    from eiquiver import freecover
+    calls = []
+    build = freecover.generate_free_category
+    monkeypatch.setattr(freecover, "generate_free_category",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    for bound in (100000, 500):
+        cat = load_category(fixture_doc("four_object_mixed"), max_paths=bound)
+        calls.clear()
+        assert free_cover(cat, max_paths=bound) is cat
+        assert is_free(cat, max_paths=bound)
+        assert calls == []
+        # any other bound builds; a smaller one still fails, every time
+        other = free_cover(cat, max_paths=bound + 1)
+        assert other is not cat and len(calls) == 1
+        assert {pr: hs.size for pr, hs in other.homs.items()} == \
+            {pr: hs.size for pr, hs in cat.homs.items()}
+        for _ in range(2):
+            with pytest.raises(ValidationError) as exc:
+                free_cover(cat, max_paths=2)
+            assert exc.value.finding == "path-bound"
+        assert len(calls) == 3
+
+
+def test_an_ei_quiver_load_is_freed_without_the_collector():
+    # the category is its own cover, but its memo does not refer to it
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        for name in ("four_object_mixed", "line_quiver_free"):
+            cat = load_category(fixture_doc(name))
+            assert free_cover(cat) is cat and is_free(cat)
+            gone = weakref.ref(cat)
+            del cat
+            assert gone() is None, name
+    finally:
+        gc.enable()

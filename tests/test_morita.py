@@ -19,8 +19,7 @@ from eiquiver.errors import EIQuiverError, SchemaError, ValidationError
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
-                             intertwiner_basis, inverse_functor,
-                             irreducible_model, load_catrep,
+                             inverse_functor, irreducible_model, load_catrep,
                              quiverrep_document)
 from eiquiver.permgrp import enumerate_group
 from eiquiver.quiveralg import build_quiver
@@ -95,7 +94,7 @@ def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
         got = commutant(w, piv, cayley, inverse, p, base)
         m = w.shape[1]
         acts = [linalg.solve(w, w[mv], p) for mv in moves]
-        want = intertwiner_basis(acts, acts, p, m, m)
+        want = ref.intertwiner_basis(acts, acts, p, m, m)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -153,10 +152,13 @@ def test_intertwiner_schur(s3_table):
     g, table = s3_table
     models = [irreducible_model(g, table, i)[1] for i in range(len(table))]
     for i in range(len(table)):
+        coefs = np.array([models[i][e][0] for e in g.inverse])
         for j in range(len(table)):
-            basis = intertwiner_basis(list(models[i]), list(models[j]), 13,
-                                      table.dims[i], table.dims[j])
+            basis = ref.intertwiner_basis(list(models[i]), list(models[j]),
+                                          13, table.dims[i], table.dims[j])
             assert len(basis) == (1 if i == j else 0)
+            got = morita.projection_basis(coefs, np.array(models[j]), 13)
+            assert _same_basis(got, basis)
 
 
 def test_load_catrep_fixture(rep_setup):
@@ -519,28 +521,102 @@ def test_functor_matrices_pinned(categories):
     assert _functor_digest(categories) == FUNCTOR_DIGEST
 
 
-def test_stabilizer_homs_from_generators_match_all_members(categories):
-    # a generating set of K1 cuts out the same system row space as all
-    # of K1, so kappa and mu keep the all-members echelon basis
-    for cat in categories.values():
+def _model_module(ctx, x, rng):
+    """(dim, generator matrices) of a sum of irreducible models at x, each
+    with multiplicity 0 to 2, in a random basis."""
+    table = ctx.built.tables[x]
+    blocks = [v for v in range(len(table)) for _ in range(rng.randrange(3))]
+    dim = sum(table.dims[v] for v in blocks)
+    gens = []
+    for k in range(len(ctx.cat.groups[x].generators)):
+        m, pos = linalg.zeros(dim, dim), 0
+        for v in blocks:
+            d = table.dims[v]
+            m[pos:pos + d, pos:pos + d] = ctx.model(x, v)[0][k]
+            pos += d
+        gens.append(m)
+    base = _random_invertible(dim, ctx.p, rng)
+    back = linalg.inv(base, ctx.p)
+    return dim, tuple(linalg.matmul(linalg.matmul(base, m, ctx.p), back,
+                                    ctx.p) for m in gens)
+
+
+def _same_basis(got, want):
+    return len(got) == len(want) and all(
+        a.shape == b.shape and np.array_equal(a, b)
+        for a, b in zip(got, want))
+
+
+def test_projection_bases_match_the_sylvester_reference(categories):
+    # theta, kappa and mu from Serre's projections are, matrix for
+    # matrix, the nullspace basis of the Sylvester system over all of the
+    # group (theta) or of K1 (kappa, mu)
+    rng = random.Random(0x5E77E)
+    cats = list(categories.values())
+    cats += [random_free_category(rng, max_mor=80) for _ in range(6)]
+    cats += [random_nonfree_category(rng, max_mor=80) for _ in range(6)]
+    seen = Counter()
+    for cat in cats:
         ctx = MoritaContext(build_quiver(cat))
+        p = ctx.p
+        for _ in range(2):
+            dims, gens = {}, {}
+            for x in cat.objects:
+                dims[x], gens[x] = _model_module(ctx, x, rng)
+            rep = build_catrep(cat, p, gens, [
+                linalg.zeros(dims[r.target], dims[r.source])
+                for r, _ in orbit_representatives(cat)], dims)
+            for v in ctx.built.vertices:
+                x = v.object
+                want = ref.intertwiner_basis(
+                    list(ctx.model(x, v.irr)[0]), list(rep.gen_mats[x]), p,
+                    ctx.built.tables[x].dims[v.irr], rep.dims[x])
+                assert _same_basis(ctx.theta(rep, x, v.irr), want)
+                seen["theta copies"] += len(want)
         for r, od in enumerate(ctx.built.orbits):
             st = od.stab
             sides = ((ctx.kappa, st.alpha.source, st.G1,
                       st.quotG.projection.__getitem__),
                      (ctx.mu, st.alpha.target, st.H1,
                       st.quotH.projection.__getitem__))
+            seen["nontrivial quotient"] += len(od.quotient_table.group) > 1
             for u in range(len(od.quotient_table)):
                 _, uelems = ctx.quotient_model(r, u)
+                seen["quotient degree 2"] += uelems[0].shape[0] == 2
                 for basis, x, k1, to_quotient in sides:
                     for v in range(len(ctx.built.tables[x])):
                         _, velems = ctx.model(x, v)
                         pos = k1.member_positions
-                        full = intertwiner_basis(
+                        want = ref.intertwiner_basis(
                             [uelems[to_quotient(g)] for g in pos],
-                            [velems[g] for g in pos], ctx.p,
+                            [velems[g] for g in pos], p,
                             uelems[0].shape[0], velems[0].shape[0])
-                        got = basis(r, u, v)
-                        assert len(got) == len(full)
-                        assert all(np.array_equal(a, b)
-                                   for a, b in zip(got, full))
+                        assert _same_basis(basis(r, u, v), want)
+                        seen["stabilizer homs"] += bool(want)
+    assert seen["nontrivial quotient"] and seen["quotient degree 2"], seen
+    assert seen["theta copies"] > 100 and seen["stabilizer homs"] > 100, seen
+
+
+def test_functor_solves_no_system_and_each_check_one(categories,
+                                                     monkeypatch):
+    # on a warm context the functor and its inverse find every Hom basis
+    # by projections, and each Hom-dimension check is one Sylvester system
+    calls = Counter()
+    for name in ("sylvester_system", "nullspace"):
+        monkeypatch.setattr(linalg, name, lambda *a, f=getattr(linalg, name),
+                            name=name: calls.update([name]) or f(*a))
+    for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        rng = random.Random(5)
+        apply_functor(ctx, inverse_functor(ctx, _random_quiverrep(ctx, rng)))
+        calls.clear()
+        q = _random_quiverrep(ctx, rng)
+        r = inverse_functor(ctx, q)
+        again = apply_functor(ctx, r)
+        assert calls == {}
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.arrow_mats, q.arrow_mats))
+        hom_dim_cat(r, r)
+        assert calls["sylvester_system"] == 1
+        hom_dim_quiver(q, q)
+        assert calls["sylvester_system"] == 2
