@@ -9,7 +9,7 @@ The functor F sends it to a representation of the ordinary quiver:
 vertex (x, V) gets k^a where a is the multiplicity of V in R(x), and
 each arrow gets the scalar block read off from the induced map between
 aligned isotypic copies.  The inverse assembles block-diagonal
-canonical models and solves for the morphism matrices.
+canonical models and solves for the representative matrices.
 
 All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module (its commutants spanned by right
@@ -23,12 +23,16 @@ systems (linalg.sylvester_system) serve only the two Hom-dimension
 checks, hom_dim_cat and hom_dim_quiver, which stay independent of the
 functor.  The two stabilizer sides are symmetric: kappa (source, G1
 acting on U through G1/G0) and mu (target, H1 acting through H1/H0,
-whose cosets carry G1/G0's numbers) are one stabilizer_hom, and the
-isotypic embeddings of U on either side come from one units.
+whose cosets carry G1/G0's numbers) are one stabilizer_hom.  Both
+directions work on one coefficient matrix C per orbit and quotient
+irreducible U, between the embeddings of U on the two sides (blocks):
+F solves T C = alpha S once and slices C into arrow matrices, and the
+inverse writes the arrow matrices into C and solves for alpha.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -420,14 +424,19 @@ def quiverrep_document(r: QuiverRep) -> dict:
 # the functor and its inverse
 
 class MoritaContext:
-    """Caches the intertwiner bases for one quiver; canonical models come
-    from irreducible_model, which keeps them in chartab._MODEL_CACHE."""
+    """Caches the intertwiner bases for one quiver and groups its arrows by
+    block; canonical models are kept in chartab._MODEL_CACHE."""
 
     def __init__(self, built: BuiltQuiver):
         self.built = built
         self.cat = built.cat
         self.p = built.prime.p
         self.arrows = expanded_arrows(built)
+        self._block_arrows = {}   # (r, u) -> (k, source key, target key)
+        for k, ea in enumerate(self.arrows):
+            self._block_arrows.setdefault((ea.rep_index, ea.u), []).append((
+                k, (0, built.vertices[ea.source].irr, ea.s),
+                (1, built.vertices[ea.target].irr, ea.l)))
         self._stab_homs = {}
 
     def model(self, x: str, v: int):
@@ -471,22 +480,42 @@ class MoritaContext:
         coefs = np.array([uelems[g][0] for g in self.cat.groups[x].inverse])
         return projection_basis(coefs, rep.elem_mats[x], self.p)
 
-    def units(self, r: int, u: int, x: str, bases, copies: dict):
-        """Every embedding copy_j . basis_l of the quotient irreducible u
-        of orbit r into a module at object x, labelled (w, j, l): basis_l
-        runs over bases(r, u, w) (kappa or mu) and copy_j over
-        copies[(x, w)], the copies of irreducible w in the module."""
-        units = []
-        for w in range(len(self.built.tables[x])):
-            basis = bases(r, u, w)
-            for j, emb in enumerate(copies.get((x, w), ())):
-                units.extend(((w, j, l), linalg.matmul(emb, b, self.p))
-                             for l, b in enumerate(basis))
-        return units
+    def blocks(self, r: int, copies: dict):
+        """One (S, T, arrows) per quotient irreducible u of orbit r.  S
+        holds the source units copy . kappa_s and T the target units
+        copy . mu_l, each a dim x du matrix; copies[(x, v)] stacks the n
+        copies (dim x dv) of irreducible v in the module at x.  Both are
+        ordered by (irreducible, basis element, copy), so the coefficient
+        matrix C with T C = alpha S holds expanded arrow k's matrix at
+        C[rows, cols] for each (k, rows, cols) in arrows."""
+        od = self.built.orbits[r]
+        sides = ((od.rep.source, self.kappa), (od.rep.target, self.mu))
+        for u in range(len(od.quotient_table)):
+            stacks, at = [], {}
+            for side, (x, bases) in enumerate(sides):
+                units, off = [], 0
+                for v in range(len(self.built.tables[x])):
+                    emb, basis = copies[(x, v)], bases(r, u, v)
+                    for s in range(len(basis)):
+                        at[(side, v, s)] = slice(off, off + len(emb))
+                        off += len(emb)
+                    # [s, i] = copy_i . basis_s
+                    prod = linalg.matmul(emb[None], basis[:, None], self.p)
+                    units.append(prod.reshape(len(basis) * len(emb),
+                                              *prod.shape[2:]))
+                stacks.append(np.concatenate(units))
+            yield (*stacks, [(k, at[t], at[s]) for k, s, t
+                             in self._block_arrows.get((r, u), ())])
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of an n x a x b stack as one column."""
+    return stack.reshape(len(stack), math.prod(stack.shape[1:])).T
 
 
 def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
-    """F: category representation -> quiver representation."""
+    """F: category representation -> quiver representation, one system
+    T C = alpha S per coefficient block (MoritaContext.blocks)."""
     if rep.p != ctx.p:
         raise ValidationError("prime-mismatch",
                               "representation and quiver use different primes")
@@ -495,93 +524,64 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
               for v in ctx.built.vertices}
     dims = tuple(len(thetas[(v.object, v.irr)]) for v in ctx.built.vertices)
 
-    unit_cache = {}
-    mats = []
-    for ea in ctx.arrows:
-        sv = ctx.built.vertices[ea.source]
-        tv = ctx.built.vertices[ea.target]
-        x, v = sv.object, sv.irr
-        y, w = tv.object, tv.irr
-        alpha = rep.alpha_mats[ea.rep_index]
-        kappas = ctx.kappa(ea.rep_index, ea.u, v)
-        ukey = (ea.rep_index, ea.u, y)
-        if ukey not in unit_cache:
-            units = ctx.units(ea.rep_index, ea.u, y, ctx.mu, thetas)
-            du = ctx.built.orbits[ea.rep_index].quotient_table.dims[ea.u]
-            cols = linalg.zeros(rep.dims[y] * du, len(units))
-            for k, (_, m) in enumerate(units):
-                cols[:, k] = m.flatten(order="F")
-            if linalg.rank(cols, p) != len(units):
+    mats = [None] * len(ctx.arrows)
+    for r, alpha in enumerate(rep.alpha_mats):
+        for src, tgt, arrows in ctx.blocks(r, thetas):
+            units = _columns(tgt)
+            if linalg.rank(units, p) != len(tgt):
                 raise InvariantError("target embeddings are dependent")
-            unit_cache[ukey] = (units, cols)
-        units, cols = unit_cache[ukey]
-        mat = linalg.zeros(dims[ea.target], dims[ea.source])
-        if dims[ea.source]:
-            # column i is the image of copy i of V: one system for all
-            psi = linalg.zeros(cols.shape[0], dims[ea.source])
-            for i, th in enumerate(thetas[(x, v)]):
-                psi[:, i] = linalg.matmul(linalg.matmul(alpha, th, p),
-                                          kappas[ea.s], p).flatten(order="F")
-            sol = linalg.solve(cols, psi, p)
-            if sol is None:
-                raise InvariantError("image of an isotypic copy leaves the "
-                                     "span of the target embeddings")
-            for k, ((w2, j, l2), _) in enumerate(units):
-                if w2 == w and l2 == ea.l:
-                    mat[j] = sol[k]
-        mats.append(mat % p)
+            coef = linalg.zeros(len(tgt), 0)
+            if len(src):
+                coef = linalg.solve(
+                    units, _columns(linalg.matmul(alpha, src, p)), p)
+                if coef is None:
+                    raise InvariantError("image of an isotypic copy leaves "
+                                         "the span of the target embeddings")
+            for k, rows, cols in arrows:
+                mats[k] = coef[rows, cols].copy()
     return QuiverRep(ctx.built, p, dims, tuple(mats))
 
 
 def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
-    """Assemble the canonical category representation with F(R) = qrep."""
+    """Assemble the canonical category representation with F(R) = qrep:
+    the arrow matrices fill each block's C, and alpha sends S to T C."""
     p = ctx.p
     built = ctx.built
-    # canonical module per object: blocks (irreducible v, copy t), each
-    # with its embedding, the block's columns of the identity
+    # canonical module per object: the copies of each irreducible in turn
     obj_dims = {}
     elems = {}        # (x, v) -> element matrices of each model present
-    embeddings = {}   # (x, v) -> one embedding per copy
+    embeddings = {}   # (x, v) -> n x dim x dv, one embedding per copy
     gen_mats = {}
     for x in built.cat.objects:
-        blocks = [v for v in range(len(built.tables[x]))
-                  for _ in range(qrep.dims[built.vertex_index[(x, v)]])]
-        total = obj_dims[x] = sum(built.tables[x].dims[v] for v in blocks)
+        counts = [qrep.dims[built.vertex_index[(x, v)]]
+                  for v in range(len(built.tables[x]))]
+        total = obj_dims[x] = sum(
+            n * d for n, d in zip(counts, built.tables[x].dims))
         ident = linalg.eye(total)
         mats = [linalg.zeros(total, total)
                 for _ in built.cat.groups[x].generators]
         pos = 0
-        for v in blocks:
-            gm, elems[(x, v)] = ctx.model(x, v)
-            dv = built.tables[x].dims[v]
-            for m, g in zip(mats, gm):
-                m[pos:pos + dv, pos:pos + dv] = g
-            embeddings.setdefault((x, v), []).append(ident[:, pos:pos + dv])
-            pos += dv
+        for v, (n, dv) in enumerate(zip(counts, built.tables[x].dims)):
+            embeddings[(x, v)] = ident[:, pos:pos + n * dv].reshape(
+                total, n, dv).transpose(1, 0, 2)
+            if n:
+                gm, elems[(x, v)] = ctx.model(x, v)
+                for q in range(pos, pos + n * dv, dv):
+                    for m, g in zip(mats, gm):
+                        m[q:q + dv, q:q + dv] = g
+            pos += n * dv
         gen_mats[x] = tuple(mats)
-
-    # arrow matrices indexed for assembly
-    arrow_mat = {}
-    for ea, m in zip(ctx.arrows, qrep.arrow_mats):
-        sv, tv = built.vertices[ea.source], built.vertices[ea.target]
-        arrow_mat[(ea.rep_index, ea.u, sv.irr, tv.irr, ea.s, ea.l)] = m
 
     alpha_mats = []
     for r, od in enumerate(built.orbits):
         x, y = od.rep.source, od.rep.target
-        src_cols = []
-        img_cols = []
-        for u in range(len(od.quotient_table)):
-            du = od.quotient_table.dims[u]
-            tgt_units = ctx.units(r, u, y, ctx.mu, embeddings)
-            for (v, i, s), esrc in ctx.units(r, u, x, ctx.kappa, embeddings):
-                img = linalg.zeros(obj_dims[y], du)
-                for (w, j, l), etgt in tgt_units:
-                    bm = arrow_mat.get((r, u, v, w, s, l))
-                    if bm is not None and bm[j, i] % p:
-                        img = (img + int(bm[j, i]) * etgt) % p
-                src_cols.append(esrc)
-                img_cols.append(img)
+        src_cols, img_cols = [], []
+        for src, tgt, arrows in ctx.blocks(r, embeddings):
+            coef = linalg.zeros(len(tgt), len(src))
+            for k, rows, cols in arrows:
+                coef[rows, cols] = qrep.arrow_mats[k]
+            src_cols.extend(src)
+            img_cols.extend(np.tensordot(coef, tgt, (0, 0)) % p)
         # the representative matrix kills everything outside the fixed
         # points of G0, so complete the column system with that complement
         g0 = od.stab.G0.member_positions
@@ -595,8 +595,7 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
                          [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
         if cmat.shape != (obj_dims[x], obj_dims[x]):
             raise InvariantError("isotypic embeddings do not fill the module")
-        alpha = linalg.matmul(dmat, linalg.inv(cmat, p), p)
-        alpha_mats.append(alpha)
+        alpha_mats.append(linalg.matmul(dmat, linalg.inv(cmat, p), p))
 
     return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
 

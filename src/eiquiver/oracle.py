@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .chartab import SplittingPrime
 from .eicat import EICategory, MorphId
-from .errors import InvariantError, OracleMismatch
+from .errors import InvariantError, OracleMismatch, ValidationError
 from .quiveralg import BuiltQuiver
 
 
@@ -51,7 +51,25 @@ class CategoryAlgebra:
         return len(self.basis)
 
 
+# The most morphisms build_algebra takes: its product table is one int32
+# |Mor| x |Mor| array, 64 MiB at the cap, which the declared hom sizes
+# (each up to eicat.MAX_POINTS) do not bound.
+MAX_ALGEBRA_DIM = 1 << 12
+
+
+def algebra_dim(cat: EICategory) -> int:
+    """|Mor|, the dimension of the category algebra, checked against
+    MAX_ALGEBRA_DIM."""
+    n = cat.morphism_count()
+    if n > MAX_ALGEBRA_DIM:
+        raise ValidationError(
+            "too-large", f"the category algebra has dimension {n}, more "
+            f"than {MAX_ALGEBRA_DIM}")
+    return n
+
+
 def build_algebra(cat: EICategory) -> CategoryAlgebra:
+    algebra_dim(cat)
     basis = tuple(cat.morphisms())
     offset: dict[tuple[str, str], int] = {}
     for i, m in enumerate(basis):

@@ -388,6 +388,22 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
     assert "too-large" in err and err.count("\n") == 1
 
 
+def test_oracle_refuses_an_algebra_too_large_for_its_table(capsys, tmp_path):
+    # x -> z of size 65536 passes validate, but the oracle's product table
+    # would hold |Mor|^2 int32 entries, 16 GiB
+    doc = fixture_doc("fork_merge_free")
+    hom = doc["homs"][2]
+    assert (hom["from"], hom["to"]) == ("x", "z")
+    hom["size"] = 65536
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(f))[0] == 0
+    with address_space_limit(512 * 2**20):
+        code, out, err = run(capsys, "oracle", str(f))
+    assert (code, out) == (2, "")
+    assert "too-large" in err and err.count("\n") == 1
+
+
 def test_max_paths_bound(capsys):
     code, _, err = run(capsys, "--max-paths", "2",
                        "validate", fx("four_object_mixed"))

@@ -25,6 +25,8 @@ from eiquiver.permgrp import enumerate_group
 from eiquiver.quiveralg import build_quiver
 from groups import named_group
 from randcats import random_free_category, random_nonfree_category
+from test_freecover import s3_chain_document
+from test_kernel import C4_REGULAR
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +213,10 @@ def test_apply_functor_golden(rep_setup):
     assert [m.shape for m in q.arrow_mats] == [(1, 2), (2, 2), (1, 1), (2, 1)]
 
 
-def test_apply_functor_solves_once_per_arrow(categories, monkeypatch):
-    # every copy of the source irreducible is one column of one system,
-    # and an arrow from an irreducible with no copy needs none
+def test_apply_functor_solves_once_per_block(categories, monkeypatch):
+    # every source unit of an (orbit, quotient irreducible) block is one
+    # column of the block's one system, and a block whose source
+    # irreducibles have no copy needs none
     solve = linalg.solve
     calls = []
     for name in ("two_object_c2_s3", "four_object_mixed"):
@@ -228,8 +231,9 @@ def test_apply_functor_solves_once_per_arrow(categories, monkeypatch):
                                 lambda *a: calls.append(a) or solve(*a))
             got = apply_functor(ctx, rep)
             monkeypatch.setattr(linalg, "solve", solve)
-            assert len(calls) == sum(1 for ea in ctx.arrows
-                                     if got.dims[ea.source])
+            assert len(calls) == len({(ea.rep_index, ea.u)
+                                      for ea in ctx.arrows
+                                      if got.dims[ea.source]})
             assert all(np.array_equal(m1, m2)
                        for m1, m2 in zip(got.arrow_mats, want.arrow_mats))
 
@@ -452,16 +456,24 @@ def _random_quiverrep(ctx, rng, max_dim=2):
 
 
 def test_random_quiver_reps_round_trip(rep_setup):
+    # the S3 chain's orbits have quotient G1/G0 = S3, with a degree-2
+    # irreducible, and C4_REGULAR's has C4: randcats makes no G1 != G0
     cat, rep, ctx = rep_setup
+    ctxs = [ctx] + [MoritaContext(build_quiver(load_category(doc)))
+                    for doc in (s3_chain_document(3), C4_REGULAR)]
+    assert [sorted({len(od.quotient_table.group) for od in c.built.orbits})
+            for c in ctxs[1:]] == [[6], [4]]
+    assert 2 in ctxs[1].built.orbits[0].quotient_table.dims
     rng = random.Random(424)
-    for _ in range(10):
-        q = _random_quiverrep(ctx, rng)
-        r = inverse_functor(ctx, q)
-        again = apply_functor(ctx, r)
-        assert again.dims == q.dims
-        for m1, m2 in zip(again.arrow_mats, q.arrow_mats):
-            assert np.array_equal(m1, m2)
-        assert hom_dim_cat(r, r) == hom_dim_quiver(q, q)
+    for ctx in ctxs:
+        for _ in range(10):
+            q = _random_quiverrep(ctx, rng)
+            r = inverse_functor(ctx, q)
+            again = apply_functor(ctx, r)
+            assert again.dims == q.dims
+            for m1, m2 in zip(again.arrow_mats, q.arrow_mats):
+                assert np.array_equal(m1, m2)
+            assert hom_dim_cat(r, r) == hom_dim_quiver(q, q)
 
 
 # sha256 of the matrices below, recorded with the Kronecker-product
