@@ -18,16 +18,23 @@ echelon basis of its space, whatever spanning set it was found from
 (canonical_span).  Models are kept for the life of the process in
 chartab._MODEL_CACHE, beside the character tables, and imported here
 under the same name.  The functor's Hom bases come from Serre's
-projections (projection_basis), with no linear system; Sylvester
+projections (projection_basis), with no linear system.  Sylvester
 systems (linalg.sylvester_system) serve only the two Hom-dimension
-checks, hom_dim_cat and hom_dim_quiver, which stay independent of the
-functor.  The two stabilizer sides are symmetric: kappa (source, G1
-acting on U through G1/G0) and mu (target, H1 acting through H1/H0,
-whose cosets carry G1/G0's numbers) are one stabilizer_hom.  Both
-directions work on one coefficient matrix C per orbit and quotient
-irreducible U, between the embeddings of U on the two sides (blocks):
-F solves T C = alpha S once and slices C into arrow matrices, and the
-inverse writes the arrow matrices into C and solves for alpha.
+checks: hom_dim_quiver has an edge per expanded arrow, and hom_dim_cat
+works in two stages.  It first spans each object's Hom_{G_x}(R1 x, R2 x)
+by group averages (fixed_point_basis), then solves one system over the
+orbit representatives alone, each object's columns multiplied by its
+basis.  It reads only the representations' matrices, no model,
+character or functor basis, so it stays independent of the functor.
+The average needs every |G_x| invertible mod p, which every
+SplittingPrime gives (p > 2 max|G|).  The two stabilizer sides are
+symmetric: kappa (source, G1 acting on U through G1/G0) and mu (target,
+H1 acting through H1/H0, whose cosets carry G1/G0's numbers) are one
+stabilizer_hom.  Both directions work on one coefficient matrix C per
+orbit and quotient irreducible U, between the embeddings of U on the two
+sides (blocks): F solves T C = alpha S once and slices C into arrow
+matrices, and the inverse writes the arrow matrices into C and solves
+for alpha.
 """
 
 from __future__ import annotations
@@ -603,19 +610,50 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
 # ---------------------------------------------------------------------------
 # hom spaces: one T_v per vertex, commuting with the matrices on each edge
 
+def fixed_point_basis(v_inv: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """Hom_G(V, W), each T (b x a) column-major in a row, from v_inv[g] =
+    V(g^-1) and w[g] = W(g) over the elements g of G, |G| invertible mod
+    p: the span of the averages sum_g W(g) E V(g^-1) over the matrix
+    units E, which are the G-maps (Serre, 2.2).  Row (l, k) of the
+    einsum is the average of E_kl; no scaling by 1/|G| changes the
+    span."""
+    a, b = v_inv.shape[1], w.shape[1]
+    avg = np.einsum("glj,gik->lkji", v_inv, w).reshape(a * b, a * b)
+    return linalg.row_space(avg, p)
+
+
 def hom_dim_cat(r1: CatRep, r2: CatRep) -> int:
-    """dim of the space of natural transformations R1 -> R2: a loop edge
-    per object generator and an edge per orbit representative."""
-    cat = r1.cat
+    """dim of the space of natural transformations R1 -> R2, in two
+    stages.  First, a basis of Hom_{G_x}(R1 x, R2 x) at each object x by
+    averaging (fixed_point_basis): dim Hom pivots, where a loop edge per
+    generator costs a b - dim Hom.  Then one Sylvester system with an
+    edge per orbit representative and no loop edges, each object's
+    column block multiplied by its basis; the count is the sum of the
+    basis sizes less that system's rank.  No model, character or functor
+    basis is used, so the check stays independent of F.  The average
+    needs every |G_x| invertible mod p, as every SplittingPrime (p > 2
+    max|G|) makes it; another p is refused with bad-prime."""
+    if r1.p != r2.p:
+        raise ValidationError("prime-mismatch",
+                              "the two representations use different primes")
+    cat, p = r1.cat, r1.p
     at = {x: i for i, x in enumerate(cat.objects)}
-    edges = [(at[x], at[x], a, b) for x in cat.objects
-             for a, b in zip(r1.gen_mats[x], r2.gen_mats[x])]
-    edges += [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
-              in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
-    system = linalg.sylvester_system([r1.dims[x] for x in cat.objects],
-                                     [r2.dims[x] for x in cat.objects],
-                                     edges, r1.p)
-    return int(linalg.nullspace(system, r1.p).shape[0])
+    edges = [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
+             in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
+    dims1 = [r1.dims[x] for x in cat.objects]
+    dims2 = [r2.dims[x] for x in cat.objects]
+    system = linalg.sylvester_system(dims1, dims2, edges, p)
+    off = np.cumsum([0] + [a * b for a, b in zip(dims1, dims2)]).tolist()
+    blocks = []
+    for i, x in enumerate(cat.objects):
+        group = cat.groups[x]
+        if len(group) % p == 0:
+            raise ValidationError("bad-prime", f"p = {p} divides the order "
+                                  f"{len(group)} of the group at {x}")
+        basis = fixed_point_basis(r1.elem_mats[x][group.inverse],
+                                  r2.elem_mats[x], p)
+        blocks.append(linalg.matmul(system[:, off[i]:off[i + 1]], basis.T, p))
+    return sum(b.shape[1] for b in blocks) - linalg.rank(np.hstack(blocks), p)
 
 
 def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
@@ -624,4 +662,4 @@ def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
     edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
              zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
     system = linalg.sylvester_system(q1.dims, q2.dims, edges, q1.p)
-    return int(linalg.nullspace(system, q1.p).shape[0])
+    return system.shape[1] - linalg.rank(system, q1.p)

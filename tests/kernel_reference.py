@@ -21,7 +21,10 @@ product at a time, through MorphId and compose, that the index arrays of
 eiquiver.oracle replaced.  character, inner_product, restrict, inflate
 and restriction_multiplicity are character arithmetic one element at a
 time, each character read from a table's class rows, that the table
-arrays of eiquiver.chartab replaced.
+arrays of eiquiver.chartab replaced.  hom_dim_cat is the natural
+transformation count from one Sylvester system with a loop edge per
+object generator beside the representative edges, eliminated whole,
+that the fixed-point bases of eiquiver.morita.hom_dim_cat replaced.
 """
 
 import numpy as np
@@ -322,6 +325,23 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
 
     # the morphism matrices, on which the two assemblies are compared
     return {key: tuple(mats) for key, mats in assigned.items()}
+
+
+def hom_dim_cat(r1, r2) -> int:
+    """dim of the space of natural transformations R1 -> R2 of two
+    eiquiver.morita.CatRep: the nullspace of one Sylvester system with a
+    loop edge per object generator and an edge per orbit representative,
+    valid in every characteristic."""
+    cat = r1.cat
+    at = {x: i for i, x in enumerate(cat.objects)}
+    edges = [(at[x], at[x], a, b) for x in cat.objects
+             for a, b in zip(r1.gen_mats[x], r2.gen_mats[x])]
+    edges += [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
+              in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
+    system = linalg.sylvester_system([r1.dims[x] for x in cat.objects],
+                                     [r2.dims[x] for x in cat.objects],
+                                     edges, r1.p)
+    return int(linalg.nullspace(system, r1.p).shape[0])
 
 
 def poly_roots(coeffs, p):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -474,6 +475,113 @@ def test_random_quiver_reps_round_trip(rep_setup):
             for m1, m2 in zip(again.arrow_mats, q.arrow_mats):
                 assert np.array_equal(m1, m2)
             assert hom_dim_cat(r, r) == hom_dim_quiver(q, q)
+
+
+
+def _hom_cases(categories, rng):
+    """CatReps grouped by category and prime, and the ids of the
+    categories with a nontrivial quotient G1/G0: every fixture's functor
+    representations (its bundled document and inverse_functor images),
+    the S3 chain's and C4_REGULAR's, and the random modules of
+    _assembly_cases that are representations."""
+    groups = {}
+    quotients = [load_category(d) for d in (s3_chain_document(3),
+                                            C4_REGULAR)]
+    for cat in list(categories.values()) + quotients:
+        ctx = MoritaContext(build_quiver(cat))
+        reps = groups.setdefault((id(cat), ctx.p), [])
+        for _ in range(4):
+            try:
+                reps.append(inverse_functor(ctx, _random_quiverrep(ctx, rng)))
+            except ValidationError:
+                pass   # a nonfree category may refuse the representatives
+    for name in ("two_object_c2_s3", "four_object_mixed"):
+        cat = categories[name]
+        p = build_quiver(cat).prime.p
+        groups[(id(cat), p)].append(
+            load_catrep(cat, fixture_doc(f"{name}_rep"), p))
+    for cat, p, gens, alphas, dims in _assembly_cases(categories, rng):
+        try:
+            r = build_catrep(cat, p, gens, alphas, dims)
+        except EIQuiverError:
+            continue
+        groups.setdefault((id(cat), p), []).append(r)
+    return groups.values(), {id(cat) for cat in quotients}
+
+
+def test_hom_dim_cat_matches_the_loop_edge_reference(categories):
+    # the fixed-point bases and the representative edges count the same
+    # natural transformations as one system with a loop edge per group
+    # generator, in both argument orders
+    seen = Counter()
+    groups, quotients = _hom_cases(categories, random.Random(0x40D))
+    for reps in groups:
+        for r1, r2 in chain(zip(reps, reps), zip(reps, reps[1:])):
+            for a, b in ((r1, r2), (r2, r1)):
+                got = hom_dim_cat(a, b)
+                assert got == ref.hom_dim_cat(a, b)
+                seen["pairs"] += 1
+                seen["distinct"] += a is not b
+                seen["nonzero"] += got > 0
+                seen["unequal dims"] += a.dims != b.dims
+                seen["zero dim"] += 0 in a.dims.values()
+                seen["quotient"] += id(a.cat) in quotients
+    assert seen["pairs"] > 300 and seen["distinct"] > 100, seen
+    assert min(seen[k] for k in ("nonzero", "unequal dims", "zero dim",
+                                 "quotient")) > 20, seen
+
+
+def test_hom_dim_cat_refuses_a_prime_dividing_a_group_order(categories):
+    # the all-ones representation of two_object_c2_s3 at p = 3, which
+    # divides |S3|: the loop-edge reference counts 1, an unguarded
+    # average over S3 would count 0
+    cat = categories["two_object_c2_s3"]
+
+    def ones(p):
+        gens = {x: tuple(np.ones((1, 1), np.int64)
+                         for _ in cat.groups[x].generators)
+                for x in cat.objects}
+        alphas = [np.ones((1, 1), np.int64)
+                  for _ in orbit_representatives(cat)]
+        return build_catrep(cat, p, gens, alphas)
+
+    r3 = ones(3)
+    assert ref.hom_dim_cat(r3, r3) == 1
+    with pytest.raises(ValidationError, match="bad-prime"):
+        hom_dim_cat(r3, r3)
+    assert hom_dim_cat(ones(13), ones(13)) == 1
+    with pytest.raises(ValidationError, match="prime-mismatch"):
+        hom_dim_cat(ones(13), ones(7))
+
+
+def test_hom_dim_cat_system_has_representative_rows_only(categories,
+                                                        monkeypatch):
+    # one Sylvester system with a block of rows per orbit representative
+    # and none per group generator, reduced to one column per element of
+    # the fixed-point bases sum_x Hom_{G_x}(R1 x, R2 x)
+    systems, ranked = [], []
+    build, rank = linalg.sylvester_system, linalg.rank
+    monkeypatch.setattr(linalg, "sylvester_system",
+                        lambda *a: systems.append(build(*a)) or systems[-1])
+    monkeypatch.setattr(linalg, "rank",
+                        lambda a, p: ranked.append(a.shape) or rank(a, p))
+    rng = random.Random(99)
+    for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
+        cat = categories[name]
+        ctx = MoritaContext(build_quiver(cat))
+        r1, r2 = (inverse_functor(ctx, _random_quiverrep(ctx, rng, 3))
+                  for _ in range(2))
+        systems.clear()
+        ranked.clear()
+        hom_dim_cat(r1, r2)
+        assert len(systems) == 1 and len(ranked) == 1
+        rows = sum(r2.dims[rep.target] * r1.dims[rep.source]
+                   for rep, _ in orbit_representatives(cat))
+        width = sum(len(ref.intertwiner_basis(
+            r1.gen_mats[x], r2.gen_mats[x], ctx.p, r1.dims[x], r2.dims[x]))
+            for x in cat.objects)
+        assert systems[0].shape[0] == rows == ranked[0][0]
+        assert ranked[0][1] == width < systems[0].shape[1]
 
 
 # sha256 of the matrices below, recorded with the Kronecker-product
