@@ -35,16 +35,13 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import linalg
+from .errors import InvariantError, ValidationError
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
                       class_index_of, conjugacy_classes)
 
 PRIME_SEARCH_BOUND = 10**6
 
 _MODEL_CACHE: dict = {}
-
-
-class CharTableError(ValueError):
-    pass
 
 
 def _isprime(n: int) -> bool:
@@ -61,54 +58,51 @@ class SplittingPrime:
 
     def certify(self, g: PermGroup) -> None:
         if self.certified_exponent % g.exponent != 0 or len(g) > self.certified_max_order:
-            raise CharTableError(
-                f"prime {self.p} not certified for a group of order {len(g)}")
+            raise ValidationError("bad-prime", f"prime {self.p} not certified "
+                                  f"for a group of order {len(g)}")
 
 
 def splitting_prime_for(exponent: int, max_order: int) -> SplittingPrime:
     """Minimal prime p ≡ 1 mod exponent with p > 2*max_order."""
     p = 2 * max_order + 1
-    # align to the residue class 1 mod exponent
-    if exponent > 1:
-        p += (1 - p) % exponent
-    else:
-        p = max(p, 3)
+    p += (1 - p) % exponent      # the least candidate ≡ 1 mod exponent
     while p <= PRIME_SEARCH_BOUND:
-        if p > 2 * max_order and _isprime(p):
+        if _isprime(p):
             return SplittingPrime(p, exponent, max_order)
-        p += exponent if exponent > 1 else 1
-    raise CharTableError(f"no splitting prime below {PRIME_SEARCH_BOUND}")
+        p += exponent
+    raise ValidationError("bad-prime",
+                          f"no splitting prime below {PRIME_SEARCH_BOUND}")
 
 
 def _exponent_and_max_order(groups) -> tuple[int, int]:
     """The lcm of the groups' exponents and their largest order."""
-    ex = 1
-    mx = 1
-    for g in groups:
-        ex = lcm(ex, g.exponent)
-        mx = max(mx, len(g))
-    return ex, mx
+    groups = list(groups)
+    return lcm(1, *(g.exponent for g in groups)), max([1, *map(len, groups)])
 
 
 def certified_prime(p: int, groups) -> SplittingPrime:
-    """Certify a user-supplied prime against the given groups, or raise."""
+    """Certify a user-supplied prime against the given groups, or raise
+    ValidationError("bad-prime"), as do the other prime checks here."""
     # beyond the bound, products in linalg.matmul can overflow int64
     if p > PRIME_SEARCH_BOUND:
-        raise CharTableError(f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
+        raise ValidationError(
+            "bad-prime", f"{p} exceeds the prime bound {PRIME_SEARCH_BOUND}")
     if not _isprime(p):
-        raise CharTableError(f"{p} is not prime")
+        raise ValidationError("bad-prime", f"{p} is not prime")
     ex, mx = _exponent_and_max_order(groups)
     if p % ex != 1 and ex > 1:
-        raise CharTableError(f"{p} is not 1 mod the group exponent {ex}")
+        raise ValidationError(
+            "bad-prime", f"{p} is not 1 mod the group exponent {ex}")
     if p <= 2 * mx:
-        raise CharTableError(f"{p} must exceed twice the largest group order {mx}")
+        raise ValidationError(
+            "bad-prime", f"{p} must exceed twice the largest group order {mx}")
     return SplittingPrime(p, ex, mx)
 
 
 def choose_splitting_prime(groups) -> SplittingPrime:
     groups = list(groups)
     if not groups:
-        raise CharTableError("need at least one group")
+        raise ValidationError("bad-prime", "need at least one group")
     return splitting_prime_for(*_exponent_and_max_order(groups))
 
 
@@ -160,7 +154,7 @@ def _split_common_eigenvectors(mats, r: int, p: int):
             mc = linalg.matmul(m, c, p)
             s = linalg.solve(c, mc, p)
             if s is None:
-                raise CharTableError("class-sum matrix does not stabilize subspace")
+                raise InvariantError("class-sum matrix does not stabilize subspace")
             for ns in linalg.eigenspaces(s, p):
                 sub = linalg.matmul(c, ns.T % p, p)
                 # canonicalize the spanning columns
@@ -170,14 +164,15 @@ def _split_common_eigenvectors(mats, r: int, p: int):
         if all(c.shape[1] == 1 for c in spaces):
             break
     if any(c.shape[1] != 1 for c in spaces):
-        raise CharTableError("eigenspaces did not split; prime is not splitting")
+        raise InvariantError("eigenspaces did not split; prime is not splitting")
     return [c[:, 0] for c in spaces]
 
 
 def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
     """The character table of g over F_p, computed once per (p, g.key).
-    The prime is certified for g on every call.  A hit returns the table
-    of the first equal group seen, whose group is equal to g."""
+    The prime is certified for g on every call, so it splits g and a new
+    table that fails a check is a bug (InvariantError).  A hit returns
+    the table of the first equal group seen, whose group is equal to g."""
     prime.certify(g)
     key = (prime.p, g.key)
     if key not in _MODEL_CACHE:
@@ -199,7 +194,7 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
     for om in omegas:
         om = [int(x) % p for x in om]
         if om[0] == 0:
-            raise CharTableError("eigenvector vanishes at the identity class")
+            raise InvariantError("eigenvector vanishes at the identity class")
         scale = linalg.inv_scalar(om[0], p)
         om = [x * scale % p for x in om]
         # ω_k = |C_k| χ(g_k) / d and orthogonality pin down d^2
@@ -210,14 +205,14 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
         # d² ≤ |G| < p, so d² is its own least residue
         d = isqrt(d2)
         if d * d != d2:
-            raise CharTableError("squared character degree is not a square")
+            raise InvariantError("squared character degree is not a square")
         row = tuple(d * om[k] % p * inv_sizes[k] % p for k in range(r))
         rows.append(row)
 
     rows.sort(key=lambda row: (row[0], row))
     dims = tuple(row[0] for row in rows)
     if sum(d * d for d in dims) != n:
-        raise CharTableError("sum of squared degrees does not match group order")
+        raise InvariantError("sum of squared degrees does not match group order")
     table = CharTable(g, p, classes, class_of, tuple(rows), dims)
     _check_orthogonality(table)
     return table
@@ -233,9 +228,9 @@ def _check_orthogonality(t: CharTable) -> None:
     inv_class = [t.class_of[g.inv(c.rep)] for c in t.classes]
     gram = linalg.matmul(x * sizes % p, x[:, inv_class].T, p)
     if not np.array_equal(gram, len(g) * linalg.eye(len(t)) % p):
-        raise CharTableError("row orthogonality fails")
+        raise InvariantError("row orthogonality fails")
     if any(v != 1 for v in t.rows[0]):
-        raise CharTableError("first irreducible is not the trivial character")
+        raise InvariantError("first irreducible is not the trivial character")
 
 
 def restriction_multiplicity(table: CharTable, sub: SubgroupHandle,

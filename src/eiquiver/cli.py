@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 internal invariant failure, 2 validation
-failure (the input is well-formed but not a valid category / prime),
-3 I/O or schema error, 4 oracle mismatch.
+Exit codes: 0 success, else the `exit_code` of the errors.EIQuiverError
+raised, after one stderr line `{label}: {message}`: 1 internal invariant
+failure, 2 validation failure (the input is well-formed but not a valid
+category / prime), 3 I/O or schema error, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import argparse
 import json
 import sys
 
-from .chartab import CharTableError, certified_prime, choose_splitting_prime
-from .eicat import load_category
-from .errors import InvariantError, OracleMismatch, SchemaError, ValidationError
-from .permgrp import GroupError
+from .chartab import certified_prime, choose_splitting_prime
+from .eicat import DEFAULT_PATH_BOUND, load_category
+from .errors import EIQuiverError, SchemaError, ValidationError
+from .permgrp import DEFAULT_SIZE_BOUND
 
 
 def _read_json(path: str) -> dict:
@@ -23,7 +24,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # bad JSON or bad UTF-8
         raise SchemaError(f"{path} is not valid JSON: {e}") from e
 
 
@@ -35,12 +36,8 @@ def _load(args):
 
 def _prime(args, cat):
     groups = list(cat.groups.values())
-    if args.prime is not None:
-        try:
-            return certified_prime(args.prime, groups)
-        except CharTableError as e:
-            raise ValidationError("bad-prime", str(e)) from e
-    return choose_splitting_prime(groups)
+    return (choose_splitting_prime(groups) if args.prime is None
+            else certified_prime(args.prime, groups))
 
 
 def _emit(args, payload: dict, text_lines=None, dot: str | None = None) -> None:
@@ -179,9 +176,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="splitting prime to use (certified before use)")
     parser.add_argument("--format", choices=("json", "dot", "text"),
                         default="json")
-    parser.add_argument("--max-paths", type=int, default=100000,
+    parser.add_argument("--max-paths", type=int, default=DEFAULT_PATH_BOUND,
                         help="bound on free-category path enumeration")
-    parser.add_argument("--max-group", type=int, default=10000,
+    parser.add_argument("--max-group", type=int, default=DEFAULT_SIZE_BOUND,
                         help="bound on group enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, extra in (
@@ -205,18 +202,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as e:
-        print(f"schema error: {e}", file=sys.stderr)
-        return 3
-    except (ValidationError, GroupError, CharTableError) as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 2
-    except OracleMismatch as e:
-        print(f"oracle mismatch: {e}", file=sys.stderr)
-        return 4
-    except InvariantError as e:
-        print(f"invariant failure: {e}", file=sys.stderr)
-        return 1
+    except EIQuiverError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

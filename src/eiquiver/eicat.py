@@ -24,15 +24,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import product
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError, InvariantError
-from .permgrp import (Perm, PermGroup, QuotientGroup, SubgroupHandle,
-                      enumerate_group, is_int, orbit_members, orbits,
-                      pidentity, pmul, quotient, respects_relations,
+from .permgrp import (DEFAULT_SIZE_BOUND, Perm, PermGroup, QuotientGroup,
+                      SubgroupHandle, enumerate_group, is_int, orbit_members,
+                      orbits, pidentity, pmul, quotient, respects_relations,
                       word_products)
 
 
@@ -41,6 +42,14 @@ from .permgrp import (Perm, PermGroup, QuotientGroup, SubgroupHandle,
 # carries that number in no list of the document, so it is checked
 # before anything is built from it.
 MAX_POINTS = 100000
+
+# The default bound on a free category's paths and path bisets (freecover)
+DEFAULT_PATH_BOUND = 100000
+
+# The most entries (rows × members × degree) one closure check's product
+# array holds: a subgroup of S7 is checked in chunks of rows, never as a
+# whole multiplication table.  Associativity over chains uses it too.
+CLOSURE_CHUNK = 1 << 16
 
 
 def check_points(n: int, what: str) -> None:
@@ -97,25 +106,20 @@ def _right_pmul(acc: Perm, g: Perm) -> Perm:
 
 
 def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> None:
-    ident = pidentity(hs.size)
-    for side, group, elem, gens, product in (
+    # the identity's word is empty, so word_products makes it act
+    # trivially: the identity laws hold by construction
+    for side, group, elem, gens, mul in (
             ("left", tgt_group, hs.left_elem, hs.left_gen, pmul),
             ("right", src_group, hs.right_elem, hs.right_gen, _right_pmul)):
-        if not respects_relations(group, elem, gens, product):
+        if not respects_relations(group, elem, gens, mul):
             raise ValidationError("action-inconsistent",
                                   f"{side} action on hom {hs.source}->{hs.target} "
                                   "does not respect the group relations")
-    if hs.left_elem[tgt_group.identity_pos] != ident or \
-       hs.right_elem[src_group.identity_pos] != ident:
-        raise ValidationError("identity-law",
-                              f"identity does not act trivially on hom "
-                              f"{hs.source}->{hs.target}")
-    for lg in hs.left_gen:
-        for rg in hs.right_gen:
-            if pmul(lg, rg) != pmul(rg, lg):
-                raise ValidationError("actions-not-commuting",
-                                      f"left and right actions on hom "
-                                      f"{hs.source}->{hs.target} do not commute")
+    if any(pmul(lg, rg) != pmul(rg, lg)
+           for lg, rg in product(hs.left_gen, hs.right_gen)):
+        raise ValidationError("actions-not-commuting",
+                              f"left and right actions on hom "
+                              f"{hs.source}->{hs.target} do not commute")
 
 
 @dataclass(frozen=True)
@@ -234,81 +238,70 @@ def validate_category(cat: EICategory) -> None:
     """All axioms but skeletality (load_category's check): connectivity,
     composition closure, identity laws (via actions) and associativity
     over every composable triple of non-endomorphisms mixed with
-    generator endomorphisms."""
+    generator endomorphisms.  Each axiom is one whole-table comparison,
+    and the failure reported is the first in table order."""
     _check_connected(cat.objects, cat.homs)
 
     # every composable pair of homs must have a target hom-set and a table
-    for (x, y) in cat.homs:
-        for (y2, z) in cat.homs:
-            if y2 != y or z == x:
-                continue
-            if (x, z) not in cat.homs:
-                raise ValidationError("composition-not-closed",
-                                      f"composable homs {x}->{y}->{z} but "
-                                      f"hom {x}->{z} is empty")
-            table = cat.comp.get((x, y, z))
-            if table is None:
-                raise ValidationError("missing-composition",
-                                      f"no table for {x}->{y}->{z}")
-            outer, inner = cat.homs[(y, z)], cat.homs[(x, y)]
-            tgt = cat.homs[(x, z)]
-            if len(table) != outer.size or any(len(row) != inner.size for row in table):
-                raise SchemaError(f"table {x}->{y}->{z} has wrong shape")
-            for row in table:
-                for v in row:
-                    if not 0 <= v < tgt.size:
-                        raise SchemaError(f"table {x}->{y}->{z} entry out of range")
+    for (x, y), (y2, z) in product(cat.homs, repeat=2):
+        if y2 != y or z == x:
+            continue
+        if (x, z) not in cat.homs:
+            raise ValidationError("composition-not-closed",
+                                  f"composable homs {x}->{y}->{z} but "
+                                  f"hom {x}->{z} is empty")
+        table = cat.comp.get((x, y, z))
+        if table is None:
+            raise ValidationError("missing-composition",
+                                  f"no table for {x}->{y}->{z}")
+        if len(table) != cat.homs[(y, z)].size or \
+                set(map(len, table)) != {cat.homs[(x, y)].size}:
+            raise SchemaError(f"table {x}->{y}->{z} has wrong shape")
+        if min(map(min, table)) < 0 or \
+                max(map(max, table)) >= cat.homs[(x, z)].size:
+            raise SchemaError(f"table {x}->{y}->{z} entry out of range")
+    # in range, so no entry is too large for int64
+    tables = {k: np.array(t, dtype=np.int64) for k, t in cat.comp.items()}
 
     # tables must commute with the endomorphism actions (associativity of
     # every triple containing an endomorphism reduces to the generator
     # cases); make_homset's relation check makes each generator's element
     # act by its generator action, so those are read directly
-    for (x, y, z), table in cat.comp.items():
+    for (x, y, z), t in tables.items():
         inner, outer, tgt = cat.homs[(x, y)], cat.homs[(y, z)], cat.homs[(x, z)]
-        for b in range(outer.size):
-            for a in range(inner.size):
-                c = table[b][a]
-                for act, tact in zip(outer.left_gen, tgt.left_gen):
-                    if table[act[b]][a] != tact[c]:
-                        raise ValidationError(
-                            "associativity",
-                            f"(h∘β)∘α ≠ h∘(β∘α) for hom chain {x}->{y}->{z}")
-                for act, tact in zip(inner.right_gen, tgt.right_gen):
-                    if table[b][act[a]] != tact[c]:
-                        raise ValidationError(
-                            "associativity",
-                            f"(β∘α)∘g ≠ β∘(α∘g) for hom chain {x}->{y}->{z}")
-                for ract, lact in zip(outer.right_gen, inner.left_gen):
-                    if table[ract[b]][a] != table[b][lact[a]]:
-                        raise ValidationError(
-                            "associativity",
-                            f"(β∘h)∘α ≠ β∘(h∘α) for hom chain {x}->{y}->{z}")
+        fails = np.zeros((3,) + t.shape, dtype=bool)   # [law, β, α]
+        for h, h_tgt in zip(outer.left_gen, tgt.left_gen):
+            fails[0] |= t.take(h, axis=0) != np.array(h_tgt)[t]
+        for g, g_tgt in zip(inner.right_gen, tgt.right_gen):
+            fails[1] |= t.take(g, axis=1) != np.array(g_tgt)[t]
+        for r, l in zip(outer.right_gen, inner.left_gen):
+            fails[2] |= t.take(r, axis=0) != t.take(l, axis=1)
+        if fails.any():
+            # the first failing (β, α) in table order, at its first law
+            law = np.argwhere(fails.transpose(1, 2, 0))[0][2]
+            raise ValidationError("associativity", (
+                "(h∘β)∘α ≠ h∘(β∘α)", "(β∘α)∘g ≠ β∘(α∘g)",
+                "(β∘h)∘α ≠ β∘(h∘α)")[law] + f" for hom chain {x}->{y}->{z}")
 
-    # associativity over triples of non-endomorphisms
-    for (x, y) in cat.homs:
-        for (yy, z) in cat.homs:
-            if yy != y:
-                continue
-            for (zz, w) in cat.homs:
-                if zz != z:
-                    continue
-                t_xy_z = cat.comp[(x, y, z)]
-                t_yz_w = cat.comp[(y, z, w)]
-                t_xz_w = cat.comp[(x, z, w)]
-                t_xy_w = cat.comp[(x, y, w)]
-                for c in range(cat.homs[(z, w)].size):
-                    for b in range(cat.homs[(y, z)].size):
-                        cb = t_yz_w[c][b]
-                        for a in range(cat.homs[(x, y)].size):
-                            if t_xz_w[c][t_xy_z[b][a]] != t_xy_w[cb][a]:
-                                raise ValidationError(
-                                    "associativity",
-                                    f"γ∘(β∘α) ≠ (γ∘β)∘α on chain "
-                                    f"{x}->{y}->{z}->{w} at ({c},{b},{a})")
+    # associativity over chains x->y->z->w of homs, in chunks of γ
+    nexts = {v: [w for (u, w) in cat.homs if u == v] for v in cat.objects}
+    for x, y, z, w in ((x, y, z, w) for (x, y) in cat.homs
+                       for z in nexts[y] for w in nexts[z]):
+        t_xyz, t_yzw = tables[(x, y, z)], tables[(y, z, w)]
+        t_xzw, t_xyw = tables[(x, z, w)], tables[(x, y, w)]
+        step = max(1, CLOSURE_CHUNK // t_xyz.size)
+        for c0 in range(0, len(t_xzw), step):
+            bad = (t_xzw[c0:c0 + step].take(t_xyz, axis=1) !=
+                   t_xyw.take(t_yzw[c0:c0 + step], axis=0))
+            if bad.any():
+                c, b, a = np.argwhere(bad)[0].tolist()
+                raise ValidationError(
+                    "associativity", f"γ∘(β∘α) ≠ (γ∘β)∘α on chain "
+                    f"{x}->{y}->{z}->{w} at ({c0 + c},{b},{a})")
 
 
-def load_category(document: dict, max_group: int = 10000,
-                  max_paths: int = 100000) -> EICategory:
+def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
+                  max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
     """Build and fully validate a category from its JSON document."""
     if not isinstance(document, dict):
         raise SchemaError("document must be a JSON object")
@@ -318,8 +311,7 @@ def load_category(document: dict, max_group: int = 10000,
     objs = document.get("objects")
     if not isinstance(objs, list) or not objs:
         raise SchemaError("missing or empty 'objects' array")
-    objects: list[str] = []
-    groups: dict[str, PermGroup] = {}
+    groups: dict[str, PermGroup] = {}     # in document order
     for spec in objs:
         try:
             oid = str(spec["id"])
@@ -333,11 +325,8 @@ def load_category(document: dict, max_group: int = 10000,
         if oid in groups:
             raise SchemaError(f"duplicate object id {oid!r}")
         check_points(degree, f"object {oid}: degree")
-        try:
-            groups[oid] = enumerate_group(degree, gens, bound=max_group)
-        except ValueError as e:
-            raise ValidationError("bad-group", str(e)) from e
-        objects.append(oid)
+        groups[oid] = enumerate_group(degree, gens, bound=max_group)
+    objects = tuple(groups)
 
     homspecs = document.get("homs", [])
     if not isinstance(homspecs, list):
@@ -408,8 +397,8 @@ def load_category(document: dict, max_group: int = 10000,
             if (a, b) not in homs:
                 raise SchemaError(f"composition table {x}->{y}->{z} names "
                                   f"the empty hom {a}->{b}")
-    topo = _object_order(tuple(objects), homs)
-    cat = EICategory(tuple(objects), groups, homs, comp, topo)
+    topo = _object_order(objects, homs)
+    cat = EICategory(objects, groups, homs, comp, topo)
     validate_category(cat)
     return cat
 
@@ -466,12 +455,6 @@ class StabilizerData:
     H1: SubgroupHandle
     quotG: QuotientGroup
     quotH: QuotientGroup    # numbered through the biset, on quotG's table
-
-
-# The most entries (rows × members × degree) one closure check's product
-# array holds: a subgroup of S7 is checked in chunks of rows, never as a
-# whole multiplication table.
-CLOSURE_CHUNK = 1 << 16
 
 
 def _assert_closed(g: PermGroup, members: tuple[int, ...], what: str) -> None:

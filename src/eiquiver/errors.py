@@ -1,16 +1,26 @@
-"""Error taxonomy shared across the package (CLI exit codes hang off it)."""
+"""Error taxonomy: the one place that decides what an error is.
+
+Each class carries its machine-readable `finding`, the CLI's `exit_code`
+and its stderr `label`.  Only a ValidationError's finding is per
+instance and printed (it leads the message); the class-level findings
+of the others are not.  No other module defines an exception class.
+"""
 
 
 class EIQuiverError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; a bare one is a bug."""
+    finding, exit_code, label = "invariant", 1, "invariant failure"
 
 
 class SchemaError(EIQuiverError):
     """Malformed input document (bad JSON shape, missing keys, bad types)."""
+    finding, exit_code, label = "schema", 3, "schema error"
 
 
 class ValidationError(EIQuiverError):
-    """A category axiom fails; carries a machine-readable finding code."""
+    """The input breaks a hypothesis of the theory (a category axiom, a
+    group, a splitting prime, a bound); its finding leads its message."""
+    exit_code, label = 2, "validation error"
 
     def __init__(self, finding: str, message: str):
         self.finding = finding
@@ -23,3 +33,4 @@ class InvariantError(EIQuiverError):
 
 class OracleMismatch(EIQuiverError):
     """Independent oracle disagrees with the primary computation."""
+    finding, exit_code, label = "oracle-mismatch", 4, "oracle mismatch"

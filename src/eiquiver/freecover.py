@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SchemaError, ValidationError
-from .eicat import (ArrowBiset, EICategory, EIQuiverData, _object_order,
-                    check_points, ei_quiver_of, make_homset,
-                    validate_category)
+from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory,
+                    EIQuiverData, _object_order, check_points, ei_quiver_of,
+                    make_homset, validate_category)
 from .permgrp import PermGroup, is_int, orbits
-
-DEFAULT_PATH_BOUND = 100000
 
 
 def build_ei_quiver_input(objects, groups: dict[str, PermGroup],

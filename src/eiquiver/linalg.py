@@ -134,11 +134,12 @@ def sylvester_system(dims1, dims2, edges, p: int) -> np.ndarray:
     return system % p
 
 
-def inv(a: np.ndarray, p: int) -> np.ndarray:
+def inv(a: np.ndarray, p: int) -> np.ndarray | None:
+    """The inverse of a square a, or None if a is singular."""
     n = a.shape[0]
     r, pivots = rref(np.hstack([asmod(a, p), eye(n)]), p)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible mod %d" % p)
+        return None
     return r[:, n:]
 
 

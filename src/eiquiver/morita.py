@@ -600,9 +600,10 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
         cmat = np.hstack(src_cols + [comp]) % p
         dmat = np.hstack(img_cols +
                          [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
-        if cmat.shape != (obj_dims[x], obj_dims[x]):
+        cinv = linalg.inv(cmat, p) if cmat.shape[1] == obj_dims[x] else None
+        if cinv is None:
             raise InvariantError("isotypic embeddings do not fill the module")
-        alpha_mats.append(linalg.matmul(dmat, linalg.inv(cmat, p), p))
+        alpha_mats.append(linalg.matmul(dmat, cinv, p))
 
     return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
 

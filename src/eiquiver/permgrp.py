@@ -37,11 +37,9 @@ from math import lcm
 
 import numpy as np
 
+from .errors import InvariantError, ValidationError
+
 DEFAULT_SIZE_BOUND = 10000
-
-
-class GroupError(ValueError):
-    pass
 
 
 Perm = tuple[int, ...]  # images of 0..degree-1
@@ -56,12 +54,12 @@ def is_int(v) -> bool:
 def check_perm(images, degree: int) -> Perm:
     try:
         t = tuple(images)
-    except TypeError as e:
-        raise GroupError(f"not a permutation of degree {degree}: "
-                         f"{images}") from e
-    if not all(is_int(i) for i in t) or len(t) != degree or \
+    except TypeError:
+        t = None
+    if t is None or not all(is_int(i) for i in t) or len(t) != degree or \
             sorted(t) != list(range(degree)):
-        raise GroupError(f"not a permutation of degree {degree}: {images}")
+        raise ValidationError("bad-group", f"not a permutation of degree "
+                              f"{degree}: {images}")
     return t
 
 
@@ -197,7 +195,9 @@ _GROUP_KEYS: dict = {}
 
 
 def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) -> PermGroup:
-    """Generate the closure of the given permutations, BFS from identity."""
+    """Generate the closure of the given permutations, BFS from identity;
+    a non-permutation or more than bound elements is ValidationError
+    ("bad-group")."""
     gens = tuple(check_perm(g, degree) for g in generators)
     ident = pidentity(degree)
     elements: list[Perm] = [ident]
@@ -219,7 +219,8 @@ def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) ->
             if h in index_of:
                 continue
             if len(elements) >= bound:
-                raise GroupError(f"group closure exceeds bound {bound}")
+                raise ValidationError("bad-group",
+                                      f"group closure exceeds bound {bound}")
             index_of[h] = len(elements)
             elements.append(h)
             words.append(w)
@@ -394,14 +395,15 @@ class QuotientGroup:
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
+    """base/kernel on its cosets; its checks fail only on a bug."""
     g = base.parent
     if kernel.parent is not g:
-        raise GroupError("kernel and base live in different parent groups")
+        raise InvariantError("kernel and base live in different parent groups")
     base_set = set(base.member_positions)
     if not set(kernel.member_positions) <= base_set:
-        raise GroupError("kernel is not contained in base")
+        raise InvariantError("kernel is not contained in base")
     if not kernel.is_normal_in(base):
-        raise GroupError("kernel is not normal in base")
+        raise InvariantError("kernel is not normal in base")
     # the cosets i*K are the orbits of right multiplication by K's
     # generators: one map per generator, and no Cayley row is stored
     label, least = orbits(len(g), [g.right_products(g.elements[k]).tolist()

@@ -25,12 +25,16 @@ arrays of eiquiver.chartab replaced.  hom_dim_cat is the natural
 transformation count from one Sylvester system with a loop edge per
 object generator beside the representative edges, eliminated whole,
 that the fixed-point bases of eiquiver.morita.hom_dim_cat replaced.
+validate_category checks the category axioms one table entry at a time,
+as the whole-table comparisons of eiquiver.eicat.validate_category
+replaced, and raises the same first finding and message.
 """
 
 import numpy as np
 
 from eiquiver import linalg
-from eiquiver.eicat import EICategory, MorphId, orbit_representatives
+from eiquiver.eicat import (EICategory, MorphId, _check_connected,
+                            orbit_representatives)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.morita import check_group_rep
 from eiquiver.permgrp import PermGroup, pmul
@@ -489,3 +493,76 @@ def ext_quiver_oracle(cat: EICategory, prime, tables) -> dict:
                 if m:
                     out[((x, v), (y, w))] = m
     return out
+
+
+def validate_category(cat: EICategory) -> None:
+    """All axioms but skeletality, one table entry at a time."""
+    _check_connected(cat.objects, cat.homs)
+
+    # every composable pair of homs must have a target hom-set and a table
+    for (x, y) in cat.homs:
+        for (y2, z) in cat.homs:
+            if y2 != y or z == x:
+                continue
+            if (x, z) not in cat.homs:
+                raise ValidationError("composition-not-closed",
+                                      f"composable homs {x}->{y}->{z} but "
+                                      f"hom {x}->{z} is empty")
+            table = cat.comp.get((x, y, z))
+            if table is None:
+                raise ValidationError("missing-composition",
+                                      f"no table for {x}->{y}->{z}")
+            outer, inner = cat.homs[(y, z)], cat.homs[(x, y)]
+            tgt = cat.homs[(x, z)]
+            if len(table) != outer.size or \
+                    any(len(row) != inner.size for row in table):
+                raise SchemaError(f"table {x}->{y}->{z} has wrong shape")
+            for row in table:
+                for v in row:
+                    if not 0 <= v < tgt.size:
+                        raise SchemaError(
+                            f"table {x}->{y}->{z} entry out of range")
+
+    # tables must commute with the generator actions
+    for (x, y, z), table in cat.comp.items():
+        inner, outer, tgt = cat.homs[(x, y)], cat.homs[(y, z)], cat.homs[(x, z)]
+        for b in range(outer.size):
+            for a in range(inner.size):
+                c = table[b][a]
+                for act, tact in zip(outer.left_gen, tgt.left_gen):
+                    if table[act[b]][a] != tact[c]:
+                        raise ValidationError(
+                            "associativity",
+                            f"(h∘β)∘α ≠ h∘(β∘α) for hom chain {x}->{y}->{z}")
+                for act, tact in zip(inner.right_gen, tgt.right_gen):
+                    if table[b][act[a]] != tact[c]:
+                        raise ValidationError(
+                            "associativity",
+                            f"(β∘α)∘g ≠ β∘(α∘g) for hom chain {x}->{y}->{z}")
+                for ract, lact in zip(outer.right_gen, inner.left_gen):
+                    if table[ract[b]][a] != table[b][lact[a]]:
+                        raise ValidationError(
+                            "associativity",
+                            f"(β∘h)∘α ≠ β∘(h∘α) for hom chain {x}->{y}->{z}")
+
+    # associativity over triples of non-endomorphisms
+    for (x, y) in cat.homs:
+        for (yy, z) in cat.homs:
+            if yy != y:
+                continue
+            for (zz, w) in cat.homs:
+                if zz != z:
+                    continue
+                t_xy_z = cat.comp[(x, y, z)]
+                t_yz_w = cat.comp[(y, z, w)]
+                t_xz_w = cat.comp[(x, z, w)]
+                t_xy_w = cat.comp[(x, y, w)]
+                for c in range(cat.homs[(z, w)].size):
+                    for b in range(cat.homs[(y, z)].size):
+                        cb = t_yz_w[c][b]
+                        for a in range(cat.homs[(x, y)].size):
+                            if t_xz_w[c][t_xy_z[b][a]] != t_xy_w[cb][a]:
+                                raise ValidationError(
+                                    "associativity",
+                                    f"γ∘(β∘α) ≠ (γ∘β)∘α on chain "
+                                    f"{x}->{y}->{z}->{w} at ({c},{b},{a})")

@@ -5,10 +5,11 @@ import pytest
 
 import kernel_reference as ref
 from eiquiver import chartab, linalg
-from eiquiver.chartab import (_MODEL_CACHE, CharTableError, SplittingPrime,
-                              certified_prime, character_table,
-                              choose_splitting_prime, inflate,
-                              restriction_multiplicity, splitting_prime_for)
+from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
+                              character_table, choose_splitting_prime,
+                              inflate, restriction_multiplicity,
+                              splitting_prime_for)
+from eiquiver.errors import ValidationError
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from groups import named_group, trivial_subgroup, whole_group
 from randcats import closure_positions
@@ -41,25 +42,25 @@ def test_splitting_prime_selection():
     assert choose_splitting_prime(
         [named_group("C2"), S3, named_group("C3")]).p == 13
     assert splitting_prime_for(4, 4).p == 13   # 1 mod 4, > 8
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         choose_splitting_prime([])
 
 
 def test_certified_prime():
     assert certified_prime(13, [S3]).p == 13
     assert certified_prime(5, [named_group("C2")]).p == 5
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         certified_prime(7, [S3])        # 7 is not 1 mod 6
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         certified_prime(13, [named_group("C6"), named_group("D4")])  # 13 not > 2*8
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         certified_prime(12, [S3])       # not prime
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         certified_prime(3, [named_group("C2")])   # not > 2|G|
 
 
 def test_certify_rejects_uncovered_group():
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         P13.certify(named_group("C4"))
 
 
@@ -158,7 +159,7 @@ def test_certify_runs_on_a_cache_hit():
     character_table(c4, prime)
     # same p, but certified only for exponent 2
     narrow = SplittingPrime(prime.p, 2, prime.certified_max_order)
-    with pytest.raises(CharTableError):
+    with pytest.raises(ValidationError, match="^bad-prime: "):
         character_table(c4, narrow)
 
 

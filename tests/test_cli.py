@@ -450,3 +450,44 @@ def test_representation_too_large_to_check_is_rejected_first(
     code, out, err = run(capsys, "functor", str(cat), str(rep))
     assert (code, out) == (2, "")
     assert "too-large" in err and err.count("\n") == 1
+
+
+def test_no_splitting_prime_is_a_bad_prime_finding(capsys, tmp_path):
+    # C997 and C991: p = 1 mod 997·991 and p > 2·997 first at 1976055,
+    # past the prime bound
+    def cyclic(oid, n):
+        return {"id": oid, "degree": n,
+                "generators": [list(range(1, n)) + [0]]}
+    f = tmp_path / "no_prime.json"
+    f.write_text(json.dumps({
+        "objects": [cyclic("x", 997), cyclic("y", 991)],
+        "homs": [{"from": "x", "to": "y", "size": 1,
+                  "left_action": [[0]], "right_action": [[0]]}]}))
+    code, out, err = run(capsys, "quiver", str(f))
+    assert (code, out) == (2, "")
+    assert "bad-prime" in err and err.count("\n") == 1
+
+
+def test_a_failed_table_check_is_an_invariant_failure(capsys, monkeypatch):
+    # the table's rows in reverse order: the trivial character is no
+    # longer first, which no input can cause
+    import dataclasses
+    from eiquiver import chartab
+    check = chartab._check_orthogonality
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_check_orthogonality", lambda t: check(
+        dataclasses.replace(t, rows=t.rows[::-1])))
+    code, out, err = run(capsys, "quiver", fx("two_object_c2_s3"))
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_json_is_schema_error(capsys, tmp_path, data):
+    f = tmp_path / "bad.json"
+    f.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(f))
+    assert (code, out) == (3, "")
+    assert err.startswith("schema error: ") and "is not valid JSON" in err \
+        and err.count("\n") == 1

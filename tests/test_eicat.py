@@ -7,12 +7,15 @@ import random
 import pytest
 
 from conftest import fixture_doc
-from eiquiver.eicat import (MorphId, ei_quiver_of, load_category,
-                            orbit_representatives, stabilizer_data,
-                            unfactorizables)
+import kernel_reference as ref
+from eiquiver.eicat import (EICategory, MorphId, ei_quiver_of,
+                            load_category, orbit_representatives,
+                            stabilizer_data, unfactorizables,
+                            validate_category)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from kernel_reference import compose
-from randcats import random_free_category, random_nonfree_category
+from randcats import (explicit_document, random_free_category,
+                      random_nonfree_category)
 
 ALL_FIXTURES = ("line_quiver_free", "line_subcategory_nonfree",
                 "fork_merge_free", "fork_merge_nonfree", "one_object_c2",
@@ -161,6 +164,60 @@ def test_noncommuting_actions_rejected():
     with pytest.raises(ValidationError) as exc:
         load_category(doc)
     assert exc.value.finding == "actions-not-commuting"
+
+
+# trivial groups and two arrows per step: no group acts, so a tampered
+# entry in range can only break associativity over chains
+DOUBLED_LINE = {"mode": "ei-quiver",
+                "objects": [{"id": o, "degree": 1, "generators": []}
+                            for o in "wxyz"],
+                "homs": [{"from": a, "to": b, "size": 2, "left_action": [],
+                          "right_action": []}
+                         for a, b in ("wx", "xy", "yz")]}
+
+
+def _one_entry_tampered(cat):
+    """cat with one composition table entry changed, for every entry and
+    every other value in range or one past either end."""
+    for key, table in cat.comp.items():
+        size = cat.homs[(key[0], key[2])].size
+        for b, row in enumerate(table):
+            for a, old in enumerate(row):
+                for new in set(range(-1, size + 1)) - {old}:
+                    rows = [list(r) for r in table]
+                    rows[b][a] = new
+                    comp = {**cat.comp, key: tuple(map(tuple, rows))}
+                    yield EICategory(cat.objects, cat.groups, cat.homs,
+                                     comp, cat.topological_order)
+
+
+def _outcome(validate, cat):
+    try:
+        validate(cat)
+    except (SchemaError, ValidationError) as e:
+        return type(e).__name__, e.finding, str(e)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+def test_validation_matches_the_entrywise_reference(monkeypatch, chunk):
+    from eiquiver import eicat
+    monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
+    docs = [fixture_doc(n) for n in ALL_FIXTURES] + [DOUBLED_LINE]
+    rng = random.Random(5)
+    docs += [explicit_document(random_free_category(rng)) for _ in range(3)]
+    messages = set()
+    for doc in docs:
+        for cat in _one_entry_tampered(load_category(doc)):
+            got = _outcome(validate_category, cat)
+            assert got == _outcome(ref.validate_category, cat)
+            assert got is not None
+            messages.add(got[2].split(" for ")[0].split(" on ")[0])
+    assert messages >= {"associativity: (h∘β)∘α ≠ h∘(β∘α)",
+                        "associativity: (β∘α)∘g ≠ β∘(α∘g)",
+                        "associativity: (β∘h)∘α ≠ β∘(h∘α)",
+                        "associativity: γ∘(β∘α) ≠ (γ∘β)∘α"}
+    assert any(m.endswith("entry out of range") for m in messages)
 
 
 def test_identity_composition(categories):

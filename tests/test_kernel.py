@@ -68,8 +68,7 @@ def test_inverse_and_singular(p):
         if ref.det(a.tolist(), p):
             assert np.array_equal(a @ linalg.inv(a, p) % p, np.eye(n))
     singular = np.array([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        linalg.inv(singular, p)
+    assert linalg.inv(singular, p) is None
 
 
 @pytest.mark.parametrize("p", PRIMES)

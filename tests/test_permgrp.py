@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from eiquiver.permgrp import (GroupError, PermGroup, SubgroupHandle,
-                              check_perm, conjugacy_classes, class_index_of,
+from eiquiver.errors import InvariantError, ValidationError
+from eiquiver.permgrp import (PermGroup, SubgroupHandle, check_perm,
+                              conjugacy_classes, class_index_of,
                               enumerate_group, orbits, pidentity, pmul,
                               quotient)
 from groups import named_group, pinv, trivial_subgroup, whole_group
@@ -15,9 +16,9 @@ S3 = named_group("S3")
 
 
 def test_check_perm_rejects_non_permutations():
-    with pytest.raises(GroupError):
+    with pytest.raises(ValidationError, match="^bad-group: "):
         check_perm([0, 0, 1], 3)
-    with pytest.raises(GroupError):
+    with pytest.raises(ValidationError, match="^bad-group: "):
         check_perm([0, 1], 3)
 
 
@@ -48,7 +49,7 @@ def test_enumeration_is_deterministic():
 
 
 def test_enumeration_bound():
-    with pytest.raises(GroupError):
+    with pytest.raises(ValidationError, match="^bad-group: "):
         enumerate_group(3, [[1, 0, 2], [1, 2, 0]], bound=3)
 
 
@@ -115,7 +116,7 @@ def test_quotient_s3_by_c3():
 def test_quotient_rejects_non_normal_kernel():
     transposition = S3.index_of[(1, 0, 2)]
     kernel = SubgroupHandle(S3, tuple(closure_positions(S3, [transposition])))
-    with pytest.raises(GroupError):
+    with pytest.raises(InvariantError):
         quotient(whole_group(S3), kernel)
 
 
