@@ -132,10 +132,9 @@ def cmd_is_free(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import algebra_dim, check_against_quiver
+    from .oracle import check_against_quiver
     from .quiveralg import build_quiver
     cat = _load(args)
-    algebra_dim(cat)   # a category too large for the oracle is refused first
     q = build_quiver(cat, _prime(args, cat))
     oracle = check_against_quiver(q)
     payload = {"ok": True,

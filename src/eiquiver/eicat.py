@@ -242,10 +242,10 @@ def validate_category(cat: EICategory) -> None:
     and the failure reported is the first in table order."""
     _check_connected(cat.objects, cat.homs)
 
+    nexts = {v: [w for (u, w) in cat.homs if u == v] for v in cat.objects}
     # every composable pair of homs must have a target hom-set and a table
-    for (x, y), (y2, z) in product(cat.homs, repeat=2):
-        if y2 != y or z == x:
-            continue
+    for x, y, z in ((x, y, z) for (x, y) in cat.homs for z in nexts[y]
+                    if z != x):
         if (x, z) not in cat.homs:
             raise ValidationError("composition-not-closed",
                                   f"composable homs {x}->{y}->{z} but "
@@ -284,7 +284,6 @@ def validate_category(cat: EICategory) -> None:
                 "(β∘h)∘α ≠ β∘(h∘α)")[law] + f" for hom chain {x}->{y}->{z}")
 
     # associativity over chains x->y->z->w of homs, in chunks of γ
-    nexts = {v: [w for (u, w) in cat.homs if u == v] for v in cat.objects}
     for x, y, z, w in ((x, y, z, w) for (x, y) in cat.homs
                        for z in nexts[y] for w in nexts[z]):
         t_xyz, t_yzw = tables[(x, y, z)], tables[(y, z, w)]

@@ -1,96 +1,64 @@
 """Independent cross-checks on the quiver computation.
 
-The category algebra is built explicitly (basis = morphisms, product =
-composition or zero) and its radical filtration is verified from the
-multiplication table alone.  Arrow multiplicities are then recomputed by
-a completely different route: the unfactorizable block of rad/rad² is an
-(Aut(y), Aut(x))-bipermutation module, so its decomposition follows from
+The radical filtration of the category algebra (basis = morphisms,
+product = composition or zero) is computed from the composition tables
+alone.  The radical is spanned by the non-isomorphisms, that is by every
+hom-set between distinct objects, and the product of two basis
+morphisms is a basis morphism, so each power rad^k is a set of basis
+elements: one boolean mask per hom-set,
+
+    rad^{k+1}(x, y) = ⋃_z  hom(z, y) ∘ rad^k(x, z),
+
+read from the table of x -> z -> y.  Nothing larger than those tables is
+allocated.  rad/rad² must be exactly the unfactorizable morphisms.
+
+Arrow multiplicities are then recomputed by a completely different
+route: the unfactorizable block of rad/rad² is an (Aut(y),
+Aut(x))-bipermutation module, so its decomposition follows from
 fixed-point counts,
 
     mult(V, W) = (|G||H|)^{-1} Σ_{h,g} #{β : h·β·g^{-1} = β} χ_W(h^{-1}) χ_V(g).
 
-Any disagreement with the stabilizer-quotient computation raises
-OracleMismatch.
-
-Everything is whole-array work on index tables.  The multiplication table
-is one int32 |Mor|×|Mor| array assembled block by block: endomorphism ×
-endomorphism from the groups' Cayley rows, endomorphism × hom and hom ×
-endomorphism from the hom-sets' left and right actions, hom × hom from the
-composition tables.  The radical's ideal, power and rad/rad² checks are
-boolean masks over that array, the fixed points are one gather per h, and
-the character sums are two matrix products mod p.  Only the category's
-actions, Cayley rows and composition tables are read: nothing is shared
-with quiveralg's stabilizer data.
+The fixed points are one gather per h and the character sums two matrix
+products mod p.  Any disagreement with the stabilizer-quotient
+computation raises OracleMismatch.  Only the category's actions and
+composition tables are read: nothing is shared with quiveralg's
+stabilizer data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import EICategory, MorphId
-from .errors import InvariantError, OracleMismatch, ValidationError
+from .eicat import EICategory
+from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
 
 @dataclass(frozen=True)
 class CategoryAlgebra:
+    """The category algebra, its basis cat.morphisms(); products are
+    read from the category's own actions and tables."""
     cat: EICategory
-    basis: tuple[MorphId, ...]
     # basis position of the first morphism x -> y (for x == y, of the
     # identity block: the group's elements in element order)
     offset: dict[tuple[str, str], int]
-    # prod[i, j] = basis index of basis[i]∘basis[j], or -1 when undefined
-    prod: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-
-# The most morphisms build_algebra takes: its product table is one int32
-# |Mor| x |Mor| array, 64 MiB at the cap, which the declared hom sizes
-# (each up to eicat.MAX_POINTS) do not bound.
-MAX_ALGEBRA_DIM = 1 << 12
-
-
-def algebra_dim(cat: EICategory) -> int:
-    """|Mor|, the dimension of the category algebra, checked against
-    MAX_ALGEBRA_DIM."""
-    n = cat.morphism_count()
-    if n > MAX_ALGEBRA_DIM:
-        raise ValidationError(
-            "too-large", f"the category algebra has dimension {n}, more "
-            f"than {MAX_ALGEBRA_DIM}")
-    return n
+        return self.cat.morphism_count()
 
 
 def build_algebra(cat: EICategory) -> CategoryAlgebra:
-    algebra_dim(cat)
-    basis = tuple(cat.morphisms())
-    offset: dict[tuple[str, str], int] = {}
-    for i, m in enumerate(basis):
-        offset.setdefault((m.source, m.target), i)
-    prod = np.full((len(basis), len(basis)), -1, dtype=np.int32)
-
-    def put(outer, inner, values):
-        """The block of outer-hom × inner-hom products: values are indices
-        in the composite's hom-set, rows by outer, columns by inner."""
-        i, j = offset[outer], offset[inner]
-        rows, cols = values.shape
-        prod[i:i + rows, j:j + cols] = offset[(inner[0], outer[1])] + values
-
-    for x, g in cat.groups.items():
-        put((x, x), (x, x), np.array([g.row(i) for i in range(len(g))]))
-    for (x, y), hs in cat.homs.items():
-        put((y, y), (x, y), np.array(hs.left_elem, dtype=np.int32))
-        put((x, y), (x, x), np.array(hs.right_elem, dtype=np.int32).T)
-    for (x, y, z), table in cat.comp.items():
-        put((y, z), (x, y), np.array(table, dtype=np.int32))
-    return CategoryAlgebra(cat, basis, offset, prod)
+    keys = [(x, x) for x in cat.objects] + [
+        (x, y) for x in cat.objects for y in cat.objects if (x, y) in cat.homs]
+    starts = accumulate((cat.hom_size(*key) for key in keys), initial=0)
+    return CategoryAlgebra(cat, dict(zip(keys, starts)))
 
 
 @dataclass(frozen=True)
@@ -102,46 +70,45 @@ class RadicalReport:
 
 
 def radical_report(alg: CategoryAlgebra) -> RadicalReport:
-    """Radical filtration computed from the multiplication table.
+    """Radical filtration from the composition tables, one boolean mask
+    per hom-set for each power of the radical.
 
-    The radical of an EI category algebra is spanned by the
-    non-isomorphisms; this function does not assume that but verifies it:
-    the span must be a nilpotent two-sided ideal of the right
-    codimension, hence contained in and equal to the radical.  Sets of
-    basis elements are boolean masks over the basis.
+    The span of the non-isomorphisms is a nilpotent two-sided ideal by
+    the layout itself: validate_category range-checks every table entry
+    into hom(x, z) with x ≠ z, each hom action permutes its own
+    hom-set, and the object order is acyclic.  So it is the radical,
+    and what is checked is rad/rad² against the unfactorizables.
     """
-    n = alg.dim
-    noniso = np.array([not m.is_endo for m in alg.basis], dtype=bool)
-    non = np.flatnonzero(noniso)
-
-    def spanned(products: np.ndarray) -> np.ndarray:
-        """The basis elements among the defined products."""
-        out = np.zeros(n, dtype=bool)
-        out[products[products >= 0]] = True
-        return out
-
-    if (spanned(alg.prod[:, non]) | spanned(alg.prod[non]))[~noniso].any():
-        raise InvariantError("non-isomorphisms do not span an ideal")
-    # powers of the ideal, as sets of basis elements (products of basis
-    # morphisms are basis morphisms, so no linear algebra is needed)
-    layers = [noniso]
-    while layers[-1].any():
-        nxt = spanned(alg.prod[np.ix_(non, np.flatnonzero(layers[-1]))])
-        if np.array_equal(nxt, layers[-1]):
-            raise InvariantError("span of non-isomorphisms is not nilpotent")
+    cat = alg.cat
+    tables = {key: np.array(t, dtype=np.intp) for key, t in cat.comp.items()}
+    # layers[k][(x, y)] marks rad^{k+1}(x, y); the last layer is the first
+    # zero power, which the acyclic object order makes finite
+    layers = [{key: np.ones(hs.size, dtype=bool)
+               for key, hs in cat.homs.items()}]
+    while any(mask.any() for mask in layers[-1].values()):
+        nxt = {key: np.zeros(hs.size, dtype=bool)
+               for key, hs in cat.homs.items()}
+        for (x, z, y), t in tables.items():
+            nxt[(x, y)][t[:, layers[-1][(x, z)]]] = True
         layers.append(nxt)
-    rad_sq = layers[1] if len(layers) > 1 else np.zeros(n, dtype=bool)
-    expected = np.zeros(n, dtype=bool)
-    for key, idxs in alg.cat.unfactorizables.items():
-        expected[alg.offset[key] + np.array(idxs, dtype=np.intp)] = True
-    got = noniso & ~rad_sq
-    if not np.array_equal(got, expected):
-        raise InvariantError("rad/rad² basis disagrees with the "
-                             "unfactorizable morphisms")
-    # layers[i] spans rad^{i+1}; the last layer is the first zero power
-    return RadicalReport(tuple(non.tolist()),
-                         tuple(np.flatnonzero(rad_sq).tolist()),
-                         tuple(np.flatnonzero(got).tolist()), len(layers))
+    rad_sq = layers[min(1, len(layers) - 1)]
+    unfact = cat.unfactorizables
+    for key, mask in rad_sq.items():
+        expected = np.zeros(len(mask), dtype=bool)
+        expected[list(unfact[key])] = True
+        if not np.array_equal(~mask, expected):
+            raise InvariantError("rad/rad² basis disagrees with the "
+                                 "unfactorizable morphisms")
+
+    def positions(masks) -> tuple[int, ...]:
+        """Basis positions of the marked morphisms, in basis order."""
+        return tuple(alg.offset[key] + i for key in alg.offset
+                     if key in masks
+                     for i in np.flatnonzero(masks[key]).tolist())
+
+    return RadicalReport(positions(layers[0]), positions(rad_sq),
+                         positions({k: ~m for k, m in rad_sq.items()}),
+                         len(layers))
 
 
 def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,

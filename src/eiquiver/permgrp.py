@@ -205,26 +205,23 @@ def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) ->
     index_of: dict[Perm, int] = {ident: 0}
     frontier = [ident]
     while frontier:
-        # lexicographic tie-break inside each BFS layer
-        layer: list[tuple[Perm, tuple[int, ...]]] = []
+        # each new element keeps the first word that reaches it; the
+        # layer is numbered in lexicographic order
+        layer: dict[Perm, tuple[int, ...]] = {}
         for g in frontier:
             w = words[index_of[g]]
             for k, s in enumerate(gens):
                 h = pmul(g, s)
-                if h not in index_of and all(h != x for x, _ in layer):
-                    layer.append((h, w + (k,)))
-        layer.sort(key=lambda t: t[0])
-        frontier = []
-        for h, w in layer:
-            if h in index_of:
-                continue
+                if h not in index_of:
+                    layer.setdefault(h, w + (k,))
+        frontier = sorted(layer)
+        for h in frontier:
             if len(elements) >= bound:
                 raise ValidationError("bad-group",
                                       f"group closure exceeds bound {bound}")
             index_of[h] = len(elements)
             elements.append(h)
-            words.append(w)
-            frontier.append(h)
+            words.append(layer[h])
     return PermGroup(degree, gens, tuple(elements), index_of, tuple(words))
 
 

@@ -17,7 +17,8 @@ assembly that eiquiver.morita.build_catrep replaced: it fills every
 morphism by repeated sweeps, then checks functoriality against every
 group element's matrix and every composable pair.  compose, build_algebra,
 radical_report and ext_quiver_oracle are the category algebra one
-product at a time, through MorphId and compose, that the index arrays of
+product at a time, through MorphId and compose and a whole |Mor|×|Mor|
+product table, that the per-hom-set masks and index arrays of
 eiquiver.oracle replaced.  character, inner_product, restrict, inflate
 and restriction_multiplicity are character arithmetic one element at a
 time, each character read from a table's class rows, that the table

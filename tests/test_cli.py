@@ -388,20 +388,24 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
     assert "too-large" in err and err.count("\n") == 1
 
 
-def test_oracle_refuses_an_algebra_too_large_for_its_table(capsys, tmp_path):
-    # x -> z of size 65536 passes validate, but the oracle's product table
-    # would hold |Mor|^2 int32 entries, 16 GiB
-    doc = fixture_doc("fork_merge_free")
-    hom = doc["homs"][2]
-    assert (hom["from"], hom["to"]) == ("x", "z")
-    hom["size"] = 65536
-    f = tmp_path / "big.json"
-    f.write_text(json.dumps(doc))
-    assert run(capsys, "validate", str(f))[0] == 0
+def test_oracle_reads_the_tables_where_a_dense_product_table_would_not_fit(
+        capsys, tmp_path):
+    # x -> y -> z, two arrows of 128 between trivial groups: 16,643
+    # morphisms and 256 arrow orbits, where a |Mor| x |Mor| int32 product
+    # table would take 1.1 GB
+    trivial = [{"id": v, "degree": 1, "generators": []} for v in "xyz"]
+    arrows = [{"from": a, "to": b, "size": 128,
+               "left_action": [], "right_action": []}
+              for a, b in (("x", "y"), ("y", "z"))]
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"mode": "ei-quiver", "objects": trivial,
+                             "homs": arrows}))
     with address_space_limit(512 * 2**20):
-        code, out, err = run(capsys, "oracle", str(f))
-    assert (code, out) == (2, "")
-    assert "too-large" in err and err.count("\n") == 1
+        code, out, err = run(capsys, "--format", "text", "oracle", str(f))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "oracle agrees with the quiver computation"
+    assert len(lines) == 3
 
 
 def test_max_paths_bound(capsys):

@@ -77,7 +77,8 @@ def _run(argv) -> tuple[int, str]:
 @given(case=st.one_of(
     st.tuples(st.sampled_from(COMMANDS), _mutation(CATEGORIES)),
     st.tuples(st.just("functor"), _mutation(tuple(REPRESENTATIONS)))))
-# a mutation that once escaped: a hom the oracle's product table cannot hold
+# a mutation that once escaped: 65,536 arrow orbits x -> z, which the
+# oracle must check, not refuse
 @example(case=("oracle", ("fork_merge_free", ("homs", 2, "size"), 65536)))
 def test_one_field_mutations_end_in_a_finding(tmp_path_factory, case):
     command, (name, path, value) = case

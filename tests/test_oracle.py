@@ -1,5 +1,5 @@
-"""The structure-constant algebra, radical filtration and the
-fixed-point arrow-count oracle."""
+"""The category algebra's radical filtration and the fixed-point
+arrow-count oracle."""
 
 import random
 from dataclasses import astuple, replace
@@ -22,29 +22,6 @@ def test_algebra_dimensions(categories):
     assert build_algebra(categories["one_object_c2"]).dim == 2
     cat = categories["four_object_mixed"]
     assert build_algebra(cat).dim == cat.morphism_count()
-
-
-def test_group_algebra_table(categories):
-    cat = categories["one_object_c2"]
-    alg = build_algebra(cat)
-    g = cat.groups["x"]
-    for i in range(2):
-        for j in range(2):
-            assert alg.prod[i][j] == g.mul(alg.basis[i].index,
-                                           alg.basis[j].index)
-
-
-def test_algebra_associativity(categories):
-    alg = build_algebra(categories["fork_merge_free"])
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                jk = alg.prod[j][k]
-                ij = alg.prod[i][j]
-                lhs = alg.prod[i][jk] if jk >= 0 else -1
-                rhs = alg.prod[ij][k] if ij >= 0 else -1
-                assert lhs == rhs
 
 
 def test_radical_two_object(categories):
@@ -125,8 +102,7 @@ def test_array_oracle_matches_the_product_by_product_reference(categories):
     for cat in _reference_cases(categories):
         basis, index, prod = ref.build_algebra(cat)
         alg = build_algebra(cat)
-        assert alg.basis == basis
-        assert alg.prod.tolist() == [list(row) for row in prod]
+        assert alg.dim == len(basis) == cat.morphism_count()
         assert all(alg.offset[(m.source, m.target)] + m.index == i
                    for m, i in index.items())
         assert astuple(radical_report(alg)) == \
@@ -137,8 +113,7 @@ def test_array_oracle_matches_the_product_by_product_reference(categories):
         assert list(got.items()) == list(want.items())
 
 
-def test_oracle_makes_one_morphism_per_basis_element_and_no_stabilizer(
-        monkeypatch):
+def test_oracle_makes_no_morphism_ids_and_reads_no_stabilizer(monkeypatch):
     cat = load_category(fixture_doc("four_object_mixed"))
     q = build_quiver(cat)
     made = []
@@ -158,42 +133,22 @@ def test_oracle_makes_one_morphism_per_basis_element_and_no_stabilizer(
     monkeypatch.setattr(quiveralg, "build_quiver", forbidden)
     report = radical_report(build_algebra(cat))
     ext_quiver_oracle(cat, q.prime, q.tables)
-    assert len(made) == cat.morphism_count() == 29
+    assert made == []
     assert len(report.unfact_positions) == 9
 
 
-def _tampered(alg, cells):
-    prod = alg.prod.copy()
-    for (i, j), k in cells.items():
-        prod[i, j] = k
-    return replace(alg, prod=prod)
-
-
-def test_radical_report_rejects_a_non_ideal(categories):
-    # a non-isomorphism times an automorphism, on either side, made an
-    # automorphism
-    alg = build_algebra(categories["two_object_c2_s3"])
-    hom = alg.offset[("x", "y")]
-    for cell in ((hom, alg.offset[("x", "x")]), (alg.offset[("y", "y")], hom)):
-        assert alg.prod[cell] >= 0
-        with pytest.raises(InvariantError, match="do not span an ideal"):
-            radical_report(_tampered(alg, {cell: 0}))
-
-
-def test_radical_report_rejects_a_span_that_is_not_nilpotent(categories):
-    alg = build_algebra(categories["two_object_c2_s3"])
-    hom = alg.offset[("x", "y")]
-    assert alg.prod[hom, hom] == -1
-    with pytest.raises(InvariantError, match="not nilpotent"):
-        radical_report(_tampered(alg, {(hom, hom): hom}))
-
-
-def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables(
-        categories):
-    # x->y∘w->x made equal to the arrow y->z: then y->z lies in rad²
-    alg = build_algebra(categories["line_quiver_free"])
-    wx, xy, yz = (alg.offset[k] for k in (("w", "x"), ("x", "y"),
-                                          ("y", "z")))
-    assert alg.prod[xy, wx] == alg.offset[("w", "y")]
+def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables():
+    # fork_merge_free with a second, unfactorizable x->z; one composite
+    # x->y->z made equal to it, after the unfactorizables are memoised,
+    # puts it in rad²
+    doc = fixture_doc("fork_merge_free")
+    hom = doc["homs"][2]
+    assert (hom["from"], hom["to"]) == ("x", "z")
+    hom["size"] = 2
+    cat = load_category(doc)
+    assert cat.unfactorizables[("x", "z")] == (1,)
+    assert cat.comp[("x", "y", "z")] == ((0,), (0,))
+    radical_report(build_algebra(cat))
+    cat.comp[("x", "y", "z")] = ((1,), (0,))
     with pytest.raises(InvariantError, match="rad/rad² basis disagrees"):
-        radical_report(_tampered(alg, {(xy, wx): yz}))
+        radical_report(build_algebra(cat))
