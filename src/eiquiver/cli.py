@@ -3,7 +3,8 @@
 Exit codes: 0 success, else the `exit_code` of the errors.EIQuiverError
 raised, after one stderr line `{label}: {message}`: 1 internal invariant
 failure, 2 validation failure (the input is well-formed but not a valid
-category / prime), 3 I/O or schema error, 4 oracle mismatch.
+category / prime; a MemoryError is reported as the finding
+out-of-memory), 3 I/O or schema error, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .chartab import certified_prime, choose_splitting_prime
 from .eicat import DEFAULT_PATH_BOUND, load_category
-from .errors import EIQuiverError, SchemaError, ValidationError
+from .errors import EIQuiverError, OutOfMemory, SchemaError, ValidationError
 from .permgrp import DEFAULT_SIZE_BOUND
 
 
@@ -202,8 +203,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except EIQuiverError as e:
-        print(f"{e.label}: {e}", file=sys.stderr)
-        return e.exit_code
+        err = e
+    except MemoryError:
+        err = OutOfMemory()
+    print(f"{err.label}: {err}", file=sys.stderr)
+    return err.exit_code
 
 
 if __name__ == "__main__":

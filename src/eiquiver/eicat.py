@@ -153,17 +153,6 @@ class EICategory:
         hs = self.homs.get((x, y))
         return hs.size if hs else 0
 
-    def morphisms(self) -> list[MorphId]:
-        out = []
-        for x in self.objects:
-            out.extend(MorphId(x, x, i) for i in range(len(self.groups[x])))
-        for x in self.objects:
-            for y in self.objects:
-                if (x, y) in self.homs:
-                    out.extend(MorphId(x, y, i)
-                               for i in range(self.homs[(x, y)].size))
-        return out
-
     def morphism_count(self) -> int:
         return sum(len(g) for g in self.groups.values()) + \
             sum(h.size for h in self.homs.values())

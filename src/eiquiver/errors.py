@@ -3,7 +3,8 @@
 Each class carries its machine-readable `finding`, the CLI's `exit_code`
 and its stderr `label`.  Only a ValidationError's finding is per
 instance and printed (it leads the message); the class-level findings
-of the others are not.  No other module defines an exception class.
+of the others are not.  A MemoryError counts as an OutOfMemory.  No
+other module defines an exception class.
 """
 
 
@@ -25,6 +26,17 @@ class ValidationError(EIQuiverError):
     def __init__(self, finding: str, message: str):
         self.finding = finding
         super().__init__(f"{finding}: {message}")
+
+
+class OutOfMemory(ValidationError):
+    """A MemoryError: the input needs more memory than the process can
+    allocate, and no size check rejected it first.  Its own finding
+    keeps it apart from the checks' `too-large`."""
+    finding = "out-of-memory"
+
+    def __init__(self):
+        super().__init__(self.finding, "the input needs more memory than "
+                         "this process can allocate")
 
 
 class InvariantError(EIQuiverError):

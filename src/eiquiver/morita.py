@@ -15,10 +15,14 @@ All canonical bases are deterministic: irreducible models come from a
 fixed reduction of the regular module (its commutants spanned by right
 translations, see commutant), and every hom-space basis is the nullspace
 echelon basis of its space, whatever spanning set it was found from
-(canonical_span).  Models are kept for the life of the process in
-chartab._MODEL_CACHE, beside the character tables, and imported here
-under the same name.  The functor's Hom bases come from Serre's
-projections (projection_basis), with no linear system.  Sylvester
+(canonical_span).  A model's element matrices are read off its copy in
+the regular module by one gather, with no word products, and all their
+traces are certified against the character by one einsum.  Models are
+kept for the life of the process in chartab._MODEL_CACHE, beside the
+character tables, and imported here under the same name: per model, the
+generator matrices and one (|G|, d, d) array of element matrices, which
+MoritaContext reads by gathers too.  The functor's Hom bases come from
+Serre's projections (projection_basis), with no linear system.  Sylvester
 systems (linalg.sylvester_system) serve only the two Hom-dimension
 checks: hom_dim_quiver has an edge per expanded arrow, and hom_dim_cat
 works in two stages.  It first spans each object's Hom_{G_x}(R1 x, R2 x)
@@ -147,12 +151,16 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
 
 
 def irreducible_model(group: PermGroup, table: CharTable, i: int):
-    """Deterministic matrices (one per generator) of the i-th irreducible.
+    """Deterministic matrices of the i-th irreducible: a tuple with one
+    per generator, and one (|G|, d, d) array with one per element.
 
     Found inside the regular module: project onto the isotypic component,
     then cut down to a single copy with eigenspaces of commutant elements
-    (right translations and retractions, see commutant).  The result is
-    certified by comparing all traces with the character, and kept in
+    (right translations and retractions, see commutant).  The copy's
+    basis w has w[piv] = I, so L_g w = w A_g gives A_g as the piv rows of
+    L_g w: every element's matrix is one gather from the Cayley table and
+    each generator's is checked by one product.  All traces are certified
+    against the character by one einsum, and the pair is kept in
     chartab._MODEL_CACHE on (p, group.key, i).
     """
     p = table.p
@@ -194,17 +202,15 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
             raise InvariantError("could not split the isotypic component")
         r, piv = linalg.rref(linalg.matmul(w, cut.T % p, p).T, p)
         w = r[:len(piv)].T
-    gen_mats = []
-    for mv in moves:
-        a = linalg.solve(w, w[mv], p)
-        if a is None:
+    gen_mats = tuple(w[mv[piv]] for mv in moves)
+    for mv, a in zip(moves, gen_mats):
+        if not np.array_equal(linalg.matmul(w, a, p), w[mv]):
             raise InvariantError("irreducible copy is not invariant")
-        gen_mats.append(a % p)
-    elems = element_matrices(group, gen_mats, d, p)
-    for g in range(n):
-        if int(np.trace(elems[g])) % p != chi[g]:
-            raise InvariantError("model traces disagree with the character")
-    _MODEL_CACHE[key] = (tuple(gen_mats), tuple(elems))
+    # W is invariant under the generators, so under every g
+    elems = w[cayley[np.ix_(group.inverse, piv)]]
+    if not np.array_equal(np.einsum("gii->g", elems) % p, chi):
+        raise InvariantError("model traces disagree with the character")
+    _MODEL_CACHE[key] = (gen_mats, elems)
     return _MODEL_CACHE[key]
 
 
@@ -447,7 +453,8 @@ class MoritaContext:
         self._stab_homs = {}
 
     def model(self, x: str, v: int):
-        """(generator matrices, element matrices) of irreducible v at x."""
+        """(generator matrices, |G| x d x d element matrices) of
+        irreducible v at x."""
         return irreducible_model(self.cat.groups[x], self.built.tables[x], v)
 
     def quotient_model(self, r: int, u: int):
@@ -474,18 +481,18 @@ class MoritaContext:
         if key not in self._stab_homs:
             _, uelems = self.quotient_model(r, u)
             _, velems = self.model(x, v)
-            pos = k1.member_positions
-            inverse = self.cat.groups[x].inverse
+            pos = list(k1.member_positions)
+            cosets = [to_quotient(g)
+                      for g in self.cat.groups[x].inverse[pos].tolist()]
             self._stab_homs[key] = projection_basis(
-                np.array([uelems[to_quotient(inverse[g])][0] for g in pos]),
-                np.array([velems[g] for g in pos]), self.p)
+                uelems[cosets, 0], velems[pos], self.p)
         return self._stab_homs[key]
 
     def theta(self, rep: CatRep, x: str, v: int):
         """Echelon basis of Hom_G(V, R(x)): the copies of V inside R(x)."""
         _, uelems = self.model(x, v)
-        coefs = np.array([uelems[g][0] for g in self.cat.groups[x].inverse])
-        return projection_basis(coefs, rep.elem_mats[x], self.p)
+        return projection_basis(uelems[self.cat.groups[x].inverse, 0],
+                                rep.elem_mats[x], self.p)
 
     def blocks(self, r: int, copies: dict):
         """One (S, T, arrows) per quotient irreducible u of orbit r.  S
@@ -591,8 +598,8 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
             img_cols.extend(np.tensordot(coef, tgt, (0, 0)) % p)
         # the representative matrix kills everything outside the fixed
         # points of G0, so complete the column system with that complement
-        g0 = od.stab.G0.member_positions
-        proj = sum(e @ (sum(el[g] for g in g0) % p) @ e.T
+        g0 = list(od.stab.G0.member_positions)
+        proj = sum(e @ (el[g0].sum(0) % p) @ e.T
                    for (z, v), el in elems.items() if z == x
                    for e in embeddings[(z, v)])
         proj = proj * linalg.inv_scalar(len(g0), p) % p

@@ -42,8 +42,11 @@ from .quiveralg import BuiltQuiver
 
 @dataclass(frozen=True)
 class CategoryAlgebra:
-    """The category algebra, its basis cat.morphisms(); products are
-    read from the category's own actions and tables."""
+    """The category algebra.  Its basis is every morphism: first each
+    object's group elements, objects in order, then each hom-set x -> y
+    with x != y, by source and then target in object order, each in its
+    own element order.  Products are read from the category's own
+    actions and tables."""
     cat: EICategory
     # basis position of the first morphism x -> y (for x == y, of the
     # identity block: the group's elements in element order)

@@ -18,14 +18,15 @@ morphism by repeated sweeps, then checks functoriality against every
 group element's matrix and every composable pair.  compose, build_algebra,
 radical_report and ext_quiver_oracle are the category algebra one
 product at a time, through MorphId and compose and a whole |Mor|×|Mor|
-product table, that the per-hom-set masks and index arrays of
-eiquiver.oracle replaced.  character, inner_product, restrict, inflate
-and restriction_multiplicity are character arithmetic one element at a
-time, each character read from a table's class rows, that the table
-arrays of eiquiver.chartab replaced.  hom_dim_cat is the natural
-transformation count from one Sylvester system with a loop edge per
-object generator beside the representative edges, eliminated whole,
-that the fixed-point bases of eiquiver.morita.hom_dim_cat replaced.
+product table over the basis that morphisms lists, that the per-hom-set
+masks and index arrays of eiquiver.oracle replaced.  character,
+inner_product, restrict, inflate and restriction_multiplicity are
+character arithmetic one element at a time, each character read from a
+table's class rows, that the table arrays of eiquiver.chartab
+replaced.  hom_dim_cat is the natural transformation count from one
+Sylvester system with a loop edge per object generator beside the
+representative edges, eliminated whole, that the fixed-point bases of
+eiquiver.morita.hom_dim_cat replaced.
 validate_category checks the category axioms one table entry at a time,
 as the whole-table comparisons of eiquiver.eicat.validate_category
 replaced, and raises the same first finding and message.
@@ -394,6 +395,20 @@ def split_common_eigenvectors(mats, r, p):
     return [c[:, 0] for c in spaces]
 
 
+def morphisms(cat: EICategory) -> list[MorphId]:
+    """Every morphism in the oracle's basis order: each object's group
+    elements, then each hom-set by source and target in object order."""
+    out = []
+    for x in cat.objects:
+        out.extend(MorphId(x, x, i) for i in range(len(cat.groups[x])))
+    for x in cat.objects:
+        for y in cat.objects:
+            if (x, y) in cat.homs:
+                out.extend(MorphId(x, y, i)
+                           for i in range(cat.homs[(x, y)].size))
+    return out
+
+
 def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
     """The composite f∘g (g first); raises on a non-composable pair."""
     if f.source != g.target:
@@ -419,7 +434,7 @@ def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
 def build_algebra(cat: EICategory):
     """(basis, index, prod): prod[i][j] is the basis index of
     basis[i]∘basis[j], or -1 when undefined, one compose call each."""
-    basis = tuple(cat.morphisms())
+    basis = tuple(morphisms(cat))
     index = {m: i for i, m in enumerate(basis)}
     prod = []
     for f in basis:

@@ -384,8 +384,11 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
     f.write_text(json.dumps(doc))
     with address_space_limit(512 * 2**20):
         code, out, err = run(capsys, "validate", str(f))
+    # the size check's own finding, not the MemoryError that a missed
+    # check would end in (reported as out-of-memory)
     assert (code, out) == (2, "")
-    assert "too-large" in err and err.count("\n") == 1
+    assert err.startswith("validation error: too-large: ") and \
+        "exceeds" in err and err.count("\n") == 1
 
 
 def test_oracle_reads_the_tables_where_a_dense_product_table_would_not_fit(
@@ -454,6 +457,18 @@ def test_representation_too_large_to_check_is_rejected_first(
     code, out, err = run(capsys, "functor", str(cat), str(rep))
     assert (code, out) == (2, "")
     assert "too-large" in err and err.count("\n") == 1
+
+
+def test_memory_error_is_an_out_of_memory_finding(capsys, monkeypatch):
+    from eiquiver import cli
+
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    code, out, err = run(capsys, "classify", fx("two_object_c2_s3"))
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: out-of-memory: ") and \
+        err.count("\n") == 1
 
 
 def test_no_splitting_prime_is_a_bad_prime_finding(capsys, tmp_path):

@@ -223,7 +223,7 @@ def test_validation_matches_the_entrywise_reference(monkeypatch, chunk):
 def test_identity_composition(categories):
     for name in ALL_FIXTURES:
         cat = categories[name]
-        for m in cat.morphisms():
+        for m in ref.morphisms(cat):
             assert compose(cat, cat.identity(m.target), m) == m
             assert compose(cat, m, cat.identity(m.source)) == m
 
@@ -244,7 +244,7 @@ def test_compose_rejects_mismatched_pair(categories):
 
 def test_associativity_exhaustive(categories):
     cat = categories["four_object_mixed"]
-    ms = cat.morphisms()
+    ms = ref.morphisms(cat)
     for f in ms:
         for g in ms:
             if f.source != g.target:

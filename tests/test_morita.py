@@ -16,15 +16,16 @@ from eiquiver import linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
 from eiquiver.eicat import load_category, orbit_representatives
-from eiquiver.errors import EIQuiverError, SchemaError, ValidationError
+from eiquiver.errors import (EIQuiverError, InvariantError, SchemaError,
+                             ValidationError)
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              inverse_functor, irreducible_model, load_catrep,
                              quiverrep_document)
-from eiquiver.permgrp import enumerate_group
+from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from eiquiver.quiveralg import build_quiver
-from groups import named_group
+from groups import named_group, whole_group
 from randcats import random_free_category, random_nonfree_category
 from test_freecover import s3_chain_document
 from test_kernel import C4_REGULAR
@@ -77,7 +78,7 @@ def test_s5_models_of_degree_5_and_6_pinned(monkeypatch):
     for i in range(len(table)):
         if table.dims[i] >= 5:
             gens, elems = irreducible_model(g, table, i)
-            for m in gens + elems:
+            for m in gens + tuple(elems):
                 h.update(repr(m.shape).encode())
                 h.update(m.tobytes())
     assert h.hexdigest() == S5_LARGE_MODELS_DIGEST
@@ -126,6 +127,85 @@ def test_irreducible_model_builds_no_sylvester_system(monkeypatch):
         for i in range(len(table)):
             irreducible_model(g, table, i)
     assert calls == []
+
+
+def _ladder_models():
+    """(group, table, i) of every model perfbench's group-ladder builds
+    (C24, C48, D48, S4, and S5 up to degree 4), then of every irreducible
+    of two as_group() quotient groups: S4/V4 and A4."""
+    def rung(g, max_degree):
+        table = character_table(g, choose_splitting_prime([g]))
+        return [(g, table, i) for i in range(len(table))
+                if table.dims[i] <= max_degree]
+
+    out = []
+    for n in (24, 48):
+        out += rung(enumerate_group(n, [list(range(1, n)) + [0]]), 1)
+    out += rung(enumerate_group(48, [list(range(1, 48)) + [0],
+                                     [-i % 48 for i in range(48)]]), 2)
+    s4, s5 = _symmetric(4)[0], _symmetric(5)[0]
+    out += rung(s4, 3) + rung(s5, 4)
+    v4 = SubgroupHandle(s4, tuple(sorted(
+        s4.index_of[e] for e in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                                 (3, 2, 1, 0)))))
+    a4 = SubgroupHandle(s4, tuple(
+        k for k, e in enumerate(s4.elements)
+        if sum(e[a] > e[b] for a in range(4) for b in range(a + 1, 4)) % 2
+        == 0))
+    for g in (quotient(whole_group(s4), v4).as_group(), a4.as_group()):
+        out += rung(g, len(g))
+    return out
+
+
+def test_gathered_element_matrices_are_the_word_products(monkeypatch):
+    # each model's matrices read off the regular module are, byte for
+    # byte, the products of its generator matrices along each word
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    seen = Counter()
+    for g, table, i in _ladder_models():
+        gens, elems = irreducible_model(g, table, i)
+        d = table.dims[i]
+        want = np.array(morita.element_matrices(g, gens, d, table.p))
+        assert elems.shape == (len(g), d, d) and elems.dtype == want.dtype
+        assert elems.tobytes() == want.tobytes()
+        seen[len(g), d] += 1
+    assert seen[(6, 1)] == 2 and seen[(6, 2)] == 1       # S4/V4 = S3
+    assert seen[(12, 1)] == 3 and seen[(12, 3)] == 1     # A4
+    assert seen[(120, 4)] == 2 and seen[(96, 2)] == 23   # S5, D48
+
+
+@pytest.mark.parametrize("e", range(6))
+def test_one_wrong_character_value_fails_the_trace_certificate(
+        monkeypatch, s3_table, e):
+    # S3's irreducible of degree 2 with its value at element e off by
+    # one; values is a cached property, so the copy's is set directly
+    import dataclasses
+    g, table = s3_table
+    assert table.dims[2] == 2
+    bad = table.values.copy()
+    bad[2, e] = (bad[2, e] + 1) % table.p
+    wrong = dataclasses.replace(table)
+    wrong.__dict__["values"] = bad
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    with pytest.raises(InvariantError, match="traces disagree"):
+        irreducible_model(g, wrong, 2)
+
+
+def test_irreducible_model_multiplies_no_words(monkeypatch):
+    # on a cold cache every element's matrix is gathered from the
+    # regular module: no word products, by matrices or otherwise
+    import eiquiver.permgrp
+
+    def refuse(*a):
+        raise AssertionError("word products in irreducible_model")
+    tables = [_symmetric(n) for n in (4, 5)]
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    for target in (morita, eiquiver.permgrp):
+        monkeypatch.setattr(target, "word_products", refuse)
+    monkeypatch.setattr(morita, "element_matrices", refuse)
+    for g, table in tables:
+        for i in range(len(table)):
+            irreducible_model(g, table, i)
 
 
 def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):

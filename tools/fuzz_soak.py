@@ -8,10 +8,11 @@ fixtures, fields and values as the Tier-1 fuzz gate (tests/test_fuzz.py,
 whose mutation code it imports), each through the CLI in process.  The
 process first caps its own address space (RLIMIT_AS) at 512 MiB, so an
 allocation that a size check missed ends in MemoryError rather than
-exhausting the machine.  Prints one JSON summary: counts by exit code,
-the slowest case, and every case that broke the gate's rule (exit 0, 2
-or 3 with at most one stderr line) with its stderr or traceback.  Exits
-1 if there was any such case.
+exhausting the machine; the CLI reports that as the finding
+out-of-memory.  Prints one JSON summary: counts by exit code, the
+slowest case, and every case that broke the gate's rule (exit 0, 2 or 3
+with at most one stderr line) or ran out of memory, with its stderr or
+traceback.  Exits 1 if there was any such case.
 """
 
 import json
@@ -30,6 +31,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_fuzz as fz  # noqa: E402
+from eiquiver.errors import OutOfMemory  # noqa: E402
 
 
 def draw(rng: random.Random) -> tuple[str, str, tuple, object]:
@@ -69,7 +71,8 @@ def main(argv) -> int:
             took = time.perf_counter() - start
             slowest = max(slowest, (took, case), key=lambda t: t[0])
             codes[str(code)] = codes.get(str(code), 0) + 1
-            if code not in (0, 2, 3) or err.count("\n") > 1:
+            if code not in (0, 2, 3) or err.count("\n") > 1 or \
+                    f": {OutOfMemory.finding}: " in err:
                 broken.append({"case": case, "exit": code, "stderr": err})
     print(json.dumps({"seed": seed, "cases": CASES,
                       "rlimit_as_mib": LIMIT >> 20, "exit_codes": codes,
