@@ -13,10 +13,10 @@ every downstream computation silently assumes the axioms.
 
 A category is immutable once loaded, so what is derived from it is
 derived once: `EICategory.memo` keeps, per category, its unfactorizables,
-its free cover per path bound (freecover), the stabilizer data of each
-representative (below) and, while a caller holds it, its quiver per
-splitting prime (quiveralg).  Every caller shares the one cached object
-and must not modify it.  A build that raises caches nothing, so the
+its orbit representatives, its free cover per path bound (freecover),
+the stabilizer data of each representative (below) and, while a caller
+holds it, its quiver per splitting prime (quiveralg).  Every caller
+shares the one cached object and must not modify it.  A build that raises caches nothing, so the
 next call raises again.
 """
 
@@ -128,10 +128,6 @@ class MorphId:
     target: str
     index: int   # hom-set index, or group element position for endomorphisms
 
-    @property
-    def is_endo(self) -> bool:
-        return self.source == self.target
-
 
 @dataclass(frozen=True)
 class EICategory:
@@ -156,9 +152,6 @@ class EICategory:
     def morphism_count(self) -> int:
         return sum(len(g) for g in self.groups.values()) + \
             sum(h.size for h in self.homs.values())
-
-    def identity(self, x: str) -> MorphId:
-        return MorphId(x, x, self.groups[x].identity_pos)
 
     def memo(self, key, build, weak: bool = False):
         """build(), called once per key for this category; every later
@@ -418,9 +411,16 @@ def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:
     return orbit_members(label, len(least))
 
 
-def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...]]]:
+def orbit_representatives(
+        cat: EICategory) -> tuple[tuple[MorphId, tuple[int, ...]], ...]:
     """One (representative, orbit) per two-sided orbit of unfactorizables,
-    in deterministic (source, target, least-index) order."""
+    in deterministic (source, target, least-index) order; once per
+    category, through its memo."""
+    return cat.memo("orbit_representatives",
+                    lambda: _orbit_representatives(cat))
+
+
+def _orbit_representatives(cat: EICategory):
     unfact = cat.unfactorizables
     out = []
     pos = {x: i for i, x in enumerate(cat.objects)}
@@ -431,12 +431,11 @@ def orbit_representatives(cat: EICategory) -> list[tuple[MorphId, tuple[int, ...
                 raise InvariantError(
                     "orbit of an unfactorizable leaves the unfactorizable set")
             out.append((MorphId(x, y, orb[0]), orb))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class StabilizerData:
-    alpha: MorphId
     G0: SubgroupHandle
     G1: SubgroupHandle
     H0: SubgroupHandle
@@ -509,7 +508,7 @@ def _stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
             raise InvariantError("the biset's map H1 -> G1/G0 is not "
                                  "multiplicative")
     quotH = QuotientGroup(H1, H0, tuple(cosets), proj, table)
-    return StabilizerData(alpha, G0, G1, H0, H1, quotG, quotH)
+    return StabilizerData(G0, G1, H0, H1, quotG, quotH)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ stabilizer_hom.  Both directions work on one coefficient matrix C per
 orbit and quotient irreducible U, between the embeddings of U on the two
 sides (blocks): F solves T C = alpha S once and slices C into arrow
 matrices, and the inverse writes the arrow matrices into C and solves
-for alpha.
+for alpha.  The blocks read each orbit's counts e and f off the quiver
+(quiveralg.OrbitData) and check every kappa and mu basis against them.
 """
 
 from __future__ import annotations
@@ -187,10 +188,11 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
         m = w.shape[1]
         comm = commutant(w, piv, cayley, group.inverse, p, base)
         base = base or (w, piv, comm)
-        # drawn even if unused, so that later cuts see the same draws
-        coefs = [[rng.randrange(p) for _ in comm] for _ in range(50)]
-        candidates = chain(comm, (np.tensordot(c, comm, 1) % p
-                                  for c in coefs))
+        # random combinations, drawn only once every basis element has
+        # failed to split (one with no eigenvalue in F_p needs them)
+        candidates = chain(comm, (
+            np.tensordot([rng.randrange(p) for _ in comm], comm, 1) % p
+            for _ in range(50)))
         # the eigenspace of the candidate's least eigenvalue in F_p: a
         # proper subspace unless the candidate is scalar, whose one
         # eigenspace is everything
@@ -457,32 +459,17 @@ class MoritaContext:
         irreducible v at x."""
         return irreducible_model(self.cat.groups[x], self.built.tables[x], v)
 
-    def quotient_model(self, r: int, u: int):
-        table = self.built.orbits[r].quotient_table
-        return irreducible_model(table.group, table, u)
-
-    def kappa(self, r: int, u: int, v: int):
-        """Basis of Hom_{G1}(infl U, V restricted), V at the source object."""
-        st = self.built.orbits[r].stab
-        return self.stabilizer_hom(r, u, st.alpha.source, v, st.G1,
-                                   st.quotG.projection.__getitem__)
-
-    def mu(self, r: int, u: int, w: int):
-        """Basis of Hom_{H1}(infl U, W restricted), W at the target."""
-        st = self.built.orbits[r].stab
-        return self.stabilizer_hom(r, u, st.alpha.target, w, st.H1,
-                                   st.quotH.projection.__getitem__)
-
-    def stabilizer_hom(self, r: int, u: int, x: str, v: int, k1, to_quotient):
+    def stabilizer_hom(self, r: int, u: int, x: str, v: int, k1, projection):
         """Basis of Hom_{K1}(U, V restricted): U the quotient irreducible u
-        of orbit r, on which K1 acts through to_quotient (a K1 position to
-        a coset index), and V the irreducible v at object x."""
+        of orbit r, on which K1 acts through projection (a K1 position to
+        its coset index), and V the irreducible v at object x."""
         key = (r, u, x, v)
         if key not in self._stab_homs:
-            _, uelems = self.quotient_model(r, u)
+            table = self.built.orbits[r].quotient_table
+            _, uelems = irreducible_model(table.group, table, u)
             _, velems = self.model(x, v)
             pos = list(k1.member_positions)
-            cosets = [to_quotient(g)
+            cosets = [projection[g]
                       for g in self.cat.groups[x].inverse[pos].tolist()]
             self._stab_homs[key] = projection_basis(
                 uelems[cosets, 0], velems[pos], self.p)
@@ -501,15 +488,28 @@ class MoritaContext:
         copies (dim x dv) of irreducible v in the module at x.  Both are
         ordered by (irreducible, basis element, copy), so the coefficient
         matrix C with T C = alpha S holds expanded arrow k's matrix at
-        C[rows, cols] for each (k, rows, cols) in arrows."""
+        C[rows, cols] for each (k, rows, cols) in arrows.  Only the v with
+        e[u][v] > 0 (w with f[u][w] > 0) add units, and each basis must
+        have that length: the projections check the characters.  Neither
+        stack is empty, as infl U lies in some V restricted to G1
+        (Frobenius reciprocity), and likewise on the H1 side."""
         od = self.built.orbits[r]
-        sides = ((od.rep.source, self.kappa), (od.rep.target, self.mu))
+        st = od.stab
+        sides = ((od.rep.source, st.G1, st.quotG.projection, od.e),
+                 (od.rep.target, st.H1, st.quotH.projection, od.f))
         for u in range(len(od.quotient_table)):
             stacks, at = [], {}
-            for side, (x, bases) in enumerate(sides):
+            for side, (x, k1, projection, counts) in enumerate(sides):
                 units, off = [], 0
-                for v in range(len(self.built.tables[x])):
-                    emb, basis = copies[(x, v)], bases(r, u, v)
+                for v, n in enumerate(counts[u]):
+                    if n == 0:
+                        continue
+                    emb = copies[(x, v)]
+                    basis = self.stabilizer_hom(r, u, x, v, k1, projection)
+                    if len(basis) != n:
+                        raise InvariantError(
+                            f"orbit {r}, U{u} -> {x}:X{v}: {len(basis)} "
+                            f"Hom basis elements, but the quiver counts {n}")
                     for s in range(len(basis)):
                         at[(side, v, s)] = slice(off, off + len(emb))
                         off += len(emb)

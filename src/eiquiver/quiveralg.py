@@ -12,7 +12,10 @@ biset on G1/G0's cosets (eicat.stabilizer_data), so one U inflates to
 both sides.  Each orbit takes two products: the matrix of
 ⟨V↓G1, infl U⟩ over every (V, U), and that of ⟨W↓H1, infl U⟩ over every
 (W, U).  All multiplicities are exact integers recovered from F_p inner
-products.
+products.  OrbitData keeps both matrices, which the functor's κ and μ
+bases must match (morita).  Every build checks that arrows point forward
+(assert_acyclic) and that e = f = 1 at the trivial U, V and W, so each
+orbit gives one x:X0 -> y:X0 unit: the embedded EI quiver.
 """
 
 from __future__ import annotations
@@ -58,10 +61,14 @@ class QuiverArrow:
 
 @dataclass(frozen=True)
 class OrbitData:
+    """One two-sided orbit of unfactorizables: its representative, its
+    stabilizer data, the table of G1/G0 and the multiplicities
+    e[u][v] = ⟨V↓G1, infl U⟩ and f[u][w] = ⟨W↓H1, infl U⟩."""
     rep: MorphId
-    orbit: tuple[int, ...]
     stab: StabilizerData
     quotient_table: CharTable
+    e: tuple[tuple[int, ...], ...]
+    f: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -105,16 +112,20 @@ def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
 
     orbits: list[OrbitData] = []
     counts: dict[tuple[int, int], list[ArrowUnit]] = {}
-    for ridx, (rep, orb) in enumerate(orbit_representatives(cat)):
+    for ridx, (rep, _) in enumerate(orbit_representatives(cat)):
         sd = stabilizer_data(cat, rep)
         qtable = character_table(sd.quotG.as_group(), prime)
-        orbits.append(OrbitData(rep, orb, sd, qtable))
         x, y = rep.source, rep.target
-        # es[u][v] = ⟨V↓G1, infl U⟩ and fs[u][w] = ⟨W↓H1, infl U⟩
-        es = restriction_multiplicity(tables[x], sd.G1,
-                                      inflate(qtable, sd.quotG), p).T.tolist()
-        fs = restriction_multiplicity(tables[y], sd.H1,
-                                      inflate(qtable, sd.quotH), p).T.tolist()
+        es = tuple(map(tuple, restriction_multiplicity(
+            tables[x], sd.G1, inflate(qtable, sd.quotG), p).T.tolist()))
+        fs = tuple(map(tuple, restriction_multiplicity(
+            tables[y], sd.H1, inflate(qtable, sd.quotH), p).T.tolist()))
+        # the embedded EI quiver: the trivial U gives one x:X0 -> y:X0 unit
+        if es[0][0] != 1 or fs[0][0] != 1:
+            raise InvariantError(
+                f"orbit {ridx} does not contribute exactly one arrow "
+                "between trivial-character vertices")
+        orbits.append(OrbitData(rep, sd, qtable, es, fs))
         for u in range(len(qtable)):
             for v, e in enumerate(es[u]):
                 if e == 0:
@@ -144,28 +155,6 @@ def assert_acyclic(q: BuiltQuiver) -> None:
             raise InvariantError(
                 f"arrow {s.label} -> {t.label} is not forward in the object "
                 "order; the quiver of an EI category algebra must be acyclic")
-
-
-def assert_embedded_ei_quiver(q: BuiltQuiver) -> None:
-    """The trivial-character vertices reproduce the EI quiver: each orbit
-    contributes exactly one trivial->trivial arrow via the trivial U."""
-    for ridx, od in enumerate(q.orbits):
-        x, y = od.rep.source, od.rep.target
-        seen = 0
-        for a in q.arrows:
-            s, t = q.vertices[a.source], q.vertices[a.target]
-            if (s.object, s.irr, t.object, t.irr) != (x, 0, y, 0):
-                continue
-            for un in a.units:
-                if un.rep_index == ridx and un.u == 0:
-                    if un.e != 1 or un.f != 1:
-                        raise InvariantError(
-                            "trivial-character multiplicities must be 1")
-                    seen += 1
-        if seen != 1:
-            raise InvariantError(
-                f"orbit {ridx} does not contribute exactly one arrow "
-                "between trivial-character vertices")
 
 
 def quivers_equal(a: BuiltQuiver, b: BuiltQuiver) -> bool:

@@ -409,18 +409,26 @@ def morphisms(cat: EICategory) -> list[MorphId]:
     return out
 
 
+def is_endo(m: MorphId) -> bool:
+    return m.source == m.target
+
+
+def identity(cat: EICategory, x: str) -> MorphId:
+    return MorphId(x, x, cat.groups[x].identity_pos)
+
+
 def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
     """The composite f∘g (g first); raises on a non-composable pair."""
     if f.source != g.target:
         raise ValidationError("non-composable",
                               f"cannot compose {f} after {g}")
-    if f.is_endo and g.is_endo:
+    if is_endo(f) and is_endo(g):
         return MorphId(f.source, f.target,
                        cat.groups[f.source].mul(f.index, g.index))
-    if f.is_endo:
+    if is_endo(f):
         hs = cat.homs[(g.source, g.target)]
         return MorphId(g.source, g.target, hs.left_elem[f.index][g.index])
-    if g.is_endo:
+    if is_endo(g):
         hs = cat.homs[(f.source, f.target)]
         return MorphId(f.source, f.target, hs.right_elem[g.index][f.index])
     table = cat.comp.get((g.source, g.target, f.target))
@@ -451,7 +459,7 @@ def build_algebra(cat: EICategory):
 def radical_report(cat: EICategory, basis, index, prod):
     """(rad, rad², rad/rad², nilpotency degree) positions, from the
     table as sets of basis elements."""
-    noniso = tuple(i for i, m in enumerate(basis) if not m.is_endo)
+    noniso = tuple(i for i, m in enumerate(basis) if not is_endo(m))
     noniso_set = set(noniso)
     for i in range(len(basis)):
         for j in noniso:

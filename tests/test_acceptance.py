@@ -21,8 +21,7 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              inverse_functor, load_catrep)
 from eiquiver.oracle import build_algebra, check_against_quiver, \
     radical_report
-from eiquiver.quiveralg import (assert_acyclic, assert_embedded_ei_quiver,
-                                build_quiver, quivers_equal)
+from eiquiver.quiveralg import assert_acyclic, build_quiver, quivers_equal
 from eiquiver.reptype import rep_type
 from eiquiver import linalg
 
@@ -144,7 +143,16 @@ def test_criterion_07_acyclic_and_embedded():
     assert len(_QUIVERS) > 200
     for q in _QUIVERS:
         assert_acyclic(q)
-        assert_embedded_ei_quiver(q)
+        # each orbit puts exactly one unit, e = f = 1, on x:X0 -> y:X0
+        # through the trivial U (the build checks e and f; this checks
+        # how the units were assembled into arrows)
+        trivial = sorted(
+            (un.rep_index, q.vertices[a.source].object,
+             q.vertices[a.target].object, un.e, un.f)
+            for a in q.arrows for un in a.units if un.u == 0 and
+            q.vertices[a.source].irr == q.vertices[a.target].irr == 0)
+        assert trivial == [(r, od.rep.source, od.rep.target, 1, 1)
+                           for r, od in enumerate(q.orbits)]
 
 
 def test_criterion_08_representation_type_goldens(categories):

@@ -1,17 +1,24 @@
 """The benchmark's hold on the package: every function perfbench traces,
 every eiquiver module whose import it times, and every eiquiver name its
-scripts import must exist.  The scripts are read as source, never run or
-edited here, so a rename in the package fails this test instead of the
-benchmark."""
+scripts import must exist, and a traced pass must fill every counter.
+The scripts are read as source or run as they are, never edited here, so
+a rename in the package fails this test instead of the benchmark."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
+from collections import Counter
 
 import pytest
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _constant(path: pathlib.Path, name: str):
@@ -62,3 +69,25 @@ def test_every_imported_name_resolves():
         if name is not None:
             assert hasattr(mod, name) or importlib.util.find_spec(
                 f"{module}.{name}") is not None, (script, module, name)
+
+
+def test_a_traced_pass_fills_every_counter():
+    # the counters read attributes of the traced calls' results
+    # (out.orbits, alg.dim, table.dims), which name resolution above does
+    # not reach; group-ladder and biset-chains at seed 0 between them
+    # touch every one, in fresh interpreters as perfbench/run.py starts
+    # them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    counts = Counter()
+    for workload in ("group-ladder", "biset-chains"):
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "worker.py"), "--workload",
+             workload, "--seed", "0", "--t0", str(time.monotonic()),
+             "--trace"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["failed"] == 0, (workload, out["failures"])
+        counts.update(out["trace"]["counts"])
+    names = _constant(PERFBENCH / "tracing.py", "COUNTER_NAMES")
+    assert [n for n in names if not counts[n] > 0] == [], counts

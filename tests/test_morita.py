@@ -774,27 +774,57 @@ def test_projection_bases_match_the_sylvester_reference(categories):
                 assert _same_basis(ctx.theta(rep, x, v.irr), want)
                 seen["theta copies"] += len(want)
         for r, od in enumerate(ctx.built.orbits):
-            st = od.stab
-            sides = ((ctx.kappa, st.alpha.source, st.G1,
-                      st.quotG.projection.__getitem__),
-                     (ctx.mu, st.alpha.target, st.H1,
-                      st.quotH.projection.__getitem__))
-            seen["nontrivial quotient"] += len(od.quotient_table.group) > 1
-            for u in range(len(od.quotient_table)):
-                _, uelems = ctx.quotient_model(r, u)
+            st, qtable = od.stab, od.quotient_table
+            sides = ((od.rep.source, st.G1, st.quotG.projection, od.e),
+                     (od.rep.target, st.H1, st.quotH.projection, od.f))
+            seen["nontrivial quotient"] += len(qtable.group) > 1
+            for u in range(len(qtable)):
+                _, uelems = irreducible_model(qtable.group, qtable, u)
                 seen["quotient degree 2"] += uelems[0].shape[0] == 2
-                for basis, x, k1, to_quotient in sides:
+                for x, k1, projection, counts in sides:
                     for v in range(len(ctx.built.tables[x])):
                         _, velems = ctx.model(x, v)
                         pos = k1.member_positions
                         want = ref.intertwiner_basis(
-                            [uelems[to_quotient(g)] for g in pos],
+                            [uelems[projection[g]] for g in pos],
                             [velems[g] for g in pos], p,
                             uelems[0].shape[0], velems[0].shape[0])
-                        assert _same_basis(basis(r, u, v), want)
+                        assert _same_basis(ctx.stabilizer_hom(
+                            r, u, x, v, k1, projection), want)
+                        assert len(want) == counts[u][v]
                         seen["stabilizer homs"] += bool(want)
     assert seen["nontrivial quotient"] and seen["quotient degree 2"], seen
     assert seen["theta copies"] > 100 and seen["stabilizer homs"] > 100, seen
+
+
+def test_blocks_build_only_the_counted_bases(categories):
+    # one kappa or mu basis per nonzero e[u][v] or f[u][w] of the quiver
+    for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        r = inverse_functor(ctx, _random_quiverrep(ctx, random.Random(2)))
+        apply_functor(ctx, r)
+        counted = {(k, u, x, v)
+                   for k, od in enumerate(ctx.built.orbits)
+                   for x, counts in ((od.rep.source, od.e),
+                                     (od.rep.target, od.f))
+                   for u, row in enumerate(counts)
+                   for v, n in enumerate(row) if n}
+        assert set(ctx._stab_homs) == counted, name
+
+
+def test_a_truncated_kappa_basis_is_an_invariant_error(categories,
+                                                       monkeypatch):
+    cat = categories["two_object_c2_s3"]
+    ctx = MoritaContext(build_quiver(cat))
+    rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"), ctx.p)
+    exact = MoritaContext.stabilizer_hom
+    source = ctx.built.orbits[0].rep.source
+    monkeypatch.setattr(
+        MoritaContext, "stabilizer_hom",
+        lambda self, r, u, x, *a: exact(self, r, u, x, *a)[:-1]
+        if x == source else exact(self, r, u, x, *a))
+    with pytest.raises(InvariantError, match="the quiver counts"):
+        apply_functor(ctx, rep)
 
 
 def test_functor_solves_no_system_and_each_check_one(categories,

@@ -4,17 +4,22 @@ unfactorizables, and cover equality."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import kernel_reference as ref
 from eiquiver import quiveralg
 from eiquiver.chartab import choose_splitting_prime
-from eiquiver.eicat import stabilizer_data
+from eiquiver.eicat import load_category, stabilizer_data
 from eiquiver.errors import InvariantError
 from eiquiver.freecover import free_cover
-from eiquiver.quiveralg import (QuiverArrow, assert_acyclic,
-                                assert_embedded_ei_quiver, build_quiver,
+from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
+                             expanded_arrows, hom_dim_cat, hom_dim_quiver,
+                             inverse_functor)
+from eiquiver.oracle import check_against_quiver
+from eiquiver.quiveralg import (QuiverArrow, assert_acyclic, build_quiver,
                                 quiver_document, quiver_dot, quivers_equal)
+from eiquiver.reptype import rep_type
 from randcats import random_free_category
 
 
@@ -60,7 +65,6 @@ def test_vertex_count_and_order(categories):
         labels = [v.object for v in q.vertices]
         assert labels == sorted(labels, key=list(cat.objects).index)
         assert_acyclic(q)
-        assert_embedded_ei_quiver(q)
 
 
 def test_assert_acyclic_rejects_backward_arrow(categories):
@@ -72,11 +76,28 @@ def test_assert_acyclic_rejects_backward_arrow(categories):
         assert_acyclic(bad)
 
 
-def test_embedded_check_rejects_missing_trivial_arrow(categories):
-    q = build_quiver(categories["two_object_c2_s3"])
-    bad = replace(q, arrows=q.arrows[1:])
-    with pytest.raises(InvariantError):
-        assert_embedded_ei_quiver(bad)
+def test_embedded_check_rejects_missing_trivial_arrow(categories,
+                                                     monkeypatch):
+    # the first orbit's e at the trivial U and V is patched to 0 (no
+    # x:X0 -> y:X0 unit) or 2 (two of them): every build must refuse it
+    cat = categories["two_object_c2_s3"]
+    prime = choose_splitting_prime(cat.groups.values())
+    product = quiveralg.restriction_multiplicity
+    for value in (0, 2):
+        calls = []
+
+        def tampered(*a):
+            m = product(*a)
+            calls.append(m)
+            if len(calls) == 1:
+                m = m.copy()
+                m[0, 0] = value
+            return m
+        monkeypatch.setattr(quiveralg, "restriction_multiplicity", tampered)
+        with pytest.raises(InvariantError, match="trivial-character"):
+            quiveralg._build_quiver(cat, prime)
+    monkeypatch.setattr(quiveralg, "restriction_multiplicity", product)
+    assert quiveralg._build_quiver(cat, prime).orbits[0].e[0][0] == 1
 
 
 def test_multiplicity_units_recompute(categories):
@@ -90,6 +111,9 @@ def test_multiplicity_units_recompute(categories):
             sv, tv = q.vertices[a.source], q.vertices[a.target]
             for un in a.units:
                 od = q.orbits[un.rep_index]
+                # the orbit's record keeps the counts its units were made of
+                assert (od.e[un.u][sv.irr], od.f[un.u][tv.irr]) == \
+                    (un.e, un.f)
                 sd = od.stab
                 chi_u = ref.character(od.quotient_table, un.u)
                 for handle, quot, vert, want in (
@@ -134,7 +158,7 @@ def test_random_free_categories_acyclic():
         cat = random_free_category(rng, max_mor=120)
         q = build_quiver(cat)
         assert_acyclic(q)
-        assert_embedded_ei_quiver(q)
+        assert all(od.e[0][0] == od.f[0][0] == 1 for od in q.orbits)
 
 
 def test_quiver_document(categories):
@@ -205,3 +229,52 @@ def test_a_category_and_its_memo_are_freed_without_the_collector():
             assert gone() is None, name
     finally:
         gc.enable()
+
+
+# C3 with two regular arrows x -> y, the second twisted by inversion:
+# both orbits have G0 = H0 = 1 and G1 = H1 = C3, but they must not merge,
+# as h∘α = α∘g pairs h with g on the first and with g^-1 on the second
+C3 = [[1, 2, 0]]
+TWISTED_C3 = {
+    "mode": "ei-quiver",
+    "objects": [{"id": x, "degree": 3, "generators": C3} for x in "xy"],
+    "homs": [{"from": "x", "to": "y", "size": 3, "left_action": C3,
+              "right_action": right} for right in (C3, [[2, 0, 1]])],
+}
+
+
+def test_twisted_c3_orbits_stay_apart():
+    cat = load_category(TWISTED_C3)
+    q = build_quiver(cat)
+    assert arrow_labels(q) == [
+        ("x:X0", "y:X0", 2), ("x:X1", "y:X1", 1), ("x:X1", "y:X2", 1),
+        ("x:X2", "y:X1", 1), ("x:X2", "y:X2", 1)]
+    provenance = {(q.vertices[a.source].label, q.vertices[a.target].label):
+                  [un.rep_index for un in a.units] for a in q.arrows}
+    assert provenance[("x:X1", "y:X1")] == [0]
+    assert provenance[("x:X1", "y:X2")] == [1]
+    assert [len(od.quotient_table) for od in q.orbits] == [3, 3]
+    check_against_quiver(q)
+    verdict = rep_type(cat, q.prime)
+    assert verdict.verdict == "Tame"
+    assert verdict.certificates == (
+        ("hereditary-graph", "components: ~A1, ~A3"),)
+
+    ctx = MoritaContext(q)
+    rng = random.Random(3)
+    qreps = []
+    for _ in range(2):
+        dims = tuple(rng.randrange(1, 3) for _ in q.vertices)
+        qreps.append(QuiverRep(q, ctx.p, dims, tuple(
+            np.array([[rng.randrange(ctx.p) for _ in range(dims[ea.source])]
+                      for _ in range(dims[ea.target])], dtype=np.int64)
+            for ea in expanded_arrows(q))))
+    reps = [inverse_functor(ctx, qr) for qr in qreps]
+    for qr, r in zip(qreps, reps):
+        again = apply_functor(ctx, r)
+        assert again.dims == qr.dims
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.arrow_mats, qr.arrow_mats))
+    for i, j in ((0, 1), (1, 0), (0, 0)):
+        assert hom_dim_cat(reps[i], reps[j]) == \
+            hom_dim_quiver(qreps[i], qreps[j])
