@@ -129,15 +129,14 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
     """M_i with (M_i)[j,k] = #{(u,v) in C_i x C_j : uv = w_k} for fixed w_k.
 
     For each k, v = u^-1 w_k over all u is the inverse table read along
-    the Cayley row of w_k^-1, so each column is one bincount.
+    the Cayley row of w_k^-1, so the class-rep rows, gathered at once,
+    give every (i, j, k) count in one bincount.
     """
     r = len(classes)
     cls = np.asarray(class_of)
-    mats = np.zeros((r, r, r), dtype=np.int64)
-    for k in range(r):
-        v = g.inverse[g.row(g.inv(classes[k].rep))]
-        mats[:, :, k] = np.bincount(cls * r + cls[v],
-                                    minlength=r * r).reshape(r, r)
+    rows = np.array([g.row(k) for k in g.inverse[[c.rep for c in classes]]])
+    ijk = (cls * r + cls[g.inverse[rows]]) * r + np.arange(r)[:, None]
+    mats = np.bincount(ijk.ravel(), minlength=r ** 3).reshape(r, r, r)
     return [m % p for m in mats]
 
 

@@ -175,12 +175,20 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
     # the isotypic projection d/|G| sum_g chi(g^-1) L_g has (a, j) entry
     # d/|G| chi(j * a^-1).
-    moves = [group.row(group.inv(group.index_of[s]))
-             for s in group.generators]
-    cayley = np.array([group.row(g) for g in range(n)])
+    cayley = group.cayley
+    moves = [cayley[group.inv(group.index_of[s])] for s in group.generators]
     proj = chi[cayley[:, group.inverse]].T * d % p * \
         linalg.inv_scalar(n, p) % p
-    r, piv = linalg.rref(proj.T, p)
+    # The isotypic part has dimension d^2 and its reduced echelon basis
+    # does not depend on the spanning set, so reduce proj's leading
+    # columns, twice as many each time, until d^2 pivots show.  The loop
+    # ends there or once every column is in (take >= n).
+    take = 2 * d * d
+    while True:
+        r, piv = linalg.rref(proj.T[:take], p)
+        if len(piv) == d * d or take >= n:
+            break
+        take *= 2
     w = r[:len(piv)].T   # columns span the isotypic part; w[piv] = I
     base = None
     rng = random.Random(0xE1)

@@ -7,14 +7,17 @@ stabilizer chain.  Products and inverses of elements, named by their
 positions in that list, are table lookups in the manner of Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory* (2005): each group keeps
 an inverse table and a Cayley table, both numpy int32.  Cayley rows are
-built one at a time, on first use, so a group holds only the rows its
-callers have asked for, never a full |G| x |G| table up front.  A row
-composes one element with the whole element array in numpy and looks the
-results up.  Loops that meet each element once (action checks, closure
-and normality tests, cosets) take the same whole-array products without
-storing them, so they never fill the table either.  pmul composes single
-permutations, for enumeration and biset actions, and is the plain
-definition the tables must match.
+built on first use, so a group holds only the rows its callers have
+asked for (and those on their words' paths), never a full |G| x |G|
+table unless a caller reads it whole (PermGroup.cayley).  Rows follow the
+BFS words of the enumeration: element i is its word-parent times its
+word's last letter s, so row i is the parent's row read at s's row, one
+numpy gather.  Looking products up by permutation (positions) is left
+to each generator's row, made once per group, and to loops that meet
+each element once (action checks, closure and normality tests, cosets),
+which take whole-array products without storing them and so never fill
+the table either.  pmul composes single permutations, for enumeration
+and biset actions, and is the plain definition the tables must match.
 
 orbits is the package's one orbit search, numbering orbits by least
 member: conjugacy classes, two-sided hom-set orbits, glued-biset
@@ -116,10 +119,6 @@ class PermGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity_pos(self) -> int:
-        return self.index_of[pidentity(self.degree)]
-
     @cached_property
     def array(self) -> np.ndarray:
         """The elements as an n x degree int32 array, row k element k."""
@@ -142,17 +141,60 @@ class PermGroup:
     def _rows(self) -> list:
         return [None] * len(self)
 
+    @cached_property
+    def _word_pos(self) -> dict:
+        return {w: i for i, w in enumerate(self.words)}
+
+    def _generator_row(self, s: int) -> np.ndarray:
+        """Row of generator s, kept like any other row: looked up in the
+        element index (left_products) at most once per group."""
+        rows, k = self._rows, self.index_of[self.generators[s]]
+        if rows[k] is None:
+            rows[k] = self.left_products(k, slice(None))
+        return rows[k]
+
     def row(self, i: int) -> np.ndarray:
         """Row i of the Cayley table, built on first use: row(i)[j] is
-        the position of element i times element j (j applied first)."""
-        r = self._rows[i]
-        if r is None:
-            r = self._rows[i] = self.left_products(i, slice(None))
+        the position of element i times element j (j applied first).
+
+        Element i is its word-parent times its word's last letter s, so
+        row(i) = row(parent)[generator s's row], one gather; the empty
+        word's row is arange(|G|).  The walk up the word is a loop, so a
+        long word (C_n has one of length n - 1) needs no recursion.  A
+        request keeps every row on its word's path that was not kept
+        before: at most word length + 1 rows (one for the empty word of
+        the identity), plus the row of each generator it uses that no
+        request has kept yet.
+        """
+        rows, word_pos = self._rows, self._word_pos
+        path = []   # i's word and its prefixes with no row yet, longest first
+        w = self.words[i]
+        while w and rows[word_pos[w]] is None:
+            path.append(w)
+            w = w[:-1]
+        r = rows[word_pos[w]] if w else np.arange(len(self), dtype=np.int32)
+        for w in reversed(path):
+            r = rows[word_pos[w]] = r[self._generator_row(w[-1])]
+        rows[i] = r
         return r
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """The whole Cayley table, cayley[i] = row(i), for callers that
+        read every row.  Parents come before children in element order,
+        so each row is one gather, and the kept rows become views of the
+        table."""
+        n = len(self)
+        table = np.empty((n, n), dtype=np.int32)
+        for i in range(n):
+            table[i] = self.row(i)
+            self._rows[i] = table[i]
+        return table
 
     def left_products(self, i: int, js) -> np.ndarray:
         """Positions of element i times each element in js (positions),
-        without storing a Cayley row: for loops that meet each i once."""
+        without storing a Cayley row: for loops that meet each i once,
+        and for each generator's row."""
         a = self.array
         return self.positions(a[i][a[js]])
 
@@ -161,9 +203,6 @@ class PermGroup:
         first), in element order: one map per generator instead of a
         Cayley row per element."""
         return self.positions(self.array[:, np.asarray(s, dtype=np.intp)])
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.row(i)[j])
 
     def inv(self, i: int) -> int:
         return int(self.inverse[i])

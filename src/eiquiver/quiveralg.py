@@ -157,13 +157,6 @@ def assert_acyclic(q: BuiltQuiver) -> None:
                 "order; the quiver of an EI category algebra must be acyclic")
 
 
-def quivers_equal(a: BuiltQuiver, b: BuiltQuiver) -> bool:
-    """Same vertex set (object, irreducible, dim) and multiplicity map."""
-    va = [(v.object, v.irr, v.dim) for v in a.vertices]
-    vb = [(v.object, v.irr, v.dim) for v in b.vertices]
-    return va == vb and a.mult_map() == b.mult_map()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,11 +1,13 @@
-"""Groups, subgroups and inverses that only the tests build: a small
+"""Groups, subgroups and helpers that only the tests use: a small
 catalog of named groups for the property-test generators, the whole and
-the trivial subgroup of a group, and the plain inverse of a permutation
-that the inverse table must match."""
+the trivial subgroup of a group, the plain inverse of a permutation that
+the inverse table must match, the identity's position, one product read
+off the Cayley table, and quiver equality."""
 
 from functools import lru_cache
 
-from eiquiver.permgrp import Perm, PermGroup, SubgroupHandle, enumerate_group
+from eiquiver.permgrp import (Perm, PermGroup, SubgroupHandle,
+                              enumerate_group, pidentity)
 
 
 def pinv(a: Perm) -> Perm:
@@ -15,12 +17,28 @@ def pinv(a: Perm) -> Perm:
     return tuple(out)
 
 
+def identity_pos(g: PermGroup) -> int:
+    return g.index_of[pidentity(g.degree)]
+
+
+def mul(g: PermGroup, i: int, j: int) -> int:
+    """Position of element i times element j, from the Cayley table."""
+    return int(g.row(i)[j])
+
+
+def quivers_equal(a, b) -> bool:
+    """Same vertex set (object, irreducible, dim) and multiplicity map."""
+    va = [(v.object, v.irr, v.dim) for v in a.vertices]
+    vb = [(v.object, v.irr, v.dim) for v in b.vertices]
+    return va == vb and a.mult_map() == b.mult_map()
+
+
 def whole_group(g: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(g, tuple(range(len(g))))
 
 
 def trivial_subgroup(g: PermGroup) -> SubgroupHandle:
-    return SubgroupHandle(g, (g.identity_pos,))
+    return SubgroupHandle(g, (identity_pos(g),))
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from eiquiver.eicat import (EICategory, MorphId, _check_connected,
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.morita import check_group_rep
 from eiquiver.permgrp import PermGroup, pmul
-from groups import pinv
+from groups import identity_pos, pinv
 
 
 def rref(a, p):
@@ -414,7 +414,7 @@ def is_endo(m: MorphId) -> bool:
 
 
 def identity(cat: EICategory, x: str) -> MorphId:
-    return MorphId(x, x, cat.groups[x].identity_pos)
+    return MorphId(x, x, identity_pos(cat.groups[x]))
 
 
 def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
@@ -424,7 +424,7 @@ def compose(cat: EICategory, f: MorphId, g: MorphId) -> MorphId:
                               f"cannot compose {f} after {g}")
     if is_endo(f) and is_endo(g):
         return MorphId(f.source, f.target,
-                       cat.groups[f.source].mul(f.index, g.index))
+                       mul(cat.groups[f.source], f.index, g.index))
     if is_endo(f):
         hs = cat.homs[(g.source, g.target)]
         return MorphId(g.source, g.target, hs.left_elem[f.index][g.index])

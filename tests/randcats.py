@@ -13,20 +13,20 @@ from eiquiver.eicat import EICategory, load_category
 from eiquiver.errors import EIQuiverError
 from eiquiver.freecover import is_free
 from eiquiver.permgrp import PermGroup
-from groups import named_group
+from groups import identity_pos, mul, named_group
 
 GROUP_NAMES = ("1", "C2", "C3", "C4", "V4", "S3", "C6", "D4", "C2xC2xC2")
 
 
 def closure_positions(group: PermGroup, seeds) -> list[int]:
-    members = {group.identity_pos}
+    members = {identity_pos(group)}
     frontier = list(members | set(seeds))
     while frontier:
         a = frontier.pop()
         if a not in members:
             members.add(a)
         for b in list(members):
-            for c in (group.mul(a, b), group.mul(b, a)):
+            for c in (mul(group, a, b), mul(group, b, a)):
                 if c not in members:
                     members.add(c)
                     frontier.append(c)
@@ -49,7 +49,7 @@ def coset_biset(src: PermGroup, j_members, tgt: PermGroup, k_members):
     for a in range(len(tgt)):
         if a in seen:
             continue
-        coset = frozenset(tgt.mul(a, k) for k in k_set)
+        coset = frozenset(mul(tgt, a, k) for k in k_set)
         seen |= coset
         left_cosets.append(coset)
     right_cosets = []   # Jb
@@ -57,7 +57,7 @@ def coset_biset(src: PermGroup, j_members, tgt: PermGroup, k_members):
     for b in range(len(src)):
         if b in seen:
             continue
-        coset = frozenset(src.mul(j, b) for j in j_set)
+        coset = frozenset(mul(src, j, b) for j in j_set)
         seen |= coset
         right_cosets.append(coset)
     lc_of = {a: i for i, c in enumerate(left_cosets) for a in c}
@@ -73,7 +73,7 @@ def coset_biset(src: PermGroup, j_members, tgt: PermGroup, k_members):
         gp = tgt.index_of[g]
         row = [0] * size
         for li, c in enumerate(left_cosets):
-            li2 = lc_of[tgt.mul(gp, min(c))]
+            li2 = lc_of[mul(tgt, gp, min(c))]
             for ri in range(nr):
                 row[pos(li, ri)] = pos(li2, ri)
         left_action.append(row)
@@ -82,7 +82,7 @@ def coset_biset(src: PermGroup, j_members, tgt: PermGroup, k_members):
         gp = src.index_of[g]
         row = [0] * size
         for ri, c in enumerate(right_cosets):
-            ri2 = rc_of[src.mul(min(c), gp)]
+            ri2 = rc_of[mul(src, min(c), gp)]
             for li in range(nl):
                 row[pos(li, ri)] = pos(li, ri2)
         right_action.append(row)

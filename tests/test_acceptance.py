@@ -21,11 +21,12 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              inverse_functor, load_catrep)
 from eiquiver.oracle import build_algebra, check_against_quiver, \
     radical_report
-from eiquiver.quiveralg import assert_acyclic, build_quiver, quivers_equal
+from eiquiver.quiveralg import assert_acyclic, build_quiver
 from eiquiver.reptype import rep_type
 from eiquiver import linalg
 
 from conftest import fixture_doc
+from groups import quivers_equal
 from randcats import random_free_category, random_nonfree_category
 
 FIXTURE_NAMES = ("line_quiver_free", "line_subcategory_nonfree",

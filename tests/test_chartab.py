@@ -11,7 +11,7 @@ from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
                               splitting_prime_for)
 from eiquiver.errors import ValidationError
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
-from groups import named_group, trivial_subgroup, whole_group
+from groups import identity_pos, mul, named_group, trivial_subgroup, whole_group
 from randcats import closure_positions
 
 S3 = named_group("S3")
@@ -29,7 +29,7 @@ def induced_character(mu, handle, parent, p: int) -> list[int]:
     for g in range(len(parent)):
         acc = 0
         for t in range(len(parent)):
-            conj = parent.mul(parent.mul(parent.inv(t), g), t)
+            conj = mul(parent, mul(parent, parent.inv(t), g), t)
             if conj in sub_pos:
                 acc = (acc + int(mu[sub_pos[conj]])) % p
         vals.append(acc * scale % p)
@@ -68,7 +68,7 @@ def test_c2_table():
     g = named_group("C2")
     t = character_table(g, P13)
     assert t.dims == (1, 1)
-    involution_class = t.class_of[1 - g.identity_pos]
+    involution_class = t.class_of[1 - identity_pos(g)]
     assert t.rows[1][involution_class] == t.p - 1
 
 

@@ -13,6 +13,7 @@ from eiquiver.eicat import (EICategory, MorphId, ei_quiver_of,
                             stabilizer_data, unfactorizables,
                             validate_category)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
+from groups import mul
 from kernel_reference import compose
 from randcats import (explicit_document, random_free_category,
                       random_nonfree_category)
@@ -374,7 +375,7 @@ def test_quotH_is_numbered_through_the_biset(categories):
                     if hs.left_elem[h][a] == hs.right_elem[g][a]:
                         assert qH.projection[h] == qG.projection[g]
                 for k in sd.H1.member_positions:
-                    assert qH.projection[H.mul(h, k)] == \
+                    assert qH.projection[mul(H, h, k)] == \
                         qG.table[qH.projection[h]][qH.projection[k]]
 
 

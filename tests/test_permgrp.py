@@ -1,6 +1,7 @@
 """Group enumeration, conjugacy classes, subgroups and quotients."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,8 @@ from eiquiver.permgrp import (PermGroup, SubgroupHandle, check_perm,
                               conjugacy_classes, class_index_of,
                               enumerate_group, orbits, pidentity, pmul,
                               quotient)
-from groups import named_group, pinv, trivial_subgroup, whole_group
+from groups import (identity_pos, mul, named_group, pinv, trivial_subgroup,
+                    whole_group)
 from randcats import closure_positions
 
 S3 = named_group("S3")
@@ -32,13 +34,13 @@ def test_pmul_applies_right_factor_first():
 
 def test_enumerate_s3():
     assert len(S3) == 6
-    assert S3.elements[S3.identity_pos] == (0, 1, 2)
+    assert S3.elements[identity_pos(S3)] == (0, 1, 2)
     # closure and inverses by full table scan
     for i in range(6):
         assert 0 <= S3.inv(i) < 6
-        assert S3.mul(i, S3.inv(i)) == S3.identity_pos
+        assert mul(S3, i, S3.inv(i)) == identity_pos(S3)
         for j in range(6):
-            assert 0 <= S3.mul(i, j) < 6
+            assert 0 <= mul(S3, i, j) < 6
 
 
 def test_enumeration_is_deterministic():
@@ -75,7 +77,7 @@ def test_named_group_orders_and_exponents():
 def test_s3_conjugacy_classes():
     classes = conjugacy_classes(S3)
     assert [len(c) for c in classes] == [1, 3, 2]
-    assert classes[0].members == (S3.identity_pos,)
+    assert classes[0].members == (identity_pos(S3),)
 
 
 def test_conjugacy_classes_brute_force():
@@ -94,7 +96,7 @@ def test_conjugacy_classes_brute_force():
         for _ in range(20):
             a = rng.randrange(len(g))
             t = rng.randrange(len(g))
-            conj = g.mul(g.mul(t, a), g.inv(t))
+            conj = mul(g, mul(g, t, a), g.inv(t))
             assert class_of[conj] == class_of[a]
 
 
@@ -108,7 +110,7 @@ def test_quotient_s3_by_c3():
     for a in range(6):
         for b in range(6):
             assert q.table[q.projection[a]][q.projection[b]] == \
-                q.projection[S3.mul(a, b)]
+                q.projection[mul(S3, a, b)]
     model = q.as_group()
     assert len(model) == 2
 
@@ -195,17 +197,17 @@ def test_quotient_cosets_match_brute_force_on_s4():
     for base in subgroups:
         for kernel in subgroups:
             if not set(kernel) <= set(base) or any(
-                    g.mul(g.mul(t, k), g.inv(t)) not in kernel
+                    mul(g, mul(g, t, k), g.inv(t)) not in kernel
                     for t in base for k in kernel):
                 continue
-            cosets = sorted({tuple(sorted(g.mul(i, k) for k in kernel))
+            cosets = sorted({tuple(sorted(mul(g, i, k) for k in kernel))
                              for i in base})
             coset_of = {i: c for c, coset in enumerate(cosets) for i in coset}
             q = quotient(SubgroupHandle(g, base), SubgroupHandle(g, kernel))
             assert q.cosets == tuple(cosets)
             assert q.projection == coset_of
             assert q.table == tuple(
-                tuple(coset_of[g.mul(a[0], b[0])] for b in cosets)
+                tuple(coset_of[mul(g, a[0], b[0])] for b in cosets)
                 for a in cosets)
             checked += 1
     # 93 pairs, among them S4 over each of its four normal subgroups
@@ -215,9 +217,7 @@ def test_quotient_cosets_match_brute_force_on_s4():
 def test_quotient_by_a_normal_subgroup_takes_few_position_lookups(
         monkeypatch):
     s5 = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
-    even = tuple(i for i, e in enumerate(s5.elements)
-                 if sum(e[a] > e[b] for a in range(5)
-                        for b in range(a + 1, 5)) % 2 == 0)
+    even = _even_positions(s5)
     calls = []
     positions = PermGroup.positions
 
@@ -230,3 +230,74 @@ def test_quotient_by_a_normal_subgroup_takes_few_position_lookups(
     assert len(q) == 2
     # the parent made one call per member of S5 and per coset: 125
     assert len(calls) <= 12
+
+
+def _even_positions(g: PermGroup) -> tuple[int, ...]:
+    return tuple(i for i, e in enumerate(g.elements)
+                 if sum(e[a] > e[b] for a in range(g.degree)
+                        for b in range(a + 1, g.degree)) % 2 == 0)
+
+
+def _dihedral(n: int) -> PermGroup:
+    return enumerate_group(n, [[(i + 1) % n for i in range(n)],
+                               [(-i) % n for i in range(n)]])
+
+
+def _row_group(name: str) -> PermGroup:
+    """A freshly built group, so no row of it is cached yet."""
+    if name == "C72":
+        return enumerate_group(72, [[(i + 1) % 72 for i in range(72)]])
+    if name == "D48":
+        return _dihedral(24)
+    s5 = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    if name == "S5":
+        return s5
+    if name == "A5 as_group":
+        return SubgroupHandle(s5, _even_positions(s5)).as_group()
+    s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    v4 = SubgroupHandle(s4, tuple(
+        i for i, e in enumerate(s4.elements)
+        if e in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))))
+    return quotient(whole_group(s4), v4).as_group()
+
+
+@pytest.mark.parametrize("name", ["C72", "D48", "S5", "A5 as_group",
+                                  "S4/V4 as_group"])
+def test_cayley_rows_match_composition(name):
+    # rows are gathers along the BFS words; the reference composes the
+    # two permutations and looks the product up
+    g = _row_group(name)
+    want = [[g.index_of[pmul(a, b)] for b in g.elements] for a in g.elements]
+    order = list(range(len(g)))
+    random.Random(0).shuffle(order)
+    # half the rows in a random order, each walking up whatever part of
+    # its word has no row yet; then the whole table over them
+    for i in order[:len(g) // 2]:
+        assert g.row(i).tolist() == want[i]
+    assert g.cayley.tolist() == want
+    assert all(g.row(i).tolist() == want[i] for i in order)
+    assert _row_group(name).cayley.tolist() == want
+
+
+def test_whole_cayley_table_looks_up_each_generator_once(monkeypatch):
+    g = _dihedral(24)
+    calls = []
+    positions = PermGroup.positions
+
+    def counted(self, perms):
+        calls.append(len(perms))
+        return positions(self, perms)
+
+    monkeypatch.setattr(PermGroup, "positions", counted)
+    assert g.cayley.shape == (48, 48)
+    # one lookup of s times every element per generator, none per row
+    assert calls == [48] * len(g.generators)
+
+
+def test_a_row_at_the_end_of_a_long_word_needs_no_recursion():
+    # C_n's last element has a word of length n - 1, longer than the
+    # recursion limit
+    n = sys.getrecursionlimit() + 10
+    g = enumerate_group(n, [[(i + 1) % n for i in range(n)]])
+    assert len(g.words[n - 1]) == n - 1
+    assert g.row(n - 1).tolist() == [(j + n - 1) % n for j in range(n)]

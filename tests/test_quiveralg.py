@@ -18,8 +18,9 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              inverse_functor)
 from eiquiver.oracle import check_against_quiver
 from eiquiver.quiveralg import (QuiverArrow, assert_acyclic, build_quiver,
-                                quiver_document, quiver_dot, quivers_equal)
+                                quiver_document, quiver_dot)
 from eiquiver.reptype import rep_type
+from groups import quivers_equal
 from randcats import random_free_category
 
 

@@ -7,10 +7,10 @@ from types import SimpleNamespace
 from eiquiver.chartab import SplittingPrime, choose_splitting_prime
 from eiquiver.eicat import load_category
 from eiquiver.freecover import free_cover
-from eiquiver.quiveralg import build_quiver, quivers_equal
+from eiquiver.quiveralg import build_quiver
 from eiquiver.reptype import (classify_graph, is_hereditary, rep_type,
                               screen_two_object)
-from groups import named_group, trivial_subgroup
+from groups import named_group, quivers_equal, trivial_subgroup
 from randcats import coset_biset, random_free_category
 
 
