@@ -130,14 +130,14 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
 
     For each k, v = u^-1 w_k over all u is the inverse table read along
     the Cayley row of w_k^-1, so the class-rep rows, gathered at once,
-    give every (i, j, k) count in one bincount.
+    give every (i, j, k) count in one bincount, reduced mod p in place.
     """
     r = len(classes)
     cls = np.asarray(class_of)
     rows = np.array([g.row(k) for k in g.inverse[[c.rep for c in classes]]])
     ijk = (cls * r + cls[g.inverse[rows]]) * r + np.arange(r)[:, None]
     mats = np.bincount(ijk.ravel(), minlength=r ** 3).reshape(r, r, r)
-    return [m % p for m in mats]
+    return np.remainder(mats, p, out=mats)
 
 
 def _split_common_eigenvectors(mats, r: int, p: int):

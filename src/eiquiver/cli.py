@@ -84,7 +84,7 @@ def cmd_quiver(args) -> int:
 def cmd_classify(args) -> int:
     from .reptype import rep_type
     cat = _load(args)
-    verdict = rep_type(cat, _prime(args, cat), max_paths=args.max_paths)
+    verdict = rep_type(cat, _prime(args, cat))
     payload = {"verdict": verdict.verdict,
                "certificates": [{"rule": r, "witness": w}
                                 for r, w in verdict.certificates]}
@@ -127,7 +127,7 @@ def cmd_cover(args) -> int:
 def cmd_is_free(args) -> int:
     from .freecover import is_free
     cat = _load(args)
-    free = is_free(cat, max_paths=args.max_paths)
+    free = is_free(cat)
     _emit(args, {"free": free}, ["free" if free else "not free"])
     return 0
 

@@ -13,11 +13,11 @@ every downstream computation silently assumes the axioms.
 
 A category is immutable once loaded, so what is derived from it is
 derived once: `EICategory.memo` keeps, per category, its unfactorizables,
-its orbit representatives, its free cover per path bound (freecover),
-the stabilizer data of each representative (below) and, while a caller
-holds it, its quiver per splitting prime (quiveralg).  Every caller
-shares the one cached object and must not modify it.  A build that raises caches nothing, so the
-next call raises again.
+its orbit representatives, its freeness and free cover per path bound
+(freecover), the stabilizer data of each representative (below) and,
+while a caller holds it, its quiver per splitting prime (quiveralg).
+Every caller shares the one cached object and must not modify it.  A
+build that raises caches nothing, so the next call raises again.
 """
 
 from __future__ import annotations

@@ -7,16 +7,17 @@ modulo the middle-vertex moves (t·h, s) ~ (t, h·s).  The glued product is
 the biset tensor product over the middle group, which is associative, so
 each path biset is built as a left fold over the path's arrows.
 Composition walks a concatenated tuple through the glued prefixes' class
-maps.
+maps.  Only the `cover` command and the loading of ei-quiver documents
+build one, and --max-paths bounds that build.
 
-A category is free exactly when the canonical functor from the free
-category on its own quiver of unfactorizables is bijective on hom-sets;
-since it is always surjective, comparing cardinalities suffices.  An
-independent oracle checks the equivalent unique-factorization property
+Freeness is decided by the source paper's definition: a category is free
+when every non-endomorphism factors uniquely into unfactorizables, up to
+automorphisms at the intermediate objects.  category_has_ufp tests this
 locally: every non-endomorphism α that is not unfactorizable must have
 its first steps (z, β, δ), with β unfactorizable and δ∘β = α, all pass
 through one object z and form a single Aut(z)-orbit under
-h·(β, δ) = (h∘β, δ∘h⁻¹).
+h·(β, δ) = (h∘β, δ∘h⁻¹).  It reads only the composition tables and
+actions, so no free category is built to answer it.
 """
 
 from __future__ import annotations
@@ -220,17 +221,6 @@ def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICatego
     return cat if cover is None else cover
 
 
-def is_free(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> bool:
-    """Whether the canonical functor from the free cover is bijective.
-
-    The functor is always surjective, so equality of hom-set sizes over
-    every object pair decides it.
-    """
-    cover = free_cover(cat, max_paths=max_paths)
-    pairs = set(cat.homs) | set(cover.homs)
-    return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
-
-
 def category_has_ufp(cat: EICategory) -> bool:
     """Whether every non-endomorphism factors uniquely into unfactorizables,
     up to automorphisms at the intermediate objects.
@@ -265,9 +255,8 @@ def category_has_ufp(cat: EICategory) -> bool:
     automorphism h of their chain gives β' = h∘β while the rest
     telescopes to δ' = δ∘h⁻¹, so the two steps share z and an orbit.
 
-    Only composition tables and actions are read, so this stays
-    independent of the cover construction and serves as an oracle for
-    is_free.
+    Only composition tables and actions are read, so the answer is
+    independent of the free cover construction.
     """
     unfact = cat.unfactorizables
     step_orbit: dict[tuple[str, str, int], tuple[str, int]] = {}
@@ -287,3 +276,9 @@ def category_has_ufp(cat: EICategory) -> bool:
                 if step_orbit.setdefault((x, y, row[beta]), step) != step:
                     return False
     return True
+
+
+def is_free(cat: EICategory) -> bool:
+    """Whether the category is free: category_has_ufp, derived once per
+    category through its memo."""
+    return cat.memo("free", lambda: category_has_ufp(cat))

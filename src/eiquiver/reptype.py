@@ -1,15 +1,16 @@
 """Representation type: ADE/affine graph recognition, the hereditary
 criterion, and the two-object screening rules for non-free categories.
 
-The certified branch: for a free category whose group orders are
-invertible, the algebra is hereditary and its type is read off the
-underlying multigraph of the quiver (Dynkin = finite, Euclidean = tame,
-anything else = wild).  For non-free categories only two certificates
-exist: finite type when the free cover's quiver is all-Dynkin, and
-infinite type when a two-object screen fires; tame-vs-wild is never
-claimed there.  The free cover has the category's own unfactorizable
+The certified branch: the algebra is hereditary exactly when the
+category is free (unique factorization, freecover.is_free) with
+invertible group orders, and its type is then read off the underlying
+multigraph of the quiver (Dynkin = finite, Euclidean = tame, anything
+else = wild).  For non-free categories only two certificates exist:
+finite type when the free cover's quiver is all-Dynkin, and infinite
+type when a two-object screen fires; tame-vs-wild is never claimed
+there.  The free cover has the category's own unfactorizable
 bisets, so its quiver is the category's quiver, and the finite-cover
-rule reads that one.
+rule reads that one without building the cover.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .chartab import (SplittingPrime, character_table, choose_splitting_prime,
                       restriction_multiplicity)
 from .eicat import EICategory, MorphId, homset_orbits, stabilizer_data
-from .freecover import DEFAULT_PATH_BOUND, is_free
+from .freecover import is_free
 from .quiveralg import BuiltQuiver, build_quiver
 
 
@@ -126,12 +127,11 @@ def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
     return out
 
 
-def is_hereditary(cat: EICategory, prime: SplittingPrime,
-                  max_paths: int = DEFAULT_PATH_BOUND) -> bool:
-    """Free with all group orders invertible mod p."""
+def is_hereditary(cat: EICategory, prime: SplittingPrime) -> bool:
+    """Free (is_free) with all group orders invertible mod p."""
     if any(len(g) % prime.p == 0 for g in cat.groups.values()):
         return False
-    return is_free(cat, max_paths)
+    return is_free(cat)
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,14 @@ def _graph_verdict(comps) -> str:
     return "Wild"
 
 
-def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
-             max_paths: int = DEFAULT_PATH_BOUND) -> RepTypeVerdict:
+def rep_type(cat: EICategory,
+             prime: SplittingPrime | None = None) -> RepTypeVerdict:
+    """The representation-type verdict with its certificates.  Freeness
+    comes from is_free and the graph from the category's own quiver, so
+    no free cover is built."""
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
-    hereditary = is_hereditary(cat, prime, max_paths)
+    hereditary = is_hereditary(cat, prime)
     comps = classify_graph(build_quiver(cat, prime))
     names = ", ".join(c.name for c in comps)
     if hereditary:

@@ -18,6 +18,21 @@ def fixture_doc(name: str) -> dict:
     return json.loads(fixture_path(name).read_text())
 
 
+def large_cover_document(n: int = 400) -> dict:
+    """Trivial objects x -> y -> z with hom sizes n, n and 1, every
+    composite equal: 2n + 4 morphisms, but n² paths x -> z in the free
+    cover, which exceeds the default path bound at n = 400."""
+    return {"mode": "explicit",
+            "objects": [{"id": o, "degree": 1, "generators": []}
+                        for o in "xyz"],
+            "homs": [{"from": x, "to": y, "size": size,
+                      "left_action": [], "right_action": []}
+                     for x, y, size in (("x", "y", n), ("y", "z", n),
+                                        ("x", "z", 1))],
+            "compositions": [{"inner": ["x", "y"], "outer": ["y", "z"],
+                              "table": [[0] * n for _ in range(n)]}]}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     import re

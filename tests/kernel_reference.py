@@ -30,14 +30,22 @@ eiquiver.morita.hom_dim_cat replaced.
 validate_category checks the category axioms one table entry at a time,
 as the whole-table comparisons of eiquiver.eicat.validate_category
 replaced, and raises the same first finding and message.
+is_free_by_cover compares hom-set sizes with the free cover, the
+freeness decision that the unique-factorization test
+eiquiver.freecover.is_free replaced.  cartan_matrix and path_counts
+state the source paper's theorem as a check: the Cartan matrix of the
+category algebra is bounded by the quiver's path counts, with equality
+exactly when the category is free (p never divides a group order here).
 """
 
 import numpy as np
 
 from eiquiver import linalg
-from eiquiver.eicat import (EICategory, MorphId, _check_connected,
+from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
+                            _check_connected, homset_orbits,
                             orbit_representatives)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
+from eiquiver.freecover import free_cover
 from eiquiver.morita import check_group_rep
 from eiquiver.permgrp import PermGroup, pmul
 from groups import identity_pos, pinv
@@ -393,6 +401,69 @@ def split_common_eigenvectors(mats, r, p):
         spaces = nxt
     assert all(c.shape[1] == 1 for c in spaces)
     return [c[:, 0] for c in spaces]
+
+
+def is_free_by_cover(cat: EICategory,
+                     max_paths: int = DEFAULT_PATH_BOUND) -> bool:
+    """Whether the canonical functor from the free cover is bijective.
+
+    The functor is always surjective, so equality of hom-set sizes over
+    every object pair decides it.
+    """
+    cover = free_cover(cat, max_paths=max_paths)
+    pairs = set(cat.homs) | set(cover.homs)
+    return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
+
+
+def cartan_matrix(q) -> list[list[int]]:
+    """c[i][j] = dim e_W kC e_V for the quiver's vertices i = x:V and
+    j = y:W, from the category's actions and the quiver's character
+    tables alone.
+
+    On one object it is δ_VW, as kG_x is split semisimple.  For x ≠ y,
+    k hom(x, y) is a permutation module of G_y × G_x, and e_W k[O] e_V
+    is the multiplicity of W ⊗ V* in it on each two-sided orbit O:
+    (|G_x||G_y|)⁻¹ Σ_{h,g} fix_O(h, g)·χ_W(h⁻¹)·χ_V(g), with
+    fix_O(h, g) = #{α ∈ O : h∘α = α∘g}.  That term is at most
+    dim V·dim W < p, so its residue is exact, and the orbits' terms are
+    added as integers.
+    """
+    cat, p = q.cat, q.prime.p
+    n = len(q.vertices)
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (x, y), hs in cat.homs.items():
+        gx, gy = cat.groups[x], cat.groups[y]
+        chi_v = q.tables[x].values
+        chi_w_inv = q.tables[y].values[:, gy.inverse]
+        scale = pow(len(gx) * len(gy), -1, p)
+        left, right = np.array(hs.left_elem), np.array(hs.right_elem)
+        for orbit in homset_orbits(hs, range(hs.size)):
+            o = list(orbit)
+            fix = (left[:, None, o] == right[None, :, o]).sum(axis=2)
+            term = (chi_w_inv @ fix % p) @ chi_v.T % p * scale % p
+            for w in range(len(chi_w_inv)):
+                for v in range(len(chi_v)):
+                    c[q.vertex_index[(x, v)]][q.vertex_index[(y, w)]] += \
+                        int(term[w, v])
+    return c
+
+
+def path_counts(q) -> list[list[int]]:
+    """P = Σ_k N^k over the integers: P[i][j] counts the paths from
+    vertex i to vertex j, N being the arrow-multiplicity matrix.  The
+    quiver is acyclic, so N is nilpotent and the sum ends."""
+    n = len(q.vertices)
+    arrows = [[0] * n for _ in range(n)]
+    for a in q.arrows:
+        arrows[a.source][a.target] += a.mult
+    total = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = total
+    while any(map(any, power)):
+        power = [[sum(power[i][k] * arrows[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)]
+        total = [[t + s for t, s in zip(rt, rs)]
+                 for rt, rs in zip(total, power)]
+    return total
 
 
 def morphisms(cat: EICategory) -> list[MorphId]:

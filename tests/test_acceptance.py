@@ -27,7 +27,9 @@ from eiquiver import linalg
 
 from conftest import fixture_doc
 from groups import quivers_equal
+from kernel_reference import is_free_by_cover
 from randcats import random_free_category, random_nonfree_category
+from ufp_reference import reference_has_ufp
 
 FIXTURE_NAMES = ("line_quiver_free", "line_subcategory_nonfree",
                  "fork_merge_free", "fork_merge_nonfree", "one_object_c2",
@@ -102,6 +104,8 @@ def test_criterion_04_freeness_goldens(categories):
         cat = categories[name]
         assert is_free(cat) is want, name
         assert category_has_ufp(cat) is want, name
+        assert is_free_by_cover(cat) is want, name
+        assert reference_has_ufp(cat) is want, name
 
 
 def test_criterion_05_oracle_equivalence(categories):

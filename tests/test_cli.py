@@ -6,7 +6,7 @@ import resource
 
 import pytest
 
-from conftest import fixture_doc, fixture_path
+from conftest import fixture_doc, fixture_path, large_cover_document
 from eiquiver.cli import main
 
 
@@ -416,6 +416,32 @@ def test_max_paths_bound(capsys):
                        "validate", fx("four_object_mixed"))
     assert code == 2
     assert "path-bound" in err
+
+
+def test_the_path_bound_limits_only_the_cover(tmp_path, capsys, monkeypatch):
+    # 804 morphisms whose free cover has 160,000 paths x -> z: only
+    # `cover` builds that cover, so only `cover` meets the bound
+    from eiquiver import freecover
+    f = tmp_path / "large_cover.json"
+    f.write_text(json.dumps(large_cover_document()))
+    calls = []
+    build = freecover.generate_free_category
+    monkeypatch.setattr(freecover, "generate_free_category",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    code, out, err = run(capsys, "--format", "text", "is-free", str(f))
+    assert (code, out, err) == (0, "not free\n", "")
+    code, out, err = run(capsys, "classify", str(f))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "InfiniteUncertified"
+    assert [c["rule"] for c in payload["certificates"]] == \
+        ["multiple-orbits"] * 2
+    assert calls == []
+    for command in ("validate", "quiver", "oracle"):
+        code, _, err = run(capsys, command, str(f))
+        assert (code, err) == (0, ""), command
+    code, _, err = run(capsys, "cover", str(f))
+    assert code == 2 and "path-bound" in err
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -1,18 +1,21 @@
-"""Biset products, free categories, the freeness decision and the
-unique-factorization oracle."""
+"""Biset products, free categories, and the freeness decision against
+its references: the unique-factorization oracle, the free cover's hom
+sizes and the Cartan matrix against the quiver's path counts."""
 
 import hashlib
 import random
 
 import pytest
 
-from conftest import fixture_doc
+from conftest import fixture_doc, large_cover_document
 from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of, load_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
                                 free_cover, generate_free_category, is_free)
 from eiquiver.permgrp import pmul
+from eiquiver.quiveralg import build_quiver
 from groups import named_group
+from kernel_reference import cartan_matrix, is_free_by_cover, path_counts
 from randcats import (explicit_document, random_free_category,
                       random_nonfree_category, random_quiver_document)
 from ufp_reference import (decompositions, has_unique_factorization,
@@ -151,7 +154,8 @@ def test_is_free_goldens(categories):
 
 def test_ufp_oracle_agrees_with_is_free(categories):
     for name, cat in categories.items():
-        assert category_has_ufp(cat) == is_free(cat), name
+        assert category_has_ufp(cat) == is_free(cat) == \
+            is_free_by_cover(cat) == reference_has_ufp(cat), name
 
 
 def test_ufp_oracle_on_random_categories():
@@ -270,7 +274,8 @@ def test_local_ufp_matches_reference_on_random_categories():
         make = random_free_category if i % 2 else random_nonfree_category
         cat = make(rng, max_mor=80)
         verdicts.append(category_has_ufp(cat))
-        assert verdicts[-1] == reference_has_ufp(cat) == is_free(cat), i
+        assert verdicts[-1] == is_free(cat) == reference_has_ufp(cat) == \
+            is_free_by_cover(cat), i
     assert verdicts.count(True) == verdicts.count(False) == 60
 
 
@@ -284,15 +289,17 @@ def test_free_cover_is_built_once_per_category_and_path_bound(monkeypatch):
     build = freecover.generate_free_category
     monkeypatch.setattr(freecover, "generate_free_category",
                         lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    # freeness and the verdict build no cover
     assert is_free(cat)
     assert rep_type(cat).verdict == "Finite"
+    assert calls == []
     cover = free_cover(cat)
     assert len(calls) == 1
     assert free_cover(cat) is cover
     # a build that fails is not kept: a smaller bound still fails
     for _ in range(2):
         with pytest.raises(ValidationError) as exc:
-            is_free(cat, max_paths=2)
+            free_cover(cat, max_paths=2)
         assert exc.value.finding == "path-bound"
     assert len(calls) == 3
 
@@ -307,7 +314,7 @@ def test_an_ei_quiver_load_is_its_own_cover_at_its_bound(monkeypatch):
         cat = load_category(fixture_doc("four_object_mixed"), max_paths=bound)
         calls.clear()
         assert free_cover(cat, max_paths=bound) is cat
-        assert is_free(cat, max_paths=bound)
+        assert is_free(cat)
         assert calls == []
         # any other bound builds; a smaller one still fails, every time
         other = free_cover(cat, max_paths=bound + 1)
@@ -335,3 +342,49 @@ def test_an_ei_quiver_load_is_freed_without_the_collector():
             assert gone() is None, name
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the source paper's theorem: with p dividing no group order, kC is
+# hereditary exactly when C is free, and then it is Morita equivalent to
+# the path algebra of its quiver; otherwise to a proper quotient of it
+
+
+def _cartan_within_paths(cat):
+    """Whether the Cartan matrix is at most the path counts entrywise,
+    and whether the two are equal."""
+    q = build_quiver(cat)
+    c, paths = cartan_matrix(q), path_counts(q)
+    below = all(a <= b for rc, rp in zip(c, paths) for a, b in zip(rc, rp))
+    return below, c == paths
+
+
+def test_cartan_matrix_equals_path_counts_exactly_when_free(categories):
+    from test_kernel import C4_REGULAR
+    named = dict(categories, c4_regular=load_category(C4_REGULAR))
+    for name, cat in named.items():
+        assert _cartan_within_paths(cat) == (True, is_free(cat)), name
+    rng = random.Random(7)
+    verdicts = []
+    for i in range(120):
+        make = random_free_category if i % 2 else random_nonfree_category
+        cat = make(rng, max_mor=200)
+        verdicts.append(is_free(cat))
+        assert _cartan_within_paths(cat) == (True, verdicts[-1]), i
+    assert verdicts.count(True) == verdicts.count(False) == 60
+
+
+def test_a_category_with_a_large_cover_is_answered_without_it(monkeypatch):
+    from eiquiver import freecover
+    calls = []
+    monkeypatch.setattr(freecover, "generate_free_category",
+                        lambda *a, **kw: calls.append(a))
+    cat = load_category(large_cover_document())
+    assert cat.morphism_count() == 804
+    assert is_free(cat) is False
+    q = build_quiver(cat)
+    c, paths = cartan_matrix(q), path_counts(q)
+    x0, z0 = q.vertex_index[("x", 0)], q.vertex_index[("z", 0)]
+    assert (c[x0][z0], paths[x0][z0]) == (1, 160000)
+    assert _cartan_within_paths(cat) == (True, False)
+    assert calls == []

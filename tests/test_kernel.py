@@ -9,8 +9,9 @@ import pytest
 
 import kernel_reference as ref
 from eiquiver import linalg
-from eiquiver.chartab import (character_table, choose_splitting_prime,
-                              inflate, restriction_multiplicity)
+from eiquiver.chartab import (_MODEL_CACHE, character_table,
+                              choose_splitting_prime, inflate,
+                              restriction_multiplicity)
 from eiquiver.eicat import load_category, orbit_representatives, \
     stabilizer_data
 from eiquiver.permgrp import (SubgroupHandle, conjugacy_classes,
@@ -290,6 +291,22 @@ def test_loading_an_s7_category_builds_no_cayley_table():
         tracemalloc.stop()
     assert cat.morphism_count() == 5040 + 2 + 6
     assert peak < 20 * 2**20
+
+
+def test_c100_class_matrices_are_reduced_in_place():
+    # the (i, j, k) counts of an abelian group take 8·|G|³ bytes, 7.6 MiB
+    # here; a reduced copy of each matrix would double that
+    g = enumerate_group(100, [list(range(1, 100)) + [0]])
+    prime = choose_splitting_prime([g])
+    _MODEL_CACHE.pop((prime.p, g.key), None)
+    tracemalloc.start()
+    try:
+        table = character_table(g, prime)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 100
+    assert peak < 10 * 2**20
 
 
 # C4 acting regularly on both sides: G1/G0 is C4, whose characters are

@@ -10,9 +10,10 @@ process first caps its own address space (RLIMIT_AS) at 512 MiB, so an
 allocation that a size check missed ends in MemoryError rather than
 exhausting the machine; the CLI reports that as the finding
 out-of-memory.  Prints one JSON summary: counts by exit code, the
-slowest case, and every case that broke the gate's rule (exit 0, 2 or 3
-with at most one stderr line) or ran out of memory, with its stderr or
-traceback.  Exits 1 if there was any such case.
+slowest case, and every case that broke the gate's rules (exit 0, 2 or
+3 with at most one stderr line; path-bound only from `cover` or an
+ei-quiver document) or ran out of memory, with its stderr or traceback.
+Exits 1 if there was any such case.
 """
 
 import json
@@ -57,7 +58,8 @@ def main(argv) -> int:
         f = pathlib.Path(tmp) / "mutated.json"
         for _ in range(CASES):
             command, name, path, value = draw(rng)
-            f.write_text(fz._mutated(name, path, value))
+            text = fz._mutated(name, path, value)
+            f.write_text(text)
             argv = ([command, str(f)] if command != "functor" else
                     [command, str(fz.fixture_path(fz.REPRESENTATIONS[name])),
                      str(f)])
@@ -72,7 +74,8 @@ def main(argv) -> int:
             slowest = max(slowest, (took, case), key=lambda t: t[0])
             codes[str(code)] = codes.get(str(code), 0) + 1
             if code not in (0, 2, 3) or err.count("\n") > 1 or \
-                    f": {OutOfMemory.finding}: " in err:
+                    f": {OutOfMemory.finding}: " in err or \
+                    fz._misplaced_path_bound(command, text, err):
                 broken.append({"case": case, "exit": code, "stderr": err})
     print(json.dumps({"seed": seed, "cases": CASES,
                       "rlimit_as_mib": LIMIT >> 20, "exit_codes": codes,
