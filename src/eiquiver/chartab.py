@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import isqrt, lcm
 
 import numpy as np
@@ -126,25 +127,32 @@ class CharTable:
 
 
 def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
-    """M_i with (M_i)[j,k] = #{(u,v) in C_i x C_j : uv = w_k} for fixed w_k.
+    """Yield M_0, M_1, ... in class order, with
+    (M_i)[j,k] = #{(u,v) in C_i x C_j : uv = w_k} for fixed w_k.
 
     For each k, v = u^-1 w_k over all u is the inverse table read along
-    the Cayley row of w_k^-1, so the class-rep rows, gathered at once,
-    give every (i, j, k) count in one bincount, reduced mod p in place.
+    the Cayley row of w_k^-1, so the class-rep rows, gathered once, give
+    each v's class; M_i is then one bincount over u in C_i, reduced mod
+    p in place.  Only one matrix's r^2 counts exist at a time, not all
+    r^3, and a caller that stops early builds no more.
     """
     r = len(classes)
     cls = np.asarray(class_of)
     rows = np.array([g.row(k) for k in g.inverse[[c.rep for c in classes]]])
-    ijk = (cls * r + cls[g.inverse[rows]]) * r + np.arange(r)[:, None]
-    mats = np.bincount(ijk.ravel(), minlength=r ** 3).reshape(r, r, r)
-    return np.remainder(mats, p, out=mats)
+    vcls = cls[g.inverse[rows.T]] * r + np.arange(r)   # u, k -> j*r + k
+    for c in classes:
+        m = np.bincount(vcls[list(c.members)].ravel(),
+                        minlength=r * r).reshape(r, r)
+        yield np.remainder(m, p, out=m)
 
 
 def _split_common_eigenvectors(mats, r: int, p: int):
-    """Intersect eigenspaces of the commuting matrices until 1-dimensional.
-    mats[0], the identity class's matrix, is the identity: it is skipped."""
+    """Intersect eigenspaces of the commuting matrices until 1-dimensional,
+    pulling the next matrix from the iterable mats only while some space
+    is not yet a line.  The first, the identity class's matrix, is the
+    identity: it is skipped."""
     spaces = [linalg.eye(r)]  # columns span each subspace
-    for m in mats[1:]:
+    for m in islice(mats, 1, None):
         nxt = []
         for c in spaces:
             if c.shape[1] == 1:

@@ -15,7 +15,8 @@ import sys
 
 from .chartab import certified_prime, choose_splitting_prime
 from .eicat import DEFAULT_PATH_BOUND, load_category
-from .errors import EIQuiverError, OutOfMemory, SchemaError, ValidationError
+from .errors import (EIQuiverError, OutOfMemory, SchemaError, ValidationError,
+                     clear_frames)
 from .permgrp import DEFAULT_SIZE_BOUND
 
 
@@ -204,7 +205,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except EIQuiverError as e:
         err = e
-    except MemoryError:
+    except MemoryError as e:
+        # the failed call's frames hold its data; free it, so that there
+        # is room to report the error
+        clear_frames(e)
         err = OutOfMemory()
     print(f"{err.label}: {err}", file=sys.stderr)
     return err.exit_code

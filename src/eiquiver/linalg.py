@@ -4,7 +4,8 @@ Matrices are numpy int64 arrays with entries reduced to {0..p-1}.  All
 routines use deterministic pivoting (first nonzero column, topmost row)
 so that downstream artifacts are reproducible byte-for-byte.  Each
 elimination step is one whole-array update of the rows it touches, so
-no routine loops over rows in Python; the characteristic polynomial
+no routine loops over rows in Python, and rref takes one step per
+pivot, not one per column; the characteristic polynomial
 comes from a Hessenberg reduction, O(n^3).  Eigenspaces of simple roots
 come from one Krylov basis per matrix, O(n^2) each after its O(n^3)
 build, rather than one elimination each.  Products stay below
@@ -42,19 +43,24 @@ def inv_scalar(x: int, p: int) -> int:
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns).
 
-    Per pivot, the rows with a nonzero entry in its column are cleared
-    in one array operation.
+    One step per pivot: a column with no nonzero entry at or below the
+    current row is passed over with every such column after it, by one
+    search of the trailing block for the next column that has one.  Per
+    pivot, the rows with a nonzero entry in its column are cleared in
+    one array operation.
     """
     r = asmod(a, p)
     m, n = r.shape
     pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
+    row = col = 0
+    while row < m and col < n:
         nz = r[:, col].nonzero()[0]
         k = nz.searchsorted(row)
         if k == nz.size:
+            live = r[row:, col + 1:].any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            col += 1 + int(live[0])
             continue
         sel = nz[k]
         if sel != row:
@@ -68,6 +74,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             r[others] = (r[others] - r[others, col, None] * piv) % p
         pivots.append(col)
         row += 1
+        col += 1
     return r, pivots
 
 
@@ -265,9 +272,29 @@ def _powmod(a: int, e: int, f: list[int], p: int) -> list[int]:
 
 def _split(g: list[int], p: int, a: int = 0) -> list[int]:
     """The roots of g, a product of distinct monic linear factors, split by
-    the first proper gcd((x+a')^(p//2) - 1, g), a' >= a (a' < a + p)."""
+    the first proper gcd((x+a')^(p//2) - 1, g), a' >= a (a' < a + p).
+
+    The recursion ends at quadratics g = x^2 + bx + c, where the same
+    test is taken in F_p[x]/(g) on pairs u + vx of ints: the gcd is
+    proper exactly when t = (u - 1) + vx, the power less 1, has v != 0
+    and its root r = -(u - 1)/v is a root of g, and then the other root
+    is -b - r.
+    """
     if len(g) <= 2:
         return [-g[1] % p] if len(g) == 2 else []
+    if len(g) == 3:
+        _, b, c = g
+        while True:
+            u, v, s = 1, 0, a % p
+            for bit in bin(p // 2)[2:]:
+                u, v = (u * u - c * v * v) % p, (2 * u * v - b * v * v) % p
+                if bit == "1":
+                    u, v = (s * u - c * v) % p, (u + (s - b) * v) % p
+            a += 1
+            if v:
+                r = (1 - u) * inv_scalar(v, p) % p
+                if (r * r + b * r + c) % p == 0:
+                    return [r, (-b - r) % p]
     while True:
         t = _powmod(a % p, p // 2, g, p)
         t[-1] -= 1

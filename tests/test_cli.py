@@ -3,11 +3,13 @@
 import contextlib
 import json
 import resource
+import weakref
 
 import pytest
 
 from conftest import fixture_doc, fixture_path, large_cover_document
 from eiquiver.cli import main
+from eiquiver.errors import OutOfMemory
 
 
 def run(capsys, *argv):
@@ -495,6 +497,27 @@ def test_memory_error_is_an_out_of_memory_finding(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("validation error: out-of-memory: ") and \
         err.count("\n") == 1
+
+
+def test_out_of_memory_frees_the_failed_calls_data(capsys, monkeypatch):
+    # the frames of the call that ran out hold its data; it is freed
+    # before the finding is built, so that there is room to report it
+    from eiquiver import cli
+
+    class Data:
+        pass
+    refs, alive = [], []
+
+    def exhausted(args):
+        data = Data()
+        refs.append(weakref.ref(data))
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    monkeypatch.setattr(cli, "OutOfMemory", lambda: alive.append(
+        refs[0]() is not None) or OutOfMemory())
+    code, _, err = run(capsys, "classify", fx("two_object_c2_s3"))
+    assert (code, alive) == (2, [False])
+    assert err.startswith("validation error: out-of-memory: ")
 
 
 def test_no_splitting_prime_is_a_bad_prime_finding(capsys, tmp_path):

@@ -33,6 +33,21 @@ def _matrices(p, rng):
         out.append(rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))
                    % p)
         out.append(rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.2))
+    # runs of columns with no pivot, which rref passes over in one step:
+    # wide low-rank shapes, zero blocks before, between and after the
+    # pivots, all zero, and a last row alone in the trailing columns
+    for m, n, k in ((2, 96, 1), (8, 96, 4)):
+        out.append(rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))
+                   % p)
+    blocks = np.zeros((6, 40), dtype=np.int64)
+    blocks[:, 4:7] = rng.integers(0, p, (6, 3))
+    blocks[:, 20:22] = rng.integers(0, p, (6, 2))
+    out.append(blocks)
+    out.append(np.zeros((3, 50), dtype=np.int64))
+    tail = np.zeros((5, 30), dtype=np.int64)
+    tail[:4, :10] = rng.integers(0, p, (4, 2)) @ rng.integers(0, p, (2, 10))
+    tail[4, 20:] = rng.integers(0, p, 10)
+    out.append(tail % p)
     return out
 
 
@@ -119,6 +134,49 @@ def test_poly_roots_match_the_scan(p):
         if rng.random() < 0.3:
             f = _polymul(f, [1, rng.randrange(p), rng.randrange(p)], p)
         assert linalg.poly_roots(f, p) == ref.poly_roots(f, p)
+
+
+def _from_roots(roots, p):
+    f = [1]
+    for r in roots:
+        f = _polymul(f, [1, -r % p], p)
+    return f
+
+
+@pytest.mark.parametrize("p", (2, 3, 13))
+def test_every_split_quadratic_gives_its_roots(p):
+    # the recursion's base case, on every pair of distinct roots
+    for r in range(p):
+        for s in range(r + 1, p):
+            assert linalg.poly_roots(_from_roots([r, s], p), p) == [r, s]
+
+
+@pytest.mark.parametrize("p", (433, 999983))
+def test_random_quadratics_give_their_roots(p):
+    rng = random.Random(p)
+    pairs = [(0, rng.randrange(1, p)), (rng.randrange(1, p), 0)]
+    pairs += [(r, -r % p) for r in (1, p - 1, rng.randrange(2, p - 1))]
+    pairs += [tuple(rng.sample(range(p), 2)) for _ in range(40)]
+    for r, s in pairs:
+        assert linalg.poly_roots(_from_roots([r, s], p), p) == sorted((r, s))
+
+
+@pytest.mark.parametrize("p, degree", ((97, 48), (433, 72)))
+def test_high_degree_split_polynomials_give_their_roots(p, degree):
+    # distinct roots, and roots drawn from a few so that most repeat
+    rng = random.Random(p + degree)
+    for pool in (range(p), rng.sample(range(p), 5), (0, 1, p - 1)):
+        if len(pool) < degree:
+            roots = [rng.choice(pool) for _ in range(degree)]
+        else:
+            roots = rng.sample(pool, degree)
+        assert linalg.poly_roots(_from_roots(roots, p), p) == sorted(roots)
+
+
+def test_x72_minus_1_at_433_gives_the_72nd_roots_of_unity():
+    unity = [x for x in range(1, 433) if pow(x, 72, 433) == 1]
+    assert len(unity) == 72
+    assert linalg.poly_roots([1] + [0] * 71 + [-1], 433) == unity
 
 
 def _eigen_cases(p, rng):
@@ -307,6 +365,23 @@ def test_c100_class_matrices_are_reduced_in_place():
         tracemalloc.stop()
     assert len(table) == 100
     assert peak < 10 * 2**20
+
+
+def test_c100_class_matrices_are_built_one_at_a_time():
+    # the r^3 counts of all class matrices at once would take 7.6 MiB;
+    # one matrix's r^2 counts take 78 KiB, and a cyclic group is split
+    # by the first after the identity's
+    g = enumerate_group(100, [list(range(1, 100)) + [0]])
+    prime = choose_splitting_prime([g])
+    _MODEL_CACHE.pop((prime.p, g.key), None)
+    tracemalloc.start()
+    try:
+        table = character_table(g, prime)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 100
+    assert peak < 2 * 2**20
 
 
 # C4 acting regularly on both sides: G1/G0 is C4, whose characters are

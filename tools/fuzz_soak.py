@@ -32,7 +32,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_fuzz as fz  # noqa: E402
-from eiquiver.errors import OutOfMemory  # noqa: E402
+from eiquiver.errors import OutOfMemory, clear_frames  # noqa: E402
 
 
 def draw(rng: random.Random) -> tuple[str, str, tuple, object]:
@@ -68,7 +68,11 @@ def main(argv) -> int:
             start = time.perf_counter()
             try:
                 code, err = fz._run(argv)
-            except Exception:
+            except Exception as e:
+                # the failed call's frames hold its data; under the cap,
+                # that can leave no room to format the error, so their
+                # locals go first
+                clear_frames(e)
                 code, err = "exception", traceback.format_exc()
             took = time.perf_counter() - start
             slowest = max(slowest, (took, case), key=lambda t: t[0])
