@@ -3,8 +3,9 @@
 Exit codes: 0 success, else the `exit_code` of the errors.EIQuiverError
 raised, after one stderr line `{label}: {message}`: 1 internal invariant
 failure, 2 validation failure (the input is well-formed but not a valid
-category / prime; a MemoryError is reported as the finding
-out-of-memory), 3 I/O or schema error, 4 oracle mismatch.
+category / prime; a MemoryError, or numpy's SystemError in its place, is
+reported as the finding out-of-memory), 3 I/O or schema error, 4 oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from .chartab import certified_prime, choose_splitting_prime
 from .eicat import DEFAULT_PATH_BOUND, load_category
 from .errors import (EIQuiverError, OutOfMemory, SchemaError, ValidationError,
-                     clear_frames)
+                     clear_frames, is_out_of_memory)
 from .permgrp import DEFAULT_SIZE_BOUND
 
 
@@ -205,7 +206,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except EIQuiverError as e:
         err = e
-    except MemoryError as e:
+    except (MemoryError, SystemError) as e:
+        if not is_out_of_memory(e):
+            raise
         # the failed call's frames hold its data; free it, so that there
         # is room to report the error
         clear_frames(e)

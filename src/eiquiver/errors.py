@@ -3,9 +3,21 @@
 Each class carries its machine-readable `finding`, the CLI's `exit_code`
 and its stderr `label`.  Only a ValidationError's finding is per
 instance and printed (it leads the message); the class-level findings
-of the others are not.  A MemoryError counts as an OutOfMemory.  No
-other module defines an exception class.
+of the others are not.  A MemoryError counts as an OutOfMemory, and so
+does the SystemError numpy raises in its place when an allocation fails
+(is_out_of_memory).  No other module defines an exception class.
 """
+
+# The message of the SystemError that numpy raises, in place of a
+# MemoryError, when an allocation fails
+NUMPY_OUT_OF_MEMORY = "error return without exception set"
+
+
+def is_out_of_memory(e: BaseException) -> bool:
+    """Whether e is a MemoryError or numpy's SystemError with the message
+    NUMPY_OUT_OF_MEMORY; any other SystemError is a bug."""
+    return isinstance(e, MemoryError) or (
+        isinstance(e, SystemError) and str(e) == NUMPY_OUT_OF_MEMORY)
 
 
 def clear_frames(e: BaseException | None) -> None:

@@ -3,8 +3,14 @@ representations for free categories with invertible group orders.
 
 A category representation assigns a module to each object and a matrix
 to each representative unfactorizable morphism; everything else is
-derived by functoriality, in one pass that also checks it on group
-generators and composable pairs, which suffices (see build_catrep).
+derived by functoriality, one hom-set at a time in order of topological
+distance, each hom-set's matrices one (size, dim y, dim x) array.
+Composites come from one product per composition table, in chunks of at
+most eicat.CLOSURE_CHUNK entries, and orbit members from their
+representative, level by level along the generator actions.  Batched
+products check functoriality on every morphism against each group
+generator of both ends, and on every composable pair, which suffices
+(see build_catrep).
 The functor F sends it to a representation of the ordinary quiver:
 vertex (x, V) gets k^a where a is the multiplicity of V in R(x), and
 each arrow gets the scalar block read off from the induced map between
@@ -46,7 +52,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -54,9 +59,9 @@ import numpy as np
 
 from . import linalg
 from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
-from .eicat import EICategory, orbit_representatives
+from .eicat import CLOSURE_CHUNK, EICategory, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
-from .permgrp import PermGroup, is_int, respects_relations, word_products
+from .permgrp import PermGroup, is_int
 from .quiveralg import BuiltQuiver
 
 
@@ -64,9 +69,16 @@ from .quiveralg import BuiltQuiver
 # group representations from generator matrices
 
 def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
-    """Matrix of every group element, by word products over generators."""
-    return word_products(group, gen_mats, linalg.eye(dim),
-                         lambda acc, m: linalg.matmul(acc, m, p))
+    """Matrix of every group element, the product of its generators'
+    matrices along its BFS word, as one (|G|, dim, dim) array: one
+    batched product per word length and last letter (word_levels).  Every
+    slot starts as the identity, the empty word's matrix, and one past
+    the last element stands for the empty word itself."""
+    n = len(group)
+    mats = np.repeat(linalg.eye(dim)[None], n + 1, axis=0)
+    for s, kids, parents in group.word_levels:
+        mats[kids] = linalg.matmul(mats[parents], gen_mats[s], p)
+    return mats[:n]
 
 
 # The most int64 entries check_group_rep may store: one dim x dim matrix
@@ -77,19 +89,23 @@ MAX_ELEMENT_ENTRIES = 1 << 22
 
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     """Verify the generator matrices define a representation; return the
-    per-element matrices, after checking that they fit in
-    MAX_ELEMENT_ENTRIES."""
+    (|G|, dim, dim) element matrices, after checking that they fit in
+    MAX_ELEMENT_ENTRIES.  The relations hold exactly when the matrix of
+    e * s_k is that of e times s_k's for every element e and generator
+    s_k (permgrp.respects_relations): one batched product per generator,
+    read against PermGroup.right_products."""
     if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
         raise ValidationError(
             "too-large", f"a group of order {len(group)} in dimension {dim} "
             f"needs {len(group) * dim * dim} matrix entries, more than "
             f"{MAX_ELEMENT_ENTRIES}")
     mats = element_matrices(group, gen_mats, dim, p)
-    if not respects_relations(group, mats, gen_mats,
-                              lambda acc, m: linalg.matmul(acc, m, p),
-                              np.array_equal):
-        raise ValidationError("not-a-representation",
-                              "generator matrices violate the group relations")
+    for s, g in zip(group.generators, gen_mats):
+        if not np.array_equal(mats[group.right_products(s)],
+                              linalg.matmul(mats, g, p)):
+            raise ValidationError(
+                "not-a-representation",
+                "generator matrices violate the group relations")
     return mats
 
 
@@ -234,7 +250,7 @@ class CatRep:
     dims: dict[str, int]
     gen_mats: dict[str, tuple]         # per object, per group generator
     elem_mats: dict[str, np.ndarray]   # per object, |G| x dim x dim
-    mor_mats: dict[tuple[str, str], tuple]  # per hom element
+    mor_mats: dict[tuple[str, str], np.ndarray]  # size x dim y x dim x
     alpha_mats: tuple                  # per orbit representative
 
 
@@ -250,15 +266,22 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     representative matrices; objects whose group has no generators take
     their dimension from dims_hint.  Every shape is checked first.
 
-    One worklist pass derives each morphism's matrix and checks
-    functoriality: a morphism, taken once, puts its product with each
-    generator matrix of either endpoint group and with each composable
-    partner that has a matrix already, and a filled slot must receive
-    the same matrix.  check_group_rep has verified the group relations
-    and the hom actions are group actions (checked at load), so
-    agreement on generators gives agreement on every element, by
-    induction along its word; every composable pair meets when the
-    later of its two morphisms is taken."""
+    Hom-sets are taken in order of topological distance, so both factors
+    of every composite are known first, and each holds its matrices as
+    one (size, dim y, dim x) array.  The composites come from one
+    product per composition table, in chunks of rows of at most
+    CLOSURE_CHUNK entries, which also compares every composable pair with
+    the matrix its composite has (_compose).  The other morphisms are the
+    orbits of the representatives, reached one level at a time along the
+    generator actions, one batched product per generator and level.
+    Last, every morphism is compared with each generator of either
+    endpoint group, one batched product per generator; a disagreement
+    anywhere is not-functorial, naming the morphism.  check_group_rep
+    has verified the group relations and the hom actions are group
+    actions (checked at load), so agreement on generators gives
+    agreement on every element, by induction along its word; with every
+    pair of every table, these are the equations a functor must meet,
+    and a morphism neither composite nor in an orbit cannot be."""
     dims = {}
     for x in cat.objects:
         mats = gen_mats.get(x, ())
@@ -283,6 +306,7 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     if len(alpha_mats) != len(reps):
         raise SchemaError("need one matrix per representative unfactorizable")
     checked = []
+    starts = {key: [] for key in cat.homs}   # (index, matrix) per rep
     for (rep, _), amat in zip(reps, alpha_mats):
         shape = (dims[rep.target], dims[rep.source])
         amat = np.asarray(amat, dtype=np.int64) % p
@@ -291,49 +315,78 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
             raise SchemaError(f"representative {rep.source}->{rep.target}: "
                               f"matrix must be {shape[0]}x{shape[1]}")
         checked.append(amat.reshape(shape))
+        starts[(rep.source, rep.target)].append((rep.index, checked[-1]))
     alpha_mats = tuple(checked)
     gens = {x: tuple(gen_mats.get(x, ())) for x in cat.objects}
-    elems = {x: np.array(check_group_rep(cat.groups[x], gens[x], dims[x], p))
+    elems = {x: check_group_rep(cat.groups[x], gens[x], dims[x], p)
              for x in cat.objects}
 
-    assigned = {key: [None] * hs.size for key, hs in cat.homs.items()}
-    todo = deque()
-
-    def put(key, idx, mat):
-        cur = assigned[key][idx]
-        if cur is None:
-            assigned[key][idx] = mat % p
-            todo.append((key, idx))
-        elif not np.array_equal(cur, mat % p):
-            raise ValidationError(
-                "not-functorial",
-                f"morphism {key}[{idx}] receives two different matrices")
-
-    for (rep, _), amat in zip(reps, alpha_mats):
-        put((rep.source, rep.target), rep.index, amat)
-    while todo:
-        key, idx = todo.popleft()
-        (x, y), mat = key, assigned[key][idx]
-        hs = cat.homs[key]
-        for act, g in zip(hs.left_gen, gens[y]):
-            put(key, act[idx], linalg.matmul(g, mat, p))
-        for act, g in zip(hs.right_gen, gens[x]):
-            put(key, act[idx], linalg.matmul(mat, g, p))
-        for (u, v, w), table in cat.comp.items():
-            if key == (u, v):   # key is the inner factor
-                for b, m in enumerate(assigned[(v, w)]):
-                    if m is not None:
-                        put((u, w), table[b][idx], linalg.matmul(m, mat, p))
-            if key == (v, w):   # key is the outer factor
-                for a, m in enumerate(assigned[(u, v)]):
-                    if m is not None:
-                        put((u, w), table[idx][a], linalg.matmul(mat, m, p))
-    for key, mats in assigned.items():
-        if any(m is None for m in mats):
+    at = {x: i for i, x in enumerate(cat.topological_order)}
+    mor_mats = {}
+    for key in sorted(cat.homs, key=lambda k: at[k[1]] - at[k[0]]):
+        (x, y), hs = key, cat.homs[key]
+        mats = np.zeros((hs.size, dims[y], dims[x]), dtype=np.int64)
+        have = np.zeros(hs.size, dtype=bool)
+        for (u, z, w), table in cat.comp.items():
+            if (u, w) == key:
+                _compose(mats, have, mor_mats[(z, y)], mor_mats[(x, z)],
+                         np.array(table, dtype=np.int32), key, p)
+        for i, amat in starts[key]:
+            mats[i] = amat
+        front = np.array([i for i, _ in starts[key]], dtype=np.intp)
+        have[front] = True
+        moves = [(np.array(act, dtype=np.intp), g, True)
+                 for act, g in zip(hs.left_gen, gens[y])]
+        moves += [(np.array(act, dtype=np.intp), g, False)
+                  for act, g in zip(hs.right_gen, gens[x])]
+        while moves and front.size:
+            # act is a permutation, so one generator's images are distinct
+            grown = []
+            for act, g, left in moves:
+                src = front[~have[act[front]]]
+                img = act[src]
+                mats[img] = (linalg.matmul(g, mats[src], p) if left else
+                             linalg.matmul(mats[src], g, p))
+                have[img] = True
+                grown.append(img)
+            front = np.concatenate(grown)
+        if not have.all():
             raise InvariantError(f"hom {key} has unreachable morphisms")
-
-    mor_mats = {key: tuple(mats) for key, mats in assigned.items()}
+        for act, g, left in moves:
+            _agree(mats, act, linalg.matmul(g, mats, p) if left else
+                   linalg.matmul(mats, g, p), key)
+        mor_mats[key] = mats
     return CatRep(cat, p, dims, gens, elems, mor_mats, alpha_mats)
+
+
+def _agree(mats: np.ndarray, targets: np.ndarray, images: np.ndarray,
+           key) -> None:
+    """Check mats[targets[i]] == images[i] for every i: the first
+    morphism that receives a different matrix is not-functorial."""
+    bad = (mats[targets] != images).reshape(len(images), -1).any(axis=1)
+    if bad.any():
+        raise ValidationError(
+            "not-functorial", f"morphism {key}[{targets[bad.argmax()]}] "
+            "receives two different matrices")
+
+
+def _compose(mats: np.ndarray, have: np.ndarray, outer: np.ndarray,
+             inner: np.ndarray, table: np.ndarray, key, p: int) -> None:
+    """Write outer[b] inner[a] into mats[table[b, a]] where have is
+    False, and compare it with mats there for every (b, a): one
+    broadcast product per chunk of rows, each product array at most
+    CLOSURE_CHUNK entries (a table of 400 x 400 pairs of 8 x 8 matrices
+    would need 82 MB whole)."""
+    rows = max(1, CLOSURE_CHUNK // max(1, table.shape[1] *
+                                       math.prod(mats.shape[1:])))
+    for b0 in range(0, len(table), rows):
+        targets = table[b0:b0 + rows].ravel()
+        prod = linalg.matmul(outer[b0:b0 + rows, None], inner[None], p)
+        prod = prod.reshape(len(targets), *mats.shape[1:])
+        fresh = ~have[targets]
+        mats[targets[fresh]] = prod[fresh]
+        have[targets] = True
+        _agree(mats, targets, prod, key)
 
 
 def catrep_document(r: CatRep) -> dict:
@@ -549,16 +602,20 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
     mats = [None] * len(ctx.arrows)
     for r, alpha in enumerate(rep.alpha_mats):
         for src, tgt, arrows in ctx.blocks(r, thetas):
-            units = _columns(tgt)
-            if linalg.rank(units, p) != len(tgt):
+            # one elimination of [units | images]: the units are
+            # independent when each of their n columns is a pivot, and a
+            # pivot past them is an image outside their span
+            n = len(tgt)
+            system = np.hstack((_columns(tgt),
+                                _columns(linalg.matmul(alpha, src, p))))
+            red, piv = (linalg.rref(system, p) if n or len(src)
+                        else (system, []))
+            if piv[:n] != list(range(n)):
                 raise InvariantError("target embeddings are dependent")
-            coef = linalg.zeros(len(tgt), 0)
-            if len(src):
-                coef = linalg.solve(
-                    units, _columns(linalg.matmul(alpha, src, p)), p)
-                if coef is None:
-                    raise InvariantError("image of an isotypic copy leaves "
-                                         "the span of the target embeddings")
+            if len(piv) > n:
+                raise InvariantError("image of an isotypic copy leaves "
+                                     "the span of the target embeddings")
+            coef = red[:n, n:]
             for k, rows, cols in arrows:
                 mats[k] = coef[rows, cols].copy()
     return QuiverRep(ctx.built, p, dims, tuple(mats))

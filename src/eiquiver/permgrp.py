@@ -68,7 +68,7 @@ def check_perm(images, degree: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Composite a∘b (apply b first)."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[i] for i in b])
 
 
 def pidentity(degree: int) -> Perm:
@@ -177,6 +177,26 @@ class PermGroup:
             r = rows[word_pos[w]] = r[self._generator_row(w[-1])]
         rows[i] = r
         return r
+
+    @cached_property
+    def word_levels(self) -> tuple:
+        """(s, children, parents) per word length and last letter s,
+        shorter words first: children are the positions of the elements
+        whose words have that length and end in s, and parents the
+        positions of those words less s, the empty word at len(self)
+        (one past the last element; the groups of as_group have no
+        element with the empty word).  Every parent's word is shorter,
+        so images along the words can be built one level at a time, one
+        batched product per entry."""
+        word_pos, levels = self._word_pos, {}
+        for i, w in enumerate(self.words):
+            if w:
+                kids, parents = levels.setdefault((len(w), w[-1]), ([], []))
+                kids.append(i)
+                parents.append(word_pos[w[:-1]] if len(w) > 1 else len(self))
+        return tuple((s, np.array(kids, dtype=np.intp),
+                      np.array(parents, dtype=np.intp))
+                     for (_, s), (kids, parents) in sorted(levels.items()))
 
     @cached_property
     def cayley(self) -> np.ndarray:

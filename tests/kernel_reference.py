@@ -15,11 +15,15 @@ class included, that the Krylov eigenvectors of
 eiquiver.linalg.eigenspaces replaced.  build_catrep is the two-phase
 assembly that eiquiver.morita.build_catrep replaced: it fills every
 morphism by repeated sweeps, then checks functoriality against every
-group element's matrix and every composable pair.  compose, build_algebra,
-radical_report and ext_quiver_oracle are the category algebra one
-product at a time, through MorphId and compose and a whole |Mor|×|Mor|
-product table over the basis that morphisms lists, that the per-hom-set
-masks and index arrays of eiquiver.oracle replaced.  character,
+group element's matrix and every composable pair, one morphism at a
+time.  Its element matrices come from element_matrices and
+check_group_rep, one product per element and one relation per element
+and generator, that the batched products of eiquiver.morita replaced.
+compose, build_algebra, radical_report and ext_quiver_oracle are the
+category algebra one product at a time, through MorphId and compose and
+a whole |Mor|×|Mor| product table over the basis that morphisms lists,
+that the per-hom-set masks and index arrays of eiquiver.oracle
+replaced.  character,
 inner_product, restrict, inflate and restriction_multiplicity are
 character arithmetic one element at a time, each character read from a
 table's class rows, that the table arrays of eiquiver.chartab
@@ -46,8 +50,9 @@ from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
                             orbit_representatives)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.freecover import free_cover
-from eiquiver.morita import check_group_rep
-from eiquiver.permgrp import PermGroup, pmul
+from eiquiver.morita import MAX_ELEMENT_ENTRIES
+from eiquiver.permgrp import (PermGroup, pmul, respects_relations,
+                              word_products)
 from groups import identity_pos, pinv
 
 
@@ -212,6 +217,29 @@ def conjugacy_classes(g: PermGroup) -> list[tuple[int, ...]]:
         seen |= orbit
         out.append(tuple(sorted(orbit)))
     return out
+
+
+def element_matrices(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
+    """Matrix of every group element, one product per element along its
+    BFS word."""
+    return word_products(group, gen_mats, linalg.eye(dim),
+                         lambda acc, m: linalg.matmul(acc, m, p))
+
+
+def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
+    """The element matrices once the generator matrices are checked
+    against the group relations one element and generator at a time,
+    with the size check and findings of eiquiver.morita.check_group_rep."""
+    if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
+        raise ValidationError("too-large", f"{len(group) * dim * dim} "
+                              "matrix entries")
+    mats = element_matrices(group, gen_mats, dim, p)
+    if not respects_relations(group, mats, gen_mats,
+                              lambda acc, m: linalg.matmul(acc, m, p),
+                              np.array_equal):
+        raise ValidationError("not-a-representation",
+                              "generator matrices violate the group relations")
+    return mats
 
 
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,

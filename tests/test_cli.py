@@ -499,6 +499,40 @@ def test_memory_error_is_an_out_of_memory_finding(capsys, monkeypatch):
         err.count("\n") == 1
 
 
+def test_numpys_out_of_memory_system_error_is_an_out_of_memory_finding(
+        capsys, monkeypatch):
+    # numpy can raise this SystemError where an allocation fails; it is
+    # handled as a MemoryError, its frames cleared too
+    from eiquiver import cli
+    from eiquiver.errors import NUMPY_OUT_OF_MEMORY
+
+    class Data:
+        pass
+    refs, alive = [], []
+
+    def exhausted(args):
+        data = Data()
+        refs.append(weakref.ref(data))
+        raise SystemError(NUMPY_OUT_OF_MEMORY)
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    monkeypatch.setattr(cli, "OutOfMemory", lambda: alive.append(
+        refs[0]() is not None) or OutOfMemory())
+    code, out, err = run(capsys, "classify", fx("two_object_c2_s3"))
+    assert (code, out, alive) == (2, "", [False])
+    assert err.startswith("validation error: out-of-memory: ") and \
+        err.count("\n") == 1
+
+
+def test_any_other_system_error_propagates(capsys, monkeypatch):
+    from eiquiver import cli
+
+    def broken(args):
+        raise SystemError("some other internal error")
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    with pytest.raises(SystemError, match="some other internal error"):
+        cli.main(["classify", fx("two_object_c2_s3")])
+
+
 def test_out_of_memory_frees_the_failed_calls_data(capsys, monkeypatch):
     # the frames of the call that ran out hold its data; it is freed
     # before the finding is built, so that there is room to report it

@@ -1,9 +1,12 @@
 """Canonical irreducible models, the functor to quiver representations
 and its inverse, and hom-space dimensions."""
 
+import dataclasses
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -11,11 +14,11 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from conftest import fixture_doc
+from conftest import fixture_doc, large_cover_document
 from eiquiver import linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
-from eiquiver.eicat import load_category, orbit_representatives
+from eiquiver.eicat import CLOSURE_CHUNK, load_category, orbit_representatives
 from eiquiver.errors import (EIQuiverError, InvariantError, SchemaError,
                              ValidationError)
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
@@ -165,7 +168,7 @@ def test_gathered_element_matrices_are_the_word_products(monkeypatch):
     for g, table, i in _ladder_models():
         gens, elems = irreducible_model(g, table, i)
         d = table.dims[i]
-        want = np.array(morita.element_matrices(g, gens, d, table.p))
+        want = np.array(ref.element_matrices(g, gens, d, table.p))
         assert elems.shape == (len(g), d, d) and elems.dtype == want.dtype
         assert elems.tobytes() == want.tobytes()
         seen[len(g), d] += 1
@@ -200,8 +203,7 @@ def test_irreducible_model_multiplies_no_words(monkeypatch):
         raise AssertionError("word products in irreducible_model")
     tables = [_symmetric(n) for n in (4, 5)]
     monkeypatch.setattr(morita, "_MODEL_CACHE", {})
-    for target in (morita, eiquiver.permgrp):
-        monkeypatch.setattr(target, "word_products", refuse)
+    monkeypatch.setattr(eiquiver.permgrp, "word_products", refuse)
     monkeypatch.setattr(morita, "element_matrices", refuse)
     for g, table in tables:
         for i in range(len(table)):
@@ -223,6 +225,45 @@ def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
     assert len(calls) == len(cat.objects)
     assert all(np.array_equal(a, b)
                for a, b in zip(got.alpha_mats, want.alpha_mats))
+
+
+def _group_rep(check, g, gens, d, p):
+    """The element matrices' shape, dtype and bytes, or the finding."""
+    try:
+        mats = np.array(check(g, gens, d, p))
+    except ValidationError as e:
+        return e.finding
+    return mats.shape, mats.dtype.str, mats.tobytes()
+
+
+def test_batched_group_rep_check_matches_the_reference():
+    # the level-by-level element matrices and the one batched relation
+    # check per generator against the per-element reference: the same
+    # bytes, and the same accept or reject, on every ladder model and on
+    # random generator matrices of each model's size
+    rng = random.Random(0xC6EC)
+    seen = Counter()
+    for g, table, i in _ladder_models():
+        d, p = table.dims[i], table.p
+        for gens in (irreducible_model(g, table, i)[0],
+                     tuple(_random_matrix(d, d, p, rng)
+                           for _ in g.generators)):
+            got = _group_rep(check_group_rep, g, gens, d, p)
+            assert got == _group_rep(ref.check_group_rep, g, gens, d, p)
+            seen[isinstance(got, str)] += 1
+    assert seen[False] >= 40 and seen[True] >= 40, seen
+    # C72 on the scalar 3 mod 433, of order 27: each element's matrix is
+    # its word's product, and only the last BFS element, c^71, fails its
+    # relation (c^71 c = 1, but 3^72 != 1); 2 has order 72 and passes
+    c72 = enumerate_group(72, [list(range(1, 72)) + [0]])
+    assert c72.words[-1] == (0,) * 71 and pow(3, 72, 433) != 1
+    for a, finding in ((3, "not-a-representation"), (2, None)):
+        gens = (np.array([[a]]),)
+        got = _group_rep(check_group_rep, c72, gens, 1, 433)
+        assert got == _group_rep(ref.check_group_rep, c72, gens, 1, 433)
+        assert got == finding or finding is None and got[0] == (72, 1, 1)
+    mats = morita.element_matrices(c72, (np.array([[3]]),), 1, 433)
+    assert mats.ravel().tolist() == [pow(3, k, 433) for k in range(72)]
 
 
 def test_check_group_rep_rejects_wrong_order():
@@ -295,10 +336,11 @@ def test_apply_functor_golden(rep_setup):
 
 
 def test_apply_functor_solves_once_per_block(categories, monkeypatch):
-    # every source unit of an (orbit, quotient irreducible) block is one
-    # column of the block's one system, and a block whose source
-    # irreducibles have no copy needs none
-    solve = linalg.solve
+    # every target and source unit of an (orbit, quotient irreducible)
+    # block is one column of the block's one elimination, which checks
+    # the units' rank and solves for the images at once, and a block
+    # whose irreducibles have no copy on either side needs none
+    rref = linalg.rref
     calls = []
     for name in ("two_object_c2_s3", "four_object_mixed"):
         cat = categories[name]
@@ -308,15 +350,34 @@ def test_apply_functor_solves_once_per_block(categories, monkeypatch):
             rep = inverse_functor(ctx, _random_quiverrep(ctx, rng, 2))
             want = apply_functor(ctx, rep)
             calls.clear()
-            monkeypatch.setattr(linalg, "solve",
-                                lambda *a: calls.append(a) or solve(*a))
+            monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(
+                sys._getframe(1).f_code.co_name) or rref(*a))
             got = apply_functor(ctx, rep)
-            monkeypatch.setattr(linalg, "solve", solve)
-            assert len(calls) == len({(ea.rep_index, ea.u)
-                                      for ea in ctx.arrows
-                                      if got.dims[ea.source]})
+            monkeypatch.setattr(linalg, "rref", rref)
+            assert calls.count("apply_functor") == len({
+                (ea.rep_index, ea.u) for ea in ctx.arrows
+                if got.dims[ea.source] or got.dims[ea.target]})
             assert all(np.array_equal(m1, m2)
                        for m1, m2 in zip(got.arrow_mats, want.arrow_mats))
+
+
+@pytest.mark.parametrize("units, message", [
+    ([0, 0], "target embeddings are dependent"),
+    ([0], "leaves the span of the target embeddings")])
+def test_apply_functor_checks_rank_and_span_in_one_elimination(
+        rep_setup, monkeypatch, units, message):
+    # one block with target units among the unit vectors e_i of k^6 and
+    # one source unit e_0 of k^3, which alpha sends to e_1: two equal
+    # target units are dependent, and e_1 is outside the span of e_0
+    cat, rep, ctx = rep_setup
+    eye6, eye3 = linalg.eye(6), linalg.eye(3)
+    alpha = linalg.zeros(6, 3)
+    alpha[1, 0] = 1
+    tgt = np.array([eye6[:, [i]] for i in units])
+    monkeypatch.setattr(ctx, "blocks", lambda r, copies: iter(
+        [(eye3[None, :, [0]], tgt, [])]))
+    with pytest.raises(InvariantError, match=message):
+        apply_functor(ctx, dataclasses.replace(rep, alpha_mats=(alpha,)))
 
 
 def test_round_trip_through_inverse(rep_setup):
@@ -472,35 +533,90 @@ def test_build_catrep_matches_two_phase_reference(categories):
     assert seen["functor"] >= 20 and seen["not-functorial"] >= 20, seen
 
 
+def _zero_functor_on_a_wide_table(dim=8):
+    """(category, p, representatives, dims): trivial x -> y -> z with
+    |hom(x, y)| = |hom(y, z)| = 400 and every composite equal, and a
+    zero representative matrix at each of the 800 unfactorizables, in
+    dimension dim at every object (a functor, all of whose matrices are
+    zero)."""
+    cat = load_category(large_cover_document())
+    alphas = [linalg.zeros(dim, dim) for _ in orbit_representatives(cat)]
+    return cat, 13, alphas, {x: dim for x in cat.objects}
+
+
 def test_build_catrep_multiplies_on_generators_and_pairs(monkeypatch):
-    # per morphism one product per generator of either endpoint group,
-    # and at most two per composable pair (one for each order in which
-    # its two factors are taken); the group relations are checked apart
-    cat = load_category(fixture_doc("four_object_mixed"))
-    ctx = MoritaContext(build_quiver(cat))
-    rep = load_catrep(cat, fixture_doc("four_object_mixed_rep"), ctx.p)
-    ngens = {x: len(cat.groups[x].generators) for x in cat.objects}
-    bound = sum(hs.size * (ngens[x] + ngens[y])
-                for (x, y), hs in cat.homs.items())
-    bound += 2 * sum(cat.homs[(x, z)].size * cat.homs[(z, y)].size
-                     for x, z, y in cat.comp)
+    # the products are batched, so their number follows generators,
+    # tables, chunks and spread levels, not morphisms: per hom-set one
+    # product per generator of either endpoint group at each level of the
+    # spread from the representatives (at most the longest orbit's size)
+    # and one more for the check, and one per chunk of rows of each
+    # composition table; the group relations are counted apart
     calls = []
     matmul, check = linalg.matmul, morita.check_group_rep
 
     def uncounted(*args):
         monkeypatch.setattr(linalg, "matmul", matmul)
-        check(*args)
-        monkeypatch.setattr(linalg, "matmul", counted)
+        try:
+            return check(*args)
+        finally:
+            monkeypatch.setattr(linalg, "matmul", counted)
 
     def counted(a, b, p):
-        calls.append(1)
+        calls.append(a.ndim == 4)   # a table's chunk
         return matmul(a, b, p)
 
-    monkeypatch.setattr(morita, "check_group_rep", uncounted)
-    monkeypatch.setattr(linalg, "matmul", counted)
-    again = build_catrep(cat, rep.p, rep.gen_mats, rep.alpha_mats, rep.dims)
-    assert 0 < len(calls) <= bound
-    assert again.mor_mats.keys() == rep.mor_mats.keys()
+    def build(cat, p, gens, alphas, dims):
+        calls.clear()
+        monkeypatch.setattr(morita, "check_group_rep", uncounted)
+        monkeypatch.setattr(linalg, "matmul", counted)
+        try:
+            return build_catrep(cat, p, gens, alphas, dims)
+        finally:
+            monkeypatch.undo()
+
+    def chunks(cat, dims):
+        # ceil(|hom(z, y)| / rows) per table x -> z -> y
+        return sum(-(-cat.homs[(z, y)].size // max(1, CLOSURE_CHUNK // (
+            cat.homs[(x, z)].size * dims[x] * dims[y])))
+            for x, z, y in cat.comp)
+
+    cat = load_category(fixture_doc("four_object_mixed"))
+    ctx = MoritaContext(build_quiver(cat))
+    rep = load_catrep(cat, fixture_doc("four_object_mixed_rep"), ctx.p)
+    ngens = {x: len(cat.groups[x].generators) for x in cat.objects}
+    longest = Counter()
+    for r, orbit in orbit_representatives(cat):
+        key = (r.source, r.target)
+        longest[key] = max(longest[key], len(orbit))
+    bound = sum((ngens[x] + ngens[y]) * (longest[(x, y)] + 1)
+                for x, y in cat.homs)
+    again = build(cat, rep.p, rep.gen_mats, rep.alpha_mats, rep.dims)
+    assert 0 < calls.count(False) <= bound
+    assert calls.count(True) == chunks(cat, rep.dims) > 0
+    assert {k: m.tobytes() for k, m in again.mor_mats.items()} == \
+        {k: m.tobytes() for k, m in rep.mor_mats.items()}
+    # 804 morphisms and 160,000 composable pairs over trivial groups: no
+    # product but the table's, in 200 chunks of two rows
+    cat, p, alphas, dims = _zero_functor_on_a_wide_table()
+    zero = build(cat, p, {}, alphas, dims)
+    assert calls == [True] * chunks(cat, dims) and len(calls) == 200
+    assert not any(m.any() for m in zero.mor_mats.values())
+
+
+def test_a_wide_composition_table_is_checked_in_chunks():
+    # the 400 x 400 table's products of 8 x 8 matrices would take 82 MB
+    # as one array; each chunk's arrays hold at most CLOSURE_CHUNK int64
+    # entries (512 KiB), beside the table itself (625 KiB as int32)
+    cat, p, alphas, dims = _zero_functor_on_a_wide_table()
+    tracemalloc.start()
+    try:
+        rep = build_catrep(cat, p, {}, alphas, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [m.shape for m in rep.mor_mats.values()] == \
+        [(400, 8, 8), (400, 8, 8), (1, 8, 8)]
+    assert peak < 5 * 2**20
 
 
 def test_hom_dims_agree(rep_setup):
