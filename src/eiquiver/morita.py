@@ -341,14 +341,15 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                   for act, g in zip(hs.right_gen, gens[x])]
         while moves and front.size:
             # act is a permutation, so one generator's images are distinct
-            grown = []
+            grown = [front[:0]]
             for act, g, left in moves:
                 src = front[~have[act[front]]]
-                img = act[src]
-                mats[img] = (linalg.matmul(g, mats[src], p) if left else
-                             linalg.matmul(mats[src], g, p))
-                have[img] = True
-                grown.append(img)
+                if src.size:
+                    img = act[src]
+                    mats[img] = (linalg.matmul(g, mats[src], p) if left else
+                                 linalg.matmul(mats[src], g, p))
+                    have[img] = True
+                    grown.append(img)
             front = np.concatenate(grown)
         if not have.all():
             raise InvariantError(f"hom {key} has unreachable morphisms")
@@ -363,8 +364,9 @@ def _agree(mats: np.ndarray, targets: np.ndarray, images: np.ndarray,
            key) -> None:
     """Check mats[targets[i]] == images[i] for every i: the first
     morphism that receives a different matrix is not-functorial."""
-    bad = (mats[targets] != images).reshape(len(images), -1).any(axis=1)
-    if bad.any():
+    got = mats[targets]
+    if not np.array_equal(got, images):
+        bad = (got != images).reshape(len(images), -1).any(axis=1)
         raise ValidationError(
             "not-functorial", f"morphism {key}[{targets[bad.argmax()]}] "
             "receives two different matrices")
