@@ -48,7 +48,8 @@ DEFAULT_PATH_BOUND = 100000
 
 # The most entries (rows × members × degree) one closure check's product
 # array holds: a subgroup of S7 is checked in chunks of rows, never as a
-# whole multiplication table.  Associativity over chains uses it too.
+# whole multiplication table.  Associativity over chains uses it too, and
+# so do morita.build_catrep's products over a composition table.
 CLOSURE_CHUNK = 1 << 16
 
 
