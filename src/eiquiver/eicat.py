@@ -46,10 +46,10 @@ MAX_POINTS = 100000
 # The default bound on a free category's paths and path bisets (freecover)
 DEFAULT_PATH_BOUND = 100000
 
-# The most entries (rows × members × degree) one closure check's product
-# array holds: a subgroup of S7 is checked in chunks of rows, never as a
-# whole multiplication table.  Associativity over chains uses it too, and
-# so do morita.build_catrep's products over a composition table.
+# The most entries one batched product over a composition table holds:
+# associativity over chains (validate_category) and morita.build_catrep's
+# products are taken in chunks of rows of at most this many, never as one
+# whole array.
 CLOSURE_CHUNK = 1 << 16
 
 
@@ -445,27 +445,13 @@ class StabilizerData:
     quotH: QuotientGroup    # numbered through the biset, on quotG's table
 
 
-def _assert_closed(g: PermGroup, members: tuple[int, ...], what: str) -> None:
-    pos = np.array(members, dtype=np.intp)
-    inside = np.zeros(len(g), dtype=bool)
-    inside[pos] = True
-    if not inside[g.inverse[pos]].all():
-        raise InvariantError(f"{what} not closed under inverse")
-    a = g.array[pos]
-    rows = max(1, CLOSURE_CHUNK // max(1, a.size))
-    for start in range(0, len(pos), rows):
-        # products[k, l] = member start+k applied after member l
-        products = a[start:start + rows][:, a]
-        flat = products.reshape(len(products) * len(pos), g.degree)
-        if not inside[g.positions(flat)].all():
-            raise InvariantError(f"{what} not closed under product")
-
-
 def stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     """Pointwise and orbit-wise stabilizers of alpha and the quotient
     G1/G0; once per alpha, through the category's memo.  The biset gives
     G1/G0 ≅ H1/H0: h∘alpha = alpha∘g sends h to g's coset, so quotH is
-    H1 numbered on quotG's cosets and table.  Its checks make that a
+    H1 numbered on quotG's cosets and table.  G0, G1, H0 and H1 are
+    certified as subgroups by their generating sets
+    (SubgroupHandle.generator_positions), and the checks make that map a
     homomorphism onto G1/G0 with kernel H0, so H0 is normal."""
     return cat.memo(("stabilizer", alpha), lambda: _stabilizer_data(cat, alpha))
 
@@ -482,11 +468,10 @@ def _stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     h_orbit, g_orbit = set(left), set(right)
     g1 = tuple(g for g in range(len(G)) if right[g] in h_orbit)
     h1 = tuple(h for h in range(len(H)) if left[h] in g_orbit)
-    for grp, members, name in ((G, g0, "G0"), (G, g1, "G1"),
-                               (H, h0, "H0"), (H, h1, "H1")):
-        _assert_closed(grp, members, name)
     G0, G1 = SubgroupHandle(G, g0), SubgroupHandle(G, g1)
     H0, H1 = SubgroupHandle(H, h0), SubgroupHandle(H, h1)
+    for handle in (G0, G1, H0, H1):
+        handle.generator_positions   # InvariantError unless a subgroup
     quotG = quotient(G1, G0)
 
     coset_at: dict[int, int] = {}

@@ -33,7 +33,8 @@ def zeros(m: int, n: int) -> np.ndarray:
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     # entries bounded by n * p^2 which fits in int64 for p up to ~10^6
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p
+    return (a.astype(np.int64, copy=False)
+            @ b.astype(np.int64, copy=False)) % p
 
 
 def inv_scalar(x: int, p: int) -> int:

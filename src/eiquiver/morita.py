@@ -72,13 +72,12 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
     """Matrix of every group element, the product of its generators'
     matrices along its BFS word, as one (|G|, dim, dim) array: one
     batched product per word length and last letter (word_levels).  Every
-    slot starts as the identity, the empty word's matrix, and one past
-    the last element stands for the empty word itself."""
-    n = len(group)
-    mats = np.repeat(linalg.eye(dim)[None], n + 1, axis=0)
+    slot starts as the identity matrix, which the identity element, with
+    the empty word, keeps."""
+    mats = np.repeat(linalg.eye(dim)[None], len(group), axis=0)
     for s, kids, parents in group.word_levels:
         mats[kids] = linalg.matmul(mats[parents], gen_mats[s], p)
-    return mats[:n]
+    return mats
 
 
 # The most int64 entries check_group_rep may store: one dim x dim matrix

@@ -14,16 +14,19 @@ BFS words of the enumeration: element i is its word-parent times its
 word's last letter s, so row i is the parent's row read at s's row, one
 numpy gather.  Looking products up by permutation (positions) is left
 to each generator's row, made once per group, and to loops that meet
-each element once (action checks, closure and normality tests, cosets),
-which take whole-array products without storing them and so never fill
-the table either.  pmul composes single permutations, for enumeration
-and biset actions, and is the plain definition the tables must match.
+each element once (action checks, normality tests, cosets), which take
+whole-array products without storing them and so never fill the table
+either.  pmul composes single permutations, for enumeration and biset
+actions, and is the plain definition the tables must match.
 
 orbits is the package's one orbit search, numbering orbits by least
 member: conjugacy classes, two-sided hom-set orbits, glued-biset
 classes, the first-step orbits of the unique-factorization test and the
-cosets of a quotient are all orbits of a few permutations.  Normality
-and cosets need only a subgroup's generators, at most log2 of its order.
+cosets of a quotient are all orbits of a few permutations.  A subgroup
+is a short list of generators (Holt, Eick and O'Brien, section 4.1),
+SubgroupHandle.generator_positions, whose closure by enumerate_group,
+the one closure routine, certifies its members.  Normality, cosets and
+as_group need only those generators, at most log2 of its order.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -33,7 +36,6 @@ vertex labels) inherits its reproducibility from this order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -83,18 +85,18 @@ def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
     A left action passes pmul (the action of a*b applies b's permutation
     first); a right action passes pmul with its arguments swapped (the
     action of a*b is b's after a's); matrices pass their product mod p.
-    A word less its last letter is the word of an earlier element, so
-    each image is one product from that element's.
+    A word less its last letter is the word of an element one level up
+    in word_levels, so each image is one product from that element's.
     """
-    image = {(): identity}
-    for w in group.words:
-        if w:
-            image[w] = product(image[w[:-1]], gen_images[w[-1]])
-    return tuple(image[w] for w in group.words)
+    images = [identity] * len(group)
+    for s, kids, parents in group.word_levels:
+        g = gen_images[s]
+        for k, parent in zip(kids.tolist(), parents.tolist()):
+            images[k] = product(images[parent], g)
+    return tuple(images)
 
 
-def respects_relations(group: PermGroup, images, gen_images, product,
-                       equal=operator.eq) -> bool:
+def respects_relations(group: PermGroup, images, gen_images, product) -> bool:
     """Whether images[e * s_k] equals product(images[e], gen_images[k])
     for every element e and generator s_k.  By induction on word length
     this holds exactly when images (from word_products) does not depend
@@ -102,7 +104,7 @@ def respects_relations(group: PermGroup, images, gen_images, product,
     group's relations."""
     for k, s in enumerate(group.generators):
         for e, es in enumerate(group.right_products(s).tolist()):
-            if not equal(images[es], product(images[e], gen_images[k])):
+            if images[es] != product(images[e], gen_images[k]):
                 return False
     return True
 
@@ -183,17 +185,17 @@ class PermGroup:
         """(s, children, parents) per word length and last letter s,
         shorter words first: children are the positions of the elements
         whose words have that length and end in s, and parents the
-        positions of those words less s, the empty word at len(self)
-        (one past the last element; the groups of as_group have no
-        element with the empty word).  Every parent's word is shorter,
+        positions of those words less s (the identity's, with the empty
+        word, for words of length 1).  Every parent's word is shorter,
         so images along the words can be built one level at a time, one
-        batched product per entry."""
+        batched product per entry, whatever the element order: in the
+        groups of as_group a parent may come after its children."""
         word_pos, levels = self._word_pos, {}
         for i, w in enumerate(self.words):
             if w:
                 kids, parents = levels.setdefault((len(w), w[-1]), ([], []))
                 kids.append(i)
-                parents.append(word_pos[w[:-1]] if len(w) > 1 else len(self))
+                parents.append(word_pos[w[:-1]])
         return tuple((s, np.array(kids, dtype=np.intp),
                       np.array(parents, dtype=np.intp))
                      for (_, s), (kids, parents) in sorted(levels.items()))
@@ -201,9 +203,9 @@ class PermGroup:
     @cached_property
     def cayley(self) -> np.ndarray:
         """The whole Cayley table, cayley[i] = row(i), for callers that
-        read every row.  Parents come before children in element order,
-        so each row is one gather, and the kept rows become views of the
-        table."""
+        read every row; the kept rows become views of the table.  In the
+        groups of as_group a word-parent may come after its children, so
+        a row may first build its parents' rows."""
         n = len(self)
         table = np.empty((n, n), dtype=np.int32)
         for i in range(n):
@@ -340,35 +342,17 @@ def orbit_members(label: list[int], count: int) -> list[tuple[int, ...]]:
 def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     """Classes in order of first appearance in the element enumeration
     (the identity class always comes first), found as orbits under
-    conjugation by a generating set of at most log2|G| elements:
-    O(|G| log |G|) lookups."""
+    conjugation by g's generators: O(|G|) lookups per generator.  The
+    groups of as_group have at most log2|G| generators; a document's
+    group has the ones it lists, all its elements if it lists them."""
     a = g.array
     conj = []   # conj[k][j]: position of s^-1 * element j * s, s = gens[k]
-    for s in _generating_subset(g):
+    for s in g.generators:
         s = np.array(s, dtype=np.int32)
         conj.append(g.positions(np.argsort(s)[a[:, s]]).tolist())
     label, least = orbits(len(g), conj)
     return [ConjClass(min(members, key=lambda j: g.elements[j]), members)
             for members in orbit_members(label, len(least))]
-
-
-def _generating_subset(g: PermGroup) -> list[Perm]:
-    """The generators of g less each one in the closure of those kept
-    before it.  A kept generator at least doubles that closure, so at most
-    log2|G| remain, even for a group whose generators are all its
-    elements."""
-    gens = g.generators
-    kept: list[Perm] = []
-    closure = {pidentity(g.degree)}
-    for n, s in enumerate(gens):
-        if len(closure) == len(g):
-            break
-        if s in closure:
-            continue
-        kept.append(s)
-        if n + 1 < len(gens):
-            closure = enumerate_group(g.degree, kept, len(g)).index_of
-    return kept
 
 
 def class_index_of(g: PermGroup, classes: list[ConjClass]) -> list[int]:
@@ -389,23 +373,33 @@ class SubgroupHandle:
         return len(self.member_positions)
 
     def as_group(self) -> PermGroup:
-        """The subgroup as a standalone PermGroup, elements in parent order
-        (built once per handle, so its tables are too)."""
-        return self._group
-
-    @cached_property
-    def _group(self) -> PermGroup:
-        elems = tuple(self.parent.elements[i] for i in self.member_positions)
-        index_of = {e: k for k, e in enumerate(elems)}
-        return PermGroup(self.parent.degree, elems, elems, index_of,
-                         tuple((k,) for k in range(len(elems))))
+        """The subgroup as a standalone PermGroup generated by its
+        generator positions, elements in parent order.  Built on every
+        call: kept on the handle, it would live as long as its orbit."""
+        e = self.parent.elements
+        return _generated(self.parent.degree,
+                          [e[k] for k in self.generator_positions],
+                          [e[i] for i in self.member_positions])
 
     @cached_property
     def generator_positions(self) -> tuple[int, ...]:
-        """Parent positions of _generating_subset(as_group()): at most
-        log2 of the subgroup's order elements that generate it."""
-        return tuple(self.parent.index_of[s]
-                     for s in _generating_subset(self.as_group()))
+        """The members, in parent order, less each one in the closure of
+        those kept before it.  A kept member at least doubles that
+        closure, so at most log2 of the subgroup's order remain.  Every
+        member lies in the last closure, and no closure may outgrow the
+        member count, so InvariantError unless the members are exactly
+        that closure, a subgroup."""
+        g = self.parent
+        kept: list[int] = []
+        closure = {pidentity(g.degree): 0}
+        for i in self.member_positions:
+            if g.elements[i] not in closure:
+                kept.append(i)
+                closure = _closure(g.degree, [g.elements[k] for k in kept],
+                                   len(self)).index_of
+        if len(closure) != len(self):
+            raise InvariantError("the members are not a subgroup")
+        return tuple(kept)
 
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
         """Whether other's generators conjugate this subgroup into itself,
@@ -436,18 +430,35 @@ class QuotientGroup:
 
     def as_group(self) -> PermGroup:
         """Left-regular permutation model, in coset order: element q is
-        the permutation c -> q*c of coset indices (built once per
-        quotient)."""
-        return self._group
+        the permutation c -> q*c of coset indices, a row of the table,
+        generated by the distinct non-identity cosets (coset 0 holds the
+        identity) of the base's generators; built on every call."""
+        cosets = dict.fromkeys(self.projection[s]
+                               for s in self.base.generator_positions)
+        return _generated(len(self), [self.table[q] for q in cosets if q],
+                          self.table)
 
-    @cached_property
-    def _group(self) -> PermGroup:
-        n = len(self)
-        elems = tuple(tuple(self.table[q][c] for c in range(n)) for q in range(n))
-        # regular model is faithful, so all permutations are distinct
-        index_of = {e: k for k, e in enumerate(elems)}
-        return PermGroup(n, elems, elems, index_of,
-                         tuple((k,) for k in range(n)))
+
+def _closure(degree: int, gens, bound: int) -> PermGroup:
+    """enumerate_group of generators taken from a subgroup or quotient of
+    bound elements: a closure that outgrows them is an internal error."""
+    try:
+        return enumerate_group(degree, gens, bound)
+    except ValidationError as e:
+        raise InvariantError(f"generators outgrow their group: {e}") from e
+
+
+def _generated(degree: int, gens, elements) -> PermGroup:
+    """The group generated by gens with its elements in the given order,
+    each with its word from the closure's BFS; InvariantError unless that
+    closure is exactly elements."""
+    closure = _closure(degree, gens, len(elements))
+    index_of = {e: k for k, e in enumerate(elements)}
+    if closure.index_of.keys() != index_of.keys():
+        raise InvariantError("generators miss an element of their group")
+    words = closure.words
+    return PermGroup(degree, closure.generators, tuple(elements), index_of,
+                     tuple(words[closure.index_of[e]] for e in elements))
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:

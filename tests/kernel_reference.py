@@ -51,8 +51,7 @@ from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.freecover import free_cover
 from eiquiver.morita import MAX_ELEMENT_ENTRIES
-from eiquiver.permgrp import (PermGroup, pmul, respects_relations,
-                              word_products)
+from eiquiver.permgrp import PermGroup, pmul, word_products
 from groups import identity_pos, pinv
 
 
@@ -234,11 +233,12 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
         raise ValidationError("too-large", f"{len(group) * dim * dim} "
                               "matrix entries")
     mats = element_matrices(group, gen_mats, dim, p)
-    if not respects_relations(group, mats, gen_mats,
-                              lambda acc, m: linalg.matmul(acc, m, p),
-                              np.array_equal):
-        raise ValidationError("not-a-representation",
-                              "generator matrices violate the group relations")
+    for s, m in zip(group.generators, gen_mats):
+        for e, es in enumerate(group.right_products(s).tolist()):
+            if not np.array_equal(mats[es], linalg.matmul(mats[e], m, p)):
+                raise ValidationError(
+                    "not-a-representation",
+                    "generator matrices violate the group relations")
     return mats
 
 

@@ -167,6 +167,26 @@ def test_noncommuting_actions_rejected():
     assert exc.value.finding == "actions-not-commuting"
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_an_action_breaking_a_relation_is_action_inconsistent(side):
+    # C4 = <s> acts on a hom of size 3 by a 3-cycle c, on the left when
+    # C4 is the target's group and on the right when it is the source's.
+    # Along the BFS words s^k acts as c^k, and e * s matches c^k * c for
+    # every element e = s^k but the last: s^3 * s = 1, while c^4 = c
+    c4 = {"degree": 4, "generators": [[1, 2, 3, 0]]}
+    trivial = {"degree": 1, "generators": []}
+    x, y = (trivial, c4) if side == "left" else (c4, trivial)
+    doc = {"mode": "explicit",
+           "objects": [{"id": "x", **x}, {"id": "y", **y}],
+           "homs": [{"from": "x", "to": "y", "size": 3,
+                     "left_action": [[1, 2, 0]] if side == "left" else [],
+                     "right_action": [[1, 2, 0]] if side == "right" else []}]}
+    with pytest.raises(ValidationError) as exc:
+        load_category(doc)
+    assert exc.value.finding == "action-inconsistent"
+    assert f"{side} action on hom x->y" in str(exc.value)
+
+
 # trivial groups and two arrows per step: no group acts, so a tampered
 # entry in range can only break associativity over chains
 DOUBLED_LINE = {"mode": "ei-quiver",
@@ -455,24 +475,25 @@ def test_ei_quiver_of(categories):
     assert len(quiv.objects) == 1 and not quiv.arrows
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-def test_closure_check_in_chunks(monkeypatch, chunk):
-    from eiquiver import eicat
+def test_generating_set_certifies_a_subgroup():
     from eiquiver.errors import InvariantError
-    from eiquiver.permgrp import enumerate_group
-    monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
+    from eiquiver.permgrp import SubgroupHandle, enumerate_group
     s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
     pos = s4.index_of
-    eicat._assert_closed(s4, tuple(range(24)), "S4")
     a4 = tuple(i for i, e in enumerate(s4.elements)
                if sum(e[j] > e[k] for j in range(4)
                       for k in range(j + 1, 4)) % 2 == 0)
-    eicat._assert_closed(s4, a4, "A4")
+    for members in (tuple(range(24)), a4):
+        gens = SubgroupHandle(s4, members).generator_positions
+        assert 2 ** len(gens) <= len(members)
+        assert len(enumerate_group(4, [s4.elements[k] for k in gens])) == \
+            len(members)
     # a 3-cycle without its inverse; two transpositions without their
     # product
-    for members, what in (((pos[(0, 1, 2, 3)], pos[(1, 2, 0, 3)]),
-                           "inverse"),
-                          ((pos[(0, 1, 2, 3)], pos[(1, 0, 2, 3)],
-                            pos[(0, 2, 1, 3)]), "product")):
-        with pytest.raises(InvariantError, match=f"under {what}"):
-            eicat._assert_closed(s4, tuple(sorted(members)), "set")
+    for members in ((pos[(0, 1, 2, 3)], pos[(1, 2, 0, 3)]),
+                    (pos[(0, 1, 2, 3)], pos[(1, 0, 2, 3)],
+                     pos[(0, 2, 1, 3)])):
+        with pytest.raises(InvariantError, match="outgrow"):
+            SubgroupHandle(s4, tuple(sorted(members))).generator_positions
+    with pytest.raises(InvariantError, match="not a subgroup"):
+        SubgroupHandle(s4, ()).generator_positions

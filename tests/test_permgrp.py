@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from eiquiver.errors import InvariantError, ValidationError
-from eiquiver.permgrp import (PermGroup, SubgroupHandle, check_perm,
-                              conjugacy_classes, class_index_of,
+from eiquiver.permgrp import (PermGroup, QuotientGroup, SubgroupHandle,
+                              check_perm, conjugacy_classes, class_index_of,
                               enumerate_group, orbits, pidentity, pmul,
                               quotient)
 from groups import (identity_pos, mul, named_group, pinv, trivial_subgroup,
@@ -55,13 +55,43 @@ def test_enumeration_bound():
         enumerate_group(3, [[1, 0, 2], [1, 2, 0]], bound=3)
 
 
-def test_word_reconstruction():
-    # each stored word multiplies out to its element
-    for e, word in zip(S3.elements, S3.words):
-        acc = pidentity(3)
-        for k in word:
-            acc = pmul(acc, S3.generators[k])
-        assert acc == e
+def _as_groups(categories):
+    """as_group() groups: A4 <= S4, A5 <= S5, S4/V4, (S5 x C3)/C3, and the
+    G1 and H1 stabilizers of four_object_mixed."""
+    from eiquiver.eicat import orbit_representatives, stabilizer_data
+    s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
+    s5 = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    s5c3 = enumerate_group(8, [[1, 0, 2, 3, 4, 5, 6, 7],
+                               [1, 2, 3, 4, 0, 5, 6, 7],
+                               [0, 1, 2, 3, 4, 6, 7, 5]])
+    v4 = SubgroupHandle(s4, tuple(
+        i for i, e in enumerate(s4.elements)
+        if e in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))))
+    c3 = SubgroupHandle(s5c3, tuple(i for i, e in enumerate(s5c3.elements)
+                                    if e[:5] == (0, 1, 2, 3, 4)))
+    out = [SubgroupHandle(s4, _even_positions(s4)).as_group(),
+           SubgroupHandle(s5, _even_positions(s5)).as_group(),
+           quotient(whole_group(s4), v4).as_group(),
+           quotient(whole_group(s5c3), c3).as_group()]
+    cat = categories["four_object_mixed"]
+    for rep, _ in orbit_representatives(cat):
+        sd = stabilizer_data(cat, rep)
+        out += [sd.G1.as_group(), sd.H1.as_group()]
+    return out
+
+
+def test_word_reconstruction(categories):
+    # each stored word multiplies out to its element, in enumerated
+    # groups and in as_group() groups, whose words come from the
+    # closure of their generators but whose elements keep parent or
+    # coset order
+    for g in [S3] + _as_groups(categories):
+        assert g.words[0] == () and len(set(g.words)) == len(g)
+        for e, word in zip(g.elements, g.words):
+            acc = pidentity(g.degree)
+            for k in word:
+                acc = pmul(acc, g.generators[k])
+            assert acc == e
 
 
 def test_named_group_orders_and_exponents():
@@ -113,6 +143,18 @@ def test_quotient_s3_by_c3():
                 q.projection[mul(S3, a, b)]
     model = q.as_group()
     assert len(model) == 2
+
+
+def test_a_quotient_whose_generators_miss_a_coset_is_an_internal_error():
+    three_cycle = S3.index_of[(1, 2, 0)]
+    kernel = SubgroupHandle(S3, tuple(closure_positions(S3, [three_cycle])))
+    q = quotient(whole_group(S3), kernel)
+    assert len(q.as_group()) == 2
+    # every base generator sent to the identity coset generates only it
+    lost = QuotientGroup(q.base, q.kernel, q.cosets,
+                         dict.fromkeys(q.projection, 0), q.table)
+    with pytest.raises(InvariantError, match="miss an element"):
+        lost.as_group()
 
 
 def test_quotient_rejects_non_normal_kernel():

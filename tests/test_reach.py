@@ -1,0 +1,96 @@
+"""Reach gate: every function defined in src/eiquiver runs when the CLI
+runs every command in every format on every bundled fixture (the golden
+cases, which include functor on both representation documents) and one
+quiver with a given prime, or is named below with what reaches it.
+
+Calls are recorded in process with sys.setprofile, from a cold model
+cache, so a function a cache would skip still counts as reached only if
+the CLI computes it.
+"""
+
+import ast
+import pathlib
+import sys
+
+import eiquiver
+from eiquiver.chartab import _MODEL_CACHE
+from test_golden import CASES, run_cli
+
+SRC = pathlib.Path(eiquiver.__file__).resolve().parent
+
+# function -> what reaches it, when the CLI does not
+NOT_FROM_THE_CLI = {
+    "morita.inverse_functor": "tests and perfbench",
+    "morita.hom_dim_cat": "tests and perfbench",
+    "morita.hom_dim_quiver": "tests and perfbench",
+    "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
+    "linalg.sylvester_system": "tests and perfbench (the Hom dimensions)",
+    "linalg.inv": "tests and perfbench (inverse_functor)",
+    "linalg.rank": "tests and perfbench (hom_dim_cat, hom_dim_quiver)",
+    "morita.catrep_document": "tools/gen_fixtures.py",
+    "errors.is_out_of_memory": "the out-of-memory path of cli.main",
+    "errors.clear_frames": "the out-of-memory path of cli.main",
+    "errors.OutOfMemory.__init__": "the out-of-memory path of cli.main",
+    "oracle.CategoryAlgebra.dim": "perfbench's oracle.build_algebra.dim "
+                                  "counter",
+}
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """(file name, first line) -> module.qualname of every def in the
+    package; a decorated function's code starts at its first decorator."""
+    out = {}
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                out[(module, first)] = f"{prefix}{child.name}"
+                walk(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, f"{prefix}{child.name}.")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.name, f"{path.stem}.")
+    return out
+
+
+def reached_functions(argvs) -> set[tuple[str, int]]:
+    """(file name, first line) of every package function called while
+    the CLI runs each argv."""
+    codes = {}
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes[id(frame.f_code)] = frame.f_code
+
+    saved = dict(_MODEL_CACHE)
+    _MODEL_CACHE.clear()
+    sys.setprofile(record)
+    try:
+        for argv in argvs:
+            run_cli(argv)
+    finally:
+        sys.setprofile(None)
+        _MODEL_CACHE.update(saved)
+    reached = set()
+    for code in codes.values():
+        path = pathlib.Path(code.co_filename).resolve()
+        if path.parent == SRC:
+            reached.add((path.name, code.co_firstlineno))
+    return reached
+
+
+def test_every_function_is_reached_or_named():
+    quiver = CASES["text quiver four_object_mixed"]
+    prime = run_cli(quiver)["stdout"].split()[1]
+    argvs = list(CASES.values()) + [["--prime", prime] + quiver]
+    defined = defined_functions()
+    reached = reached_functions(argvs)
+    missed = sorted(name for key, name in defined.items()
+                    if key not in reached)
+    # the list names exactly what the CLI does not reach
+    assert missed == sorted(NOT_FROM_THE_CLI)
