@@ -475,9 +475,23 @@ def test_ei_quiver_of(categories):
     assert len(quiv.objects) == 1 and not quiv.arrows
 
 
-def test_generating_set_certifies_a_subgroup():
+TRIPLED_LINE = {"mode": "ei-quiver",
+                "objects": [{"id": o, "degree": 1, "generators": []}
+                            for o in "wxyz"],
+                "homs": [{"from": a, "to": b, "size": 3, "left_action": [],
+                          "right_action": []}
+                         for a, b in ("wx", "xy", "yz")]}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_closure_check_in_chunks(monkeypatch, chunk):
+    from eiquiver import eicat
     from eiquiver.errors import InvariantError
     from eiquiver.permgrp import SubgroupHandle, enumerate_group
+    monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
+    # subgroups are certified by their generating sets: S4 and A4 close,
+    # a 3-cycle without its inverse and two transpositions without their
+    # product outgrow their members, and no subgroup is empty
     s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
     pos = s4.index_of
     a4 = tuple(i for i, e in enumerate(s4.elements)
@@ -488,8 +502,6 @@ def test_generating_set_certifies_a_subgroup():
         assert 2 ** len(gens) <= len(members)
         assert len(enumerate_group(4, [s4.elements[k] for k in gens])) == \
             len(members)
-    # a 3-cycle without its inverse; two transpositions without their
-    # product
     for members in ((pos[(0, 1, 2, 3)], pos[(1, 2, 0, 3)]),
                     (pos[(0, 1, 2, 3)], pos[(1, 0, 2, 3)],
                      pos[(0, 2, 1, 3)])):
@@ -497,3 +509,17 @@ def test_generating_set_certifies_a_subgroup():
             SubgroupHandle(s4, tuple(sorted(members))).generator_positions
     with pytest.raises(InvariantError, match="not a subgroup"):
         SubgroupHandle(s4, ()).generator_positions
+    # composition closes associatively over the chain w->x->y->z, checked
+    # in chunks of γ: three chunks at the small sizes, one at the default.
+    # A wrong entry under the last γ is found at the same place whatever
+    # the chunk size.
+    cat = load_category(TRIPLED_LINE)
+    validate_category(cat)
+    rows = [list(r) for r in cat.comp[("x", "y", "z")]]
+    rows[2][1] = (rows[2][1] + 1) % 9
+    comp = {**cat.comp, ("x", "y", "z"): tuple(map(tuple, rows))}
+    bad = EICategory(cat.objects, cat.groups, cat.homs, comp,
+                     cat.topological_order)
+    got = _outcome(validate_category, bad)
+    assert got == _outcome(ref.validate_category, bad)
+    assert got[1] == "associativity" and "w->x->y->z at (2," in got[2]
