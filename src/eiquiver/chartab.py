@@ -7,11 +7,20 @@ involved, every group algebra is split semisimple, and all multiplicities
 agree with their characteristic-0 counterparts and are recovered exactly
 as least nonnegative residues.
 
-Character tables are computed by the Burnside/Dixon method: simultaneous
-eigenvectors of the class-multiplication matrices over F_p, each
-eigenvector of a simple eigenvalue taken from one Krylov basis per matrix
-(linalg.eigenspaces).  Class 0 is the identity class, whose matrix is the
-identity and splits nothing, so it is skipped.
+A character table is its linear characters, written down, and the rest
+by the Burnside/Dixon method (Dixon, Numer. Math. 10, 1967; Schneider,
+J. Symbolic Comput. 9, 1990).  The linear characters are those of the
+abelian group G/G', built one generator at a time as powers of one
+primitive root of unity, from the cosets of the derived subgroup
+(permgrp.derived_cosets).  The others' central characters are the
+simultaneous eigenvectors of the class-multiplication matrices over
+F_p within the nullspace of the linear rows, each eigenvector of a
+simple eigenvalue taken from one Krylov basis per matrix
+(linalg.eigenspaces).  So an abelian group, or one with a single
+non-linear character, builds no class matrix.  Class 0 is the identity
+class, whose matrix is the identity and splits nothing, so it is
+skipped.  A table holds r x |G| values (CharTable.values), so a group
+for which that exceeds MAX_TABLE_ENTRIES is refused first.
 
 Characters are kept in one form: a table's rows, one value per class,
 and CharTable.values, the same rows read at every element.  Restriction
@@ -38,9 +47,12 @@ import numpy as np
 from . import linalg
 from .errors import InvariantError, ValidationError
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
-                      class_index_of, conjugacy_classes)
+                      class_index_of, conjugacy_classes, derived_cosets)
 
 PRIME_SEARCH_BOUND = 10**6
+
+# classes times group order: a table's values at every element
+MAX_TABLE_ENTRIES = 1 << 22
 
 _MODEL_CACHE: dict = {}
 
@@ -146,13 +158,19 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
         yield np.remainder(m, p, out=m)
 
 
-def _split_common_eigenvectors(mats, r: int, p: int):
-    """Intersect eigenspaces of the commuting matrices until 1-dimensional,
+def _split_common_eigenvectors(mats, start: np.ndarray, p: int):
+    """Intersect eigenspaces of the commuting matrices, within the
+    invariant subspace spanned by start's columns, until 1-dimensional,
     pulling the next matrix from the iterable mats only while some space
-    is not yet a line.  The first, the identity class's matrix, is the
-    identity: it is skipped."""
-    spaces = [linalg.eye(r)]  # columns span each subspace
-    for m in islice(mats, 1, None):
+    is not yet a line: a start of at most one column pulls none.  The
+    first, the identity class's matrix, is the identity: it is skipped."""
+    spaces = [start] if start.shape[1] else []  # columns span each subspace
+    mats = islice(mats, 1, None)
+    while any(c.shape[1] != 1 for c in spaces):
+        m = next(mats, None)
+        if m is None:
+            raise InvariantError(
+                "eigenspaces did not split; prime is not splitting")
         nxt = []
         for c in spaces:
             if c.shape[1] == 1:
@@ -168,11 +186,55 @@ def _split_common_eigenvectors(mats, r: int, p: int):
                 sub = linalg.row_space(sub.T, p).T
                 nxt.append(sub)
         spaces = nxt
-        if all(c.shape[1] == 1 for c in spaces):
-            break
-    if any(c.shape[1] != 1 for c in spaces):
-        raise InvariantError("eigenspaces did not split; prime is not splitting")
     return [c[:, 0] for c in spaces]
+
+
+def _root_of_unity(e: int, p: int) -> int:
+    """A primitive e-th root of unity mod p, for e dividing p - 1: the
+    first x^((p-1)/e), x = 2, 3, ..., none of whose powers e/q, q a
+    prime factor of e, is 1."""
+    primes = [q for q in range(2, e + 1) if e % q == 0 and _isprime(q)]
+    for x in range(2, p):
+        z = pow(x, (p - 1) // e, p)
+        if all(pow(z, e // q, p) != 1 for q in primes):
+            return z
+    raise InvariantError(f"no primitive {e}-th root of unity mod {p}")
+
+
+def _linear_characters(g: PermGroup, classes, p: int) -> np.ndarray:
+    """The |G:G'| linear characters of g at its class representatives,
+    one row each: the characters of A = G/G', whose elements are the
+    cosets of the derived subgroup G'.
+
+    A is built up one generator s of g at a time, B = <B, s>, each
+    character as exponents of one primitive e-th root of unity zeta,
+    e = g.exponent.  With m the least power of s in B, the elements
+    b s^i (b in B, i < m) are distinct, and each character chi of B,
+    chi(s^m) = zeta^t, has the m extensions chi'(b s^i) = chi(b) zeta^(iu),
+    u = t/m + j e/m for j < m.  m divides t, as the order of zeta^t
+    divides that of s^m.
+    """
+    label, acts = derived_cosets(g)
+    e = g.exponent
+    where = np.full(label.max() + 1, -1)   # coset -> its index in B, or -1
+    where[0] = 0                           # the coset G' of the identity
+    elems = np.zeros(1, dtype=np.intp)
+    exps = np.zeros((1, 1), dtype=np.int64)   # character, element of B
+    for act in acts:
+        layers = [elems]   # layers[i] = B s^i, elems[0] the identity
+        while where[(nxt := act[layers[-1]])[0]] < 0:
+            layers.append(nxt)
+        m = len(layers)
+        u = exps[:, where[nxt[0]], None] // m + np.arange(m) * (e // m)
+        exps = (exps[:, None, None, :] + u[:, :, None, None]
+                * np.arange(m)[:, None]) % e
+        exps = exps.reshape(len(elems) * m, -1)
+        elems = np.concatenate(layers)
+        where[elems] = np.arange(len(elems))
+    zeta, powers = _root_of_unity(e, p), [1]
+    for _ in range(1, e):
+        powers.append(powers[-1] * zeta % p)
+    return np.array(powers)[exps[:, where[label[[c.rep for c in classes]]]]]
 
 
 def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
@@ -190,14 +252,23 @@ def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
 def _compute_table(g: PermGroup, p: int) -> CharTable:
     classes = tuple(conjugacy_classes(g))
     class_of = tuple(class_index_of(g, list(classes)))
-    r = len(classes)
+    r, n = len(classes), len(g)
+    if r * n > MAX_TABLE_ENTRIES:
+        raise ValidationError(
+            "too-large", f"a character table of {r} classes on a group of "
+            f"order {n} exceeds {MAX_TABLE_ENTRIES} entries")
     inv_class = [class_of[g.inv(classes[k].rep)] for k in range(r)]
+    linear = _linear_characters(g, classes, p)
+    # the other characters' central characters span the nullspace of the
+    # linear rows, which are closed under complex conjugation; an abelian
+    # group has none
+    start = (linalg.nullspace(linear, p).T if len(linear) < r
+             else linalg.zeros(r, 0))
     mats = _class_mult_matrices(g, classes, class_of, p)
-    omegas = _split_common_eigenvectors(mats, r, p)
+    omegas = _split_common_eigenvectors(mats, start, p)
     inv_sizes = [linalg.inv_scalar(len(c), p) for c in classes]
 
-    n = len(g)
-    rows = []
+    rows = [tuple(row) for row in linear.tolist()]
     for om in omegas:
         om = [int(x) % p for x in om]
         if om[0] == 0:

@@ -21,12 +21,14 @@ actions, and is the plain definition the tables must match.
 
 orbits is the package's one orbit search, numbering orbits by least
 member: conjugacy classes, two-sided hom-set orbits, glued-biset
-classes, the first-step orbits of the unique-factorization test and the
-cosets of a quotient are all orbits of a few permutations.  A subgroup
-is a short list of generators (Holt, Eick and O'Brien, section 4.1),
-SubgroupHandle.generator_positions, whose closure by enumerate_group,
-the one closure routine, certifies its members.  Normality, cosets and
-as_group need only those generators, at most log2 of its order.
+classes, the first-step orbits of the unique-factorization test, the
+cosets of a quotient and the derived subgroup (the orbit of the
+identity under its generators' Cayley rows) are all orbits of a few
+permutations.  A subgroup is a short list of generators (Holt, Eick
+and O'Brien, section 4.1), SubgroupHandle.generator_positions, whose
+closure by enumerate_group, the one closure routine, certifies its
+members.  Normality, cosets and as_group need only those generators,
+at most log2 of its order.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -459,6 +462,48 @@ def _generated(degree: int, gens, elements) -> PermGroup:
     words = closure.words
     return PermGroup(degree, closure.generators, tuple(elements), index_of,
                      tuple(words[closure.index_of[e]] for e in elements))
+
+
+def derived_cosets(g: PermGroup) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The cosets of the derived subgroup G' of g, the elements of the
+    abelian group g/G': label[i] is the coset of element i, coset 0 being
+    G' itself, and acts[k][c] the coset of generator k times coset c.
+
+    G' is the normal closure of the commutators s^-1 t^-1 s t of g's
+    generators.  Each of those, then each conjugate t k t^-1 of a kept
+    generator k by a generator t of g, is kept when it lies outside the
+    orbit of the identity under left multiplication (Cayley rows) by
+    those kept before it, which it then at least doubles: at most
+    log2|G'| are kept.  Every kept generator's conjugates are tried, so
+    the last orbit N is normal; it holds every commutator of generators,
+    so g/N is abelian, and it lies in G', so it is G'.  The other cosets
+    are the images of G' under g's generators' rows, breadth first,
+    which act on them.
+    """
+    gens = g.generators
+    inverses = [g.elements[g.inv(g.index_of[s])] for s in gens]
+    pending = [pmul(pmul(si, ti), pmul(s, t))
+               for (s, si), (t, ti) in combinations(zip(gens, inverses), 2)]
+    rows: list[list[int]] = []
+    orbit = orbits(len(g), rows, points=[0])[0]
+    for c in pending:   # the list grows with each kept generator's conjugates
+        k = g.index_of[c]
+        if orbit[k] != 0:
+            rows.append(g.row(k).tolist())
+            orbit = orbits(len(g), rows, points=[0])[0]
+            pending += [pmul(pmul(t, c), ti) for t, ti in zip(gens, inverses)]
+    label = np.array(orbit)   # -1 outside G'
+    cosets = [np.flatnonzero(label == 0)]
+    acts: list[list[int]] = [[] for _ in gens]
+    gen_rows = [g.row(g.index_of[s]) for s in gens]
+    for c in cosets:   # the list grows with each new image
+        for act, row in zip(acts, gen_rows):
+            image = row[c]
+            if label[image[0]] < 0:
+                label[image] = len(cosets)
+                cosets.append(image)
+            act.append(int(label[image[0]]))
+    return label, [np.array(act) for act in acts]
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:

@@ -54,6 +54,15 @@ def named_group(name: str) -> PermGroup:
         "D4": (4, ((1, 2, 3, 0), (1, 0, 3, 2))),
         "C2xC2xC2": (6, ((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
                          (0, 1, 2, 3, 5, 4))),
+        "A4": (4, ((1, 2, 0, 3), (1, 0, 3, 2))),
+        # i and j acting on Q8 = {1, i, -1, -i, j, -k, -j, k} by right
+        # multiplication
+        "Q8": (8, ((1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3))),
+        "S3xC4": (7, ((1, 0, 2, 3, 4, 5, 6), (1, 2, 0, 3, 4, 5, 6),
+                      (0, 1, 2, 4, 5, 6, 3))),
+        "C2xC4xC3": (9, ((1, 0, 2, 3, 4, 5, 6, 7, 8),
+                         (0, 1, 3, 4, 5, 2, 6, 7, 8),
+                         (0, 1, 2, 3, 4, 5, 7, 8, 6))),
     }
     degree, gens = cat[name]
     return enumerate_group(degree, gens)

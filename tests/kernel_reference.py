@@ -12,7 +12,11 @@ eiquiver.morita.projection_basis replaced in the functor's Hom bases.
 split_common_eigenvectors is the Burnside/Dixon split with one
 nullspace per eigenvalue of every class matrix, that of the identity
 class included, that the Krylov eigenvectors of
-eiquiver.linalg.eigenspaces replaced.  build_catrep is the two-phase
+eiquiver.linalg.eigenspaces replaced, and character_table is that
+split on the whole class space, from the identity and through every
+class matrix, that eiquiver.chartab replaced by writing the linear
+characters down from G/G' and splitting only their complement.
+build_catrep is the two-phase
 assembly that eiquiver.morita.build_catrep replaced: it fills every
 morphism by repeated sweeps, then checks functoriality against every
 group element's matrix and every composable pair, one morphism at a
@@ -42,9 +46,12 @@ category algebra is bounded by the quiver's path counts, with equality
 exactly when the category is free (p never divides a group order here).
 """
 
+from math import isqrt
+
 import numpy as np
 
-from eiquiver import linalg
+from eiquiver import linalg, permgrp
+from eiquiver.chartab import CharTable
 from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
                             _check_connected, homset_orbits,
                             orbit_representatives)
@@ -429,6 +436,38 @@ def split_common_eigenvectors(mats, r, p):
         spaces = nxt
     assert all(c.shape[1] == 1 for c in spaces)
     return [c[:, 0] for c in spaces]
+
+
+def character_table(g: PermGroup, p: int) -> CharTable:
+    """The table by the Burnside/Dixon split of the whole class space:
+    the common eigenvectors of every class matrix, counted one product
+    at a time, from eye(r), each scaled to its character.  Rows sorted
+    as eiquiver.chartab sorts them."""
+    classes = permgrp.conjugacy_classes(g)
+    class_of = permgrp.class_index_of(g, classes)
+    r, n = len(classes), len(g)
+    inv_size = [pow(len(c), p - 2, p) for c in classes]
+    inv_class = [class_of[inv(g, c.rep)] for c in classes]
+    mats = []
+    for c in classes:
+        # [j, k] = #{(u, v) in C_i x C_j : uv = w_k}
+        m = np.zeros((r, r), dtype=np.int64)
+        for u in c.members:
+            for k, w in enumerate(classes):
+                m[class_of[mul(g, inv(g, u), w.rep)], k] += 1
+        mats.append(m % p)
+    rows = []
+    for om in split_common_eigenvectors(mats, r, p):
+        # ω_k = |C_k| χ(g_k) / d, and sum_k ω_k ω_k' / |C_k| = |G| / d²
+        om = [int(x) * pow(int(om[0]), p - 2, p) % p for x in om]
+        norm = sum(om[k] * om[inv_class[k]] * inv_size[k] for k in range(r))
+        d2 = n * pow(norm % p, p - 2, p) % p
+        d = isqrt(d2)
+        assert d * d == d2
+        rows.append(tuple(d * om[k] * inv_size[k] % p for k in range(r)))
+    rows.sort(key=lambda row: (row[0], row))
+    return CharTable(g, p, tuple(classes), tuple(class_of), tuple(rows),
+                     tuple(row[0] for row in rows))
 
 
 def is_free_by_cover(cat: EICategory,

@@ -10,7 +10,8 @@ from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
                               inflate, restriction_multiplicity,
                               splitting_prime_for)
 from eiquiver.errors import ValidationError
-from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
+from eiquiver.permgrp import (SubgroupHandle, derived_cosets, enumerate_group,
+                              quotient)
 from groups import identity_pos, mul, named_group, trivial_subgroup, whole_group
 from randcats import closure_positions
 
@@ -99,34 +100,83 @@ def _cycle(n):
 
 # degree and generators: D48 has order 96
 LADDER = {"C24": (24, [_cycle(24)]), "C48": (48, [_cycle(48)]),
+          "C72": (72, [_cycle(72)]),
           "D48": (48, [_cycle(48), [(-i) % 48 for i in range(48)]]),
           **{f"S{n}": (n, [[1, 0] + list(range(2, n)), _cycle(n)])
              for n in (4, 5, 6)}}
+# S3xC4 splits a complement of 4 columns, A4 and Q8 one of 1; A4 has a
+# cyclic G/G', Q8 and S3xC4 do not, and C2xC4xC3 is abelian on three
+# generators
+MORE = ("A4", "Q8", "S3xC4", "C2xC4xC3")
 
 
-@pytest.mark.parametrize("name", CATALOG + tuple(LADDER))
-def test_tables_match_the_nullspace_split(name, monkeypatch):
-    # the same rows as one nullspace per eigenvalue of every class
-    # matrix, the identity class's included
-    g = enumerate_group(*LADDER[name]) if name in LADDER else named_group(name)
+def _group(name):
+    return enumerate_group(*LADDER[name]) if name in LADDER else named_group(name)
+
+
+@pytest.mark.parametrize("name", CATALOG + tuple(LADDER) + MORE)
+def test_tables_match_the_nullspace_split(name):
+    # the same table as one nullspace per eigenvalue of every class
+    # matrix, the identity class's included, from the whole class space
+    g = _group(name)
     p = choose_splitting_prime([g]).p
-    table = chartab._compute_table(g, p)
-    monkeypatch.setattr(chartab, "_split_common_eigenvectors",
-                        ref.split_common_eigenvectors)
-    assert chartab._compute_table(g, p) == table
+    assert chartab._compute_table(g, p) == ref.character_table(g, p)
 
 
 def test_cyclic_tables_do_no_elimination(monkeypatch):
-    # in C24 and C48 the first class matrix after the identity's has r
-    # simple eigenvalues, and each eigenvector comes from the Krylov basis
-    calls = []
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace",
-                        lambda *a: calls.append(a) or nullspace(*a))
-    for name in ("C24", "C48"):
-        g = enumerate_group(*LADDER[name])
+    # the linear characters are written down from G/G', so an abelian
+    # group, or one with a single non-linear character (S3, A4), builds
+    # no class matrix and finds no eigenvalue
+    built, calls = [], []
+    mats, eigenspaces = chartab._class_mult_matrices, linalg.eigenspaces
+
+    def counted(*a):
+        for m in mats(*a):
+            built.append(m)
+            yield m
+
+    monkeypatch.setattr(chartab, "_class_mult_matrices", counted)
+    monkeypatch.setattr(linalg, "eigenspaces",
+                        lambda *a: calls.append(a) or eigenspaces(*a))
+    for name in ("C24", "C48", "C72", "V4", "C2xC2xC2", "S3", "A4"):
+        g = _group(name)
         chartab._compute_table(g, choose_splitting_prime([g]).p)
-    assert calls == []
+    assert built == [] and calls == []
+
+
+@pytest.mark.parametrize("name", CATALOG + MORE + ("C72", "D48", "S4", "S5"))
+def test_linear_rows_count_the_cosets_of_the_derived_subgroup(name):
+    # G' against the closure of every commutator a^-1 b^-1 a b
+    g = _group(name)
+    label, acts = derived_cosets(g)
+    commutators = {mul(g, mul(g, g.inv(a), g.inv(b)), mul(g, a, b))
+                   for a in range(len(g)) for b in range(len(g))}
+    derived = closure_positions(g, commutators)
+    assert np.flatnonzero(label == 0).tolist() == derived
+    index = label.max() + 1
+    assert np.bincount(label).tolist() == [len(derived)] * index
+    # each generator permutes the cosets, as left multiplication does
+    for s, act in zip(g.generators, acts):
+        s = g.index_of[s]
+        assert [label[mul(g, s, i)] for i in range(len(g))] == act[label].tolist()
+    table = character_table(g, choose_splitting_prime([g]))
+    assert table.dims.count(1) == index
+
+
+def test_a_table_past_the_entry_bound_is_refused(monkeypatch):
+    # r·|G| values: C24 has 576, S4 120; the refusal comes before the
+    # linear characters and any class matrix
+    monkeypatch.setattr(chartab, "MAX_TABLE_ENTRIES", 575)
+    s4, c24 = _group("S4"), _group("C24")
+    assert len(chartab._compute_table(s4, choose_splitting_prime([s4]).p)) == 5
+
+    def unreached(*a):
+        raise AssertionError("built past the bound")
+
+    monkeypatch.setattr(chartab, "_linear_characters", unreached)
+    monkeypatch.setattr(chartab, "_class_mult_matrices", unreached)
+    with pytest.raises(ValidationError, match="^too-large: "):
+        chartab._compute_table(c24, choose_splitting_prime([c24]).p)
 
 
 def _s3_mod_c3():

@@ -393,6 +393,22 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
         "exceeds" in err and err.count("\n") == 1
 
 
+def test_a_character_table_past_its_bound_is_refused(capsys, tmp_path):
+    # C2^12 on 12 disjoint transpositions: 4,096 classes of one element,
+    # 2^24 table values where chartab.MAX_TABLE_ENTRIES is 2^22
+    swaps = [list(range(24)) for _ in range(12)]
+    for k, perm in enumerate(swaps):
+        perm[2 * k], perm[2 * k + 1] = 2 * k + 1, 2 * k
+    f = tmp_path / "c2_12.json"
+    f.write_text(json.dumps({"mode": "ei-quiver", "homs": [], "objects": [
+        {"id": "x", "degree": 24, "generators": swaps}]}))
+    with address_space_limit(512 * 2**20):
+        code, out, err = run(capsys, "quiver", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: too-large: ") and \
+        "exceeds" in err and err.count("\n") == 1
+
+
 def test_oracle_reads_the_tables_where_a_dense_product_table_would_not_fit(
         capsys, tmp_path):
     # x -> y -> z, two arrows of 128 between trivial groups: 16,643

@@ -1,7 +1,10 @@
 """Reach gate: every function defined in src/eiquiver runs when the CLI
 runs every command in every format on every bundled fixture (the golden
-cases, which include functor on both representation documents) and one
-quiver with a given prime, or is named below with what reaches it.
+cases, which include functor on both representation documents), one
+quiver with a given prime and one quiver of S4, or is named below with
+what reaches it.  No fixture's group has two characters of degree above
+1, and a table splits only those by class matrices, so S4 (degrees 2, 3
+and 3) is the one that reaches the split.
 
 Calls are recorded in process with sys.setprofile, from a cold model
 cache, so a function a cache would skip still counts as reached only if
@@ -9,6 +12,7 @@ the CLI computes it.
 """
 
 import ast
+import json
 import pathlib
 import sys
 
@@ -84,10 +88,15 @@ def reached_functions(argvs) -> set[tuple[str, int]]:
     return reached
 
 
-def test_every_function_is_reached_or_named():
+def test_every_function_is_reached_or_named(tmp_path):
     quiver = CASES["text quiver four_object_mixed"]
     prime = run_cli(quiver)["stdout"].split()[1]
-    argvs = list(CASES.values()) + [["--prime", prime] + quiver]
+    s4 = tmp_path / "s4.json"
+    s4.write_text(json.dumps({"mode": "ei-quiver", "homs": [], "objects": [
+        {"id": "x", "degree": 4,
+         "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}]}))
+    argvs = list(CASES.values()) + [["--prime", prime] + quiver,
+                                    ["quiver", str(s4)]]
     defined = defined_functions()
     reached = reached_functions(argvs)
     missed = sorted(name for key, name in defined.items()
