@@ -17,17 +17,20 @@ each arrow gets the scalar block read off from the induced map between
 aligned isotypic copies.  The inverse assembles block-diagonal
 canonical models and solves for the representative matrices.
 
-All canonical bases are deterministic: irreducible models come from a
-fixed reduction of the regular module (its commutants spanned by right
-translations, see commutant), and every hom-space basis is the nullspace
-echelon basis of its space, whatever spanning set it was found from
-(canonical_span).  A model's element matrices are read off its copy in
-the regular module by one gather, with no word products, and all their
-traces are certified against the character by one einsum.  Models are
-kept for the life of the process in chartab._MODEL_CACHE, beside the
-character tables, and imported here under the same name: per model, the
-generator matrices and one (|G|, d, d) array of element matrices, which
-MoritaContext reads by gathers too.  The functor's Hom bases come from
+All canonical bases are deterministic: a linear character is its own
+model, certified multiplicative by one gather per generator, and every
+other irreducible model comes from a fixed reduction of the regular
+module (its commutants spanned by right translations, and after a cut by
+a retraction summed in chunks, see commutant); every hom-space basis is
+the nullspace echelon basis of its space, whatever spanning set it was
+found from (canonical_span).  A model's element matrices are read off
+its copy in the regular module by one gather, with no word products, and
+all their traces are certified against the character by one einsum.
+Models are kept for the life of the process in chartab._MODEL_CACHE,
+beside the character tables, and imported here under the same name: per
+model, the generator matrices and one (|G|, d, d) array of element
+matrices, which MoritaContext reads by gathers too.  The functor's Hom
+bases come from
 Serre's projections (projection_basis), with no linear system.  Sylvester
 systems (linalg.sylvester_system) serve only the two Hom-dimension
 checks: hom_dim_quiver has an edge per expanded arrow, and hom_dim_cat
@@ -61,7 +64,7 @@ from . import linalg
 from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
 from .eicat import CLOSURE_CHUNK, EICategory, orbit_representatives
 from .errors import InvariantError, SchemaError, ValidationError
-from .permgrp import PermGroup, is_int
+from .permgrp import PermGroup, is_int, pidentity
 from .quiveralg import BuiltQuiver
 
 
@@ -147,7 +150,12 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     shuffled order (early elements are short words, often dependent).
     With base = (w0, piv0, comm0), W lies in w0 and End_G(W) = {pi B iota
     : B in comm0}: iota = w[piv0] embeds W, and pi, the average over g of
-    A_g sigma A0_g^-1 (actions on W and w0, sigma = w0[piv]), retracts."""
+    A_g sigma A0_g^-1 (actions on W and w0, sigma = w0[piv]), retracts.
+    The sum over g is one batched product per chunk of elements, each
+    chunk's arrays at most CLOSURE_CHUNK entries.  Each product is reduced
+    mod p before the sum, so the sum is below |G| p and every integer is
+    that of one product per element; the products are exact in int64
+    while w's width times (p - 1)^2 is below 2^63."""
     m, n = w.shape[1], len(inverse)
     if base is None:
         comm, h = np.zeros((0, m, m), np.int64), 0
@@ -161,18 +169,42 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
                 (comm, w[cayley[np.ix_(piv, hs)]].transpose(1, 0, 2))), p)
         return comm
     w0, piv0, comm0 = base
-    pi = sum(w[cayley[inverse[g], piv]] @ w0[cayley[g, piv]] % p
-             for g in range(n)) * linalg.inv_scalar(n, p) % p
+    step = max(1, CLOSURE_CHUNK // (m * w0.shape[1]))
+    pi = np.zeros((m, w0.shape[1]), np.int64)
+    for g in range(0, n, step):
+        gs = slice(g, g + step)
+        pi += (w[cayley[np.ix_(inverse[gs], piv)]] @ w0[cayley[gs, piv]]
+               % p).sum(axis=0)
+    pi = pi * linalg.inv_scalar(n, p) % p
     return canonical_span((pi @ comm0) % p @ w[piv0] % p, p)
+
+
+def _linear_model(group: PermGroup, chi: np.ndarray, p: int):
+    """The model of a linear character chi: [[chi(s)]] per generator s
+    and chi as a (|G|, 1, 1) array, int64 copies.  chi is certified a
+    homomorphism by chi(1) = 1 and one gather per generator s, element k:
+    chi(s * j) = chi(s) chi(j) for every j, read along row(k); agreement
+    on generators gives agreement on every element, by induction along
+    its word.  A 1 x 1 model does not depend on a basis, so this is the
+    matrix the regular module gives."""
+    gens = [group.index_of[s] for s in group.generators]
+    if chi[group.index_of[pidentity(group.degree)]] != 1 or any(
+            not np.array_equal(chi[group.row(k)], chi[k] * chi % p)
+            for k in gens):
+        raise InvariantError("linear character is not multiplicative")
+    return (tuple(np.array([[chi[k]]], dtype=np.int64) for k in gens),
+            chi.astype(np.int64).reshape(-1, 1, 1))
 
 
 def irreducible_model(group: PermGroup, table: CharTable, i: int):
     """Deterministic matrices of the i-th irreducible: a tuple with one
     per generator, and one (|G|, d, d) array with one per element.
 
-    Found inside the regular module: project onto the isotypic component,
-    then cut down to a single copy with eigenspaces of commutant elements
-    (right translations and retractions, see commutant).  The copy's
+    A linear character is its own model (_linear_model): no Cayley
+    table, projection or elimination.  Any other is found inside the
+    regular module: project onto the isotypic component, then cut down
+    to a single copy with eigenspaces of commutant elements (right
+    translations and retractions, see commutant).  The copy's
     basis w has w[piv] = I, so L_g w = w A_g gives A_g as the piv rows of
     L_g w: every element's matrix is one gather from the Cayley table and
     each generator's is checked by one product.  All traces are certified
@@ -186,6 +218,9 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     n = len(group)
     chi = table.values[i]
     d = table.dims[i]
+    if d == 1:
+        _MODEL_CACHE[key] = _linear_model(group, chi, p)
+        return _MODEL_CACHE[key]
     # The regular module from the Cayley table, as index arrays.  L_g has
     # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
     # the isotypic projection d/|G| sum_g chi(g^-1) L_g has (a, j) entry

@@ -179,7 +179,9 @@ def quiver_document(q: BuiltQuiver) -> dict:
 def quiver_dot(q: BuiltQuiver) -> str:
     lines = ["digraph quiver {"]
     for i, v in enumerate(q.vertices):
-        lines.append(f'  v{i} [label="{v.label} (dim {v.dim})"];')
+        # a DOT quoted string escapes its backslashes and quotes
+        label = v.label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{i} [label="{label} (dim {v.dim})"];')
     # one edge per multiplicity unit, so parallel arrows are visible
     for a in q.arrows:
         lines.extend(f"  v{a.source} -> v{a.target};" for _ in range(a.mult))

@@ -16,6 +16,9 @@ eiquiver.linalg.eigenspaces replaced, and character_table is that
 split on the whole class space, from the identity and through every
 class matrix, that eiquiver.chartab replaced by writing the linear
 characters down from G/G' and splitting only their complement.
+linear_model is a degree-1 model read off the regular module's
+isotypic projection and its echelon basis, that eiquiver.morita
+replaced by writing the character down as its own model.
 build_catrep is the two-phase
 assembly that eiquiver.morita.build_catrep replaced: it fills every
 morphism by repeated sweeps, then checks functoriality against every
@@ -247,6 +250,32 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
                     "not-a-representation",
                     "generator matrices violate the group relations")
     return mats
+
+
+def linear_model(group: PermGroup, table: CharTable, i: int) -> tuple:
+    """The model of the linear character i found inside the regular
+    module: the leading columns of the isotypic projection, (a, j) entry
+    chi(j a^-1) / |G|, twice as many each time until one pivot shows;
+    their reduced echelon basis w, w[piv] = 1; and each matrix gathered
+    from w at s^-1 piv, as int64 arrays."""
+    p, n = table.p, len(group)
+    chi, scale = character(table, i), pow(n, p - 2, p)
+    take = 2
+    while True:
+        cols = [[chi[mul(group, j, inv(group, a))] * scale % p
+                 for a in range(n)] for j in range(min(take, n))]
+        r, piv = rref(cols, p)
+        if piv or take >= n:
+            break
+        take *= 2
+    assert len(piv) == 1
+    w = r[0]
+
+    def at(k):
+        return np.array([[w[mul(group, inv(group, k), piv[0])]]],
+                        dtype=np.int64)
+    gens = tuple(at(group.index_of[s]) for s in group.generators)
+    return gens, np.array([at(k) for k in range(n)]).reshape(n, 1, 1)
 
 
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,

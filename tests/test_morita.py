@@ -30,6 +30,7 @@ from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from eiquiver.quiveralg import build_quiver
 from groups import named_group, whole_group
 from randcats import random_free_category, random_nonfree_category
+from test_chartab import CATALOG, MORE, _group
 from test_freecover import s3_chain_document
 from test_kernel import C4_REGULAR
 
@@ -148,6 +149,14 @@ def _ladder_models():
                                      [-i % 48 for i in range(48)]]), 2)
     s4, s5 = _symmetric(4)[0], _symmetric(5)[0]
     out += rung(s4, 3) + rung(s5, 4)
+    for g in _s4_as_groups(s4):
+        out += rung(g, len(g))
+    return out
+
+
+def _s4_as_groups(s4):
+    """S4/V4 and A4 as as_group() groups, of a quotient and a subgroup of
+    S4; in A4's, some word-parents come after their children."""
     v4 = SubgroupHandle(s4, tuple(sorted(
         s4.index_of[e] for e in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
                                  (3, 2, 1, 0)))))
@@ -155,9 +164,7 @@ def _ladder_models():
         k for k, e in enumerate(s4.elements)
         if sum(e[a] > e[b] for a in range(4) for b in range(a + 1, 4)) % 2
         == 0))
-    for g in (quotient(whole_group(s4), v4).as_group(), a4.as_group()):
-        out += rung(g, len(g))
-    return out
+    return quotient(whole_group(s4), v4).as_group(), a4.as_group()
 
 
 def test_gathered_element_matrices_are_the_word_products(monkeypatch):
@@ -192,6 +199,107 @@ def test_one_wrong_character_value_fails_the_trace_certificate(
     monkeypatch.setattr(morita, "_MODEL_CACHE", {})
     with pytest.raises(InvariantError, match="traces disagree"):
         irreducible_model(g, wrong, 2)
+
+
+def test_linear_models_are_the_regular_module_reference(monkeypatch):
+    # every linear character's model, written down from the character,
+    # is byte for byte the one the regular module's isotypic projection
+    # and its echelon basis give
+    groups = [_group(n) for n in CATALOG + MORE +
+              ("C24", "C48", "C72", "D48", "S4", "S5")]
+    groups += _s4_as_groups(_group("S4"))
+    assert any((parents > kids).any()
+               for _, kids, parents in groups[-1].word_levels)
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    count = 0
+    for g in groups:
+        table = character_table(g, choose_splitting_prime([g]))
+        for i in np.flatnonzero(np.array(table.dims) == 1).tolist():
+            got, want = irreducible_model(g, table, i), ref.linear_model(
+                g, table, i)
+            assert len(got[0]) == len(want[0]) == len(g.generators)
+            for a, b in zip(got[0] + (got[1],), want[0] + (want[1],)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            count += 1
+    assert count == 230
+
+
+@pytest.mark.parametrize("e", [*range(6), None])
+def test_a_non_multiplicative_linear_row_is_an_invariant_error(
+        monkeypatch, s3_table, e):
+    # S3's sign character with its value at element e off by one, or
+    # zero everywhere (None); values is a cached property, so the copy's
+    # is set directly
+    g, table = s3_table
+    i = table.dims.index(1, 1)
+    bad = table.values.copy()
+    if e is None:
+        bad[i] = 0
+    else:
+        bad[i, e] = (bad[i, e] + 1) % table.p
+    wrong = dataclasses.replace(table)
+    wrong.__dict__["values"] = bad
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    with pytest.raises(InvariantError, match="not multiplicative"):
+        irreducible_model(g, wrong, i)
+
+
+def test_linear_models_do_no_elimination(monkeypatch):
+    # a linear character is its own model: no elimination and no Cayley
+    # table, only the rows of the generators
+    groups = [enumerate_group(g.degree, g.generators) for g in map(
+        _group, ("C24", "C48", "C72", "V4", "A4", "S3"))]
+    tables = [character_table(g, choose_splitting_prime([g]))
+              for g in groups]
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda *a: calls.append(a) or rref(*a))
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    built = 0
+    for g, table in zip(groups, tables):
+        for i in range(len(table)):
+            if table.dims[i] == 1:
+                irreducible_model(g, table, i)
+                built += 1
+    assert built == 24 + 48 + 72 + 4 + 3 + 2
+    assert calls == []
+    assert all("cayley" not in g.__dict__ for g in groups)
+
+
+# the retraction's sums: one element per chunk at 1 and 7 entries; at
+# 2^11, S5's degree-4 cuts sum 120 elements in chunks of 10 and of 16
+# (the last one short), and at the default its degree-6 cut in 75 and 45
+RETRACTION_CHUNKS = (1, 7, 1 << 11, CLOSURE_CHUNK)
+
+
+def test_retraction_sums_in_chunks(monkeypatch):
+    # S4's and S5's models from a cold cache are the same, byte for byte,
+    # whatever the chunk size, and each size runs the retraction
+    tables = [_symmetric(n) for n in (4, 5)]
+    retractions = Counter()
+    commutant = morita.commutant
+
+    def counted(w, piv, cayley, inverse, p, base=None):
+        retractions[morita.CLOSURE_CHUNK] += base is not None
+        return commutant(w, piv, cayley, inverse, p, base)
+
+    monkeypatch.setattr(morita, "commutant", counted)
+    digests = set()
+    for chunk in RETRACTION_CHUNKS:
+        monkeypatch.setattr(morita, "CLOSURE_CHUNK", chunk)
+        monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+        h = hashlib.sha256()
+        for g, table in tables:
+            for i in range(len(table)):
+                gens, elems = irreducible_model(g, table, i)
+                for m in gens + (elems,):
+                    h.update(repr((m.dtype, m.shape)).encode())
+                    h.update(m.tobytes())
+        digests.add(h.hexdigest())
+    assert len(digests) == 1
+    assert all(retractions[c] > 0 for c in RETRACTION_CHUNKS)
 
 
 def test_irreducible_model_multiplies_no_words(monkeypatch):

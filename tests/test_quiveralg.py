@@ -2,6 +2,7 @@
 unfactorizables, and cover equality."""
 
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,22 @@ def test_quiver_dot_expands_multiplicity(categories):
     edges = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(edges) == sum(a.mult for a in q.arrows) == 4
     assert edges.count("  v0 -> v3;") == 2
+
+
+@pytest.mark.parametrize("oid", ['a"b\\', "\\", '"', 'x\\"y', "plain"])
+def test_quiver_dot_escapes_vertex_labels(oid):
+    # every label is one DOT quoted string, "([^"\\]|\\.)*", that
+    # unescapes back to the vertex's label and dimension
+    from conftest import fixture_doc
+    doc = fixture_doc("one_object_c2")
+    doc["objects"][0]["id"] = oid
+    q = build_quiver(load_category(doc))
+    lines = [ln for ln in quiver_dot(q).splitlines() if "label=" in ln]
+    assert len(lines) == len(q.vertices) == 2
+    for i, (ln, v) in enumerate(zip(lines, q.vertices)):
+        m = re.fullmatch(r'  v(\d+) \[label="((?:[^"\\]|\\.)*)"\];', ln)
+        assert m is not None and int(m[1]) == i
+        assert re.sub(r"\\(.)", r"\1", m[2]) == f"{v.label} (dim {v.dim})"
 
 
 def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
