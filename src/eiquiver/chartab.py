@@ -16,16 +16,20 @@ primitive root of unity, from the cosets of the derived subgroup
 simultaneous eigenvectors of the class-multiplication matrices over
 F_p within the nullspace of the linear rows, each eigenvector of a
 simple eigenvalue taken from one Krylov basis per matrix
-(linalg.eigenspaces).  So an abelian group, or one with a single
-non-linear character, builds no class matrix.  Class 0 is the identity
-class, whose matrix is the identity and splits nothing, so it is
-skipped.  A table holds r x |G| values (CharTable.values), so a group
-for which that exceeds MAX_TABLE_ENTRIES is refused first.
+(linalg.eigenspaces).  Each subspace is an echelon basis B, B[piv] = I,
+so a class matrix M acts on it by (M B)[piv], read with no linear
+system, and B (M B)[piv] = M B certifies that M stabilizes it.  So an
+abelian group, or one with a single non-linear character, builds no
+class matrix.  Class 0 is the identity class, whose matrix is the
+identity and splits nothing, so it is skipped.  A table holds r x |G|
+values (CharTable.values), so a group for which that exceeds
+MAX_TABLE_ENTRIES is refused first.
 
-Characters are kept in one form: a table's rows, one value per class,
-and CharTable.values, the same rows read at every element.  Restriction
-multiplicities and inflation work on whole tables at once: each is one
-array product or one gather over those values.
+Characters are kept in one form: a table's rows, one r x r int64 array
+of values per class and the only store of them, and CharTable.values,
+one gather of it at every element.  Restriction multiplicities and
+inflation work on whole tables at once: each is one array product or
+one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
 every character table on (p, group.key) and every irreducible model
@@ -119,13 +123,14 @@ def choose_splitting_prime(groups) -> SplittingPrime:
     return splitting_prime_for(*_exponent_and_max_order(groups))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharTable:
+    """A table compares by identity: its rows are an array."""
     group: PermGroup
     p: int
     classes: tuple[ConjClass, ...]
     class_of: tuple[int, ...]              # element position -> class index
-    rows: tuple[tuple[int, ...], ...]      # irreducible values per class
+    rows: np.ndarray                       # r x r int64, values per class
     dims: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -134,8 +139,8 @@ class CharTable:
     @cached_property
     def values(self) -> np.ndarray:
         """Each irreducible character at each element, an r x |G| int64
-        array: values[i, e] = rows[i][class_of[e]]."""
-        return np.array(self.rows, dtype=np.int64)[:, list(self.class_of)]
+        array: values[i, e] = rows[i, class_of[e]]."""
+        return self.rows[:, self.class_of]
 
 
 def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
@@ -158,35 +163,41 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
         yield np.remainder(m, p, out=m)
 
 
+def _echelon(c: np.ndarray, p: int):
+    """(basis, pivots) of the span of c's columns, from one rref of c's
+    transpose: basis[pivots] is the identity."""
+    r, piv = linalg.rref(c.T, p)
+    return r[:len(piv)].T, piv
+
+
 def _split_common_eigenvectors(mats, start: np.ndarray, p: int):
     """Intersect eigenspaces of the commuting matrices, within the
     invariant subspace spanned by start's columns, until 1-dimensional,
     pulling the next matrix from the iterable mats only while some space
     is not yet a line: a start of at most one column pulls none.  The
-    first, the identity class's matrix, is the identity: it is skipped."""
-    spaces = [start] if start.shape[1] else []  # columns span each subspace
+    first, the identity class's matrix, is the identity: it is skipped.
+    Each subspace is (B, piv) with B[piv] = I, so M acts on it by
+    S = (M B)[piv], and B S = M B certifies that M stabilizes it."""
+    spaces = [_echelon(start, p)] if start.shape[1] else []
     mats = islice(mats, 1, None)
-    while any(c.shape[1] != 1 for c in spaces):
+    while any(len(piv) != 1 for _, piv in spaces):
         m = next(mats, None)
         if m is None:
             raise InvariantError(
                 "eigenspaces did not split; prime is not splitting")
         nxt = []
-        for c in spaces:
-            if c.shape[1] == 1:
-                nxt.append(c)
+        for basis, piv in spaces:
+            if len(piv) == 1:
+                nxt.append((basis, piv))
                 continue
-            mc = linalg.matmul(m, c, p)
-            s = linalg.solve(c, mc, p)
-            if s is None:
+            mb = linalg.matmul(m, basis, p)
+            s = mb[piv]
+            if not np.array_equal(linalg.matmul(basis, s, p), mb):
                 raise InvariantError("class-sum matrix does not stabilize subspace")
-            for ns in linalg.eigenspaces(s, p):
-                sub = linalg.matmul(c, ns.T % p, p)
-                # canonicalize the spanning columns
-                sub = linalg.row_space(sub.T, p).T
-                nxt.append(sub)
+            nxt.extend(_echelon(linalg.matmul(basis, ns.T, p), p)
+                       for ns in linalg.eigenspaces(s, p))
         spaces = nxt
-    return [c[:, 0] for c in spaces]
+    return [basis[:, 0] for basis, _ in spaces]
 
 
 def _root_of_unity(e: int, p: int) -> int:
@@ -265,33 +276,31 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
     start = (linalg.nullspace(linear, p).T if len(linear) < r
              else linalg.zeros(r, 0))
     mats = _class_mult_matrices(g, classes, class_of, p)
-    omegas = _split_common_eigenvectors(mats, start, p)
-    inv_sizes = [linalg.inv_scalar(len(c), p) for c in classes]
-
-    rows = [tuple(row) for row in linear.tolist()]
-    for om in omegas:
-        om = [int(x) % p for x in om]
-        if om[0] == 0:
-            raise InvariantError("eigenvector vanishes at the identity class")
-        scale = linalg.inv_scalar(om[0], p)
-        om = [x * scale % p for x in om]
-        # ω_k = |C_k| χ(g_k) / d and orthogonality pin down d^2
-        acc = 0
-        for k in range(r):
-            acc = (acc + om[k] * om[inv_class[k]] * inv_sizes[k]) % p
+    om = np.array(_split_common_eigenvectors(mats, start, p),
+                  dtype=np.int64).reshape(-1, r)
+    if not om[:, 0].all():
+        raise InvariantError("eigenvector vanishes at the identity class")
+    om = om * np.array([linalg.inv_scalar(x, p) for x in om[:, 0].tolist()],
+                       dtype=np.int64)[:, None] % p
+    inv_sizes = np.array([linalg.inv_scalar(len(c), p) for c in classes])
+    # ω_k = |C_k| χ(g_k) / d and orthogonality pin down d^2
+    norms = (om * om[:, inv_class] % p * inv_sizes % p).sum(axis=1) % p
+    degrees = []
+    for acc in norms.tolist():
         d2 = n * linalg.inv_scalar(acc, p) % p
         # d² ≤ |G| < p, so d² is its own least residue
         d = isqrt(d2)
         if d * d != d2:
             raise InvariantError("squared character degree is not a square")
-        row = tuple(d * om[k] % p * inv_sizes[k] % p for k in range(r))
-        rows.append(row)
-
-    rows.sort(key=lambda row: (row[0], row))
-    dims = tuple(row[0] for row in rows)
+        degrees.append(d)
+    rows = np.vstack([linear, np.array(degrees, dtype=np.int64)[:, None]
+                      * om % p * inv_sizes % p])
+    # lexicographic by row, the first class (the degree) leading
+    rows = rows[np.lexsort(rows.T[::-1])]
+    dims = tuple(rows[:, 0].tolist())
     if sum(d * d for d in dims) != n:
         raise InvariantError("sum of squared degrees does not match group order")
-    table = CharTable(g, p, classes, class_of, tuple(rows), dims)
+    table = CharTable(g, p, classes, class_of, rows, dims)
     _check_orthogonality(table)
     return table
 
@@ -300,14 +309,13 @@ def _check_orthogonality(t: CharTable) -> None:
     """Row orthogonality in class space: with X the table, s_k = |C_k|
     and k' the class of the inverses of C_k,
     sum_k s_k X[i,k] X[j,k'] = |G| [i = j], one r x r product mod p."""
-    g, p = t.group, t.p
-    x = np.array(t.rows, dtype=np.int64)
+    g, p, x = t.group, t.p, t.rows
     sizes = np.array([len(c) for c in t.classes], dtype=np.int64)
     inv_class = [t.class_of[g.inv(c.rep)] for c in t.classes]
     gram = linalg.matmul(x * sizes % p, x[:, inv_class].T, p)
     if not np.array_equal(gram, len(g) * linalg.eye(len(t)) % p):
         raise InvariantError("row orthogonality fails")
-    if any(v != 1 for v in t.rows[0]):
+    if not (x[0] == 1).all():
         raise InvariantError("first irreducible is not the trivial character")
 
 

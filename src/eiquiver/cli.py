@@ -43,6 +43,17 @@ def _prime(args, cat):
             else certified_prime(args.prime, groups))
 
 
+# the backslash and every character at which str.splitlines splits a
+# line, each to its Python escape
+_ONE_LINE = str.maketrans({c: c.encode("unicode_escape").decode()
+                           for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _text(name: str) -> str:
+    """An object id, or a label holding one, as one text line's part."""
+    return name.translate(_ONE_LINE)
+
+
 def _emit(args, payload: dict, text_lines=None, dot: str | None = None) -> None:
     if args.format == "json":
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -75,10 +86,10 @@ def cmd_quiver(args) -> int:
     q = build_quiver(cat, _prime(args, cat))
     lines = [f"prime {q.prime.p}"]
     for v in q.vertices:
-        lines.append(f"vertex {v.label} dim {v.dim}")
+        lines.append(f"vertex {_text(v.label)} dim {v.dim}")
     for a in q.arrows:
-        lines.append(f"arrow {q.vertices[a.source].label} -> "
-                     f"{q.vertices[a.target].label} x{a.mult}")
+        lines.append(f"arrow {_text(q.vertices[a.source].label)} -> "
+                     f"{_text(q.vertices[a.target].label)} x{a.mult}")
     _emit(args, quiver_document(q), lines, quiver_dot(q))
     return 0
 
@@ -103,7 +114,7 @@ def cmd_screen(args) -> int:
     payload = {"findings": [{"pair": list(pair), "rule": rule,
                              "witness": witness}
                             for pair, rule, witness in findings]}
-    lines = ([f"{pair[0]}->{pair[1]}: {rule} ({witness})"
+    lines = ([f"{_text(pair[0])}->{_text(pair[1])}: {rule} ({witness})"
               for pair, rule, witness in findings]
              or ["no screen fired"])
     _emit(args, payload, lines)
@@ -121,7 +132,7 @@ def cmd_cover(args) -> int:
                "original_morphisms": cat.morphism_count()}
     lines = [f"cover has {cover.morphism_count()} morphisms "
              f"(original {cat.morphism_count()})"] + \
-            [f"  {k}: {v}" for k, v in sizes.items()]
+            [f"  {_text(k)}: {v}" for k, v in sizes.items()]
     _emit(args, payload, lines)
     return 0
 
@@ -160,7 +171,7 @@ def cmd_functor(args) -> int:
     ctx = MoritaContext(q)
     qrep = apply_functor(ctx, rep)
     payload = quiverrep_document(qrep)
-    lines = [f"vertex {q.vertices[i].label}: dim {d}"
+    lines = [f"vertex {_text(q.vertices[i].label)}: dim {d}"
              for i, d in enumerate(qrep.dims)]
     for a, m in zip(payload["arrows"], qrep.arrow_mats):
         lines.append(f"arrow v{a['from']} -> v{a['to']}: "

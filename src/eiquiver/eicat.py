@@ -390,19 +390,16 @@ def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
 
 def unfactorizables(cat: EICategory) -> dict[tuple[str, str], tuple[int, ...]]:
     """Per ordered pair, the hom indices that are composites of no two
+    non-isomorphisms: those in no composition table x -> z -> y.  A
+    loaded category has a table for exactly its composable pairs of
     non-isomorphisms."""
-    out = {}
-    for (x, y), hs in cat.homs.items():
-        factorizable = set()
-        for z in cat.objects:
-            if z in (x, y):
-                continue
-            if (x, z) in cat.homs and (z, y) in cat.homs:
-                table = cat.comp[(x, z, y)]
-                for b in range(cat.homs[(z, y)].size):
-                    factorizable.update(table[b])
-        out[(x, y)] = tuple(i for i in range(hs.size) if i not in factorizable)
-    return out
+    factorizable = {xy: set() for xy in cat.homs}
+    for (x, _, y), table in cat.comp.items():
+        for row in table:
+            factorizable[(x, y)].update(row)
+    return {(x, y): tuple(i for i in range(hs.size)
+                          if i not in factorizable[(x, y)])
+            for (x, y), hs in cat.homs.items()}
 
 
 def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:

@@ -8,8 +8,10 @@ no routine loops over rows in Python, and rref takes one step per
 pivot, not one per column; the characteristic polynomial
 comes from a Hessenberg reduction, O(n^3).  Eigenspaces of simple roots
 come from one Krylov basis per matrix, O(n^2) each after its O(n^3)
-build, rather than one elimination each.  Products stay below
-n * p^2, which fits int64 for p up to ~10^6.
+build, rather than one elimination each.  No routine solves a linear
+system: a caller reads its solution off rref's pivot rows, where an
+echelon basis B with B[pivots] = I gives B x = y as x = y[pivots].
+Products stay below n * p^2, which fits int64 for p up to ~10^6.
 """
 
 from __future__ import annotations
@@ -105,21 +107,6 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a x = b (columns of b), or None if inconsistent."""
-    n = a.shape[1]
-    b = asmod(b, p)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    r, pivots = rref(np.hstack([asmod(a, p), b]), p)
-    # a pivot in the right-hand block is a row 0 = nonzero
-    if pivots and pivots[-1] >= n:
-        return None
-    x = zeros(n, b.shape[1])
-    x[pivots] = r[:len(pivots), n:]
-    return x
-
-
 def sylvester_system(dims1, dims2, edges, p: int) -> np.ndarray:
     """Rows of the system for {(T_v) : T_t M1 = M2 T_s for every edge
     (s, t, M1, M2)}, each T_v (dims2[v] x dims1[v]) stored column-major
@@ -140,15 +127,6 @@ def sylvester_system(dims1, dims2, edges, p: int) -> np.ndarray:
             None, :, None, :]).reshape(a * b, a * dims2[s])
         r0 += a * b
     return system % p
-
-
-def inv(a: np.ndarray, p: int) -> np.ndarray | None:
-    """The inverse of a square a, or None if a is singular."""
-    n = a.shape[0]
-    r, pivots = rref(np.hstack([asmod(a, p), eye(n)]), p)
-    if pivots[:n] != list(range(n)):
-        return None
-    return r[:, n:]
 
 
 def char_poly(a: np.ndarray, p: int) -> list[int]:

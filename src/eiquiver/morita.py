@@ -708,10 +708,14 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
         cmat = np.hstack(src_cols + [comp]) % p
         dmat = np.hstack(img_cols +
                          [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
-        cinv = linalg.inv(cmat, p) if cmat.shape[1] == obj_dims[x] else None
-        if cinv is None:
+        # alpha C = D: C is invertible exactly when the rref of
+        # [C^T | D^T] has its first n pivots at 0..n-1, and is then
+        # [I | alpha^T]
+        n = obj_dims[x]
+        red, piv = linalg.rref(np.hstack([cmat.T, dmat.T]), p)
+        if cmat.shape[1] != n or piv[:n] != list(range(n)):
             raise InvariantError("isotypic embeddings do not fill the module")
-        alpha_mats.append(linalg.matmul(dmat, cinv, p))
+        alpha_mats.append(red[:, n:].T)
 
     return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
 

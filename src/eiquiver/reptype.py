@@ -31,12 +31,10 @@ class GraphComponent:
     vertices: tuple[int, ...]
 
 
-def _branch_lengths(adj, center, skip=None):
+def _branch_lengths(adj, center):
     """Lengths of the dangling paths from a branch vertex of a tree."""
     out = []
     for nb in adj[center]:
-        if skip is not None and nb == skip:
-            continue
         length, prev, cur = 1, center, nb
         while True:
             nxt = [u for u in adj[cur] if u != prev]

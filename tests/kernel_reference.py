@@ -120,6 +120,14 @@ def solve(a, b, p, n, k):
     return x
 
 
+def inverse(a, p):
+    """The inverse of an invertible square array a, as an int64 array:
+    solve against the identity."""
+    n = len(a)
+    x = solve(a.tolist(), np.eye(n, dtype=int).tolist(), p, n, n)
+    return np.array(x, dtype=np.int64).reshape(n, n)
+
+
 def sylvester_system(dims1, dims2, edges, p):
     """The rows of {(T_v) : T_t M1 = M2 T_s for every edge (s, t, M1, M2)}
     with Kronecker products, vec(T M1) = (M1^T (x) I) vec(T) and
@@ -183,8 +191,9 @@ def inv(g: PermGroup, i: int) -> int:
 
 def character(table, i: int) -> list[int]:
     """The i-th irreducible of a table at each element, from its class
-    row."""
-    return [table.rows[i][table.class_of[e]] for e in range(len(table.group))]
+    row, as Python ints."""
+    row = np.asarray(table.rows[i]).tolist()
+    return [row[table.class_of[e]] for e in range(len(table.group))]
 
 
 def inner_product(g: PermGroup, f, h, p: int) -> int:
@@ -456,7 +465,9 @@ def split_common_eigenvectors(mats, r, p):
             if c.shape[1] == 1:
                 nxt.append(c)
                 continue
-            s = linalg.solve(c, linalg.matmul(m, c, p), p)
+            k = c.shape[1]
+            s = np.array(solve(c.tolist(), linalg.matmul(m, c, p).tolist(),
+                               p, k, k), dtype=np.int64)
             for lam in sorted(set(linalg.poly_roots(linalg.char_poly(s, p),
                                                     p))):
                 ns = linalg.nullspace((s - lam * linalg.eye(len(s))) % p, p)
@@ -671,9 +682,9 @@ def ext_quiver_oracle(cat: EICategory, prime, tables) -> dict:
         scale = linalg.inv_scalar(len(G) * len(H) % p, p)
         tG, tH = tables[x], tables[y]
         for v in range(len(tG)):
-            row_v = tG.rows[v]
+            row_v = np.asarray(tG.rows[v]).tolist()
             for w in range(len(tH)):
-                row_w = tH.rows[w]
+                row_w = np.asarray(tH.rows[w]).tolist()
                 acc = 0
                 for h in range(len(H)):
                     cwh = row_w[tH.class_of[H.inv(h)]]

@@ -1,5 +1,8 @@
 """Splitting primes, character tables and character operations."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
                               character_table, choose_splitting_prime,
                               inflate, restriction_multiplicity,
                               splitting_prime_for)
-from eiquiver.errors import ValidationError
+from eiquiver.errors import InvariantError, ValidationError
 from eiquiver.permgrp import (SubgroupHandle, derived_cosets, enumerate_group,
                               quotient)
 from groups import identity_pos, mul, named_group, trivial_subgroup, whole_group
@@ -114,13 +117,50 @@ def _group(name):
     return enumerate_group(*LADDER[name]) if name in LADDER else named_group(name)
 
 
+def _same_table(a, b) -> bool:
+    """Every field equal, the rows compared as lists of ints: a table's
+    rows are an array, or a reference's tuples."""
+    return np.asarray(a.rows).tolist() == np.asarray(b.rows).tolist() and all(
+        getattr(a, f.name) == getattr(b, f.name)
+        for f in dataclasses.fields(a) if f.name != "rows")
+
+
 @pytest.mark.parametrize("name", CATALOG + tuple(LADDER) + MORE)
 def test_tables_match_the_nullspace_split(name):
     # the same table as one nullspace per eigenvalue of every class
     # matrix, the identity class's included, from the whole class space
     g = _group(name)
     p = choose_splitting_prime([g]).p
-    assert chartab._compute_table(g, p) == ref.character_table(g, p)
+    got, want = chartab._compute_table(g, p), ref.character_table(g, p)
+    assert got.rows.dtype == np.int64 and got.rows.shape == (len(want),) * 2
+    assert got.rows.tolist() == [list(row) for row in want.rows]
+    assert _same_table(got, want)
+
+
+def test_a_matrix_that_moves_the_start_is_an_invariant_error():
+    # the start spans e_0 and e_1, and the matrix sends e_0 to e_2
+    start = np.array([[1, 0], [1, 1], [0, 0]])
+    moves = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    with pytest.raises(InvariantError,
+                       match="^class-sum matrix does not stabilize subspace$"):
+        chartab._split_common_eigenvectors(iter([linalg.eye(3), moves]),
+                                           start, 13)
+
+
+def test_a_large_abelian_table_holds_one_array():
+    # C500's rows are one 500 x 500 int64 array (1.9 MiB), not 250,000
+    # Python ints in tuples (9.9 MiB in all); the group is fresh, so its
+    # own cached arrays count too
+    g = enumerate_group(500, [_cycle(500)])
+    p = choose_splitting_prime([g]).p
+    tracemalloc.start()
+    try:
+        table = chartab._compute_table(g, p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(table.rows, np.ndarray) and table.rows.shape == (500, 500)
+    assert held < 5 * 2**20
 
 
 def test_cyclic_tables_do_no_elimination(monkeypatch):
@@ -200,7 +240,7 @@ def test_cached_table_equals_a_fresh_one():
         _MODEL_CACHE.clear()
         fresh = character_table(again, prime)
         assert fresh is not hit and fresh.group is again
-        assert fresh == hit
+        assert _same_table(fresh, hit)
 
 
 def test_certify_runs_on_a_cache_hit():

@@ -609,3 +609,58 @@ def test_undecodable_json_is_schema_error(capsys, tmp_path, data):
     assert (code, out) == (3, "")
     assert err.startswith("schema error: ") and "is not valid JSON" in err \
         and err.count("\n") == 1
+
+
+def _renamed(doc, old, new):
+    """doc with every string equal to old replaced by new."""
+    if isinstance(doc, dict):
+        return {k: _renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old, new) for v in doc]
+    return new if doc == old else doc
+
+
+def _substituted(doc, old, new):
+    """doc with old replaced by new inside every string, keys included."""
+    if isinstance(doc, dict):
+        return {_substituted(k, old, new): _substituted(v, old, new)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_substituted(v, old, new) for v in doc]
+    return doc.replace(old, new) if isinstance(doc, str) else doc
+
+
+@pytest.mark.parametrize("oid, shown", [("a\nb", r"a\nb"), ("a\rb", r"a\rb"),
+                                        ("a\u2028b", r"a\u2028b"),
+                                        ("a\\b", r"a\\b")])
+def test_text_output_escapes_line_breaks_in_ids(capsys, tmp_path, oid,
+                                                shown):
+    # the object x renamed to oid: each text record stays one line,
+    # with oid escaped, and JSON and DOT carry oid as they carry any id
+    # (QID is a plain id in the same place)
+    runs = [("quiver", "one_object_c2"), ("quiver", "two_object_c2_s3"),
+            ("screen", "two_object_trivial_s3"),
+            ("cover", "two_object_trivial_s3"),
+            ("functor", "two_object_c2_s3", "two_object_c2_s3_rep")]
+
+    def outputs(fmt, command, names, name):
+        paths = []
+        for k, doc in enumerate(names):
+            f = tmp_path / f"{k}.json"
+            f.write_text(json.dumps(_renamed(fixture_doc(doc), "x", name)))
+            paths.append(str(f))
+        code, out, err = run(capsys, "--format", fmt, command, *paths)
+        assert (code, err) == (0, "")
+        return out
+
+    for command, *names in runs:
+        plain, odd = (outputs("text", command, names, n) for n in ("QID", oid))
+        assert "QID" in plain
+        assert odd == plain.replace("QID", shown)
+        assert len(odd.splitlines()) == plain.count("\n")
+        plain, odd = (outputs("json", command, names, n) for n in ("QID", oid))
+        assert json.loads(odd) == _substituted(json.loads(plain), "QID", oid)
+        if command == "quiver":
+            plain, odd = (outputs("dot", command, names, n)
+                          for n in ("QID", oid))
+            assert odd == plain.replace("QID", oid.replace("\\", "\\\\"))

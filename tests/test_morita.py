@@ -101,7 +101,8 @@ def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
     def checked(w, piv, cayley, inverse, p, base=None):
         got = commutant(w, piv, cayley, inverse, p, base)
         m = w.shape[1]
-        acts = [linalg.solve(w, w[mv], p) for mv in moves]
+        acts = [np.array(ref.solve(w.tolist(), w[mv].tolist(), p, m, m),
+                         dtype=np.int64) for mv in moves]
         want = ref.intertwiner_basis(acts, acts, p, m, m)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -316,6 +317,35 @@ def test_irreducible_model_multiplies_no_words(monkeypatch):
     for g, table in tables:
         for i in range(len(table)):
             irreducible_model(g, table, i)
+
+
+@pytest.mark.parametrize("lost", ("dropped", "zeroed"))
+def test_embeddings_that_miss_a_column_are_an_invariant_error(monkeypatch,
+                                                              lost):
+    # one source unit of every block dropped, so C is not square, or
+    # zeroed, so the square C is singular
+    cat = load_category(fixture_doc("two_object_c2_s3"))
+    ctx = MoritaContext(build_quiver(cat))
+    # one copy of every vertex, so that every block has source units
+    qrep = QuiverRep(ctx.built, ctx.p, (1,) * len(ctx.built.vertices),
+                     tuple(linalg.eye(1) for _ in expanded_arrows(ctx.built)))
+    inverse_functor(ctx, qrep)
+    blocks = MoritaContext.blocks
+
+    def missing(self, r, copies):
+        for src, tgt, arrows in blocks(self, r, copies):
+            if lost == "zeroed":
+                src = src.copy()
+                src[-1] = 0
+            else:
+                src = src[:-1]
+                arrows = [a for a in arrows if a[2].stop <= len(src)]
+            yield src, tgt, arrows
+
+    monkeypatch.setattr(MoritaContext, "blocks", missing)
+    with pytest.raises(InvariantError,
+                       match="^isotypic embeddings do not fill the module$"):
+        inverse_functor(ctx, qrep)
 
 
 def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
@@ -582,7 +612,7 @@ def _random_module(group, p, rng):
         mats.append(m)
     if kind == 4:
         b = _random_invertible(d, p, rng)
-        back = linalg.inv(b, p)
+        back = ref.inverse(b, p)
         mats = [linalg.matmul(linalg.matmul(b, m, p), back, p) for m in mats]
     return d, tuple(mats)
 
@@ -927,7 +957,7 @@ def _functor_digest(categories):
             # to find the isotypic copies itself
             bases = {x: _random_invertible(r.dims[x], p, rng)
                      for x in cat.objects}
-            back = {x: linalg.inv(b, p) for x, b in bases.items()}
+            back = {x: ref.inverse(b, p) for x, b in bases.items()}
             gens = {x: tuple(linalg.matmul(linalg.matmul(bases[x], m, p),
                                            back[x], p)
                              for m in r.gen_mats[x]) for x in cat.objects}
@@ -960,7 +990,7 @@ def _model_module(ctx, x, rng):
             pos += d
         gens.append(m)
     base = _random_invertible(dim, ctx.p, rng)
-    back = linalg.inv(base, ctx.p)
+    back = ref.inverse(base, ctx.p)
     return dim, tuple(linalg.matmul(linalg.matmul(base, m, ctx.p), back,
                                     ctx.p) for m in gens)
 

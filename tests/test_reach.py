@@ -29,7 +29,6 @@ NOT_FROM_THE_CLI = {
     "morita.hom_dim_quiver": "tests and perfbench",
     "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
     "linalg.sylvester_system": "tests and perfbench (the Hom dimensions)",
-    "linalg.inv": "tests and perfbench (inverse_functor)",
     "linalg.rank": "tests and perfbench (hom_dim_cat, hom_dim_quiver)",
     "morita.catrep_document": "tools/gen_fixtures.py",
     "errors.is_out_of_memory": "the out-of-memory path of cli.main",
