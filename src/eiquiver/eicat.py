@@ -144,12 +144,6 @@ class EICategory:
         default_factory=WeakValueDictionary, init=False, compare=False,
         repr=False)
 
-    def hom_size(self, x: str, y: str) -> int:
-        if x == y:
-            return len(self.groups[x])
-        hs = self.homs.get((x, y))
-        return hs.size if hs else 0
-
     def morphism_count(self) -> int:
         return sum(len(g) for g in self.groups.values()) + \
             sum(h.size for h in self.homs.values())

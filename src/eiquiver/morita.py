@@ -295,7 +295,7 @@ MAX_FREE_DIM = 1024
 
 
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,
-                 alpha_mats, dims_hint: dict | None = None) -> CatRep:
+                 alpha_mats, dims_hint: dict) -> CatRep:
     """Assemble and validate a full representation from generator and
     representative matrices; objects whose group has no generators take
     their dimension from dims_hint.  Every shape is checked first.
@@ -326,10 +326,10 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
             if any(mm.shape != (dim, dim) for mm in mats):
                 raise SchemaError(f"object {x}: matrices must be square and "
                                   "equally sized")
-            if dims_hint is not None and dims_hint.get(x, dim) != dim:
+            if dims_hint.get(x, dim) != dim:
                 raise SchemaError(f"object {x}: declared dim disagrees with "
                                   "the matrices")
-        elif dims_hint is not None and x in dims_hint:
+        elif x in dims_hint:
             dim = dims_hint[x]
         else:
             raise SchemaError(f"object {x}: dimension cannot be inferred "

@@ -5,12 +5,17 @@ product = composition or zero) is computed from the composition tables
 alone.  The radical is spanned by the non-isomorphisms, that is by every
 hom-set between distinct objects, and the product of two basis
 morphisms is a basis morphism, so each power rad^k is a set of basis
-elements: one boolean mask per hom-set,
+elements.  One layer number per morphism holds them all: ℓ(α) is the
+largest number of non-isomorphisms that α is a composite of,
 
-    rad^{k+1}(x, y) = ⋃_z  hom(z, y) ∘ rad^k(x, z),
+    ℓ(α) = max(1, max over δ∘β = α of ℓ(δ) + ℓ(β)),
 
-read from the table of x -> z -> y.  Nothing larger than those tables is
-allocated.  rad/rad² must be exactly the unfactorizable morphisms.
+read from the tables x -> z -> y, and rad^k is {ℓ ≥ k}.  Nothing larger
+than those tables is allocated.  rad/rad² = {ℓ = 1} must be exactly the
+unfactorizable morphisms.  Both are the morphisms in no table, so that
+comparison only guards the memo of `EICategory.unfactorizables`; what
+is independent of the quiver is ℓ ≥ 2, the fixed-point counts below and
+the integer bookkeeping of check_against_quiver.
 
 Arrow multiplicities are then recomputed by a completely different
 route: the unfactorizable block of rad/rad² is an (Aut(y),
@@ -29,7 +34,6 @@ stabilizer data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -42,15 +46,12 @@ from .quiveralg import BuiltQuiver
 
 @dataclass(frozen=True)
 class CategoryAlgebra:
-    """The category algebra.  Its basis is every morphism: first each
-    object's group elements, objects in order, then each hom-set x -> y
-    with x != y, by source and then target in object order, each in its
-    own element order.  Products are read from the category's own
-    actions and tables."""
+    """The category algebra: its basis is every morphism, and its
+    products are read from the category's own actions and tables."""
     cat: EICategory
-    # basis position of the first morphism x -> y (for x == y, of the
-    # identity block: the group's elements in element order)
-    offset: dict[tuple[str, str], int]
+    # tables[(x, z, y)][δ, β] = δ∘β in hom(x, y), for δ in hom(z, y) and
+    # β in hom(x, z): the composition tables as index arrays
+    tables: dict[tuple[str, str, str], np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -58,60 +59,36 @@ class CategoryAlgebra:
 
 
 def build_algebra(cat: EICategory) -> CategoryAlgebra:
-    keys = [(x, x) for x in cat.objects] + [
-        (x, y) for x in cat.objects for y in cat.objects if (x, y) in cat.homs]
-    starts = accumulate((cat.hom_size(*key) for key in keys), initial=0)
-    return CategoryAlgebra(cat, dict(zip(keys, starts)))
+    return CategoryAlgebra(cat, {key: np.array(t, dtype=np.intp)
+                                 for key, t in cat.comp.items()})
 
 
-@dataclass(frozen=True)
-class RadicalReport:
-    rad_positions: tuple[int, ...]       # basis of the radical
-    rad_sq_positions: tuple[int, ...]    # basis of its square
-    unfact_positions: tuple[int, ...]    # complement: basis of rad/rad²
-    nilpotency_degree: int
-
-
-def radical_report(alg: CategoryAlgebra) -> RadicalReport:
-    """Radical filtration from the composition tables, one boolean mask
-    per hom-set for each power of the radical.
+def radical_report(alg: CategoryAlgebra) -> dict[tuple[str, str], np.ndarray]:
+    """ℓ per hom-set x -> y, one int array over its morphisms: rad^k(x, y)
+    is {ℓ ≥ k} and rad/rad² is {ℓ = 1}.
 
     The span of the non-isomorphisms is a nilpotent two-sided ideal by
     the layout itself: validate_category range-checks every table entry
     into hom(x, z) with x ≠ z, each hom action permutes its own
-    hom-set, and the object order is acyclic.  So it is the radical,
-    and what is checked is rad/rad² against the unfactorizables.
+    hom-set, and the object order is acyclic.  So it is the radical.
+    The tables are read once each, in order of the topological distance
+    from x to y: both factors of a table x -> z -> y join a closer pair,
+    so their ℓ is final before the table is read.  rad/rad² is then
+    checked against the unfactorizables.
     """
     cat = alg.cat
-    tables = {key: np.array(t, dtype=np.intp) for key, t in cat.comp.items()}
-    # layers[k][(x, y)] marks rad^{k+1}(x, y); the last layer is the first
-    # zero power, which the acyclic object order makes finite
-    layers = [{key: np.ones(hs.size, dtype=bool)
-               for key, hs in cat.homs.items()}]
-    while any(mask.any() for mask in layers[-1].values()):
-        nxt = {key: np.zeros(hs.size, dtype=bool)
-               for key, hs in cat.homs.items()}
-        for (x, z, y), t in tables.items():
-            nxt[(x, y)][t[:, layers[-1][(x, z)]]] = True
-        layers.append(nxt)
-    rad_sq = layers[min(1, len(layers) - 1)]
+    pos = {x: i for i, x in enumerate(cat.topological_order)}
+    ell = {key: np.ones(hs.size, dtype=np.intp)
+           for key, hs in cat.homs.items()}
+    for (x, z, y), t in sorted(alg.tables.items(),
+                               key=lambda kv: pos[kv[0][2]] - pos[kv[0][0]]):
+        np.maximum.at(ell[(x, y)], t, ell[(z, y)][:, None] + ell[(x, z)])
     unfact = cat.unfactorizables
-    for key, mask in rad_sq.items():
-        expected = np.zeros(len(mask), dtype=bool)
-        expected[list(unfact[key])] = True
-        if not np.array_equal(~mask, expected):
-            raise InvariantError("rad/rad² basis disagrees with the "
-                                 "unfactorizable morphisms")
-
-    def positions(masks) -> tuple[int, ...]:
-        """Basis positions of the marked morphisms, in basis order."""
-        return tuple(alg.offset[key] + i for key in alg.offset
-                     if key in masks
-                     for i in np.flatnonzero(masks[key]).tolist())
-
-    return RadicalReport(positions(layers[0]), positions(rad_sq),
-                         positions({k: ~m for k, m in rad_sq.items()}),
-                         len(layers))
+    if any(tuple(np.flatnonzero(layer == 1).tolist()) != unfact[key]
+           for key, layer in ell.items()):
+        raise InvariantError("rad/rad² basis disagrees with the "
+                             "unfactorizable morphisms")
+    return ell
 
 
 def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
@@ -154,8 +131,8 @@ def check_against_quiver(built: BuiltQuiver) -> dict:
     """Run every oracle against a computed quiver; raise OracleMismatch or
     InvariantError on any disagreement.  Returns the oracle's mult map."""
     cat = built.cat
-    alg = build_algebra(cat)
-    rad = radical_report(alg)
+    unfact = sum(int((ell == 1).sum())
+                 for ell in radical_report(build_algebra(cat)).values())
     oracle = ext_quiver_oracle(cat, built.prime, built.tables)
     primary = built.mult_map()
     p = built.prime.p
@@ -172,8 +149,7 @@ def check_against_quiver(built: BuiltQuiver) -> dict:
     total = 0
     for ((x, v), (y, w)), m in primary.items():
         total += m * built.tables[x].dims[v] * built.tables[y].dims[w]
-    if total != len(rad.unfact_positions):
+    if total != unfact:
         raise OracleMismatch(
-            f"Σ mult·dimV·dimW = {total} but dim rad/rad² = "
-            f"{len(rad.unfact_positions)}")
+            f"Σ mult·dimV·dimW = {total} but dim rad/rad² = {unfact}")
     return oracle

@@ -2,7 +2,7 @@
 catalog of named groups for the property-test generators, the whole and
 the trivial subgroup of a group, the plain inverse of a permutation that
 the inverse table must match, the identity's position, one product read
-off the Cayley table, and quiver equality."""
+off the Cayley table, a category's hom sizes, and quiver equality."""
 
 from functools import lru_cache
 
@@ -24,6 +24,15 @@ def identity_pos(g: PermGroup) -> int:
 def mul(g: PermGroup, i: int, j: int) -> int:
     """Position of element i times element j, from the Cayley table."""
     return int(g.row(i)[j])
+
+
+def hom_size(cat, x: str, y: str) -> int:
+    """|hom(x, y)|: the group's order when x == y, else the hom-set's
+    size, 0 when it is empty."""
+    if x == y:
+        return len(cat.groups[x])
+    hs = cat.homs.get((x, y))
+    return hs.size if hs else 0
 
 
 def quivers_equal(a, b) -> bool:

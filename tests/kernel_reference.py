@@ -29,8 +29,8 @@ and generator, that the batched products of eiquiver.morita replaced.
 compose, build_algebra, radical_report and ext_quiver_oracle are the
 category algebra one product at a time, through MorphId and compose and
 a whole |Mor|×|Mor| product table over the basis that morphisms lists,
-that the per-hom-set masks and index arrays of eiquiver.oracle
-replaced.  character,
+that the per-morphism layer numbers and index arrays of
+eiquiver.oracle replaced.  character,
 inner_product, restrict, inflate and restriction_multiplicity are
 character arithmetic one element at a time, each character read from a
 table's class rows, that the table arrays of eiquiver.chartab
@@ -62,7 +62,7 @@ from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.freecover import free_cover
 from eiquiver.morita import MAX_ELEMENT_ENTRIES
 from eiquiver.permgrp import PermGroup, pmul, word_products
-from groups import identity_pos, pinv
+from groups import hom_size, identity_pos, pinv
 
 
 def rref(a, p):
@@ -519,7 +519,7 @@ def is_free_by_cover(cat: EICategory,
     """
     cover = free_cover(cat, max_paths=max_paths)
     pairs = set(cat.homs) | set(cover.homs)
-    return all(cat.hom_size(*pr) == cover.hom_size(*pr) for pr in pairs)
+    return all(hom_size(cat, *pr) == hom_size(cover, *pr) for pr in pairs)
 
 
 def cartan_matrix(q) -> list[list[int]]:
@@ -635,8 +635,9 @@ def build_algebra(cat: EICategory):
 
 
 def radical_report(cat: EICategory, basis, index, prod):
-    """(rad, rad², rad/rad², nilpotency degree) positions, from the
-    table as sets of basis elements."""
+    """The radical filtration from the table as sets of basis
+    elements: layers[k - 1] is rad^k, for every k up to the first zero
+    power."""
     noniso = tuple(i for i, m in enumerate(basis) if not is_endo(m))
     noniso_set = set(noniso)
     for i in range(len(basis)):
@@ -659,7 +660,7 @@ def radical_report(cat: EICategory, basis, index, prod):
     if got != expected:
         raise InvariantError("rad/rad² basis disagrees with the "
                              "unfactorizable morphisms")
-    return noniso, tuple(sorted(rad_sq)), tuple(sorted(got)), len(layers)
+    return layers
 
 
 def ext_quiver_oracle(cat: EICategory, prime, tables) -> dict:

@@ -116,10 +116,10 @@ def test_criterion_05_oracle_equivalence(categories):
         oracle = check_against_quiver(q)
         assert oracle == {k: v % q.prime.p
                           for k, v in q.mult_map().items() if v % q.prime.p}
-        report = radical_report(build_algebra(cat))
+        ell = radical_report(build_algebra(cat))
         unfact = sum(len(v) for v in unfactorizables(cat).values())
-        assert (len(report.rad_positions) -
-                len(report.rad_sq_positions)) == unfact
+        assert sum(int((layer == 1).sum()) for layer in ell.values()) == \
+            unfact
 
     for cat in categories.values():
         check(cat)

@@ -14,7 +14,7 @@ from eiquiver.freecover import (biset_product, category_has_ufp,
                                 free_cover, generate_free_category, is_free)
 from eiquiver.permgrp import pmul
 from eiquiver.quiveralg import build_quiver
-from groups import named_group
+from groups import hom_size, named_group
 from kernel_reference import cartan_matrix, is_free_by_cover, path_counts
 from randcats import (explicit_document, random_free_category,
                       random_nonfree_category, random_quiver_document)
@@ -74,7 +74,7 @@ def test_generate_single_arrow():
     }
     cat = load_category(doc)
     assert cat.objects == ("a", "b")
-    assert cat.hom_size("a", "b") == 1
+    assert hom_size(cat, "a", "b") == 1
 
 
 def test_generate_mixed_quiver_hom_sizes(categories):
@@ -124,15 +124,15 @@ def test_free_cover_of_free_category(categories):
         cat = categories[name]
         cover = free_cover(cat)
         for pair in set(cat.homs) | set(cover.homs):
-            assert cat.hom_size(*pair) == cover.hom_size(*pair)
+            assert hom_size(cat, *pair) == hom_size(cover, *pair)
 
 
 def test_free_cover_counts_path_classes_separately(categories):
     cover = free_cover(categories["fork_merge_nonfree"])
     # the two unrelated factorizations x->y->z stay distinct in the cover
-    assert cover.hom_size("x", "z") == 2
+    assert hom_size(cover, "x", "z") == 2
     cover = free_cover(categories["line_subcategory_nonfree"])
-    assert cover.hom_size("w", "z") == 2
+    assert hom_size(cover, "w", "z") == 2
 
 
 def test_cover_is_full(categories):
@@ -140,7 +140,7 @@ def test_cover_is_full(categories):
     for cat in categories.values():
         cover = free_cover(cat)
         for pair in set(cat.homs) | set(cover.homs):
-            assert cover.hom_size(*pair) >= cat.hom_size(*pair)
+            assert hom_size(cover, *pair) >= hom_size(cat, *pair)
 
 
 def test_is_free_goldens(categories):

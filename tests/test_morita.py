@@ -568,7 +568,7 @@ def test_build_catrep_rejects_nonequivariant_representative(rep_setup):
                    for g in cat.groups["y"].generators),
     }
     with pytest.raises(ValidationError) as exc:
-        build_catrep(cat, p, gen_mats, [np.array([[1]])])
+        build_catrep(cat, p, gen_mats, [np.array([[1]])], {})
     assert exc.value.finding == "not-functorial"
 
 
@@ -877,7 +877,7 @@ def test_hom_dim_cat_refuses_a_prime_dividing_a_group_order(categories):
                 for x in cat.objects}
         alphas = [np.ones((1, 1), np.int64)
                   for _ in orbit_representatives(cat)]
-        return build_catrep(cat, p, gens, alphas)
+        return build_catrep(cat, p, gens, alphas, {})
 
     r3 = ones(3)
     assert ref.hom_dim_cat(r3, r3) == 1

@@ -2,14 +2,15 @@
 arrow-count oracle."""
 
 import random
-from dataclasses import astuple, replace
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import kernel_reference as ref
 from conftest import fixture_doc
 from eiquiver import eicat, quiveralg
-from eiquiver.eicat import load_category
+from eiquiver.eicat import MorphId, load_category
 from eiquiver.errors import InvariantError, OracleMismatch
 from eiquiver.oracle import (build_algebra, check_against_quiver,
                              ext_quiver_oracle, radical_report)
@@ -24,25 +25,42 @@ def test_algebra_dimensions(categories):
     assert build_algebra(cat).dim == cat.morphism_count()
 
 
+def _count(ell, k):
+    """The number of morphisms with ℓ = k."""
+    return sum(int((layer == k).sum()) for layer in ell.values())
+
+
 def test_radical_two_object(categories):
-    report = radical_report(build_algebra(categories["two_object_c2_s3"]))
-    assert len(report.rad_positions) == 6
-    assert len(report.rad_sq_positions) == 0
-    assert len(report.unfact_positions) == 6
-    assert report.nilpotency_degree == 2
+    # rad is the one hom-set, all of it rad/rad²: rad² = 0
+    ell = radical_report(build_algebra(categories["two_object_c2_s3"]))
+    assert {key: layer.tolist() for key, layer in ell.items()} == \
+        {("x", "y"): [1] * 6}
 
 
 def test_radical_one_object(categories):
-    report = radical_report(build_algebra(categories["one_object_c2"]))
-    assert report.rad_positions == ()
-    assert report.nilpotency_degree == 1
+    assert radical_report(build_algebra(categories["one_object_c2"])) == {}
 
 
 def test_radical_mixed_chain(categories):
     cat = categories["four_object_mixed"]
-    report = radical_report(build_algebra(cat))
-    assert len(report.unfact_positions) == 2 + 6 + 1
-    assert report.nilpotency_degree <= len(cat.objects)
+    ell = radical_report(build_algebra(cat))
+    assert _count(ell, 1) == 2 + 6 + 1
+    # rad^n = 0 over n objects
+    assert max(int(layer.max()) for layer in ell.values()) < len(cat.objects)
+
+
+def test_radical_layers_of_a_long_line():
+    # o_i -> o_j is the one composite of the j - i arrows between them
+    n = 30
+    ids = [f"o{i}" for i in range(n)]
+    cat = load_category({
+        "mode": "ei-quiver",
+        "objects": [{"id": o, "degree": 1, "generators": []} for o in ids],
+        "homs": [{"from": a, "to": b, "size": 1} for a, b in
+                 zip(ids, ids[1:])]})
+    ell = radical_report(build_algebra(cat))
+    assert {key: layer.tolist() for key, layer in ell.items()} == \
+        {(ids[i], ids[j]): [j - i] for i in range(n) for j in range(i + 1, n)}
 
 
 def test_oracle_matches_quiver_on_fixtures(categories):
@@ -103,10 +121,14 @@ def test_array_oracle_matches_the_product_by_product_reference(categories):
         basis, index, prod = ref.build_algebra(cat)
         alg = build_algebra(cat)
         assert alg.dim == len(basis) == cat.morphism_count()
-        assert all(alg.offset[(m.source, m.target)] + m.index == i
-                   for m, i in index.items())
-        assert astuple(radical_report(alg)) == \
-            ref.radical_report(cat, basis, index, prod)
+        # rad^k = {ℓ ≥ k} for every k up to the first zero power, through
+        # the reference's basis
+        ell = radical_report(alg)
+        layers = ref.radical_report(cat, basis, index, prod)
+        for k, want in enumerate(layers, 1):
+            got = {index[MorphId(x, y, i)] for (x, y), layer in ell.items()
+                   for i in np.flatnonzero(layer >= k).tolist()}
+            assert got == want, k
         q = build_quiver(cat)
         got = ext_quiver_oracle(cat, q.prime, q.tables)
         want = ref.ext_quiver_oracle(cat, q.prime, q.tables)
@@ -131,10 +153,10 @@ def test_oracle_makes_no_morphism_ids_and_reads_no_stabilizer(monkeypatch):
         for name in ("stabilizer_data", "orbit_representatives"):
             monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(quiveralg, "build_quiver", forbidden)
-    report = radical_report(build_algebra(cat))
+    ell = radical_report(build_algebra(cat))
     ext_quiver_oracle(cat, q.prime, q.tables)
     assert made == []
-    assert len(report.unfact_positions) == 9
+    assert _count(ell, 1) == 9
 
 
 def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables():

@@ -18,7 +18,7 @@ import sys
 
 import eiquiver
 from eiquiver.chartab import _MODEL_CACHE
-from test_golden import CASES, run_cli
+from test_golden import CASES, EXPECTED, run_cli
 
 SRC = pathlib.Path(eiquiver.__file__).resolve().parent
 
@@ -61,9 +61,9 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return out
 
 
-def reached_functions(argvs) -> set[tuple[str, int]]:
+def reached_functions(argvs) -> tuple[set[tuple[str, int]], list[int]]:
     """(file name, first line) of every package function called while
-    the CLI runs each argv."""
+    the CLI runs each argv, and each run's exit code."""
     codes = {}
 
     def record(frame, event, arg):
@@ -74,8 +74,7 @@ def reached_functions(argvs) -> set[tuple[str, int]]:
     _MODEL_CACHE.clear()
     sys.setprofile(record)
     try:
-        for argv in argvs:
-            run_cli(argv)
+        exits = [run_cli(argv)["exit"] for argv in argvs]
     finally:
         sys.setprofile(None)
         _MODEL_CACHE.update(saved)
@@ -84,7 +83,7 @@ def reached_functions(argvs) -> set[tuple[str, int]]:
         path = pathlib.Path(code.co_filename).resolve()
         if path.parent == SRC:
             reached.add((path.name, code.co_firstlineno))
-    return reached
+    return reached, exits
 
 
 def test_every_function_is_reached_or_named(tmp_path):
@@ -94,10 +93,16 @@ def test_every_function_is_reached_or_named(tmp_path):
     s4.write_text(json.dumps({"mode": "ei-quiver", "homs": [], "objects": [
         {"id": "x", "degree": 4,
          "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}]}))
-    argvs = list(CASES.values()) + [["--prime", prime] + quiver,
-                                    ["quiver", str(s4)]]
+    runs = dict(CASES, prime=["--prime", prime] + quiver,
+                s4=["quiver", str(s4)])
+    want = {case: EXPECTED[case]["exit"] for case in CASES} | \
+        {"prime": 0, "s4": 0}
     defined = defined_functions()
-    reached = reached_functions(argvs)
+    reached, exits = reached_functions(list(runs.values()))
+    # a run that breaks is named here, not reported as the functions it
+    # no longer reaches
+    assert {case: code for case, code in zip(runs, exits)
+            if code != want[case]} == {}
     missed = sorted(name for key, name in defined.items()
                     if key not in reached)
     # the list names exactly what the CLI does not reach
