@@ -163,13 +163,6 @@ def _class_mult_matrices(g: PermGroup, classes, class_of, p: int):
         yield np.remainder(m, p, out=m)
 
 
-def _echelon(c: np.ndarray, p: int):
-    """(basis, pivots) of the span of c's columns, from one rref of c's
-    transpose: basis[pivots] is the identity."""
-    r, piv = linalg.rref(c.T, p)
-    return r[:len(piv)].T, piv
-
-
 def _split_common_eigenvectors(mats, start: np.ndarray, p: int):
     """Intersect eigenspaces of the commuting matrices, within the
     invariant subspace spanned by start's columns, until 1-dimensional,
@@ -178,7 +171,7 @@ def _split_common_eigenvectors(mats, start: np.ndarray, p: int):
     first, the identity class's matrix, is the identity: it is skipped.
     Each subspace is (B, piv) with B[piv] = I, so M acts on it by
     S = (M B)[piv], and B S = M B certifies that M stabilizes it."""
-    spaces = [_echelon(start, p)] if start.shape[1] else []
+    spaces = [linalg.column_echelon(start, p)] if start.shape[1] else []
     mats = islice(mats, 1, None)
     while any(len(piv) != 1 for _, piv in spaces):
         m = next(mats, None)
@@ -194,8 +187,9 @@ def _split_common_eigenvectors(mats, start: np.ndarray, p: int):
             s = mb[piv]
             if not np.array_equal(linalg.matmul(basis, s, p), mb):
                 raise InvariantError("class-sum matrix does not stabilize subspace")
-            nxt.extend(_echelon(linalg.matmul(basis, ns.T, p), p)
-                       for ns in linalg.eigenspaces(s, p))
+            nxt.extend(
+                linalg.column_echelon(linalg.matmul(basis, ns.T, p), p)
+                for ns in linalg.eigenspaces(s, p))
         spaces = nxt
     return [basis[:, 0] for basis, _ in spaces]
 

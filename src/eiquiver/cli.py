@@ -54,7 +54,7 @@ def _text(name: str) -> str:
     return name.translate(_ONE_LINE)
 
 
-def _emit(args, payload: dict, text_lines=None, dot: str | None = None) -> None:
+def _emit(args, payload: dict, text_lines, dot: str | None = None) -> None:
     if args.format == "json":
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -64,8 +64,7 @@ def _emit(args, payload: dict, text_lines=None, dot: str | None = None) -> None:
                                   "this command has no DOT rendering")
         sys.stdout.write(dot + "\n")
     else:
-        for line in (text_lines if text_lines is not None
-                     else [json.dumps(payload, sort_keys=True)]):
+        for line in text_lines:
             sys.stdout.write(line + "\n")
 
 

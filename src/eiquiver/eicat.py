@@ -216,7 +216,20 @@ def validate_category(cat: EICategory) -> None:
     composition closure, identity laws (via actions) and associativity
     over every composable triple of non-endomorphisms mixed with
     generator endomorphisms.  Each axiom is one whole-table comparison,
-    and the failure reported is the first in table order."""
+    and the failure reported is the first in table order.
+
+    The chain law γ∘(β∘α) = (γ∘β)∘α over non-endomorphisms is checked
+    only at unfactorizable β, by Light's associativity test (A. H.
+    Clifford and G. B. Preston, The Algebraic Theory of Semigroups I,
+    1961, §1.2): if the law holds at β₁ and at β₂ for all α and γ, it
+    holds at β₁∘β₂, since
+    γ∘((β₁∘β₂)∘α) = γ∘(β₁∘(β₂∘α)) = (γ∘β₁)∘(β₂∘α)
+                  = ((γ∘β₁)∘β₂)∘α = (γ∘(β₁∘β₂))∘α.
+    Every factorizable β is δ∘β′ in some table, and both factors join
+    objects at a smaller topological distance than β's ends, so by
+    induction on that distance the law holds at every β.  A chain
+    failure is reported at the first chain, and the first (γ, β, α) in
+    it, with β unfactorizable."""
     _check_connected(cat.objects, cat.homs)
 
     nexts = {v: [w for (u, w) in cat.homs if u == v] for v in cat.objects}
@@ -237,14 +250,17 @@ def validate_category(cat: EICategory) -> None:
         if min(map(min, table)) < 0 or \
                 max(map(max, table)) >= cat.homs[(x, z)].size:
             raise SchemaError(f"table {x}->{y}->{z} entry out of range")
-    # in range, so no entry is too large for int64
-    tables = {k: np.array(t, dtype=np.int64) for k, t in cat.comp.items()}
+    # the tables as arrays, now that every entry is in range
+    tables = {(x, z, y): t for (x, y), tabs in incoming_tables(cat).items()
+              for z, t in tabs}
 
     # tables must commute with the endomorphism actions (associativity of
     # every triple containing an endomorphism reduces to the generator
     # cases); make_homset's relation check makes each generator's element
-    # act by its generator action, so those are read directly
-    for (x, y, z), t in tables.items():
+    # act by its generator action, so those are read directly.  The
+    # tables are taken in cat.comp order, the order the first failure is
+    # reported in
+    for (x, y, z), t in ((key, tables[key]) for key in cat.comp):
         inner, outer, tgt = cat.homs[(x, y)], cat.homs[(y, z)], cat.homs[(x, z)]
         fails = np.zeros((3,) + t.shape, dtype=bool)   # [law, β, α]
         for h, h_tgt in zip(outer.left_gen, tgt.left_gen):
@@ -260,10 +276,17 @@ def validate_category(cat: EICategory) -> None:
                 "(h∘β)∘α ≠ h∘(β∘α)", "(β∘α)∘g ≠ β∘(α∘g)",
                 "(β∘h)∘α ≠ β∘(h∘α)")[law] + f" for hom chain {x}->{y}->{z}")
 
-    # associativity over chains x->y->z->w of homs, in chunks of γ
+    # associativity over chains x->y->z->w of homs at unfactorizable β
+    # (Light's test, see above), in chunks of γ.  The unfactorizables go
+    # into the category's memo: they read only range-checked tables, and
+    # a category that fails validation is discarded with its memo
+    unfact = {key: np.array(u, dtype=np.intp)
+              for key, u in cat.unfactorizables.items() if u}
     for x, y, z, w in ((x, y, z, w) for (x, y) in cat.homs
-                       for z in nexts[y] for w in nexts[z]):
-        t_xyz, t_yzw = tables[(x, y, z)], tables[(y, z, w)]
+                       for z in nexts[y] if (y, z) in unfact
+                       for w in nexts[z]):
+        beta = unfact[(y, z)]
+        t_xyz, t_yzw = tables[(x, y, z)][beta], tables[(y, z, w)][:, beta]
         t_xzw, t_xyw = tables[(x, z, w)], tables[(x, y, w)]
         step = max(1, CLOSURE_CHUNK // t_xyz.size)
         for c0 in range(0, len(t_xzw), step):
@@ -273,7 +296,7 @@ def validate_category(cat: EICategory) -> None:
                 c, b, a = np.argwhere(bad)[0].tolist()
                 raise ValidationError(
                     "associativity", f"γ∘(β∘α) ≠ (γ∘β)∘α on chain "
-                    f"{x}->{y}->{z}->{w} at ({c0 + c},{b},{a})")
+                    f"{x}->{y}->{z}->{w} at ({c0 + c},{beta[b]},{a})")
 
 
 def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
@@ -382,18 +405,31 @@ def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
 # ---------------------------------------------------------------------------
 # unfactorizable morphisms, orbits, stabilizer data
 
+def incoming_tables(cat: EICategory) -> dict[tuple[str, str], list]:
+    """Per hom-set x -> y, the composition tables x -> z -> y that
+    compose into it, each as (z, t) with t[δ, β] = δ∘β, an index array.
+    Hom-sets come in order of the topological distance from x to y, ties
+    in cat.homs order, so both factors of every table join a pair that
+    comes earlier; each hom-set's tables come in cat.comp order.  Built
+    from cat.comp on every call, so a fold reads the tables as they are."""
+    pos = {x: i for i, x in enumerate(cat.topological_order)}
+    index = {key: [] for key in sorted(cat.homs,
+                                       key=lambda k: pos[k[1]] - pos[k[0]])}
+    for (x, z, y), table in cat.comp.items():
+        index[(x, y)].append((z, np.array(table, dtype=np.intp)))
+    return index
+
+
 def unfactorizables(cat: EICategory) -> dict[tuple[str, str], tuple[int, ...]]:
     """Per ordered pair, the hom indices that are composites of no two
     non-isomorphisms: those in no composition table x -> z -> y.  A
     loaded category has a table for exactly its composable pairs of
     non-isomorphisms."""
-    factorizable = {xy: set() for xy in cat.homs}
-    for (x, _, y), table in cat.comp.items():
-        for row in table:
-            factorizable[(x, y)].update(row)
-    return {(x, y): tuple(i for i in range(hs.size)
-                          if i not in factorizable[(x, y)])
-            for (x, y), hs in cat.homs.items()}
+    held = {k: np.zeros(hs.size, dtype=bool) for k, hs in cat.homs.items()}
+    for key, tables in incoming_tables(cat).items():
+        for _, t in tables:
+            held[key][t] = True
+    return {k: tuple(np.flatnonzero(~h).tolist()) for k, h in held.items()}
 
 
 def homset_orbits(hs: HomSet, indices) -> list[tuple[int, ...]]:

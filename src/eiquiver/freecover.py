@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import SchemaError, ValidationError
 from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory,
                     EIQuiverData, _object_order, check_points, ei_quiver_of,
-                    make_homset, validate_category)
+                    incoming_tables, make_homset, validate_category)
 from .permgrp import PermGroup, is_int, orbits
 
 
@@ -181,11 +181,12 @@ def generate_free_category(quiv: EIQuiverData,
     # the composite of (rpath, rc) and (qpath, qc) is the class of
     # rc's tuples followed by qc's least tuple, walked through the
     # class maps of the glued prefixes
+    outer_from: dict[str, list] = {}
+    for (y, z), outer in paths.items():
+        outer_from.setdefault(y, []).append((z, outer))
     comp = {}
     for (x, y), inner in paths.items():
-        for (y2, z), outer in paths.items():
-            if y2 != y:
-                continue
+        for z, outer in outer_from.get(y, ()):
             table = [[0] * homs[(x, y)].size for _ in range(homs[(y, z)].size)]
             for qpath in outer:
                 for rpath in inner:
@@ -260,20 +261,23 @@ def category_has_ufp(cat: EICategory) -> bool:
     """
     unfact = cat.unfactorizables
     step_orbit: dict[tuple[str, str, int], tuple[str, int]] = {}
-    for (x, z, y), table in cat.comp.items():
-        grp, n = cat.groups[z], cat.homs[(z, y)].size
-        after = cat.homs[(z, y)].right_elem
-        # (β, δ) at β·n + δ, moved to (h∘β, δ∘h⁻¹) by each generator h
-        moves = []
-        for lact, h in zip(cat.homs[(x, z)].left_gen, grp.generators):
-            ract = after[grp.inv(grp.index_of[h])]
-            moves.append([lb * n + rd for lb in lact for rd in ract])
-        label, _ = orbits(cat.homs[(x, z)].size * n, moves,
-                          [b * n + d for b in unfact[(x, z)] for d in range(n)])
-        for beta in unfact[(x, z)]:
-            for delta, row in enumerate(table):
-                step = (z, label[beta * n + delta])
-                if step_orbit.setdefault((x, y, row[beta]), step) != step:
+    for (x, y), tables in incoming_tables(cat).items():
+        for z, table in tables:
+            grp, n = cat.groups[z], cat.homs[(z, y)].size
+            after = cat.homs[(z, y)].right_elem
+            # (β, δ) at β·n + δ, moved to (h∘β, δ∘h⁻¹) by each generator h
+            moves = []
+            for lact, h in zip(cat.homs[(x, z)].left_gen, grp.generators):
+                ract = after[grp.inv(grp.index_of[h])]
+                moves.append([lb * n + rd for lb in lact for rd in ract])
+            # the first steps (z, β, δ) with β unfactorizable, and their
+            # composites δ∘β, each at β·n + δ
+            firsts = [b * n + d for b in unfact[(x, z)] for d in range(n)]
+            label, _ = orbits(cat.homs[(x, z)].size * n, moves, firsts)
+            alpha = table.T.ravel().tolist()
+            for bd in firsts:
+                step = (z, label[bd])
+                if step_orbit.setdefault((x, y, alpha[bd]), step) != step:
                     return False
     return True
 

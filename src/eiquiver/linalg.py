@@ -93,6 +93,13 @@ def row_space(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
+def column_echelon(c: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """(basis, pivots) of the span of c's columns, from one rref of c's
+    transpose: basis[pivots] is the identity."""
+    r, pivots = rref(c.T, p)
+    return r[:len(pivots)].T, pivots
+
+
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : a x = 0} as rows, in echelon-determined order: one
     row per free column j, with 1 at j and -R[i, j] at pivot column i."""

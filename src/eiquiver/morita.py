@@ -62,7 +62,8 @@ import numpy as np
 
 from . import linalg
 from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
-from .eicat import CLOSURE_CHUNK, EICategory, orbit_representatives
+from .eicat import (CLOSURE_CHUNK, EICategory, incoming_tables,
+                    orbit_representatives)
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, pidentity
 from .quiveralg import BuiltQuiver
@@ -235,11 +236,11 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     # ends there or once every column is in (take >= n).
     take = 2 * d * d
     while True:
-        r, piv = linalg.rref(proj.T[:take], p)
+        # columns span the isotypic part; w[piv] = I
+        w, piv = linalg.column_echelon(proj[:, :take], p)
         if len(piv) == d * d or take >= n:
             break
         take *= 2
-    w = r[:len(piv)].T   # columns span the isotypic part; w[piv] = I
     base = None
     rng = random.Random(0xE1)
     while w.shape[1] > d:
@@ -260,8 +261,7 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
                 break
         else:
             raise InvariantError("could not split the isotypic component")
-        r, piv = linalg.rref(linalg.matmul(w, cut.T % p, p).T, p)
-        w = r[:len(piv)].T
+        w, piv = linalg.column_echelon(linalg.matmul(w, cut.T % p, p), p)
     gen_mats = tuple(w[mv[piv]] for mv in moves)
     for mv, a in zip(moves, gen_mats):
         if not np.array_equal(linalg.matmul(w, a, p), w[mv]):
@@ -300,12 +300,13 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     representative matrices; objects whose group has no generators take
     their dimension from dims_hint.  Every shape is checked first.
 
-    Hom-sets are taken in order of topological distance, so both factors
-    of every composite are known first, and each holds its matrices as
-    one (size, dim y, dim x) array.  The composites come from one
-    product per composition table, in chunks of rows of at most
-    CLOSURE_CHUNK entries, which also compares every composable pair with
-    the matrix its composite has (_compose).  The other morphisms are the
+    Hom-sets are taken in the order of eicat.incoming_tables, with the
+    tables that compose into each, so both factors of every composite are
+    known first; each holds its matrices as one (size, dim y, dim x)
+    array.  The composites come from one product per composition table,
+    in chunks of rows of at most CLOSURE_CHUNK entries, which also
+    compares every composable pair with the matrix its composite has
+    (_compose).  The other morphisms are the
     orbits of the representatives, reached one level at a time along the
     generator actions, one batched product per generator and level.
     Last, every morphism is compared with each generator of either
@@ -355,16 +356,14 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     elems = {x: check_group_rep(cat.groups[x], gens[x], dims[x], p)
              for x in cat.objects}
 
-    at = {x: i for i, x in enumerate(cat.topological_order)}
     mor_mats = {}
-    for key in sorted(cat.homs, key=lambda k: at[k[1]] - at[k[0]]):
+    for key, tables in incoming_tables(cat).items():
         (x, y), hs = key, cat.homs[key]
         mats = np.zeros((hs.size, dims[y], dims[x]), dtype=np.int64)
         have = np.zeros(hs.size, dtype=bool)
-        for (u, z, w), table in cat.comp.items():
-            if (u, w) == key:
-                _compose(mats, have, mor_mats[(z, y)], mor_mats[(x, z)],
-                         np.array(table, dtype=np.int32), key, p)
+        for z, table in tables:
+            _compose(mats, have, mor_mats[(z, y)], mor_mats[(x, z)], table,
+                     key, p)
         for i, amat in starts[key]:
             mats[i] = amat
         front = np.array([i for i, _ in starts[key]], dtype=np.intp)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import EICategory
+from .eicat import EICategory, incoming_tables
 from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
@@ -49,9 +49,6 @@ class CategoryAlgebra:
     """The category algebra: its basis is every morphism, and its
     products are read from the category's own actions and tables."""
     cat: EICategory
-    # tables[(x, z, y)][δ, β] = δ∘β in hom(x, y), for δ in hom(z, y) and
-    # β in hom(x, z): the composition tables as index arrays
-    tables: dict[tuple[str, str, str], np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -59,8 +56,7 @@ class CategoryAlgebra:
 
 
 def build_algebra(cat: EICategory) -> CategoryAlgebra:
-    return CategoryAlgebra(cat, {key: np.array(t, dtype=np.intp)
-                                 for key, t in cat.comp.items()})
+    return CategoryAlgebra(cat)
 
 
 def radical_report(alg: CategoryAlgebra) -> dict[tuple[str, str], np.ndarray]:
@@ -71,18 +67,17 @@ def radical_report(alg: CategoryAlgebra) -> dict[tuple[str, str], np.ndarray]:
     the layout itself: validate_category range-checks every table entry
     into hom(x, z) with x ≠ z, each hom action permutes its own
     hom-set, and the object order is acyclic.  So it is the radical.
-    The tables are read once each, in order of the topological distance
-    from x to y: both factors of a table x -> z -> y join a closer pair,
-    so their ℓ is final before the table is read.  rad/rad² is then
-    checked against the unfactorizables.
+    The tables are read once each, in the order of
+    eicat.incoming_tables: both factors of a table x -> z -> y join an
+    earlier pair, so their ℓ is final before the table is read.
+    rad/rad² is then checked against the unfactorizables.
     """
     cat = alg.cat
-    pos = {x: i for i, x in enumerate(cat.topological_order)}
     ell = {key: np.ones(hs.size, dtype=np.intp)
            for key, hs in cat.homs.items()}
-    for (x, z, y), t in sorted(alg.tables.items(),
-                               key=lambda kv: pos[kv[0][2]] - pos[kv[0][0]]):
-        np.maximum.at(ell[(x, y)], t, ell[(z, y)][:, None] + ell[(x, z)])
+    for (x, y), tables in incoming_tables(cat).items():
+        for z, t in tables:
+            np.maximum.at(ell[(x, y)], t, ell[(z, y)][:, None] + ell[(x, z)])
     unfact = cat.unfactorizables
     if any(tuple(np.flatnonzero(layer == 1).tolist()) != unfact[key]
            for key, layer in ell.items()):

@@ -33,6 +33,15 @@ def large_cover_document(n: int = 400) -> dict:
                               "table": [[0] * n for _ in range(n)]}]}
 
 
+def trivial_line(ids, size: int = 1) -> dict:
+    """An ei-quiver document: trivial objects in a line, joined by one
+    arrow of the given size per step."""
+    return {"mode": "ei-quiver",
+            "objects": [{"id": o, "degree": 1, "generators": []} for o in ids],
+            "homs": [{"from": a, "to": b, "size": size, "left_action": [],
+                      "right_action": []} for a, b in zip(ids, ids[1:])]}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     import re

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from conftest import fixture_doc, large_cover_document
+from conftest import fixture_doc, large_cover_document, trivial_line
 from eiquiver import linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
-from eiquiver.eicat import CLOSURE_CHUNK, load_category, orbit_representatives
+from eiquiver.eicat import (CLOSURE_CHUNK, EICategory, load_category,
+                            orbit_representatives)
 from eiquiver.errors import (EIQuiverError, InvariantError, SchemaError,
                              ValidationError)
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
@@ -669,6 +670,42 @@ def test_build_catrep_matches_two_phase_reference(categories):
     # representations whose morphism matrices are built, and ones that
     # fail at an action or a composition, both occur
     assert seen["functor"] >= 20 and seen["not-functorial"] >= 20, seen
+
+
+def test_build_catrep_reads_the_composition_tables_once():
+    # every hom-set's tables come from one pass over cat.comp
+    # (eicat.incoming_tables), not one scan of every table per hom-set:
+    # a 30-object line has 435 hom-sets and 4,060 tables
+    class CountedComp(dict):
+        reads = 0
+
+        def _read(self, method):
+            self.reads += 1
+            return method()
+
+        def __iter__(self):
+            return self._read(super().__iter__)
+
+        def items(self):
+            return self._read(super().items)
+
+        def keys(self):
+            return self._read(super().keys)
+
+        def values(self):
+            return self._read(super().values)
+
+    loaded = load_category(trivial_line([f"o{i}" for i in range(30)]))
+    comp = CountedComp(loaded.comp)
+    cat = EICategory(loaded.objects, loaded.groups, loaded.homs, comp,
+                     loaded.topological_order)
+    reps = orbit_representatives(cat)
+    comp.reads = 0
+    rep = build_catrep(cat, 5, {}, [np.ones((1, 1), dtype=np.int64)] *
+                       len(reps), {x: 1 for x in cat.objects})
+    assert comp.reads == 1
+    assert len(rep.mor_mats) == len(cat.homs) == 435
+    assert all((m == 1).all() for m in rep.mor_mats.values())
 
 
 def _zero_functor_on_a_wide_table(dim=8):
