@@ -12,8 +12,9 @@ exhaustively, which is affordable at the scales this tool targets, and
 every downstream computation silently assumes the axioms.
 
 A category is immutable once loaded, so what is derived from it is
-derived once: `EICategory.memo` keeps, per category, its unfactorizables,
-its orbit representatives, its freeness and free cover per path bound
+derived once: `EICategory.memo` keeps, per category, the index of its
+composition tables (incoming_tables), its unfactorizables, its orbit
+representatives, its freeness and free cover per path bound
 (freecover), the stabilizer data of each representative (below) and,
 while a caller holds it, its quiver per splitting prime (quiveralg).
 Every caller shares the one cached object and must not modify it.  A
@@ -135,7 +136,12 @@ class EICategory:
     objects: tuple[str, ...]
     groups: dict[str, PermGroup]
     homs: dict[tuple[str, str], HomSet]
-    # comp[(x, y, z)][outer][inner] = index in hom(x, z)
+    # comp[(x, y, z)][outer][inner] = index in hom(x, z).  The tables are
+    # tuples of Python ints, in document order (for a free category, the
+    # order they were generated in): a category written back out as an
+    # explicit document, one list per row, must load again, and
+    # load_category accepts only ints as table entries.  The folds read
+    # them as arrays through incoming_tables.
     comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]]
     topological_order: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, compare=False,
@@ -250,7 +256,8 @@ def validate_category(cat: EICategory) -> None:
         if min(map(min, table)) < 0 or \
                 max(map(max, table)) >= cat.homs[(x, z)].size:
             raise SchemaError(f"table {x}->{y}->{z} entry out of range")
-    # the tables as arrays, now that every entry is in range
+    # the tables as arrays, now that every entry is in range; the index
+    # goes into the category's memo, like the unfactorizables below
     tables = {(x, z, y): t for (x, y), tabs in incoming_tables(cat).items()
               for z, t in tabs}
 
@@ -410,8 +417,13 @@ def incoming_tables(cat: EICategory) -> dict[tuple[str, str], list]:
     compose into it, each as (z, t) with t[δ, β] = δ∘β, an index array.
     Hom-sets come in order of the topological distance from x to y, ties
     in cat.homs order, so both factors of every table join a pair that
-    comes earlier; each hom-set's tables come in cat.comp order.  Built
-    from cat.comp on every call, so a fold reads the tables as they are."""
+    comes earlier; each hom-set's tables come in cat.comp order.  Once
+    per category, through its memo: validate_category builds it after
+    its range checks, and every later fold reads that one index."""
+    return cat.memo("incoming_tables", lambda: _incoming_tables(cat))
+
+
+def _incoming_tables(cat: EICategory) -> dict[tuple[str, str], list]:
     pos = {x: i for i, x in enumerate(cat.topological_order)}
     index = {key: [] for key in sorted(cat.homs,
                                        key=lambda k: pos[k[1]] - pos[k[0]])}

@@ -103,7 +103,16 @@ def biset_product(b2: ArrowBiset, b1: ArrowBiset,
 
 
 def _quiver_paths(quiv: EIQuiverData, bound: int):
-    """All directed arrow-index paths per object pair, DFS in arrow order.
+    """All directed arrow-index paths per object pair, by DFS from each
+    object in turn; each pair's paths are sorted.
+
+    A path is recorded when it is pushed, and siblings are pushed in
+    reverse arrow order, so the pairs come in that push order.  It fixes
+    the order of cat.homs (and of cat.comp) for an ei-quiver load, and
+    through _object_order, Kahn's algorithm over cat.homs, the
+    object_order that validate prints: four_object_mixed (arrows G -> H,
+    H -> K, H -> L) gives G, H, L, K.  A rewrite must keep this order, or
+    re-record the goldens on purpose.
 
     Raises on a directed cycle (the free category would be infinite)."""
     arrows_from: dict[str, list[int]] = {x: [] for x in quiv.objects}

@@ -22,11 +22,13 @@ from eiquiver.eicat import (CLOSURE_CHUNK, EICategory, load_category,
                             orbit_representatives)
 from eiquiver.errors import (EIQuiverError, InvariantError, SchemaError,
                              ValidationError)
+from eiquiver.freecover import is_free
 from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              build_catrep, catrep_document, check_group_rep,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              inverse_functor, irreducible_model, load_catrep,
                              quiverrep_document)
+from eiquiver.oracle import build_algebra, radical_report
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from eiquiver.quiveralg import build_quiver
 from groups import named_group, whole_group
@@ -675,7 +677,9 @@ def test_build_catrep_matches_two_phase_reference(categories):
 def test_build_catrep_reads_the_composition_tables_once():
     # every hom-set's tables come from one pass over cat.comp
     # (eicat.incoming_tables), not one scan of every table per hom-set:
-    # a 30-object line has 435 hom-sets and 4,060 tables
+    # a 30-object line has 435 hom-sets and 4,060 tables.  That index is
+    # built once per category, so the unfactorizables, the freeness test
+    # and the radical layers read the same pass
     class CountedComp(dict):
         reads = 0
 
@@ -699,10 +703,12 @@ def test_build_catrep_reads_the_composition_tables_once():
     comp = CountedComp(loaded.comp)
     cat = EICategory(loaded.objects, loaded.groups, loaded.homs, comp,
                      loaded.topological_order)
-    reps = orbit_representatives(cat)
     comp.reads = 0
+    reps = orbit_representatives(cat)
     rep = build_catrep(cat, 5, {}, [np.ones((1, 1), dtype=np.int64)] *
                        len(reps), {x: 1 for x in cat.objects})
+    assert is_free(cat)
+    radical_report(build_algebra(cat))
     assert comp.reads == 1
     assert len(rep.mor_mats) == len(cat.homs) == 435
     assert all((m == 1).all() for m in rep.mor_mats.values())

@@ -10,7 +10,7 @@ import pytest
 import kernel_reference as ref
 from conftest import fixture_doc
 from eiquiver import eicat, quiveralg
-from eiquiver.eicat import MorphId, load_category
+from eiquiver.eicat import EICategory, MorphId, load_category
 from eiquiver.errors import InvariantError, OracleMismatch
 from eiquiver.oracle import (build_algebra, check_against_quiver,
                              ext_quiver_oracle, radical_report)
@@ -161,8 +161,8 @@ def test_oracle_makes_no_morphism_ids_and_reads_no_stabilizer(monkeypatch):
 
 def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables():
     # fork_merge_free with a second, unfactorizable x->z; one composite
-    # x->y->z made equal to it, after the unfactorizables are memoised,
-    # puts it in rad²
+    # x->y->z made equal to it puts it in rad², in a category whose memo
+    # is seeded with the loaded category's unfactorizables
     doc = fixture_doc("fork_merge_free")
     hom = doc["homs"][2]
     assert (hom["from"], hom["to"]) == ("x", "z")
@@ -171,6 +171,14 @@ def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables():
     assert cat.unfactorizables[("x", "z")] == (1,)
     assert cat.comp[("x", "y", "z")] == ((0,), (0,))
     radical_report(build_algebra(cat))
-    cat.comp[("x", "y", "z")] = ((1,), (0,))
+
+    def tampered():
+        return EICategory(cat.objects, cat.groups, cat.homs,
+                          {**cat.comp, ("x", "y", "z"): ((1,), (0,))},
+                          cat.topological_order)
+    # unseeded, both read the same tables and agree
+    radical_report(build_algebra(tampered()))
+    bad = tampered()
+    bad.memo("unfactorizables", lambda: cat.unfactorizables)
     with pytest.raises(InvariantError, match="rad/rad² basis disagrees"):
-        radical_report(build_algebra(cat))
+        radical_report(build_algebra(bad))
