@@ -47,6 +47,12 @@ MAX_POINTS = 100000
 # The default bound on a free category's paths and path bisets (freecover)
 DEFAULT_PATH_BOUND = 100000
 
+# The most entries one table of group-element actions may hold: a hom's
+# left_elem and right_elem (make_homset), |G|·size per side, and
+# morita.check_group_rep's dim x dim matrix per group element.  The
+# document's generators bound neither.
+MAX_ELEMENT_ENTRIES = 1 << 22
+
 # The most entries one batched product over a composition table holds:
 # associativity over chains (validate_category) and morita.build_catrep's
 # products are taken in chunks of rows of at most this many, never as one
@@ -94,6 +100,12 @@ def make_homset(source: str, target: str, size: int,
             raise ValidationError("bad-action",
                                   f"hom {source}->{target}: action is not a "
                                   f"permutation of {size} elements")
+    order = max(len(src_group), len(tgt_group))
+    if order * size > MAX_ELEMENT_ENTRIES:
+        raise ValidationError("too-large", f"hom {source}->{target}: a group "
+                              f"of order {order} acting on {size} elements "
+                              f"needs {order * size} action entries, more "
+                              f"than {MAX_ELEMENT_ENTRIES}")
     ident = pidentity(size)
     left_elem = word_products(tgt_group, left_gen, ident, pmul)
     right_elem = word_products(src_group, right_gen, ident, _right_pmul)

@@ -5,10 +5,13 @@ endomorphisms and, between distinct objects, the disjoint union over
 directed paths of glued biset products: tuples of arrow-biset elements
 modulo the middle-vertex moves (t·h, s) ~ (t, h·s).  The glued product is
 the biset tensor product over the middle group, which is associative, so
-each path biset is built as a left fold over the path's arrows.
-Composition walks a concatenated tuple through the glued prefixes' class
-maps.  Only the `cover` command and the loading of ei-quiver documents
-build one, and --max-paths bounds that build.
+each path biset is built as a left fold over the path's arrows.  The
+composites of two paths' elements are the classes of the two path
+bisets' product, numbered as the concatenated path's biset.
+biset_product is the one gluing routine: the fold, the composites and
+the freeness test below all read its classes.  Only the `cover` command
+and the loading of ei-quiver documents build a free category, and
+--max-paths bounds that build, each glued product before it is made.
 
 Freeness is decided by the source paper's definition: a category is free
 when every non-endomorphism factors uniquely into unfactorizables, up to
@@ -16,7 +19,8 @@ automorphisms at the intermediate objects.  category_has_ufp tests this
 locally: every non-endomorphism α that is not unfactorizable must have
 its first steps (z, β, δ), with β unfactorizable and δ∘β = α, all pass
 through one object z and form a single Aut(z)-orbit under
-h·(β, δ) = (h∘β, δ∘h⁻¹).  It reads only the composition tables and
+h·(β, δ) = (h∘β, δ∘h⁻¹): one class of the glued product
+hom(z, y) ×_{Aut(z)} hom(x, z).  It reads only the composition tables and
 actions, so no free category is built to answer it.
 """
 
@@ -62,21 +66,34 @@ def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
 @dataclass(frozen=True)
 class GluedBiset(ArrowBiset):
     """A glued product with its quotient map: class_of[s][t] is the
-    class of the pair (s, t), and least[c] is the least pair of class c."""
+    class of the pair (s, t)."""
     class_of: tuple[tuple[int, ...], ...] = ()
-    least: tuple[tuple[int, int], ...] = ()
 
 
 def biset_product(b2: ArrowBiset, b1: ArrowBiset,
                   middle: PermGroup) -> GluedBiset:
-    """Glued product of an (K, H)-biset with an (H, G)-biset.
+    """Glued product of an (K, H)-biset with an (H, G)-biset: the biset
+    tensor product b2 ×_H b1 (Bouc, *Biset Functors for Finite Groups*,
+    LNM 1990, §2.3).  A HomSet has every field read here, so composites
+    δ∘β in a category glue the same way.
 
     Elements are pairs (s, t), s in b1 and t in b2, modulo the moves
     (s, t·h) ~ (h·s, t) over the generators h of the middle group; the
     outer actions descend to the classes.  Classes are numbered by their
-    least pair.  If b1's classes are numbered by their least path tuple
-    R(s), so are the product's, since the least tuple of a class is the
-    least R(s) + (t,) over its pairs.
+    least pair.
+
+    Numbering lemma: if b1 and b2 number their classes by their least
+    path tuples R(s) and Q(t), so does the product, whose classes are
+    sets of tuples u + v, u in some s and v in some t.  All tuples of b1
+    have one length, so u + v compares as the pair (u, v), and the least
+    tuple of a class is the least R(s) + Q(t) over its pairs (s, t).
+    R and Q are increasing, since distinct classes have distinct least
+    tuples, so that least tuple is R(s) + Q(t) at the class's least pair
+    (s, t), and the order of the classes by least tuple is their order
+    by least pair.  An arrow numbers its elements by their one-arrow
+    tuples, so by induction every fold of biset_product over a path
+    numbers its classes by least tuple, and the product of two path
+    bisets is numbered as the biset of the concatenated path.
     """
     if b2.source != b1.target:
         raise ValidationError("biset-middle-mismatch",
@@ -99,7 +116,7 @@ def biset_product(b2: ArrowBiset, b1: ArrowBiset,
                       for act in b1.right_gen)
     class_of = tuple(tuple(cls[s * n2:(s + 1) * n2]) for s in range(b1.size))
     return GluedBiset(b1.source, b2.target, len(least), left_gen, right_gen,
-                      class_of=class_of, least=tuple(least))
+                      class_of=class_of)
 
 
 def _quiver_paths(quiv: EIQuiverData, bound: int):
@@ -151,25 +168,28 @@ def generate_free_category(quiv: EIQuiverData,
 
     Each path biset is a left fold of biset_product over the path's
     arrows, memoised by prefix.  Hom elements are ordered by path (sorted),
-    then by class in least-tuple order.
+    then by class in least-tuple order.  The composites of two paths' hom
+    elements are their biset product's classes: by biset_product's
+    numbering lemma, it numbers them as the concatenated path's biset.
     """
     paths = _quiver_paths(quiv, max_paths)
     biset: dict[tuple[int, ...], ArrowBiset] = {}
-    reps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # least tuples
     for path in sorted((p for plist in paths.values() for p in plist),
                        key=len):
-        arrow = quiv.arrows[path[-1]]
-        if len(path) > 1:
-            b = biset_product(arrow, biset[path[:-1]],
-                              quiv.groups[arrow.source])
-        else:
-            b = arrow
+        prefix, b = biset.get(path[:-1]), quiv.arrows[path[-1]]
+        middle = quiv.groups[b.source]
+        # a class holds at most |middle| pairs, so more pairs than
+        # max_paths·|middle| glue to more than max_paths classes: that
+        # product is refused before a label per pair is made
+        if prefix is not None:
+            if prefix.size * b.size > max_paths * len(middle):
+                raise ValidationError(
+                    "path-bound", f"a path biset exceeds {max_paths} elements")
+            b = biset_product(b, prefix, middle)
         if b.size > max_paths:
             raise ValidationError("path-bound",
                                   f"a path biset exceeds {max_paths} elements")
         biset[path] = b
-        reps[path] = ([reps[path[:-1]][s] + (t,) for s, t in b.least]
-                      if len(path) > 1 else [(t,) for t in range(b.size)])
 
     homs = {}
     base: dict[tuple[int, ...], int] = {}     # offset of a path's classes
@@ -187,9 +207,8 @@ def generate_free_category(quiv: EIQuiverData,
         homs[(x, y)] = make_homset(x, y, size, left_gen, right_gen,
                                    quiv.groups[x], quiv.groups[y])
 
-    # the composite of (rpath, rc) and (qpath, qc) is the class of
-    # rc's tuples followed by qc's least tuple, walked through the
-    # class maps of the glued prefixes
+    # the block (qpath, rpath) of table (x, y, z): the composite of rc and
+    # qc is their class in the product of the two path bisets
     outer_from: dict[str, list] = {}
     for (y, z), outer in paths.items():
         outer_from.setdefault(y, []).append((z, outer))
@@ -199,16 +218,15 @@ def generate_free_category(quiv: EIQuiverData,
             table = [[0] * homs[(x, y)].size for _ in range(homs[(y, z)].size)]
             for qpath in outer:
                 for rpath in inner:
-                    full = rpath + qpath
-                    maps = [biset[full[:j]].class_of
-                            for j in range(len(rpath) + 1, len(full) + 1)]
-                    for qc, qrep in enumerate(reps[qpath]):
-                        row = table[base[qpath] + qc]
-                        for rc in range(biset[rpath].size):
-                            c = rc
-                            for m, t in zip(maps, qrep):
-                                c = m[c][t]
-                            row[base[rpath] + rc] = base[full] + c
+                    # glued over a one-arrow qpath, rpath is the fold's own
+                    # step to rpath + qpath
+                    glued = biset[rpath + qpath] if len(qpath) == 1 else \
+                        biset_product(biset[qpath], biset[rpath],
+                                      quiv.groups[y])
+                    off, col = base[rpath + qpath], base[rpath]
+                    for qc, classes in enumerate(zip(*glued.class_of)):
+                        table[base[qpath] + qc][col:col + len(classes)] = \
+                            [off + c for c in classes]
             comp[(x, y, z)] = tuple(map(tuple, table))
 
     topo = _object_order(quiv.objects, homs)
@@ -243,9 +261,11 @@ def category_has_ufp(cat: EICategory) -> bool:
     must pass through one object z and form one orbit of Aut(z) under
     h·(β, δ) = (h∘β, δ∘h⁻¹).  That orbit of a step lies in P(α), since
     h∘β is unfactorizable and (δ∘h⁻¹)∘(h∘β) = α; so the pairs (β, δ) of
-    each composable triple (x, z, y) are labelled by orbit in one pass,
-    and P(α) is one orbit through one object exactly when all its steps
-    carry the same object and orbit number.
+    each composable triple (x, z, y) are labelled by orbit, their class
+    in biset_product(hom(z, y), hom(x, z), Aut(z)), and P(α) is one
+    orbit through one object exactly when all its steps carry the same
+    object and orbit number.  A triple whose hom(x, z) holds no
+    unfactorizable has no first steps and is skipped unglued.
 
     Proof of equivalence with the global property U(α) (α has a
     decomposition, and any two are related by automorphism chains), by
@@ -272,22 +292,18 @@ def category_has_ufp(cat: EICategory) -> bool:
     step_orbit: dict[tuple[str, str, int], tuple[str, int]] = {}
     for (x, y), tables in incoming_tables(cat).items():
         for z, table in tables:
-            grp, n = cat.groups[z], cat.homs[(z, y)].size
-            after = cat.homs[(z, y)].right_elem
-            # (β, δ) at β·n + δ, moved to (h∘β, δ∘h⁻¹) by each generator h
-            moves = []
-            for lact, h in zip(cat.homs[(x, z)].left_gen, grp.generators):
-                ract = after[grp.inv(grp.index_of[h])]
-                moves.append([lb * n + rd for lb in lact for rd in ract])
-            # the first steps (z, β, δ) with β unfactorizable, and their
-            # composites δ∘β, each at β·n + δ
-            firsts = [b * n + d for b in unfact[(x, z)] for d in range(n)]
-            label, _ = orbits(cat.homs[(x, z)].size * n, moves, firsts)
-            alpha = table.T.ravel().tolist()
-            for bd in firsts:
-                step = (z, label[bd])
-                if step_orbit.setdefault((x, y, alpha[bd]), step) != step:
-                    return False
+            if not unfact[(x, z)]:
+                continue
+            # (β, δ) and (h∘β, δ∘h⁻¹) are one class of the glued product
+            # hom(z, y) ×_{Aut(z)} hom(x, z); the composite δ∘β is at
+            # alpha[β][δ]
+            label = biset_product(cat.homs[(z, y)], cat.homs[(x, z)],
+                                  cat.groups[z]).class_of
+            alpha = table.T.tolist()
+            for b in unfact[(x, z)]:
+                for c, a in zip(label[b], alpha[b]):
+                    if step_orbit.setdefault((x, y, a), (z, c)) != (z, c):
+                        return False
     return True
 
 

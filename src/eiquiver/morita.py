@@ -62,8 +62,8 @@ import numpy as np
 
 from . import linalg
 from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
-from .eicat import (CLOSURE_CHUNK, EICategory, incoming_tables,
-                    orbit_representatives)
+from .eicat import (CLOSURE_CHUNK, MAX_ELEMENT_ENTRIES, EICategory,
+                    incoming_tables, orbit_representatives)
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, pidentity
 from .quiveralg import BuiltQuiver
@@ -82,12 +82,6 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
     for s, kids, parents in group.word_levels:
         mats[kids] = linalg.matmul(mats[parents], gen_mats[s], p)
     return mats
-
-
-# The most int64 entries check_group_rep may store: one dim x dim matrix
-# per group element, which the document's generator matrices (two for
-# S6) do not bound.
-MAX_ELEMENT_ENTRIES = 1 << 22
 
 
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):

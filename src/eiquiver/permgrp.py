@@ -21,14 +21,14 @@ actions, and is the plain definition the tables must match.
 
 orbits is the package's one orbit search, numbering orbits by least
 member: conjugacy classes, two-sided hom-set orbits, glued-biset
-classes, the first-step orbits of the unique-factorization test, the
-cosets of a quotient and the derived subgroup (the orbit of the
-identity under its generators' Cayley rows) are all orbits of a few
-permutations.  A subgroup is a short list of generators (Holt, Eick
-and O'Brien, section 4.1), SubgroupHandle.generator_positions, whose
-closure by enumerate_group, the one closure routine, certifies its
-members.  Normality, cosets and as_group need only those generators,
-at most log2 of its order.
+classes (freecover.biset_product, which the free category's composites
+and the unique-factorization test read), the cosets of a quotient and
+the derived subgroup (the orbit of the identity under its generators'
+Cayley rows) are all orbits of a few permutations.  A subgroup is a
+short list of generators (Holt, Eick and O'Brien, section 4.1),
+SubgroupHandle.generator_positions, whose closure by enumerate_group,
+the one closure routine, certifies its members.  Normality, cosets and
+as_group need only those generators, at most log2 of its order.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image

@@ -393,6 +393,40 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
         "exceeds" in err and err.count("\n") == 1
 
 
+def test_a_hom_whose_action_tables_are_past_their_bound_is_refused(
+        capsys, tmp_path):
+    # S7 acting on 100,000 points from a trivial object: two generator
+    # rows in the document, but 5040 x 100,000 entries in left_elem
+    s7 = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    f = tmp_path / "s7_hom.json"
+    f.write_text(json.dumps({
+        "objects": [{"id": "x", "degree": 1, "generators": []},
+                    {"id": "y", "degree": 7, "generators": s7}],
+        "homs": [{"from": "x", "to": "y", "size": 100000,
+                  "left_action": [list(range(100000))] * 2,
+                  "right_action": []}]}))
+    with address_space_limit(512 * 2**20):
+        code, out, err = run(capsys, "validate", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: too-large: hom x->y: ") and \
+        err.count("\n") == 1
+
+
+def test_a_glued_product_is_held_to_the_path_bound(capsys, tmp_path):
+    # x -> y -> z, two arrows of 10 between trivial groups: the path
+    # biset x -> z has 100 elements
+    doc = _one_hom(10, "ei-quiver")
+    doc["objects"].append({"id": "z", "degree": 1, "generators": []})
+    doc["homs"].append(dict(doc["homs"][0], **{"from": "y", "to": "z"}))
+    f = tmp_path / "two_arrows.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "--max-paths", "100", "validate", str(f))
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "--max-paths", "99", "validate", str(f))
+    assert (code, err) == (2, "validation error: path-bound: a path biset "
+                              "exceeds 99 elements\n")
+
+
 def test_a_character_table_past_its_bound_is_refused(capsys, tmp_path):
     # C2^12 on 12 disjoint transpositions: 4,096 classes of one element,
     # 2^24 table values where chartab.MAX_TABLE_ENTRIES is 2^22

@@ -609,3 +609,15 @@ def test_closure_check_in_chunks(monkeypatch, chunk):
     got = _outcome(validate_category, bad)
     assert got == _outcome(ref.validate_category, bad)
     assert got[1] == "associativity" and "w->x->y->z at (2," in got[2]
+
+
+def test_the_action_table_bound_is_checked_at_its_edge(monkeypatch):
+    # S3 acting on the 6 elements of hom x -> y: 36 entries in left_elem
+    from eiquiver import eicat
+    doc = fixture_doc("two_object_trivial_s3")
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 36)
+    assert load_category(doc).morphism_count() == 1 + 6 + 6
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 35)
+    with pytest.raises(ValidationError,
+                       match="^too-large: hom x->y: .* needs 36 "):
+        load_category(doc)

@@ -4,15 +4,17 @@ sizes and the Cartan matrix against the quiver's path counts."""
 
 import hashlib
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
-from conftest import fixture_doc, large_cover_document
+from conftest import fixture_doc, large_cover_document, trivial_line
 from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of, load_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
                                 free_cover, generate_free_category, is_free)
-from eiquiver.permgrp import pmul
+from eiquiver.permgrp import orbits, pmul
 from eiquiver.quiveralg import build_quiver
 from groups import hom_size, named_group
 from kernel_reference import cartan_matrix, is_free_by_cover, path_counts
@@ -116,6 +118,21 @@ def test_path_bound():
     with pytest.raises(ValidationError) as exc:
         load_category(doc, max_paths=2)
     assert exc.value.finding == "path-bound"
+
+
+def test_a_glued_product_past_the_path_bound_is_refused_unglued():
+    # x -> y -> z, two arrows of 100,000 between trivial groups: a label
+    # per pair of the product would take 10^10 entries
+    doc = trivial_line("xyz", size=100000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as exc:
+            load_category(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "path-bound: a path biset exceeds 100000 elements"
+    assert peak < 20 * 2**20
 
 
 def test_free_cover_of_free_category(categories):
@@ -230,6 +247,56 @@ def test_free_category_element_order_pinned():
         doc = (fixture_doc(key) if isinstance(key, str)
                else random_quiver_document(random.Random(key)))
         assert free_category_digest(load_category(doc)) == want, key
+
+
+def path_bisets(quiv):
+    """Every path's biset, by arrow-index path, folded over its arrows
+    with biset_product."""
+    biset = {(i,): a for i, a in enumerate(quiv.arrows)}
+    frontier = list(biset)
+    while frontier:
+        path = frontier.pop()
+        for i, a in enumerate(quiv.arrows):
+            if a.source == biset[path].target:
+                biset[path + (i,)] = biset_product(a, biset[path],
+                                                   quiv.groups[a.source])
+                frontier.append(path + (i,))
+    return biset
+
+
+def test_glued_path_bisets_are_numbered_as_the_concatenated_path():
+    # biset_product's numbering lemma, for outer factors of any length:
+    # the free category's composites read these products' classes
+    long_outer = parallel = 0
+    for seed in [k for k in PINNED_DIGESTS if isinstance(k, int)]:
+        quiv = ei_quiver_of(load_category(
+            random_quiver_document(random.Random(seed))))
+        biset = path_bisets(quiv)
+        ends = [(b.source, b.target) for b in biset.values()]
+        parallel += len(ends) - len(set(ends))
+        for r, q in product(biset, repeat=2):
+            if biset[r].target != biset[q].source:
+                continue
+            glued = biset_product(biset[q], biset[r],
+                                  quiv.groups[biset[q].source])
+            whole = biset[r + q]
+            assert (glued.size, glued.left_gen, glued.right_gen) == \
+                (whole.size, whole.left_gen, whole.right_gen), (seed, r, q)
+            long_outer += len(q) >= 2
+    assert long_outer > 0 and parallel > 0
+
+
+def test_the_freeness_test_glues_only_where_a_first_step_exists(
+        monkeypatch):
+    # on a line of 30 trivial objects, hom(x, z) holds an unfactorizable
+    # only for z = x + 1: C(29, 2) of the C(30, 3) tables have first steps
+    from eiquiver import freecover
+    cat = load_category(trivial_line([f"o{i}" for i in range(30)]))
+    calls = []
+    monkeypatch.setattr(freecover, "orbits",
+                        lambda *a: calls.append(a) or orbits(*a))
+    assert category_has_ufp(cat)
+    assert len(calls) == 406
 
 
 def s3_chain_document(k):
