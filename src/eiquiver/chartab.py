@@ -33,10 +33,12 @@ one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
 every character table on (p, group.key) and every irreducible model
-(morita.irreducible_model) on (p, group.key, i).  group.key names a
-group's generators and element order, and a table or model is a
+(morita.irreducible_model) on (p, group.key, i).  Equal live groups are
+one object (permgrp interns them), so group.key, never reused, names a
+group's generators and element order; a table or model is a
 deterministic function of those and p, so a hit is exactly what a fresh
-computation would give.
+computation would give.  A table holds its group, which therefore stays
+interned, with its Cayley rows, as long as the table is cached.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
     """The character table of g over F_p, computed once per (p, g.key).
     The prime is certified for g on every call, so it splits g and a new
     table that fails a check is a bug (InvariantError).  A hit returns
-    the table of the first equal group seen, whose group is equal to g."""
+    the cached table, whose group is g: equal groups are one object."""
     prime.certify(g)
     key = (prime.p, g.key)
     if key not in _MODEL_CACHE:

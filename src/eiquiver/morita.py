@@ -90,16 +90,15 @@ def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
     MAX_ELEMENT_ENTRIES.  The relations hold exactly when the matrix of
     e * s_k is that of e times s_k's for every element e and generator
     s_k (permgrp.respects_relations): one batched product per generator,
-    read against PermGroup.right_products."""
+    read against PermGroup.generator_maps."""
     if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
         raise ValidationError(
             "too-large", f"a group of order {len(group)} in dimension {dim} "
             f"needs {len(group) * dim * dim} matrix entries, more than "
             f"{MAX_ELEMENT_ENTRIES}")
     mats = element_matrices(group, gen_mats, dim, p)
-    for s, g in zip(group.generators, gen_mats):
-        if not np.array_equal(mats[group.right_products(s)],
-                              linalg.matmul(mats, g, p)):
+    for times_s, g in zip(group.generator_maps, gen_mats):
+        if not np.array_equal(mats[times_s], linalg.matmul(mats, g, p)):
             raise ValidationError(
                 "not-a-representation",
                 "generator matrices violate the group relations")

@@ -30,6 +30,15 @@ SubgroupHandle.generator_positions, whose closure by enumerate_group,
 the one closure routine, certifies its members.  Normality, cosets and
 as_group need only those generators, at most log2 of its order.
 
+Groups are interned: enumerate_group and as_group return the one live
+PermGroup of the given generators (and elements), kept in a table of
+weak references, so the BFS runs once per distinct live group.  Its
+inverse table, word levels, generator maps and Cayley rows are built
+once and live as long as any holder of the shared group does: a
+category, a memo, or a character table in chartab._MODEL_CACHE.  They
+are pure functions of the generators and elements, and lazy caches are
+the only state a shared group changes.
+
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
 sequences.  Every downstream artifact (class order, character rows, quiver
@@ -40,8 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -105,8 +115,8 @@ def respects_relations(group: PermGroup, images, gen_images, product) -> bool:
     this holds exactly when images (from word_products) does not depend
     on the words chosen, that is, when the generator images satisfy the
     group's relations."""
-    for k, s in enumerate(group.generators):
-        for e, es in enumerate(group.right_products(s).tolist()):
+    for k, times_s in enumerate(group.generator_maps):
+        for e, es in enumerate(times_s):
             if images[es] != product(images[e], gen_images[k]):
                 return False
     return True
@@ -120,6 +130,11 @@ class PermGroup:
     index_of: dict[Perm, int] = field(compare=False, repr=False)
     # word in generator indices reaching each element from the identity
     words: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # a small integer naming this group, never reused: equal live groups
+    # are one object (_INTERNED), so they share one key, and a cache keyed
+    # on it hashes one int per lookup instead of the element list
+    key: int = field(default_factory=count().__next__, init=False,
+                     compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -229,16 +244,14 @@ class PermGroup:
         Cayley row per element."""
         return self.positions(self.array[:, np.asarray(s, dtype=np.intp)])
 
+    @cached_property
+    def generator_maps(self) -> list[list[int]]:
+        """right_products of each generator, as lists: element e times
+        generator k is element generator_maps[k][e]."""
+        return [self.right_products(s).tolist() for s in self.generators]
+
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
-
-    @cached_property
-    def key(self) -> int:
-        """A small integer naming this group's generators and elements:
-        equal groups get equal keys, and a cache keyed on it hashes one
-        int per lookup instead of the element list."""
-        return _GROUP_KEYS.setdefault((self.generators, self.elements),
-                                      len(_GROUP_KEYS))
 
     @cached_property
     def exponent(self) -> int:
@@ -255,14 +268,27 @@ class PermGroup:
         return e
 
 
-_GROUP_KEYS: dict = {}
+# Every live group once, weakly: (degree, generators) names the group
+# enumerate_group made of them, (degree, generators, elements) the one
+# _generated returned for them.
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
 
 
 def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) -> PermGroup:
     """Generate the closure of the given permutations, BFS from identity;
     a non-permutation or more than bound elements is ValidationError
-    ("bad-group")."""
+    ("bad-group").  A live group of the same generators is returned as
+    it is, without a BFS."""
     gens = tuple(check_perm(g, degree) for g in generators)
+    if (group := _INTERNED.get((degree, gens))) is None:
+        group = _INTERNED[degree, gens] = _enumerate(degree, gens, bound)
+    elif len(group) > bound:
+        raise ValidationError("bad-group", f"group closure exceeds bound {bound}")
+    return group
+
+
+def _enumerate(degree: int, gens: tuple[Perm, ...], bound: int) -> PermGroup:
+    """enumerate_group's BFS."""
     ident = pidentity(degree)
     elements: list[Perm] = [ident]
     words: list[tuple[int, ...]] = [()]
@@ -377,8 +403,9 @@ class SubgroupHandle:
 
     def as_group(self) -> PermGroup:
         """The subgroup as a standalone PermGroup generated by its
-        generator positions, elements in parent order.  Built on every
-        call: kept on the handle, it would live as long as its orbit."""
+        generator positions, elements in parent order.  Looked up on
+        every call (kept on the handle, it would live as long as its
+        orbit): built only when no equal group is live."""
         e = self.parent.elements
         return _generated(self.parent.degree,
                           [e[k] for k in self.generator_positions],
@@ -435,7 +462,8 @@ class QuotientGroup:
         """Left-regular permutation model, in coset order: element q is
         the permutation c -> q*c of coset indices, a row of the table,
         generated by the distinct non-identity cosets (coset 0 holds the
-        identity) of the base's generators; built on every call."""
+        identity) of the base's generators; looked up on every call and
+        built only when no equal group is live."""
         cosets = dict.fromkeys(self.projection[s]
                                for s in self.base.generator_positions)
         return _generated(len(self), [self.table[q] for q in cosets if q],
@@ -454,14 +482,20 @@ def _closure(degree: int, gens, bound: int) -> PermGroup:
 def _generated(degree: int, gens, elements) -> PermGroup:
     """The group generated by gens with its elements in the given order,
     each with its word from the closure's BFS; InvariantError unless that
-    closure is exactly elements."""
-    closure = _closure(degree, gens, len(elements))
-    index_of = {e: k for k, e in enumerate(elements)}
-    if closure.index_of.keys() != index_of.keys():
-        raise InvariantError("generators miss an element of their group")
-    words = closure.words
-    return PermGroup(degree, closure.generators, tuple(elements), index_of,
-                     tuple(words[closure.index_of[e]] for e in elements))
+    closure is exactly elements.  A live group of the same generators
+    and elements is returned as it is: the closure itself, when elements
+    are in its BFS order, so equal live groups are one object."""
+    key = (degree, tuple(gens), tuple(elements))
+    if (group := _INTERNED.get(key)) is None:
+        closure = _closure(degree, gens, len(elements))
+        index_of = {e: k for k, e in enumerate(elements)}
+        if closure.index_of.keys() != index_of.keys():
+            raise InvariantError("generators miss an element of their group")
+        words = closure.words
+        group = _INTERNED[key] = closure if closure.elements == key[2] \
+            else PermGroup(degree, closure.generators, key[2], index_of,
+                           tuple(words[closure.index_of[e]] for e in elements))
+    return group
 
 
 def derived_cosets(g: PermGroup) -> tuple[np.ndarray, list[np.ndarray]]:

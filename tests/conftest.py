@@ -63,6 +63,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"  criterion {n}: {results[n]}")
 
 
+@pytest.fixture
+def fresh_groups():
+    """Start the test from empty permgrp intern tables: every group it
+    builds is a new object, so it sees the first-time work (Cayley rows,
+    generator maps, tables under a new key) that an equal group left
+    live by an earlier test would otherwise have done already.  Returns
+    the function that empties them, to call again within the test."""
+    from eiquiver import permgrp
+    permgrp._INTERNED.clear()
+    return permgrp._INTERNED.clear
+
+
 @pytest.fixture(scope="session")
 def categories():
     """All bundled category fixtures, loaded once."""

@@ -147,7 +147,7 @@ def test_a_matrix_that_moves_the_start_is_an_invariant_error():
                                            start, 13)
 
 
-def test_a_large_abelian_table_holds_one_array():
+def test_a_large_abelian_table_holds_one_array(fresh_groups):
     # C500's rows are one 500 x 500 int64 array (1.9 MiB), not 250,000
     # Python ints in tuples (9.9 MiB in all); the group is fresh, so its
     # own cached arrays count too
@@ -220,8 +220,8 @@ def test_a_table_past_the_entry_bound_is_refused(monkeypatch):
 
 
 def _s3_mod_c3():
-    """A fresh quotient S3/C3: each call gives a distinct as_group()
-    object with the same key."""
+    """A fresh quotient S3/C3: each call builds a new quotient, whose
+    as_group() is the one live group of its generators and elements."""
     kernel = SubgroupHandle(
         S3, tuple(closure_positions(S3, [S3.index_of[(1, 2, 0)]])))
     return quotient(whole_group(S3), kernel).as_group()
@@ -229,13 +229,13 @@ def _s3_mod_c3():
 
 def test_cached_table_equals_a_fresh_one():
     first, second = _s3_mod_c3(), _s3_mod_c3()
-    assert first is not second and first.key == second.key
+    assert first is second
     pairs = [(named_group(n), named_group(n)) for n in CATALOG]
     for g, again in pairs + [(first, second)]:
         prime = choose_splitting_prime([g])
         cached = character_table(g, prime)
         hit = character_table(again, prime)
-        # a hit is the first equal group's table, equal to the caller's
+        # a hit is the cached table, whose group equals the caller's
         assert hit is cached and hit.group == again
         _MODEL_CACHE.clear()
         fresh = character_table(again, prime)
@@ -261,7 +261,7 @@ def test_equal_group_does_no_elimination(monkeypatch):
     _MODEL_CACHE.clear()
     gens = ((1, 2, 3, 0), (1, 0, 3, 2))
     d4, again = enumerate_group(4, gens), enumerate_group(4, gens)
-    assert d4 is not again and d4 == again
+    assert d4 is again
     prime = choose_splitting_prime([d4])
     table = character_table(d4, prime)
     assert len(calls) == 1

@@ -463,6 +463,20 @@ def test_oracle_reads_the_tables_where_a_dense_product_table_would_not_fit(
     assert len(lines) == 3
 
 
+def test_max_group_holds_for_a_group_already_loaded(capsys, tmp_path,
+                                                    fresh_groups):
+    s4 = tmp_path / "s4.json"
+    s4.write_text(json.dumps({"mode": "ei-quiver", "homs": [], "objects": [
+        {"id": "x", "degree": 4,
+         "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}]}))
+    cold = run(capsys, "--max-group", "23", "validate", str(s4))
+    assert run(capsys, "validate", str(s4))[0] == 0
+    # S4 is live in this process now; the bound still refuses it
+    assert run(capsys, "--max-group", "23", "validate", str(s4)) == cold
+    assert cold[0] == 2 and "bad-group: group closure exceeds bound 23" \
+        in cold[2]
+
+
 def test_max_paths_bound(capsys):
     code, _, err = run(capsys, "--max-paths", "2",
                        "validate", fx("four_object_mixed"))

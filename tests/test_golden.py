@@ -64,7 +64,7 @@ def test_golden_output(case):
     assert run_cli(CASES[case]) == EXPECTED[case]
 
 
-def test_json_cases_in_reverse_order_from_a_cold_cache():
+def test_json_cases_in_reverse_order_from_a_cold_cache(fresh_groups):
     # tables and models persist across calls in one process; the order
     # in which they were filled must never reach the output
     _MODEL_CACHE.clear()

@@ -249,7 +249,7 @@ def test_a_non_multiplicative_linear_row_is_an_invariant_error(
         irreducible_model(g, wrong, i)
 
 
-def test_linear_models_do_no_elimination(monkeypatch):
+def test_linear_models_do_no_elimination(monkeypatch, fresh_groups):
     # a linear character is its own model: no elimination and no Cayley
     # table, only the rows of the generators
     groups = [enumerate_group(g.degree, g.generators) for g in map(

@@ -1,10 +1,14 @@
 """Group enumeration, conjugacy classes, subgroups and quotients."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 
+from eiquiver import permgrp
+from eiquiver.eicat import load_category
 from eiquiver.errors import InvariantError, ValidationError
 from eiquiver.permgrp import (PermGroup, QuotientGroup, SubgroupHandle,
                               check_perm, conjugacy_classes, class_index_of,
@@ -12,7 +16,8 @@ from eiquiver.permgrp import (PermGroup, QuotientGroup, SubgroupHandle,
                               quotient)
 from groups import (identity_pos, mul, named_group, pinv, trivial_subgroup,
                     whole_group)
-from randcats import closure_positions
+from randcats import (closure_positions, explicit_document,
+                      random_quiver_document)
 
 S3 = named_group("S3")
 
@@ -53,6 +58,85 @@ def test_enumeration_is_deterministic():
 def test_enumeration_bound():
     with pytest.raises(ValidationError, match="^bad-group: "):
         enumerate_group(3, [[1, 0, 2], [1, 2, 0]], bound=3)
+
+
+S4_GENS = ((1, 0, 2, 3), (1, 2, 3, 0))
+
+
+def test_an_interned_group_is_held_to_the_bound(fresh_groups):
+    with pytest.raises(ValidationError) as cold:
+        enumerate_group(4, S4_GENS, bound=23)
+    s4 = enumerate_group(4, S4_GENS)
+    with pytest.raises(ValidationError) as hit:
+        enumerate_group(4, S4_GENS, bound=23)
+    assert (hit.value.finding, str(hit.value)) == \
+        (cold.value.finding, str(cold.value)) == \
+        ("bad-group", "bad-group: group closure exceeds bound 23")
+    assert enumerate_group(4, S4_GENS, bound=24) is s4
+
+
+def test_equal_generators_give_one_group(fresh_groups):
+    s4 = enumerate_group(4, S4_GENS)
+    assert enumerate_group(4, [list(s) for s in S4_GENS]) is s4
+    # the same group from its generators in the other order is another
+    # object, with the BFS words of those generators (each BFS layer is
+    # sorted, so here the elements come in the same order)
+    swapped = enumerate_group(4, S4_GENS[::-1])
+    assert swapped is not s4 and swapped.generators == S4_GENS[::-1]
+    assert swapped.elements == s4.elements and swapped.words != s4.words
+    assert swapped.key != s4.key
+    assert enumerate_group(4, S4_GENS[::-1]) is swapped
+    # as_group looks its groups up by generators and elements alike
+    a4 = SubgroupHandle(s4, _even_positions(s4))
+    assert a4.as_group() is a4.as_group()
+    assert SubgroupHandle(s4, a4.member_positions).as_group() is \
+        a4.as_group()
+    # A4 in S4's order and A4 in the BFS order of the same generators
+    a4_bfs = enumerate_group(4, a4.as_group().generators)
+    assert a4_bfs is not a4.as_group()
+    assert a4_bfs.elements != a4.as_group().elements
+
+
+def test_the_intern_table_holds_its_groups_weakly(fresh_groups):
+    gens = ((1, 2, 3, 4, 5, 6, 0), (6, 5, 4, 3, 2, 1, 0))
+    g = enumerate_group(7, gens)
+    dead = weakref.ref(g)
+    assert permgrp._INTERNED[(7, gens)] is g
+    del g
+    gc.collect()
+    assert dead() is None
+    assert (7, gens) not in permgrp._INTERNED
+    assert len(permgrp._INTERNED) == 0
+
+
+def test_a_reload_enumerates_no_live_group_again(fresh_groups, monkeypatch):
+    # seed 5's first document loads: four objects, 46 morphisms
+    doc = random_quiver_document(random.Random(5))
+    fresh_groups()   # drawing the document built groups
+    runs = []
+    bfs = permgrp._enumerate
+
+    def counted(degree, gens, bound):
+        runs.append((degree, gens))
+        return bfs(degree, gens, bound)
+
+    monkeypatch.setattr(permgrp, "_enumerate", counted)
+    cat = load_category(doc)
+    again = load_category(explicit_document(cat))
+    # one BFS per distinct group, none for the reload's equal groups
+    assert sorted(runs) == sorted({(g.degree, g.generators)
+                                   for g in cat.groups.values()})
+    assert all(again.groups[o] is cat.groups[o] for o in cat.objects)
+
+
+def test_generator_maps_are_the_generators_right_products(categories):
+    s4 = enumerate_group(4, S4_GENS)
+    groups = [S3, s4, named_group("Q8"), named_group("1")] + \
+        _as_groups(categories)
+    for g in groups:
+        assert len(g.generator_maps) == len(g.generators)
+        for times_s, s in zip(g.generator_maps, g.generators):
+            assert times_s == g.right_products(s).tolist()
 
 
 def _as_groups(categories):
@@ -257,7 +341,7 @@ def test_quotient_cosets_match_brute_force_on_s4():
 
 
 def test_quotient_by_a_normal_subgroup_takes_few_position_lookups(
-        monkeypatch):
+        monkeypatch, fresh_groups):
     s5 = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
     even = _even_positions(s5)
     calls = []
@@ -305,7 +389,7 @@ def _row_group(name: str) -> PermGroup:
 
 @pytest.mark.parametrize("name", ["C72", "D48", "S5", "A5 as_group",
                                   "S4/V4 as_group"])
-def test_cayley_rows_match_composition(name):
+def test_cayley_rows_match_composition(name, fresh_groups):
     # rows are gathers along the BFS words; the reference composes the
     # two permutations and looks the product up
     g = _row_group(name)
@@ -318,10 +402,12 @@ def test_cayley_rows_match_composition(name):
         assert g.row(i).tolist() == want[i]
     assert g.cayley.tolist() == want
     assert all(g.row(i).tolist() == want[i] for i in order)
+    fresh_groups()   # so that the whole table is built with no row kept
     assert _row_group(name).cayley.tolist() == want
 
 
-def test_whole_cayley_table_looks_up_each_generator_once(monkeypatch):
+def test_whole_cayley_table_looks_up_each_generator_once(monkeypatch,
+                                                         fresh_groups):
     g = _dihedral(24)
     calls = []
     positions = PermGroup.positions

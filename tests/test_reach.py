@@ -7,8 +7,9 @@ what reaches it.  No fixture's group has two characters of degree above
 and 3) is the one that reaches the split.
 
 Calls are recorded in process with sys.setprofile, from a cold model
-cache, so a function a cache would skip still counts as reached only if
-the CLI computes it.
+cache and empty group intern tables (the fresh_groups fixture), so a
+function a cache would skip still counts as reached only if the CLI
+computes it.
 """
 
 import ast
@@ -86,7 +87,7 @@ def reached_functions(argvs) -> tuple[set[tuple[str, int]], list[int]]:
     return reached, exits
 
 
-def test_every_function_is_reached_or_named(tmp_path):
+def test_every_function_is_reached_or_named(tmp_path, fresh_groups):
     quiver = CASES["text quiver four_object_mixed"]
     prime = run_cli(quiver)["stdout"].split()[1]
     s4 = tmp_path / "s4.json"
