@@ -106,12 +106,17 @@ def make_homset(source: str, target: str, size: int,
                               f"of order {order} acting on {size} elements "
                               f"needs {order * size} action entries, more "
                               f"than {MAX_ELEMENT_ENTRIES}")
-    ident = pidentity(size)
-    left_elem = word_products(tgt_group, left_gen, ident, pmul)
-    right_elem = word_products(src_group, right_gen, ident, _right_pmul)
-    hs = HomSet(source, target, size, left_gen, right_gen, left_elem, right_elem)
-    _check_actions(hs, src_group, tgt_group)
-    return hs
+    hom = f"{source}->{target}"
+    left_elem = _element_actions(hom, "left", tgt_group, size, left_gen, pmul)
+    right_elem = _element_actions(hom, "right", src_group, size, right_gen,
+                                  _right_pmul)
+    if any(pmul(lg, rg) != pmul(rg, lg)
+           for lg, rg in product(left_gen, right_gen)):
+        raise ValidationError("actions-not-commuting",
+                              f"left and right actions on hom {hom} do not "
+                              "commute")
+    return HomSet(source, target, size, left_gen, right_gen, left_elem,
+                  right_elem)
 
 
 def _right_pmul(acc: Perm, g: Perm) -> Perm:
@@ -119,21 +124,26 @@ def _right_pmul(acc: Perm, g: Perm) -> Perm:
     return pmul(g, acc)
 
 
-def _check_actions(hs: HomSet, src_group: PermGroup, tgt_group: PermGroup) -> None:
-    # the identity's word is empty, so word_products makes it act
-    # trivially: the identity laws hold by construction
-    for side, group, elem, gens, mul in (
-            ("left", tgt_group, hs.left_elem, hs.left_gen, pmul),
-            ("right", src_group, hs.right_elem, hs.right_gen, _right_pmul)):
+def _element_actions(hom: str, side: str, group: PermGroup, size: int,
+                     gens: tuple[Perm, ...], mul) -> tuple[Perm, ...]:
+    """Every element's action on one side of a hom, from its generators'
+    (word_products), or action-inconsistent unless they respect the
+    group's relations.  The identity's word is empty, so it acts
+    trivially: the identity laws hold by construction.  The images are
+    a pure function of the group and (side, size, gens), so they are
+    expanded and checked once per key while the group lives (its
+    certified_actions), and only once the check has passed.  The size
+    is part of the key: a trivial group has no generators, whatever the
+    hom's size."""
+    key = (side, size, gens)
+    if (elem := group.certified_actions.get(key)) is None:
+        elem = word_products(group, gens, pidentity(size), mul)
         if not respects_relations(group, elem, gens, mul):
             raise ValidationError("action-inconsistent",
-                                  f"{side} action on hom {hs.source}->{hs.target} "
-                                  "does not respect the group relations")
-    if any(pmul(lg, rg) != pmul(rg, lg)
-           for lg, rg in product(hs.left_gen, hs.right_gen)):
-        raise ValidationError("actions-not-commuting",
-                              f"left and right actions on hom "
-                              f"{hs.source}->{hs.target} do not commute")
+                                  f"{side} action on hom {hom} does not "
+                                  "respect the group relations")
+        group.certified_actions[key] = elem
+    return elem
 
 
 @dataclass(frozen=True)

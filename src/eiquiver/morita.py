@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -135,6 +136,15 @@ def projection_basis(coefs: np.ndarray, velems: np.ndarray,
     return canonical_span(stack * (d * linalg.inv_scalar(k, p) % p) % p, p)
 
 
+@lru_cache(maxsize=64)
+def _shuffled(n: int) -> np.ndarray:
+    """0..n-1 in commutant's fixed shuffled order, drawn once per group
+    order; read-only, since every caller shares it."""
+    order = np.array(random.Random(0).sample(range(n), n), dtype=np.intp)
+    order.setflags(write=False)
+    return order
+
+
 def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     """End_G(W), W spanned by w's columns in the regular module (w[piv]
     = I), in the nullspace echelon basis but from no Sylvester system.
@@ -153,7 +163,7 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     m, n = w.shape[1], len(inverse)
     if base is None:
         comm, h = np.zeros((0, m, m), np.int64), 0
-        order = inverse[random.Random(0).sample(range(n), n)]
+        order = inverse[_shuffled(n)]
         while len(comm) < m:
             if h == n:
                 raise InvariantError("right translations miss the commutant")

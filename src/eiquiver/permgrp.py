@@ -33,11 +33,20 @@ as_group need only those generators, at most log2 of its order.
 Groups are interned: enumerate_group and as_group return the one live
 PermGroup of the given generators (and elements), kept in a table of
 weak references, so the BFS runs once per distinct live group.  Its
-inverse table, word levels, generator maps and Cayley rows are built
-once and live as long as any holder of the shared group does: a
-category, a memo, or a character table in chartab._MODEL_CACHE.  They
-are pure functions of the generators and elements, and lazy caches are
-the only state a shared group changes.
+lazy caches are built once and live as long as any holder of the
+shared group does (a category, a memo, or a character table in
+chartab._MODEL_CACHE):
+  - the inverse table, word levels, generator maps and Cayley rows;
+  - certified_subgroups: the generator positions of each member set
+    SubgroupHandle.generator_positions certified a subgroup;
+  - certified_quotients: the cosets, projection and table of each
+    (base, kernel) pair of member sets quotient() accepted;
+  - certified_actions: the element images of each set of generator
+    images that respects_relations accepted (eicat._element_actions).
+Each is a pure function of the group and its key, so a hit gives what
+the checks would give again; the last three hold only ints, tuples and
+dicts of ints, never a handle or a group, and store nothing when a
+check fails.  Lazy caches are the only state a shared group changes.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -250,6 +259,24 @@ class PermGroup:
         generator k is element generator_maps[k][e]."""
         return [self.right_products(s).tolist() for s in self.generators]
 
+    # What the group has certified (see the module docstring): plain
+    # data only, stored once its checks pass.
+
+    @cached_property
+    def certified_subgroups(self) -> dict:
+        """Member positions -> generator positions."""
+        return {}
+
+    @cached_property
+    def certified_quotients(self) -> dict:
+        """(base members, kernel members) -> (cosets, projection, table)."""
+        return {}
+
+    @cached_property
+    def certified_actions(self) -> dict:
+        """eicat._element_actions's key -> element images."""
+        return {}
+
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
 
@@ -418,18 +445,22 @@ class SubgroupHandle:
         closure, so at most log2 of the subgroup's order remain.  Every
         member lies in the last closure, and no closure may outgrow the
         member count, so InvariantError unless the members are exactly
-        that closure, a subgroup."""
-        g = self.parent
-        kept: list[int] = []
-        closure = {pidentity(g.degree): 0}
-        for i in self.member_positions:
+        that closure, a subgroup.  The walk runs once per member set
+        while the parent lives (its certified_subgroups); a set that is
+        not a subgroup is not kept, and raises on every call."""
+        g, members = self.parent, self.member_positions
+        if (kept := g.certified_subgroups.get(members)) is not None:
+            return kept
+        kept, closure = [], {pidentity(g.degree): 0}
+        for i in members:
             if g.elements[i] not in closure:
                 kept.append(i)
                 closure = _closure(g.degree, [g.elements[k] for k in kept],
                                    len(self)).index_of
         if len(closure) != len(self):
             raise InvariantError("the members are not a subgroup")
-        return tuple(kept)
+        kept = g.certified_subgroups[members] = tuple(kept)
+        return kept
 
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
         """Whether other's generators conjugate this subgroup into itself,
@@ -541,12 +572,23 @@ def derived_cosets(g: PermGroup) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
-    """base/kernel on its cosets; its checks fail only on a bug."""
+    """base/kernel on its cosets; its checks fail only on a bug.  The
+    checks and the coset search run once per pair of member sets while
+    the parent lives (its certified_quotients); a hit is the same cosets
+    and table over the caller's handles."""
     g = base.parent
     if kernel.parent is not g:
         raise InvariantError("kernel and base live in different parent groups")
-    base_set = set(base.member_positions)
-    if not set(kernel.member_positions) <= base_set:
+    key = (base.member_positions, kernel.member_positions)
+    if (found := g.certified_quotients.get(key)) is None:
+        found = g.certified_quotients[key] = _quotient(base, kernel)
+    return QuotientGroup(base, kernel, *found)
+
+
+def _quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> tuple:
+    """quotient()'s checks, then its cosets, projection and table."""
+    g = base.parent
+    if not set(kernel.member_positions) <= set(base.member_positions):
         raise InvariantError("kernel is not contained in base")
     if not kernel.is_normal_in(base):
         raise InvariantError("kernel is not normal in base")
@@ -562,4 +604,4 @@ def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
         tuple(projection[j] for j in g.left_products(r, reps).tolist())
         for r in reps
     )
-    return QuotientGroup(base, kernel, tuple(cosets), projection, table)
+    return tuple(cosets), projection, table

@@ -18,7 +18,7 @@ from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from groups import hom_size, mul
 from kernel_reference import compose
 from randcats import (explicit_document, random_free_category,
-                      random_nonfree_category)
+                      random_nonfree_category, random_quiver_document)
 
 ALL_FIXTURES = ("line_quiver_free", "line_subcategory_nonfree",
                 "fork_merge_free", "fork_merge_nonfree", "one_object_c2",
@@ -187,6 +187,78 @@ def test_an_action_breaking_a_relation_is_action_inconsistent(side):
         load_category(doc)
     assert exc.value.finding == "action-inconsistent"
     assert f"{side} action on hom x->y" in str(exc.value)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_bad_action_after_a_good_one_is_still_action_inconsistent(
+        side, fresh_groups):
+    # C4 acts on 3 points first by a transposition, which respects its
+    # relations and is kept in C4's table, then by a 3-cycle, which does
+    # not: the same finding and message as from cold tables, every time
+    c4 = {"degree": 4, "generators": [[1, 2, 3, 0]]}
+    trivial = {"degree": 1, "generators": []}
+    x, y = (trivial, c4) if side == "left" else (c4, trivial)
+
+    def doc(action):
+        return {"mode": "explicit",
+                "objects": [{"id": "x", **x}, {"id": "y", **y}],
+                "homs": [{"from": "x", "to": "y", "size": 3,
+                          "left_action": [action] if side == "left" else [],
+                          "right_action": [action] if side == "right"
+                          else []}]}
+
+    def refusal():
+        with pytest.raises(ValidationError) as exc:
+            load_category(doc([1, 2, 0]))
+        return exc.value.finding, str(exc.value)
+
+    cold = refusal()
+    assert cold == ("action-inconsistent", f"action-inconsistent: {side} "
+                    "action on hom x->y does not respect the group "
+                    "relations")
+    good = load_category(doc([1, 0, 2]))
+    c4_group = good.groups["y" if side == "left" else "x"]
+    assert list(c4_group.certified_actions) == [(side, 3, ((1, 0, 2),))]
+    assert refusal() == refusal() == cold
+    assert list(c4_group.certified_actions) == [(side, 3, ((1, 0, 2),))]
+
+
+def test_trivial_groups_act_by_identities_of_each_homs_size():
+    # one trivial group serves every object, and its generator lists are
+    # empty whatever the size: the size tells its actions apart
+    doc = {"mode": "ei-quiver",
+           "objects": [{"id": o, "degree": 1, "generators": []}
+                       for o in "xyz"],
+           "homs": [{"from": a, "to": b, "size": size, "left_action": [],
+                     "right_action": []}
+                    for a, b, size in (("x", "y", 2), ("y", "z", 3))]}
+    cat = load_category(doc)
+    assert {hs.size for hs in cat.homs.values()} == {2, 3, 6}
+    for hs in cat.homs.values():
+        assert hs.left_elem == hs.right_elem == (tuple(range(hs.size)),)
+
+
+def test_a_reload_checks_each_action_once(fresh_groups, monkeypatch):
+    from eiquiver import eicat
+    doc = random_quiver_document(random.Random(5))
+    fresh_groups()   # drawing the document built groups
+    checks = []
+    respects = eicat.respects_relations
+
+    def counted(group, images, gens, mul):
+        checks.append((group.key, mul, len(images[0]), gens))
+        return respects(group, images, gens, mul)
+
+    monkeypatch.setattr(eicat, "respects_relations", counted)
+    cat = load_category(doc)
+    first = len(checks)
+    again = load_category(explicit_document(cat))
+    # once per distinct (group, side, size, generator images), and the
+    # reload shares the first load's element actions
+    assert first == len(checks) == len(set(checks)) > 0
+    for key, hs in cat.homs.items():
+        assert again.homs[key].left_elem is hs.left_elem
+        assert again.homs[key].right_elem is hs.right_elem
 
 
 # trivial groups and two arrows per step: no group acts, so a tampered

@@ -129,6 +129,82 @@ def test_a_reload_enumerates_no_live_group_again(fresh_groups, monkeypatch):
     assert all(again.groups[o] is cat.groups[o] for o in cat.objects)
 
 
+def test_a_member_set_is_certified_once_per_live_group(fresh_groups,
+                                                       monkeypatch):
+    s4 = enumerate_group(4, S4_GENS)
+    a4 = _even_positions(s4)
+    walks = []
+    closure = permgrp._closure
+    monkeypatch.setattr(permgrp, "_closure",
+                        lambda *a: walks.append(a) or closure(*a))
+    first = SubgroupHandle(s4, a4).generator_positions
+    assert walks
+    walks.clear()
+    # a second handle on the same members reads the first one's walk
+    assert SubgroupHandle(s4, tuple(a4)).generator_positions == first
+    assert walks == []
+    assert s4.certified_subgroups == {a4: first}
+    # a set that is not a subgroup is kept nowhere: it raises every time
+    for _ in range(2):
+        with pytest.raises(InvariantError):
+            SubgroupHandle(s4, a4[:3]).generator_positions
+        assert walks
+        walks.clear()
+    assert list(s4.certified_subgroups) == [a4]
+
+
+def test_a_repeated_quotient_tests_normality_once(fresh_groups, monkeypatch):
+    s4 = enumerate_group(4, S4_GENS)
+    tests = []
+    is_normal_in = SubgroupHandle.is_normal_in
+    monkeypatch.setattr(SubgroupHandle, "is_normal_in",
+                        lambda k, b: tests.append(k) or is_normal_in(k, b))
+    v4 = tuple(i for i, e in enumerate(s4.elements)
+               if all(e[e[j]] == j for j in range(4))
+               and sum(e[j] != j for j in range(4)) in (0, 4))
+    first = quotient(whole_group(s4), SubgroupHandle(s4, v4))
+    base, kernel = whole_group(s4), SubgroupHandle(s4, v4)
+    again = quotient(base, kernel)
+    assert len(tests) == 1
+    # the same cosets and table, over the caller's own handles
+    assert again.base is base and again.kernel is kernel
+    assert (again.cosets, again.projection, again.table) == \
+        (first.cosets, first.projection, first.table)
+    assert len(again.as_group()) == 6
+    # a non-normal kernel is refused on every call, and nothing is kept
+    c2 = tuple(sorted((s4.index_of[pidentity(4)], s4.index_of[S4_GENS[0]])))
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="not normal"):
+            quotient(whole_group(s4), SubgroupHandle(s4, c2))
+    assert len(tests) == 3
+    assert list(s4.certified_quotients) == [(whole_group(s4).member_positions,
+                                             v4)]
+
+
+def test_the_certificate_tables_make_no_reference_cycle(fresh_groups,
+                                                        monkeypatch):
+    from eiquiver import chartab
+    from eiquiver.quiveralg import build_quiver
+    # the model cache holds each table's group: start it empty, and drop
+    # what this category put there before looking
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    doc = random_quiver_document(random.Random(5))
+    fresh_groups()   # drawing the document built groups, kept by a cache
+    cat = load_category(doc)
+    quiver = build_quiver(cat)
+    groups = [weakref.ref(g) for g in cat.groups.values()]
+    assert any(g().certified_subgroups and g().certified_quotients
+               and g().certified_actions for g in groups)
+    gc.disable()
+    try:
+        chartab._MODEL_CACHE.clear()
+        del cat, quiver
+        # freed by reference counts alone, with no collector pass
+        assert [g() for g in groups] == [None] * len(groups)
+    finally:
+        gc.enable()
+
+
 def test_generator_maps_are_the_generators_right_products(categories):
     s4 = enumerate_group(4, S4_GENS)
     groups = [S3, s4, named_group("Q8"), named_group("1")] + \
