@@ -7,9 +7,14 @@ explicit composition tables for pairs of non-endomorphisms.  Composition
 with an endomorphism is always derived from the stored actions, never
 duplicated in tables.
 
-Validation is eager and total at load time: every axiom is checked
-exhaustively, which is affordable at the scales this tool targets, and
-every downstream computation silently assumes the axioms.
+An explicit document is validated eagerly and totally at load time:
+every axiom is checked exhaustively, which is affordable at the scales
+this tool targets, and every downstream computation silently assumes the
+axioms.  A category generated from an EI quiver (freecover) satisfies
+them by construction.  Its load checks only that it is connected, and
+its composition tables are a LazyTables, filled on the first read by the
+commands that read tables; the tests check the construction's tables
+against validate_category.
 
 A category is immutable once loaded, so what is derived from it is
 derived once: `EICategory.memo` keeps, per category, the index of its
@@ -17,14 +22,17 @@ composition tables (incoming_tables), its unfactorizables, its orbit
 representatives, its freeness and free cover per path bound
 (freecover), the stabilizer data of each representative (below) and,
 while a caller holds it, its quiver per splitting prime (quiveralg).
-Every caller shares the one cached object and must not modify it.  A
-build that raises caches nothing, so the next call raises again.
+A generated category's memo starts with what its construction knows:
+its unfactorizables, its freeness and its own free cover.  Every caller
+shares the one cached object and must not modify it.  A build that
+raises caches nothing, so the next call raises again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 from weakref import WeakValueDictionary
@@ -146,6 +154,28 @@ def _element_actions(hom: str, side: str, group: PermGroup, size: int,
     return elem
 
 
+class LazyTables(Mapping):
+    """A read-only mapping that fill() makes on its first read.  fill
+    must not refer to the category that holds the mapping: that would
+    be a reference cycle (see EICategory.memo)."""
+
+    def __init__(self, fill):
+        self._fill = fill
+
+    @cached_property
+    def _tables(self):
+        return self._fill()
+
+    def __getitem__(self, key):
+        return self._tables[key]
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self):
+        return len(self._tables)
+
+
 @dataclass(frozen=True)
 class MorphId:
     source: str
@@ -160,11 +190,11 @@ class EICategory:
     homs: dict[tuple[str, str], HomSet]
     # comp[(x, y, z)][outer][inner] = index in hom(x, z).  The tables are
     # tuples of Python ints, in document order (for a free category, the
-    # order they were generated in): a category written back out as an
-    # explicit document, one list per row, must load again, and
-    # load_category accepts only ints as table entries.  The folds read
-    # them as arrays through incoming_tables.
-    comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]]
+    # order they are generated in, on the first read of its LazyTables):
+    # a category written back out as an explicit document, one list per
+    # row, must load again, and load_category accepts only ints as table
+    # entries.  The folds read them as arrays through incoming_tables.
+    comp: Mapping[tuple[str, str, str], tuple[tuple[int, ...], ...]]
     topological_order: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)

@@ -12,6 +12,12 @@ biset_product is the one gluing routine: the fold, the composites and
 the freeness test below all read its classes.  Only the `cover` command
 and the loading of ei-quiver documents build a free category, and
 --max-paths bounds that build, each glued product before it is made.
+The build is the fold and the hom-sets.  The composites are glued into
+composition tables only when a command reads them (`oracle`, `functor`),
+and are never checked against the axioms at load: the category is
+free, with the one-arrow paths as its unfactorizables, by construction.
+tests/test_freecover.py validates the tables of generated categories
+instead.
 
 Freeness is decided by the source paper's definition: a category is free
 when every non-endomorphism factors uniquely into unfactorizables, up to
@@ -21,17 +27,20 @@ its first steps (z, β, δ), with β unfactorizable and δ∘β = α, all pass
 through one object z and form a single Aut(z)-orbit under
 h·(β, δ) = (h∘β, δ∘h⁻¹): one class of the glued product
 hom(z, y) ×_{Aut(z)} hom(x, z).  It reads only the composition tables and
-actions, so no free category is built to answer it.
+actions, so no free category is built to answer it.  A generated
+category's freeness is known from its construction, so is_free gives it
+without this test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import SchemaError, ValidationError
-from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory,
-                    EIQuiverData, _object_order, check_points, ei_quiver_of,
-                    incoming_tables, make_homset, validate_category)
+from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory, EIQuiverData,
+                    LazyTables, _check_connected, _object_order, check_points,
+                    ei_quiver_of, incoming_tables, make_homset)
 from .permgrp import PermGroup, is_int, orbits
 
 
@@ -164,13 +173,18 @@ def _quiver_paths(quiv: EIQuiverData, bound: int):
 
 def generate_free_category(quiv: EIQuiverData,
                            max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
-    """The free EI category on the quiver, as a fully explicit category.
+    """The free EI category on the quiver, with its composition tables
+    made on their first read.
 
     Each path biset is a left fold of biset_product over the path's
     arrows, memoised by prefix.  Hom elements are ordered by path (sorted),
-    then by class in least-tuple order.  The composites of two paths' hom
-    elements are their biset product's classes: by biset_product's
-    numbering lemma, it numbers them as the concatenated path's biset.
+    then by class in least-tuple order.  That fold and the hom-sets are
+    all the construction builds: it knows the rest.  The unfactorizables
+    are the classes of the one-arrow paths, the category is free, and it
+    is its own free cover, so its memo holds these from the start.  Its
+    comp is a LazyTables over _composition_tables and the kept path
+    bisets.  The axioms hold by construction, so only connectivity is
+    checked here; tests/test_freecover.py validates the tables.
     """
     paths = _quiver_paths(quiv, max_paths)
     biset: dict[tuple[int, ...], ArrowBiset] = {}
@@ -191,7 +205,7 @@ def generate_free_category(quiv: EIQuiverData,
                                   f"a path biset exceeds {max_paths} elements")
         biset[path] = b
 
-    homs = {}
+    homs, unfact = {}, {}
     base: dict[tuple[int, ...], int] = {}     # offset of a path's classes
     for (x, y), plist in paths.items():
         size = 0
@@ -206,7 +220,26 @@ def generate_free_category(quiv: EIQuiverData,
                           for k in range(len(quiv.groups[x].generators)))
         homs[(x, y)] = make_homset(x, y, size, left_gen, right_gen,
                                    quiv.groups[x], quiv.groups[y])
+        unfact[(x, y)] = tuple(base[p] + c for p in plist if len(p) == 1
+                               for c in range(biset[p].size))
 
+    _check_connected(quiv.objects, homs)
+    cat = EICategory(quiv.objects, dict(quiv.groups), homs, LazyTables(
+        lambda: _composition_tables(paths, biset, base, homs, quiv.groups)),
+        _object_order(quiv.objects, homs))
+    cat.memo("unfactorizables", lambda: MappingProxyType(unfact))
+    cat.memo("free", lambda: True)
+    # its quiver of unfactorizables is quiv again, so it is its own free
+    # cover at this bound (see free_cover)
+    cat.memo(("free_cover", max_paths), lambda: None)
+    return cat
+
+
+def _composition_tables(paths, biset, base, homs, groups) -> dict:
+    """The composition tables of generate_free_category's category, in
+    the order of its paths.  The composites of two paths' hom elements
+    are their biset product's classes: by biset_product's numbering
+    lemma, it numbers them as the concatenated path's biset."""
     # the block (qpath, rpath) of table (x, y, z): the composite of rc and
     # qc is their class in the product of the two path bisets
     outer_from: dict[str, list] = {}
@@ -221,21 +254,13 @@ def generate_free_category(quiv: EIQuiverData,
                     # glued over a one-arrow qpath, rpath is the fold's own
                     # step to rpath + qpath
                     glued = biset[rpath + qpath] if len(qpath) == 1 else \
-                        biset_product(biset[qpath], biset[rpath],
-                                      quiv.groups[y])
+                        biset_product(biset[qpath], biset[rpath], groups[y])
                     off, col = base[rpath + qpath], base[rpath]
                     for qc, classes in enumerate(zip(*glued.class_of)):
                         table[base[qpath] + qc][col:col + len(classes)] = \
                             [off + c for c in classes]
             comp[(x, y, z)] = tuple(map(tuple, table))
-
-    topo = _object_order(quiv.objects, homs)
-    cat = EICategory(quiv.objects, dict(quiv.groups), homs, comp, topo)
-    validate_category(cat)
-    # its quiver of unfactorizables is quiv again, so it is its own free
-    # cover at this bound (see free_cover)
-    cat.memo(("free_cover", max_paths), lambda: None)
-    return cat
+    return comp
 
 
 def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICategory:
@@ -243,7 +268,9 @@ def free_cover(cat: EICategory, max_paths: int = DEFAULT_PATH_BOUND) -> EICatego
     once per path bound through the category's memo.  A category that
     generate_free_category built (an ei-quiver document's, or a cover) is
     its own cover at the bound it was built at: its memo holds None there,
-    not the category itself, so that no reference cycle keeps it alive."""
+    not the category itself, so that no reference cycle keeps it alive.
+    The cover's hom-sets are built, its composition tables only once
+    read (generate_free_category)."""
     cover = cat.memo(("free_cover", max_paths), lambda: generate_free_category(
         ei_quiver_of(cat), max_paths=max_paths))
     return cat if cover is None else cover
@@ -309,5 +336,5 @@ def category_has_ufp(cat: EICategory) -> bool:
 
 def is_free(cat: EICategory) -> bool:
     """Whether the category is free: category_has_ufp, derived once per
-    category through its memo."""
+    category through its memo.  generate_free_category puts True there."""
     return cat.memo("free", lambda: category_has_ufp(cat))

@@ -12,10 +12,14 @@ largest number of non-isomorphisms that α is a composite of,
 
 read from the tables x -> z -> y, and rad^k is {ℓ ≥ k}.  Nothing larger
 than those tables is allocated.  rad/rad² = {ℓ = 1} must be exactly the
-unfactorizable morphisms.  Both are the morphisms in no table, so that
-comparison only guards the memo of `EICategory.unfactorizables`; what
-is independent of the quiver is ℓ ≥ 2, the fixed-point counts below and
-the integer bookkeeping of check_against_quiver.
+unfactorizable morphisms.  For a category loaded from explicit tables,
+both are the morphisms in no table, so that comparison only guards the
+memo of `EICategory.unfactorizables`.  For a category generated from an
+EI quiver (freecover), the unfactorizables are the construction's
+one-arrow paths and the tables are glued on this first read, so it
+checks the tables against the construction.  What is independent of
+the quiver is ℓ ≥ 2, the fixed-point counts below and the integer
+bookkeeping of check_against_quiver.
 
 Arrow multiplicities are then recomputed by a completely different
 route: the unfactorizable block of rad/rad² is an (Aut(y),

@@ -7,7 +7,8 @@ import weakref
 
 import pytest
 
-from conftest import fixture_doc, fixture_path, large_cover_document
+from conftest import (fixture_doc, fixture_path, large_cover_document,
+                      trivial_line)
 from eiquiver.cli import main
 from eiquiver.errors import OutOfMemory
 
@@ -508,6 +509,42 @@ def test_the_path_bound_limits_only_the_cover(tmp_path, capsys, monkeypatch):
         assert (code, err) == (0, ""), command
     code, _, err = run(capsys, "cover", str(f))
     assert code == 2 and "path-bound" in err
+
+
+def test_only_the_commands_that_read_tables_build_them(tmp_path, capsys,
+                                                      monkeypatch):
+    # a generated category's tables are glued on their first read: on a
+    # line of 40 objects (9,880 tables), the commands that read only the
+    # hom-sets, their actions and the unfactorizables glue none
+    from eiquiver import freecover
+    f = tmp_path / "line.json"
+    f.write_text(json.dumps(trivial_line([f"o{i}" for i in range(40)])))
+    calls = []
+    fill = freecover._composition_tables
+    monkeypatch.setattr(freecover, "_composition_tables",
+                        lambda *a: calls.append(a) or fill(*a))
+    for command in ("validate", "quiver", "is-free", "classify", "screen",
+                    "cover"):
+        code, _, err = run(capsys, command, str(f))
+        assert (code, err, calls) == (0, "", []), command
+    code, _, err = run(capsys, "oracle", str(f))
+    assert (code, err, len(calls)) == (0, "", 1)
+
+
+@pytest.mark.parametrize("command", ["validate", "quiver", "classify",
+                                     "screen", "cover", "is-free", "oracle",
+                                     "functor"])
+def test_a_disconnected_ei_quiver_document_is_refused(capsys, tmp_path,
+                                                      command):
+    doc = trivial_line(["a", "b", "c"])
+    doc["objects"].append({"id": "d", "degree": 1, "generators": []})
+    f = tmp_path / "disconnected.json"
+    f.write_text(json.dumps(doc))
+    rep = [fx("two_object_c2_s3_rep")] if command == "functor" else []
+    code, out, err = run(capsys, command, str(f), *rep)
+    assert (code, out) == (2, "")
+    assert err == ("validation error: disconnected: category is not "
+                   "connected as an object graph\n")
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -3,14 +3,16 @@ its references: the unique-factorization oracle, the free cover's hom
 sizes and the Cartan matrix against the quiver's path counts."""
 
 import hashlib
+import json
 import random
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from conftest import fixture_doc, large_cover_document, trivial_line
-from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of, load_category)
+from conftest import FIXTURES, fixture_doc, large_cover_document, trivial_line
+from eiquiver.eicat import (ArrowBiset, LazyTables, MorphId, ei_quiver_of,
+                            load_category, unfactorizables, validate_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
                                 free_cover, generate_free_category, is_free)
@@ -249,6 +251,49 @@ def test_free_category_element_order_pinned():
         assert free_category_digest(load_category(doc)) == want, key
 
 
+def _generated_categories():
+    """(name, category) for every ei-quiver fixture, the S3 chains of 3
+    to 8 objects, 200 random ei-quiver loads and the free covers of 200
+    random non-free categories."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if doc.get("mode") == "ei-quiver":
+            yield path.stem, load_category(doc)
+    for k in range(3, 9):
+        yield f"s3 chain {k}", load_category(s3_chain_document(k))
+    rng = random.Random(1103)
+    loads = 0
+    while loads < 200:
+        try:
+            cat = load_category(random_quiver_document(rng))
+        except ValidationError as e:
+            # a random quiver may come out disconnected
+            assert e.finding == "disconnected"
+            continue
+        yield f"quiver {loads}", cat
+        loads += 1
+    for i in range(200):
+        cover = free_cover(random_nonfree_category(rng, max_mor=120))
+        yield f"cover {i}", cover
+
+
+def test_generated_categories_satisfy_the_axioms_they_are_built_with():
+    # the check of generate_free_category: its load reads no table and
+    # runs no axiom check, and its memo holds the one-arrow paths as the
+    # unfactorizables and True as the freeness.  Here the tables are
+    # read, and each claim is checked against them
+    seen = 0
+    for name, cat in _generated_categories():
+        assert isinstance(cat.comp, LazyTables), name
+        tables = dict(cat.comp)
+        assert dict(cat.unfactorizables) == unfactorizables(cat), name
+        validate_category(cat)
+        assert category_has_ufp(cat), name
+        assert dict(cat.comp) == tables, name
+        seen += 1
+    assert seen == 2 + 6 + 200 + 200
+
+
 def path_bisets(quiv):
     """Every path's biset, by arrow-index path, folded over its arrows
     with biset_product."""
@@ -289,9 +334,12 @@ def test_glued_path_bisets_are_numbered_as_the_concatenated_path():
 def test_the_freeness_test_glues_only_where_a_first_step_exists(
         monkeypatch):
     # on a line of 30 trivial objects, hom(x, z) holds an unfactorizable
-    # only for z = x + 1: C(29, 2) of the C(30, 3) tables have first steps
+    # only for z = x + 1: C(29, 2) of the C(30, 3) tables have first steps.
+    # The tables of a generated category are glued on their first read,
+    # so they are read before the count starts
     from eiquiver import freecover
     cat = load_category(trivial_line([f"o{i}" for i in range(30)]))
+    assert len(cat.comp) == 4060
     calls = []
     monkeypatch.setattr(freecover, "orbits",
                         lambda *a: calls.append(a) or orbits(*a))

@@ -38,6 +38,8 @@ NOT_FROM_THE_CLI = {
     "errors.OutOfMemory.__init__": "the out-of-memory path of cli.main",
     "oracle.CategoryAlgebra.dim": "perfbench's oracle.build_algebra.dim "
                                   "counter",
+    "eicat.LazyTables.__len__": "tests (no command takes the number of "
+                                "tables)",
 }
 
 
