@@ -17,15 +17,16 @@ commands that read tables; the tests check the construction's tables
 against validate_category.
 
 A category is immutable once loaded, so what is derived from it is
-derived once: `EICategory.memo` keeps, per category, the index of its
-composition tables (incoming_tables), its unfactorizables, its orbit
-representatives, its freeness and free cover per path bound
-(freecover), the stabilizer data of each representative (below) and,
-while a caller holds it, its quiver per splitting prime (quiveralg).
-A generated category's memo starts with what its construction knows:
-its unfactorizables, its freeness and its own free cover.  Every caller
-shares the one cached object and must not modify it.  A build that
-raises caches nothing, so the next call raises again.
+derived once: `EICategory.memo`, one store, keeps per category the
+index of its composition tables (incoming_tables), its unfactorizables,
+its orbit representatives, its freeness and free cover per path bound
+(freecover), and each arrow orbit's data per splitting prime
+(quiveralg.orbit_data, which holds the orbit's stabilizer data).  No
+value refers back to its category, so nothing derived makes a
+reference cycle.  A generated category's memo starts with what its
+construction knows: its unfactorizables, its freeness and its own free
+cover.  Every caller shares the one cached object and must not modify
+it.  A build that raises caches nothing, so the next call raises again.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
-from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -198,27 +198,22 @@ class EICategory:
     topological_order: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
-    _weak_memo: WeakValueDictionary = field(
-        default_factory=WeakValueDictionary, init=False, compare=False,
-        repr=False)
 
     def morphism_count(self) -> int:
         return sum(len(g) for g in self.groups.values()) + \
             sum(h.size for h in self.homs.values())
 
-    def memo(self, key, build, weak: bool = False):
+    def memo(self, key, build):
         """build(), called once per key for this category; every later
         call returns the same object, shared read-only.  Nothing is
-        stored when build raises.  A value that refers back to the
-        category (weak=True) is kept only while a caller holds it: held
-        by the category, it would make a reference cycle that only the
-        garbage collector frees, and a pass over many categories would
-        keep them all alive meanwhile."""
-        store = self._weak_memo if weak else self._memo
+        stored when build raises.  A value must not refer back to the
+        category: held by it, that would make a reference cycle that
+        only the garbage collector frees, and a pass over many
+        categories would keep them all alive meanwhile."""
         try:
-            return store[key]
+            return self._memo[key]
         except KeyError:
-            value = store[key] = build()
+            value = self._memo[key] = build()
             return value
 
     @property
@@ -538,16 +533,12 @@ class StabilizerData:
 
 def stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
     """Pointwise and orbit-wise stabilizers of alpha and the quotient
-    G1/G0; once per alpha, through the category's memo.  The biset gives
-    G1/G0 ≅ H1/H0: h∘alpha = alpha∘g sends h to g's coset, so quotH is
-    H1 numbered on quotG's cosets and table.  G0, G1, H0 and H1 are
-    certified as subgroups by their generating sets
+    G1/G0.  The biset gives G1/G0 ≅ H1/H0: h∘alpha = alpha∘g sends h to
+    g's coset, so quotH is H1 numbered on quotG's cosets and table.  G0,
+    G1, H0 and H1 are certified as subgroups by their generating sets
     (SubgroupHandle.generator_positions), and the checks make that map a
-    homomorphism onto G1/G0 with kernel H0, so H0 is normal."""
-    return cat.memo(("stabilizer", alpha), lambda: _stabilizer_data(cat, alpha))
-
-
-def _stabilizer_data(cat: EICategory, alpha: MorphId) -> StabilizerData:
+    homomorphism onto G1/G0 with kernel H0, so H0 is normal.  Not
+    memoised here: quiveralg.orbit_data keeps it, once per orbit."""
     hs = cat.homs[(alpha.source, alpha.target)]
     G = cat.groups[alpha.source]
     H = cat.groups[alpha.target]

@@ -28,13 +28,14 @@ Cayley rows) are all orbits of a few permutations.  A subgroup is a
 short list of generators (Holt, Eick and O'Brien, section 4.1),
 SubgroupHandle.generator_positions, whose closure by enumerate_group,
 the one closure routine, certifies its members.  Normality, cosets and
-as_group need only those generators, at most log2 of its order.
+a quotient's as_group need only those generators, at most log2 of its
+order.
 
-Groups are interned: enumerate_group and as_group return the one live
-PermGroup of the given generators (and elements), kept in a table of
-weak references, so the BFS runs once per distinct live group.  Its
-lazy caches are built once and live as long as any holder of the
-shared group does (a category, a memo, or a character table in
+Groups are interned: enumerate_group and QuotientGroup.as_group return
+the one live PermGroup of the given generators (and elements), kept in
+a table of weak references, so the BFS runs once per distinct live
+group.  Its lazy caches are built once and live as long as any holder
+of the shared group does (a category, a memo, or a character table in
 chartab._MODEL_CACHE):
   - the inverse table, word levels, generator maps and Cayley rows;
   - certified_subgroups: the generator positions of each member set
@@ -216,7 +217,8 @@ class PermGroup:
         word, for words of length 1).  Every parent's word is shorter,
         so images along the words can be built one level at a time, one
         batched product per entry, whatever the element order: in the
-        groups of as_group a parent may come after its children."""
+        groups of QuotientGroup.as_group a parent may come after its
+        children."""
         word_pos, levels = self._word_pos, {}
         for i, w in enumerate(self.words):
             if w:
@@ -231,8 +233,8 @@ class PermGroup:
     def cayley(self) -> np.ndarray:
         """The whole Cayley table, cayley[i] = row(i), for callers that
         read every row; the kept rows become views of the table.  In the
-        groups of as_group a word-parent may come after its children, so
-        a row may first build its parents' rows."""
+        groups of QuotientGroup.as_group a word-parent may come after its
+        children, so a row may first build its parents' rows."""
         n = len(self)
         table = np.empty((n, n), dtype=np.int32)
         for i in range(n):
@@ -399,8 +401,9 @@ def conjugacy_classes(g: PermGroup) -> list[ConjClass]:
     """Classes in order of first appearance in the element enumeration
     (the identity class always comes first), found as orbits under
     conjugation by g's generators: O(|G|) lookups per generator.  The
-    groups of as_group have at most log2|G| generators; a document's
-    group has the ones it lists, all its elements if it lists them."""
+    groups of QuotientGroup.as_group have at most log2|G| generators; a
+    document's group has the ones it lists, all its elements if it lists
+    them."""
     a = g.array
     conj = []   # conj[k][j]: position of s^-1 * element j * s, s = gens[k]
     for s in g.generators:
@@ -427,16 +430,6 @@ class SubgroupHandle:
 
     def __len__(self) -> int:
         return len(self.member_positions)
-
-    def as_group(self) -> PermGroup:
-        """The subgroup as a standalone PermGroup generated by its
-        generator positions, elements in parent order.  Looked up on
-        every call (kept on the handle, it would live as long as its
-        orbit): built only when no equal group is live."""
-        e = self.parent.elements
-        return _generated(self.parent.degree,
-                          [e[k] for k in self.generator_positions],
-                          [e[i] for i in self.member_positions])
 
     @cached_property
     def generator_positions(self) -> tuple[int, ...]:

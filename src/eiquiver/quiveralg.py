@@ -9,13 +9,20 @@ stabilizer quotients G1/G0 ≅ H1/H0, the number of arrows from (x, V) to
 
 summed over the irreducibles U of G1/G0.  H1/H0 is numbered through the
 biset on G1/G0's cosets (eicat.stabilizer_data), so one U inflates to
-both sides.  Each orbit takes two products: the matrix of
-⟨V↓G1, infl U⟩ over every (V, U), and that of ⟨W↓H1, infl U⟩ over every
-(W, U).  All multiplicities are exact integers recovered from F_p inner
-products.  OrbitData keeps both matrices, which the functor's κ and μ
-bases must match (morita).  Every build checks that arrows point forward
-(assert_acyclic) and that e = f = 1 at the trivial U, V and W, so each
-orbit gives one x:X0 -> y:X0 unit: the embedded EI quiver.
+both sides.
+
+orbit_data is the one routine for an orbit's data: its stabilizer
+data, the table of G1/G0, and the matrices e of ⟨V↓G1, infl U⟩ over
+every (U, V) and f of ⟨W↓H1, infl U⟩ over every (U, W), two products.
+All multiplicities are exact integers recovered from F_p inner
+products.  It runs once per (orbit, prime), through the category's
+memo; OrbitData refers to no category, so the memo holds it.  The
+quiver, the two-object screens (reptype) and the functor's κ and μ
+bases (morita) all read it.  build_quiver keeps no memo: it assembles
+the vertices and arrows from orbit_data on every call, checks that
+arrows point forward (assert_acyclic), and orbit_data checks that
+e = f = 1 at the trivial U, V and W, so each orbit gives one
+x:X0 -> y:X0 unit: the embedded EI quiver.
 """
 
 from __future__ import annotations
@@ -89,18 +96,37 @@ class BuiltQuiver:
         return out
 
 
+def orbit_data(cat: EICategory, rep: MorphId,
+               prime: SplittingPrime) -> OrbitData:
+    """The data of rep's two-sided orbit over F_p; once per (rep, prime),
+    through the category's memo."""
+    return cat.memo(("orbit", rep, prime), lambda: _orbit_data(cat, rep, prime))
+
+
+def _orbit_data(cat: EICategory, rep: MorphId,
+                prime: SplittingPrime) -> OrbitData:
+    p = prime.p
+    sd = stabilizer_data(cat, rep)
+    qtable = character_table(sd.quotG.as_group(), prime)
+    tx = character_table(cat.groups[rep.source], prime)
+    ty = character_table(cat.groups[rep.target], prime)
+    es = tuple(map(tuple, restriction_multiplicity(
+        tx, sd.G1, inflate(qtable, sd.quotG), p).T.tolist()))
+    fs = tuple(map(tuple, restriction_multiplicity(
+        ty, sd.H1, inflate(qtable, sd.quotH), p).T.tolist()))
+    # the embedded EI quiver: the trivial U gives one x:X0 -> y:X0 unit
+    if es[0][0] != 1 or fs[0][0] != 1:
+        raise InvariantError(
+            f"the orbit of {rep.source}->{rep.target}[{rep.index}] does not "
+            "contribute exactly one arrow between trivial-character vertices")
+    return OrbitData(rep, sd, qtable, es, fs)
+
+
 def build_quiver(cat: EICategory, prime: SplittingPrime | None = None) -> BuiltQuiver:
-    """The quiver over F_p (by default the least splitting prime), built
-    once per prime while any caller holds it, through the category's
-    memo (weakly, as the quiver refers back to the category)."""
+    """The quiver over F_p (by default the least splitting prime),
+    assembled from each orbit's orbit_data on every call."""
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
-    return cat.memo(("quiver", prime), lambda: _build_quiver(cat, prime),
-                    weak=True)
-
-
-def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
-    p = prime.p
     tables = {x: character_table(cat.groups[x], prime) for x in cat.objects}
 
     vertices: list[QuiverVertex] = []
@@ -110,27 +136,16 @@ def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
             vertex_index[(x, i)] = len(vertices)
             vertices.append(QuiverVertex(x, i, d))
 
-    orbits: list[OrbitData] = []
+    orbits = tuple(orbit_data(cat, rep, prime)
+                   for rep, _ in orbit_representatives(cat))
     counts: dict[tuple[int, int], list[ArrowUnit]] = {}
-    for ridx, (rep, _) in enumerate(orbit_representatives(cat)):
-        sd = stabilizer_data(cat, rep)
-        qtable = character_table(sd.quotG.as_group(), prime)
-        x, y = rep.source, rep.target
-        es = tuple(map(tuple, restriction_multiplicity(
-            tables[x], sd.G1, inflate(qtable, sd.quotG), p).T.tolist()))
-        fs = tuple(map(tuple, restriction_multiplicity(
-            tables[y], sd.H1, inflate(qtable, sd.quotH), p).T.tolist()))
-        # the embedded EI quiver: the trivial U gives one x:X0 -> y:X0 unit
-        if es[0][0] != 1 or fs[0][0] != 1:
-            raise InvariantError(
-                f"orbit {ridx} does not contribute exactly one arrow "
-                "between trivial-character vertices")
-        orbits.append(OrbitData(rep, sd, qtable, es, fs))
-        for u in range(len(qtable)):
-            for v, e in enumerate(es[u]):
+    for ridx, od in enumerate(orbits):
+        x, y = od.rep.source, od.rep.target
+        for u in range(len(od.quotient_table)):
+            for v, e in enumerate(od.e[u]):
                 if e == 0:
                     continue
-                for w, f in enumerate(fs[u]):
+                for w, f in enumerate(od.f[u]):
                     if f == 0:
                         continue
                     key = (vertex_index[(x, v)], vertex_index[(y, w)])
@@ -141,7 +156,7 @@ def _build_quiver(cat: EICategory, prime: SplittingPrime) -> BuiltQuiver:
         for (s, t), units in sorted(counts.items())
     )
     built = BuiltQuiver(cat, prime, tables, tuple(vertices), vertex_index,
-                        arrows, tuple(orbits))
+                        arrows, orbits)
     assert_acyclic(built)
     return built
 

@@ -11,17 +11,25 @@ type when a two-object screen fires; tame-vs-wild is never claimed
 there.  The free cover has the category's own unfactorizable
 bisets, so its quiver is the category's quiver, and the finite-cover
 rule reads that one without building the cover.
+
+The screens read each hom-set's orbit through quiveralg.orbit_data, so
+an orbit the quiver has is derived once for both.  A screen row is an
+irreducible S of K1 (G1 or H1) whose restriction to K0 (G0 or H0)
+contains the trivial module.  K0 is normal in K1, so by Clifford's
+theorem K0 then acts trivially on S: S is infl U for an irreducible U
+of K1/K0, and its multiplicities ⟨T↓K1, S⟩ over the irreducibles T of
+the object's group are U's row of e (K1 = G1) or of f (K1 = H1).  The
+witness "summand X{i}" numbers U among the quotient's irreducibles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import (SplittingPrime, character_table, choose_splitting_prime,
-                      restriction_multiplicity)
-from .eicat import EICategory, MorphId, homset_orbits, stabilizer_data
+from .chartab import SplittingPrime, choose_splitting_prime
+from .eicat import EICategory, MorphId, homset_orbits
 from .freecover import is_free
-from .quiveralg import BuiltQuiver, build_quiver
+from .quiveralg import BuiltQuiver, build_quiver, orbit_data
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,6 @@ def rep_type(cat: EICategory,
 def screen_two_object(cat: EICategory, prime: SplittingPrime):
     """Infinite-type screens over every connected two-object full
     subcategory.  Returns a list of ((x, y), rule, witness) findings."""
-    p = prime.p
     findings = []
     pos = {x: i for i, x in enumerate(cat.objects)}
     for (x, y) in sorted(cat.homs, key=lambda k: (pos[k[0]], pos[k[1]])):
@@ -188,40 +195,30 @@ def screen_two_object(cat: EICategory, prime: SplittingPrime):
             findings.append(((x, y), "multiple-orbits",
                              f"{len(orbits)} biset orbits"))
             continue
-        sd = stabilizer_data(cat, MorphId(x, y, orbits[0][0]))
-        g_transitive = len(sd.H1) == len(cat.groups[y])
-        h_transitive = len(sd.G1) == len(cat.groups[x])
+        od = orbit_data(cat, MorphId(x, y, orbits[0][0]), prime)
+        g_transitive = len(od.stab.H1) == len(cat.groups[y])
+        h_transitive = len(od.stab.G1) == len(cat.groups[x])
         if not g_transitive and not h_transitive:
             findings.append(((x, y), "both-intransitive",
                              "neither endomorphism group acts transitively"))
             continue
         sides = []
         if h_transitive:   # examine the target-side tower H0 ≤ H1 ≤ H
-            sides.append(("target", sd.H0, sd.H1, cat.groups[y]))
+            sides.append(("target", od.f))
         if g_transitive:   # opposite category: source-side tower G0 ≤ G1 ≤ G
-            sides.append(("source", sd.G0, sd.G1, cat.groups[x]))
-        for side, k0, k1, big in sides:
-            sub_table = character_table(k1.as_group(), prime)
-            in_k0 = set(k0.member_positions)
-            # S is a summand of the induction of k from K0 iff its
-            # restriction to K0 contains the trivial module, iff S summed
-            # over K0 is nonzero
-            on_k0 = sub_table.values[:, [pos in in_k0 for pos in
-                                         k1.member_positions]].sum(1) % p
-            # mults[s][t] = <T restricted to K1, S>
-            mults = restriction_multiplicity(
-                character_table(big, prime), k1, sub_table.values, p).T
-            for s in range(len(sub_table)):
-                if on_k0[s] == 0:
-                    continue
-                repeated = any(m >= 2 for m in mults[s])
-                distinct = sum(1 for m in mults[s] if m)
+            sides.append(("source", od.e))
+        for side, mults in sides:
+            # mults[u][t] = <T restricted to K1, infl U>: the summands of
+            # the induction of k from K0 are the inflated U (see above)
+            for u, row in enumerate(mults):
+                repeated = any(m >= 2 for m in row)
+                distinct = sum(1 for m in row if m)
                 if repeated or distinct > 3:
                     why = ("not multiplicity free" if repeated
                            else f"{distinct} distinct summands")
                     findings.append(
                         ((x, y), "induction-decomposition",
-                         f"{side} side, summand X{s} of the double-coset "
+                         f"{side} side, summand X{u} of the double-coset "
                          f"induction: {why}"))
                     break
     return findings

@@ -1,12 +1,13 @@
 """Groups, subgroups and helpers that only the tests use: a small
 catalog of named groups for the property-test generators, the whole and
-the trivial subgroup of a group, the plain inverse of a permutation that
-the inverse table must match, the identity's position, one product read
-off the Cayley table, a category's hom sizes, and quiver equality."""
+the trivial subgroup of a group, a subgroup as a group of its own, the
+plain inverse of a permutation that the inverse table must match, the
+identity's position, one product read off the Cayley table, a
+category's hom sizes, and quiver equality."""
 
 from functools import lru_cache
 
-from eiquiver.permgrp import (Perm, PermGroup, SubgroupHandle,
+from eiquiver.permgrp import (Perm, PermGroup, SubgroupHandle, _generated,
                               enumerate_group, pidentity)
 
 
@@ -48,6 +49,16 @@ def whole_group(g: PermGroup) -> SubgroupHandle:
 
 def trivial_subgroup(g: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(g, (identity_pos(g),))
+
+
+def as_group(sub: SubgroupHandle) -> PermGroup:
+    """The subgroup as a PermGroup of its own, generated by its generator
+    positions, with its elements in parent order (so out of BFS order
+    in general): the one live group of those generators and elements."""
+    e = sub.parent.elements
+    return _generated(sub.parent.degree,
+                      [e[k] for k in sub.generator_positions],
+                      [e[i] for i in sub.member_positions])
 
 
 @lru_cache(maxsize=None)

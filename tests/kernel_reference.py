@@ -47,22 +47,28 @@ eiquiver.freecover.is_free replaced.  cartan_matrix and path_counts
 state the source paper's theorem as a check: the Cartan matrix of the
 category algebra is bounded by the quiver's path counts, with equality
 exactly when the category is free (p never divides a group order here).
+screen_two_object is the two-object screening of
+eiquiver.reptype.screen_two_object by each side's own character table:
+the table of K1 (G1 or H1) as a group of its own, each irreducible's
+sum over K0 (G0 or H0), and one restriction product from the object's
+table to K1.  The program reads the same rows off its orbit data's e
+and f instead.
 """
 
 from math import isqrt
 
 import numpy as np
 
-from eiquiver import linalg, permgrp
+from eiquiver import chartab, linalg, permgrp
 from eiquiver.chartab import CharTable
 from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
                             _check_connected, homset_orbits,
-                            orbit_representatives)
+                            orbit_representatives, stabilizer_data)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.freecover import free_cover
 from eiquiver.morita import MAX_ELEMENT_ENTRIES
 from eiquiver.permgrp import PermGroup, pmul, word_products
-from groups import hom_size, identity_pos, pinv
+from groups import as_group, hom_size, identity_pos, pinv
 
 
 def rref(a, p):
@@ -218,7 +224,7 @@ def inflate(values, quot) -> list[int]:
 def restriction_multiplicity(table, sub, mu, p: int) -> list[list[int]]:
     """[i][j] = <chi_i restricted to sub, mu_j>, one inner product per
     pair."""
-    g = sub.as_group()
+    g = as_group(sub)
     return [[inner_product(g, restrict(character(table, i), sub), m, p)
              for m in mu] for i in range(len(table))]
 
@@ -520,6 +526,59 @@ def is_free_by_cover(cat: EICategory,
     cover = free_cover(cat, max_paths=max_paths)
     pairs = set(cat.homs) | set(cover.homs)
     return all(hom_size(cat, *pr) == hom_size(cover, *pr) for pr in pairs)
+
+
+def screen_two_object(cat: EICategory, prime):
+    """((x, y), rule, witness) findings over every connected two-object
+    full subcategory.  An irreducible S of K1 is a summand of the
+    induction of k from K0 iff its restriction to K0 contains the
+    trivial module, iff S summed over K0 is nonzero; its row over the
+    irreducibles T of the object's group is <T restricted to K1, S>.
+    The witness's X{s} numbers S in K1's table."""
+    p = prime.p
+    findings = []
+    pos = {x: i for i, x in enumerate(cat.objects)}
+    for (x, y) in sorted(cat.homs, key=lambda k: (pos[k[0]], pos[k[1]])):
+        hs = cat.homs[(x, y)]
+        orbits = homset_orbits(hs, range(hs.size))
+        if len(orbits) > 1:
+            findings.append(((x, y), "multiple-orbits",
+                             f"{len(orbits)} biset orbits"))
+            continue
+        sd = stabilizer_data(cat, MorphId(x, y, orbits[0][0]))
+        g_transitive = len(sd.H1) == len(cat.groups[y])
+        h_transitive = len(sd.G1) == len(cat.groups[x])
+        if not g_transitive and not h_transitive:
+            findings.append(((x, y), "both-intransitive",
+                             "neither endomorphism group acts transitively"))
+            continue
+        sides = []
+        if h_transitive:
+            sides.append(("target", sd.H0, sd.H1, cat.groups[y]))
+        if g_transitive:
+            sides.append(("source", sd.G0, sd.G1, cat.groups[x]))
+        for side, k0, k1, big in sides:
+            sub_table = chartab.character_table(as_group(k1), prime)
+            in_k0 = set(k0.member_positions)
+            on_k0 = sub_table.values[:, [i in in_k0 for i in
+                                         k1.member_positions]].sum(1) % p
+            mults = chartab.restriction_multiplicity(
+                chartab.character_table(big, prime), k1, sub_table.values,
+                p).T
+            for s in range(len(sub_table)):
+                if on_k0[s] == 0:
+                    continue
+                repeated = any(m >= 2 for m in mults[s])
+                distinct = sum(1 for m in mults[s] if m)
+                if repeated or distinct > 3:
+                    why = ("not multiplicity free" if repeated
+                           else f"{distinct} distinct summands")
+                    findings.append(
+                        ((x, y), "induction-decomposition",
+                         f"{side} side, summand X{s} of the double-coset "
+                         f"induction: {why}"))
+                    break
+    return findings
 
 
 def cartan_matrix(q) -> list[list[int]]:

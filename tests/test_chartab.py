@@ -15,7 +15,8 @@ from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
 from eiquiver.errors import InvariantError, ValidationError
 from eiquiver.permgrp import (SubgroupHandle, derived_cosets, enumerate_group,
                               quotient)
-from groups import identity_pos, mul, named_group, trivial_subgroup, whole_group
+from groups import (as_group, identity_pos, mul, named_group, trivial_subgroup,
+                    whole_group)
 from randcats import closure_positions
 
 S3 = named_group("S3")
@@ -273,7 +274,7 @@ def test_restriction_multiplicities_s3_to_c2():
     t = character_table(S3, P13)
     c2 = SubgroupHandle(
         S3, tuple(closure_positions(S3, [S3.index_of[(1, 0, 2)]])))
-    t_sub = character_table(c2.as_group(), P13)
+    t_sub = character_table(as_group(c2), P13)
     # rows: trivial, eps, the 2-dimensional V; columns: trivial, sign
     m = restriction_multiplicity(t, c2, t_sub.values, P13.p)
     v2, eps, triv, sign = 2, 1, 0, 1
@@ -287,7 +288,7 @@ def test_restriction_to_whole_and_trivial():
     t = character_table(S3, P13)
     whole = whole_group(S3)
     triv = trivial_subgroup(S3)
-    t_triv = character_table(triv.as_group(), P13)
+    t_triv = character_table(as_group(triv), P13)
     on_whole = restriction_multiplicity(t, whole, t.values, P13.p)
     on_triv = restriction_multiplicity(t, triv, t_triv.values, P13.p)
     for i in range(3):
@@ -302,7 +303,7 @@ def test_frobenius_reciprocity():
         t = character_table(g, prime)
         sub = SubgroupHandle(
             g, tuple(closure_positions(g, [g.index_of[seed]])))
-        t_sub = character_table(sub.as_group(), prime)
+        t_sub = character_table(as_group(sub), prime)
         down = restriction_multiplicity(t, sub, t_sub.values, prime.p)
         induced = np.array([induced_character(mu, sub, g, prime.p)
                             for mu in t_sub.values])

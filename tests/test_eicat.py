@@ -566,7 +566,7 @@ def test_stabilizer_data_builds_one_quotient(monkeypatch, categories):
     for cat in categories.values():
         for rep, _ in orbit_representatives(cat):
             calls.clear()
-            eicat._stabilizer_data(cat, rep)
+            eicat.stabilizer_data(cat, rep)
             assert len(calls) == 1
 
 
@@ -615,11 +615,11 @@ def test_a_wrong_quotient_is_caught(monkeypatch, doc, pair, corrupt, match):
     cat = load_category(fixture_doc(doc) if isinstance(doc, str) else doc)
     rep = next(r for r, _ in orbit_representatives(cat)
                if (r.source, r.target) == pair)
-    eicat._stabilizer_data(cat, rep)
+    eicat.stabilizer_data(cat, rep)
     build = eicat.quotient
     monkeypatch.setattr(eicat, "quotient", lambda b, k: corrupt(build(b, k)))
     with pytest.raises(InvariantError, match=match):
-        eicat._stabilizer_data(cat, rep)
+        eicat.stabilizer_data(cat, rep)
 
 
 def test_ei_quiver_of(categories):

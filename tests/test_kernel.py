@@ -16,7 +16,7 @@ from eiquiver.eicat import load_category, orbit_representatives, \
     stabilizer_data
 from eiquiver.permgrp import (SubgroupHandle, conjugacy_classes,
                               enumerate_group, quotient)
-from groups import named_group, whole_group
+from groups import as_group, named_group, whole_group
 from randcats import random_free_category, random_nonfree_category
 
 PRIMES = (2, 3, 13, 433, 999983)
@@ -285,7 +285,7 @@ def test_classes_of_groups_generated_by_all_their_elements():
                             [0, 1, 2, 3, 4, 6, 7, 5]])
     c3 = SubgroupHandle(g, tuple(i for i, e in enumerate(g.elements)
                                  if e[:5] == (0, 1, 2, 3, 4)))
-    for h in (whole_group(g).as_group(),
+    for h in (as_group(whole_group(g)),
               quotient(whole_group(g), c3).as_group()):
         assert 2 ** len(h.generators) <= len(h)
         listed = enumerate_group(h.degree, h.elements)

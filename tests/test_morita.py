@@ -31,7 +31,7 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
 from eiquiver.oracle import build_algebra, radical_report
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from eiquiver.quiveralg import build_quiver
-from groups import named_group, whole_group
+from groups import as_group, named_group, whole_group
 from randcats import random_free_category, random_nonfree_category
 from test_chartab import CATALOG, MORE, _group
 from test_freecover import s3_chain_document
@@ -168,7 +168,7 @@ def _s4_as_groups(s4):
         k for k, e in enumerate(s4.elements)
         if sum(e[a] > e[b] for a in range(4) for b in range(a + 1, 4)) % 2
         == 0))
-    return quotient(whole_group(s4), v4).as_group(), a4.as_group()
+    return quotient(whole_group(s4), v4).as_group(), as_group(a4)
 
 
 def test_gathered_element_matrices_are_the_word_products(monkeypatch):

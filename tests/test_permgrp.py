@@ -14,8 +14,8 @@ from eiquiver.permgrp import (PermGroup, QuotientGroup, SubgroupHandle,
                               check_perm, conjugacy_classes, class_index_of,
                               enumerate_group, orbits, pidentity, pmul,
                               quotient)
-from groups import (identity_pos, mul, named_group, pinv, trivial_subgroup,
-                    whole_group)
+from groups import (as_group, identity_pos, mul, named_group, pinv,
+                    trivial_subgroup, whole_group)
 from randcats import (closure_positions, explicit_document,
                       random_quiver_document)
 
@@ -88,13 +88,13 @@ def test_equal_generators_give_one_group(fresh_groups):
     assert enumerate_group(4, S4_GENS[::-1]) is swapped
     # as_group looks its groups up by generators and elements alike
     a4 = SubgroupHandle(s4, _even_positions(s4))
-    assert a4.as_group() is a4.as_group()
-    assert SubgroupHandle(s4, a4.member_positions).as_group() is \
-        a4.as_group()
+    assert as_group(a4) is as_group(a4)
+    assert as_group(SubgroupHandle(s4, a4.member_positions)) is \
+        as_group(a4)
     # A4 in S4's order and A4 in the BFS order of the same generators
-    a4_bfs = enumerate_group(4, a4.as_group().generators)
-    assert a4_bfs is not a4.as_group()
-    assert a4_bfs.elements != a4.as_group().elements
+    a4_bfs = enumerate_group(4, as_group(a4).generators)
+    assert a4_bfs is not as_group(a4)
+    assert a4_bfs.elements != as_group(a4).elements
 
 
 def test_the_intern_table_holds_its_groups_weakly(fresh_groups):
@@ -229,14 +229,14 @@ def _as_groups(categories):
         if e in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))))
     c3 = SubgroupHandle(s5c3, tuple(i for i, e in enumerate(s5c3.elements)
                                     if e[:5] == (0, 1, 2, 3, 4)))
-    out = [SubgroupHandle(s4, _even_positions(s4)).as_group(),
-           SubgroupHandle(s5, _even_positions(s5)).as_group(),
+    out = [as_group(SubgroupHandle(s4, _even_positions(s4))),
+           as_group(SubgroupHandle(s5, _even_positions(s5))),
            quotient(whole_group(s4), v4).as_group(),
            quotient(whole_group(s5c3), c3).as_group()]
     cat = categories["four_object_mixed"]
     for rep, _ in orbit_representatives(cat):
         sd = stabilizer_data(cat, rep)
-        out += [sd.G1.as_group(), sd.H1.as_group()]
+        out += [as_group(sd.G1), as_group(sd.H1)]
     return out
 
 
@@ -334,7 +334,7 @@ def test_quotient_trivial_cases():
 def test_subgroup_as_group_round_trip():
     transposition = S3.index_of[(1, 0, 2)]
     h = SubgroupHandle(S3, tuple(closure_positions(S3, [transposition])))
-    model = h.as_group()
+    model = as_group(h)
     assert len(model) == 2
     assert set(model.elements) <= set(S3.elements)
 
@@ -455,7 +455,7 @@ def _row_group(name: str) -> PermGroup:
     if name == "S5":
         return s5
     if name == "A5 as_group":
-        return SubgroupHandle(s5, _even_positions(s5)).as_group()
+        return as_group(SubgroupHandle(s5, _even_positions(s5)))
     s4 = enumerate_group(4, [[1, 0, 2, 3], [1, 2, 3, 0]])
     v4 = SubgroupHandle(s4, tuple(
         i for i, e in enumerate(s4.elements)

@@ -21,7 +21,7 @@ from eiquiver.oracle import check_against_quiver
 from eiquiver.quiveralg import (QuiverArrow, assert_acyclic, build_quiver,
                                 quiver_document, quiver_dot)
 from eiquiver.reptype import rep_type
-from groups import quivers_equal
+from groups import as_group, quivers_equal
 from randcats import random_free_category
 
 
@@ -78,14 +78,14 @@ def test_assert_acyclic_rejects_backward_arrow(categories):
         assert_acyclic(bad)
 
 
-def test_embedded_check_rejects_missing_trivial_arrow(categories,
-                                                     monkeypatch):
+def test_embedded_check_rejects_missing_trivial_arrow(monkeypatch):
     # the first orbit's e at the trivial U and V is patched to 0 (no
-    # x:X0 -> y:X0 unit) or 2 (two of them): every build must refuse it
-    cat = categories["two_object_c2_s3"]
-    prime = choose_splitting_prime(cat.groups.values())
+    # x:X0 -> y:X0 unit) or 2 (two of them): every build must refuse it.
+    # Each build is of a fresh load, whose memo holds no orbit data yet
+    from conftest import fixture_doc
     product = quiveralg.restriction_multiplicity
     for value in (0, 2):
+        cat = load_category(fixture_doc("two_object_c2_s3"))
         calls = []
 
         def tampered(*a):
@@ -97,9 +97,10 @@ def test_embedded_check_rejects_missing_trivial_arrow(categories,
             return m
         monkeypatch.setattr(quiveralg, "restriction_multiplicity", tampered)
         with pytest.raises(InvariantError, match="trivial-character"):
-            quiveralg._build_quiver(cat, prime)
+            build_quiver(cat)
     monkeypatch.setattr(quiveralg, "restriction_multiplicity", product)
-    assert quiveralg._build_quiver(cat, prime).orbits[0].e[0][0] == 1
+    cat = load_category(fixture_doc("two_object_c2_s3"))
+    assert build_quiver(cat).orbits[0].e[0][0] == 1
 
 
 def test_multiplicity_units_recompute(categories):
@@ -124,20 +125,23 @@ def test_multiplicity_units_recompute(categories):
                     infl = ref.inflate(chi_u, quot)
                     down = ref.restrict(
                         ref.character(q.tables[vert.object], vert.irr), handle)
-                    got = ref.inner_product(handle.as_group(), down, infl, p)
+                    got = ref.inner_product(as_group(handle), down, infl, p)
                     assert got == want
                     assert type(got) is type(want) is int
 
 
 def test_each_orbit_takes_two_multiplicity_products(categories, monkeypatch):
+    # counted on a fresh load of each fixture, whose memo holds no orbit
+    # data yet
+    from conftest import fixture_doc
     calls = []
     product = quiveralg.restriction_multiplicity
     monkeypatch.setattr(quiveralg, "restriction_multiplicity",
                         lambda *a: calls.append(a) or product(*a))
-    for cat in categories.values():
-        prime = choose_splitting_prime(cat.groups.values())
+    for name in categories:
+        cat = load_category(fixture_doc(name))
         calls.clear()
-        q = quiveralg._build_quiver(cat, prime)
+        q = build_quiver(cat)
         assert len(calls) == 2 * len(q.orbits)
 
 
@@ -200,19 +204,20 @@ def test_quiver_dot_escapes_vertex_labels(oid):
 
 
 def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
-    from eiquiver import eicat
     from eiquiver.chartab import certified_prime
     from eiquiver.eicat import load_category
     from eiquiver.reptype import rep_type, screen_two_object
     from conftest import fixture_doc
     alphas = []
-    build = eicat._stabilizer_data
-    monkeypatch.setattr(eicat, "_stabilizer_data",
+    build = quiveralg.stabilizer_data
+    monkeypatch.setattr(quiveralg, "stabilizer_data",
                         lambda c, a: alphas.append((id(c), a)) or build(c, a))
     cat = load_category(fixture_doc("fork_merge_nonfree"))
     q = build_quiver(cat)
-    assert build_quiver(cat, choose_splitting_prime(
-        cat.groups.values())) is q
+    again = build_quiver(cat, choose_splitting_prime(cat.groups.values()))
+    # a second build reads the very same data of every orbit
+    assert len(again.orbits) == len(q.orbits)
+    assert all(a is b for a, b in zip(again.orbits, q.orbits))
     screen = screen_two_object(cat, q.prime)
     assert rep_type(cat, q.prime).verdict == "InfiniteUncertified"
     assert screen_two_object(cat, q.prime) == screen
@@ -221,12 +226,56 @@ def test_quiver_and_stabilizers_are_built_once_per_category(monkeypatch):
     assert len(alphas) == len(set(alphas)) > len(q.orbits)
     assert {c for c, _ in alphas} == {id(cat)}
     other = build_quiver(cat, certified_prime(37, cat.groups.values()))
-    assert other is not q and other.prime.p == 37
+    assert other.prime.p == 37
+    assert not any(a is b for a, b in zip(other.orbits, q.orbits))
+
+
+def test_the_quiver_and_the_screens_share_each_orbits_data(monkeypatch):
+    # after build_quiver, neither the screens nor rep_type derive an
+    # orbit the quiver has: no stabilizer data, no quotient table and no
+    # multiplicity product.  Only a hom-set orbit the quiver lacks (one
+    # of factorizables) is derived, once.  A second build derives nothing
+    from eiquiver.chartab import character_table
+    from eiquiver.reptype import screen_two_object
+    from conftest import fixture_doc
+    misses, stabs, tables, products = [], [], [], []
+    build, stab = quiveralg._orbit_data, quiveralg.stabilizer_data
+    product = quiveralg.restriction_multiplicity
+    monkeypatch.setattr(quiveralg, "_orbit_data",
+                        lambda c, r, p: misses.append(r) or build(c, r, p))
+    monkeypatch.setattr(quiveralg, "stabilizer_data",
+                        lambda c, a: stabs.append(a) or stab(c, a))
+    monkeypatch.setattr(quiveralg, "character_table",
+                        lambda g, p: tables.append(g) or character_table(g, p))
+    monkeypatch.setattr(quiveralg, "restriction_multiplicity",
+                        lambda *a: products.append(a) or product(*a))
+    for name in ("fork_merge_nonfree", "line_subcategory_nonfree",
+                 "four_object_mixed", "two_object_c2_s3"):
+        cat = load_category(fixture_doc(name))
+        q = build_quiver(cat)
+        have = [od.rep for od in q.orbits]
+        assert misses == stabs == have, name
+        for log in (misses, stabs, tables, products):
+            log.clear()
+        screen_two_object(cat, q.prime)
+        rep_type(cat, q.prime)
+        assert not set(misses) & set(have), name
+        assert stabs == misses == list(dict.fromkeys(misses)), name
+        assert len(products) == 2 * len(misses), name
+        # the quiver that rep_type assembles reads each object's table;
+        # each new orbit reads its quotient's and its two objects'
+        assert len(tables) == len(cat.objects) + 3 * len(misses), name
+        for log in (misses, stabs, tables, products):
+            log.clear()
+        again = build_quiver(cat, q.prime)
+        assert misses == stabs == products == [], name
+        assert all(a is b for a, b in zip(again.orbits, q.orbits)), name
 
 
 def test_a_category_and_its_memo_are_freed_without_the_collector():
-    # the quiver refers back to its category, so the memo holds it weakly:
-    # nothing derived is left in a reference cycle
+    # the quiver refers back to its category and is not memoised, and no
+    # value the memo holds does: nothing derived is left in a reference
+    # cycle
     import gc
     import weakref
     from eiquiver.eicat import load_category

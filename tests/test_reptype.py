@@ -2,16 +2,20 @@
 infinite-type screens."""
 
 import random
+import re
 from types import SimpleNamespace
 
+import kernel_reference as ref
 from eiquiver.chartab import SplittingPrime, choose_splitting_prime
-from eiquiver.eicat import load_category
+from eiquiver.eicat import MorphId, load_category
 from eiquiver.freecover import free_cover
-from eiquiver.quiveralg import build_quiver
+from eiquiver.quiveralg import build_quiver, orbit_data
 from eiquiver.reptype import (classify_graph, is_hereditary, rep_type,
                               screen_two_object)
 from groups import named_group, quivers_equal, trivial_subgroup
-from randcats import coset_biset, random_free_category
+from randcats import (coset_biset, random_free_category,
+                      random_nonfree_category)
+from test_freecover import s3_chain_document
 
 
 def graph(n, edges):
@@ -195,3 +199,51 @@ def test_screen_soundness_on_random_free_categories():
             assert not all(c.kind == "Dynkin" for c in comps)
         if verdict.verdict == "Finite":
             assert not findings
+
+
+def _screened_categories(categories):
+    """(name, category) for every fixture, the S3 chains of 3 to 8
+    objects, and 100 free and 100 non-free random categories."""
+    yield from categories.items()
+    for k in range(3, 9):
+        yield f"s3 chain {k}", load_category(s3_chain_document(k))
+    rng = random.Random(3817)
+    for i in range(100):
+        yield f"free {i}", random_free_category(rng, max_mor=120)
+        yield f"nonfree {i}", random_nonfree_category(rng, max_mor=120)
+
+
+WITNESS = re.compile(r"(target|source) side, summand X(\d+) of the "
+                     r"double-coset induction: (.*)")
+
+
+def test_screens_match_the_per_side_table_reference(categories):
+    # the screens read e and f off the orbit data where the reference
+    # builds K1's table, sums it over K0 and restricts to K1: the same
+    # rules fire on the same pairs and sides, and each induction witness
+    # names a quotient irreducible U whose e or f row is its reason
+    seen = fired = 0
+    for name, cat in _screened_categories(categories):
+        prime = choose_splitting_prime(cat.groups.values())
+        got = screen_two_object(cat, prime)
+        want = ref.screen_two_object(cat, prime)
+
+        def sides(findings):
+            return [(pair, rule, witness.split(" side")[0])
+                    for pair, rule, witness in findings]
+        assert sides(got) == sides(want), name
+        for (x, y), rule, witness in got:
+            if rule != "induction-decomposition":
+                continue
+            side, u, why = WITNESS.fullmatch(witness).groups()
+            # the hom-set is one orbit, so 0 is its least member
+            od = orbit_data(cat, MorphId(x, y, 0), prime)
+            row = (od.f if side == "target" else od.e)[int(u)]
+            distinct = sum(1 for m in row if m)
+            assert max(row) >= 2 or distinct > 3, name
+            assert why == ("not multiplicity free" if max(row) >= 2
+                           else f"{distinct} distinct summands"), name
+            fired += 1
+        seen += 1
+    assert seen == 8 + 6 + 200
+    assert fired > 0
