@@ -81,12 +81,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
-
-
 def row_space(a: np.ndarray, p: int) -> np.ndarray:
     """Deterministic echelon basis of the row space (nonzero rows of rref)."""
     r, pivots = rref(a, p)
@@ -112,28 +106,6 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -r[:len(pivots), free].T % p
     return basis
-
-
-def sylvester_system(dims1, dims2, edges, p: int) -> np.ndarray:
-    """Rows of the system for {(T_v) : T_t M1 = M2 T_s for every edge
-    (s, t, M1, M2)}, each T_v (dims2[v] x dims1[v]) stored column-major
-    at its vertex's offset, one block of rows per edge in edge order.
-
-    vec(T M1) = (M1^T (x) I) vec(T) and vec(M2 T) = (I (x) M2) vec(T);
-    each Kronecker block is one broadcast product of M with an identity.
-    """
-    off = np.cumsum([0] + [a * b for a, b in zip(dims1, dims2)]).tolist()
-    system = zeros(sum(dims1[s] * dims2[t] for s, t, _, _ in edges), off[-1])
-    r0 = 0
-    for s, t, m1, m2 in edges:
-        a, b = dims1[s], dims2[t]
-        rows = system[r0:r0 + a * b]
-        rows[:, off[t]:off[t + 1]] += (m1.T[:, None, :, None] * eye(b)[
-            None, :, None, :]).reshape(a * b, dims1[t] * b)
-        rows[:, off[s]:off[s + 1]] -= (eye(a)[:, None, :, None] * m2[
-            None, :, None, :]).reshape(a * b, a * dims2[s])
-        r0 += a * b
-    return system % p
 
 
 def char_poly(a: np.ndarray, p: int) -> list[int]:

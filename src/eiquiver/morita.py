@@ -31,16 +31,17 @@ beside the character tables, and imported here under the same name: per
 model, the generator matrices and one (|G|, d, d) array of element
 matrices, which MoritaContext reads by gathers too.  The functor's Hom
 bases come from
-Serre's projections (projection_basis), with no linear system.  Sylvester
-systems (linalg.sylvester_system) serve only the two Hom-dimension
-checks: hom_dim_quiver has an edge per expanded arrow, and hom_dim_cat
-works in two stages.  It first spans each object's Hom_{G_x}(R1 x, R2 x)
-by group averages (fixed_point_basis), then solves one system over the
-orbit representatives alone, each object's columns multiplied by its
-basis.  It reads only the representations' matrices, no model,
-character or functor basis, so it stays independent of the functor.
-The average needs every |G_x| invertible mod p, which every
-SplittingPrime gives (p > 2 max|G|).  The two stabilizer sides are
+Serre's projections (projection_basis), with no linear system.  The two
+Hom-dimension checks share one system (_edge_system_dim): a stack of
+basis matrices per vertex, T_v their combination, and a block of rows
+T_t M1 = M2 T_s per edge, one column per basis element.  hom_dim_quiver
+takes each vertex's matrix units and an edge per expanded arrow.
+hom_dim_cat takes each object's Hom_{G_x}(R1 x, R2 x), spanned by group
+averages (fixed_point_basis), and an edge per orbit representative.  It
+reads only the representations' matrices, no model, character or
+functor basis, so it stays independent of the functor.  The average
+needs every |G_x| invertible mod p, which every SplittingPrime gives
+(p > 2 max|G|).  The two stabilizer sides are
 symmetric: kappa (source, G1 acting on U through G1/G0) and mu (target,
 H1 acting through H1/H0, whose cosets carry G1/G0's numbers) are one
 stabilizer_hom.  Both directions work on one coefficient matrix C per
@@ -626,12 +627,16 @@ def _columns(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), math.prod(stack.shape[1:])).T
 
 
+def _same_prime(p: int, q: int, what: str) -> None:
+    """Refuse two sides over different primes with prime-mismatch."""
+    if p != q:
+        raise ValidationError("prime-mismatch", f"{what} use different primes")
+
+
 def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
     """F: category representation -> quiver representation, one system
     T C = alpha S per coefficient block (MoritaContext.blocks)."""
-    if rep.p != ctx.p:
-        raise ValidationError("prime-mismatch",
-                              "representation and quiver use different primes")
+    _same_prime(rep.p, ctx.p, "representation and quiver")
     p = ctx.p
     thetas = {(v.object, v.irr): ctx.theta(rep, v.object, v.irr)
               for v in ctx.built.vertices}
@@ -661,9 +666,16 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
 
 def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     """Assemble the canonical category representation with F(R) = qrep:
-    the arrow matrices fill each block's C, and alpha sends S to T C."""
+    the arrow matrices fill each block's C, and alpha sends S to T C.
+    The prime and every arrow matrix's shape are checked first."""
     p = ctx.p
     built = ctx.built
+    _same_prime(qrep.p, p, "representation and quiver")
+    for ea, m in zip(ctx.arrows, qrep.arrow_mats):
+        shape = (qrep.dims[ea.target], qrep.dims[ea.source])
+        if np.shape(m) != shape:
+            raise SchemaError(f"arrow {ea}: matrix must be "
+                              f"{shape[0]}x{shape[1]}")
     # canonical module per object: the copies of each irreducible in turn
     obj_dims = {}
     elems = {}        # (x, v) -> element matrices of each model present
@@ -726,55 +738,72 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
 # hom spaces: one T_v per vertex, commuting with the matrices on each edge
 
 def fixed_point_basis(v_inv: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """Hom_G(V, W), each T (b x a) column-major in a row, from v_inv[g] =
-    V(g^-1) and w[g] = W(g) over the elements g of G, |G| invertible mod
-    p: the span of the averages sum_g W(g) E V(g^-1) over the matrix
-    units E, which are the G-maps (Serre, 2.2).  Row (l, k) of the
-    einsum is the average of E_kl; no scaling by 1/|G| changes the
+    """Hom_G(V, W) as an n x b x a stack, from v_inv[g] = V(g^-1) and
+    w[g] = W(g) over the elements g of G, |G| invertible mod p: the span
+    of the averages sum_g W(g) E V(g^-1) over the matrix units E, which
+    are the G-maps (Serre, 2.2).  Row (l, k) of the einsum is the average
+    of E_kl, each T column-major; no scaling by 1/|G| changes the
     span."""
     a, b = v_inv.shape[1], w.shape[1]
     avg = np.einsum("glj,gik->lkji", v_inv, w).reshape(a * b, a * b)
-    return linalg.row_space(avg, p)
+    basis = linalg.row_space(avg, p)
+    return basis.reshape(len(basis), a, b).transpose(0, 2, 1)
+
+
+def _edge_system_dim(bases, edges, p: int) -> int:
+    """dim of the coefficient families c for which T_v = sum_j c_vj
+    bases[v][j], each bases[v] an n_v x b_v x a_v stack, meet T_t M1 =
+    M2 T_s on every edge (s, t, M1, M2): one block of rows per edge, the
+    products with each basis element flattened by _columns, and one
+    column per basis element.  The count is the number of columns less
+    the rank."""
+    off = np.cumsum([0] + [len(b) for b in bases]).tolist()
+    blocks = [linalg.zeros(0, off[-1])]
+    for s, t, m1, m2 in edges:
+        block = linalg.zeros(bases[t].shape[1] * m1.shape[1], off[-1])
+        block[:, off[t]:off[t + 1]] += _columns(linalg.matmul(bases[t], m1, p))
+        block[:, off[s]:off[s + 1]] -= _columns(linalg.matmul(m2, bases[s], p))
+        blocks.append(block)
+    return off[-1] - len(linalg.rref(np.vstack(blocks), p)[1])
 
 
 def hom_dim_cat(r1: CatRep, r2: CatRep) -> int:
-    """dim of the space of natural transformations R1 -> R2, in two
-    stages.  First, a basis of Hom_{G_x}(R1 x, R2 x) at each object x by
-    averaging (fixed_point_basis): dim Hom pivots, where a loop edge per
-    generator costs a b - dim Hom.  Then one Sylvester system with an
-    edge per orbit representative and no loop edges, each object's
-    column block multiplied by its basis; the count is the sum of the
-    basis sizes less that system's rank.  No model, character or functor
-    basis is used, so the check stays independent of F.  The average
-    needs every |G_x| invertible mod p, as every SplittingPrime (p > 2
-    max|G|) makes it; another p is refused with bad-prime."""
-    if r1.p != r2.p:
-        raise ValidationError("prime-mismatch",
-                              "the two representations use different primes")
+    """dim of the space of natural transformations R1 -> R2 of two
+    representations of one loaded category.  Each T_x is a combination of
+    a basis of Hom_{G_x}(R1 x, R2 x), found by averaging
+    (fixed_point_basis), so the group generators need no rows; the
+    system (_edge_system_dim) has an edge per orbit representative.  No
+    model, character or functor basis is used, so the check stays
+    independent of F.  The average needs every |G_x| invertible mod p,
+    as every SplittingPrime (p > 2 max|G|) makes it; another p is
+    refused with bad-prime."""
+    _same_prime(r1.p, r2.p, "the two representations")
+    if r1.cat is not r2.cat:
+        raise SchemaError("the representations are of different categories")
     cat, p = r1.cat, r1.p
     at = {x: i for i, x in enumerate(cat.objects)}
     edges = [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
              in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
-    dims1 = [r1.dims[x] for x in cat.objects]
-    dims2 = [r2.dims[x] for x in cat.objects]
-    system = linalg.sylvester_system(dims1, dims2, edges, p)
-    off = np.cumsum([0] + [a * b for a, b in zip(dims1, dims2)]).tolist()
-    blocks = []
-    for i, x in enumerate(cat.objects):
+    bases = []
+    for x in cat.objects:
         group = cat.groups[x]
         if len(group) % p == 0:
             raise ValidationError("bad-prime", f"p = {p} divides the order "
                                   f"{len(group)} of the group at {x}")
-        basis = fixed_point_basis(r1.elem_mats[x][group.inverse],
-                                  r2.elem_mats[x], p)
-        blocks.append(linalg.matmul(system[:, off[i]:off[i + 1]], basis.T, p))
-    return sum(b.shape[1] for b in blocks) - linalg.rank(np.hstack(blocks), p)
+        bases.append(fixed_point_basis(r1.elem_mats[x][group.inverse],
+                                       r2.elem_mats[x], p))
+    return _edge_system_dim(bases, edges, p)
 
 
 def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
-    """dim Hom between two quiver representations: an edge per expanded
-    arrow."""
+    """dim Hom between two representations of the quiver of one loaded
+    category: each T_v a combination of matrix units, and an edge per
+    expanded arrow."""
+    _same_prime(q1.p, q2.p, "the two representations")
+    if q1.built.cat is not q2.built.cat:
+        raise SchemaError("the representations are of different quivers")
+    units = [linalg.eye(a * b).reshape(a * b, b, a)
+             for a, b in zip(q1.dims, q2.dims)]
     edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
              zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
-    system = linalg.sylvester_system(q1.dims, q2.dims, edges, q1.p)
-    return system.shape[1] - linalg.rank(system, q1.p)
+    return _edge_system_dim(units, edges, q1.p)

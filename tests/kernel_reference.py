@@ -161,7 +161,7 @@ def intertwiner_basis(As, Bs, p, a, b):
     """Echelon basis of {T (b x a) : T A_i = B_i T for all i}: the
     nullspace of the Sylvester system with one vertex and a loop edge per
     pair, each vector read back column-major."""
-    system = linalg.sylvester_system(
+    system = sylvester_system(
         [a], [b], [(0, 0, A, B) for A, B in zip(As, Bs)], p)
     ns = linalg.nullspace(system, p)
     return [ns[k].reshape((b, a), order="F") % p for k in range(ns.shape[0])]
@@ -431,9 +431,8 @@ def hom_dim_cat(r1, r2) -> int:
              for a, b in zip(r1.gen_mats[x], r2.gen_mats[x])]
     edges += [(at[rep.source], at[rep.target], a1, a2) for (rep, _), a1, a2
               in zip(orbit_representatives(cat), r1.alpha_mats, r2.alpha_mats)]
-    system = linalg.sylvester_system([r1.dims[x] for x in cat.objects],
-                                     [r2.dims[x] for x in cat.objects],
-                                     edges, r1.p)
+    system = sylvester_system([r1.dims[x] for x in cat.objects],
+                              [r2.dims[x] for x in cat.objects], edges, r1.p)
     return int(linalg.nullspace(system, r1.p).shape[0])
 
 

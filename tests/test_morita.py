@@ -125,10 +125,14 @@ def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
 
 
 def test_irreducible_model_builds_no_sylvester_system(monkeypatch):
+    # models come from the regular module, with no Hom system of any
+    # kind: neither the Hom-dimension system nor a Hom basis by averages
+    # or projections
     calls = []
-    system = linalg.sylvester_system
-    monkeypatch.setattr(linalg, "sylvester_system",
-                        lambda *a: calls.append(a) or system(*a))
+    for name in ("_edge_system_dim", "fixed_point_basis",
+                 "projection_basis"):
+        monkeypatch.setattr(morita, name, lambda *a, f=getattr(morita, name):
+                            calls.append(a) or f(*a))
     monkeypatch.setattr(morita, "_MODEL_CACHE", {})
     for n in (4, 5):
         g, table = _symmetric(n)
@@ -933,15 +937,16 @@ def test_hom_dim_cat_refuses_a_prime_dividing_a_group_order(categories):
 
 def test_hom_dim_cat_system_has_representative_rows_only(categories,
                                                         monkeypatch):
-    # one Sylvester system with a block of rows per orbit representative
-    # and none per group generator, reduced to one column per element of
-    # the fixed-point bases sum_x Hom_{G_x}(R1 x, R2 x)
+    # one system with a block of rows per orbit representative and none
+    # per group generator, one column per element of the fixed-point
+    # bases sum_x Hom_{G_x}(R1 x, R2 x), fewer than the sum_x a_x b_x of
+    # a Kronecker system; it is the last matrix hom_dim_cat reduces
     systems, ranked = [], []
-    build, rank = linalg.sylvester_system, linalg.rank
-    monkeypatch.setattr(linalg, "sylvester_system",
-                        lambda *a: systems.append(build(*a)) or systems[-1])
-    monkeypatch.setattr(linalg, "rank",
-                        lambda a, p: ranked.append(a.shape) or rank(a, p))
+    build, rref = morita._edge_system_dim, linalg.rref
+    monkeypatch.setattr(morita, "_edge_system_dim",
+                        lambda *a: systems.append(a) or build(*a))
+    monkeypatch.setattr(linalg, "rref",
+                        lambda a, p: ranked.append(a.shape) or rref(a, p))
     rng = random.Random(99)
     for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
         cat = categories[name]
@@ -951,14 +956,94 @@ def test_hom_dim_cat_system_has_representative_rows_only(categories,
         systems.clear()
         ranked.clear()
         hom_dim_cat(r1, r2)
-        assert len(systems) == 1 and len(ranked) == 1
+        assert len(systems) == 1
+        shape = ranked[-1]
         rows = sum(r2.dims[rep.target] * r1.dims[rep.source]
                    for rep, _ in orbit_representatives(cat))
         width = sum(len(ref.intertwiner_basis(
             r1.gen_mats[x], r2.gen_mats[x], ctx.p, r1.dims[x], r2.dims[x]))
             for x in cat.objects)
-        assert systems[0].shape[0] == rows == ranked[0][0]
-        assert ranked[0][1] == width < systems[0].shape[1]
+        assert shape == (rows, width)
+        assert width < sum(r1.dims[x] * r2.dims[x] for x in cat.objects)
+
+
+def test_hom_dim_checks_agree_with_the_reference(categories):
+    # dim Hom_C(R1, R2) = dim Hom_Q(F R1, F R2) = the loop-edge
+    # reference, on every fixture (a nonfree one where the inverse
+    # functor gives a representation) and on 200 pairs over random free
+    # categories
+    seen, covered = Counter(), set()
+    fixtures = {id(cat) for cat in categories.values()}
+    rng = random.Random(0xED6E)
+    cases = [(cat, 5) for cat in categories.values()]
+    cases += [(random_free_category(rng, max_mor=150), 4) for _ in range(50)]
+    for cat, pairs in cases:
+        ctx = MoritaContext(build_quiver(cat))
+        for _ in range(pairs):
+            try:
+                r1, r2 = (inverse_functor(ctx, _random_quiverrep(ctx, rng))
+                          for _ in range(2))
+            except ValidationError:
+                continue   # a nonfree category may refuse the representatives
+            q1, q2 = apply_functor(ctx, r1), apply_functor(ctx, r2)
+            for (a, b), (c, d) in (((r1, r2), (q1, q2)),
+                                   ((r2, r1), (q2, q1))):
+                got = hom_dim_cat(a, b)
+                assert got == hom_dim_quiver(c, d) == ref.hom_dim_cat(a, b)
+                covered.add(id(cat))
+                seen["random pairs"] += id(cat) not in fixtures
+                seen["nonzero"] += got > 0
+                seen["zero dim"] += 0 in c.dims
+                seen["one object"] += len(cat.objects) == 1
+    assert fixtures <= covered
+    assert seen["random pairs"] == 2 * 200, seen
+    assert min(seen[k] for k in ("nonzero", "zero dim", "one object")) > 0, \
+        seen
+
+
+def test_hom_dim_quiver_refuses_another_prime_or_quiver(categories,
+                                                        monkeypatch):
+    # both refusals come before any system is built
+    monkeypatch.setattr(morita, "_edge_system_dim", None)
+    rng = random.Random(15)
+    ctxs = [MoritaContext(build_quiver(categories[name]))
+            for name in ("four_object_mixed", "two_object_c2_s3")]
+    q1, q2 = (_random_quiverrep(ctxs[0], rng) for _ in range(2))
+    with pytest.raises(ValidationError, match="prime-mismatch"):
+        hom_dim_quiver(q1, dataclasses.replace(q2, p=15))
+    other = _random_quiverrep(ctxs[1], rng)
+    assert other.p == q1.p
+    for a, b in ((q1, other), (other, q1)):
+        with pytest.raises(SchemaError, match="different quivers"):
+            hom_dim_quiver(a, b)
+
+
+def test_hom_dim_cat_refuses_another_category(categories):
+    rng = random.Random(16)
+    reps = [inverse_functor(ctx, _random_quiverrep(ctx, rng))
+            for ctx in (MoritaContext(build_quiver(categories[name]))
+                        for name in ("four_object_mixed", "two_object_c2_s3"))]
+    assert reps[0].p == reps[1].p
+    for a, b in (reps, reps[::-1]):
+        with pytest.raises(SchemaError, match="different categories"):
+            hom_dim_cat(a, b)
+
+
+def test_inverse_functor_checks_the_prime_and_shapes_first(categories,
+                                                          monkeypatch):
+    ctx = MoritaContext(build_quiver(categories["four_object_mixed"]))
+    q = _random_quiverrep(ctx, random.Random(17))
+    monkeypatch.setattr(morita, "irreducible_model", None)
+    with pytest.raises(ValidationError, match="prime-mismatch"):
+        inverse_functor(ctx, dataclasses.replace(q, p=15))
+    k = len(ctx.arrows) - 1
+    ea = ctx.arrows[k]
+    mats = list(q.arrow_mats)
+    mats[k] = linalg.zeros(5, 7)
+    with pytest.raises(SchemaError) as err:
+        inverse_functor(ctx, dataclasses.replace(q, arrow_mats=tuple(mats)))
+    assert str(err.value) == f"arrow {ea}: matrix must be " \
+        f"{q.dims[ea.target]}x{q.dims[ea.source]}"
 
 
 # sha256 of the matrices below, recorded with the Kronecker-product
@@ -971,7 +1056,7 @@ def _random_invertible(n, p, rng):
     while True:
         m = np.array([[rng.randrange(p) for _ in range(n)]
                       for _ in range(n)], dtype=np.int64).reshape(n, n)
-        if linalg.rank(m, p) == n:
+        if len(linalg.rref(m, p)[1]) == n:
             return m
 
 
@@ -1127,10 +1212,10 @@ def test_a_truncated_kappa_basis_is_an_invariant_error(categories,
 def test_functor_solves_no_system_and_each_check_one(categories,
                                                      monkeypatch):
     # on a warm context the functor and its inverse find every Hom basis
-    # by projections, and each Hom-dimension check is one Sylvester system
+    # by projections, and each Hom-dimension check builds one system
     calls = Counter()
-    for name in ("sylvester_system", "nullspace"):
-        monkeypatch.setattr(linalg, name, lambda *a, f=getattr(linalg, name),
+    for mod, name in ((morita, "_edge_system_dim"), (linalg, "nullspace")):
+        monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name),
                             name=name: calls.update([name]) or f(*a))
     for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
         ctx = MoritaContext(build_quiver(categories[name]))
@@ -1144,6 +1229,6 @@ def test_functor_solves_no_system_and_each_check_one(categories,
         assert all(np.array_equal(a, b)
                    for a, b in zip(again.arrow_mats, q.arrow_mats))
         hom_dim_cat(r, r)
-        assert calls["sylvester_system"] == 1
+        assert calls == {"_edge_system_dim": 1}
         hom_dim_quiver(q, q)
-        assert calls["sylvester_system"] == 2
+        assert calls == {"_edge_system_dim": 2}

@@ -30,8 +30,7 @@ NOT_FROM_THE_CLI = {
     "morita.hom_dim_cat": "tests and perfbench",
     "morita.hom_dim_quiver": "tests and perfbench",
     "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
-    "linalg.sylvester_system": "tests and perfbench (the Hom dimensions)",
-    "linalg.rank": "tests and perfbench (hom_dim_cat, hom_dim_quiver)",
+    "morita._edge_system_dim": "tests and perfbench (the Hom dimensions)",
     "morita.catrep_document": "tools/gen_fixtures.py",
     "errors.is_out_of_memory": "the out-of-memory path of cli.main",
     "errors.clear_frames": "the out-of-memory path of cli.main",
