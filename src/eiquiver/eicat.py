@@ -14,7 +14,9 @@ axioms.  A category generated from an EI quiver (freecover) satisfies
 them by construction.  Its load checks only that it is connected, and
 its composition tables are a LazyTables, filled on the first read by the
 commands that read tables; the tests check the construction's tables
-against validate_category.
+against validate_category.  Both loads find connectivity with
+components, the package's one connected-components search, which
+reptype.classify_graph runs on the quiver's underlying graph.
 
 A category is immutable once loaded, so what is derived from it is
 derived once: `EICategory.memo`, one store, keeps per category the
@@ -139,19 +141,17 @@ def _element_actions(hom: str, side: str, group: PermGroup, size: int,
     group's relations.  The identity's word is empty, so it acts
     trivially: the identity laws hold by construction.  The images are
     a pure function of the group and (side, size, gens), so they are
-    expanded and checked once per key while the group lives (its
-    certified_actions), and only once the check has passed.  The size
-    is part of the key: a trivial group has no generators, whatever the
-    hom's size."""
-    key = (side, size, gens)
-    if (elem := group.certified_actions.get(key)) is None:
+    expanded and checked once per key while the group lives (its memo),
+    and kept only once the check has passed.  The size is part of the
+    key: a trivial group has no generators, whatever the hom's size."""
+    def build():
         elem = word_products(group, gens, pidentity(size), mul)
         if not respects_relations(group, elem, gens, mul):
             raise ValidationError("action-inconsistent",
                                   f"{side} action on hom {hom} does not "
                                   "respect the group relations")
-        group.certified_actions[key] = elem
-    return elem
+        return elem
+    return group.memo(("action", side, size, gens), build)
 
 
 class LazyTables(Mapping):
@@ -245,21 +245,33 @@ def _object_order(objects, homs) -> tuple[str, ...]:
     return tuple(order)
 
 
+def components(vertices, pairs) -> list[set]:
+    """The connected components of the undirected graph on vertices with
+    an edge per pair (u, v), each a set, in order of their first vertex:
+    the package's one components search (the load's connectivity check
+    and reptype.classify_graph)."""
+    adj = {v: [] for v in vertices}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    out, seen = [], set()
+    for v in vertices:
+        if v not in seen:
+            comp, stack = {v}, [v]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            seen |= comp
+            out.append(comp)
+    return out
+
+
 def _check_connected(objects, homs) -> None:
     if not objects:
         raise ValidationError("empty", "category has no objects")
-    adj = {x: set() for x in objects}
-    for (x, y) in homs:
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = {objects[0]}
-    stack = [objects[0]]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(objects):
+    if len(components(objects, homs)) > 1:
         raise ValidationError("disconnected",
                               "category is not connected as an object graph")
 

@@ -633,6 +633,25 @@ def _same_prime(p: int, q: int, what: str) -> None:
         raise ValidationError("prime-mismatch", f"{what} use different primes")
 
 
+def _check_quiverrep(q: QuiverRep, built: BuiltQuiver, arrows) -> None:
+    """SchemaError unless q is a representation of built's category with
+    one dimension per vertex, one matrix per expanded arrow (arrows) and
+    each matrix dims[target] x dims[source]."""
+    if q.built.cat is not built.cat:
+        raise SchemaError("the representation is of a different quiver")
+    if len(q.dims) != len(built.vertices):
+        raise SchemaError(f"need one dimension per vertex, "
+                          f"{len(built.vertices)}, not {len(q.dims)}")
+    if len(q.arrow_mats) != len(arrows):
+        raise SchemaError(f"need one matrix per expanded arrow, "
+                          f"{len(arrows)}, not {len(q.arrow_mats)}")
+    for ea, m in zip(arrows, q.arrow_mats):
+        shape = (q.dims[ea.target], q.dims[ea.source])
+        if np.shape(m) != shape:
+            raise SchemaError(f"arrow {ea}: matrix must be "
+                              f"{shape[0]}x{shape[1]}")
+
+
 def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
     """F: category representation -> quiver representation, one system
     T C = alpha S per coefficient block (MoritaContext.blocks)."""
@@ -667,15 +686,12 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
 def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     """Assemble the canonical category representation with F(R) = qrep:
     the arrow matrices fill each block's C, and alpha sends S to T C.
-    The prime and every arrow matrix's shape are checked first."""
+    The prime and the representation's lengths and shapes
+    (_check_quiverrep) are checked first."""
     p = ctx.p
     built = ctx.built
     _same_prime(qrep.p, p, "representation and quiver")
-    for ea, m in zip(ctx.arrows, qrep.arrow_mats):
-        shape = (qrep.dims[ea.target], qrep.dims[ea.source])
-        if np.shape(m) != shape:
-            raise SchemaError(f"arrow {ea}: matrix must be "
-                              f"{shape[0]}x{shape[1]}")
+    _check_quiverrep(qrep, built, ctx.arrows)
     # canonical module per object: the copies of each irreducible in turn
     obj_dims = {}
     elems = {}        # (x, v) -> element matrices of each model present
@@ -798,12 +814,16 @@ def hom_dim_cat(r1: CatRep, r2: CatRep) -> int:
 def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
     """dim Hom between two representations of the quiver of one loaded
     category: each T_v a combination of matrix units, and an edge per
-    expanded arrow."""
+    expanded arrow.  Both are checked against the first's quiver
+    (_check_quiverrep) before the system is built."""
     _same_prime(q1.p, q2.p, "the two representations")
     if q1.built.cat is not q2.built.cat:
         raise SchemaError("the representations are of different quivers")
+    arrows = expanded_arrows(q1.built)
+    for q in (q1, q2):
+        _check_quiverrep(q, q1.built, arrows)
     units = [linalg.eye(a * b).reshape(a * b, b, a)
              for a, b in zip(q1.dims, q2.dims)]
     edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
-             zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
+             zip(arrows, q1.arrow_mats, q2.arrow_mats)]
     return _edge_system_dim(units, edges, q1.p)

@@ -36,17 +36,19 @@ the one live PermGroup of the given generators (and elements), kept in
 a table of weak references, so the BFS runs once per distinct live
 group.  Its lazy caches are built once and live as long as any holder
 of the shared group does (a category, a memo, or a character table in
-chartab._MODEL_CACHE):
-  - the inverse table, word levels, generator maps and Cayley rows;
-  - certified_subgroups: the generator positions of each member set
+chartab._MODEL_CACHE): the inverse table, word levels, generator maps
+and Cayley rows, and one store, PermGroup.memo, of what the group has
+certified:
+  - ("subgroup", members): the generator positions of each member set
     SubgroupHandle.generator_positions certified a subgroup;
-  - certified_quotients: the cosets, projection and table of each
-    (base, kernel) pair of member sets quotient() accepted;
-  - certified_actions: the element images of each set of generator
-    images that respects_relations accepted (eicat._element_actions).
+  - ("quotient", base, kernel): the cosets, projection and table of each
+    pair of member sets quotient() accepted;
+  - ("action", side, size, gens): the element images of each set of
+    generator images that respects_relations accepted
+    (eicat._element_actions).
 Each is a pure function of the group and its key, so a hit gives what
-the checks would give again; the last three hold only ints, tuples and
-dicts of ints, never a handle or a group, and store nothing when a
+the checks would give again; the memo holds only ints, tuples and
+dicts of ints, never a handle or a group, and stores nothing when a
 check fails.  Lazy caches are the only state a shared group changes.
 
 Element order is globally deterministic: breadth first from the identity,
@@ -145,6 +147,8 @@ class PermGroup:
     # on it hashes one int per lookup instead of the element list
     key: int = field(default_factory=count().__next__, init=False,
                      compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -261,23 +265,17 @@ class PermGroup:
         generator k is element generator_maps[k][e]."""
         return [self.right_products(s).tolist() for s in self.generators]
 
-    # What the group has certified (see the module docstring): plain
-    # data only, stored once its checks pass.
-
-    @cached_property
-    def certified_subgroups(self) -> dict:
-        """Member positions -> generator positions."""
-        return {}
-
-    @cached_property
-    def certified_quotients(self) -> dict:
-        """(base members, kernel members) -> (cosets, projection, table)."""
-        return {}
-
-    @cached_property
-    def certified_actions(self) -> dict:
-        """eicat._element_actions's key -> element images."""
-        return {}
+    def memo(self, key, build):
+        """build(), called once per key while the group lives; every
+        later call returns the same object, shared read-only.  Nothing is
+        stored when build raises.  It keeps what the group certified
+        (see the module docstring): plain data only, never a handle or
+        a group."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
@@ -439,21 +437,21 @@ class SubgroupHandle:
         member lies in the last closure, and no closure may outgrow the
         member count, so InvariantError unless the members are exactly
         that closure, a subgroup.  The walk runs once per member set
-        while the parent lives (its certified_subgroups); a set that is
-        not a subgroup is not kept, and raises on every call."""
+        while the parent lives (its memo); a set that is not a subgroup
+        is not kept, and raises on every call."""
         g, members = self.parent, self.member_positions
-        if (kept := g.certified_subgroups.get(members)) is not None:
-            return kept
-        kept, closure = [], {pidentity(g.degree): 0}
-        for i in members:
-            if g.elements[i] not in closure:
-                kept.append(i)
-                closure = _closure(g.degree, [g.elements[k] for k in kept],
-                                   len(self)).index_of
-        if len(closure) != len(self):
-            raise InvariantError("the members are not a subgroup")
-        kept = g.certified_subgroups[members] = tuple(kept)
-        return kept
+
+        def walk():
+            kept, closure = [], {pidentity(g.degree): 0}
+            for i in members:
+                if g.elements[i] not in closure:
+                    kept.append(i)
+                    closure = _closure(g.degree, [g.elements[k] for k in kept],
+                                       len(members)).index_of
+            if len(closure) != len(members):
+                raise InvariantError("the members are not a subgroup")
+            return tuple(kept)
+        return g.memo(("subgroup", members), walk)
 
     def is_normal_in(self, other: "SubgroupHandle") -> bool:
         """Whether other's generators conjugate this subgroup into itself,
@@ -567,14 +565,13 @@ def derived_cosets(g: PermGroup) -> tuple[np.ndarray, list[np.ndarray]]:
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:
     """base/kernel on its cosets; its checks fail only on a bug.  The
     checks and the coset search run once per pair of member sets while
-    the parent lives (its certified_quotients); a hit is the same cosets
-    and table over the caller's handles."""
+    the parent lives (its memo); a hit is the same cosets and table over
+    the caller's handles."""
     g = base.parent
     if kernel.parent is not g:
         raise InvariantError("kernel and base live in different parent groups")
-    key = (base.member_positions, kernel.member_positions)
-    if (found := g.certified_quotients.get(key)) is None:
-        found = g.certified_quotients[key] = _quotient(base, kernel)
+    found = g.memo(("quotient", base.member_positions,
+                    kernel.member_positions), lambda: _quotient(base, kernel))
     return QuotientGroup(base, kernel, *found)
 
 

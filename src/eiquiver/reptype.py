@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartab import SplittingPrime, choose_splitting_prime
-from .eicat import EICategory, MorphId, homset_orbits
+from .eicat import EICategory, MorphId, components, homset_orbits
 from .freecover import is_free
 from .quiveralg import BuiltQuiver, build_quiver, orbit_data
 
@@ -106,31 +106,15 @@ def _classify_component(verts, edges) -> GraphComponent:
 
 def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
     """Classification of the underlying undirected multigraph, one entry
-    per connected component, ordered by least vertex."""
-    n = len(quiver.vertices)
+    per connected component (eicat.components), ordered by least
+    vertex."""
     edges: dict[tuple[int, int], int] = {}
-    adj = {v: set() for v in range(n)}
     for a in quiver.arrows:
         key = (min(a.source, a.target), max(a.source, a.target))
         edges[key] = edges.get(key, 0) + a.mult
-        adj[a.source].add(a.target)
-        adj[a.target].add(a.source)
-    seen = set()
-    out = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        ce = {e: m for e, m in edges.items() if e[0] in comp}
-        out.append(_classify_component(comp, ce))
-    return out
+    return [_classify_component(comp, {e: m for e, m in edges.items()
+                                       if e[0] in comp})
+            for comp in components(range(len(quiver.vertices)), edges)]
 
 
 def is_hereditary(cat: EICategory, prime: SplittingPrime) -> bool:

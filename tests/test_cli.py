@@ -531,13 +531,11 @@ def test_only_the_commands_that_read_tables_build_them(tmp_path, capsys,
     assert (code, err, len(calls)) == (0, "", 1)
 
 
-@pytest.mark.parametrize("command", ["validate", "quiver", "classify",
-                                     "screen", "cover", "is-free", "oracle",
-                                     "functor"])
-def test_a_disconnected_ei_quiver_document_is_refused(capsys, tmp_path,
-                                                      command):
-    doc = trivial_line(["a", "b", "c"])
-    doc["objects"].append({"id": "d", "degree": 1, "generators": []})
+EVERY_COMMAND = ["validate", "quiver", "classify", "screen", "cover",
+                 "is-free", "oracle", "functor"]
+
+
+def _refused_as_disconnected(capsys, tmp_path, command, doc):
     f = tmp_path / "disconnected.json"
     f.write_text(json.dumps(doc))
     rep = [fx("two_object_c2_s3_rep")] if command == "functor" else []
@@ -545,6 +543,24 @@ def test_a_disconnected_ei_quiver_document_is_refused(capsys, tmp_path,
     assert (code, out) == (2, "")
     assert err == ("validation error: disconnected: category is not "
                    "connected as an object graph\n")
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_a_disconnected_ei_quiver_document_is_refused(capsys, tmp_path,
+                                                      command):
+    doc = trivial_line(["a", "b", "c"])
+    doc["objects"].append({"id": "d", "degree": 1, "generators": []})
+    _refused_as_disconnected(capsys, tmp_path, command, doc)
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_a_disconnected_explicit_document_is_refused(capsys, tmp_path,
+                                                     command):
+    trivial = {"degree": 1, "generators": []}
+    _refused_as_disconnected(capsys, tmp_path, command, {
+        "mode": "explicit",
+        "objects": [{"id": "x", **trivial}, {"id": "y", **trivial}],
+        "homs": [], "compositions": []})
 
 
 def test_reruns_are_byte_identical(capsys):

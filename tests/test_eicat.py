@@ -10,7 +10,7 @@ import pytest
 
 from conftest import fixture_doc, trivial_line
 import kernel_reference as ref
-from eiquiver.eicat import (EICategory, MorphId, ei_quiver_of,
+from eiquiver.eicat import (EICategory, MorphId, components, ei_quiver_of,
                             incoming_tables, load_category,
                             orbit_representatives, stabilizer_data,
                             unfactorizables, validate_category)
@@ -45,6 +45,19 @@ def test_schema_errors():
     doc["homs"][0]["from"] = "nope"
     with pytest.raises(SchemaError):
         load_category(doc)
+
+
+def test_components_come_in_order_of_their_first_vertex():
+    # repeated and reversed pairs and a pair (v, v) join nothing new, and
+    # an isolated vertex is a component of its own
+    pairs = [("e", "b"), ("b", "e"), ("e", "b"), ("f", "f"), ("d", "c"),
+             ("c", "e")]
+    assert components("abcdef", pairs) == [{"a"}, {"b", "c", "d", "e"},
+                                           {"f"}]
+    # the order is the vertex list's, not the least vertex's
+    assert components([3, 1, 2], [(2, 1)]) == [{3}, {1, 2}]
+    assert components([3, 1, 2], [(2, 3), (1, 2)]) == [{1, 2, 3}]
+    assert components([], []) == []
 
 
 def test_skeletality_violation():
@@ -218,9 +231,11 @@ def test_a_bad_action_after_a_good_one_is_still_action_inconsistent(
                     "relations")
     good = load_category(doc([1, 0, 2]))
     c4_group = good.groups["y" if side == "left" else "x"]
-    assert list(c4_group.certified_actions) == [(side, 3, ((1, 0, 2),))]
+    assert [key for key in c4_group._memo if key[0] == "action"] == \
+        [("action", side, 3, ((1, 0, 2),))]
     assert refusal() == refusal() == cold
-    assert list(c4_group.certified_actions) == [(side, 3, ((1, 0, 2),))]
+    assert [key for key in c4_group._memo if key[0] == "action"] == \
+        [("action", side, 3, ((1, 0, 2),))]
 
 
 def test_trivial_groups_act_by_identities_of_each_homs_size():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -1003,7 +1004,7 @@ def test_hom_dim_checks_agree_with_the_reference(categories):
 
 def test_hom_dim_quiver_refuses_another_prime_or_quiver(categories,
                                                         monkeypatch):
-    # both refusals come before any system is built
+    # every refusal comes before any system is built
     monkeypatch.setattr(morita, "_edge_system_dim", None)
     rng = random.Random(15)
     ctxs = [MoritaContext(build_quiver(categories[name]))
@@ -1016,6 +1017,17 @@ def test_hom_dim_quiver_refuses_another_prime_or_quiver(categories,
     for a, b in ((q1, other), (other, q1)):
         with pytest.raises(SchemaError, match="different quivers"):
             hom_dim_quiver(a, b)
+    # a matrix of the wrong shape, or one matrix short, on either side
+    ea = ctxs[0].arrows[0]
+    wrong = dataclasses.replace(
+        q2, arrow_mats=(linalg.zeros(5, 7),) + q2.arrow_mats[1:])
+    short = dataclasses.replace(q2, arrow_mats=q2.arrow_mats[:-1])
+    for bad, message in ((wrong, f"arrow {ea}: matrix must be "
+                          f"{q2.dims[ea.target]}x{q2.dims[ea.source]}"),
+                         (short, "need one matrix per expanded arrow")):
+        for a, b in ((q1, bad), (bad, q1)):
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                hom_dim_quiver(a, b)
 
 
 def test_hom_dim_cat_refuses_another_category(categories):
@@ -1044,6 +1056,12 @@ def test_inverse_functor_checks_the_prime_and_shapes_first(categories,
         inverse_functor(ctx, dataclasses.replace(q, arrow_mats=tuple(mats)))
     assert str(err.value) == f"arrow {ea}: matrix must be " \
         f"{q.dims[ea.target]}x{q.dims[ea.source]}"
+    # one arrow matrix or one dimension short: zip would stop early
+    with pytest.raises(SchemaError, match="one matrix per expanded arrow"):
+        inverse_functor(ctx, dataclasses.replace(
+            q, arrow_mats=q.arrow_mats[:-1]))
+    with pytest.raises(SchemaError, match="one dimension per vertex"):
+        inverse_functor(ctx, dataclasses.replace(q, dims=q.dims[:-1]))
 
 
 # sha256 of the matrices below, recorded with the Kronecker-product

@@ -129,6 +129,11 @@ def test_a_reload_enumerates_no_live_group_again(fresh_groups, monkeypatch):
     assert all(again.groups[o] is cat.groups[o] for o in cat.objects)
 
 
+def _kept(group, kind):
+    """The keys, less their kind, of what group's memo keeps of kind."""
+    return [key[1:] for key in group._memo if key[0] == kind]
+
+
 def test_a_member_set_is_certified_once_per_live_group(fresh_groups,
                                                        monkeypatch):
     s4 = enumerate_group(4, S4_GENS)
@@ -143,14 +148,14 @@ def test_a_member_set_is_certified_once_per_live_group(fresh_groups,
     # a second handle on the same members reads the first one's walk
     assert SubgroupHandle(s4, tuple(a4)).generator_positions == first
     assert walks == []
-    assert s4.certified_subgroups == {a4: first}
+    assert s4._memo == {("subgroup", a4): first}
     # a set that is not a subgroup is kept nowhere: it raises every time
     for _ in range(2):
         with pytest.raises(InvariantError):
             SubgroupHandle(s4, a4[:3]).generator_positions
         assert walks
         walks.clear()
-    assert list(s4.certified_subgroups) == [a4]
+    assert list(s4._memo) == [("subgroup", a4)]
 
 
 def test_a_repeated_quotient_tests_normality_once(fresh_groups, monkeypatch):
@@ -177,8 +182,7 @@ def test_a_repeated_quotient_tests_normality_once(fresh_groups, monkeypatch):
         with pytest.raises(InvariantError, match="not normal"):
             quotient(whole_group(s4), SubgroupHandle(s4, c2))
     assert len(tests) == 3
-    assert list(s4.certified_quotients) == [(whole_group(s4).member_positions,
-                                             v4)]
+    assert _kept(s4, "quotient") == [(whole_group(s4).member_positions, v4)]
 
 
 def test_the_certificate_tables_make_no_reference_cycle(fresh_groups,
@@ -193,8 +197,8 @@ def test_the_certificate_tables_make_no_reference_cycle(fresh_groups,
     cat = load_category(doc)
     quiver = build_quiver(cat)
     groups = [weakref.ref(g) for g in cat.groups.values()]
-    assert any(g().certified_subgroups and g().certified_quotients
-               and g().certified_actions for g in groups)
+    assert any(_kept(g(), "subgroup") and _kept(g(), "quotient")
+               and _kept(g(), "action") for g in groups)
     gc.disable()
     try:
         chartab._MODEL_CACHE.clear()

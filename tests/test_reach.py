@@ -31,6 +31,8 @@ NOT_FROM_THE_CLI = {
     "morita.hom_dim_quiver": "tests and perfbench",
     "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
     "morita._edge_system_dim": "tests and perfbench (the Hom dimensions)",
+    "morita._check_quiverrep": "tests and perfbench (inverse_functor and "
+                               "hom_dim_quiver)",
     "morita.catrep_document": "tools/gen_fixtures.py",
     "errors.is_out_of_memory": "the out-of-memory path of cli.main",
     "errors.clear_frames": "the out-of-memory path of cli.main",
