@@ -32,13 +32,19 @@ inflation work on whole tables at once: each is one array product or
 one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
-every character table on (p, group.key) and every irreducible model
-(morita.irreducible_model) on (p, group.key, i).  Equal live groups are
-one object (permgrp interns them), so group.key, never reused, names a
-group's generators and element order; a table or model is a
-deterministic function of those and p, so a hit is exactly what a fresh
-computation would give.  A table holds its group, which therefore stays
-interned, with its Cayley rows, as long as the table is cached.
+every character table on (p, group.key), every irreducible model
+(morita.irreducible_model) on (p, group.key, i), and the functor's
+entries by group signature (morita.MoritaContext): each L_V on (p,
+group.key, v, K1's member positions, the coset of each member's
+inverse, the quotient group's key), and each kappa or mu basis on that
+key with the quotient irreducible u appended.  The key lengths, 2, 3, 6
+and 7, keep the kinds apart.  Equal live groups are one object (permgrp
+interns them), so group.key, never reused, names a group's generators
+and element order; an entry is a deterministic function of its key, so
+a hit is exactly what a fresh computation would give.  A table holds
+its group, which therefore stays interned, with its Cayley rows, as long
+as the table is cached; so do the two groups a functor entry is keyed
+by, whose tables it was built from.
 """
 
 from __future__ import annotations

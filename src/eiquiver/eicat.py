@@ -269,8 +269,8 @@ def components(vertices, pairs) -> list[set]:
 
 
 def _check_connected(objects, homs) -> None:
-    if not objects:
-        raise ValidationError("empty", "category has no objects")
+    """disconnected unless the objects form one component along the
+    hom-sets; load_category refuses an empty object list first."""
     if len(components(objects, homs)) > 1:
         raise ValidationError("disconnected",
                               "category is not connected as an object graph")

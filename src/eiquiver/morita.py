@@ -15,7 +15,8 @@ The functor F sends it to a representation of the ordinary quiver:
 vertex (x, V) gets k^a where a is the multiplicity of V in R(x), and
 each arrow gets the scalar block read off from the induced map between
 aligned isotypic copies.  The inverse assembles block-diagonal
-canonical models and solves for the representative matrices.
+canonical models and places each arrow's matrix into the representative
+matrices.
 
 All canonical bases are deterministic: a linear character is its own
 model, certified multiplicative by one gather per generator, and every
@@ -30,11 +31,14 @@ Models are kept for the life of the process in chartab._MODEL_CACHE,
 beside the character tables, and imported here under the same name: per
 model, the generator matrices and one (|G|, d, d) array of element
 matrices, which MoritaContext reads by gathers too.  The functor's Hom
-bases come from
-Serre's projections (projection_basis), with no linear system.  The two
-Hom-dimension checks share one system (_edge_system_dim): a stack of
-basis matrices per vertex, T_v their combination, and a block of rows
-T_t M1 = M2 T_s per edge, one column per basis element.  hom_dim_quiver
+bases come from Serre's projections (projection_basis), with no linear
+system.  F reads an object's copies of all of its irreducibles from one
+einsum and one elimination of their block-diagonal stack
+(MoritaContext.copies, canonical_spans), cut in pieces of at most
+CLOSURE_CHUNK entries.  The two Hom-dimension checks share one system
+(_edge_system_dim): a stack of basis matrices per vertex, T_v their
+combination, and a block of rows T_t M1 = M2 T_s per edge, one column
+per basis element.  hom_dim_quiver
 takes each vertex's matrix units and an edge per expanded arrow.
 hom_dim_cat takes each object's Hom_{G_x}(R1 x, R2 x), spanned by group
 averages (fixed_point_basis), and an edge per orbit representative.  It
@@ -44,12 +48,24 @@ needs every |G_x| invertible mod p, which every SplittingPrime gives
 (p > 2 max|G|).  The two stabilizer sides are
 symmetric: kappa (source, G1 acting on U through G1/G0) and mu (target,
 H1 acting through H1/H0, whose cosets carry G1/G0's numbers) are one
-stabilizer_hom.  Both directions work on one coefficient matrix C per
-orbit and quotient irreducible U, between the embeddings of U on the two
-sides (blocks): F solves T C = alpha S once and slices C into arrow
-matrices, and the inverse writes the arrow matrices into C and solves
-for alpha.  The blocks read each orbit's counts e and f off the quiver
-(quiveralg.OrbitData) and check every kappa and mu basis against them.
+stabilizer_hom.  F works on one coefficient matrix C per orbit and
+quotient irreducible U, between the embeddings of U on the two sides
+(blocks): it solves T C = alpha S once and slices C into arrow
+matrices.  The inverse solves nothing per call.  Its module is
+block-diagonal, so alpha [S | K] = [T C | 0] (K the kernel of the G0
+average, which alpha kills) splits into one block per copy of each
+source irreducible V, and alpha's block from the copies of V to those of
+W is the sum of A (x) mu_l L_{U,s} over the expanded arrows between
+them (placements), L_V read off the inverse of [kappa ... | K] on V
+(source_inverse).  The kappa and mu bases and each L_V depend only on
+the groups, so they are kept in chartab._MODEL_CACHE beside the models,
+keyed by group signature: (p, group.key, V, K1's member positions, the
+coset of each member's inverse, the quotient group's key), and U for a
+kappa or mu basis.  The coset numbering is in the key, so orbits with
+equal stabilizers but another twist keep their own entries.  Each
+basis is checked once per key against the orbit's counts e and f
+(quiveralg.OrbitData), and each L_V for a square, invertible
+[kappa ... | K]; nothing is stored when a check fails.
 """
 
 from __future__ import annotations
@@ -58,7 +74,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -114,10 +130,30 @@ def canonical_span(mats: np.ndarray, p: int) -> np.ndarray:
     """The span of mats (k x b x a) in its nullspace echelon basis: as a
     nullspace vector ends at its free column, that is the reduced echelon
     basis of the column-major vecs in reversed column order, reversed."""
-    k, b, a = mats.shape
-    basis = linalg.row_space(
-        mats.transpose(0, 2, 1).reshape(k, a * b)[:, ::-1], p)
-    return basis[::-1, ::-1].reshape(len(basis), a, b).transpose(0, 2, 1)
+    return canonical_spans([mats], p)[0]
+
+
+def canonical_spans(stacks, p: int) -> list[np.ndarray]:
+    """canonical_span of each k x b x a stack, all from one rref of the
+    block-diagonal matrix of their k x (a b) vec rows.  An RREF is
+    unique, so that of a block-diagonal matrix is its blocks' RREFs, and
+    each basis is the one its stack alone gives.  With the columns
+    reversed, the rows come stack by stack once the basis is reversed,
+    each ending at the column its pivot was, in increasing order."""
+    k = len(stacks[0])
+    off = list(accumulate((b * a for _, b, a in map(np.shape, stacks)),
+                          initial=0))
+    diag = linalg.zeros(len(stacks) * k, off[-1])
+    for v, mats in enumerate(stacks):
+        diag[v * k:(v + 1) * k, off[v]:off[v + 1]] = mats.transpose(
+            0, 2, 1).reshape(k, off[v + 1] - off[v])
+    red, piv = linalg.rref(diag[:, ::-1], p)
+    basis = red[:len(piv)][::-1, ::-1]
+    ends = np.searchsorted(off[-1] - 1 - np.array(piv[::-1], np.intp),
+                           off[1:]).tolist()
+    return [basis[i:j, off[v]:off[v + 1]].reshape(
+                j - i, mats.shape[2], mats.shape[1]).transpose(0, 2, 1)
+            for v, (i, j, mats) in enumerate(zip([0] + ends, ends, stacks))]
 
 
 def projection_basis(coefs: np.ndarray, velems: np.ndarray,
@@ -506,8 +542,15 @@ class ExpandedArrow:
 
 
 def expanded_arrows(built: BuiltQuiver) -> tuple[ExpandedArrow, ...]:
+    """The quiver's individual arrows, in the order of its arrows and
+    units; built once per prime, through the category's memo."""
+    return built.cat.memo(("expanded arrows", built.prime),
+                          lambda: _expanded_arrows(built.arrows))
+
+
+def _expanded_arrows(arrows) -> tuple[ExpandedArrow, ...]:
     out = []
-    for arr in built.arrows:
+    for arr in arrows:
         for un in arr.units:
             for s in range(un.e):
                 for l in range(un.f):
@@ -539,8 +582,12 @@ def quiverrep_document(r: QuiverRep) -> dict:
 # the functor and its inverse
 
 class MoritaContext:
-    """Caches the intertwiner bases for one quiver and groups its arrows by
-    block; canonical models are kept in chartab._MODEL_CACHE."""
+    """One quiver's expanded arrows, grouped by block, and lookups of
+    the functor's representation-independent bases.  The bases live in
+    chartab._MODEL_CACHE beside the models, keyed by group signature, so
+    categories over the same interned groups share them; the context
+    keeps only each orbit side's signature and, for the inverse, each
+    arrow's placement matrix read off them."""
 
     def __init__(self, built: BuiltQuiver):
         self.built = built
@@ -552,34 +599,160 @@ class MoritaContext:
             self._block_arrows.setdefault((ea.rep_index, ea.u), []).append((
                 k, (0, built.vertices[ea.source].irr, ea.s),
                 (1, built.vertices[ea.target].irr, ea.l)))
-        self._stab_homs = {}
+        self._signatures = {}     # (r, x) -> what _signature returns
+        self._placements = None   # per expanded arrow, mu_l . L_{U,s}
 
     def model(self, x: str, v: int):
         """(generator matrices, |G| x d x d element matrices) of
         irreducible v at x."""
         return irreducible_model(self.cat.groups[x], self.built.tables[x], v)
 
-    def stabilizer_hom(self, r: int, u: int, x: str, v: int, k1, projection):
+    def _signature(self, r: int, x: str) -> tuple:
+        """What orbit r's side at x (its source or target) reads of its
+        groups: (p, the group's key, K1's member positions, the coset of
+        each member's inverse, the quotient group's key).  K0 is the
+        members whose coset is 0."""
+        sig = self._signatures.get((r, x))
+        if sig is None:
+            od = self.built.orbits[r]
+            st = od.stab
+            k1, projection = ((st.G1, st.quotG.projection)
+                              if x == od.rep.source else
+                              (st.H1, st.quotH.projection))
+            group = self.cat.groups[x]
+            pos = k1.member_positions
+            cosets = tuple(projection[g]
+                           for g in group.inverse[list(pos)].tolist())
+            sig = self._signatures[(r, x)] = (
+                self.p, group.key, pos, cosets,
+                od.quotient_table.group.key)
+        return sig
+
+    def stabilizer_hom(self, r: int, u: int, x: str, v: int):
         """Basis of Hom_{K1}(U, V restricted): U the quotient irreducible u
-        of orbit r, on which K1 acts through projection (a K1 position to
-        its coset index), and V the irreducible v at object x."""
-        key = (r, u, x, v)
-        if key not in self._stab_homs:
+        of orbit r, on which K1 (G1 at r's source, H1 at its target) acts
+        through its coset numbering, and V the irreducible v at object x.
+        Kept in _MODEL_CACHE on (p, group.key, v, K1's member positions,
+        the cosets, the quotient group's key, u)."""
+        p, gkey, pos, cosets, qkey = self._signature(r, x)
+        key = (p, gkey, v, pos, cosets, qkey, u)
+        if key not in _MODEL_CACHE:
             table = self.built.orbits[r].quotient_table
             _, uelems = irreducible_model(table.group, table, u)
             _, velems = self.model(x, v)
-            pos = list(k1.member_positions)
-            cosets = [projection[g]
-                      for g in self.cat.groups[x].inverse[pos].tolist()]
-            self._stab_homs[key] = projection_basis(
-                uelems[cosets, 0], velems[pos], self.p)
-        return self._stab_homs[key]
+            _MODEL_CACHE[key] = projection_basis(
+                uelems[list(cosets), 0], velems[list(pos)], p)
+        return _MODEL_CACHE[key]
 
-    def theta(self, rep: CatRep, x: str, v: int):
-        """Echelon basis of Hom_G(V, R(x)): the copies of V inside R(x)."""
-        _, uelems = self.model(x, v)
-        return projection_basis(uelems[self.cat.groups[x].inverse, 0],
-                                rep.elem_mats[x], self.p)
+    def _counted_hom(self, r: int, u: int, side: int, v: int):
+        """stabilizer_hom on orbit r's source (side 0) or target (side 1),
+        checked against the quiver's count e[u][v] or f[u][v]."""
+        od = self.built.orbits[r]
+        x, n = ((od.rep.source, od.e[u][v]) if side == 0 else
+                (od.rep.target, od.f[u][v]))
+        basis = self.stabilizer_hom(r, u, x, v)
+        if len(basis) != n:
+            raise InvariantError(
+                f"orbit {r}, U{u} -> {x}:X{v}: {len(basis)} Hom basis "
+                f"elements, but the quiver counts {n}")
+        return basis
+
+    def source_inverse(self, r: int, v: int) -> np.ndarray:
+        """L_V for the irreducible v at orbit r's source x: the rows of
+        B^-1 that read the coordinates on the kappa_{U,s}, where B =
+        [kappa_{U,s} for each quotient irreducible U and each s | a basis
+        of the kernel of the G0 average P on V].  alpha kills that
+        kernel, so its rows are never read.  Row block (U, s), of U's
+        degree, reads kappa_{U,s}.
+
+        G0 acts trivially on each U, so the kappa columns Phi lie in the
+        image of P.  B is then invertible exactly when Phi has as many
+        columns as P has rank (its trace: P is idempotent and dim V < p)
+        and L = Y P is a left inverse of Phi, Y the one that the rref of
+        [Phi | I] gives; L kills the kernel, so it is those rows.  Kept in
+        _MODEL_CACHE on (p, group.key, v, K1's member positions, the
+        cosets, the quotient group's key).  The checks (each basis as
+        long as the quiver counts, B invertible) run once per key, and
+        nothing is stored when one fails."""
+        od = self.built.orbits[r]
+        x = od.rep.source
+        p, gkey, pos, cosets, qkey = self._signature(r, x)
+        key = (p, gkey, v, pos, cosets, qkey)
+        if key in _MODEL_CACHE:
+            return _MODEL_CACHE[key]
+        _, velems = self.model(x, v)
+        dv = velems.shape[1]
+        phi = np.hstack([linalg.zeros(dv, 0)] + [
+            kappa for u, row in enumerate(od.e) if row[v]
+            for kappa in self._counted_hom(r, u, 0, v)])
+        c = phi.shape[1]
+        g0 = [g for g, k in zip(pos, cosets) if k == 0]
+        avg = velems[g0].sum(0) % p * linalg.inv_scalar(len(g0), p) % p
+        left = linalg.rref(np.hstack((phi, linalg.eye(dv))), p)[0][:c, c:] \
+            if c else linalg.zeros(0, dv)
+        left = linalg.matmul(left, avg, p)
+        if int(np.trace(avg)) % p != c or not np.array_equal(
+                linalg.matmul(left, phi, p), linalg.eye(c)):
+            raise InvariantError("isotypic embeddings do not fill the module")
+        _MODEL_CACHE[key] = left
+        return left
+
+    def placements(self) -> list[np.ndarray]:
+        """mu_l . L_{U,s}, dim W x dim V, for each expanded arrow (orbit
+        r, quotient irreducible U, copies s and l, from (x, V) to (y, W)):
+        F^-1 sends the arrow's matrix A to the block A (x) mu_l L_{U,s} of
+        alpha_r from the copies of V to the copies of W.  Built once per
+        context, after the L_V of every irreducible at every orbit's
+        source, so that each check has run whatever the dimensions."""
+        if self._placements is None:
+            built = self.built
+            for r, od in enumerate(built.orbits):
+                for v in range(len(built.tables[od.rep.source])):
+                    self.source_inverse(r, v)
+            out = []
+            for ea in self.arrows:
+                od = built.orbits[ea.rep_index]
+                v = built.vertices[ea.source].irr
+                w = built.vertices[ea.target].irr
+                dims = od.quotient_table.dims
+                row = sum(e[v] * d for e, d in zip(od.e[:ea.u], dims)) + \
+                    ea.s * dims[ea.u]
+                mu = self._counted_hom(ea.rep_index, ea.u, 1, w)[ea.l]
+                out.append(linalg.matmul(mu, self.source_inverse(
+                    ea.rep_index, v)[row:row + dims[ea.u]], self.p))
+            self._placements = out
+        return self._placements
+
+    def copies(self, rep: CatRep, x: str) -> list[np.ndarray]:
+        """The copies of each irreducible v inside R(x): Hom_G(V, R(x)) as
+        an n x dim x dv stack in its nullspace echelon basis, for every v
+        in table order.  Each is the span of Serre's projections, as in
+        projection_basis (whose scale d/|G| changes no span), all of them
+        from one einsum over the concatenated coefficients, and their
+        bases from one elimination (canonical_spans).  The stacks go to it
+        as many at a time as fit in CLOSURE_CHUNK entries, one at least:
+        r block-diagonal blocks of dim x (sum of degrees . dim) entries
+        grow with r^2 on an abelian group.  An object of a small group is
+        one elimination."""
+        p = self.p
+        group, dims = self.cat.groups[x], self.built.tables[x].dims
+        m = rep.dims[x]
+        coefs = np.concatenate([self.model(x, v)[1][group.inverse, 0]
+                                for v in range(len(dims))], axis=1)
+        # stack[a, i, j] = T_j[i, a], over every irreducible's a
+        stack = np.einsum("ga,gij->aij", coefs, rep.elem_mats[x])
+        stack %= p
+        off = list(accumulate(dims, initial=0))
+        out, lo = [], 0
+        while lo < len(dims):
+            hi = lo + 1
+            while hi < len(dims) and (hi + 1 - lo) * m * (
+                    off[hi + 1] - off[lo]) * m <= CLOSURE_CHUNK:
+                hi += 1
+            out += canonical_spans([stack[off[v]:off[v + 1]].transpose(
+                2, 1, 0) for v in range(lo, hi)], p)
+            lo = hi
+        return out
 
     def blocks(self, r: int, copies: dict):
         """One (S, T, arrows) per quotient irreducible u of orbit r.  S
@@ -590,26 +763,21 @@ class MoritaContext:
         matrix C with T C = alpha S holds expanded arrow k's matrix at
         C[rows, cols] for each (k, rows, cols) in arrows.  Only the v with
         e[u][v] > 0 (w with f[u][w] > 0) add units, and each basis must
-        have that length: the projections check the characters.  Neither
-        stack is empty, as infl U lies in some V restricted to G1
-        (Frobenius reciprocity), and likewise on the H1 side."""
+        have that length (_counted_hom): the projections check the
+        characters.  Neither stack is empty, as infl U lies in some V
+        restricted to G1 (Frobenius reciprocity), and likewise on the H1
+        side."""
         od = self.built.orbits[r]
-        st = od.stab
-        sides = ((od.rep.source, st.G1, st.quotG.projection, od.e),
-                 (od.rep.target, st.H1, st.quotH.projection, od.f))
+        sides = ((od.rep.source, od.e), (od.rep.target, od.f))
         for u in range(len(od.quotient_table)):
             stacks, at = [], {}
-            for side, (x, k1, projection, counts) in enumerate(sides):
+            for side, (x, counts) in enumerate(sides):
                 units, off = [], 0
                 for v, n in enumerate(counts[u]):
                     if n == 0:
                         continue
                     emb = copies[(x, v)]
-                    basis = self.stabilizer_hom(r, u, x, v, k1, projection)
-                    if len(basis) != n:
-                        raise InvariantError(
-                            f"orbit {r}, U{u} -> {x}:X{v}: {len(basis)} "
-                            f"Hom basis elements, but the quiver counts {n}")
+                    basis = self._counted_hom(r, u, side, v)
                     for s in range(len(basis)):
                         at[(side, v, s)] = slice(off, off + len(emb))
                         off += len(emb)
@@ -633,12 +801,13 @@ def _same_prime(p: int, q: int, what: str) -> None:
         raise ValidationError("prime-mismatch", f"{what} use different primes")
 
 
-def _check_quiverrep(q: QuiverRep, built: BuiltQuiver, arrows) -> None:
+def _check_quiverrep(q: QuiverRep, built: BuiltQuiver) -> None:
     """SchemaError unless q is a representation of built's category with
-    one dimension per vertex, one matrix per expanded arrow (arrows) and
-    each matrix dims[target] x dims[source]."""
+    one dimension per vertex, one matrix per expanded arrow and each
+    matrix dims[target] x dims[source]."""
     if q.built.cat is not built.cat:
         raise SchemaError("the representation is of a different quiver")
+    arrows = expanded_arrows(built)
     if len(q.dims) != len(built.vertices):
         raise SchemaError(f"need one dimension per vertex, "
                           f"{len(built.vertices)}, not {len(q.dims)}")
@@ -653,12 +822,13 @@ def _check_quiverrep(q: QuiverRep, built: BuiltQuiver, arrows) -> None:
 
 
 def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
-    """F: category representation -> quiver representation, one system
-    T C = alpha S per coefficient block (MoritaContext.blocks)."""
+    """F: category representation -> quiver representation: each
+    object's copies of its irreducibles (MoritaContext.copies), then one
+    system T C = alpha S per coefficient block (MoritaContext.blocks)."""
     _same_prime(rep.p, ctx.p, "representation and quiver")
     p = ctx.p
-    thetas = {(v.object, v.irr): ctx.theta(rep, v.object, v.irr)
-              for v in ctx.built.vertices}
+    thetas = {(x, v): stack for x in ctx.cat.objects
+              for v, stack in enumerate(ctx.copies(rep, x))}
     dims = tuple(len(thetas[(v.object, v.irr)]) for v in ctx.built.vertices)
 
     mats = [None] * len(ctx.arrows)
@@ -684,69 +854,54 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
 
 
 def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
-    """Assemble the canonical category representation with F(R) = qrep:
-    the arrow matrices fill each block's C, and alpha sends S to T C.
-    The prime and the representation's lengths and shapes
-    (_check_quiverrep) are checked first."""
+    """Assemble the canonical category representation with F(R) = qrep.
+    Each object's module holds the copies of each irreducible in turn,
+    each copy its model.  alpha_r is the unique solution of
+    alpha [S | K] = [T C | 0] (S the source units, K the kernel of the
+    G0 average, which alpha kills, T the target units and C the arrow
+    matrices), and [S | K] is block-diagonal over the copies, each block
+    [kappa ... | K_V] for the copy's irreducible V, whose inverse's kappa
+    rows are L_V (MoritaContext.source_inverse).  So each expanded arrow's
+    matrix A is placed as A (x) mu_l L_{U,s} (MoritaContext.placements)
+    into alpha_r's block from the copies of V to the copies of W: no
+    system per call.  The prime and the representation's lengths and
+    shapes (_check_quiverrep) are checked first."""
     p = ctx.p
     built = ctx.built
     _same_prime(qrep.p, p, "representation and quiver")
-    _check_quiverrep(qrep, built, ctx.arrows)
-    # canonical module per object: the copies of each irreducible in turn
+    _check_quiverrep(qrep, built)
     obj_dims = {}
-    elems = {}        # (x, v) -> element matrices of each model present
-    embeddings = {}   # (x, v) -> n x dim x dv, one embedding per copy
+    offsets = []      # per vertex: where its copies start in its object
     gen_mats = {}
     for x in built.cat.objects:
+        dims = built.tables[x].dims
         counts = [qrep.dims[built.vertex_index[(x, v)]]
-                  for v in range(len(built.tables[x]))]
-        total = obj_dims[x] = sum(
-            n * d for n, d in zip(counts, built.tables[x].dims))
-        ident = linalg.eye(total)
+                  for v in range(len(dims))]
+        total = obj_dims[x] = sum(n * d for n, d in zip(counts, dims))
         mats = [linalg.zeros(total, total)
                 for _ in built.cat.groups[x].generators]
         pos = 0
-        for v, (n, dv) in enumerate(zip(counts, built.tables[x].dims)):
-            embeddings[(x, v)] = ident[:, pos:pos + n * dv].reshape(
-                total, n, dv).transpose(1, 0, 2)
+        for v, (n, dv) in enumerate(zip(counts, dims)):
+            offsets.append(pos)
             if n:
-                gm, elems[(x, v)] = ctx.model(x, v)
+                gm = ctx.model(x, v)[0]
                 for q in range(pos, pos + n * dv, dv):
                     for m, g in zip(mats, gm):
                         m[q:q + dv, q:q + dv] = g
             pos += n * dv
         gen_mats[x] = tuple(mats)
 
-    alpha_mats = []
-    for r, od in enumerate(built.orbits):
-        x, y = od.rep.source, od.rep.target
-        src_cols, img_cols = [], []
-        for src, tgt, arrows in ctx.blocks(r, embeddings):
-            coef = linalg.zeros(len(tgt), len(src))
-            for k, rows, cols in arrows:
-                coef[rows, cols] = qrep.arrow_mats[k]
-            src_cols.extend(src)
-            img_cols.extend(np.tensordot(coef, tgt, (0, 0)) % p)
-        # the representative matrix kills everything outside the fixed
-        # points of G0, so complete the column system with that complement
-        g0 = list(od.stab.G0.member_positions)
-        proj = sum(e @ (el[g0].sum(0) % p) @ e.T
-                   for (z, v), el in elems.items() if z == x
-                   for e in embeddings[(z, v)])
-        proj = proj * linalg.inv_scalar(len(g0), p) % p
-        comp = linalg.row_space((linalg.eye(obj_dims[x]) - proj).T % p, p).T
-        cmat = np.hstack(src_cols + [comp]) % p
-        dmat = np.hstack(img_cols +
-                         [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
-        # alpha C = D: C is invertible exactly when the rref of
-        # [C^T | D^T] has its first n pivots at 0..n-1, and is then
-        # [I | alpha^T]
-        n = obj_dims[x]
-        red, piv = linalg.rref(np.hstack([cmat.T, dmat.T]), p)
-        if cmat.shape[1] != n or piv[:n] != list(range(n)):
-            raise InvariantError("isotypic embeddings do not fill the module")
-        alpha_mats.append(red[:, n:].T)
-
+    alpha_mats = [linalg.zeros(obj_dims[od.rep.target],
+                               obj_dims[od.rep.source])
+                  for od in built.orbits]
+    for ea, a, place in zip(ctx.arrows, qrep.arrow_mats, ctx.placements()):
+        # a (x) place, by one broadcast; build_catrep reduces the sums
+        a = np.asarray(a, dtype=np.int64) % p
+        block = (a[:, None, :, None] * place[:, None]).reshape(
+            a.shape[0] * len(place), a.shape[1] * len(place.T))
+        t, s = offsets[ea.target], offsets[ea.source]
+        alpha_mats[ea.rep_index][t:t + len(block), s:s + len(block.T)] += \
+            block
     return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
 
 
@@ -819,11 +974,10 @@ def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
     _same_prime(q1.p, q2.p, "the two representations")
     if q1.built.cat is not q2.built.cat:
         raise SchemaError("the representations are of different quivers")
-    arrows = expanded_arrows(q1.built)
     for q in (q1, q2):
-        _check_quiverrep(q, q1.built, arrows)
+        _check_quiverrep(q, q1.built)
     units = [linalg.eye(a * b).reshape(a * b, b, a)
              for a, b in zip(q1.dims, q2.dims)]
     edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
-             zip(arrows, q1.arrow_mats, q2.arrow_mats)]
+             zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
     return _edge_system_dim(units, edges, q1.p)

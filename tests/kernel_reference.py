@@ -47,6 +47,11 @@ eiquiver.freecover.is_free replaced.  cartan_matrix and path_counts
 state the source paper's theorem as a check: the Cartan matrix of the
 category algebra is bounded by the quiver's path counts, with equality
 exactly when the category is free (p never divides a group order here).
+inverse_functor is the inverse functor by one solve per orbit,
+alpha [S | comp] = [T C | 0], from the blocks of the functor (the
+units of the block-diagonal module, C holding the arrow matrices) and
+comp spanning the kernel of the module's G0 average, that the cached
+L_V and the placed blocks of eiquiver.morita.inverse_functor replaced.
 screen_two_object is the two-object screening of
 eiquiver.reptype.screen_two_object by each side's own character table:
 the table of K1 (G1 or H1) as a group of its own, each irreducible's
@@ -59,7 +64,7 @@ from math import isqrt
 
 import numpy as np
 
-from eiquiver import chartab, linalg, permgrp
+from eiquiver import chartab, linalg, morita, permgrp
 from eiquiver.chartab import CharTable
 from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
                             _check_connected, homset_orbits,
@@ -434,6 +439,64 @@ def hom_dim_cat(r1, r2) -> int:
     system = sylvester_system([r1.dims[x] for x in cat.objects],
                               [r2.dims[x] for x in cat.objects], edges, r1.p)
     return int(linalg.nullspace(system, r1.p).shape[0])
+
+
+def inverse_functor(ctx, qrep):
+    """eiquiver.morita.CatRep with F(R) = qrep, by one elimination per
+    orbit: the arrow matrices fill each block's C, and alpha solves
+    alpha [S | comp] = [T C | 0], where comp spans the complement of the
+    fixed points of G0, which alpha kills."""
+    p, built = ctx.p, ctx.built
+    # canonical module per object: the copies of each irreducible in turn
+    obj_dims, elems, embeddings, gen_mats = {}, {}, {}, {}
+    for x in built.cat.objects:
+        counts = [qrep.dims[built.vertex_index[(x, v)]]
+                  for v in range(len(built.tables[x]))]
+        total = obj_dims[x] = sum(
+            n * d for n, d in zip(counts, built.tables[x].dims))
+        ident = linalg.eye(total)
+        mats = [linalg.zeros(total, total)
+                for _ in built.cat.groups[x].generators]
+        pos = 0
+        for v, (n, dv) in enumerate(zip(counts, built.tables[x].dims)):
+            embeddings[(x, v)] = ident[:, pos:pos + n * dv].reshape(
+                total, n, dv).transpose(1, 0, 2)
+            if n:
+                gm, elems[(x, v)] = ctx.model(x, v)
+                for q in range(pos, pos + n * dv, dv):
+                    for m, g in zip(mats, gm):
+                        m[q:q + dv, q:q + dv] = g
+            pos += n * dv
+        gen_mats[x] = tuple(mats)
+
+    alpha_mats = []
+    for r, od in enumerate(built.orbits):
+        x, y = od.rep.source, od.rep.target
+        src_cols, img_cols = [], []
+        for src, tgt, arrows in ctx.blocks(r, embeddings):
+            coef = linalg.zeros(len(tgt), len(src))
+            for k, rows, cols in arrows:
+                coef[rows, cols] = qrep.arrow_mats[k]
+            src_cols.extend(src)
+            img_cols.extend(np.tensordot(coef, tgt, (0, 0)) % p)
+        g0 = list(od.stab.G0.member_positions)
+        proj = sum(e @ (el[g0].sum(0) % p) @ e.T
+                   for (z, v), el in elems.items() if z == x
+                   for e in embeddings[(z, v)])
+        proj = proj * linalg.inv_scalar(len(g0), p) % p
+        comp = linalg.row_space((linalg.eye(obj_dims[x]) - proj).T % p, p).T
+        cmat = np.hstack(src_cols + [comp]) % p
+        dmat = np.hstack(img_cols +
+                         [linalg.zeros(obj_dims[y], comp.shape[1])]) % p
+        # alpha C = D: C is invertible exactly when the rref of
+        # [C^T | D^T] has its first n pivots at 0..n-1, and is then
+        # [I | alpha^T]
+        n = obj_dims[x]
+        red, piv = linalg.rref(np.hstack([cmat.T, dmat.T]), p)
+        if cmat.shape[1] != n or piv[:n] != list(range(n)):
+            raise InvariantError("isotypic embeddings do not fill the module")
+        alpha_mats.append(red[:, n:].T)
+    return morita.build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
 
 
 def poly_roots(coeffs, p):

@@ -41,6 +41,10 @@ def test_schema_errors():
         load_category({"mode": "explicit"})     # no objects
     with pytest.raises(SchemaError):
         load_category({"mode": "nonsense", "objects": []})
+    # an empty object list never reaches the connectivity check
+    for mode in ("explicit", "ei-quiver"):
+        with pytest.raises(SchemaError, match="missing or empty 'objects'"):
+            load_category({"mode": mode, "objects": [], "homs": []})
     doc = fixture_doc("two_object_c2_s3")
     doc["homs"][0]["from"] = "nope"
     with pytest.raises(SchemaError):

@@ -4,6 +4,7 @@ and its inverse, and hom-space dimensions."""
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -37,6 +38,7 @@ from randcats import random_free_category, random_nonfree_category
 from test_chartab import CATALOG, MORE, _group
 from test_freecover import s3_chain_document
 from test_kernel import C4_REGULAR
+from test_quiveralg import TWISTED_C3
 
 
 @pytest.fixture(scope="module")
@@ -330,30 +332,33 @@ def test_irreducible_model_multiplies_no_words(monkeypatch):
 @pytest.mark.parametrize("lost", ("dropped", "zeroed"))
 def test_embeddings_that_miss_a_column_are_an_invariant_error(monkeypatch,
                                                               lost):
-    # one source unit of every block dropped, so C is not square, or
-    # zeroed, so the square C is singular
+    # the last column of every kappa basis element that feeds an L_V
+    # dropped, so [kappa | kernel] is not square, or the last element's
+    # zeroed, so the square one is singular; from a cold cache, as the
+    # check runs once per L_V key
     cat = load_category(fixture_doc("two_object_c2_s3"))
-    ctx = MoritaContext(build_quiver(cat))
-    # one copy of every vertex, so that every block has source units
-    qrep = QuiverRep(ctx.built, ctx.p, (1,) * len(ctx.built.vertices),
-                     tuple(linalg.eye(1) for _ in expanded_arrows(ctx.built)))
-    inverse_functor(ctx, qrep)
-    blocks = MoritaContext.blocks
+    built = build_quiver(cat)
+    # one copy of every vertex, so that every source irreducible is read
+    qrep = QuiverRep(built, built.prime.p, (1,) * len(built.vertices),
+                     tuple(linalg.eye(1) for _ in expanded_arrows(built)))
+    inverse_functor(MoritaContext(built), qrep)
+    exact = MoritaContext.stabilizer_hom
 
-    def missing(self, r, copies):
-        for src, tgt, arrows in blocks(self, r, copies):
-            if lost == "zeroed":
-                src = src.copy()
-                src[-1] = 0
-            else:
-                src = src[:-1]
-                arrows = [a for a in arrows if a[2].stop <= len(src)]
-            yield src, tgt, arrows
+    def missing(self, r, u, x, v):
+        basis = exact(self, r, u, x, v)
+        if x != self.built.orbits[r].rep.source:
+            return basis
+        if lost == "dropped":
+            return basis[:, :, :-1]
+        basis = basis.copy()
+        basis[-1, :, -1] = 0
+        return basis
 
-    monkeypatch.setattr(MoritaContext, "blocks", missing)
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(MoritaContext, "stabilizer_hom", missing)
     with pytest.raises(InvariantError,
                        match="^isotypic embeddings do not fill the module$"):
-        inverse_functor(ctx, qrep)
+        inverse_functor(MoritaContext(built), qrep)
 
 
 def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
@@ -1148,9 +1153,9 @@ def _same_basis(got, want):
 
 
 def test_projection_bases_match_the_sylvester_reference(categories):
-    # theta, kappa and mu from Serre's projections are, matrix for
-    # matrix, the nullspace basis of the Sylvester system over all of the
-    # group (theta) or of K1 (kappa, mu)
+    # the copies (theta), kappa and mu from Serre's projections are,
+    # matrix for matrix, the nullspace basis of the Sylvester system over
+    # all of the group (theta) or of K1 (kappa, mu)
     rng = random.Random(0x5E77E)
     cats = list(categories.values())
     cats += [random_free_category(rng, max_mor=80) for _ in range(6)]
@@ -1171,7 +1176,7 @@ def test_projection_bases_match_the_sylvester_reference(categories):
                 want = ref.intertwiner_basis(
                     list(ctx.model(x, v.irr)[0]), list(rep.gen_mats[x]), p,
                     ctx.built.tables[x].dims[v.irr], rep.dims[x])
-                assert _same_basis(ctx.theta(rep, x, v.irr), want)
+                assert _same_basis(ctx.copies(rep, x)[v.irr], want)
                 seen["theta copies"] += len(want)
         for r, od in enumerate(ctx.built.orbits):
             st, qtable = od.stab, od.quotient_table
@@ -1189,27 +1194,31 @@ def test_projection_bases_match_the_sylvester_reference(categories):
                             [uelems[projection[g]] for g in pos],
                             [velems[g] for g in pos], p,
                             uelems[0].shape[0], velems[0].shape[0])
-                        assert _same_basis(ctx.stabilizer_hom(
-                            r, u, x, v, k1, projection), want)
+                        assert _same_basis(
+                            ctx.stabilizer_hom(r, u, x, v), want)
                         assert len(want) == counts[u][v]
                         seen["stabilizer homs"] += bool(want)
     assert seen["nontrivial quotient"] and seen["quotient degree 2"], seen
     assert seen["theta copies"] > 100 and seen["stabilizer homs"] > 100, seen
 
 
-def test_blocks_build_only_the_counted_bases(categories):
-    # one kappa or mu basis per nonzero e[u][v] or f[u][w] of the quiver
+def test_blocks_build_only_the_counted_bases(categories, monkeypatch):
+    # one kappa or mu basis per nonzero e[u][v] or f[u][w] of the quiver,
+    # each in the model cache under its group signature
     for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
+        monkeypatch.setattr(morita, "_MODEL_CACHE", {})
         ctx = MoritaContext(build_quiver(categories[name]))
         r = inverse_functor(ctx, _random_quiverrep(ctx, random.Random(2)))
         apply_functor(ctx, r)
-        counted = {(k, u, x, v)
-                   for k, od in enumerate(ctx.built.orbits)
-                   for x, counts in ((od.rep.source, od.e),
-                                     (od.rep.target, od.f))
-                   for u, row in enumerate(counts)
-                   for v, n in enumerate(row) if n}
-        assert set(ctx._stab_homs) == counted, name
+        counted = set()
+        for k, od in enumerate(ctx.built.orbits):
+            for x, counts in ((od.rep.source, od.e), (od.rep.target, od.f)):
+                p, gkey, pos, cosets, qkey = ctx._signature(k, x)
+                counted |= {(p, gkey, v, pos, cosets, qkey, u)
+                            for u, row in enumerate(counts)
+                            for v, n in enumerate(row) if n}
+        assert {key for key in morita._MODEL_CACHE if len(key) == 7} == \
+            counted, name
 
 
 def test_a_truncated_kappa_basis_is_an_invariant_error(categories,
@@ -1250,3 +1259,231 @@ def test_functor_solves_no_system_and_each_check_one(categories,
         assert calls == {"_edge_system_dim": 1}
         hom_dim_quiver(q, q)
         assert calls == {"_edge_system_dim": 2}
+
+
+def _catrep_bytes(build, ctx, q):
+    """The dims and the dtype, shape and bytes of every generator,
+    representative and morphism matrix of build(ctx, q), or the class,
+    finding and message of what it raised."""
+    try:
+        r = build(ctx, q)
+    except EIQuiverError as e:
+        return type(e).__name__, getattr(e, "finding", None), str(e)
+
+    def put(m):
+        return m.dtype.str, m.shape, np.ascontiguousarray(m).tobytes()
+    return (r.dims, {x: [put(m) for m in ms] for x, ms in r.gen_mats.items()},
+            [put(a) for a in r.alpha_mats],
+            {key: put(m) for key, m in r.mor_mats.items()})
+
+
+def _reference_contexts(categories):
+    """(name, context) of every fixture, the S3 chains of 3 to 5 objects,
+    the twisted C3 category and 50 randcats categories."""
+    rng = random.Random(0x1F0)
+    cats = list(categories.items())
+    cats += [(f"S3 chain {k}", load_category(s3_chain_document(k)))
+             for k in (3, 4, 5)]
+    cats += [("twisted C3", load_category(TWISTED_C3))]
+    cats += [(f"randcats {i}", random_free_category(rng, max_mor=80))
+             for i in range(50)]
+    return [(name, MoritaContext(build_quiver(cat))) for name, cat in cats]
+
+
+def test_inverse_functor_matches_the_per_orbit_solve(categories):
+    # the placed blocks are, byte for byte, the unique solution of each
+    # orbit's system alpha [S | comp] = [T C | 0]; on a non-free
+    # category both end in the same finding.  Four random
+    # representations each, and one with every dimension 1
+    rng = random.Random(0x1F1)
+    seen, found, nonfree = Counter(), set(), []
+    for name, ctx in _reference_contexts(categories):
+        free = is_free(ctx.cat)
+        qs = [_random_quiverrep(ctx, rng) for _ in range(4)]
+        ones = (1,) * len(ctx.built.vertices)
+        qs.append(QuiverRep(ctx.built, ctx.p, ones, tuple(
+            np.array([[rng.randrange(1, ctx.p)]]) for _ in ctx.arrows)))
+        for q in qs:
+            got = _catrep_bytes(inverse_functor, ctx, q)
+            assert got == _catrep_bytes(ref.inverse_functor, ctx, q), name
+            seen[free, got[1] if isinstance(got[0], str) else None] += 1
+            if not free and isinstance(got[0], str):
+                found.add(name)
+        nonfree += [] if free else [name]
+        seen["quotient degree 2"] += any(
+            2 in od.quotient_table.dims for od in ctx.built.orbits)
+    # every non-free fixture ends in not-functorial at least once, and
+    # no free category ends in a finding
+    assert sorted(found) == sorted(nonfree) == [
+        "fork_merge_nonfree", "line_subcategory_nonfree"]
+    assert set(seen) == {(True, None), (False, None),
+                         (False, "not-functorial"), "quotient degree 2"}
+    assert seen["quotient degree 2"] >= 3 and seen[True, None] >= 250, seen
+
+
+def _functor_entries(ctx):
+    """Every kappa, mu and L_V that the functor and its inverse read on
+    ctx, by (kind, orbit, U, object, irreducible)."""
+    out = {}
+    for r, od in enumerate(ctx.built.orbits):
+        for x, counts in ((od.rep.source, od.e), (od.rep.target, od.f)):
+            for u, row in enumerate(counts):
+                for v, n in enumerate(row):
+                    if n:
+                        out[("hom", r, u, x, v)] = ctx.stabilizer_hom(
+                            r, u, x, v)
+        for v in range(len(ctx.built.tables[od.rep.source])):
+            out[("L", r, None, od.rep.source, v)] = ctx.source_inverse(r, v)
+    return out
+
+
+def test_functor_cache_entries_are_fresh_computations(categories,
+                                                      monkeypatch):
+    # kappa, mu and L_V read through one cache shared by many categories
+    # equal, byte for byte, what each category computes from a cold cache
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    ctxs = _reference_contexts(categories)[:20]
+    shared = [_functor_entries(ctx) for _, ctx in ctxs]
+    keys = {key for key in morita._MODEL_CACHE if len(key) in (6, 7)}
+    assert len(keys) < sum(map(len, shared)), "no entry is shared"
+    for (name, ctx), want in zip(ctxs, shared):
+        morita._MODEL_CACHE.clear()
+        got = _functor_entries(MoritaContext(ctx.built))
+        assert got.keys() == want.keys()
+        for key, m in got.items():
+            assert (m.dtype, m.shape) == (want[key].dtype, want[key].shape)
+            assert m.tobytes() == want[key].tobytes(), (name, key)
+    # the twisted C3 orbits share their source side and keep their
+    # target sides apart: h∘alpha = alpha∘g numbers H1 differently
+    ctx = dict(ctxs)["twisted C3"]
+    assert ctx._signature(0, "x") == ctx._signature(1, "x")
+    assert ctx._signature(0, "y") != ctx._signature(1, "y")
+
+
+def test_a_second_category_over_the_same_groups_projects_nothing(
+        monkeypatch):
+    # the same document loaded twice: the second category's groups are
+    # the first's, interned, so its kappa, mu and L_V are cache hits
+    calls = []
+    project = morita.projection_basis
+    monkeypatch.setattr(morita, "projection_basis",
+                        lambda *a: calls.append(a) or project(*a))
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    doc = s3_chain_document(3)
+    outcomes = []
+    for _ in range(2):
+        calls.clear()
+        ctx = MoritaContext(build_quiver(load_category(doc)))
+        q = _random_quiverrep(ctx, random.Random(5))
+        r = inverse_functor(ctx, q)
+        again = apply_functor(ctx, r)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.arrow_mats, q.arrow_mats))
+        outcomes.append((len(calls), [a.tobytes() for a in r.alpha_mats]))
+    assert outcomes[0][0] > 0 and outcomes[1][0] == 0
+    assert outcomes[0][1] == outcomes[1][1]
+
+
+@pytest.mark.parametrize("lost", ("element", "column"))
+def test_a_failed_source_inverse_check_stores_nothing(monkeypatch, lost):
+    # a kappa basis one element short fails its count, and one with a
+    # column dropped fails to fill V: no L_V with kappa rows is kept,
+    # though the context reads them all before the failure
+    built = build_quiver(load_category(fixture_doc("four_object_mixed")))
+    exact = MoritaContext.stabilizer_hom
+
+    def short(self, r, u, x, v):
+        basis = exact(self, r, u, x, v)
+        if x != self.built.orbits[r].rep.source:
+            return basis
+        return basis[:-1] if lost == "element" else basis[:, :, :-1]
+
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(MoritaContext, "stabilizer_hom", short)
+    ctx = MoritaContext(built)
+    message = ("the quiver counts" if lost == "element"
+               else "do not fill the module")
+    for r, od in enumerate(built.orbits):
+        for v in range(len(built.tables[od.rep.source])):
+            if any(row[v] for row in od.e):
+                with pytest.raises(InvariantError, match=message):
+                    ctx.source_inverse(r, v)
+            else:
+                assert ctx.source_inverse(r, v).shape[0] == 0
+    stored = [m for key, m in morita._MODEL_CACHE.items() if len(key) == 6]
+    assert stored and all(m.shape[0] == 0 for m in stored)
+
+
+def test_a_second_inverse_functor_solves_nothing(categories, monkeypatch):
+    # every L_V and placement is read off the cache and the context on a
+    # second call: no elimination and no projection, only build_catrep
+    rref, project = linalg.rref, morita.projection_basis
+    calls = Counter()
+    for name in ("four_object_mixed", "two_object_c2_s3"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        rng = random.Random(11)
+        inverse_functor(ctx, _random_quiverrep(ctx, rng))
+        monkeypatch.setattr(linalg, "rref", lambda *a: calls.update(
+            ["rref"]) or rref(*a))
+        monkeypatch.setattr(morita, "projection_basis", lambda *a: calls.update(
+            ["projection_basis"]) or project(*a))
+        q = _random_quiverrep(ctx, rng)
+        again = inverse_functor(ctx, q)
+        monkeypatch.setattr(linalg, "rref", rref)
+        monkeypatch.setattr(morita, "projection_basis", project)
+        assert calls == {}, name
+        assert _catrep_bytes(lambda c, q: again, ctx, q) == \
+            _catrep_bytes(ref.inverse_functor, ctx, q)
+
+
+def test_expanded_arrows_are_built_once_per_prime(monkeypatch):
+    # the context, both functors, the shape check, hom_dim_quiver and the
+    # document read one tuple per (category, prime), on every quiver
+    # built for them; another prime builds its own
+    calls = []
+    build = morita._expanded_arrows
+    monkeypatch.setattr(morita, "_expanded_arrows",
+                        lambda arrows: calls.append(arrows) or build(arrows))
+    cat = load_category(fixture_doc("four_object_mixed"))
+    ctx = MoritaContext(build_quiver(cat))
+    q = _random_quiverrep(ctx, random.Random(13))
+    apply_functor(ctx, inverse_functor(ctx, q))
+    hom_dim_quiver(q, q)
+    quiverrep_document(q)
+    again = MoritaContext(build_quiver(cat, ctx.built.prime))
+    assert again.arrows is ctx.arrows and len(calls) == 1
+    # the next prime that certifies the groups
+    exponent = math.lcm(*(g.exponent for g in cat.groups.values()))
+    p = next(p for p in range(ctx.p + exponent, 10**4, exponent)
+             if all(p % d for d in range(2, p)))
+    other = MoritaContext(build_quiver(cat, certified_prime(
+        p, cat.groups.values())))
+    assert len(calls) == 2 and other.arrows == ctx.arrows
+
+
+@pytest.mark.parametrize("chunk", (1, 200, CLOSURE_CHUNK))
+def test_copies_are_each_irreducibles_projection_basis(categories,
+                                                       monkeypatch, chunk):
+    # one elimination of block-diagonal stacks, as many blocks at a time
+    # as the chunk holds (every block alone at 1), gives, byte for byte,
+    # the basis of each irreducible's own projections
+    monkeypatch.setattr(morita, "CLOSURE_CHUNK", chunk)
+    rng = random.Random(0xC0C)
+    seen = Counter()
+    for name in ("four_object_mixed", "two_object_c2_s3"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        for _ in range(3):
+            r = inverse_functor(ctx, _random_quiverrep(ctx, rng, 3))
+            for x in ctx.cat.objects:
+                group = ctx.cat.groups[x]
+                got = ctx.copies(r, x)
+                assert len(got) == len(ctx.built.tables[x])
+                for v, basis in enumerate(got):
+                    want = morita.projection_basis(
+                        ctx.model(x, v)[1][group.inverse, 0],
+                        r.elem_mats[x], ctx.p)
+                    assert (basis.dtype, basis.shape) == (want.dtype,
+                                                          want.shape)
+                    assert np.array_equal(basis, want)
+                    seen[len(basis) > 0] += 1
+    assert seen[True] > 20 and seen[False] > 0, seen

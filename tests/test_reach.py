@@ -27,9 +27,14 @@ SRC = pathlib.Path(eiquiver.__file__).resolve().parent
 # function -> what reaches it, when the CLI does not
 NOT_FROM_THE_CLI = {
     "morita.inverse_functor": "tests and perfbench",
+    "morita.MoritaContext.source_inverse": "tests and perfbench "
+                                            "(inverse_functor)",
+    "morita.MoritaContext.placements": "tests and perfbench "
+                                       "(inverse_functor)",
     "morita.hom_dim_cat": "tests and perfbench",
     "morita.hom_dim_quiver": "tests and perfbench",
     "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
+    "linalg.row_space": "tests and perfbench (fixed_point_basis)",
     "morita._edge_system_dim": "tests and perfbench (the Hom dimensions)",
     "morita._check_quiverrep": "tests and perfbench (inverse_functor and "
                                "hom_dim_quiver)",
