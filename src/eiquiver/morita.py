@@ -32,14 +32,13 @@ beside the character tables, and imported here under the same name: per
 model, the generator matrices and one (|G|, d, d) array of element
 matrices, which MoritaContext reads by gathers too.  The functor's Hom
 bases come from Serre's projections (projection_basis), with no linear
-system.  F reads an object's copies of all of its irreducibles from one
-einsum and one elimination of their block-diagonal stack
-(MoritaContext.copies, canonical_spans), cut in pieces of at most
-CLOSURE_CHUNK entries.  The two Hom-dimension checks share one system
+system.  F reads an object's projections for all of its irreducibles
+from one einsum, and each irreducible's copies from its slice
+(MoritaContext.copies).  The two Hom-dimension checks share one system
 (_edge_system_dim): a stack of basis matrices per vertex, T_v their
 combination, and a block of rows T_t M1 = M2 T_s per edge, one column
-per basis element.  hom_dim_quiver
-takes each vertex's matrix units and an edge per expanded arrow.
+per basis element.  hom_dim_quiver takes each vertex's matrix units and
+an edge per expanded arrow.
 hom_dim_cat takes each object's Hom_{G_x}(R1 x, R2 x), spanned by group
 averages (fixed_point_basis), and an edge per orbit representative.  It
 reads only the representations' matrices, no model, character or
@@ -57,15 +56,16 @@ average, which alpha kills) splits into one block per copy of each
 source irreducible V, and alpha's block from the copies of V to those of
 W is the sum of A (x) mu_l L_{U,s} over the expanded arrows between
 them (placements), L_V read off the inverse of [kappa ... | K] on V
-(source_inverse).  The kappa and mu bases and each L_V depend only on
-the groups, so they are kept in chartab._MODEL_CACHE beside the models,
-keyed by group signature: (p, group.key, V, K1's member positions, the
-coset of each member's inverse, the quotient group's key), and U for a
-kappa or mu basis.  The coset numbering is in the key, so orbits with
-equal stabilizers but another twist keep their own entries.  Each
-basis is checked once per key against the orbit's counts e and f
-(quiveralg.OrbitData), and each L_V for a square, invertible
-[kappa ... | K]; nothing is stored when a check fails.
+(source_inverse), built only for a V that some arrow reads.  The kappa
+and mu bases and each L_V depend only on the groups, so they are kept
+in chartab._MODEL_CACHE beside the models, keyed by group signature:
+(p, group.key, V, K1's member positions, the coset of each member's
+inverse, the quotient group's key), and U for a kappa or mu basis.  The
+coset numbering is in the key, so orbits with equal stabilizers but
+another twist keep their own entries.  Each basis is checked once per
+key against the orbit's counts e and f (quiveralg.OrbitData), and each
+L_V for a square, invertible [kappa ... | K]; nothing is stored when a
+check fails.
 """
 
 from __future__ import annotations
@@ -130,30 +130,10 @@ def canonical_span(mats: np.ndarray, p: int) -> np.ndarray:
     """The span of mats (k x b x a) in its nullspace echelon basis: as a
     nullspace vector ends at its free column, that is the reduced echelon
     basis of the column-major vecs in reversed column order, reversed."""
-    return canonical_spans([mats], p)[0]
-
-
-def canonical_spans(stacks, p: int) -> list[np.ndarray]:
-    """canonical_span of each k x b x a stack, all from one rref of the
-    block-diagonal matrix of their k x (a b) vec rows.  An RREF is
-    unique, so that of a block-diagonal matrix is its blocks' RREFs, and
-    each basis is the one its stack alone gives.  With the columns
-    reversed, the rows come stack by stack once the basis is reversed,
-    each ending at the column its pivot was, in increasing order."""
-    k = len(stacks[0])
-    off = list(accumulate((b * a for _, b, a in map(np.shape, stacks)),
-                          initial=0))
-    diag = linalg.zeros(len(stacks) * k, off[-1])
-    for v, mats in enumerate(stacks):
-        diag[v * k:(v + 1) * k, off[v]:off[v + 1]] = mats.transpose(
-            0, 2, 1).reshape(k, off[v + 1] - off[v])
-    red, piv = linalg.rref(diag[:, ::-1], p)
-    basis = red[:len(piv)][::-1, ::-1]
-    ends = np.searchsorted(off[-1] - 1 - np.array(piv[::-1], np.intp),
-                           off[1:]).tolist()
-    return [basis[i:j, off[v]:off[v + 1]].reshape(
-                j - i, mats.shape[2], mats.shape[1]).transpose(0, 2, 1)
-            for v, (i, j, mats) in enumerate(zip([0] + ends, ends, stacks))]
+    k, b, a = mats.shape
+    basis = linalg.row_space(
+        mats.transpose(0, 2, 1).reshape(k, a * b)[:, ::-1], p)
+    return basis[::-1, ::-1].reshape(len(basis), a, b).transpose(0, 2, 1)
 
 
 def projection_basis(coefs: np.ndarray, velems: np.ndarray,
@@ -702,13 +682,12 @@ class MoritaContext:
         r, quotient irreducible U, copies s and l, from (x, V) to (y, W)):
         F^-1 sends the arrow's matrix A to the block A (x) mu_l L_{U,s} of
         alpha_r from the copies of V to the copies of W.  Built once per
-        context, after the L_V of every irreducible at every orbit's
-        source, so that each check has run whatever the dimensions."""
+        context, over every expanded arrow whatever the representation's
+        dimensions, so each L_V that an arrow reads is checked on the
+        first call.  An irreducible that no arrow reads has no kappa, so
+        alpha is zero on its copies and its L_V is never built."""
         if self._placements is None:
             built = self.built
-            for r, od in enumerate(built.orbits):
-                for v in range(len(built.tables[od.rep.source])):
-                    self.source_inverse(r, v)
             out = []
             for ea in self.arrows:
                 od = built.orbits[ea.rep_index]
@@ -728,31 +707,19 @@ class MoritaContext:
         an n x dim x dv stack in its nullspace echelon basis, for every v
         in table order.  Each is the span of Serre's projections, as in
         projection_basis (whose scale d/|G| changes no span), all of them
-        from one einsum over the concatenated coefficients, and their
-        bases from one elimination (canonical_spans).  The stacks go to it
-        as many at a time as fit in CLOSURE_CHUNK entries, one at least:
-        r block-diagonal blocks of dim x (sum of degrees . dim) entries
-        grow with r^2 on an abelian group.  An object of a small group is
-        one elimination."""
+        from one einsum over the concatenated coefficients, and each
+        irreducible's slice then through canonical_span."""
         p = self.p
         group, dims = self.cat.groups[x], self.built.tables[x].dims
-        m = rep.dims[x]
         coefs = np.concatenate([self.model(x, v)[1][group.inverse, 0]
                                 for v in range(len(dims))], axis=1)
         # stack[a, i, j] = T_j[i, a], over every irreducible's a
         stack = np.einsum("ga,gij->aij", coefs, rep.elem_mats[x])
         stack %= p
         off = list(accumulate(dims, initial=0))
-        out, lo = [], 0
-        while lo < len(dims):
-            hi = lo + 1
-            while hi < len(dims) and (hi + 1 - lo) * m * (
-                    off[hi + 1] - off[lo]) * m <= CLOSURE_CHUNK:
-                hi += 1
-            out += canonical_spans([stack[off[v]:off[v + 1]].transpose(
-                2, 1, 0) for v in range(lo, hi)], p)
-            lo = hi
-        return out
+        return [canonical_span(stack[off[v]:off[v + 1]].transpose(2, 1, 0),
+                               p)
+                for v in range(len(dims))]
 
     def blocks(self, r: int, copies: dict):
         """One (S, T, arrows) per quotient irreducible u of orbit r.  S

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .chartab import SplittingPrime, choose_splitting_prime
 from .eicat import EICategory, MorphId, components, homset_orbits
-from .errors import SchemaError, ValidationError
 from .freecover import is_free
 from .quiveralg import BuiltQuiver, build_quiver, orbit_data
 
@@ -139,24 +138,15 @@ def _graph_verdict(comps) -> str:
     return "Wild"
 
 
-def rep_type(cat: EICategory, prime: SplittingPrime | None = None,
-             quiver: BuiltQuiver | None = None) -> RepTypeVerdict:
+def rep_type(cat: EICategory,
+             prime: SplittingPrime | None = None) -> RepTypeVerdict:
     """The representation-type verdict with its certificates.  Freeness
     comes from is_free and the graph from the category's own quiver, so
-    no free cover is built.  A caller that has built that quiver passes
-    it, and it is not built again; one of another category or prime is
-    refused before any work."""
-    if quiver is not None:
-        if quiver.cat is not cat:
-            raise SchemaError("the quiver is of a different category")
-        if prime is not None and prime.p != quiver.prime.p:
-            raise ValidationError("prime-mismatch", "the quiver and the "
-                                  "verdict use different primes")
-        prime = prime or quiver.prime
+    no free cover is built."""
     if prime is None:
         prime = choose_splitting_prime(cat.groups.values())
     hereditary = is_hereditary(cat, prime)
-    comps = classify_graph(quiver or build_quiver(cat, prime))
+    comps = classify_graph(build_quiver(cat, prime))
     names = ", ".join(c.name for c in comps)
     if hereditary:
         return RepTypeVerdict(

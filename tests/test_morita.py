@@ -1333,7 +1333,9 @@ def _functor_entries(ctx):
                         out[("hom", r, u, x, v)] = ctx.stabilizer_hom(
                             r, u, x, v)
         for v in range(len(ctx.built.tables[od.rep.source])):
-            out[("L", r, None, od.rep.source, v)] = ctx.source_inverse(r, v)
+            if any(row[v] for row in od.e):
+                out[("L", r, None, od.rep.source, v)] = ctx.source_inverse(
+                    r, v)
     return out
 
 
@@ -1387,8 +1389,7 @@ def test_a_second_category_over_the_same_groups_projects_nothing(
 @pytest.mark.parametrize("lost", ("element", "column"))
 def test_a_failed_source_inverse_check_stores_nothing(monkeypatch, lost):
     # a kappa basis one element short fails its count, and one with a
-    # column dropped fails to fill V: no L_V with kappa rows is kept,
-    # though the context reads them all before the failure
+    # column dropped fails to fill V: no L_V with kappa rows is kept
     built = build_quiver(load_category(fixture_doc("four_object_mixed")))
     exact = MoritaContext.stabilizer_hom
 
@@ -1414,6 +1415,20 @@ def test_a_failed_source_inverse_check_stores_nothing(monkeypatch, lost):
     assert stored and all(m.shape[0] == 0 for m in stored)
 
 
+def test_inverse_functor_builds_only_the_l_v_an_arrow_reads(categories,
+                                                           monkeypatch):
+    # an irreducible with no kappa has no arrow, so no L_V without rows
+    # is built, even with every vertex present
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    for name in ("four_object_mixed", "two_object_c2_s3"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        ones = (1,) * len(ctx.built.vertices)
+        inverse_functor(ctx, QuiverRep(ctx.built, ctx.p, ones, tuple(
+            linalg.eye(1) for _ in ctx.arrows)))
+    stored = [m for key, m in morita._MODEL_CACHE.items() if len(key) == 6]
+    assert stored and all(len(m) for m in stored)
+
+
 def test_a_second_inverse_functor_solves_nothing(categories, monkeypatch):
     # every L_V and placement is read off the cache and the context on a
     # second call: no elimination and no projection, only build_catrep
@@ -1425,8 +1440,8 @@ def test_a_second_inverse_functor_solves_nothing(categories, monkeypatch):
         inverse_functor(ctx, _random_quiverrep(ctx, rng))
         monkeypatch.setattr(linalg, "rref", lambda *a: calls.update(
             ["rref"]) or rref(*a))
-        monkeypatch.setattr(morita, "projection_basis", lambda *a: calls.update(
-            ["projection_basis"]) or project(*a))
+        monkeypatch.setattr(morita, "projection_basis", lambda *a: (
+            calls.update(["projection_basis"]) or project(*a)))
         q = _random_quiverrep(ctx, rng)
         again = inverse_functor(ctx, q)
         monkeypatch.setattr(linalg, "rref", rref)
@@ -1461,13 +1476,9 @@ def test_expanded_arrows_are_built_once_per_prime(monkeypatch):
     assert len(calls) == 2 and other.arrows == ctx.arrows
 
 
-@pytest.mark.parametrize("chunk", (1, 200, CLOSURE_CHUNK))
-def test_copies_are_each_irreducibles_projection_basis(categories,
-                                                       monkeypatch, chunk):
-    # one elimination of block-diagonal stacks, as many blocks at a time
-    # as the chunk holds (every block alone at 1), gives, byte for byte,
-    # the basis of each irreducible's own projections
-    monkeypatch.setattr(morita, "CLOSURE_CHUNK", chunk)
+def test_copies_are_each_irreducibles_projection_basis(categories):
+    # the projections of all irreducibles from one einsum give, byte for
+    # byte, the basis of each irreducible's own projections
     rng = random.Random(0xC0C)
     seen = Counter()
     for name in ("four_object_mixed", "two_object_c2_s3"):

@@ -34,7 +34,6 @@ NOT_FROM_THE_CLI = {
     "morita.hom_dim_cat": "tests and perfbench",
     "morita.hom_dim_quiver": "tests and perfbench",
     "morita.fixed_point_basis": "tests and perfbench (hom_dim_cat)",
-    "linalg.row_space": "tests and perfbench (fixed_point_basis)",
     "morita._edge_system_dim": "tests and perfbench (the Hom dimensions)",
     "morita._check_quiverrep": "tests and perfbench (inverse_functor and "
                                "hom_dim_quiver)",

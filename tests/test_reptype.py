@@ -5,8 +5,6 @@ import random
 import re
 from types import SimpleNamespace
 
-import pytest
-
 import kernel_reference as ref
 from eiquiver.chartab import SplittingPrime, choose_splitting_prime
 from eiquiver.eicat import MorphId, load_category
@@ -249,41 +247,3 @@ def test_screens_match_the_per_side_table_reference(categories):
         seen += 1
     assert seen == 8 + 6 + 200
     assert fired > 0
-
-
-def test_rep_type_reads_the_quiver_it_is_given(categories, monkeypatch):
-    # the verdict from a given quiver is the one rep_type builds itself,
-    # and no quiver is built again
-    import eiquiver.reptype as reptype
-    cats = list(categories.values())
-    cats += [load_category(s3_chain_document(k)) for k in (3, 4)]
-    want = [rep_type(cat) for cat in cats]
-    quivers = [build_quiver(cat) for cat in cats]
-
-    def refuse(*a):
-        raise AssertionError("the quiver was built again")
-    monkeypatch.setattr(reptype, "build_quiver", refuse)
-    for cat, q, verdict in zip(cats, quivers, want):
-        assert rep_type(cat, quiver=q) == verdict
-        assert rep_type(cat, q.prime, quiver=q) == verdict
-
-
-def test_rep_type_refuses_a_quiver_of_another_category_or_prime(
-        categories, monkeypatch):
-    # the refusal comes before any work: freeness is never asked
-    import eiquiver.reptype as reptype
-    from eiquiver.chartab import certified_prime
-    from eiquiver.errors import SchemaError, ValidationError
-    cat = categories["two_object_c2_s3"]
-    q = build_quiver(cat)
-    other = build_quiver(categories["four_object_mixed"])
-    prime = certified_prime(q.prime.p + 6, cat.groups.values())
-    assert prime.p != q.prime.p
-
-    def refuse(*a):
-        raise AssertionError("work before the quiver was checked")
-    monkeypatch.setattr(reptype, "is_hereditary", refuse)
-    with pytest.raises(SchemaError, match="different category"):
-        rep_type(cat, quiver=other)
-    with pytest.raises(ValidationError, match="prime-mismatch"):
-        rep_type(cat, prime, quiver=q)
