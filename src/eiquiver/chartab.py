@@ -14,8 +14,8 @@ abelian group G/G', built one generator at a time as powers of one
 primitive root of unity, from the cosets of the derived subgroup
 (permgrp.derived_cosets).  The others' central characters are the
 simultaneous eigenvectors of the class-multiplication matrices over
-F_p within the nullspace of the linear rows, each eigenvector of a
-simple eigenvalue taken from one Krylov basis per matrix
+F_p within the nullspace of the linear rows, each matrix's
+eigenvalues the roots of its certified minimal polynomial
 (linalg.eigenspaces).  Each subspace is an echelon basis B, B[piv] = I,
 so a class matrix M acts on it by (M B)[piv], read with no linear
 system, and B (M B)[piv] = M B certifies that M stabilizes it.  So an

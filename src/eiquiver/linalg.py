@@ -5,13 +5,16 @@ routines use deterministic pivoting (first nonzero column, topmost row)
 so that downstream artifacts are reproducible byte-for-byte.  Each
 elimination step is one whole-array update of the rows it touches, so
 no routine loops over rows in Python, and rref takes one step per
-pivot, not one per column; the characteristic polynomial
-comes from a Hessenberg reduction, O(n^3).  Eigenspaces of simple roots
-come from one Krylov basis per matrix, O(n^2) each after its O(n^3)
-build, rather than one elimination each.  No routine solves a linear
+pivot, not one per column.  Eigenvalues are the roots of the minimal
+polynomial, read off the Krylov sequence of one fixed vector
+(Wiedemann, IEEE Trans. Inf. Theory 32, 1986) and certified by g(a) =
+0: a model cut, which acts on d copies of a space as A (x) I_d, factors
+a polynomial of degree m/d at most, and a scalar matrix one of degree
+1, rather than one of degree m.  When that vector is cyclic, the eigenvector of a simple root is read off the same Krylov
+rows rather than by an elimination.  No routine solves a linear
 system: a caller reads its solution off rref's pivot rows, where an
 echelon basis B with B[pivots] = I gives B x = y as x = y[pivots].
-Products stay below n * p^2, which fits int64 for p up to ~10^6.
+Products stay below 2n * p^2, which fits int64 for p up to ~10^6.
 """
 
 from __future__ import annotations
@@ -116,7 +119,10 @@ def char_poly(a: np.ndarray, p: int) -> list[int]:
     P_k = (x - H[k-1,k-1]) P_{k-1}
           - sum_{i<k} H[k-i-1,k-1] H[k-1,k-2]...H[k-i,k-i-1] P_{k-i-1}
     (Cohen, A Course in Computational Algebraic Number Theory, Alg.
-    2.2.9).  O(n^3) in all, and valid for every p.
+    2.2.9).  O(n^3) in all, and valid for every p.  eigenspaces takes
+    the minimal polynomial instead, so this serves only the tests'
+    reference table route (kernel_reference.character_table) and the
+    benchmark's tracer, which wraps it by name.
     """
     h = asmod(a, p)
     n = h.shape[0]
@@ -150,37 +156,72 @@ def char_poly(a: np.ndarray, p: int) -> list[int]:
     return [int(v) for v in polys[n, ::-1]]
 
 
+def _minimal_polynomial(a: np.ndarray, p: int):
+    """(g, krylov): the minimal polynomial g of a, highest degree first,
+    and the Krylov rows u, a u, ..., a^m u of a cyclic vector u, or None.
+
+    g starts at 1, and each pass sets g = lcm(g, g_u) for one vector u,
+    g_u the least monic polynomial with g_u(a) u = 0: one rref of the
+    transpose of u's Krylov rows has pivots 0..k-1, and its column k,
+    a^k u in terms of the earlier rows, gives g_u.  Then g divides the
+    minimal polynomial, and is it once g(a) = 0: at once when deg g = m
+    (Cayley-Hamilton), else certified by Horner's rule, with deg g - 1
+    products.  A failed certificate makes the first e_j with g(a) e_j
+    != 0 the next u; g_u does not divide g, so deg g grows every pass.
+    The first u is the arithmetic sequence 1, 2, ..., m mod p, not e_0,
+    which a sparse matrix often keeps in a small invariant subspace.
+    """
+    a = asmod(a, p)
+    m = a.shape[0]
+    g, u = [1], np.arange(1, m + 1) % p
+    diag = np.arange(m)
+    while u is not None:
+        rows = zeros(m + 1, m)
+        rows[0] = u
+        for i in range(m):
+            rows[i + 1] = a @ rows[i] % p
+        r, piv = rref(rows.T, p)
+        k = len(piv)
+        gu = [1] + [-c % p for c in r[:k, k][::-1].tolist()]
+        g = (np.convolve(g, _divmod(gu, _gcd(g, gu, p), p)[0]) % p).tolist()
+        u = None
+        if len(g) <= m:
+            # Horner: g(a) = ((a + g[1]) a + g[2]) a ..., entries < 2p
+            ga = a.copy()
+            ga[diag, diag] += g[1]
+            for c in g[2:]:
+                ga = matmul(ga, a, p)
+                ga[diag, diag] += c
+            bad = np.flatnonzero((ga % p).any(axis=0))
+            u = eye(m)[bad[0]] if bad.size else None
+    return g, (rows if len(gu) == m + 1 else None)
+
+
 def eigenspaces(a: np.ndarray, p: int):
     """The nullspace of a - lam*I, rows as nullspace gives them, for each
-    distinct root lam of f = det(xI - a), in ascending order of lam.
-    Yielded one at a time, so a caller that stops at the first builds
-    only that one.
+    distinct root lam of the minimal polynomial g of a (_minimal_polynomial),
+    in ascending order of lam: those are a's eigenvalues in F_p.  Yielded
+    one at a time, so a caller that stops at the first builds only that
+    one.
 
-    A simple root's eigenspace is the line through q(a) e_0, q = f/(x -
-    lam): q(a) kills every other primary component and maps onto the
-    eigenline.  That vector is K times q's coefficients, K = [e_0, a e_0,
-    ..., a^(m-1) e_0] built once at the first simple root, and is scaled
-    so that its last nonzero entry is 1, which is the one row nullspace
-    gives.  A repeated root, or a simple one whose q(a) e_0 is 0, goes
-    through nullspace.
+    When _minimal_polynomial returns Krylov rows, their vector u is
+    cyclic and g is det(xI - a); a simple root's eigenspace is then the
+    line through q(a) u, q = g/(x - lam): q(a)
+    kills every other primary component and maps onto the eigenline,
+    and q(a) u != 0 as deg q < m.  That vector is q's coefficients times
+    u's Krylov rows, and is scaled so that its last nonzero entry is 1,
+    which is the one row nullspace gives.  Every other root goes through
+    nullspace.
     """
     m = a.shape[0]
-    f = char_poly(a, p)
-    krylov = None
-    for lam, run in groupby(poly_roots(f, p)):
-        if len(list(run)) == 1:
-            if krylov is None:
-                krylov = zeros(m, m)   # row i: a^i e_0
-                krylov[0, 0] = 1
-                for i in range(1, m):
-                    krylov[i] = a @ krylov[i - 1] % p
-            q = _divmod(f, [1, -lam], p)[0]
-            v = np.array(q[::-1], dtype=np.int64) @ krylov % p
-            nz = np.flatnonzero(v)
-            if nz.size:
-                yield (v * inv_scalar(v[nz[-1]], p) % p)[None]
-                continue
-        yield nullspace((a - lam * eye(m)) % p, p)
+    g, krylov = _minimal_polynomial(a, p)
+    for lam, run in groupby(poly_roots(g, p)):
+        if krylov is not None and len(list(run)) == 1:
+            q = _divmod(g, [1, -lam], p)[0]
+            v = np.array(q[::-1], dtype=np.int64) @ krylov[:m] % p
+            yield (v * inv_scalar(v[np.flatnonzero(v)[-1]], p) % p)[None]
+        else:
+            yield nullspace((a - lam * eye(m)) % p, p)
 
 
 def poly_eval(coeffs: list[int], x: int, p: int) -> int:

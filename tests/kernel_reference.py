@@ -9,9 +9,12 @@ scan over all of F_p that Cantor-Zassenhaus root finding replaced in
 eiquiver.linalg.poly_roots.  intertwiner_basis is the nullspace of a
 one-vertex Sylvester system that the projections of
 eiquiver.morita.projection_basis replaced in the functor's Hom bases.
-split_common_eigenvectors is the Burnside/Dixon split with one
-nullspace per eigenvalue of every class matrix, that of the identity
-class included, that the Krylov eigenvectors of
+minimal_polynomial is the least dependency among I, a, a^2, ... by
+rank, the reference for the certified Krylov minimal polynomial of
+eiquiver.linalg.eigenspaces.  split_common_eigenvectors is the
+Burnside/Dixon split with one nullspace per root of every class
+matrix's characteristic polynomial, that of the identity class
+included, that the minimal polynomials and Krylov eigenvectors of
 eiquiver.linalg.eigenspaces replaced, and character_table is that
 split on the whole class space, from the identity and through every
 class matrix, that eiquiver.chartab replaced by writing the linear
@@ -519,6 +522,22 @@ def poly_roots(coeffs, p):
             deg -= 1
             roots.append(lam)
     return roots
+
+
+def minimal_polynomial(a, p):
+    """The minimal polynomial of a square array a, highest degree first:
+    for the least k at which I, a, ..., a^k, flattened, are dependent
+    (their rank is below k + 1), the one dependency among them, scaled
+    so that a^k's coefficient is 1."""
+    m = len(a)
+    powers = [np.eye(m, dtype=np.int64)]
+    while len(rref([q.ravel().tolist() for q in powers], p)[1]) == \
+            len(powers):
+        powers.append(powers[-1] @ a % p)
+    k = len(powers) - 1
+    cols = np.array([q.ravel() for q in powers]).reshape(k + 1, m * m).T
+    (dep,) = nullspace(cols.tolist(), p, k + 1)
+    return dep[::-1]
 
 
 def split_common_eigenvectors(mats, r, p):

@@ -180,10 +180,38 @@ def test_x72_minus_1_at_433_gives_the_72nd_roots_of_unity():
     assert linalg.poly_roots([1] + [0] * 71 + [-1], 433) == unity
 
 
+def _conjugate(d, p, rng, first=None):
+    """P d P^-1 for a random invertible P, with first as P's first column
+    if given: then first lies in the invariant span of P's leading
+    columns that d's leading block acts on."""
+    while True:
+        pm = np.array([[rng.randrange(p) for _ in d] for _ in d],
+                      dtype=np.int64)
+        if first is not None:
+            pm[:, 0] = first
+        if ref.det(pm.tolist(), p):
+            return pm @ d % p @ ref.inverse(pm, p) % p
+
+
+def _jordan(blocks):
+    """The Jordan matrix with one block J_n(lam) per (lam, n)."""
+    m = sum(n for _, n in blocks)
+    out = np.zeros((m, m), dtype=np.int64)
+    i = 0
+    for lam, n in blocks:
+        out[range(i, i + n), range(i, i + n)] = lam
+        out[range(i, i + n - 1), range(i + 1, i + n)] = 1
+        i += n
+    return out
+
+
 def _eigen_cases(p, rng):
     """(matrix, its eigenvalues): conjugates P D P^-1 of diagonal D with
-    distinct and with repeated entries, diagonal matrices (e_0 is an
-    eigenvector, so q(a) e_0 = 0 for every other root) and 1 x 1s."""
+    distinct and with repeated entries, diagonal matrices (each e_i is an
+    eigenvector, and the start vector 1, 2, ..., m has a zero entry when
+    m >= p, so it is not cyclic), 1 x 1s, A (x) I_d for d = 2, 3, 4, as a
+    model cut's commutant element acts on d copies of one irreducible,
+    and conjugates of Jordan matrices, which are not diagonalizable."""
     out = []
     for m in (2, 3, 5, 8):
         distinct = rng.sample(range(p), min(m, p))
@@ -191,15 +219,56 @@ def _eigen_cases(p, rng):
         for diag in (distinct, repeated, distinct[:1] + repeated[1:]):
             d = np.diag(diag).astype(np.int64)
             out.append((d, diag))
-            while True:
-                pm = np.array([[rng.randrange(p) for _ in diag]
-                               for _ in diag], dtype=np.int64)
-                if ref.det(pm.tolist(), p):
-                    break
-            out.append((pm @ d % p @ ref.inverse(pm, p) % p, diag))
+            out.append((_conjugate(d, p, rng), diag))
     for c in (0, 1, p - 1, rng.randrange(p)):
         out.append((np.array([[c]], dtype=np.int64), [c]))
+    lam, mu, nu = rng.sample(range(p), 3)
+    for d, diag in ((2, [lam, mu, nu]), (3, [lam, mu, mu]), (4, [lam, mu])):
+        a = _conjugate(np.diag(diag).astype(np.int64), p, rng)
+        out.append((np.kron(a, linalg.eye(d)), diag))
+    for blocks in ([(lam, 4)], [(lam, 2), (lam, 1), (mu, 2)],
+                   [(lam, 3), (mu, 1), (nu, 1)]):
+        jordan = _jordan(blocks)
+        out.append((_conjugate(jordan, p, rng), [lam for lam, _ in blocks]))
     return out
+
+
+@pytest.mark.parametrize("p", (5, 13, 433, 1621, 999983))
+def test_minimal_polynomial_is_certified(p, monkeypatch):
+    # the minimal polynomial is the rank reference's on random, scalar,
+    # zero, 1 x 1, 0 x 0, derogatory and Jordan matrices; a conjugate of
+    # a block-diagonal matrix whose start vector lies in the first
+    # block's invariant span, or is an eigenvector, fails the first
+    # certificate and takes the lcm step
+    rng = random.Random(p + 5)
+    nrng = np.random.default_rng(p + 5)
+    cases = [nrng.integers(0, p, (m, m)) for m in (0, 1, 2, 3, 5, 8)]
+    cases += [c * linalg.eye(4) for c in (0, 1, rng.randrange(p))]
+    cases += [a for a, _ in _eigen_cases(p, rng)]
+    start = np.arange(1, 7) % p   # _minimal_polynomial's for m = 6
+    blocks = np.zeros((6, 6), dtype=np.int64)
+    blocks[:3, :3] = nrng.integers(0, p, (3, 3))
+    blocks[3:, 3:] = nrng.integers(0, p, (3, 3))
+    lcm_cases = [_conjugate(blocks, p, rng, start),
+                 _conjugate(np.diag(rng.sample(range(p), 5) + [0]), p, rng,
+                            start)]
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda *a: calls.append(1) or rref(*a))
+    for a in cases + lcm_cases:
+        calls.clear()
+        m = a.shape[0]
+        g, krylov = linalg._minimal_polynomial(a, p)
+        assert g == ref.minimal_polynomial(a, p)
+        if krylov is not None:
+            # the Krylov rows of a cyclic vector, the start or an e_j a
+            # failed certificate chose: g is det(xI - a)
+            assert len(g) == m + 1 and krylov.shape == (m + 1, m)
+            assert np.array_equal(a @ krylov[:m].T % p, krylov[1:].T)
+            assert len(rref(krylov, p)[1]) == m
+        if any(a is b for b in lcm_cases):
+            assert len(calls) > 1
 
 
 @pytest.mark.parametrize("p", (5, 13, 433, 1621, 999983))
@@ -208,6 +277,10 @@ def test_eigenspaces_are_the_nullspaces_of_a_minus_lambda(p, monkeypatch):
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace",
                         lambda *a: calls.append(1) or nullspace(*a))
+
+    def char_poly(*a):
+        raise AssertionError("eigenspaces takes no characteristic polynomial")
+    monkeypatch.setattr(linalg, "char_poly", char_poly)
     yields = 0
     for a, lams in _eigen_cases(p, random.Random(p)):
         m = a.shape[0]

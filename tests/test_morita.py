@@ -94,6 +94,33 @@ def test_s5_models_of_degree_5_and_6_pinned(monkeypatch):
     assert h.hexdigest() == S5_LARGE_MODELS_DIGEST
 
 
+# sha256 over the shape and bytes of the rows of each table of
+# perfbench's group-ladder, and of every generator and element matrix of
+# each model it builds, in table order: C24, C48 and C72 to degree 1, 1
+# and 0, D48 to 2 (its 23 models of degree 2), S4 to 3 and S5 to 4, as
+# the eigenspaces of a characteristic polynomial's roots built them
+LADDER_DIGEST = ("6ae2d2bf51490e0047dc17368f4e3797"
+                 "86fe628e69053a60922e50ab9113332a")
+LADDER_DEGREES = {"C24": 1, "C48": 1, "C72": 0, "D48": 2, "S4": 3, "S5": 4}
+
+
+def test_ladder_tables_and_models_pinned(monkeypatch):
+    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    h = hashlib.sha256()
+    for name, max_degree in LADDER_DEGREES.items():
+        g = _group(name)
+        table = character_table(g, choose_splitting_prime([g]))
+        mats = [table.rows]
+        for i in range(len(table)):
+            if table.dims[i] <= max_degree:
+                gens, elems = irreducible_model(g, table, i)
+                mats += gens + (elems,)
+        for m in mats:
+            h.update(repr(m.shape).encode())
+            h.update(m.tobytes())
+    assert h.hexdigest() == LADDER_DIGEST
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
     # the commutant from right translations and retractions is, byte for

@@ -45,6 +45,8 @@ NOT_FROM_THE_CLI = {
                                   "counter",
     "eicat.LazyTables.__len__": "tests (no command takes the number of "
                                 "tables)",
+    "linalg.char_poly": "tests (kernel_reference.character_table) and "
+                        "perfbench's tracer, which wraps it by name",
 }
 
 
