@@ -32,19 +32,25 @@ inflation work on whole tables at once: each is one array product or
 one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
-every character table on (p, group.key), every irreducible model
-(morita.irreducible_model) on (p, group.key, i), and the functor's
-entries by group signature (morita.MoritaContext): each L_V on (p,
-group.key, v, K1's member positions, the coset of each member's
-inverse, the quotient group's key), and each kappa or mu basis on that
-key with the quotient irreducible u appended.  The key lengths, 2, 3, 6
-and 7, keep the kinds apart.  Equal live groups are one object (permgrp
-interns them), so group.key, never reused, names a group's generators
-and element order; an entry is a deterministic function of its key, so
-a hit is exactly what a fresh computation would give.  A table holds
-its group, which therefore stays interned, with its Cayley rows, as long
-as the table is cached; so do the two groups a functor entry is keyed
-by, whose tables it was built from.
+every character table, irreducible model and functor basis, each
+built through permgrp.memo under a key whose first element names its
+kind:
+  - ("table", p, group.key): a character table;
+  - ("model", p, group.key, i): the model of irreducible i
+    (morita.irreducible_model);
+  - ("hom", p, group.key, K1's member positions, the coset of each
+    member's inverse, the quotient group's key, v, u): a kappa or mu
+    basis (morita.MoritaContext.stabilizer_hom);
+  - ("inverse", the same signature, v): an L_V
+    (morita.MoritaContext.source_inverse).
+Equal live groups are one object (permgrp interns them), so group.key,
+never reused, names a group's generators and element order; an entry is
+a deterministic function of its key, so a hit is exactly what a fresh
+computation would give, and every check runs inside the build, so
+nothing is stored when one fails.  A table holds its group, which
+therefore stays interned, with its Cayley rows, as long as the table is
+cached; so do the two groups a functor entry is keyed by, whose tables
+it was built from.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ import numpy as np
 from . import linalg
 from .errors import InvariantError, ValidationError
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
-                      class_index_of, conjugacy_classes, derived_cosets)
+                      class_index_of, conjugacy_classes, derived_cosets,
+                      memo)
 
 PRIME_SEARCH_BOUND = 10**6
 
@@ -256,10 +263,8 @@ def character_table(g: PermGroup, prime: SplittingPrime) -> CharTable:
     table that fails a check is a bug (InvariantError).  A hit returns
     the cached table, whose group is g: equal groups are one object."""
     prime.certify(g)
-    key = (prime.p, g.key)
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = _compute_table(g, prime.p)
-    return _MODEL_CACHE[key]
+    return memo(_MODEL_CACHE, ("table", prime.p, g.key), _compute_table, g,
+                prime.p)
 
 
 def _compute_table(g: PermGroup, p: int) -> CharTable:
@@ -322,15 +327,17 @@ def _check_orthogonality(t: CharTable) -> None:
 
 
 def restriction_multiplicity(table: CharTable, sub: SubgroupHandle,
-                             mu: np.ndarray, p: int) -> np.ndarray:
+                             mu: np.ndarray) -> np.ndarray:
     """The matrix of multiplicities <chi_i restricted to sub, mu_j>, for
     the irreducible characters chi_i of table (on sub's parent) and the
-    class functions mu_j on sub (rows of mu, indexed by member):
-    |sub|^-1 sum_k chi_i(k) mu_j(k^-1), one product mod p.
+    class functions mu_j on sub (rows of mu, indexed by member), over
+    the table's own field: |sub|^-1 sum_k chi_i(k) mu_j(k^-1), one
+    product mod table.p.
 
     Each entry is an integer, as p exceeds twice every group order, so
     every multiplicity is its own least residue.
     """
+    p = table.p
     members = np.asarray(sub.member_positions)
     inv = np.searchsorted(members, sub.parent.inverse[members])
     return linalg.matmul(table.values[:, members], mu[:, inv].T,

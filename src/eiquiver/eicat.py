@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import SchemaError, ValidationError, InvariantError
 from .permgrp import (DEFAULT_SIZE_BOUND, Perm, PermGroup, QuotientGroup,
-                      SubgroupHandle, enumerate_group, is_int, orbit_members,
-                      orbits, pidentity, pmul, quotient, respects_relations,
-                      word_products)
+                      SubgroupHandle, enumerate_group, is_int, memo,
+                      orbit_members, orbits, pidentity, pmul, quotient,
+                      respects_relations, word_products)
 
 
 # The largest permutation degree, hom size or arrow size a document may
@@ -204,17 +204,12 @@ class EICategory:
             sum(h.size for h in self.homs.values())
 
     def memo(self, key, build):
-        """build(), called once per key for this category; every later
-        call returns the same object, shared read-only.  Nothing is
-        stored when build raises.  A value must not refer back to the
-        category: held by it, that would make a reference cycle that
-        only the garbage collector frees, and a pass over many
-        categories would keep them all alive meanwhile."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
+        """permgrp.memo() in the category's own store.  A value must not
+        refer back to the category: held by it, that would make a
+        reference cycle that only the garbage collector frees, and a
+        pass over many categories would keep them all alive
+        meanwhile."""
+        return memo(self._memo, key, build)
 
     @property
     def unfactorizables(self) -> Mapping[tuple[str, str], tuple[int, ...]]:

@@ -28,17 +28,17 @@ found from (canonical_span).  A model's element matrices are read off
 its copy in the regular module by one gather, with no word products, and
 all their traces are certified against the character by one einsum.
 Models are kept for the life of the process in chartab._MODEL_CACHE,
-beside the character tables, and imported here under the same name: per
-model, the generator matrices and one (|G|, d, d) array of element
-matrices, which MoritaContext reads by gathers too.  The functor's Hom
-bases come from Serre's projections (projection_basis), with no linear
-system.  F reads an object's projections for all of its irreducibles
-from one einsum, and each irreducible's copies from its slice
-(MoritaContext.copies).  The two Hom-dimension checks share one system
-(_edge_system_dim): a stack of basis matrices per vertex, T_v their
-combination, and a block of rows T_t M1 = M2 T_s per edge, one column
-per basis element.  hom_dim_quiver takes each vertex's matrix units and
-an edge per expanded arrow.
+beside the character tables, and read through that module, so the cache
+has one name: per model, the generator matrices and one (|G|, d, d)
+array of element matrices, which MoritaContext reads by gathers too.
+The functor's Hom bases all come from Serre's projections
+(projection_bases), with no linear system: kappa and mu one U at a
+time, and F's copies of an object's irreducibles from one einsum over
+all of them (MoritaContext.copies).  The two Hom-dimension checks share
+one system (_edge_system_dim): a stack of basis matrices per vertex,
+T_v their combination, and a block of rows T_t M1 = M2 T_s per edge,
+one column per basis element.  hom_dim_quiver takes each vertex's
+matrix units and an edge per expanded arrow.
 hom_dim_cat takes each object's Hom_{G_x}(R1 x, R2 x), spanned by group
 averages (fixed_point_basis), and an edge per orbit representative.  It
 reads only the representations' matrices, no model, character or
@@ -58,14 +58,15 @@ W is the sum of A (x) mu_l L_{U,s} over the expanded arrows between
 them (placements), L_V read off the inverse of [kappa ... | K] on V
 (source_inverse), built only for a V that some arrow reads.  The kappa
 and mu bases and each L_V depend only on the groups, so they are kept
-in chartab._MODEL_CACHE beside the models, keyed by group signature:
-(p, group.key, V, K1's member positions, the coset of each member's
-inverse, the quotient group's key), and U for a kappa or mu basis.  The
-coset numbering is in the key, so orbits with equal stabilizers but
-another twist keep their own entries.  Each basis is checked once per
-key against the orbit's counts e and f (quiveralg.OrbitData), and each
-L_V for a square, invertible [kappa ... | K]; nothing is stored when a
-check fails.
+in chartab._MODEL_CACHE beside the models, keyed by group signature
+(MoritaContext._signature: p, group.key, K1's member positions, the
+coset of each member's inverse, the quotient group's key): ("hom",
+signature, V, U) and ("inverse", signature, V).  The coset numbering is
+in the key, so orbits with equal stabilizers but another twist keep
+their own entries.  Each check runs in its entry's build, once per key
+(permgrp.memo): a basis against the orbit's count e or f
+(quiveralg.OrbitData), an L_V for a square, invertible [kappa ... | K];
+nothing is stored when one fails.
 """
 
 from __future__ import annotations
@@ -74,16 +75,16 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
-from . import linalg
-from .chartab import _MODEL_CACHE, PRIME_SEARCH_BOUND, CharTable
+from . import chartab, linalg
+from .chartab import PRIME_SEARCH_BOUND, CharTable
 from .eicat import (CLOSURE_CHUNK, MAX_ELEMENT_ENTRIES, EICategory,
                     incoming_tables, orbit_representatives)
 from .errors import InvariantError, SchemaError, ValidationError
-from .permgrp import PermGroup, is_int, pidentity
+from .permgrp import PermGroup, is_int, memo, pidentity
 from .quiveralg import BuiltQuiver
 
 
@@ -136,21 +137,24 @@ def canonical_span(mats: np.ndarray, p: int) -> np.ndarray:
     return basis[::-1, ::-1].reshape(len(basis), a, b).transpose(0, 2, 1)
 
 
-def projection_basis(coefs: np.ndarray, velems: np.ndarray,
-                     p: int) -> np.ndarray:
-    """Hom_K(U, V) in its nullspace echelon basis, U absolutely
-    irreducible of degree d, from coefs[g, a] = U(g^-1)[0, a] and velems[g]
-    = V(g) over the elements g of K, |K| invertible mod p (Serre, Linear
-    Representations of Finite Groups, 2.7, Prop. 8): no linear system.
-    p_a = d/|K| sum_g U(g^-1)[0, a] V(g) sends f(e_0) to f(e_a) for every
-    K-map f: U -> V and kills the other basis vectors of U's copies and
-    V's other isotypic parts.  So the matrix T_j whose column a is p_a e_j
-    is the K-map f with f(e_0) = p_0 e_j, and the T_j over V's basis span
-    Hom_K(U, V)."""
-    k, d = coefs.shape
-    # stack[j, i, a] = p_a[i, j]: the T_j
-    stack = np.einsum("ga,gij->jia", coefs, velems) % p
-    return canonical_span(stack * (d * linalg.inv_scalar(k, p) % p) % p, p)
+def projection_bases(coefs: list, velems: np.ndarray, p: int) -> list:
+    """Hom_K(U, V) in its nullspace echelon basis for each U of coefs, U
+    absolutely irreducible of degree d, from its coefs[g, a] = U(g^-1)[0,
+    a] and velems[g] = V(g) over the elements g of K, |K| invertible mod
+    p (Serre, Linear Representations of Finite Groups, 2.7, Prop. 8): no
+    linear system.  p_a = d/|K| sum_g U(g^-1)[0, a] V(g) sends f(e_0) to
+    f(e_a) for every K-map f: U -> V and kills the other basis vectors of
+    U's copies and V's other isotypic parts.  So the matrix T_j whose
+    column a is p_a e_j is the K-map f with f(e_0) = p_0 e_j, and the T_j
+    over V's basis span Hom_K(U, V); the scale d/|K| changes no span, so
+    it is left out.  Every U's projections come from one einsum over the
+    concatenated coefficients, and each U's slice goes through
+    canonical_span."""
+    # stack[a, i, j] = p_a[i, j], over every U's a
+    stack = np.einsum("ga,gij->aij", np.concatenate(coefs, axis=1), velems)
+    stack %= p
+    return [canonical_span(stack[a:b].transpose(2, 1, 0), p) for a, b in
+            pairwise(accumulate((c.shape[1] for c in coefs), initial=0))]
 
 
 @lru_cache(maxsize=64)
@@ -230,18 +234,20 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     L_g w: every element's matrix is one gather from the Cayley table and
     each generator's is checked by one product.  All traces are certified
     against the character by one einsum, and the pair is kept in
-    chartab._MODEL_CACHE on (p, group.key, i).
+    chartab._MODEL_CACHE on ("model", p, group.key, i).
     """
+    return memo(chartab._MODEL_CACHE, ("model", table.p, group.key, i),
+                _irreducible_model, group, table, i)
+
+
+def _irreducible_model(group: PermGroup, table: CharTable, i: int):
+    """irreducible_model's build."""
     p = table.p
-    key = (p, group.key, i)
-    if key in _MODEL_CACHE:
-        return _MODEL_CACHE[key]
     n = len(group)
     chi = table.values[i]
     d = table.dims[i]
     if d == 1:
-        _MODEL_CACHE[key] = _linear_model(group, chi, p)
-        return _MODEL_CACHE[key]
+        return _linear_model(group, chi, p)
     # The regular module from the Cayley table, as index arrays.  L_g has
     # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
     # the isotypic projection d/|G| sum_g chi(g^-1) L_g has (a, j) entry
@@ -290,8 +296,7 @@ def irreducible_model(group: PermGroup, table: CharTable, i: int):
     elems = w[cayley[np.ix_(group.inverse, piv)]]
     if not np.array_equal(np.einsum("gii->g", elems) % p, chi):
         raise InvariantError("model traces disagree with the character")
-    _MODEL_CACHE[key] = (gen_mats, elems)
-    return _MODEL_CACHE[key]
+    return gen_mats, elems
 
 
 # ---------------------------------------------------------------------------
@@ -591,46 +596,44 @@ class MoritaContext:
         """What orbit r's side at x (its source or target) reads of its
         groups: (p, the group's key, K1's member positions, the coset of
         each member's inverse, the quotient group's key).  K0 is the
-        members whose coset is 0."""
-        sig = self._signatures.get((r, x))
-        if sig is None:
-            od = self.built.orbits[r]
-            st = od.stab
-            k1, projection = ((st.G1, st.quotG.projection)
-                              if x == od.rep.source else
-                              (st.H1, st.quotH.projection))
-            group = self.cat.groups[x]
-            pos = k1.member_positions
-            cosets = tuple(projection[g]
-                           for g in group.inverse[list(pos)].tolist())
-            sig = self._signatures[(r, x)] = (
-                self.p, group.key, pos, cosets,
-                od.quotient_table.group.key)
-        return sig
+        members whose coset is 0.  Worked out once per (r, x)."""
+        return memo(self._signatures, (r, x), self._side_signature, r, x)
+
+    def _side_signature(self, r: int, x: str) -> tuple:
+        """_signature's build."""
+        od = self.built.orbits[r]
+        st = od.stab
+        k1, projection = ((st.G1, st.quotG.projection)
+                          if x == od.rep.source else
+                          (st.H1, st.quotH.projection))
+        group = self.cat.groups[x]
+        pos = k1.member_positions
+        cosets = tuple(projection[g]
+                       for g in group.inverse[list(pos)].tolist())
+        return self.p, group.key, pos, cosets, od.quotient_table.group.key
 
     def stabilizer_hom(self, r: int, u: int, x: str, v: int):
         """Basis of Hom_{K1}(U, V restricted): U the quotient irreducible u
         of orbit r, on which K1 (G1 at r's source, H1 at its target) acts
         through its coset numbering, and V the irreducible v at object x.
-        Kept in _MODEL_CACHE on (p, group.key, v, K1's member positions,
-        the cosets, the quotient group's key, u)."""
-        p, gkey, pos, cosets, qkey = self._signature(r, x)
-        key = (p, gkey, v, pos, cosets, qkey, u)
-        if key not in _MODEL_CACHE:
-            table = self.built.orbits[r].quotient_table
-            _, uelems = irreducible_model(table.group, table, u)
-            _, velems = self.model(x, v)
-            _MODEL_CACHE[key] = projection_basis(
-                uelems[list(cosets), 0], velems[list(pos)], p)
-        return _MODEL_CACHE[key]
+        Kept in _MODEL_CACHE on ("hom", the side's signature, v, u) once
+        it is as long as the quiver counts: e[u][v] at the source, f[u][v]
+        at the target.  That count, <V restricted to K1, infl U>, depends
+        only on what the key holds, so one check per key suffices."""
+        key = ("hom", *self._signature(r, x), v, u)
+        return memo(chartab._MODEL_CACHE, key, self._stabilizer_hom,
+                    r, u, x, v)
 
-    def _counted_hom(self, r: int, u: int, side: int, v: int):
-        """stabilizer_hom on orbit r's source (side 0) or target (side 1),
-        checked against the quiver's count e[u][v] or f[u][v]."""
+    def _stabilizer_hom(self, r: int, u: int, x: str, v: int):
+        """stabilizer_hom's build: Serre's projections, then the count."""
         od = self.built.orbits[r]
-        x, n = ((od.rep.source, od.e[u][v]) if side == 0 else
-                (od.rep.target, od.f[u][v]))
-        basis = self.stabilizer_hom(r, u, x, v)
+        p, _, pos, cosets, _ = self._signature(r, x)
+        _, uelems = irreducible_model(od.quotient_table.group,
+                                      od.quotient_table, u)
+        _, velems = self.model(x, v)
+        [basis] = projection_bases([uelems[list(cosets), 0]],
+                                   velems[list(pos)], p)
+        n = (od.e if x == od.rep.source else od.f)[u][v]
         if len(basis) != n:
             raise InvariantError(
                 f"orbit {r}, U{u} -> {x}:X{v}: {len(basis)} Hom basis "
@@ -650,21 +653,23 @@ class MoritaContext:
         columns as P has rank (its trace: P is idempotent and dim V < p)
         and L = Y P is a left inverse of Phi, Y the one that the rref of
         [Phi | I] gives; L kills the kernel, so it is those rows.  Kept in
-        _MODEL_CACHE on (p, group.key, v, K1's member positions, the
-        cosets, the quotient group's key).  The checks (each basis as
-        long as the quiver counts, B invertible) run once per key, and
-        nothing is stored when one fails."""
+        _MODEL_CACHE on ("inverse", the source side's signature, v).  The
+        check that B is invertible runs once per key, and nothing is
+        stored when it fails."""
+        key = ("inverse", *self._signature(
+            r, self.built.orbits[r].rep.source), v)
+        return memo(chartab._MODEL_CACHE, key, self._source_inverse, r, v)
+
+    def _source_inverse(self, r: int, v: int) -> np.ndarray:
+        """source_inverse's build."""
         od = self.built.orbits[r]
         x = od.rep.source
-        p, gkey, pos, cosets, qkey = self._signature(r, x)
-        key = (p, gkey, v, pos, cosets, qkey)
-        if key in _MODEL_CACHE:
-            return _MODEL_CACHE[key]
+        p, _, pos, cosets, _ = self._signature(r, x)
         _, velems = self.model(x, v)
         dv = velems.shape[1]
         phi = np.hstack([linalg.zeros(dv, 0)] + [
             kappa for u, row in enumerate(od.e) if row[v]
-            for kappa in self._counted_hom(r, u, 0, v)])
+            for kappa in self.stabilizer_hom(r, u, x, v)])
         c = phi.shape[1]
         g0 = [g for g, k in zip(pos, cosets) if k == 0]
         avg = velems[g0].sum(0) % p * linalg.inv_scalar(len(g0), p) % p
@@ -674,7 +679,6 @@ class MoritaContext:
         if int(np.trace(avg)) % p != c or not np.array_equal(
                 linalg.matmul(left, phi, p), linalg.eye(c)):
             raise InvariantError("isotypic embeddings do not fill the module")
-        _MODEL_CACHE[key] = left
         return left
 
     def placements(self) -> list[np.ndarray]:
@@ -696,7 +700,8 @@ class MoritaContext:
                 dims = od.quotient_table.dims
                 row = sum(e[v] * d for e, d in zip(od.e[:ea.u], dims)) + \
                     ea.s * dims[ea.u]
-                mu = self._counted_hom(ea.rep_index, ea.u, 1, w)[ea.l]
+                mu = self.stabilizer_hom(ea.rep_index, ea.u, od.rep.target,
+                                         w)[ea.l]
                 out.append(linalg.matmul(mu, self.source_inverse(
                     ea.rep_index, v)[row:row + dims[ea.u]], self.p))
             self._placements = out
@@ -705,21 +710,12 @@ class MoritaContext:
     def copies(self, rep: CatRep, x: str) -> list[np.ndarray]:
         """The copies of each irreducible v inside R(x): Hom_G(V, R(x)) as
         an n x dim x dv stack in its nullspace echelon basis, for every v
-        in table order.  Each is the span of Serre's projections, as in
-        projection_basis (whose scale d/|G| changes no span), all of them
-        from one einsum over the concatenated coefficients, and each
-        irreducible's slice then through canonical_span."""
-        p = self.p
-        group, dims = self.cat.groups[x], self.built.tables[x].dims
-        coefs = np.concatenate([self.model(x, v)[1][group.inverse, 0]
-                                for v in range(len(dims))], axis=1)
-        # stack[a, i, j] = T_j[i, a], over every irreducible's a
-        stack = np.einsum("ga,gij->aij", coefs, rep.elem_mats[x])
-        stack %= p
-        off = list(accumulate(dims, initial=0))
-        return [canonical_span(stack[off[v]:off[v + 1]].transpose(2, 1, 0),
-                               p)
-                for v in range(len(dims))]
+        in table order, all from one projection_bases call."""
+        inverse = self.cat.groups[x].inverse
+        return projection_bases(
+            [self.model(x, v)[1][inverse, 0]
+             for v in range(len(self.built.tables[x]))],
+            rep.elem_mats[x], self.p)
 
     def blocks(self, r: int, copies: dict):
         """One (S, T, arrows) per quotient irreducible u of orbit r.  S
@@ -730,7 +726,7 @@ class MoritaContext:
         matrix C with T C = alpha S holds expanded arrow k's matrix at
         C[rows, cols] for each (k, rows, cols) in arrows.  Only the v with
         e[u][v] > 0 (w with f[u][w] > 0) add units, and each basis must
-        have that length (_counted_hom): the projections check the
+        have that length (stabilizer_hom): the projections check the
         characters.  Neither stack is empty, as infl U lies in some V
         restricted to G1 (Frobenius reciprocity), and likewise on the H1
         side."""
@@ -744,7 +740,7 @@ class MoritaContext:
                     if n == 0:
                         continue
                     emb = copies[(x, v)]
-                    basis = self._counted_hom(r, u, side, v)
+                    basis = self.stabilizer_hom(r, u, x, v)
                     for s in range(len(basis)):
                         at[(side, v, s)] = slice(off, off + len(emb))
                         off += len(emb)

@@ -22,14 +22,15 @@ actions, and is the plain definition the tables must match.
 orbits is the package's one orbit search, numbering orbits by least
 member: conjugacy classes, two-sided hom-set orbits, glued-biset
 classes (freecover.biset_product, which the free category's composites
-and the unique-factorization test read), the cosets of a quotient and
-the derived subgroup (the orbit of the identity under its generators'
-Cayley rows) are all orbits of a few permutations.  A subgroup is a
-short list of generators (Holt, Eick and O'Brien, section 4.1),
-SubgroupHandle.generator_positions, whose closure by enumerate_group,
-the one closure routine, certifies its members.  Normality, cosets and
-a quotient's as_group need only those generators, at most log2 of its
-order.
+and the unique-factorization test read), and the cosets of a quotient
+and of the derived subgroup (derived_cosets) are all orbits of a few
+permutations, the cosets under right multiplication by the subgroup's
+generators.  A subgroup is a short list of generators (Holt, Eick and
+O'Brien, section 4.1), whose closure by enumerate_group (_closure), the
+one closure routine, certifies its members: those of
+SubgroupHandle.generator_positions and of the derived subgroup alike.
+Normality, cosets and a quotient's as_group need only those generators,
+at most log2 of its order.
 
 Groups are interned: enumerate_group and QuotientGroup.as_group return
 the one live PermGroup of the given generators (and elements), kept in
@@ -48,8 +49,14 @@ certified:
     (eicat._element_actions).
 Each is a pure function of the group and its key, so a hit gives what
 the checks would give again; the memo holds only ints, tuples and
-dicts of ints, never a handle or a group, and stores nothing when a
-check fails.  Lazy caches are the only state a shared group changes.
+dicts of ints, never a handle or a group.  Lazy caches are the only
+state a shared group changes.
+
+memo() is the package's one get-or-build: PermGroup.memo, the category
+memo (eicat.EICategory.memo) and the process cache of tables, models
+and functor bases (chartab._MODEL_CACHE) are each a dict read through
+it, so each builds once per key and stores nothing when a check in the
+build fails.
 
 Element order is globally deterministic: breadth first from the identity,
 generators in the given order, ties broken lexicographically on image
@@ -102,6 +109,19 @@ def pidentity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
+def memo(store: dict, key, build, *args):
+    """store[key], built as build(*args) on the first call for key: one
+    build per key, the same object, shared read-only, on every later
+    call, and nothing stored when the build raises.  Every cache in the
+    package is kept through it."""
+    try:
+        return store[key]
+    except KeyError:
+        pass   # build outside the handler: its errors chain no KeyError
+    value = store[key] = build(*args)
+    return value
+
+
 def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
     """Image of every element of group, in element order, as the product of
     its generators' images along the element's BFS word: each letter k
@@ -109,7 +129,8 @@ def word_products(group: PermGroup, gen_images, identity, product) -> tuple:
 
     A left action passes pmul (the action of a*b applies b's permutation
     first); a right action passes pmul with its arguments swapped (the
-    action of a*b is b's after a's); matrices pass their product mod p.
+    action of a*b is b's after a's).  Matrices do not come here: they
+    are built one batched product per level (morita.element_matrices).
     A word less its last letter is the word of an element one level up
     in word_levels, so each image is one product from that element's.
     """
@@ -266,16 +287,10 @@ class PermGroup:
         return [self.right_products(s).tolist() for s in self.generators]
 
     def memo(self, key, build):
-        """build(), called once per key while the group lives; every
-        later call returns the same object, shared read-only.  Nothing is
-        stored when build raises.  It keeps what the group certified
-        (see the module docstring): plain data only, never a handle or
-        a group."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
+        """memo() in the group's own store, kept while the group lives:
+        what the group certified (see the module docstring), plain data
+        only, never a handle or a group."""
+        return memo(self._memo, key, build)
 
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
@@ -522,44 +537,35 @@ def _generated(degree: int, gens, elements) -> PermGroup:
 
 def derived_cosets(g: PermGroup) -> tuple[np.ndarray, list[np.ndarray]]:
     """The cosets of the derived subgroup G' of g, the elements of the
-    abelian group g/G': label[i] is the coset of element i, coset 0 being
-    G' itself, and acts[k][c] the coset of generator k times coset c.
+    abelian group g/G': label[i] is the coset of element i, numbered by
+    least member, so that coset 0 is G' itself, and acts[k][c] the coset
+    of generator k times coset c.
 
     G' is the normal closure of the commutators s^-1 t^-1 s t of g's
     generators.  Each of those, then each conjugate t k t^-1 of a kept
     generator k by a generator t of g, is kept when it lies outside the
-    orbit of the identity under left multiplication (Cayley rows) by
-    those kept before it, which it then at least doubles: at most
-    log2|G'| are kept.  Every kept generator's conjugates are tried, so
-    the last orbit N is normal; it holds every commutator of generators,
-    so g/N is abelian, and it lies in G', so it is G'.  The other cosets
-    are the images of G' under g's generators' rows, breadth first,
-    which act on them.
+    closure (_closure) of those kept before it, which it then at least
+    doubles: at most log2|G'| are kept.  Every kept generator's
+    conjugates are tried, so the last closure N is normal; it holds
+    every commutator of generators, so g/N is abelian, and it lies in
+    G', so it is G'.  The cosets i G' are the orbits of right
+    multiplication by the kept generators, as in quotient(), and each
+    generator of g acts on them through their least members.  No Cayley
+    row is stored.
     """
     gens = g.generators
     inverses = [g.elements[g.inv(g.index_of[s])] for s in gens]
     pending = [pmul(pmul(si, ti), pmul(s, t))
                for (s, si), (t, ti) in combinations(zip(gens, inverses), 2)]
-    rows: list[list[int]] = []
-    orbit = orbits(len(g), rows, points=[0])[0]
+    kept, derived = [], {pidentity(g.degree): 0}
     for c in pending:   # the list grows with each kept generator's conjugates
-        k = g.index_of[c]
-        if orbit[k] != 0:
-            rows.append(g.row(k).tolist())
-            orbit = orbits(len(g), rows, points=[0])[0]
+        if c not in derived:
+            kept.append(c)
+            derived = _closure(g.degree, kept, len(g)).index_of
             pending += [pmul(pmul(t, c), ti) for t, ti in zip(gens, inverses)]
-    label = np.array(orbit)   # -1 outside G'
-    cosets = [np.flatnonzero(label == 0)]
-    acts: list[list[int]] = [[] for _ in gens]
-    gen_rows = [g.row(g.index_of[s]) for s in gens]
-    for c in cosets:   # the list grows with each new image
-        for act, row in zip(acts, gen_rows):
-            image = row[c]
-            if label[image[0]] < 0:
-                label[image] = len(cosets)
-                cosets.append(image)
-            act.append(int(label[image[0]]))
-    return label, [np.array(act) for act in acts]
+    label, least = orbits(len(g), [g.right_products(k).tolist() for k in kept])
+    label = np.array(label)
+    return label, [label[g.left_products(g.index_of[s], least)] for s in gens]
 
 
 def quotient(base: SubgroupHandle, kernel: SubgroupHandle) -> QuotientGroup:

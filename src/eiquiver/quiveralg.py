@@ -105,15 +105,14 @@ def orbit_data(cat: EICategory, rep: MorphId,
 
 def _orbit_data(cat: EICategory, rep: MorphId,
                 prime: SplittingPrime) -> OrbitData:
-    p = prime.p
     sd = stabilizer_data(cat, rep)
     qtable = character_table(sd.quotG.as_group(), prime)
     tx = character_table(cat.groups[rep.source], prime)
     ty = character_table(cat.groups[rep.target], prime)
     es = tuple(map(tuple, restriction_multiplicity(
-        tx, sd.G1, inflate(qtable, sd.quotG), p).T.tolist()))
+        tx, sd.G1, inflate(qtable, sd.quotG)).T.tolist()))
     fs = tuple(map(tuple, restriction_multiplicity(
-        ty, sd.H1, inflate(qtable, sd.quotH), p).T.tolist()))
+        ty, sd.H1, inflate(qtable, sd.quotH)).T.tolist()))
     # the embedded EI quiver: the trivial U gives one x:X0 -> y:X0 unit
     if es[0][0] != 1 or fs[0][0] != 1:
         raise InvariantError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chartab import SplittingPrime, choose_splitting_prime
+from .chartab import SplittingPrime
 from .eicat import EICategory, MorphId, components, homset_orbits
 from .freecover import is_free
 from .quiveralg import BuiltQuiver, build_quiver, orbit_data
@@ -138,13 +138,11 @@ def _graph_verdict(comps) -> str:
     return "Wild"
 
 
-def rep_type(cat: EICategory,
-             prime: SplittingPrime | None = None) -> RepTypeVerdict:
-    """The representation-type verdict with its certificates.  Freeness
-    comes from is_free and the graph from the category's own quiver, so
-    no free cover is built."""
-    if prime is None:
-        prime = choose_splitting_prime(cat.groups.values())
+def rep_type(cat: EICategory, prime: SplittingPrime) -> RepTypeVerdict:
+    """The representation-type verdict with its certificates over F_p,
+    p a prime certified for the category's groups.  Freeness comes from
+    is_free and the graph from the category's own quiver, so no free
+    cover is built."""
     hereditary = is_hereditary(cat, prime)
     comps = classify_graph(build_quiver(cat, prime))
     names = ", ".join(c.name for c in comps)

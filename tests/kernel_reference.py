@@ -8,7 +8,7 @@ versions in eiquiver.linalg and eiquiver.permgrp; poly_roots is the
 scan over all of F_p that Cantor-Zassenhaus root finding replaced in
 eiquiver.linalg.poly_roots.  intertwiner_basis is the nullspace of a
 one-vertex Sylvester system that the projections of
-eiquiver.morita.projection_basis replaced in the functor's Hom bases.
+eiquiver.morita.projection_bases replaced in the functor's Hom bases.
 minimal_polynomial is the least dependency among I, a, a^2, ... by
 rank, the reference for the certified Krylov minimal polynomial of
 eiquiver.linalg.eigenspaces.  split_common_eigenvectors is the
@@ -644,8 +644,8 @@ def screen_two_object(cat: EICategory, prime):
             on_k0 = sub_table.values[:, [i in in_k0 for i in
                                          k1.member_positions]].sum(1) % p
             mults = chartab.restriction_multiplicity(
-                chartab.character_table(big, prime), k1, sub_table.values,
-                p).T
+                chartab.character_table(big, prime), k1,
+                sub_table.values).T
             for s in range(len(sub_table)):
                 if on_k0[s] == 0:
                     continue

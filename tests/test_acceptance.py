@@ -87,7 +87,7 @@ def test_criterion_03_regular_biset_quiver_golden():
     q = _built(cat)
     mults = {(q.vertices[a.source].label, q.vertices[a.target].label): a.mult
              for a in q.arrows}
-    verdict = rep_type(cat)
+    verdict = rep_type(cat, choose_splitting_prime(cat.groups.values()))
     elapsed = time.perf_counter() - start
     assert len(q.vertices) == 4
     assert mults == {("x:X0", "y:X0"): 1, ("x:X0", "y:X1"): 1,

@@ -94,7 +94,7 @@ def test_all_catalog_tables():
         assert all(v == 1 for v in t.rows[0])
         assert list(t.dims) == sorted(t.dims)
         # <chi_i, chi_j> = [i = j]: restriction to the whole group
-        gram = restriction_multiplicity(t, whole_group(g), t.values, t.p)
+        gram = restriction_multiplicity(t, whole_group(g), t.values)
         assert gram.tolist() == np.eye(len(t), dtype=int).tolist()
 
 
@@ -276,7 +276,7 @@ def test_restriction_multiplicities_s3_to_c2():
         S3, tuple(closure_positions(S3, [S3.index_of[(1, 0, 2)]])))
     t_sub = character_table(as_group(c2), P13)
     # rows: trivial, eps, the 2-dimensional V; columns: trivial, sign
-    m = restriction_multiplicity(t, c2, t_sub.values, P13.p)
+    m = restriction_multiplicity(t, c2, t_sub.values)
     v2, eps, triv, sign = 2, 1, 0, 1
     assert m[v2, triv] == 1
     assert m[v2, sign] == 1
@@ -289,8 +289,8 @@ def test_restriction_to_whole_and_trivial():
     whole = whole_group(S3)
     triv = trivial_subgroup(S3)
     t_triv = character_table(as_group(triv), P13)
-    on_whole = restriction_multiplicity(t, whole, t.values, P13.p)
-    on_triv = restriction_multiplicity(t, triv, t_triv.values, P13.p)
+    on_whole = restriction_multiplicity(t, whole, t.values)
+    on_triv = restriction_multiplicity(t, triv, t_triv.values)
     for i in range(3):
         assert on_whole[i, i] == 1
         assert on_triv[i, 0] == t.dims[i]
@@ -304,10 +304,10 @@ def test_frobenius_reciprocity():
         sub = SubgroupHandle(
             g, tuple(closure_positions(g, [g.index_of[seed]])))
         t_sub = character_table(as_group(sub), prime)
-        down = restriction_multiplicity(t, sub, t_sub.values, prime.p)
+        down = restriction_multiplicity(t, sub, t_sub.values)
         induced = np.array([induced_character(mu, sub, g, prime.p)
                             for mu in t_sub.values])
-        up = restriction_multiplicity(t, whole_group(g), induced, prime.p)
+        up = restriction_multiplicity(t, whole_group(g), induced)
         for i in range(len(t)):
             for j in range(len(t_sub)):
                 assert down[i, j] == up[i, j]

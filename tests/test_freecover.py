@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from conftest import FIXTURES, fixture_doc, large_cover_document, trivial_line
+from eiquiver.chartab import choose_splitting_prime
 from eiquiver.eicat import (ArrowBiset, LazyTables, MorphId, ei_quiver_of,
                             load_category, unfactorizables, validate_category)
 from eiquiver.errors import ValidationError
@@ -406,7 +407,8 @@ def test_free_cover_is_built_once_per_category_and_path_bound(monkeypatch):
                         lambda *a, **kw: calls.append(a) or build(*a, **kw))
     # freeness and the verdict build no cover
     assert is_free(cat)
-    assert rep_type(cat).verdict == "Finite"
+    assert rep_type(cat, choose_splitting_prime(
+        cat.groups.values())).verdict == "Finite"
     assert calls == []
     cover = free_cover(cat)
     assert len(calls) == 1

@@ -17,7 +17,7 @@ import pytest
 
 import kernel_reference as ref
 from conftest import fixture_doc, large_cover_document, trivial_line
-from eiquiver import linalg, morita
+from eiquiver import chartab, linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
 from eiquiver.eicat import (CLOSURE_CHUNK, EICategory, load_category,
@@ -82,7 +82,7 @@ S5_LARGE_MODELS_DIGEST = ("eb635d398c0b554172ebf96edf8913a5"
 
 
 def test_s5_models_of_degree_5_and_6_pinned(monkeypatch):
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     g, table = _symmetric(5)
     h = hashlib.sha256()
     for i in range(len(table)):
@@ -105,7 +105,7 @@ LADDER_DEGREES = {"C24": 1, "C48": 1, "C72": 0, "D48": 2, "S4": 3, "S5": 4}
 
 
 def test_ladder_tables_and_models_pinned(monkeypatch):
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     h = hashlib.sha256()
     for name, max_degree in LADDER_DEGREES.items():
         g = _group(name)
@@ -144,7 +144,7 @@ def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
         seen[base is None] += 1
         return got
 
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     monkeypatch.setattr(morita, "commutant", checked)
     for i in range(len(table)):
         irreducible_model(g, table, i)
@@ -160,10 +160,10 @@ def test_irreducible_model_builds_no_sylvester_system(monkeypatch):
     # or projections
     calls = []
     for name in ("_edge_system_dim", "fixed_point_basis",
-                 "projection_basis"):
+                 "projection_bases"):
         monkeypatch.setattr(morita, name, lambda *a, f=getattr(morita, name):
                             calls.append(a) or f(*a))
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     for n in (4, 5):
         g, table = _symmetric(n)
         for i in range(len(table)):
@@ -208,7 +208,7 @@ def _s4_as_groups(s4):
 def test_gathered_element_matrices_are_the_word_products(monkeypatch):
     # each model's matrices read off the regular module are, byte for
     # byte, the products of its generator matrices along each word
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     seen = Counter()
     for g, table, i in _ladder_models():
         gens, elems = irreducible_model(g, table, i)
@@ -234,7 +234,7 @@ def test_one_wrong_character_value_fails_the_trace_certificate(
     bad[2, e] = (bad[2, e] + 1) % table.p
     wrong = dataclasses.replace(table)
     wrong.__dict__["values"] = bad
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     with pytest.raises(InvariantError, match="traces disagree"):
         irreducible_model(g, wrong, 2)
 
@@ -248,7 +248,7 @@ def test_linear_models_are_the_regular_module_reference(monkeypatch):
     groups += _s4_as_groups(_group("S4"))
     assert any((parents > kids).any()
                for _, kids, parents in groups[-1].word_levels)
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     count = 0
     for g in groups:
         table = character_table(g, choose_splitting_prime([g]))
@@ -278,7 +278,7 @@ def test_a_non_multiplicative_linear_row_is_an_invariant_error(
         bad[i, e] = (bad[i, e] + 1) % table.p
     wrong = dataclasses.replace(table)
     wrong.__dict__["values"] = bad
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     with pytest.raises(InvariantError, match="not multiplicative"):
         irreducible_model(g, wrong, i)
 
@@ -294,7 +294,7 @@ def test_linear_models_do_no_elimination(monkeypatch, fresh_groups):
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref",
                         lambda *a: calls.append(a) or rref(*a))
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     built = 0
     for g, table in zip(groups, tables):
         for i in range(len(table)):
@@ -327,7 +327,7 @@ def test_retraction_sums_in_chunks(monkeypatch):
     digests = set()
     for chunk in RETRACTION_CHUNKS:
         monkeypatch.setattr(morita, "CLOSURE_CHUNK", chunk)
-        monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+        monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
         h = hashlib.sha256()
         for g, table in tables:
             for i in range(len(table)):
@@ -348,7 +348,7 @@ def test_irreducible_model_multiplies_no_words(monkeypatch):
     def refuse(*a):
         raise AssertionError("word products in irreducible_model")
     tables = [_symmetric(n) for n in (4, 5)]
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     monkeypatch.setattr(eiquiver.permgrp, "word_products", refuse)
     monkeypatch.setattr(morita, "element_matrices", refuse)
     for g, table in tables:
@@ -381,7 +381,7 @@ def test_embeddings_that_miss_a_column_are_an_invariant_error(monkeypatch,
         basis[-1, :, -1] = 0
         return basis
 
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     monkeypatch.setattr(MoritaContext, "stabilizer_hom", missing)
     with pytest.raises(InvariantError,
                        match="^isotypic embeddings do not fill the module$"):
@@ -459,7 +459,7 @@ def test_intertwiner_schur(s3_table):
             basis = ref.intertwiner_basis(list(models[i]), list(models[j]),
                                           13, table.dims[i], table.dims[j])
             assert len(basis) == (1 if i == j else 0)
-            got = morita.projection_basis(coefs, np.array(models[j]), 13)
+            [got] = morita.projection_bases([coefs], np.array(models[j]), 13)
             assert _same_basis(got, basis)
 
 
@@ -1233,32 +1233,31 @@ def test_blocks_build_only_the_counted_bases(categories, monkeypatch):
     # one kappa or mu basis per nonzero e[u][v] or f[u][w] of the quiver,
     # each in the model cache under its group signature
     for name in ("four_object_mixed", "two_object_c2_s3", "fork_merge_free"):
-        monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+        monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
         ctx = MoritaContext(build_quiver(categories[name]))
         r = inverse_functor(ctx, _random_quiverrep(ctx, random.Random(2)))
         apply_functor(ctx, r)
         counted = set()
         for k, od in enumerate(ctx.built.orbits):
             for x, counts in ((od.rep.source, od.e), (od.rep.target, od.f)):
-                p, gkey, pos, cosets, qkey = ctx._signature(k, x)
-                counted |= {(p, gkey, v, pos, cosets, qkey, u)
+                counted |= {("hom", *ctx._signature(k, x), v, u)
                             for u, row in enumerate(counts)
                             for v, n in enumerate(row) if n}
-        assert {key for key in morita._MODEL_CACHE if len(key) == 7} == \
+        assert {key for key in chartab._MODEL_CACHE if key[0] == "hom"} == \
             counted, name
 
 
 def test_a_truncated_kappa_basis_is_an_invariant_error(categories,
                                                        monkeypatch):
+    # every projected basis one element short, from a cold cache, since
+    # the count is checked where stabilizer_hom builds its entry
     cat = categories["two_object_c2_s3"]
     ctx = MoritaContext(build_quiver(cat))
     rep = load_catrep(cat, fixture_doc("two_object_c2_s3_rep"), ctx.p)
-    exact = MoritaContext.stabilizer_hom
-    source = ctx.built.orbits[0].rep.source
-    monkeypatch.setattr(
-        MoritaContext, "stabilizer_hom",
-        lambda self, r, u, x, *a: exact(self, r, u, x, *a)[:-1]
-        if x == source else exact(self, r, u, x, *a))
+    exact = morita.projection_bases
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    monkeypatch.setattr(morita, "projection_bases",
+                        lambda *a: [b[:-1] for b in exact(*a)])
     with pytest.raises(InvariantError, match="the quiver counts"):
         apply_functor(ctx, rep)
 
@@ -1370,13 +1369,14 @@ def test_functor_cache_entries_are_fresh_computations(categories,
                                                       monkeypatch):
     # kappa, mu and L_V read through one cache shared by many categories
     # equal, byte for byte, what each category computes from a cold cache
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     ctxs = _reference_contexts(categories)[:20]
     shared = [_functor_entries(ctx) for _, ctx in ctxs]
-    keys = {key for key in morita._MODEL_CACHE if len(key) in (6, 7)}
+    keys = {key for key in chartab._MODEL_CACHE
+            if key[0] in ("hom", "inverse")}
     assert len(keys) < sum(map(len, shared)), "no entry is shared"
     for (name, ctx), want in zip(ctxs, shared):
-        morita._MODEL_CACHE.clear()
+        chartab._MODEL_CACHE.clear()
         got = _functor_entries(MoritaContext(ctx.built))
         assert got.keys() == want.keys()
         for key, m in got.items():
@@ -1392,12 +1392,14 @@ def test_functor_cache_entries_are_fresh_computations(categories,
 def test_a_second_category_over_the_same_groups_projects_nothing(
         monkeypatch):
     # the same document loaded twice: the second category's groups are
-    # the first's, interned, so its kappa, mu and L_V are cache hits
+    # the first's, interned, so its kappa, mu and L_V are cache hits.
+    # F's copies are projected per representation, so the builds of
+    # kappa, mu and L_V are what is counted
     calls = []
-    project = morita.projection_basis
-    monkeypatch.setattr(morita, "projection_basis",
-                        lambda *a: calls.append(a) or project(*a))
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    for name in ("_stabilizer_hom", "_source_inverse"):
+        monkeypatch.setattr(MoritaContext, name, lambda *a, f=getattr(
+            MoritaContext, name): calls.append(a) or f(*a))
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     doc = s3_chain_document(3)
     outcomes = []
     for _ in range(2):
@@ -1416,18 +1418,24 @@ def test_a_second_category_over_the_same_groups_projects_nothing(
 @pytest.mark.parametrize("lost", ("element", "column"))
 def test_a_failed_source_inverse_check_stores_nothing(monkeypatch, lost):
     # a kappa basis one element short fails its count, and one with a
-    # column dropped fails to fill V: no L_V with kappa rows is kept
+    # column dropped fails to fill V: no L_V with kappa rows is kept.
+    # The count is checked where stabilizer_hom builds its entry, so the
+    # projections are cut short there
     built = build_quiver(load_category(fixture_doc("four_object_mixed")))
-    exact = MoritaContext.stabilizer_hom
+    project, exact = morita.projection_bases, MoritaContext.stabilizer_hom
 
     def short(self, r, u, x, v):
         basis = exact(self, r, u, x, v)
         if x != self.built.orbits[r].rep.source:
             return basis
-        return basis[:-1] if lost == "element" else basis[:, :, :-1]
+        return basis[:, :, :-1]
 
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
-    monkeypatch.setattr(MoritaContext, "stabilizer_hom", short)
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    if lost == "element":
+        monkeypatch.setattr(morita, "projection_bases",
+                            lambda *a: [b[:-1] for b in project(*a)])
+    else:
+        monkeypatch.setattr(MoritaContext, "stabilizer_hom", short)
     ctx = MoritaContext(built)
     message = ("the quiver counts" if lost == "element"
                else "do not fill the module")
@@ -1438,28 +1446,77 @@ def test_a_failed_source_inverse_check_stores_nothing(monkeypatch, lost):
                     ctx.source_inverse(r, v)
             else:
                 assert ctx.source_inverse(r, v).shape[0] == 0
-    stored = [m for key, m in morita._MODEL_CACHE.items() if len(key) == 6]
+    stored = [m for key, m in chartab._MODEL_CACHE.items() if key[0] == "inverse"]
     assert stored and all(m.shape[0] == 0 for m in stored)
+
+
+@pytest.mark.parametrize("kind", ("table", "model", "hom", "inverse"))
+def test_a_failed_build_stores_nothing(monkeypatch, kind):
+    # every kind of model-cache entry is checked inside its build: a
+    # build that raises leaves no entry of its kind, and the next call
+    # builds, and raises, again
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    if kind == "table":
+        # C24's table holds 576 values
+        monkeypatch.setattr(chartab, "MAX_TABLE_ENTRIES", 575)
+        g = _group("C24")
+        prime = choose_splitting_prime([g])
+        call, message = (lambda: character_table(g, prime)), "exceeds 575"
+    elif kind == "model":
+        # S3's irreducible of degree 2 with one value off by one
+        g = named_group("S3")
+        table = character_table(g, certified_prime(13, [g]))
+        bad = table.values.copy()
+        bad[2, 1] = (bad[2, 1] + 1) % table.p
+        wrong = dataclasses.replace(table)
+        wrong.__dict__["values"] = bad
+        call, message = (lambda: irreducible_model(g, wrong, 2),
+                         "traces disagree")
+    else:
+        built = build_quiver(load_category(fixture_doc("four_object_mixed")))
+        ctx = MoritaContext(built)
+        r, u, v = next((r, u, v) for r, od in enumerate(built.orbits)
+                       for u, row in enumerate(od.e)
+                       for v, n in enumerate(row) if n)
+        source = built.orbits[r].rep.source
+        if kind == "hom":
+            # a kappa basis one element short of the quiver's count
+            project = morita.projection_bases
+            monkeypatch.setattr(morita, "projection_bases",
+                                lambda *a: [b[:-1] for b in project(*a)])
+            call, message = ((lambda: ctx.stabilizer_hom(r, u, source, v)),
+                             "the quiver counts")
+        else:
+            # kappa with a column dropped, so [kappa | K] is not square
+            exact = MoritaContext.stabilizer_hom
+            monkeypatch.setattr(MoritaContext, "stabilizer_hom",
+                                lambda *a: exact(*a)[:, :, :-1])
+            call, message = ((lambda: ctx.source_inverse(r, v)),
+                             "do not fill the module")
+    for _ in range(2):
+        with pytest.raises(EIQuiverError, match=message):
+            call()
+        assert [key for key in chartab._MODEL_CACHE if key[0] == kind] == []
 
 
 def test_inverse_functor_builds_only_the_l_v_an_arrow_reads(categories,
                                                            monkeypatch):
     # an irreducible with no kappa has no arrow, so no L_V without rows
     # is built, even with every vertex present
-    monkeypatch.setattr(morita, "_MODEL_CACHE", {})
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     for name in ("four_object_mixed", "two_object_c2_s3"):
         ctx = MoritaContext(build_quiver(categories[name]))
         ones = (1,) * len(ctx.built.vertices)
         inverse_functor(ctx, QuiverRep(ctx.built, ctx.p, ones, tuple(
             linalg.eye(1) for _ in ctx.arrows)))
-    stored = [m for key, m in morita._MODEL_CACHE.items() if len(key) == 6]
+    stored = [m for key, m in chartab._MODEL_CACHE.items() if key[0] == "inverse"]
     assert stored and all(len(m) for m in stored)
 
 
 def test_a_second_inverse_functor_solves_nothing(categories, monkeypatch):
     # every L_V and placement is read off the cache and the context on a
     # second call: no elimination and no projection, only build_catrep
-    rref, project = linalg.rref, morita.projection_basis
+    rref, project = linalg.rref, morita.projection_bases
     calls = Counter()
     for name in ("four_object_mixed", "two_object_c2_s3"):
         ctx = MoritaContext(build_quiver(categories[name]))
@@ -1467,12 +1524,12 @@ def test_a_second_inverse_functor_solves_nothing(categories, monkeypatch):
         inverse_functor(ctx, _random_quiverrep(ctx, rng))
         monkeypatch.setattr(linalg, "rref", lambda *a: calls.update(
             ["rref"]) or rref(*a))
-        monkeypatch.setattr(morita, "projection_basis", lambda *a: (
-            calls.update(["projection_basis"]) or project(*a)))
+        monkeypatch.setattr(morita, "projection_bases", lambda *a: (
+            calls.update(["projection_bases"]) or project(*a)))
         q = _random_quiverrep(ctx, rng)
         again = inverse_functor(ctx, q)
         monkeypatch.setattr(linalg, "rref", rref)
-        monkeypatch.setattr(morita, "projection_basis", project)
+        monkeypatch.setattr(morita, "projection_bases", project)
         assert calls == {}, name
         assert _catrep_bytes(lambda c, q: again, ctx, q) == \
             _catrep_bytes(ref.inverse_functor, ctx, q)
@@ -1517,8 +1574,8 @@ def test_copies_are_each_irreducibles_projection_basis(categories):
                 got = ctx.copies(r, x)
                 assert len(got) == len(ctx.built.tables[x])
                 for v, basis in enumerate(got):
-                    want = morita.projection_basis(
-                        ctx.model(x, v)[1][group.inverse, 0],
+                    [want] = morita.projection_bases(
+                        [ctx.model(x, v)[1][group.inverse, 0]],
                         r.elem_mats[x], ctx.p)
                     assert (basis.dtype, basis.shape) == (want.dtype,
                                                           want.shape)

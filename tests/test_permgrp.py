@@ -5,6 +5,7 @@ import random
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from eiquiver import permgrp
@@ -12,8 +13,8 @@ from eiquiver.eicat import load_category
 from eiquiver.errors import InvariantError, ValidationError
 from eiquiver.permgrp import (PermGroup, QuotientGroup, SubgroupHandle,
                               check_perm, conjugacy_classes, class_index_of,
-                              enumerate_group, orbits, pidentity, pmul,
-                              quotient)
+                              derived_cosets, enumerate_group, orbits,
+                              pidentity, pmul, quotient)
 from groups import (as_group, identity_pos, mul, named_group, pinv,
                     trivial_subgroup, whole_group)
 from randcats import (closure_positions, explicit_document,
@@ -509,3 +510,14 @@ def test_a_row_at_the_end_of_a_long_word_needs_no_recursion():
     g = enumerate_group(n, [[(i + 1) % n for i in range(n)]])
     assert len(g.words[n - 1]) == n - 1
     assert g.row(n - 1).tolist() == [(j + n - 1) % n for j in range(n)]
+
+
+def test_derived_cosets_keep_no_cayley_row(fresh_groups):
+    # G' is closed by the one closure routine and its cosets are orbits
+    # of right multiplication, as a quotient's are: S5's A5 and its
+    # other coset, with no row of S5's Cayley table kept
+    g = enumerate_group(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    label, acts = derived_cosets(g)
+    assert label[0] == 0 and np.bincount(label).tolist() == [60, 60]
+    assert [act.tolist() for act in acts] == [[1, 0], [0, 1]]
+    assert all(row is None for row in g._rows)

@@ -29,6 +29,8 @@ NOT_FROM_THE_CLI = {
     "morita.inverse_functor": "tests and perfbench",
     "morita.MoritaContext.source_inverse": "tests and perfbench "
                                             "(inverse_functor)",
+    "morita.MoritaContext._source_inverse": "tests and perfbench "
+                                            "(source_inverse's build)",
     "morita.MoritaContext.placements": "tests and perfbench "
                                        "(inverse_functor)",
     "morita.hom_dim_cat": "tests and perfbench",

@@ -113,15 +113,19 @@ def test_is_hereditary(categories):
 
 
 def test_rep_type_finite(categories):
-    v = rep_type(categories["two_object_c2_s3"])
+    cat = categories["two_object_c2_s3"]
+    v = rep_type(cat, choose_splitting_prime(cat.groups.values()))
     assert v.verdict == "Finite"
     assert v.certificates[0][0] == "hereditary-graph"
     assert "A5" in v.certificates[0][1]
-    assert rep_type(categories["four_object_mixed"]).verdict == "Finite"
+    cat = categories["four_object_mixed"]
+    assert rep_type(cat, choose_splitting_prime(
+        cat.groups.values())).verdict == "Finite"
 
 
 def test_rep_type_wild(categories):
-    v = rep_type(categories["two_object_trivial_s3"])
+    cat = categories["two_object_trivial_s3"]
+    v = rep_type(cat, choose_splitting_prime(cat.groups.values()))
     assert v.verdict == "Wild"
     assert v.certificates[0][0] == "hereditary-graph"
 
@@ -130,7 +134,8 @@ def test_rep_type_one_object():
     cat = load_category({"mode": "explicit",
                          "objects": [{"id": "x", "degree": 1,
                                       "generators": []}], "homs": []})
-    assert rep_type(cat).verdict == "Finite"
+    assert rep_type(cat, choose_splitting_prime(
+        cat.groups.values())).verdict == "Finite"
 
 
 def test_rep_type_nonfree(categories):
@@ -139,7 +144,8 @@ def test_rep_type_nonfree(categories):
     for name, verdict in (("fork_merge_nonfree", "InfiniteUncertified"),
                           ("line_subcategory_nonfree", "Unknown")):
         cat = categories[name]
-        assert rep_type(cat).verdict == verdict
+        assert rep_type(cat, choose_splitting_prime(
+            cat.groups.values())).verdict == verdict
         assert quivers_equal(build_quiver(cat),
                              build_quiver(free_cover(cat)))
 
