@@ -3,17 +3,23 @@
 Matrices are numpy int64 arrays with entries reduced to {0..p-1}.  All
 routines use deterministic pivoting (first nonzero column, topmost row)
 so that downstream artifacts are reproducible byte-for-byte.  Each
-elimination step is one whole-array update of the rows it touches, so
-no routine loops over rows in Python, and rref takes one step per
-pivot, not one per column.  Eigenvalues are the roots of the minimal
-polynomial, read off the Krylov sequence of one fixed vector
+elimination step is one whole-array update of the rows it touches, and
+rref takes one step per pivot, not one per column, except on matrices
+of at most SMALL_RREF = 64 entries: those are eliminated on their rows
+as lists of Python ints, where numpy's per-call dispatch costs more than
+the arithmetic.  They are most calls: of the 3,849 rref calls in one
+pass of the benchmark's group-ladder and random-categories workloads,
+3,003 are that small, and took 31 ms through numpy against 17 ms as
+Python ints (2 vCPUs, one thread).  Eigenvalues are the roots of the
+minimal polynomial, read off the Krylov sequence of one fixed vector
 (Wiedemann, IEEE Trans. Inf. Theory 32, 1986) and certified by g(a) =
 0: a model cut, which acts on d copies of a space as A (x) I_d, factors
 a polynomial of degree m/d at most, and a scalar matrix one of degree
-1, rather than one of degree m.  When that vector is cyclic, the eigenvector of a simple root is read off the same Krylov
-rows rather than by an elimination.  No routine solves a linear
-system: a caller reads its solution off rref's pivot rows, where an
-echelon basis B with B[pivots] = I gives B x = y as x = y[pivots].
+1, rather than one of degree m.  When that vector is cyclic, the
+eigenvector of a simple root is read off the same Krylov rows rather
+than by an elimination.  No routine solves a linear system: a caller
+reads its solution off rref's pivot rows, where an echelon basis B with
+B[pivots] = I gives B x = y as x = y[pivots].
 Products stay below 2n * p^2, which fits int64 for p up to ~10^6.
 """
 
@@ -46,17 +52,33 @@ def inv_scalar(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns).
+# The largest m * n that rref eliminates on Python-int rows.  Up to it,
+# numpy's per-call dispatch costs about what the arithmetic does even on
+# dense input: at p = 433, an 8 x 8 matrix of rank 8 took 91 us in numpy
+# and 82 us in Python, a dense 8 x 16 one of rank 8 92 us against 128 us
+# (at p near 10^6, Python is 5-15% slower at the bound; the benchmark's
+# primes are below 250).
+SMALL_RREF = 64
 
-    One step per pivot: a column with no nonzero entry at or below the
-    current row is passed over with every such column after it, by one
-    search of the trailing block for the next column that has one.  Per
-    pivot, the rows with a nonzero entry in its column are cleared in
-    one array operation.
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (R, pivot_columns), R an int64
+    (m, n) array and the pivots Python ints.
+
+    A matrix of at most SMALL_RREF entries is eliminated on its rows as
+    lists of Python ints (_rref_small).  Any other takes one step per
+    pivot: a column with no nonzero entry at or below the current row is
+    passed over with every such column after it, by one search of the
+    trailing block for the next column that has one.  Per pivot, the
+    rows with a nonzero entry in its column are cleared in one array
+    operation.  Both paths pivot on the topmost nonzero entry of the
+    first column that has one at or below the current row, and the
+    reduced echelon form is unique, so they agree entry for entry.
     """
     r = asmod(a, p)
     m, n = r.shape
+    if m * n <= SMALL_RREF:
+        return _rref_small(r, p)
     pivots: list[int] = []
     row = col = 0
     while row < m and col < n:
@@ -82,6 +104,38 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         row += 1
         col += 1
     return r, pivots
+
+
+def _rref_small(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref's path for small r, reduced mod p: the same pivot rule on
+    r's rows as lists of Python ints, and r itself back when it is zero."""
+    m, n = r.shape
+    rows = r.tolist()
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        for sel in range(row, m):
+            if rows[sel][col]:
+                break
+        else:
+            continue
+        piv = rows[sel]
+        rows[sel] = rows[row]
+        if piv[col] != 1:
+            s = inv_scalar(piv[col], p)
+            piv = [v * s % p for v in piv]
+        rows[row] = piv
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f and i != row:
+                rows[i] = [(v - f * w) % p for v, w in zip(other, piv)]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if not pivots:
+        return r, pivots
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
 def row_space(a: np.ndarray, p: int) -> np.ndarray:

@@ -251,19 +251,21 @@ def _irreducible_model(group: PermGroup, table: CharTable, i: int):
     # The regular module from the Cayley table, as index arrays.  L_g has
     # a 1 at (g*j, j), so L_s w takes row a from row s^-1 * a of w, and
     # the isotypic projection d/|G| sum_g chi(g^-1) L_g has (a, j) entry
-    # d/|G| chi(j * a^-1).
+    # d/|G| chi(j * a^-1): its column j is row j of chi[cayley[:, inverse]]
+    # times d/|G|, a unit as p > 2|G|.
     cayley = group.cayley
     moves = [cayley[group.inv(group.index_of[s])] for s in group.generators]
-    proj = chi[cayley[:, group.inverse]].T * d % p * \
-        linalg.inv_scalar(n, p) % p
     # The isotypic part has dimension d^2 and its reduced echelon basis
-    # does not depend on the spanning set, so reduce proj's leading
-    # columns, twice as many each time, until d^2 pivots show.  The loop
-    # ends there or once every column is in (take >= n).
+    # does not depend on the spanning set, so reduce the projection's
+    # leading columns, twice as many each time, until d^2 pivots show.
+    # Each round gathers only those columns, from as many Cayley rows,
+    # and unscaled, as a unit changes no span: the |G| x |G| projection
+    # is never formed.  The loop ends there or once every column is in
+    # (take >= n).
     take = 2 * d * d
     while True:
         # columns span the isotypic part; w[piv] = I
-        w, piv = linalg.column_echelon(proj[:, :take], p)
+        w, piv = linalg.column_echelon(chi[cayley[:take, group.inverse]].T, p)
         if len(piv) == d * d or take >= n:
             break
         take *= 2

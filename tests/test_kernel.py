@@ -1,5 +1,6 @@
-"""The whole-array F_p kernel and the table-driven group arithmetic,
-checked against the plain loop versions in kernel_reference."""
+"""The F_p kernel, whole-array and, for rref's small matrices, on
+Python-int rows, and the table-driven group arithmetic, checked against
+the plain loop versions in kernel_reference."""
 
 import random
 import tracemalloc
@@ -49,17 +50,32 @@ def _matrices(p, rng):
     tail[:4, :10] = rng.integers(0, p, (4, 2)) @ rng.integers(0, p, (2, 10))
     tail[4, 20:] = rng.integers(0, p, 10)
     out.append(tail % p)
+    # at rref's SMALL_RREF bound of 64 entries and just past it: dense,
+    # low-rank and zero, and one transposed (Fortran-ordered) view
+    for m, n in ((8, 8), (4, 16), (1, 64), (5, 13), (9, 8)):
+        k = min(m, n) // 2
+        out.append(rng.integers(0, p, (m, n)))
+        out.append(rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))
+                   % p)
+        out.append(np.zeros((m, n), dtype=np.int64))
+    out.append(rng.integers(0, p, (8, 8)).T)
     return out
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_rref_nullspace_solve_match_reference(p):
+def test_rref_nullspace_solve_match_reference(p, monkeypatch):
     rng = np.random.default_rng(p)
     for a in _matrices(p, rng):
         m, n = a.shape
-        r, pivots = linalg.rref(a, p)
         want_r, want_pivots = ref.rref(a.tolist(), p)
-        assert (r.tolist(), pivots) == (want_r, want_pivots)
+        # every matrix through the numpy path, then the Python-int path
+        for bound in (-1, m * n):
+            monkeypatch.setattr(linalg, "SMALL_RREF", bound)
+            r, pivots = linalg.rref(a, p)
+            assert (r.dtype, r.shape) == (np.int64, (m, n))
+            assert all(type(c) is int for c in pivots)
+            assert (r.tolist(), pivots) == (want_r, want_pivots)
+        monkeypatch.undo()
         ns = linalg.nullspace(a, p)
         assert ns.shape == (n - len(pivots), n)
         assert ns.tolist() == ref.nullspace(a.tolist(), p, n)

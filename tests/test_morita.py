@@ -121,6 +121,27 @@ def test_ladder_tables_and_models_pinned(monkeypatch):
     assert h.hexdigest() == LADDER_DIGEST
 
 
+def test_a_model_forms_no_group_by_group_projection(monkeypatch):
+    # D48's first degree-2 model reduces the projection's first 8
+    # columns; gathered from 8 Cayley rows, its build peaks below the
+    # 96 x 96 int64 projection that forming it whole would take
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    g = _group("D48")
+    table = character_table(g, choose_splitting_prime([g]))
+    i = table.dims.index(2)
+    # the Cayley table, inverses and character values, built first
+    assert g.cayley.shape == (96, 96) and len(g.inverse) == 96
+    assert table.values.shape[1] == 96
+    tracemalloc.start()
+    try:
+        gens, elems = irreducible_model(g, table, i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elems.shape == (96, 2, 2)
+    assert peak < len(g) ** 2 * 8
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
     # the commutant from right translations and retractions is, byte for
