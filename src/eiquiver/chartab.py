@@ -32,9 +32,9 @@ inflation work on whole tables at once: each is one array product or
 one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
-every character table, irreducible model and functor basis, each
-built through permgrp.memo under a key whose first element names its
-kind:
+every character table, irreducible model and functor basis, and the
+commutant's shuffled order of each group order, each built through
+permgrp.memo under a key whose first element names its kind:
   - ("table", p, group.key): a character table;
   - ("model", p, group.key, i): the model of irreducible i
     (morita.irreducible_model);
@@ -43,6 +43,8 @@ kind:
     basis (morita.MoritaContext.stabilizer_hom);
   - ("inverse", the same signature, v): an L_V
     (morita.MoritaContext.source_inverse).
+  - ("shuffle", n): 0..n-1 in morita.commutant's fixed shuffled order
+    (morita._shuffled).
 Equal live groups are one object (permgrp interns them), so group.key,
 never reused, names a group's generators and element order; an entry is
 a deterministic function of its key, so a hit is exactly what a fresh

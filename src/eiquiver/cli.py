@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Commands compute and main prints: each cmd_* is a function of (args,
+the loaded category) that returns its JSON payload and its text lines,
+and quiver its DOT too.  main is the one place that loads the document,
+renders the result in the chosen --format and sets the exit status.
+
 Exit codes: 0 success, else the `exit_code` of the errors.EIQuiverError
 raised, after one stderr line `{label}: {message}`: 1 internal invariant
 failure, 2 validation failure (the input is well-formed but not a valid
@@ -68,20 +73,16 @@ def _emit(args, payload: dict, text_lines, dot: str | None = None) -> None:
             sys.stdout.write(line + "\n")
 
 
-def cmd_validate(args) -> int:
-    cat = _load(args)
+def cmd_validate(args, cat) -> tuple:
     payload = {"ok": True, "objects": len(cat.objects),
                "morphisms": cat.morphism_count(),
                "object_order": list(cat.topological_order)}
-    _emit(args, payload,
-          [f"valid: {len(cat.objects)} objects, "
-           f"{cat.morphism_count()} morphisms"])
-    return 0
+    return payload, [f"valid: {len(cat.objects)} objects, "
+                     f"{cat.morphism_count()} morphisms"]
 
 
-def cmd_quiver(args) -> int:
+def cmd_quiver(args, cat) -> tuple:
     from .quiveralg import build_quiver, quiver_document, quiver_dot
-    cat = _load(args)
     q = build_quiver(cat, _prime(args, cat))
     lines = [f"prime {q.prime.p}"]
     for v in q.vertices:
@@ -89,26 +90,22 @@ def cmd_quiver(args) -> int:
     for a in q.arrows:
         lines.append(f"arrow {_text(q.vertices[a.source].label)} -> "
                      f"{_text(q.vertices[a.target].label)} x{a.mult}")
-    _emit(args, quiver_document(q), lines, quiver_dot(q))
-    return 0
+    return quiver_document(q), lines, quiver_dot(q)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, cat) -> tuple:
     from .reptype import rep_type
-    cat = _load(args)
     verdict = rep_type(cat, _prime(args, cat))
     payload = {"verdict": verdict.verdict,
                "certificates": [{"rule": r, "witness": w}
                                 for r, w in verdict.certificates]}
     lines = [verdict.verdict] + [f"  {r}: {w}"
                                  for r, w in verdict.certificates]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_screen(args) -> int:
+def cmd_screen(args, cat) -> tuple:
     from .reptype import screen_two_object
-    cat = _load(args)
     findings = screen_two_object(cat, _prime(args, cat))
     payload = {"findings": [{"pair": list(pair), "rule": rule,
                              "witness": witness}
@@ -116,13 +113,11 @@ def cmd_screen(args) -> int:
     lines = ([f"{_text(pair[0])}->{_text(pair[1])}: {rule} ({witness})"
               for pair, rule, witness in findings]
              or ["no screen fired"])
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args, cat) -> tuple:
     from .freecover import free_cover
-    cat = _load(args)
     cover = free_cover(cat, max_paths=args.max_paths)
     sizes = {f"{x}->{y}": hs.size for (x, y), hs in sorted(cover.homs.items())}
     payload = {"objects": list(cover.objects),
@@ -132,39 +127,33 @@ def cmd_cover(args) -> int:
     lines = [f"cover has {cover.morphism_count()} morphisms "
              f"(original {cat.morphism_count()})"] + \
             [f"  {_text(k)}: {v}" for k, v in sizes.items()]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_is_free(args) -> int:
+def cmd_is_free(args, cat) -> tuple:
     from .freecover import is_free
-    cat = _load(args)
     free = is_free(cat)
-    _emit(args, {"free": free}, ["free" if free else "not free"])
-    return 0
+    return {"free": free}, ["free" if free else "not free"]
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, cat) -> tuple:
     from .oracle import check_against_quiver
     from .quiveralg import build_quiver
-    cat = _load(args)
     q = build_quiver(cat, _prime(args, cat))
     oracle = check_against_quiver(q)
     payload = {"ok": True,
                "multiplicities": [
                    {"from": list(a), "to": list(b), "mult": m}
                    for (a, b), m in sorted(oracle.items())]}
-    _emit(args, payload,
-          ["oracle agrees with the quiver computation"] +
-          [f"  {a} -> {b}: {m}" for (a, b), m in sorted(oracle.items())])
-    return 0
+    return payload, (
+        ["oracle agrees with the quiver computation"] +
+        [f"  {a} -> {b}: {m}" for (a, b), m in sorted(oracle.items())])
 
 
-def cmd_functor(args) -> int:
+def cmd_functor(args, cat) -> tuple:
     from .morita import (MoritaContext, apply_functor, load_catrep,
                          quiverrep_document)
     from .quiveralg import build_quiver
-    cat = _load(args)
     q = build_quiver(cat, _prime(args, cat))
     rep = load_catrep(cat, _read_json(args.rep), q.prime.p)
     ctx = MoritaContext(q)
@@ -175,8 +164,7 @@ def cmd_functor(args) -> int:
     for a, m in zip(payload["arrows"], qrep.arrow_mats):
         lines.append(f"arrow v{a['from']} -> v{a['to']}: "
                      f"{m.shape[0]}x{m.shape[1]}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -213,7 +201,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the category is the command's argument, not a local here: its
+        # frame, cleared below, is then all that holds it
+        _emit(args, *args.fn(args, _load(args)))
+        return 0
     except EIQuiverError as e:
         err = e
     except (MemoryError, SystemError) as e:

@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, pairwise
 
 import numpy as np
@@ -157,10 +156,10 @@ def projection_bases(coefs: list, velems: np.ndarray, p: int) -> list:
             pairwise(accumulate((c.shape[1] for c in coefs), initial=0))]
 
 
-@lru_cache(maxsize=64)
 def _shuffled(n: int) -> np.ndarray:
     """0..n-1 in commutant's fixed shuffled order, drawn once per group
-    order; read-only, since every caller shares it."""
+    order (kept in _MODEL_CACHE on ("shuffle", n)); read-only, since
+    every caller shares it."""
     order = np.array(random.Random(0).sample(range(n), n), dtype=np.intp)
     order.setflags(write=False)
     return order
@@ -184,7 +183,8 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     m, n = w.shape[1], len(inverse)
     if base is None:
         comm, h = np.zeros((0, m, m), np.int64), 0
-        order = inverse[_shuffled(n)]
+        order = inverse[memo(chartab._MODEL_CACHE, ("shuffle", n),
+                             _shuffled, n)]
         while len(comm) < m:
             if h == n:
                 raise InvariantError("right translations miss the commutant")

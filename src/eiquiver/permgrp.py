@@ -324,7 +324,7 @@ def enumerate_group(degree: int, generators, bound: int = DEFAULT_SIZE_BOUND) ->
     gens = tuple(check_perm(g, degree) for g in generators)
     if (group := _INTERNED.get((degree, gens))) is None:
         group = _INTERNED[degree, gens] = _enumerate(degree, gens, bound)
-    elif len(group) > bound:
+    if len(group) > bound:
         raise ValidationError("bad-group", f"group closure exceeds bound {bound}")
     return group
 

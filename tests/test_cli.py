@@ -10,7 +10,8 @@ import pytest
 from conftest import (fixture_doc, fixture_path, large_cover_document,
                       trivial_line)
 from eiquiver.cli import main
-from eiquiver.errors import OutOfMemory
+from eiquiver.errors import OutOfMemory, ValidationError
+from test_golden import CASES, COMMANDS, EXPECTED, FORMATS
 
 
 def run(capsys, *argv):
@@ -478,6 +479,48 @@ def test_max_group_holds_for_a_group_already_loaded(capsys, tmp_path,
         in cold[2]
 
 
+def test_max_group_below_one_holds_on_a_cold_load(capsys, tmp_path,
+                                                  fresh_groups):
+    # the trivial group's one element exceeds a bound of 0, whether its
+    # group is enumerated afresh or already live
+    from eiquiver.permgrp import enumerate_group
+    f = tmp_path / "trivial.json"
+    f.write_text(json.dumps({"objects": [{"id": "x", "degree": 1}],
+                             "homs": []}))
+    cold = run(capsys, "--max-group", "0", "validate", str(f))
+    assert cold == (2, "", "validation error: bad-group: group closure "
+                    "exceeds bound 0\n")
+    live = enumerate_group(1, [])
+    assert run(capsys, "--max-group", "0", "validate", str(f)) == cold
+    # an order equal to the bound passes, warm and cold
+    assert run(capsys, "--max-group", "1", "validate", str(f))[0] == 0
+    assert enumerate_group(1, [], bound=1) is live
+    fresh_groups()
+    assert run(capsys, "--max-group", "1", "validate", str(f))[0] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_returns_what_main_prints(capsys, command):
+    # a command is a function of the loaded category that prints
+    # nothing; its result, emitted in each format, is the CLI's stdout
+    # for that golden case, or bad-format for a DOT it does not have
+    from eiquiver import cli
+    fn = getattr(cli, "cmd_" + command.replace("-", "_"))
+    for fmt in FORMATS:
+        case = f"{fmt} {command} four_object_mixed"
+        args = cli.make_parser().parse_args(CASES[case])
+        result = fn(args, cli._load(args))
+        assert capsys.readouterr().out == ""
+        if fmt == "dot" and command != "quiver":
+            with pytest.raises(ValidationError) as e:
+                cli._emit(args, *result)
+            assert e.value.finding == "bad-format"
+            assert f"{e.value.label}: {e.value}\n" == EXPECTED[case]["stderr"]
+        else:
+            cli._emit(args, *result)
+        assert capsys.readouterr().out == EXPECTED[case]["stdout"]
+
+
 def test_max_paths_bound(capsys):
     code, _, err = run(capsys, "--max-paths", "2",
                        "validate", fx("four_object_mixed"))
@@ -607,7 +650,7 @@ def test_representation_too_large_to_check_is_rejected_first(
 def test_memory_error_is_an_out_of_memory_finding(capsys, monkeypatch):
     from eiquiver import cli
 
-    def exhausted(args):
+    def exhausted(args, cat):
         raise MemoryError
     monkeypatch.setattr(cli, "cmd_classify", exhausted)
     code, out, err = run(capsys, "classify", fx("two_object_c2_s3"))
@@ -627,7 +670,7 @@ def test_numpys_out_of_memory_system_error_is_an_out_of_memory_finding(
         pass
     refs, alive = [], []
 
-    def exhausted(args):
+    def exhausted(args, cat):
         data = Data()
         refs.append(weakref.ref(data))
         raise SystemError(NUMPY_OUT_OF_MEMORY)
@@ -643,7 +686,7 @@ def test_numpys_out_of_memory_system_error_is_an_out_of_memory_finding(
 def test_any_other_system_error_propagates(capsys, monkeypatch):
     from eiquiver import cli
 
-    def broken(args):
+    def broken(args, cat):
         raise SystemError("some other internal error")
     monkeypatch.setattr(cli, "cmd_classify", broken)
     with pytest.raises(SystemError, match="some other internal error"):
@@ -651,23 +694,24 @@ def test_any_other_system_error_propagates(capsys, monkeypatch):
 
 
 def test_out_of_memory_frees_the_failed_calls_data(capsys, monkeypatch):
-    # the frames of the call that ran out hold its data; it is freed
-    # before the finding is built, so that there is room to report it
+    # the frames of the call that ran out hold its data, and the loaded
+    # category it was passed; both are freed before the finding is
+    # built, so that there is room to report it
     from eiquiver import cli
 
     class Data:
         pass
     refs, alive = [], []
 
-    def exhausted(args):
+    def exhausted(args, cat):
         data = Data()
-        refs.append(weakref.ref(data))
+        refs.extend((weakref.ref(data), weakref.ref(cat)))
         raise MemoryError
     monkeypatch.setattr(cli, "cmd_classify", exhausted)
-    monkeypatch.setattr(cli, "OutOfMemory", lambda: alive.append(
-        refs[0]() is not None) or OutOfMemory())
+    monkeypatch.setattr(cli, "OutOfMemory", lambda: alive.extend(
+        r() is not None for r in refs) or OutOfMemory())
     code, _, err = run(capsys, "classify", fx("two_object_c2_s3"))
-    assert (code, alive) == (2, [False])
+    assert (code, alive) == (2, [False, False])
     assert err.startswith("validation error: out-of-memory: ")
 
 

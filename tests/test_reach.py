@@ -7,9 +7,9 @@ what reaches it.  No fixture's group has two characters of degree above
 and 3) is the one that reaches the split.
 
 Calls are recorded in process with sys.setprofile, from a cold model
-cache, a cold morita._shuffled cache and empty group intern tables
-(the fresh_groups fixture), so a function a cache would skip still
-counts as reached only if the CLI computes it.
+cache and empty group intern tables (the fresh_groups fixture), so a
+function a cache would skip still counts as reached only if the CLI
+computes it.
 """
 
 import ast
@@ -19,7 +19,6 @@ import sys
 
 import eiquiver
 from eiquiver.chartab import _MODEL_CACHE
-from eiquiver.morita import _shuffled
 from test_golden import CASES, EXPECTED, run_cli
 
 SRC = pathlib.Path(eiquiver.__file__).resolve().parent
@@ -85,7 +84,6 @@ def reached_functions(argvs) -> tuple[set[tuple[str, int]], list[int]]:
 
     saved = dict(_MODEL_CACHE)
     _MODEL_CACHE.clear()
-    _shuffled.cache_clear()
     sys.setprofile(record)
     try:
         exits = [run_cli(argv)["exit"] for argv in argvs]
