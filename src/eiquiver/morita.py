@@ -147,13 +147,15 @@ def projection_bases(coefs: list, velems: np.ndarray, p: int) -> list:
     column a is p_a e_j is the K-map f with f(e_0) = p_0 e_j, and the T_j
     over V's basis span Hom_K(U, V); the scale d/|K| changes no span, so
     it is left out.  Every U's projections come from one einsum over the
-    concatenated coefficients, and each U's slice goes through
-    canonical_span."""
+    concatenated coefficients, and each U's nonzero slice goes through
+    canonical_span; a U that is no constituent of V has an all-zero
+    slice and an empty basis."""
     # stack[a, i, j] = p_a[i, j], over every U's a
     stack = np.einsum("ga,gij->aij", np.concatenate(coefs, axis=1), velems)
     stack %= p
-    return [canonical_span(stack[a:b].transpose(2, 1, 0), p) for a, b in
-            pairwise(accumulate((c.shape[1] for c in coefs), initial=0))]
+    slices = [stack[a:b].transpose(2, 1, 0) for a, b in
+              pairwise(accumulate((c.shape[1] for c in coefs), initial=0))]
+    return [canonical_span(s, p) if s.any() else s[:0] for s in slices]
 
 
 def _shuffled(n: int) -> np.ndarray:

@@ -5,7 +5,11 @@ The certified branch: the algebra is hereditary exactly when the
 category is free (unique factorization, freecover.is_free) with
 invertible group orders, and its type is then read off the underlying
 multigraph of the quiver (Dynkin = finite, Euclidean = tame, anything
-else = wild).  For non-free categories only two certificates exist:
+else = wild).  Each connected component is named by one rule: a
+tree with one branch vertex (degree above 2) by its sorted arm lengths,
+(1, 1, k) being D_n and one table (_ARMS) naming E6, E7, E8, ~D4, ~E6,
+~E7 and ~E8, any other key wild; the verdict is read off the set of
+component kinds.  For non-free categories only two certificates exist:
 finite type when the free cover's quiver is all-Dynkin, and infinite
 type when a two-object screen fires; tame-vs-wild is never claimed
 there.  The free cover has the category's own unfactorizable
@@ -40,7 +44,8 @@ class GraphComponent:
 
 
 def _branch_lengths(adj, center):
-    """Lengths of the dangling paths from a branch vertex of a tree."""
+    """Sorted lengths of the dangling paths from a branch vertex of a
+    tree."""
     out = []
     for nb in adj[center]:
         length, prev, cur = 1, center, nb
@@ -51,57 +56,41 @@ def _branch_lengths(adj, center):
             prev, cur = cur, nxt[0]
             length += 1
         out.append(length)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def _classify_component(verts, edges) -> GraphComponent:
-    """edges: dict over unordered vertex pairs -> multiplicity."""
-    verts = tuple(sorted(verts))
-    nv = len(verts)
-    ne = sum(edges.values())
-    wild = GraphComponent("Wild", "wild", verts)
-    if any(a == b for (a, b) in edges):
-        return wild
-    if any(m >= 2 for m in edges.values()):
-        if nv == 2 and len(edges) == 1 and ne == 2:
-            return GraphComponent("Euclidean", "~A1", verts)
-        return wild
-    adj = {v: [] for v in verts}
-    for (a, b) in edges:
+# Every tree with one branch vertex that is neither D_n nor wild, by its
+# sorted arm lengths.
+_ARMS = {(1, 1, 1, 1): ("Euclidean", "~D4"), (1, 2, 2): ("Dynkin", "E6"),
+         (1, 2, 3): ("Dynkin", "E7"), (1, 2, 4): ("Dynkin", "E8"),
+         (2, 2, 2): ("Euclidean", "~E6"), (1, 3, 3): ("Euclidean", "~E7"),
+         (1, 2, 5): ("Euclidean", "~E8")}
+
+
+def _graph_type(n, edges):
+    """(kind, name) of a connected multigraph on n vertices, edges a
+    dict over unordered vertex pairs -> multiplicity, or None when it is
+    wild.  A branch vertex has degree above 2."""
+    if any(a == b for a, b in edges):
+        return None
+    if any(m > 1 for m in edges.values()):
+        return ("Euclidean", "~A1") if sum(edges.values()) == n == 2 else None
+    adj = {v: [] for e in edges for v in e}
+    for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    deg = {v: len(adj[v]) for v in verts}
-    if ne == nv - 1:  # tree
-        branch3 = [v for v in verts if deg[v] == 3]
-        if any(deg[v] > 4 for v in verts):
-            return wild
-        deg4 = [v for v in verts if deg[v] == 4]
-        if deg4:
-            if len(deg4) == 1 and not branch3 and nv == 5:
-                return GraphComponent("Euclidean", "~D4", verts)
-            return wild
-        if not branch3:
-            return GraphComponent("Dynkin", f"A{nv}", verts)
-        if len(branch3) == 1:
-            arms = tuple(_branch_lengths(adj, branch3[0]))
-            dynkin = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}
-            affine = {(2, 2, 2): "~E6", (1, 3, 3): "~E7", (1, 2, 5): "~E8"}
-            if arms[:2] == (1, 1):
-                return GraphComponent("Dynkin", f"D{nv}", verts)
-            if arms in dynkin:
-                return GraphComponent("Dynkin", dynkin[arms], verts)
-            if arms in affine:
-                return GraphComponent("Euclidean", affine[arms], verts)
-            return wild
-        if len(branch3) == 2:
-            leafy = all(
-                sum(1 for nb in adj[v] if deg[nb] == 1) >= 2 for v in branch3)
-            if leafy:
-                return GraphComponent("Euclidean", f"~D{nv - 1}", verts)
-        return wild
-    if ne == nv and all(deg[v] == 2 for v in verts):
-        return GraphComponent("Euclidean", f"~A{nv - 1}", verts)
-    return wild
+    branch = [v for v in adj if len(adj[v]) > 2]
+    if len(edges) >= n:
+        return None if branch or len(edges) > n else ("Euclidean", f"~A{n - 1}")
+    if not branch:
+        return "Dynkin", f"A{n}"
+    if len(branch) == 1:
+        arms = _branch_lengths(adj, branch[0])
+        return ("Dynkin", f"D{n}") if arms[:-1] == (1, 1) else _ARMS.get(arms)
+    if len(branch) == 2 and all(len(adj[v]) == 3 and sum(
+            len(adj[u]) == 1 for u in adj[v]) == 2 for v in branch):
+        return "Euclidean", f"~D{n - 1}"
+    return None
 
 
 def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
@@ -112,9 +101,12 @@ def classify_graph(quiver: BuiltQuiver) -> list[GraphComponent]:
     for a in quiver.arrows:
         key = (min(a.source, a.target), max(a.source, a.target))
         edges[key] = edges.get(key, 0) + a.mult
-    return [_classify_component(comp, {e: m for e, m in edges.items()
-                                       if e[0] in comp})
-            for comp in components(range(len(quiver.vertices)), edges)]
+    out = []
+    for comp in components(range(len(quiver.vertices)), edges):
+        own = {e: m for e, m in edges.items() if e[0] in comp}
+        kind, name = _graph_type(len(comp), own) or ("Wild", "wild")
+        out.append(GraphComponent(kind, name, tuple(sorted(comp))))
+    return out
 
 
 def is_hereditary(cat: EICategory, prime: SplittingPrime) -> bool:
@@ -130,14 +122,6 @@ class RepTypeVerdict:
     certificates: tuple[tuple[str, str], ...]  # (rule, witness)
 
 
-def _graph_verdict(comps) -> str:
-    if all(c.kind == "Dynkin" for c in comps):
-        return "Finite"
-    if all(c.kind != "Wild" for c in comps):
-        return "Tame"
-    return "Wild"
-
-
 def rep_type(cat: EICategory, prime: SplittingPrime) -> RepTypeVerdict:
     """The representation-type verdict with its certificates over F_p,
     p a prime certified for the category's groups.  Freeness comes from
@@ -146,11 +130,13 @@ def rep_type(cat: EICategory, prime: SplittingPrime) -> RepTypeVerdict:
     hereditary = is_hereditary(cat, prime)
     comps = classify_graph(build_quiver(cat, prime))
     names = ", ".join(c.name for c in comps)
+    kinds = {c.kind for c in comps}
     if hereditary:
         return RepTypeVerdict(
-            _graph_verdict(comps),
+            "Wild" if "Wild" in kinds else
+            "Tame" if "Euclidean" in kinds else "Finite",
             (("hereditary-graph", f"components: {names}"),))
-    if all(c.kind == "Dynkin" for c in comps):
+    if kinds <= {"Dynkin"}:
         return RepTypeVerdict(
             "Finite",
             (("finite-cover", f"cover quiver components: {names}"),))

@@ -3,6 +3,8 @@
 import contextlib
 import json
 import resource
+import runpy
+import sys
 import weakref
 
 import pytest
@@ -31,6 +33,18 @@ def test_validate_ok(capsys):
     assert payload["ok"] is True
     assert payload["objects"] == 2
     assert payload["morphisms"] == 14
+
+
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m eiquiver.cli: main reads sys.argv, and its code is the
+    # process's exit status (a fresh copy of the module, as -m runs it)
+    monkeypatch.delitem(sys.modules, "eiquiver.cli")
+    monkeypatch.setattr(sys, "argv", ["eiquiver", "--format", "text",
+                                      "validate", fx("one_object_c2")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("eiquiver.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "valid: 1 objects, 2 morphisms\n"
 
 
 def test_validate_text_format(capsys):
@@ -129,6 +143,86 @@ def test_malformed_tables_and_actions_end_in_a_finding(
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1 and \
         err.endswith("\n")
+
+
+def _trivial(oid):
+    return {"id": oid, "degree": 1, "generators": []}
+
+
+# C2 on two points
+_C2 = {"id": "z", "degree": 2, "generators": [[1, 0]]}
+
+
+def _hom(x, y, size, left=(), right=()):
+    return {"from": x, "to": y, "size": size, "left_action": list(left),
+            "right_action": list(right)}
+
+
+def _explicit(objects, homs, compositions=()):
+    return {"mode": "explicit", "objects": objects, "homs": homs,
+            "compositions": list(compositions)}
+
+
+_XYZ_TABLE = {"inner": ["x", "y"], "outer": ["y", "z"], "table": [[0]]}
+
+
+@pytest.mark.parametrize("flags, doc, code, prefix", [
+    pytest.param((), _explicit([_trivial(o) for o in "xyz"],
+                               [_hom("x", "y", 1), _hom("y", "z", 1)]),
+                 2, "validation error: composition-not-closed: composable "
+                 "homs x->y->z", id="composition-not-closed"),
+    pytest.param((), _explicit([_trivial("x"), _trivial("x")], []),
+                 3, "schema error: duplicate object id 'x'",
+                 id="duplicate-object"),
+    pytest.param((), _explicit([_trivial("x"), _trivial("y")],
+                               [_hom("x", "y", 1), _hom("x", "y", 1)]),
+                 3, "schema error: duplicate hom entry x->y",
+                 id="duplicate-hom"),
+    pytest.param((), _explicit([_trivial(o) for o in "xyz"],
+                               [_hom("x", "y", 1), _hom("y", "z", 1),
+                                _hom("x", "z", 1)], [_XYZ_TABLE] * 2),
+                 3, "schema error: duplicate composition table",
+                 id="duplicate-table"),
+    pytest.param((), _explicit([_trivial("x"), _C2], [_hom("x", "z", 2)]),
+                 3, "schema error: hom x->z: need one left action",
+                 id="no-left-action"),
+    pytest.param((), _explicit([_trivial("x"), _C2], [_hom("z", "x", 2)]),
+                 3, "schema error: hom z->x: need one right action",
+                 id="no-right-action"),
+    pytest.param((), trivial_line("xy", 0),
+                 3, "schema error: arrow x->y must have positive size",
+                 id="empty-arrow"),
+    pytest.param(("--max-paths", "10"), trivial_line("xy", 20),
+                 2, "validation error: path-bound: a path biset exceeds 10",
+                 id="one-arrow-past-the-path-bound"),
+    pytest.param(("--prime", "11"), fixture_doc("two_object_trivial_s3"),
+                 2, "validation error: bad-prime: 11 is not 1 mod the group "
+                 "exponent 6", id="prime-not-1-mod-the-exponent"),
+])
+def test_each_refusal_ends_in_its_finding(capsys, tmp_path, flags, doc,
+                                          code, prefix):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    got, out, err = run(capsys, *flags, "quiver", str(f))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_a_nonfree_category_with_an_all_dynkin_quiver_is_finite(
+        capsys, tmp_path):
+    # x -> y -> z with z = C2 swapping y -> z's two morphisms, and both
+    # composites equal to x -> z's one: not free, but its quiver (the free
+    # cover's) is D4, so the finite-cover rule certifies finite type
+    doc = _explicit([_trivial("x"), _trivial("y"), _C2],
+                    [_hom("x", "y", 1), _hom("y", "z", 2, [[1, 0]]),
+                     _hom("x", "z", 1, [[0]])],
+                    [{**_XYZ_TABLE, "table": [[0], [0]]}])
+    f = tmp_path / "finite_cover.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "--format", "text", "is-free", str(f)) == \
+        (0, "not free\n", "")
+    assert run(capsys, "--format", "text", "classify", str(f)) == \
+        (0, "Finite\n  finite-cover: cover quiver components: D4\n", "")
 
 
 def test_zero_size_hom_is_an_empty_hom(capsys, tmp_path):

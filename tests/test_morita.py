@@ -633,6 +633,22 @@ def test_build_catrep_rejects_nonequivariant_representative(rep_setup):
     assert exc.value.finding == "not-functorial"
 
 
+def test_build_catrep_refuses_generator_matrices_it_cannot_read(
+        rep_setup, categories):
+    cat, rep, _ = rep_setup
+    alphas = [linalg.zeros(rep.dims["y"], rep.dims["x"])]
+    for mats, message in (((), "object x: need one matrix per generator"),
+                          ((linalg.zeros(3, 2),),
+                           "object x: matrices must be square")):
+        with pytest.raises(SchemaError, match=message):
+            build_catrep(cat, rep.p, {**rep.gen_mats, "x": mats}, alphas,
+                         rep.dims)
+    # every group of fork_merge_free is trivial: no matrix gives a dimension
+    free = categories["fork_merge_free"]
+    with pytest.raises(SchemaError, match="dimension cannot be inferred"):
+        build_catrep(free, 13, {}, [], {})
+
+
 def test_build_catrep_rejects_a_composition_it_cannot_respect(categories):
     # every group is trivial, so no action can disagree: beta_0 . alpha
     # and beta_1 . alpha name the same morphism x->z but get 1 and 2
@@ -1115,6 +1131,11 @@ def test_inverse_functor_checks_the_prime_and_shapes_first(categories,
             q, arrow_mats=q.arrow_mats[:-1]))
     with pytest.raises(SchemaError, match="one dimension per vertex"):
         inverse_functor(ctx, dataclasses.replace(q, dims=q.dims[:-1]))
+    # a representation of another category's quiver, at the same prime
+    other = MoritaContext(build_quiver(categories["two_object_c2_s3"]))
+    assert other.p == ctx.p
+    with pytest.raises(SchemaError, match="of a different quiver"):
+        inverse_functor(ctx, _random_quiverrep(other, random.Random(17)))
 
 
 # sha256 of the matrices below, recorded with the Kronecker-product
@@ -1248,6 +1269,31 @@ def test_projection_bases_match_the_sylvester_reference(categories):
                         seen["stabilizer homs"] += bool(want)
     assert seen["nontrivial quotient"] and seen["quotient degree 2"], seen
     assert seen["theta copies"] > 100 and seen["stabilizer homs"] > 100, seen
+
+
+def test_no_zero_slice_reaches_canonical_span(categories, monkeypatch):
+    # an irreducible that is no constituent of R(x) has an all-zero slice
+    # of projections: its copies are an empty int64 stack of the shape
+    # canonical_span gives, with no elimination
+    span = morita.canonical_span
+
+    def nonzero_span(mats, p):
+        assert mats.any(), "a zero stack reached canonical_span"
+        return span(mats, p)
+    monkeypatch.setattr(morita, "canonical_span", nonzero_span)
+    rng = random.Random(41)
+    lengths = []
+    for name in ("two_object_c2_s3", "four_object_mixed"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        for _ in range(3):
+            rep = inverse_functor(ctx, _random_quiverrep(ctx, rng, 2))
+            for x in ctx.cat.objects:
+                for v, copies in enumerate(ctx.copies(rep, x)):
+                    dv = ctx.built.tables[x].dims[v]
+                    assert copies.shape[1:] == (rep.dims[x], dv)
+                    assert copies.dtype == np.int64
+                    lengths.append(len(copies))
+    assert 0 in lengths and max(lengths) > 0
 
 
 def test_blocks_build_only_the_counted_bases(categories, monkeypatch):

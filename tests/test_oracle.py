@@ -90,6 +90,18 @@ def test_oracle_detects_tampered_multiplicity(categories):
         check_against_quiver(tampered)
 
 
+def test_oracle_counts_the_dimensions_over_the_integers(categories):
+    # p more on one arrow agrees mod p with the oracle's multiplicity,
+    # but not with dim rad/rad² over the integers
+    q = build_quiver(categories["four_object_mixed"])
+    a = q.arrows[0]
+    tampered = replace(q, arrows=(replace(a, mult=a.mult + q.prime.p),)
+                       + q.arrows[1:])
+    with pytest.raises(OracleMismatch, match="Σ mult·dimV·dimW = 22 but "
+                       "dim rad/rad² = 9"):
+        check_against_quiver(tampered)
+
+
 def test_oracle_on_random_categories():
     rng = random.Random(88)
     for make in (random_free_category, random_nonfree_category):

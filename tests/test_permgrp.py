@@ -329,6 +329,13 @@ def test_quotient_rejects_non_normal_kernel():
         quotient(whole_group(S3), kernel)
 
 
+def test_quotient_rejects_a_kernel_of_another_group_or_outside_its_base():
+    with pytest.raises(InvariantError, match="different parent groups"):
+        quotient(whole_group(S3), trivial_subgroup(named_group("C2")))
+    with pytest.raises(InvariantError, match="not contained in base"):
+        quotient(trivial_subgroup(S3), whole_group(S3))
+
+
 def test_quotient_trivial_cases():
     g = named_group("C2")
     assert len(quotient(whole_group(g), whole_group(g))) == 1

@@ -3,6 +3,7 @@ infinite-type screens."""
 
 import random
 import re
+from itertools import combinations, combinations_with_replacement, product
 from types import SimpleNamespace
 
 import kernel_reference as ref
@@ -34,6 +35,17 @@ def names_of(comps):
     return sorted(c.name for c in comps)
 
 
+def spider(*arms):
+    """(n, edges) of a tree: paths of the given lengths from vertex 0."""
+    edges, n = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n, 1))
+            prev, n = n, n + 1
+    return n, edges
+
+
 def test_dynkin_recognition():
     assert names_of(classify_graph(graph(5, path_edges(5)))) == ["A5"]
     assert names_of(classify_graph(graph(1, []))) == ["A1"]
@@ -47,6 +59,8 @@ def test_dynkin_recognition():
     e8 = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1),
           (4, 6, 1), (6, 7, 1)]
     assert names_of(classify_graph(graph(8, e8))) == ["E8"]
+    assert names_of(classify_graph(graph(*spider(1, 1, 1)))) == ["D4"]
+    assert names_of(classify_graph(graph(*spider(1, 2, 3)))) == ["E7"]
 
 
 def test_euclidean_recognition():
@@ -62,6 +76,11 @@ def test_euclidean_recognition():
     d6t = [(0, 2, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1),
            (4, 6, 1)]
     assert names_of(classify_graph(graph(7, d6t))) == ["~D6"]
+    # ~D5: two adjacent branch vertices with two leaves each
+    d5t = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (3, 5, 1)]
+    assert names_of(classify_graph(graph(6, d5t))) == ["~D5"]
+    assert names_of(classify_graph(graph(*spider(1, 3, 3)))) == ["~E7"]
+    assert names_of(classify_graph(graph(*spider(1, 2, 5)))) == ["~E8"]
 
 
 def test_wild_recognition():
@@ -75,6 +94,16 @@ def test_wild_recognition():
     assert names_of(classify_graph(graph(2, [(0, 1, 3)]))) == ["wild"]
     # loop
     assert names_of(classify_graph(graph(1, [(0, 0, 1)]))) == ["wild"]
+    # a degree-4 branch vertex with a longer arm, and arms (2, 2, 3)
+    # and (1, 2, 6) that the table does not name
+    for arms in ((1, 1, 1, 2), (2, 2, 3), (1, 2, 6)):
+        assert names_of(classify_graph(graph(*spider(*arms)))) == ["wild"]
+    # two branch vertices, one of them with a single leaf; three of them
+    for n, edges in ((7, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1),
+                          (3, 5, 1), (5, 6, 1)]),
+                     (8, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1),
+                          (4, 5, 1), (4, 6, 1), (3, 7, 1)])):
+        assert names_of(classify_graph(graph(n, edges))) == ["wild"]
 
 
 def test_multiple_components():
@@ -96,6 +125,96 @@ def test_classification_is_relabeling_invariant():
             rng.shuffle(perm)
             remapped = [(perm[a], perm[b], m) for a, b, m in edges]
             assert names_of(classify_graph(graph(n, remapped))) == base
+
+
+def tits_kind(vertices, edges):
+    """The kind of a connected loopless multigraph by its Tits form: 2q =
+    2I - A, A the adjacency matrix with multiplicities, reduced by exact
+    symmetric elimination.  Positive definite is Dynkin, positive
+    semidefinite and singular is Euclidean, and anything else is Wild.
+    Each step scales the rows left by the pivot, which is positive, so the
+    rest stays symmetric with the same signs, and every entry an int."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for (a, b), k in edges.items():
+        m[pos[a]][pos[b]] -= k
+        m[pos[b]][pos[a]] -= k
+    singular = False
+    for i in range(n):
+        pivot = m[i][i]
+        if pivot < 0 or pivot == 0 and any(m[i][i + 1:]):
+            return "Wild"
+        if pivot == 0:
+            singular = True
+            continue
+        for r in range(i + 1, n):
+            m[r] = [pivot * x - m[r][i] * y for x, y in zip(m[r], m[i])]
+    return "Euclidean" if singular else "Dynkin"
+
+
+def _tits_family():
+    """(n, edges): every loopless multigraph on at most 3 vertices with
+    multiplicities at most 3 and on 4 with at most 2, every simple graph
+    on 5 vertices, every spider with 3 arms of length at most 6 or 4 arms
+    of length at most 2, the trees with two branch vertices joined by a
+    path of 1 to 3 edges and two arms of length 1 or 2 at each, and 300
+    seeded random trees on at most 13 vertices, some with one extra or
+    one doubled edge.  Loops are left out: an EI category's quiver is
+    acyclic."""
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for ms in product(range(3 if n == 4 else 4), repeat=len(pairs)):
+            yield n, [(a, b, m) for (a, b), m in zip(pairs, ms) if m]
+    pairs = list(combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        yield 5, [(a, b, 1) for i, (a, b) in enumerate(pairs)
+                  if mask >> i & 1]
+    for k, top in ((3, 6), (4, 2)):
+        for arms in combinations_with_replacement(range(1, top + 1), k):
+            yield spider(*arms)
+    for a, b, c, d, middle in product((1, 2), (1, 2), (1, 2), (1, 2),
+                                      range(1, 4)):
+        n, edges = spider(a, b, middle)
+        # a second branch at the end of the middle arm
+        end, last = n - 1, n
+        for length in (c, d):
+            prev = end
+            for _ in range(length):
+                edges.append((prev, last, 1))
+                prev, last = last, last + 1
+        yield last, edges
+    rng = random.Random(2437)
+    for _ in range(300):
+        n = rng.randint(2, 13)
+        edges = [(rng.randrange(i), i, 1) for i in range(1, n)]
+        extra = rng.random()
+        a, b = rng.sample(range(n), 2)
+        if extra < 0.2:
+            edges.append((a, b, 1))
+        elif extra < 0.3:
+            edges[0] = (*edges[0][:2], 2)
+        yield n, edges
+
+
+def test_every_kind_agrees_with_the_tits_form():
+    # an independent route to each component's kind, and each name's
+    # index is its vertex count (n for A, D and E, n - 1 for ~X)
+    names = set()
+    for n, edges in _tits_family():
+        pairs = {}
+        for a, b, m in edges:
+            key = (min(a, b), max(a, b))
+            pairs[key] = pairs.get(key, 0) + m
+        for comp in classify_graph(graph(n, edges)):
+            own = {e: m for e, m in pairs.items() if e[0] in comp.vertices}
+            assert comp.kind == tits_kind(comp.vertices, own), (n, edges)
+            if comp.kind != "Wild":
+                index = int(comp.name.lstrip("~ADE"))
+                assert index == len(comp.vertices) - comp.name.startswith("~")
+            names.add(comp.name)
+    assert {"D4", "E6", "E7", "E8", "~A1", "~D4", "~D5", "~E6", "~E7",
+            "~E8"} <= names
 
 
 def test_is_hereditary(categories):
