@@ -3,7 +3,8 @@
 Commands compute and main prints: each cmd_* is a function of (args,
 the loaded category) that returns its JSON payload and its text lines,
 and quiver its DOT too.  main is the one place that loads the document,
-renders the result in the chosen --format and sets the exit status.
+renders the result in the chosen --format and sets the exit status.  It
+refuses --format dot for every command but quiver before the load.
 
 Exit codes: 0 success, else the `exit_code` of the errors.EIQuiverError
 raised, after one stderr line `{label}: {message}`: 1 internal invariant
@@ -64,9 +65,6 @@ def _emit(args, payload: dict, text_lines, dot: str | None = None) -> None:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     elif args.format == "dot":
-        if dot is None:
-            raise ValidationError("bad-format",
-                                  "this command has no DOT rendering")
         sys.stdout.write(dot + "\n")
     else:
         for line in text_lines:
@@ -201,6 +199,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        # a format the command cannot render is refused before the load
+        if args.format == "dot" and args.fn is not cmd_quiver:
+            raise ValidationError("bad-format",
+                                  "this command has no DOT rendering")
         # the category is the command's argument, not a local here: its
         # frame, cleared below, is then all that holds it
         _emit(args, *args.fn(args, _load(args)))

@@ -12,30 +12,30 @@ every axiom is checked exhaustively, which is affordable at the scales
 this tool targets, and every downstream computation silently assumes the
 axioms.  A category generated from an EI quiver (freecover) satisfies
 them by construction.  Its load checks only that it is connected, and
-its composition tables are a LazyTables, filled on the first read by the
+its composition tables are built on the first read of `comp`, by the
 commands that read tables; the tests check the construction's tables
 against validate_category.  Both loads find connectivity with
 components, the package's one connected-components search, which
 reptype.classify_graph runs on the quiver's underlying graph.
 
 A category is immutable once loaded, so what is derived from it is
-derived once: `EICategory.memo`, one store, keeps per category the
-index of its composition tables (incoming_tables), its unfactorizables,
-its orbit representatives, its freeness and free cover per path bound
-(freecover), and each arrow orbit's data per splitting prime
-(quiveralg.orbit_data, which holds the orbit's stabilizer data).  No
-value refers back to its category, so nothing derived makes a
-reference cycle.  A generated category's memo starts with what its
-construction knows: its unfactorizables, its freeness and its own free
-cover.  Every caller shares the one cached object and must not modify
-it.  A build that raises caches nothing, so the next call raises again.
+derived once: `EICategory.memo`, one store, keeps per category its
+composition tables (`comp`, made by its `tables` function), their index
+(incoming_tables), its unfactorizables, its orbit representatives, its
+freeness and free cover per path bound (freecover), and each arrow
+orbit's data per splitting prime (quiveralg.orbit_data, which holds the
+orbit's stabilizer data).  No value refers back to its category, so
+nothing derived makes a reference cycle.  A generated category's memo
+starts with what its construction knows: its unfactorizables, its
+freeness and its own free cover.  Every caller shares the one cached
+object and must not modify it.  A build that raises caches nothing, so
+the next call raises again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 
@@ -154,28 +154,6 @@ def _element_actions(hom: str, side: str, group: PermGroup, size: int,
     return group.memo(("action", side, size, gens), build)
 
 
-class LazyTables(Mapping):
-    """A read-only mapping that fill() makes on its first read.  fill
-    must not refer to the category that holds the mapping: that would
-    be a reference cycle (see EICategory.memo)."""
-
-    def __init__(self, fill):
-        self._fill = fill
-
-    @cached_property
-    def _tables(self):
-        return self._fill()
-
-    def __getitem__(self, key):
-        return self._tables[key]
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self):
-        return len(self._tables)
-
-
 @dataclass(frozen=True)
 class MorphId:
     source: str
@@ -183,21 +161,27 @@ class MorphId:
     index: int   # hom-set index, or group element position for endomorphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EICategory:
+    """A category compares by identity: its tables are a function."""
     objects: tuple[str, ...]
     groups: dict[str, PermGroup]
     homs: dict[tuple[str, str], HomSet]
+    tables: Callable[[], Mapping]   # makes comp; refers to no category
+    topological_order: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
     # comp[(x, y, z)][outer][inner] = index in hom(x, z).  The tables are
     # tuples of Python ints, in document order (for a free category, the
-    # order they are generated in, on the first read of its LazyTables):
-    # a category written back out as an explicit document, one list per
-    # row, must load again, and load_category accepts only ints as table
-    # entries.  The folds read them as arrays through incoming_tables.
-    comp: Mapping[tuple[str, str, str], tuple[tuple[int, ...], ...]]
-    topological_order: tuple[str, ...]
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    # order they are generated in, on the first read): a category written
+    # back out as an explicit document, one list per row, must load
+    # again, and load_category accepts only ints as table entries.  The
+    # folds read them as arrays through incoming_tables.
+    @property
+    def comp(self) -> Mapping[tuple[str, str, str],
+                              tuple[tuple[int, ...], ...]]:
+        """tables(), through the memo."""
+        return self.memo("comp", self.tables)
 
     def morphism_count(self) -> int:
         return sum(len(g) for g in self.groups.values()) + \
@@ -458,7 +442,7 @@ def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
                 raise SchemaError(f"composition table {x}->{y}->{z} names "
                                   f"the empty hom {a}->{b}")
     topo = _object_order(objects, homs)
-    cat = EICategory(objects, groups, homs, comp, topo)
+    cat = EICategory(objects, groups, homs, lambda: comp, topo)
     validate_category(cat)
     return cat
 

@@ -7,11 +7,13 @@ modulo the middle-vertex moves (t·h, s) ~ (t, h·s).  The glued product is
 the biset tensor product over the middle group, which is associative, so
 each path biset is built as a left fold over the path's arrows.  The
 composites of two paths' elements are the classes of the two path
-bisets' product, numbered as the concatenated path's biset.
-biset_product is the one gluing routine: the fold, the composites and
-the freeness test below all read its classes.  Only the `cover` command
-and the loading of ei-quiver documents build a free category, and
---max-paths bounds that build, each glued product before it is made.
+bisets' product, numbered as the concatenated path's biset.  glue is
+the one gluing routine, and it returns only the class of each pair: the
+composites and the freeness test below read those labels, and
+biset_product, the fold's step, builds a biset from them.  Only the
+`cover` command and the loading of ei-quiver documents build a free
+category, and --max-paths bounds that build, each glued product before
+it is made.
 The build is the fold and the hom-sets.  The composites are glued into
 composition tables only when a command reads them (`oracle`, `functor`),
 and are never checked against the axioms at load: the category is
@@ -34,12 +36,11 @@ without this test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import SchemaError, ValidationError
 from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory, EIQuiverData,
-                    LazyTables, _check_connected, _object_order, check_points,
+                    _check_connected, _object_order, check_points,
                     ei_quiver_of, incoming_tables, make_homset)
 from .permgrp import PermGroup, is_int, orbits
 
@@ -72,24 +73,18 @@ def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
     return EIQuiverData(tuple(objects), dict(groups), tuple(arrows))
 
 
-@dataclass(frozen=True)
-class GluedBiset(ArrowBiset):
-    """A glued product with its quotient map: class_of[s][t] is the
-    class of the pair (s, t)."""
-    class_of: tuple[tuple[int, ...], ...] = ()
-
-
-def biset_product(b2: ArrowBiset, b1: ArrowBiset,
-                  middle: PermGroup) -> GluedBiset:
-    """Glued product of an (K, H)-biset with an (H, G)-biset: the biset
-    tensor product b2 ×_H b1 (Bouc, *Biset Functors for Finite Groups*,
-    LNM 1990, §2.3).  A HomSet has every field read here, so composites
-    δ∘β in a category glue the same way.
+def glue(b2: ArrowBiset, b1: ArrowBiset,
+         middle: PermGroup) -> tuple[list[int], list[int]]:
+    """The classes of the glued product of an (K, H)-biset with an
+    (H, G)-biset: the biset tensor product b2 ×_H b1 (Bouc, *Biset
+    Functors for Finite Groups*, LNM 1990, §2.3).  A HomSet has every
+    field read here, so composites δ∘β in a category glue the same way.
 
     Elements are pairs (s, t), s in b1 and t in b2, modulo the moves
-    (s, t·h) ~ (h·s, t) over the generators h of the middle group; the
-    outer actions descend to the classes.  Classes are numbered by their
-    least pair.
+    (s, t·h) ~ (h·s, t) over the generators h of the middle group.  Pair
+    (s, t) sits at s·|b2| + t, and the result is permgrp.orbits' (label,
+    least) over those positions: classes are numbered by their least
+    pair.
 
     Numbering lemma: if b1 and b2 number their classes by their least
     path tuples R(s) and Q(t), so does the product, whose classes are
@@ -109,23 +104,29 @@ def biset_product(b2: ArrowBiset, b1: ArrowBiset,
                               f"cannot glue {b1.source}->{b1.target} with "
                               f"{b2.source}->{b2.target}")
     n2 = b2.size
-    # (s, t) ~ (h·s, t·h⁻¹), pair (s, t) at s·n2 + t: the classes are the
-    # orbits of these permutations of the pairs
+    # (s, t) ~ (h·s, t·h⁻¹): the classes are the orbits of these
+    # permutations of the pairs
     moves = []
     for k in range(len(middle.generators)):
         rinv = [0] * n2
         for t, u in enumerate(b2.right_gen[k]):
             rinv[u] = t
         moves.append([ls * n2 + rt for ls in b1.left_gen[k] for rt in rinv])
-    cls, first = orbits(b1.size * n2, moves)
+    return orbits(b1.size * n2, moves)
+
+
+def biset_product(b2: ArrowBiset, b1: ArrowBiset,
+                  middle: PermGroup) -> ArrowBiset:
+    """The glued product b2 ×_H b1 as a biset: glue's classes, with the
+    outer actions descended to them."""
+    cls, first = glue(b2, b1, middle)
+    n2 = b2.size
     least = [divmod(m, n2) for m in first]
     left_gen = tuple(tuple(cls[s * n2 + act[t]] for s, t in least)
                      for act in b2.left_gen)
     right_gen = tuple(tuple(cls[act[s] * n2 + t] for s, t in least)
                       for act in b1.right_gen)
-    class_of = tuple(tuple(cls[s * n2:(s + 1) * n2]) for s in range(b1.size))
-    return GluedBiset(b1.source, b2.target, len(least), left_gen, right_gen,
-                      class_of=class_of)
+    return ArrowBiset(b1.source, b2.target, len(least), left_gen, right_gen)
 
 
 def _quiver_paths(quiv: EIQuiverData, bound: int):
@@ -182,8 +183,9 @@ def generate_free_category(quiv: EIQuiverData,
     all the construction builds: it knows the rest.  The unfactorizables
     are the classes of the one-arrow paths, the category is free, and it
     is its own free cover, so its memo holds these from the start.  Its
-    comp is a LazyTables over _composition_tables and the kept path
-    bisets.  The axioms hold by construction, so only connectivity is
+    tables function is _composition_tables over the kept path bisets,
+    and the category's memo keeps what it returns on the first read of
+    comp.  The axioms hold by construction, so only connectivity is
     checked here; tests/test_freecover.py validates the tables.
     """
     paths = _quiver_paths(quiv, max_paths)
@@ -224,9 +226,10 @@ def generate_free_category(quiv: EIQuiverData,
                                for c in range(biset[p].size))
 
     _check_connected(quiv.objects, homs)
-    cat = EICategory(quiv.objects, dict(quiv.groups), homs, LazyTables(
-        lambda: _composition_tables(paths, biset, base, homs, quiv.groups)),
-        _object_order(quiv.objects, homs))
+    cat = EICategory(quiv.objects, dict(quiv.groups), homs,
+                     lambda: _composition_tables(paths, biset, base, homs,
+                                                 quiv.groups),
+                     _object_order(quiv.objects, homs))
     cat.memo("unfactorizables", lambda: MappingProxyType(unfact))
     cat.memo("free", lambda: True)
     # its quiver of unfactorizables is quiv again, so it is its own free
@@ -238,10 +241,10 @@ def generate_free_category(quiv: EIQuiverData,
 def _composition_tables(paths, biset, base, homs, groups) -> dict:
     """The composition tables of generate_free_category's category, in
     the order of its paths.  The composites of two paths' hom elements
-    are their biset product's classes: by biset_product's numbering
-    lemma, it numbers them as the concatenated path's biset."""
-    # the block (qpath, rpath) of table (x, y, z): the composite of rc and
-    # qc is their class in the product of the two path bisets
+    are their classes in the two path bisets' glued product: by glue's
+    numbering lemma, it numbers them as the concatenated path's biset."""
+    # the block (qpath, rpath) of table (x, y, z): row qc holds the
+    # classes of the pairs (rc, qc), at rc·|qpath biset| + qc
     outer_from: dict[str, list] = {}
     for (y, z), outer in paths.items():
         outer_from.setdefault(y, []).append((z, outer))
@@ -250,15 +253,13 @@ def _composition_tables(paths, biset, base, homs, groups) -> dict:
         for z, outer in outer_from.get(y, ()):
             table = [[0] * homs[(x, y)].size for _ in range(homs[(y, z)].size)]
             for qpath in outer:
+                n = biset[qpath].size
                 for rpath in inner:
-                    # glued over a one-arrow qpath, rpath is the fold's own
-                    # step to rpath + qpath
-                    glued = biset[rpath + qpath] if len(qpath) == 1 else \
-                        biset_product(biset[qpath], biset[rpath], groups[y])
+                    label, _ = glue(biset[qpath], biset[rpath], groups[y])
                     off, col = base[rpath + qpath], base[rpath]
-                    for qc, classes in enumerate(zip(*glued.class_of)):
-                        table[base[qpath] + qc][col:col + len(classes)] = \
-                            [off + c for c in classes]
+                    for qc in range(n):
+                        table[base[qpath] + qc][col:col + biset[rpath].size] \
+                            = [off + c for c in label[qc::n]]
             comp[(x, y, z)] = tuple(map(tuple, table))
     return comp
 
@@ -289,7 +290,7 @@ def category_has_ufp(cat: EICategory) -> bool:
     h·(β, δ) = (h∘β, δ∘h⁻¹).  That orbit of a step lies in P(α), since
     h∘β is unfactorizable and (δ∘h⁻¹)∘(h∘β) = α; so the pairs (β, δ) of
     each composable triple (x, z, y) are labelled by orbit, their class
-    in biset_product(hom(z, y), hom(x, z), Aut(z)), and P(α) is one
+    in glue(hom(z, y), hom(x, z), Aut(z)), and P(α) is one
     orbit through one object exactly when all its steps carry the same
     object and orbit number.  A triple whose hom(x, z) holds no
     unfactorizable has no first steps and is skipped unglued.
@@ -322,13 +323,13 @@ def category_has_ufp(cat: EICategory) -> bool:
             if not unfact[(x, z)]:
                 continue
             # (β, δ) and (h∘β, δ∘h⁻¹) are one class of the glued product
-            # hom(z, y) ×_{Aut(z)} hom(x, z); the composite δ∘β is at
-            # alpha[β][δ]
-            label = biset_product(cat.homs[(z, y)], cat.homs[(x, z)],
-                                  cat.groups[z]).class_of
+            # hom(z, y) ×_{Aut(z)} hom(x, z), the pair at β·n + δ; the
+            # composite δ∘β is at alpha[β][δ]
+            n = cat.homs[(z, y)].size
+            label, _ = glue(cat.homs[(z, y)], cat.homs[(x, z)], cat.groups[z])
             alpha = table.T.tolist()
             for b in unfact[(x, z)]:
-                for c, a in zip(label[b], alpha[b]):
+                for c, a in zip(label[b * n:(b + 1) * n], alpha[b]):
                     if step_orbit.setdefault((x, y, a), (z, c)) != (z, c):
                         return False
     return True

@@ -20,14 +20,14 @@ either.  pmul composes single permutations, for enumeration and biset
 actions, and is the plain definition the tables must match.
 
 orbits is the package's one orbit search, numbering orbits by least
-member: conjugacy classes, two-sided hom-set orbits, glued-biset
-classes (freecover.biset_product, which the free category's composites
-and the unique-factorization test read), and the cosets of a quotient
-and of the derived subgroup (derived_cosets) are all orbits of a few
-permutations, the cosets under right multiplication by the subgroup's
-generators.  A subgroup is a short list of generators (Holt, Eick and
-O'Brien, section 4.1), whose closure by enumerate_group (_closure), the
-one closure routine, certifies its members: those of
+member: conjugacy classes, two-sided hom-set orbits, glued-biset classes
+(freecover.glue, whose labels the free category's path bisets, its
+composites and the unique-factorization test read), and the cosets of a
+quotient and of the derived subgroup (derived_cosets) are all orbits of
+a few permutations, the cosets under right multiplication by the
+subgroup's generators.  A subgroup is a short list of generators (Holt,
+Eick and O'Brien, section 4.1), whose closure by enumerate_group
+(_closure), the one closure routine, certifies its members: those of
 SubgroupHandle.generator_positions and of the derived subgroup alike.
 Normality, cosets and a quotient's as_group need only those generators,
 at most log2 of its order.

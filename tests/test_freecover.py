@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURES, fixture_doc, large_cover_document, trivial_line
 from eiquiver.chartab import choose_splitting_prime
-from eiquiver.eicat import (ArrowBiset, LazyTables, MorphId, ei_quiver_of,
+from eiquiver.eicat import (ArrowBiset, MorphId, ei_quiver_of,
                             load_category, unfactorizables, validate_category)
 from eiquiver.errors import ValidationError
 from eiquiver.freecover import (biset_product, category_has_ufp,
@@ -285,7 +285,7 @@ def test_generated_categories_satisfy_the_axioms_they_are_built_with():
     # read, and each claim is checked against them
     seen = 0
     for name, cat in _generated_categories():
-        assert isinstance(cat.comp, LazyTables), name
+        assert "comp" not in cat._memo, name
         tables = dict(cat.comp)
         assert dict(cat.unfactorizables) == unfactorizables(cat), name
         validate_category(cat)
@@ -346,6 +346,27 @@ def test_the_freeness_test_glues_only_where_a_first_step_exists(
                         lambda *a: calls.append(a) or orbits(*a))
     assert category_has_ufp(cat)
     assert len(calls) == 406
+
+
+def test_composites_and_the_freeness_test_read_labels_and_build_no_biset(
+        monkeypatch):
+    # a generated category's tables and the freeness test of an explicit
+    # one read glue's class labels only; the tables are one entry of the
+    # category's memo, absent until their first read
+    from eiquiver import freecover
+    cat = load_category(s3_chain_document(5))
+    nonfree = load_category(large_cover_document())
+
+    def refused(*a):
+        raise AssertionError("biset_product was called")
+    monkeypatch.setattr(freecover, "biset_product", refused)
+    assert "comp" not in cat._memo
+    tables = dict(cat.comp)
+    assert cat.comp is cat.comp is cat._memo["comp"]
+    assert len(tables) == 10 and dict(cat.comp) == tables
+    assert category_has_ufp(nonfree) is False
+    assert category_has_ufp(cat) is True
+    assert nonfree.comp is nonfree.comp
 
 
 def s3_chain_document(k):

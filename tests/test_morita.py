@@ -142,6 +142,46 @@ def test_a_model_forms_no_group_by_group_projection(monkeypatch):
     assert peak < len(g) ** 2 * 8
 
 
+def test_a_model_doubles_its_columns_until_they_span_the_component(
+        monkeypatch):
+    # S3 x C8 on points 0-2 and 3-10, C8's rotations listed first, so
+    # that the BFS order puts all of C8 first.  Each of its eight
+    # irreducibles of degree 2 shows 1 pivot in the projection's first 8
+    # columns, so the build doubles to 16, which show all 4.  The
+    # reduced echelon basis does not depend on the spanning set, so each
+    # model equals the one built from every column, chi[cayley[:, inverse]]
+    c8 = [[0, 1, 2] + [3 + (j + k) % 8 for j in range(8)]
+          for k in range(1, 8)]
+    g = enumerate_group(11, c8 + [[1, 0, 2] + list(range(3, 11)),
+                                  [1, 2, 0] + list(range(3, 11))])
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    table = character_table(g, certified_prime(97, [g]))
+    assert len(g) == 48 and table.dims.count(2) == 8
+    column_echelon = linalg.column_echelon
+    calls, whole = [], []
+
+    def counted(a, p):
+        if whole and not calls:   # the first reduction, of every column
+            a = whole[0]
+        w, piv = column_echelon(a, p)
+        calls.append((a.shape[1], len(piv)))
+        return w, piv
+
+    monkeypatch.setattr(linalg, "column_echelon", counted)
+    for i in (i for i, d in enumerate(table.dims) if d == 2):
+        calls.clear()
+        model = irreducible_model(g, table, i)
+        assert calls[:2] == [(8, 1), (16, 4)], i
+        chartab._MODEL_CACHE.clear()
+        whole.append(table.values[i][g.cayley[:, g.inverse]].T)
+        calls.clear()
+        gens, elems = irreducible_model(g, table, i)
+        assert calls[0] == (48, 4), i
+        assert all(np.array_equal(a, b) for a, b in zip(gens, model[0]))
+        assert np.array_equal(elems, model[1]), i
+        whole.clear()
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_commutant_is_the_sylvester_basis_at_every_cut(monkeypatch, n):
     # the commutant from right translations and retractions is, byte for
@@ -775,8 +815,8 @@ def test_build_catrep_reads_the_composition_tables_once():
 
     loaded = load_category(trivial_line([f"o{i}" for i in range(30)]))
     comp = CountedComp(loaded.comp)
-    cat = EICategory(loaded.objects, loaded.groups, loaded.homs, comp,
-                     loaded.topological_order)
+    cat = EICategory(loaded.objects, loaded.groups, loaded.homs,
+                     lambda: comp, loaded.topological_order)
     comp.reads = 0
     reps = orbit_representatives(cat)
     rep = build_catrep(cat, 5, {}, [np.ones((1, 1), dtype=np.int64)] *

@@ -44,8 +44,6 @@ NOT_FROM_THE_CLI = {
     "errors.OutOfMemory.__init__": "the out-of-memory path of cli.main",
     "oracle.CategoryAlgebra.dim": "perfbench's oracle.build_algebra.dim "
                                   "counter",
-    "eicat.LazyTables.__len__": "tests (no command takes the number of "
-                                "tables)",
     "linalg.char_poly": "tests (kernel_reference.character_table) and "
                         "perfbench's tracer, which wraps it by name",
 }
