@@ -32,12 +32,16 @@ inflation work on whole tables at once: each is one array product or
 one gather over those values.
 
 _MODEL_CACHE holds, for the life of the process and without a bound,
-every character table, irreducible model and functor basis, and the
-commutant's shuffled order of each group order, each built through
-permgrp.memo under a key whose first element names its kind:
+every character table, irreducible model, list of model coefficients
+and functor basis, and the commutant's shuffled order of each group
+order, each built through permgrp.memo under a key whose first element
+names its kind:
   - ("table", p, group.key): a character table;
   - ("model", p, group.key, i): the model of irreducible i
     (morita.irreducible_model);
+  - ("coefs", p, group.key): one list over the irreducibles i of model
+    i's coefficients U(g^-1)[0, .] at every element g
+    (morita.MoritaContext.copies);
   - ("hom", p, group.key, K1's member positions, the coset of each
     member's inverse, the quotient group's key, v, u): a kappa or mu
     basis (morita.MoritaContext.stabilizer_hom);

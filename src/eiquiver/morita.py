@@ -15,8 +15,10 @@ The functor F sends it to a representation of the ordinary quiver:
 vertex (x, V) gets k^a where a is the multiplicity of V in R(x), and
 each arrow gets the scalar block read off from the induced map between
 aligned isotypic copies.  The inverse assembles block-diagonal
-canonical models and places each arrow's matrix into the representative
-matrices.
+canonical models, copying each model's cached element matrices into its
+diagonal block, one copy per block, so build_catrep checks them and
+multiplies no words (check_group_rep), and places each arrow's matrix
+into the representative matrices.
 
 All canonical bases are deterministic: a linear character is its own
 model, certified multiplicative by one gather per generator, and every
@@ -30,21 +32,27 @@ all their traces are certified against the character by one einsum.
 Models are kept for the life of the process in chartab._MODEL_CACHE,
 beside the character tables, and read through that module, so the cache
 has one name: per model, the generator matrices and one (|G|, d, d)
-array of element matrices, which MoritaContext reads by gathers too.
+array of element matrices, which MoritaContext reads by gathers and
+inverse_functor copies block by block.
 The functor's Hom bases all come from Serre's projections
 (projection_bases), with no linear system: kappa and mu one U at a
 time, and F's copies of an object's irreducibles from one einsum over
-all of them (MoritaContext.copies).  The two Hom-dimension checks share
-one system (_edge_system_dim): a stack of basis matrices per vertex,
-T_v their combination, and a block of rows T_t M1 = M2 T_s per edge,
-one column per basis element.  hom_dim_quiver takes each vertex's
-matrix units and an edge per expanded arrow.
-hom_dim_cat takes each object's Hom_{G_x}(R1 x, R2 x), spanned by group
-averages (fixed_point_basis), and an edge per orbit representative.  It
-reads only the representations' matrices, no model, character or
-functor basis, so it stays independent of the functor.  The average
-needs every |G_x| invertible mod p, which every SplittingPrime gives
-(p > 2 max|G|).  The two stabilizer sides are
+all of them (MoritaContext.copies), from coefficients cached per group.
+Both Hom-dimension checks count the T_v with T_t M1 = M2 T_s on every
+edge: a block of rows per edge, and the columns less the rank.
+hom_dim_quiver's columns are the entries of each T_v, and it writes an
+expanded arrow's rows, [I (x) M1^T | -M2 (x) I], by scatter.
+hom_dim_cat's T_x are combinations of a basis of Hom_{G_x}(R1 x, R2 x),
+spanned by group averages (fixed_point_basis, which reduces only the
+average's nonzero rows), with an edge per orbit representative
+(_edge_system_dim).  The checks keep two routines: on identity stacks
+_edge_system_dim would write hom_dim_quiver's Kronecker blocks by
+products, and the scatter takes hom_dim_quiver from about 31 to 22 ms
+per random-categories pass (warm caches, 2 vCPUs).
+hom_dim_cat reads only the representations' matrices, no model,
+character or functor basis, so it stays independent of the functor.
+The average needs every |G_x| invertible mod p, which every
+SplittingPrime gives (p > 2 max|G|).  The two stabilizer sides are
 symmetric: kappa (source, G1 acting on U through G1/G0) and mu (target,
 H1 acting through H1/H0, whose cosets carry G1/G0's numbers) are one
 stabilizer_hom.  F works on one coefficient matrix C per orbit and
@@ -102,19 +110,34 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
     return mats
 
 
-def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int):
-    """Verify the generator matrices define a representation; return the
-    (|G|, dim, dim) element matrices, after checking that they fit in
-    MAX_ELEMENT_ENTRIES.  The relations hold exactly when the matrix of
-    e * s_k is that of e times s_k's for every element e and generator
-    s_k (permgrp.respects_relations): one batched product per generator,
-    read against PermGroup.generator_maps."""
+def check_size(group: PermGroup, dim: int) -> None:
+    """Refuse with too-large a module whose (|G|, dim, dim) element
+    matrices exceed MAX_ELEMENT_ENTRIES."""
     if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
         raise ValidationError(
             "too-large", f"a group of order {len(group)} in dimension {dim} "
             f"needs {len(group) * dim * dim} matrix entries, more than "
             f"{MAX_ELEMENT_ENTRIES}")
-    mats = element_matrices(group, gen_mats, dim, p)
+
+
+def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int,
+                    mats=None):
+    """Verify the generator matrices define a representation; return the
+    (|G|, dim, dim) element matrices, after checking that they fit in
+    MAX_ELEMENT_ENTRIES.  Given mats (inverse_functor copies them from
+    the models), the identity's slot must be I and nothing is built;
+    otherwise they are element_matrices.  The relations hold exactly
+    when the matrix of e * s_k is that of e times s_k's for every element
+    e and generator s_k (permgrp.respects_relations): one batched product
+    per generator, read against PermGroup.generator_maps.  With the
+    identity's slot I, that also makes given mats the word products."""
+    check_size(group, dim)
+    if mats is None:
+        mats = element_matrices(group, gen_mats, dim, p)
+    elif not np.array_equal(mats[group.index_of[pidentity(group.degree)]],
+                            linalg.eye(dim)):
+        raise ValidationError("not-a-representation",
+                              "the identity's matrix is not I")
     for times_s, g in zip(group.generator_maps, gen_mats):
         if not np.array_equal(mats[times_s], linalg.matmul(mats, g, p)):
             raise ValidationError(
@@ -324,10 +347,12 @@ MAX_FREE_DIM = 1024
 
 
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,
-                 alpha_mats, dims_hint: dict) -> CatRep:
+                 alpha_mats, dims_hint: dict, elem_mats=None) -> CatRep:
     """Assemble and validate a full representation from generator and
     representative matrices; objects whose group has no generators take
     their dimension from dims_hint.  Every shape is checked first.
+    elem_mats, when given, holds each object's element matrices for
+    check_group_rep to check instead of building them.
 
     Hom-sets are taken in the order of eicat.incoming_tables, with the
     tables that compose into each, so both factors of every composite are
@@ -382,7 +407,8 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
         starts[(rep.source, rep.target)].append((rep.index, checked[-1]))
     alpha_mats = tuple(checked)
     gens = {x: tuple(gen_mats.get(x, ())) for x in cat.objects}
-    elems = {x: check_group_rep(cat.groups[x], gens[x], dims[x], p)
+    elems = {x: check_group_rep(cat.groups[x], gens[x], dims[x], p,
+                                (elem_mats or {}).get(x))
              for x in cat.objects}
 
     mor_mats = {}
@@ -714,12 +740,14 @@ class MoritaContext:
     def copies(self, rep: CatRep, x: str) -> list[np.ndarray]:
         """The copies of each irreducible v inside R(x): Hom_G(V, R(x)) as
         an n x dim x dv stack in its nullspace echelon basis, for every v
-        in table order, all from one projection_bases call."""
-        inverse = self.cat.groups[x].inverse
-        return projection_bases(
-            [self.model(x, v)[1][inverse, 0]
-             for v in range(len(self.built.tables[x]))],
-            rep.elem_mats[x], self.p)
+        in table order, all from one projection_bases call.  Its
+        coefficients, V(g^-1)[0, .] for every v, are one list per group,
+        kept in _MODEL_CACHE on ("coefs", p, group.key)."""
+        group = self.cat.groups[x]
+        coefs = memo(chartab._MODEL_CACHE, ("coefs", self.p, group.key),
+                     lambda: [self.model(x, v)[1][group.inverse, 0]
+                              for v in range(len(self.built.tables[x]))])
+        return projection_bases(coefs, rep.elem_mats[x], self.p)
 
     def blocks(self, r: int, copies: dict):
         """One (S, T, arrows) per quotient irreducible u of orbit r.  S
@@ -823,40 +851,48 @@ def apply_functor(ctx: MoritaContext, rep: CatRep) -> QuiverRep:
 def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     """Assemble the canonical category representation with F(R) = qrep.
     Each object's module holds the copies of each irreducible in turn,
-    each copy its model.  alpha_r is the unique solution of
-    alpha [S | K] = [T C | 0] (S the source units, K the kernel of the
-    G0 average, which alpha kills, T the target units and C the arrow
-    matrices), and [S | K] is block-diagonal over the copies, each block
-    [kappa ... | K_V] for the copy's irreducible V, whose inverse's kappa
-    rows are L_V (MoritaContext.source_inverse).  So each expanded arrow's
-    matrix A is placed as A (x) mu_l L_{U,s} (MoritaContext.placements)
-    into alpha_r's block from the copies of V to the copies of W: no
-    system per call.  The prime and the representation's lengths and
-    shapes (_check_quiverrep) are checked first."""
+    each copy its model: the model's cached element matrices are copied
+    into the copy's diagonal block, one copy per block, and the
+    generator matrices are the generator slots, so build_catrep checks
+    them and builds none (check_group_rep).  alpha_r is the unique
+    solution of alpha [S | K] = [T C | 0] (S the source units, K the
+    kernel of the G0 average, which alpha kills, T the target units and
+    C the arrow matrices), and [S | K] is block-diagonal over the copies,
+    each block [kappa ... | K_V] for the copy's irreducible V, whose
+    inverse's kappa rows are L_V (MoritaContext.source_inverse).  So each
+    expanded arrow's matrix A is placed as A (x) mu_l L_{U,s}
+    (MoritaContext.placements) into alpha_r's block from the copies of V
+    to the copies of W: no system per call.  The prime, the representation's lengths and shapes
+    (_check_quiverrep) and every object's size (check_size) are checked
+    before anything is allocated."""
     p = ctx.p
     built = ctx.built
     _same_prime(qrep.p, p, "representation and quiver")
     _check_quiverrep(qrep, built)
-    obj_dims = {}
-    offsets = []      # per vertex: where its copies start in its object
-    gen_mats = {}
+    groups, tables = built.cat.groups, built.tables
+    counts, obj_dims = {}, {}
     for x in built.cat.objects:
-        dims = built.tables[x].dims
-        counts = [qrep.dims[built.vertex_index[(x, v)]]
-                  for v in range(len(dims))]
-        total = obj_dims[x] = sum(n * d for n, d in zip(counts, dims))
-        mats = [linalg.zeros(total, total)
-                for _ in built.cat.groups[x].generators]
+        counts[x] = [qrep.dims[built.vertex_index[(x, v)]]
+                     for v in range(len(tables[x]))]
+        obj_dims[x] = sum(n * d for n, d in zip(counts[x], tables[x].dims))
+        check_size(groups[x], obj_dims[x])
+    offsets = []      # per vertex: where its copies start in its object
+    elem_mats = {}
+    for x in built.cat.objects:
+        total = obj_dims[x]
+        elems = elem_mats[x] = np.zeros((len(groups[x]), total, total),
+                                        np.int64)
         pos = 0
-        for v, (n, dv) in enumerate(zip(counts, dims)):
+        for v, (n, dv) in enumerate(zip(counts[x], tables[x].dims)):
             offsets.append(pos)
             if n:
-                gm = ctx.model(x, v)[0]
+                model = ctx.model(x, v)[1]
                 for q in range(pos, pos + n * dv, dv):
-                    for m, g in zip(mats, gm):
-                        m[q:q + dv, q:q + dv] = g
+                    elems[:, q:q + dv, q:q + dv] = model
             pos += n * dv
-        gen_mats[x] = tuple(mats)
+    gen_mats = {x: tuple(elem_mats[x][groups[x].index_of[s]]
+                         for s in groups[x].generators)
+                for x in built.cat.objects}
 
     alpha_mats = [linalg.zeros(obj_dims[od.rep.target],
                                obj_dims[od.rep.source])
@@ -869,7 +905,8 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
         t, s = offsets[ea.target], offsets[ea.source]
         alpha_mats[ea.rep_index][t:t + len(block), s:s + len(block.T)] += \
             block
-    return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims)
+    return build_catrep(built.cat, p, gen_mats, alpha_mats, obj_dims,
+                        elem_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +920,9 @@ def fixed_point_basis(v_inv: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
     of E_kl, each T column-major; no scaling by 1/|G| changes the
     span."""
     a, b = v_inv.shape[1], w.shape[1]
-    avg = np.einsum("glj,gik->lkji", v_inv, w).reshape(a * b, a * b)
-    basis = linalg.row_space(avg, p)
+    avg = np.einsum("glj,gik->lkji", v_inv, w).reshape(a * b, a * b) % p
+    # most rows are zero, and dropping them changes no echelon basis
+    basis = linalg.row_space(avg[avg.any(axis=1)], p)
     return basis.reshape(len(basis), a, b).transpose(0, 2, 1)
 
 
@@ -894,7 +932,7 @@ def _edge_system_dim(bases, edges, p: int) -> int:
     M2 T_s on every edge (s, t, M1, M2): one block of rows per edge, the
     products with each basis element flattened by _columns, and one
     column per basis element.  The count is the number of columns less
-    the rank."""
+    the rank.  hom_dim_cat's system."""
     off = np.cumsum([0] + [len(b) for b in bases]).tolist()
     blocks = [linalg.zeros(0, off[-1])]
     for s, t, m1, m2 in edges:
@@ -935,16 +973,32 @@ def hom_dim_cat(r1: CatRep, r2: CatRep) -> int:
 
 def hom_dim_quiver(q1: QuiverRep, q2: QuiverRep) -> int:
     """dim Hom between two representations of the quiver of one loaded
-    category: each T_v a combination of matrix units, and an edge per
-    expanded arrow.  Both are checked against the first's quiver
-    (_check_quiverrep) before the system is built."""
+    category: one column per entry of each T_v (b_v x a_v, row-major),
+    and per expanded arrow the rows of T_t M1 = M2 T_s, which are
+    [I (x) M1^T | -M2 (x) I] on the entries of T_t and T_s, written by
+    two diagonal scatters into one zero block; an arrow whose block has
+    no rows adds none.  The count is the number of columns less the
+    rank.  Both are checked against the first's quiver (_check_quiverrep)
+    before the system is built."""
     _same_prime(q1.p, q2.p, "the two representations")
     if q1.built.cat is not q2.built.cat:
         raise SchemaError("the representations are of different quivers")
     for q in (q1, q2):
         _check_quiverrep(q, q1.built)
-    units = [linalg.eye(a * b).reshape(a * b, b, a)
-             for a, b in zip(q1.dims, q2.dims)]
-    edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
-             zip(expanded_arrows(q1.built), q1.arrow_mats, q2.arrow_mats)]
-    return _edge_system_dim(units, edges, q1.p)
+    a, b = q1.dims, q2.dims
+    off = list(accumulate((x * y for x, y in zip(a, b)), initial=0))
+    blocks = [linalg.zeros(0, off[-1])]
+    for ea, m1, m2 in zip(expanded_arrows(q1.built), q1.arrow_mats,
+                          q2.arrow_mats):
+        s, t = ea.source, ea.target
+        if b[t] * a[s] == 0:
+            continue
+        # rows (i, j) of T_t M1 - M2 T_s, each T row-major: I (x) M1^T on
+        # T_t's entries (i, k) and -M2 (x) I on T_s's entries (k, j)
+        block = linalg.zeros(b[t] * a[s], off[-1])
+        at_t = block[:, off[t]:off[t + 1]].reshape(b[t], a[s], b[t], a[t])
+        at_t[np.arange(b[t]), :, np.arange(b[t])] += m1.T
+        at_s = block[:, off[s]:off[s + 1]].reshape(b[t], a[s], b[s], a[s])
+        at_s[:, np.arange(a[s]), :, np.arange(a[s])] -= m2
+        blocks.append(block)
+    return off[-1] - len(linalg.rref(np.vstack(blocks), q1.p)[1])

@@ -28,8 +28,9 @@ fixed-point counts,
 
     mult(V, W) = (|G||H|)^{-1} Σ_{h,g} #{β : h·β·g^{-1} = β} χ_W(h^{-1}) χ_V(g).
 
-The fixed points are one gather per h and the character sums two matrix
-products mod p.  Any disagreement with the stabilizer-quotient
+The fixed points are one gather per chunk of h, each chunk at most
+eicat.CLOSURE_CHUNK entries, and the character sums two matrix products
+mod p.  Any disagreement with the stabilizer-quotient
 computation raises OracleMismatch.  Only the category's actions and
 composition tables are read: nothing is shared with quiveralg's
 stabilizer data.
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import EICategory, incoming_tables
+from .eicat import CLOSURE_CHUNK, EICategory, incoming_tables
 from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
@@ -110,8 +111,9 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
         left = np.array(hs.left_elem, dtype=np.intp)
         # after[g, k] = β_k∘g^{-1}, so fix[h, g] = #{β : h·β·g^{-1} = β}
         after = np.array(hs.right_elem, dtype=np.intp)[G.inverse][:, beta]
-        fix = np.array([(left[h][after] == beta).sum(axis=1)
-                        for h in range(len(H))]) % p
+        step = max(1, CLOSURE_CHUNK // after.size)
+        fix = np.concatenate([(left[h:h + step][:, after] == beta).sum(axis=2)
+                              for h in range(0, len(H), step)]) % p
         tG, tH = tables[x], tables[y]
         chi_g = tG.values                       # χ_V(g)
         chi_h = tH.values[:, H.inverse]         # χ_W(h⁻¹)

@@ -450,8 +450,9 @@ def test_embeddings_that_miss_a_column_are_an_invariant_error(monkeypatch,
 
 
 def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
-    # the G0 averages come from the cached models block by block, so the
-    # only element matrices built are check_group_rep's, one per object
+    # the module's element matrices are copied from the cached models
+    # block by block and check_group_rep only checks them, so
+    # inverse_functor builds no element matrices at all
     cat = load_category(fixture_doc("four_object_mixed"))
     ctx = MoritaContext(build_quiver(cat))
     qrep = _random_quiverrep(ctx, random.Random(3), 2)
@@ -461,9 +462,97 @@ def test_inverse_functor_builds_element_matrices_only_to_check(monkeypatch):
     monkeypatch.setattr(morita, "element_matrices",
                         lambda *a: calls.append(a[0]) or build(*a))
     got = inverse_functor(ctx, qrep)
-    assert len(calls) == len(cat.objects)
+    assert calls == []
     assert all(np.array_equal(a, b)
                for a, b in zip(got.alpha_mats, want.alpha_mats))
+
+
+def test_inverse_functor_copies_the_word_products(categories):
+    # F^-1's element matrices, copied from the models, are byte for byte
+    # element_matrices of its generator matrices, and those are the
+    # models' generator matrices in block-diagonal position: on the
+    # images of every _rep fixture and on random representations of
+    # every fixture, many with vertices of dimension 0
+    rng = random.Random(0xE1E)
+    seen = Counter()
+    cases = []
+    for name in ("four_object_mixed", "two_object_c2_s3"):
+        ctx = MoritaContext(build_quiver(categories[name]))
+        rep = load_catrep(ctx.cat, fixture_doc(f"{name}_rep"), ctx.p)
+        cases.append((ctx, apply_functor(ctx, rep)))
+    for cat in categories.values():
+        ctx = MoritaContext(build_quiver(cat))
+        cases += [(ctx, _random_quiverrep(ctx, rng, d)) for d in (1, 3)
+                  for _ in range(4)]
+    for ctx, q in cases:
+        try:
+            r = inverse_functor(ctx, q)
+        except ValidationError:
+            # only a nonfree category may refuse the representatives
+            assert not is_free(ctx.cat)
+            continue
+        for x in ctx.cat.objects:
+            group, dim = ctx.cat.groups[x], r.dims[x]
+            want = morita.element_matrices(group, r.gen_mats[x], dim, ctx.p)
+            got = r.elem_mats[x]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            blocks = [linalg.zeros(dim, dim) for _ in group.generators]
+            pos = 0
+            for v, d in enumerate(ctx.built.tables[x].dims):
+                for _ in range(q.dims[ctx.built.vertex_index[(x, v)]]):
+                    for m, g in zip(blocks, ctx.model(x, v)[0]):
+                        m[pos:pos + d, pos:pos + d] = g
+                    pos += d
+            assert [(m.dtype, m.tobytes()) for m in r.gen_mats[x]] == \
+                [(m.dtype, m.tobytes()) for m in blocks]
+            seen["zero dim" if dim == 0 else "object"] += 1
+        seen["zero vertex"] += 0 in q.dims
+    assert seen["zero dim"] > 20 and seen["zero vertex"] > 20, seen
+    assert seen["object"] > 80, seen
+
+
+def test_inverse_functor_refuses_a_large_module_before_allocating(
+        categories, monkeypatch):
+    # one vertex of dimension 200 at S3's standard irreducible, every
+    # other 0: 6 * 400^2 entries exceed the lowered bound, and the
+    # finding comes before any generator, element or alpha matrix of that
+    # size (one 400 x 400 int64 matrix is 1.2 MiB) is allocated
+    cat = categories["two_object_c2_s3"]
+    ctx = MoritaContext(build_quiver(cat))
+    x = next(x for x in cat.objects if len(cat.groups[x]) == 6)
+    v = ctx.built.tables[x].dims.index(2)
+    dims = [0] * len(ctx.built.vertices)
+    dims[ctx.built.vertex_index[(x, v)]] = 200
+    q = QuiverRep(ctx.built, ctx.p, tuple(dims), tuple(
+        linalg.zeros(dims[ea.target], dims[ea.source]) for ea in ctx.arrows))
+    inverse_functor(ctx, _random_quiverrep(ctx, random.Random(1)))
+    monkeypatch.setattr(morita, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="needs 960000 matrix "
+                           "entries, more than 959999") as err:
+            inverse_functor(ctx, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.finding == "too-large"
+    assert peak < 400 ** 2 * 8 // 4
+    monkeypatch.setattr(morita, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2)
+    assert inverse_functor(ctx, q).dims[x] == 400
+
+
+def test_check_group_rep_refuses_given_mats_off_the_identity():
+    # zero matrices meet every relation e * s = e s, so only the
+    # identity's slot tells them from a representation
+    g, p = named_group("S3"), 13
+    gens = tuple(linalg.zeros(2, 2) for _ in g.generators)
+    zero = np.zeros((len(g), 2, 2), np.int64)
+    with pytest.raises(ValidationError, match="identity's matrix is not I"):
+        check_group_rep(g, gens, 2, p, zero)
+    table = character_table(g, certified_prime(p, [g]))
+    gm, elems = irreducible_model(g, table, table.dims.index(2))
+    assert check_group_rep(g, gm, 2, p, elems) is elems
 
 
 def _group_rep(check, g, gens, d, p):
@@ -1111,6 +1200,55 @@ def test_hom_dim_checks_agree_with_the_reference(categories):
         seen
 
 
+def test_hom_dim_quiver_scatter_is_the_identity_stack_system(categories):
+    # the rows written by scatter have the rank of _edge_system_dim's
+    # products with each vertex's matrix units, on random pairs over
+    # every fixture and 30 random free categories, many with vertices of
+    # dimension 0
+    rng = random.Random(0x5CA7)
+    seen = Counter()
+    cats = list(categories.values())
+    cats += [random_free_category(rng, max_mor=120) for _ in range(30)]
+    for cat in cats:
+        ctx = MoritaContext(build_quiver(cat))
+        for _ in range(4):
+            q1, q2 = (_random_quiverrep(ctx, rng, 3) for _ in range(2))
+            units = [linalg.eye(a * b).reshape(a * b, b, a)
+                     for a, b in zip(q1.dims, q2.dims)]
+            edges = [(ea.source, ea.target, m1, m2) for ea, m1, m2 in
+                     zip(ctx.arrows, q1.arrow_mats, q2.arrow_mats)]
+            got = hom_dim_quiver(q1, q2)
+            assert got == morita._edge_system_dim(units, edges, ctx.p)
+            seen["nonzero"] += got > 0
+            seen["zero dim"] += 0 in q1.dims + q2.dims
+            seen["arrows"] += len(ctx.arrows) > 0
+    assert min(seen.values()) > 20 and len(seen) == 3, seen
+
+
+def test_fixed_point_basis_is_the_row_space_of_the_whole_average(
+        categories):
+    # dropping the average's zero rows leaves its echelon basis byte for
+    # byte, on every object of the Hom-dimension cases
+    groups, _ = _hom_cases(categories, random.Random(0xF1B))
+    seen = Counter()
+    for reps in groups:
+        for r1, r2 in zip(reps, reps[1:] + reps[:1]):
+            for x in r1.cat.objects:
+                g, p = r1.cat.groups[x], r1.p
+                v_inv, w = r1.elem_mats[x][g.inverse], r2.elem_mats[x]
+                a, b = v_inv.shape[1], w.shape[1]
+                avg = np.einsum("glj,gik->lkji", v_inv, w).reshape(a * b,
+                                                                   a * b)
+                want = linalg.row_space(avg, p)
+                want = want.reshape(len(want), a, b).transpose(0, 2, 1)
+                got = morita.fixed_point_basis(v_inv, w, p)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert np.array_equal(got, want)
+                seen["zero rows"] += bool((avg % p == 0).all(axis=1).any())
+                seen["nonempty"] += len(got) > 0
+    assert seen["zero rows"] > 50 and seen["nonempty"] > 100, seen
+
+
 def test_hom_dim_quiver_refuses_another_prime_or_quiver(categories,
                                                         monkeypatch):
     # every refusal comes before any system is built
@@ -1372,7 +1510,8 @@ def test_a_truncated_kappa_basis_is_an_invariant_error(categories,
 def test_functor_solves_no_system_and_each_check_one(categories,
                                                      monkeypatch):
     # on a warm context the functor and its inverse find every Hom basis
-    # by projections, and each Hom-dimension check builds one system
+    # by projections; hom_dim_cat builds one system by _edge_system_dim
+    # and hom_dim_quiver writes its own, so it calls none
     calls = Counter()
     for mod, name in ((morita, "_edge_system_dim"), (linalg, "nullspace")):
         monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name),
@@ -1391,7 +1530,7 @@ def test_functor_solves_no_system_and_each_check_one(categories,
         hom_dim_cat(r, r)
         assert calls == {"_edge_system_dim": 1}
         hom_dim_quiver(q, q)
-        assert calls == {"_edge_system_dim": 2}
+        assert calls == {"_edge_system_dim": 1}
 
 
 def _catrep_bytes(build, ctx, q):

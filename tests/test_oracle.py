@@ -9,7 +9,7 @@ import pytest
 
 import kernel_reference as ref
 from conftest import fixture_doc
-from eiquiver import eicat, quiveralg
+from eiquiver import eicat, oracle, quiveralg
 from eiquiver.eicat import EICategory, MorphId, load_category
 from eiquiver.errors import InvariantError, OracleMismatch
 from eiquiver.oracle import (build_algebra, check_against_quiver,
@@ -194,3 +194,25 @@ def test_radical_report_rejects_rad_mod_rad2_off_the_unfactorizables():
     bad.memo("unfactorizables", lambda: cat.unfactorizables)
     with pytest.raises(InvariantError, match="rad/rad² basis disagrees"):
         radical_report(build_algebra(bad))
+
+
+def test_fixed_point_counts_in_chunks_match_the_per_h_loop(categories,
+                                                           monkeypatch):
+    # at CLOSURE_CHUNK = 1 every chunk is one h of H, the per-h loop; at
+    # 40 most chunks hold several h and the last fewer; and the default.
+    # Each gives the residues of the reference's count per (h, g), on
+    # every fixture and 50 randcats categories, free and not
+    rng = random.Random(0xC4)
+    cats = list(categories.values()) + [load_category(C3_REGULAR)]
+    cats += [make(rng, max_mor=120) for _ in range(25)
+             for make in (random_free_category, random_nonfree_category)]
+    seen = 0
+    for cat in cats:
+        q = build_quiver(cat)
+        want = list(ref.ext_quiver_oracle(cat, q.prime, q.tables).items())
+        for chunk in (1, 40, eicat.CLOSURE_CHUNK):
+            monkeypatch.setattr(oracle, "CLOSURE_CHUNK", chunk)
+            assert list(ext_quiver_oracle(cat, q.prime,
+                                          q.tables).items()) == want
+        seen += bool(want)
+    assert seen > 40

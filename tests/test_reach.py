@@ -12,10 +12,11 @@ function a cache would skip still counts as reached only if the CLI
 computes it.
 """
 
-import ast
+import importlib
 import json
 import pathlib
 import sys
+import types
 
 import eiquiver
 from eiquiver.chartab import _MODEL_CACHE
@@ -49,31 +50,51 @@ NOT_FROM_THE_CLI = {
 }
 
 
-def defined_functions() -> dict[tuple[str, int], str]:
-    """(file name, first line) -> module.qualname of every def in the
-    package; a decorated function's code starts at its first decorator."""
+def defined_functions() -> dict[types.CodeType, str]:
+    """code object -> module.qualname of every def in the package, read
+    off the loaded modules, the code that runs: each module's functions
+    and classes (methods, properties and cached properties), and the
+    defs nested in their code's co_consts.  Lambdas and comprehensions
+    are not defs, but a def nested in one is found."""
     out = {}
 
-    def walk(node, module, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([d.lineno for d in child.decorator_list]
-                            + [child.lineno])
-                out[(module, first)] = f"{prefix}{child.name}"
-                walk(child, module, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                walk(child, module, f"{prefix}{child.name}.")
-            else:
-                walk(child, module, prefix)
+    def walk(code, name):
+        if not code.co_name.startswith("<"):
+            out[code] = name
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(const, f"{name}.{const.co_name}")
+
+    def members(cls):
+        for attr in vars(cls).values():
+            if isinstance(attr, type):
+                if attr.__qualname__ == f"{cls.__qualname__}.{attr.__name__}":
+                    yield attr
+                continue
+            for f in (attr, getattr(attr, "__func__", None),
+                      getattr(attr, "func", None),
+                      *(getattr(attr, k, None)
+                        for k in ("fget", "fset", "fdel"))):
+                if isinstance(f, types.FunctionType):
+                    yield f
 
     for path in sorted(SRC.glob("*.py")):
-        walk(ast.parse(path.read_text()), path.name, f"{path.stem}.")
+        module = importlib.import_module(f"eiquiver.{path.stem}")
+        todo = [obj for obj in vars(module).values()
+                if isinstance(obj, (type, types.FunctionType))
+                and obj.__module__ == module.__name__]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, type):
+                todo += members(obj)
+            elif pathlib.Path(obj.__code__.co_filename).resolve() == path:
+                walk(obj.__code__, f"{path.stem}.{obj.__qualname__}")
     return out
 
 
-def reached_functions(argvs) -> tuple[set[tuple[str, int]], list[int]]:
-    """(file name, first line) of every package function called while
-    the CLI runs each argv, and each run's exit code."""
+def reached_functions(argvs) -> tuple[set[types.CodeType], list[int]]:
+    """The code object of every package function called while the CLI
+    runs each argv, and each run's exit code."""
     codes = {}
 
     def record(frame, event, arg):
@@ -88,12 +109,7 @@ def reached_functions(argvs) -> tuple[set[tuple[str, int]], list[int]]:
     finally:
         sys.setprofile(None)
         _MODEL_CACHE.update(saved)
-    reached = set()
-    for code in codes.values():
-        path = pathlib.Path(code.co_filename).resolve()
-        if path.parent == SRC:
-            reached.add((path.name, code.co_firstlineno))
-    return reached, exits
+    return set(codes.values()), exits
 
 
 def test_every_function_is_reached_or_named(tmp_path, fresh_groups):
@@ -113,7 +129,7 @@ def test_every_function_is_reached_or_named(tmp_path, fresh_groups):
     # no longer reaches
     assert {case: code for case, code in zip(runs, exits)
             if code != want[case]} == {}
-    missed = sorted(name for key, name in defined.items()
-                    if key not in reached)
+    missed = sorted(name for code, name in defined.items()
+                    if code not in reached)
     # the list names exactly what the CLI does not reach
     assert missed == sorted(NOT_FROM_THE_CLI)
