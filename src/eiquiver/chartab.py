@@ -22,8 +22,8 @@ system, and B (M B)[piv] = M B certifies that M stabilizes it.  So an
 abelian group, or one with a single non-linear character, builds no
 class matrix.  Class 0 is the identity class, whose matrix is the
 identity and splits nothing, so it is skipped.  A table holds r x |G|
-values (CharTable.values), so a group for which that exceeds
-MAX_TABLE_ENTRIES is refused first.
+values (CharTable.values), so a group for which that exceeds the entry
+budget (eicat.check_entries) is refused first.
 
 Characters are kept in one form: a table's rows, one r x r int64 array
 of values per class and the only store of them, and CharTable.values,
@@ -69,15 +69,13 @@ from math import isqrt, lcm
 import numpy as np
 
 from . import linalg
+from .eicat import check_entries
 from .errors import InvariantError, ValidationError
 from .permgrp import (ConjClass, PermGroup, QuotientGroup, SubgroupHandle,
                       class_index_of, conjugacy_classes, derived_cosets,
                       memo)
 
 PRIME_SEARCH_BOUND = 10**6
-
-# classes times group order: a table's values at every element
-MAX_TABLE_ENTRIES = 1 << 22
 
 _MODEL_CACHE: dict = {}
 
@@ -277,10 +275,8 @@ def _compute_table(g: PermGroup, p: int) -> CharTable:
     classes = tuple(conjugacy_classes(g))
     class_of = tuple(class_index_of(g, list(classes)))
     r, n = len(classes), len(g)
-    if r * n > MAX_TABLE_ENTRIES:
-        raise ValidationError(
-            "too-large", f"a character table of {r} classes on a group of "
-            f"order {n} exceeds {MAX_TABLE_ENTRIES} entries")
+    check_entries(r * n, f"a character table of {r} classes on a group of "
+                  f"order {n}")
     inv_class = [class_of[g.inv(classes[k].rep)] for k in range(r)]
     linear = _linear_characters(g, classes, p)
     # the other characters' central characters span the nullspace of the

@@ -57,16 +57,19 @@ MAX_POINTS = 100000
 # The default bound on a free category's paths and path bisets (freecover)
 DEFAULT_PATH_BOUND = 100000
 
-# The most entries one table of group-element actions may hold: a hom's
-# left_elem and right_elem (make_homset), |G|·size per side, and
-# morita.check_group_rep's dim x dim matrix per group element.  The
-# document's generators bound neither.
+# The entry budget: the most entries one int table sized by the input
+# may hold, checked by check_entries before the table is allocated.  Its
+# tables are a hom's left_elem and right_elem (make_homset), |G|·size
+# per side; a character table's values (chartab), classes times |G|; a
+# representation's element matrices, |G_x|·dim^2 per object, and its
+# morphism matrices, sum |hom(x, y)|·dim y·dim x over the hom-sets
+# (morita.check_rep_sizes).  The document's generators bound none of them.
 MAX_ELEMENT_ENTRIES = 1 << 22
 
 # The most entries one batched product over a composition table holds:
 # associativity over chains (validate_category) and morita.build_catrep's
-# products are taken in chunks of rows of at most this many, never as one
-# whole array.
+# products are taken in chunks of at most this many entries, or of one
+# matrix where one matrix holds more, never as one whole array.
 CLOSURE_CHUNK = 1 << 16
 
 
@@ -74,6 +77,14 @@ def check_points(n: int, what: str) -> None:
     """Reject a declared degree or size above MAX_POINTS."""
     if n > MAX_POINTS:
         raise ValidationError("too-large", f"{what} {n} exceeds {MAX_POINTS}")
+
+
+def check_entries(n: int, what: str) -> None:
+    """Reject a table, named by what, of n entries above
+    MAX_ELEMENT_ENTRIES, before it is allocated."""
+    if n > MAX_ELEMENT_ENTRIES:
+        raise ValidationError("too-large", f"{what} needs {n} entries, more "
+                              f"than {MAX_ELEMENT_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -111,11 +122,8 @@ def make_homset(source: str, target: str, size: int,
                                   f"hom {source}->{target}: action is not a "
                                   f"permutation of {size} elements")
     order = max(len(src_group), len(tgt_group))
-    if order * size > MAX_ELEMENT_ENTRIES:
-        raise ValidationError("too-large", f"hom {source}->{target}: a group "
-                              f"of order {order} acting on {size} elements "
-                              f"needs {order * size} action entries, more "
-                              f"than {MAX_ELEMENT_ENTRIES}")
+    check_entries(order * size, f"hom {source}->{target}: a group of order "
+                  f"{order} acting on {size} elements")
     hom = f"{source}->{target}"
     left_elem = _element_actions(hom, "left", tgt_group, size, left_gen, pmul)
     right_elem = _element_actions(hom, "right", src_group, size, right_gen,

@@ -4,8 +4,10 @@ representations for free categories with invertible group orders.
 A category representation assigns a module to each object and a matrix
 to each representative unfactorizable morphism; everything else is
 derived by functoriality, one hom-set at a time in order of topological
-distance, each hom-set's matrices one (size, dim y, dim x) array.
-Composites come from one product per composition table, in chunks of at
+distance, each hom-set's matrices one (size, dim y, dim x) array.  Its
+element and morphism matrices are held to the entry budget
+(check_rep_sizes, through eicat.check_entries) before any is built.
+Composites come from one product per composition table, in blocks of at
 most eicat.CLOSURE_CHUNK entries, and orbit members from their
 representative, level by level along the generator actions.  Batched
 products check functoriality on every morphism against each group
@@ -88,7 +90,7 @@ import numpy as np
 
 from . import chartab, linalg
 from .chartab import PRIME_SEARCH_BOUND, CharTable
-from .eicat import (CLOSURE_CHUNK, MAX_ELEMENT_ENTRIES, EICategory,
+from .eicat import (CLOSURE_CHUNK, EICategory, check_entries,
                     incoming_tables, orbit_representatives)
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, memo, pidentity
@@ -110,28 +112,18 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int):
     return mats
 
 
-def check_size(group: PermGroup, dim: int) -> None:
-    """Refuse with too-large a module whose (|G|, dim, dim) element
-    matrices exceed MAX_ELEMENT_ENTRIES."""
-    if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
-        raise ValidationError(
-            "too-large", f"a group of order {len(group)} in dimension {dim} "
-            f"needs {len(group) * dim * dim} matrix entries, more than "
-            f"{MAX_ELEMENT_ENTRIES}")
-
-
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int,
                     mats=None):
     """Verify the generator matrices define a representation; return the
-    (|G|, dim, dim) element matrices, after checking that they fit in
-    MAX_ELEMENT_ENTRIES.  Given mats (inverse_functor copies them from
-    the models), the identity's slot must be I and nothing is built;
-    otherwise they are element_matrices.  The relations hold exactly
-    when the matrix of e * s_k is that of e times s_k's for every element
-    e and generator s_k (permgrp.respects_relations): one batched product
-    per generator, read against PermGroup.generator_maps.  With the
-    identity's slot I, that also makes given mats the word products."""
-    check_size(group, dim)
+    (|G|, dim, dim) element matrices, whose size the caller has checked
+    (build_catrep, through check_rep_sizes).  Given mats (inverse_functor
+    copies them from the models), the identity's slot must be I and
+    nothing is built; otherwise they are element_matrices.  The relations
+    hold exactly when the matrix of e * s_k is that of e times s_k's for
+    every element e and generator s_k (permgrp.respects_relations): one
+    batched product per generator, read against
+    PermGroup.generator_maps.  With the identity's slot I, that also
+    makes given mats the word products."""
     if mats is None:
         mats = element_matrices(group, gen_mats, dim, p)
     elif not np.array_equal(mats[group.index_of[pidentity(group.degree)]],
@@ -340,29 +332,39 @@ class CatRep:
     alpha_mats: tuple                  # per orbit representative
 
 
-# An object without generator matrices (a trivial group) takes its
-# dimension from "dim" alone: no square matrix in the document bounds it,
-# and its identity matrix is built from it.
-MAX_FREE_DIM = 1024
+def check_rep_sizes(cat: EICategory, dims: dict) -> None:
+    """Refuse with too-large, before any of its matrices is allocated, a
+    representation of these object dimensions whose element matrices,
+    |G_x|·dim x^2 entries per object, or whose morphism matrices, the
+    sum of |hom(x, y)|·dim y·dim x over the hom-sets, exceed the entry
+    budget (eicat.check_entries).  An object without generator matrices
+    takes its dimension from "dim" alone, so nothing else bounds it."""
+    for x, g in cat.groups.items():
+        check_entries(len(g) * dims[x] ** 2, f"object {x}: a group of order "
+                      f"{len(g)} in dimension {dims[x]}")
+    check_entries(sum(hs.size * dims[y] * dims[x]
+                      for (x, y), hs in cat.homs.items()),
+                  f"a matrix for each morphism of {len(cat.homs)} hom-sets")
 
 
 def build_catrep(cat: EICategory, p: int, gen_mats: dict,
                  alpha_mats, dims_hint: dict, elem_mats=None) -> CatRep:
     """Assemble and validate a full representation from generator and
     representative matrices; objects whose group has no generators take
-    their dimension from dims_hint.  Every shape is checked first.
-    elem_mats, when given, holds each object's element matrices for
-    check_group_rep to check instead of building them.
+    their dimension from dims_hint.  Every shape is checked first, then
+    the sizes (check_rep_sizes), before any element or morphism matrix
+    exists.  elem_mats, when given, holds each object's element matrices
+    for check_group_rep to check instead of building them.
 
     Hom-sets are taken in the order of eicat.incoming_tables, with the
     tables that compose into each, so both factors of every composite are
     known first; each holds its matrices as one (size, dim y, dim x)
     array.  The composites come from one product per composition table,
-    in chunks of rows of at most CLOSURE_CHUNK entries, which also
-    compares every composable pair with the matrix its composite has
-    (_compose).  The other morphisms are the
-    orbits of the representatives, reached one level at a time along the
-    generator actions, one batched product per generator and level.
+    in blocks of at most CLOSURE_CHUNK entries, which also compares
+    every composable pair with the matrix its composite has (_compose).
+    The other morphisms are the orbits of the representatives, reached
+    one level at a time along the generator actions, one batched
+    product per generator and level.
     Last, every morphism is compared with each generator of either
     endpoint group, one batched product per generator; a disagreement
     anywhere is not-functorial, naming the morphism.  check_group_rep
@@ -406,6 +408,7 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
         checked.append(amat.reshape(shape))
         starts[(rep.source, rep.target)].append((rep.index, checked[-1]))
     alpha_mats = tuple(checked)
+    check_rep_sizes(cat, dims)
     gens = {x: tuple(gen_mats.get(x, ())) for x in cat.objects}
     elems = {x: check_group_rep(cat.groups[x], gens[x], dims[x], p,
                                 (elem_mats or {}).get(x))
@@ -464,19 +467,24 @@ def _compose(mats: np.ndarray, have: np.ndarray, outer: np.ndarray,
              inner: np.ndarray, table: np.ndarray, key, p: int) -> None:
     """Write outer[b] inner[a] into mats[table[b, a]] where have is
     False, and compare it with mats there for every (b, a): one
-    broadcast product per chunk of rows, each product array at most
-    CLOSURE_CHUNK entries (a table of 400 x 400 pairs of 8 x 8 matrices
-    would need 82 MB whole)."""
-    rows = max(1, CLOSURE_CHUNK // max(1, table.shape[1] *
-                                       math.prod(mats.shape[1:])))
+    broadcast product per block of the table, each product array at most
+    CLOSURE_CHUNK entries or one matrix of mats (a table of 400 x 400
+    pairs of 8 x 8 matrices would need 82 MB whole).  A block is whole
+    rows, unless one row is past the chunk: a row is |hom(x, z)|
+    matrices of hom(x, y), and no size check bounds that product."""
+    each = max(1, math.prod(mats.shape[1:]))
+    cols = max(1, min(table.shape[1], CLOSURE_CHUNK // each))
+    rows = max(1, CLOSURE_CHUNK // (cols * each))
     for b0 in range(0, len(table), rows):
-        targets = table[b0:b0 + rows].ravel()
-        prod = linalg.matmul(outer[b0:b0 + rows, None], inner[None], p)
-        prod = prod.reshape(len(targets), *mats.shape[1:])
-        fresh = ~have[targets]
-        mats[targets[fresh]] = prod[fresh]
-        have[targets] = True
-        _agree(mats, targets, prod, key)
+        for a0 in range(0, table.shape[1], cols):
+            targets = table[b0:b0 + rows, a0:a0 + cols].ravel()
+            prod = linalg.matmul(outer[b0:b0 + rows, None],
+                                 inner[None, a0:a0 + cols], p)
+            prod = prod.reshape(len(targets), *mats.shape[1:])
+            fresh = ~have[targets]
+            mats[targets[fresh]] = prod[fresh]
+            have[targets] = True
+            _agree(mats, targets, prod, key)
 
 
 def catrep_document(r: CatRep) -> dict:
@@ -500,9 +508,10 @@ def _matrix(rows, p: int) -> np.ndarray:
 
 def load_catrep(cat: EICategory, doc: dict, expected_p: int) -> CatRep:
     """A representation over F_{expected_p} from its document; JSON
-    integers only, and every size checked before it is used.  A document
-    for another prime is a prime-mismatch, found before any matrix is
-    read."""
+    integers only.  A dim need only be a nonnegative integer here: the
+    tables it sizes are checked against the entry budget in build_catrep
+    (check_rep_sizes), before any is built.  A document for another prime
+    is a prime-mismatch, found before any matrix is read."""
     try:
         p = doc["p"]
         if not is_int(p) or not 2 <= p <= PRIME_SEARCH_BOUND:
@@ -524,9 +533,6 @@ def load_catrep(cat: EICategory, doc: dict, expected_p: int) -> CatRep:
             if not is_int(dim) or dim < 0:
                 raise ValueError(f"object {oid}: dim {dim!r} is not a "
                                  "nonnegative integer")
-            if not gen_mats[oid] and dim > MAX_FREE_DIM:
-                raise ValueError(f"object {oid}: dim {dim} exceeds "
-                                 f"{MAX_FREE_DIM} and no matrix carries it")
         alphas = doc["alpha_matrices"]
         index = [a["rep_index"] for a in alphas]
         if not all(is_int(i) for i in index) or \
@@ -862,9 +868,10 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
     inverse's kappa rows are L_V (MoritaContext.source_inverse).  So each
     expanded arrow's matrix A is placed as A (x) mu_l L_{U,s}
     (MoritaContext.placements) into alpha_r's block from the copies of V
-    to the copies of W: no system per call.  The prime, the representation's lengths and shapes
-    (_check_quiverrep) and every object's size (check_size) are checked
-    before anything is allocated."""
+    to the copies of W: no system per call.  The prime, the
+    representation's lengths and shapes (_check_quiverrep) and the
+    category representation's sizes (check_rep_sizes) are checked before
+    anything is allocated."""
     p = ctx.p
     built = ctx.built
     _same_prime(qrep.p, p, "representation and quiver")
@@ -875,7 +882,7 @@ def inverse_functor(ctx: MoritaContext, qrep: QuiverRep) -> CatRep:
         counts[x] = [qrep.dims[built.vertex_index[(x, v)]]
                      for v in range(len(tables[x]))]
         obj_dims[x] = sum(n * d for n, d in zip(counts[x], tables[x].dims))
-        check_size(groups[x], obj_dims[x])
+    check_rep_sizes(built.cat, obj_dims)
     offsets = []      # per vertex: where its copies start in its object
     elem_mats = {}
     for x in built.cat.objects:

@@ -95,10 +95,13 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
                       tables: dict) -> dict:
     """Arrow multiplicities modulo p from bimodule fixed-point counts.
 
-    Returns {((x, v), (y, w)): m} over all pairs with a nonzero residue.
-    The residues determine the true multiplicities whenever those are
-    below p, which holds in every bundled example; the caller compares
-    mod p so the check stays sound even past that bound.
+    Returns {((x, v), (y, w)): m mod p} over all pairs with a nonzero
+    residue: residues, not multiplicities.  They equal the true
+    multiplicities only below p, which holds in every bundled example.
+    A multiplicity of p or more is returned as its residue, and one that
+    is a multiple of p not at all; check_against_quiver compares
+    residues, so it agrees with such a quiver without checking those
+    arrows.
     """
     p = prime.p
     out: dict = {}

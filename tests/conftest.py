@@ -42,6 +42,31 @@ def trivial_line(ids, size: int = 1) -> dict:
                       "right_action": []} for a, b in zip(ids, ids[1:])]}
 
 
+def wide_functor_pair(outer_dim: int, size: int = 60) -> tuple[dict, dict]:
+    """(category, representation) documents at p = 3: trivial x, y, z of
+    degree 1, homs x -> y of the given size, y -> z of 1 and x -> z of
+    the given size, each x -> z the composite through y (table [[0, ...,
+    size - 1]]), and dims outer_dim, 0 and outer_dim, so every
+    representative matrix is empty.  Only the morphism matrices are
+    large: size * outer_dim^2 entries, from documents of a few KB."""
+    homs = [("x", "y", size), ("y", "z", 1), ("x", "z", size)]
+    cat = {"mode": "explicit",
+           "objects": [{"id": o, "degree": 1, "generators": []}
+                       for o in "xyz"],
+           "homs": [{"from": x, "to": y, "size": n, "left_action": [],
+                     "right_action": []} for x, y, n in homs],
+           "compositions": [{"inner": ["x", "y"], "outer": ["y", "z"],
+                             "table": [list(range(size))]}]}
+    rep = {"p": 3,
+           "objects": [{"id": o, "dim": d, "generator_matrices": []}
+                       for o, d in zip("xyz", (outer_dim, 0, outer_dim))],
+           "alpha_matrices": [{"rep_index": i, "matrix": []}
+                              for i in range(size)] +
+                             [{"rep_index": size,
+                               "matrix": [[]] * outer_dim}]}
+    return cat, rep
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion."""
     import re

@@ -69,12 +69,12 @@ import numpy as np
 
 from eiquiver import chartab, linalg, morita, permgrp
 from eiquiver.chartab import CharTable
-from eiquiver.eicat import (DEFAULT_PATH_BOUND, EICategory, MorphId,
-                            _check_connected, homset_orbits,
-                            orbit_representatives, stabilizer_data)
+from eiquiver.eicat import (DEFAULT_PATH_BOUND, MAX_ELEMENT_ENTRIES,
+                            EICategory, MorphId, _check_connected,
+                            homset_orbits, orbit_representatives,
+                            stabilizer_data)
 from eiquiver.errors import InvariantError, SchemaError, ValidationError
 from eiquiver.freecover import free_cover
-from eiquiver.morita import MAX_ELEMENT_ENTRIES
 from eiquiver.permgrp import PermGroup, pmul, word_products
 from groups import as_group, hom_size, identity_pos, pinv
 
@@ -261,7 +261,8 @@ def element_matrices(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
 def check_group_rep(group: PermGroup, gen_mats, dim: int, p: int) -> tuple:
     """The element matrices once the generator matrices are checked
     against the group relations one element and generator at a time,
-    with the size check and findings of eiquiver.morita.check_group_rep."""
+    with the findings of eiquiver.morita.check_group_rep and, ahead of
+    them, the element-matrix size check of its build_catrep."""
     if len(group) * dim * dim > MAX_ELEMENT_ENTRIES:
         raise ValidationError("too-large", f"{len(group) * dim * dim} "
                               "matrix entries")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from eiquiver import chartab, linalg
+from eiquiver import chartab, eicat, linalg
 from eiquiver.chartab import (_MODEL_CACHE, SplittingPrime, certified_prime,
                               character_table, choose_splitting_prime,
                               inflate, restriction_multiplicity,
@@ -207,7 +207,7 @@ def test_linear_rows_count_the_cosets_of_the_derived_subgroup(name):
 def test_a_table_past_the_entry_bound_is_refused(monkeypatch):
     # r·|G| values: C24 has 576, S4 120; the refusal comes before the
     # linear characters and any class matrix
-    monkeypatch.setattr(chartab, "MAX_TABLE_ENTRIES", 575)
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 575)
     s4, c24 = _group("S4"), _group("C24")
     assert len(chartab._compute_table(s4, choose_splitting_prime([s4]).p)) == 5
 
@@ -216,7 +216,9 @@ def test_a_table_past_the_entry_bound_is_refused(monkeypatch):
 
     monkeypatch.setattr(chartab, "_linear_characters", unreached)
     monkeypatch.setattr(chartab, "_class_mult_matrices", unreached)
-    with pytest.raises(ValidationError, match="^too-large: "):
+    with pytest.raises(ValidationError, match="^too-large: a character "
+                       "table of 24 classes on a group of order 24 needs "
+                       "576 entries, more than 575$"):
         chartab._compute_table(c24, choose_splitting_prime([c24]).p)
 
 

@@ -5,12 +5,13 @@ import json
 import resource
 import runpy
 import sys
+import tracemalloc
 import weakref
 
 import pytest
 
 from conftest import (fixture_doc, fixture_path, large_cover_document,
-                      trivial_line)
+                      trivial_line, wide_functor_pair)
 from eiquiver.cli import main
 from eiquiver.errors import OutOfMemory
 from test_golden import CASES, COMMANDS, EXPECTED, FORMATS
@@ -412,9 +413,11 @@ def _duplicate_x_rep():
                  _rep_set(("objects", 0, "dim"), -1, _trivial_s3_rep),
                  3, "schema error", id="negative-dim"),
     # R(y) = 0, so the representative's matrix is [] and no matrix
-    # carries x's dim
+    # carries x's dim: the entry budget refuses its identity matrix
     pytest.param("two_object_trivial_s3", lambda: _trivial_s3_rep(10**7, 0),
-                 3, "schema error", id="huge-dim-no-matrix"),
+                 2, "validation error: too-large: object x: a group of "
+                 "order 1 in dimension 10000000 needs 100000000000000 "
+                 "entries", id="huge-dim-no-matrix"),
     pytest.param("two_object_trivial_s3",
                  _rep_set(("objects", 0, "dim"), 10**7, _trivial_s3_rep),
                  3, "schema error", id="huge-dim-against-alpha"),
@@ -525,7 +528,8 @@ def test_a_glued_product_is_held_to_the_path_bound(capsys, tmp_path):
 
 def test_a_character_table_past_its_bound_is_refused(capsys, tmp_path):
     # C2^12 on 12 disjoint transpositions: 4,096 classes of one element,
-    # 2^24 table values where chartab.MAX_TABLE_ENTRIES is 2^22
+    # 2^24 table values where the entry budget,
+    # eicat.MAX_ELEMENT_ENTRIES, is 2^22
     swaps = [list(range(24)) for _ in range(12)]
     for k, perm in enumerate(swaps):
         perm[2 * k], perm[2 * k + 1] = 2 * k + 1, 2 * k
@@ -535,8 +539,9 @@ def test_a_character_table_past_its_bound_is_refused(capsys, tmp_path):
     with address_space_limit(512 * 2**20):
         code, out, err = run(capsys, "quiver", str(f))
     assert (code, out) == (2, "")
-    assert err.startswith("validation error: too-large: ") and \
-        "exceeds" in err and err.count("\n") == 1
+    assert err.startswith("validation error: too-large: a character table ") \
+        and "needs 16777216 entries, more than 4194304" in err and \
+        err.count("\n") == 1
 
 
 def test_oracle_reads_the_tables_where_a_dense_product_table_would_not_fit(
@@ -724,12 +729,12 @@ def test_representation_too_large_to_check_is_rejected_first(
         capsys, tmp_path, monkeypatch):
     # S6 in dimension 77: two 77x77 generator matrices in the document,
     # but 720 element matrices of 77x77 to check the group relations
-    from eiquiver import morita
+    from eiquiver import eicat, morita
     from eiquiver.chartab import choose_splitting_prime
     from eiquiver.permgrp import enumerate_group
     s6 = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
     dim = 77
-    assert 720 * dim * dim > morita.MAX_ELEMENT_ENTRIES
+    assert 720 * dim * dim > eicat.MAX_ELEMENT_ENTRIES
     monkeypatch.setattr(morita, "element_matrices", None)
     cat = tmp_path / "s6.json"
     cat.write_text(json.dumps({"objects": [{"id": "x", "degree": 6,
@@ -744,6 +749,30 @@ def test_representation_too_large_to_check_is_rejected_first(
     code, out, err = run(capsys, "functor", str(cat), str(rep))
     assert (code, out) == (2, "")
     assert "too-large" in err and err.count("\n") == 1
+
+
+def test_morphism_matrices_past_the_entry_budget_are_refused_first(
+        capsys, tmp_path):
+    # 6.9 KB of documents, 60 morphisms x -> z of 1000 x 1000 matrices
+    # each: 60,000,000 entries (480 MB as int64) where every element
+    # matrix is within the budget; the refusal comes before one
+    # 1000 x 1000 int64 matrix (8 MB) is allocated
+    cat, rep = wide_functor_pair(1000)
+    (tmp_path / "cat.json").write_text(json.dumps(cat))
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    tracemalloc.start()
+    try:
+        with address_space_limit(512 * 2**20):
+            code, out, err = run(capsys, "functor", str(tmp_path / "cat.json"),
+                                 str(tmp_path / "rep.json"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("validation error: too-large: a matrix for each morphism "
+                   "of 3 hom-sets needs 60000000 entries, more than "
+                   "4194304\n")
+    assert peak < 1000 * 1000 * 8
 
 
 def test_memory_error_is_an_out_of_memory_finding(capsys, monkeypatch):

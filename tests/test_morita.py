@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from conftest import fixture_doc, large_cover_document, trivial_line
-from eiquiver import chartab, linalg, morita
+from conftest import (fixture_doc, large_cover_document, trivial_line,
+                      wide_functor_pair)
+from eiquiver import chartab, eicat, linalg, morita
 from eiquiver.chartab import (certified_prime, character_table,
                               choose_splitting_prime)
 from eiquiver.eicat import (CLOSURE_CHUNK, EICategory, load_category,
@@ -527,18 +528,18 @@ def test_inverse_functor_refuses_a_large_module_before_allocating(
     q = QuiverRep(ctx.built, ctx.p, tuple(dims), tuple(
         linalg.zeros(dims[ea.target], dims[ea.source]) for ea in ctx.arrows))
     inverse_functor(ctx, _random_quiverrep(ctx, random.Random(1)))
-    monkeypatch.setattr(morita, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2 - 1)
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2 - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="needs 960000 matrix "
-                           "entries, more than 959999") as err:
+        with pytest.raises(ValidationError, match="needs 960000 entries, "
+                           "more than 959999") as err:
             inverse_functor(ctx, q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert err.value.finding == "too-large"
     assert peak < 400 ** 2 * 8 // 4
-    monkeypatch.setattr(morita, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2)
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 6 * 400 ** 2)
     assert inverse_functor(ctx, q).dims[x] == 400
 
 
@@ -1001,6 +1002,83 @@ def test_a_wide_composition_table_is_checked_in_chunks():
     assert [m.shape for m in rep.mor_mats.values()] == \
         [(400, 8, 8), (400, 8, 8), (1, 8, 8)]
     assert peak < 5 * 2**20
+
+
+def test_the_morphism_matrix_budget_is_checked_at_its_edge(monkeypatch):
+    # 60 morphisms x -> z of 10 x 10 matrices, the other hom-sets' empty:
+    # the check's total is the entries build_catrep allocates
+    doc, rep = wide_functor_pair(10)
+    cat = load_category(doc)
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 6000)
+    built = load_catrep(cat, rep, 3)
+    assert sum(m.size for m in built.mor_mats.values()) == 6000
+    monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 5999)
+    with pytest.raises(ValidationError, match="^too-large: a matrix for "
+                       "each morphism of 3 hom-sets needs 6000 entries, "
+                       "more than 5999$"):
+        load_catrep(cat, rep, 3)
+
+
+def test_a_generatorless_dim_is_held_to_the_entry_budget(categories):
+    # x's group is trivial, so only "dim" sizes its identity matrix:
+    # 2048^2 entries is the whole budget, 2049^2 is past it
+    cat = categories["two_object_trivial_s3"]
+
+    def rep(dim):
+        return {"p": 13, "alpha_matrices": [{"rep_index": 0, "matrix": []}],
+                "objects": [{"id": "x", "dim": dim, "generator_matrices": []},
+                            {"id": "y", "dim": 0,
+                             "generator_matrices": [[], []]}]}
+    assert load_catrep(cat, rep(2048), 13).elem_mats["x"].shape == \
+        (1, 2048, 2048)
+    with pytest.raises(ValidationError, match="^too-large: object x: a "
+                       "group of order 1 in dimension 2049 needs 4198401 "):
+        load_catrep(cat, rep(2049), 13)
+
+
+def _wide_row(n=100, dim=100):
+    """(category, representatives, dims): trivial x -> z -> y, n
+    morphisms x -> z and one z -> y whose every composite is the one
+    x -> y, in dims dim, 1 and dim; every x -> z takes a row v, z -> y a
+    column u, so x -> y gets u v.  One row of the composition table
+    holds n products of dim x dim, past CLOSURE_CHUNK entries."""
+    homs = [("x", "z", n), ("z", "y", 1), ("x", "y", 1)]
+    cat = load_category({
+        "mode": "explicit",
+        "objects": [{"id": o, "degree": 1, "generators": []} for o in "xyz"],
+        "homs": [{"from": x, "to": y, "size": k, "left_action": [],
+                  "right_action": []} for x, y, k in homs],
+        "compositions": [{"inner": ["x", "z"], "outer": ["z", "y"],
+                          "table": [[0] * n]}]})
+    v, u = np.arange(dim)[None] % 13, (np.arange(dim)[:, None] * 5 + 1) % 13
+    alphas = [v if rep.target == "z" else u
+              for rep, _ in orbit_representatives(cat)]
+    return cat, alphas, {"x": dim, "y": dim, "z": 1}
+
+
+def test_a_composition_row_past_the_chunk_is_split():
+    # one row is 100 products of 100 x 100 matrices, 1,000,000 entries
+    # (8 MB); it is taken six products at a time, and every block is
+    # compared, the last one too
+    cat, alphas, dims = _wide_row()
+    tracemalloc.start()
+    try:
+        rep = build_catrep(cat, 13, {}, alphas, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
+    assert rep.mor_mats[("x", "y")][0].tobytes() == \
+        linalg.matmul(alphas[-1], alphas[0], 13).tobytes()
+    assert ref.build_catrep(cat, 13, {}, alphas, dims)[("x", "y")][0].tobytes() \
+        == rep.mor_mats[("x", "y")][0].tobytes()
+    last = [a.copy() for a in alphas]
+    k = next(k for k, (rep, _) in enumerate(orbit_representatives(cat))
+             if rep.target == "z" and rep.index == 99)
+    last[k][0, 0] += 1
+    with pytest.raises(ValidationError, match=r"^not-functorial: morphism "
+                       r"\('x', 'y'\)\[0\] receives two different"):
+        build_catrep(cat, 13, {}, last, dims)
 
 
 def test_hom_dims_agree(rep_setup):
@@ -1704,10 +1782,11 @@ def test_a_failed_build_stores_nothing(monkeypatch, kind):
     monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
     if kind == "table":
         # C24's table holds 576 values
-        monkeypatch.setattr(chartab, "MAX_TABLE_ENTRIES", 575)
+        monkeypatch.setattr(eicat, "MAX_ELEMENT_ENTRIES", 575)
         g = _group("C24")
         prime = choose_splitting_prime([g])
-        call, message = (lambda: character_table(g, prime)), "exceeds 575"
+        call, message = (lambda: character_table(g, prime),
+                         "needs 576 entries, more than 575")
     elif kind == "model":
         # S3's irreducible of degree 2 with one value off by one
         g = named_group("S3")
