@@ -7,6 +7,16 @@ explicit composition tables for pairs of non-endomorphisms.  Composition
 with an endomorphism is always derived from the stored actions, never
 duplicated in tables.
 
+This module owns the whole category document.  load_category reads the
+`homs` entries of both modes in one loop: each is a biset (from, to,
+size, left_action, right_action), with one parse, one unknown-object
+check, one size check and one make_homset, and then each mode applies
+its own rules.  An explicit hom may not be a loop (endo-hom) or repeat
+a pair, and a size of 0 is an empty hom; an ei-quiver arrow may not be
+a loop (arrow-loop), has a size of at least 1, and parallel arrows are
+kept as ArrowBisets in document order, for
+freecover.generate_free_category.
+
 An explicit document is validated eagerly and totally at load time:
 every axiom is checked exhaustively, which is affordable at the scales
 this tool targets, and every downstream computation silently assumes the
@@ -66,10 +76,11 @@ DEFAULT_PATH_BOUND = 100000
 # (morita.check_rep_sizes).  The document's generators bound none of them.
 MAX_ELEMENT_ENTRIES = 1 << 22
 
-# The most entries one batched product over a composition table holds:
-# associativity over chains (validate_category) and morita.build_catrep's
-# products are taken in chunks of at most this many entries, or of one
-# matrix where one matrix holds more, never as one whole array.
+# The most entries one batched product holds: associativity over chains
+# (validate_category), morita's retraction and build_catrep's products and
+# the oracle's fixed-point counts are taken in chunks (chunks) of at most
+# this many entries, or of one item where one item holds more, never as
+# one whole array.
 CLOSURE_CHUNK = 1 << 16
 
 
@@ -85,6 +96,14 @@ def check_entries(n: int, what: str) -> None:
     if n > MAX_ELEMENT_ENTRIES:
         raise ValidationError("too-large", f"{what} needs {n} entries, more "
                               f"than {MAX_ELEMENT_ENTRIES}")
+
+
+def chunks(n: int, each: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at most
+    max(1, CLOSURE_CHUNK // each) items of each entries: the one chunk
+    rule of every batched product.  CLOSURE_CHUNK is read at the call."""
+    step = max(1, CLOSURE_CHUNK // each)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -341,15 +360,14 @@ def validate_category(cat: EICategory) -> None:
         beta = unfact[(y, z)]
         t_xyz, t_yzw = tables[(x, y, z)][beta], tables[(y, z, w)][:, beta]
         t_xzw, t_xyw = tables[(x, z, w)], tables[(x, y, w)]
-        step = max(1, CLOSURE_CHUNK // t_xyz.size)
-        for c0 in range(0, len(t_xzw), step):
-            bad = (t_xzw[c0:c0 + step].take(t_xyz, axis=1) !=
-                   t_xyw.take(t_yzw[c0:c0 + step], axis=0))
+        for cs in chunks(len(t_xzw), t_xyz.size):
+            bad = (t_xzw[cs].take(t_xyz, axis=1) !=
+                   t_xyw.take(t_yzw[cs], axis=0))
             if bad.any():
                 c, b, a = np.argwhere(bad)[0].tolist()
                 raise ValidationError(
                     "associativity", f"γ∘(β∘α) ≠ (γ∘β)∘α on chain "
-                    f"{x}->{y}->{z}->{w} at ({c0 + c},{beta[b]},{a})")
+                    f"{x}->{y}->{z}->{w} at ({cs.start + c},{beta[b]},{a})")
 
 
 def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
@@ -383,13 +401,10 @@ def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
     homspecs = document.get("homs", [])
     if not isinstance(homspecs, list):
         raise SchemaError("'homs' must be an array")
-
-    if mode == "ei-quiver":
-        from .freecover import build_ei_quiver_input, generate_free_category
-        quiv = build_ei_quiver_input(objects, groups, homspecs)
-        return generate_free_category(quiv, max_paths=max_paths)
-
+    free = mode == "ei-quiver"
+    entry = "arrow" if free else "hom"
     homs: dict[tuple[str, str], HomSet] = {}
+    arrows: list[ArrowBiset] = []       # parallel arrows, in document order
     for hspec in homspecs:
         try:
             x, y = str(hspec["from"]), str(hspec["to"])
@@ -399,18 +414,34 @@ def load_category(document: dict, max_group: int = DEFAULT_SIZE_BOUND,
             lga = hspec.get("left_action", [])
             rga = hspec.get("right_action", [])
         except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"bad hom entry: {e}") from e
+            raise SchemaError(f"bad {entry} entry: {e}") from e
         if x not in groups or y not in groups:
-            raise SchemaError(f"hom references unknown object {x!r} or {y!r}")
-        if x == y:
+            raise SchemaError(f"{entry} references unknown object {x!r} or "
+                              f"{y!r}")
+        if free:
+            if x == y:
+                raise ValidationError("arrow-loop", "loop arrows make the "
+                                      "free category infinite")
+            if size == 0:
+                raise SchemaError(f"arrow {x}->{y} must have positive size")
+        elif x == y:
             raise ValidationError("endo-hom",
                                   "endomorphisms are given by the object group, "
                                   "not a hom entry")
-        if (x, y) in homs:
+        elif (x, y) in homs:
             raise SchemaError(f"duplicate hom entry {x}->{y}")
-        check_points(size, f"hom {x}->{y}: size")
-        if size > 0:
-            homs[(x, y)] = make_homset(x, y, size, lga, rga, groups[x], groups[y])
+        check_points(size, f"{entry} {x}->{y}: size")
+        if size == 0:       # an empty hom
+            continue
+        hs = make_homset(x, y, size, lga, rga, groups[x], groups[y])
+        if free:
+            arrows.append(ArrowBiset(x, y, size, hs.left_gen, hs.right_gen))
+        else:
+            homs[(x, y)] = hs
+    if free:
+        from .freecover import generate_free_category
+        return generate_free_category(
+            EIQuiverData(objects, groups, tuple(arrows)), max_paths=max_paths)
 
     comp: dict[tuple[str, str, str], tuple[tuple[int, ...], ...]] = {}
     compspecs = document.get("compositions", [])

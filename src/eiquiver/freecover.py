@@ -13,7 +13,8 @@ composites and the freeness test below read those labels, and
 biset_product, the fold's step, builds a biset from them.  Only the
 `cover` command and the loading of ei-quiver documents build a free
 category, and --max-paths bounds that build, each glued product before
-it is made.
+it is made.  This module reads no document: eicat.load_category parses
+an ei-quiver document's arrows and hands them here as EIQuiverData.
 The build is the fold and the hom-sets.  The composites are glued into
 composition tables only when a command reads them (`oracle`, `functor`),
 and are never checked against the axioms at load: the category is
@@ -38,39 +39,11 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .eicat import (DEFAULT_PATH_BOUND, ArrowBiset, EICategory, EIQuiverData,
-                    _check_connected, _object_order, check_points,
-                    ei_quiver_of, incoming_tables, make_homset)
-from .permgrp import PermGroup, is_int, orbits
-
-
-def build_ei_quiver_input(objects, groups: dict[str, PermGroup],
-                          homspecs) -> EIQuiverData:
-    """Parse the arrow list of an ei-quiver document into quiver data."""
-    arrows = []
-    for hspec in homspecs:
-        try:
-            x, y = str(hspec["from"]), str(hspec["to"])
-            size = hspec["size"]
-            if not is_int(size):
-                raise TypeError(f"size {size!r} is not an integer")
-            lga = hspec.get("left_action", [])
-            rga = hspec.get("right_action", [])
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaError(f"bad arrow entry: {e}") from e
-        if x not in groups or y not in groups:
-            raise SchemaError(f"arrow references unknown object {x!r} or {y!r}")
-        if x == y:
-            raise ValidationError("arrow-loop",
-                                  "loop arrows make the free category infinite")
-        if size <= 0:
-            raise SchemaError(f"arrow {x}->{y} must have positive size")
-        check_points(size, f"arrow {x}->{y}: size")
-        # reuse the hom-set validator: same action axioms apply to arrows
-        hs = make_homset(x, y, size, lga, rga, groups[x], groups[y])
-        arrows.append(ArrowBiset(x, y, size, hs.left_gen, hs.right_gen))
-    return EIQuiverData(tuple(objects), dict(groups), tuple(arrows))
+                    _check_connected, _object_order, ei_quiver_of,
+                    incoming_tables, make_homset)
+from .permgrp import PermGroup, orbits
 
 
 def glue(b2: ArrowBiset, b1: ArrowBiset,

@@ -7,9 +7,9 @@ derived by functoriality, one hom-set at a time in order of topological
 distance, each hom-set's matrices one (size, dim y, dim x) array.  Its
 element and morphism matrices are held to the entry budget
 (check_rep_sizes, through eicat.check_entries) before any is built.
-Composites come from one product per composition table, in blocks of at
-most eicat.CLOSURE_CHUNK entries, and orbit members from their
-representative, level by level along the generator actions.  Batched
+Composites come from one product per composition table, in blocks of
+eicat.chunks, and orbit members from their representative, level by
+level along the generator actions.  Batched
 products check functoriality on every morphism against each group
 generator of both ends, and on every composable pair, which suffices
 (see build_catrep).
@@ -90,8 +90,8 @@ import numpy as np
 
 from . import chartab, linalg
 from .chartab import PRIME_SEARCH_BOUND, CharTable
-from .eicat import (CLOSURE_CHUNK, EICategory, check_entries,
-                    incoming_tables, orbit_representatives)
+from .eicat import (EICategory, check_entries, chunks, incoming_tables,
+                    orbit_representatives)
 from .errors import InvariantError, SchemaError, ValidationError
 from .permgrp import PermGroup, is_int, memo, pidentity
 from .quiveralg import BuiltQuiver
@@ -192,8 +192,8 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
     With base = (w0, piv0, comm0), W lies in w0 and End_G(W) = {pi B iota
     : B in comm0}: iota = w[piv0] embeds W, and pi, the average over g of
     A_g sigma A0_g^-1 (actions on W and w0, sigma = w0[piv]), retracts.
-    The sum over g is one batched product per chunk of elements, each
-    chunk's arrays at most CLOSURE_CHUNK entries.  Each product is reduced
+    The sum over g is one batched product per chunk of elements
+    (eicat.chunks).  Each product is reduced
     mod p before the sum, so the sum is below |G| p and every integer is
     that of one product per element; the products are exact in int64
     while w's width times (p - 1)^2 is below 2^63."""
@@ -211,10 +211,8 @@ def commutant(w, piv, cayley, inverse, p: int, base=None) -> np.ndarray:
                 (comm, w[cayley[np.ix_(piv, hs)]].transpose(1, 0, 2))), p)
         return comm
     w0, piv0, comm0 = base
-    step = max(1, CLOSURE_CHUNK // (m * w0.shape[1]))
     pi = np.zeros((m, w0.shape[1]), np.int64)
-    for g in range(0, n, step):
-        gs = slice(g, g + step)
+    for gs in chunks(n, m * w0.shape[1]):
         pi += (w[cayley[np.ix_(inverse[gs], piv)]] @ w0[cayley[gs, piv]]
                % p).sum(axis=0)
     pi = pi * linalg.inv_scalar(n, p) % p
@@ -225,14 +223,16 @@ def _linear_model(group: PermGroup, chi: np.ndarray, p: int):
     """The model of a linear character chi: [[chi(s)]] per generator s
     and chi as a (|G|, 1, 1) array, int64 copies.  chi is certified a
     homomorphism by chi(1) = 1 and one gather per generator s, element k:
-    chi(s * j) = chi(s) chi(j) for every j, read along row(k); agreement
-    on generators gives agreement on every element, by induction along
-    its word.  A 1 x 1 model does not depend on a basis, so this is the
-    matrix the regular module gives."""
+    chi(j * s) = chi(j) chi(s) for every j, read along
+    PermGroup.generator_maps, as check_group_rep reads a representation;
+    agreement on generators gives agreement on every element, by
+    induction along its word.  No Cayley row is built.  A 1 x 1 model
+    does not depend on a basis, so this is the matrix the regular module
+    gives."""
     gens = [group.index_of[s] for s in group.generators]
     if chi[group.index_of[pidentity(group.degree)]] != 1 or any(
-            not np.array_equal(chi[group.row(k)], chi[k] * chi % p)
-            for k in gens):
+            not np.array_equal(chi[times_s], chi * chi[k] % p)
+            for k, times_s in zip(gens, group.generator_maps)):
         raise InvariantError("linear character is not multiplicative")
     return (tuple(np.array([[chi[k]]], dtype=np.int64) for k in gens),
             chi.astype(np.int64).reshape(-1, 1, 1))
@@ -360,7 +360,7 @@ def build_catrep(cat: EICategory, p: int, gen_mats: dict,
     tables that compose into each, so both factors of every composite are
     known first; each holds its matrices as one (size, dim y, dim x)
     array.  The composites come from one product per composition table,
-    in blocks of at most CLOSURE_CHUNK entries, which also compares
+    in blocks of eicat.chunks, which also compares
     every composable pair with the matrix its composite has (_compose).
     The other morphisms are the orbits of the representatives, reached
     one level at a time along the generator actions, one batched
@@ -467,19 +467,17 @@ def _compose(mats: np.ndarray, have: np.ndarray, outer: np.ndarray,
              inner: np.ndarray, table: np.ndarray, key, p: int) -> None:
     """Write outer[b] inner[a] into mats[table[b, a]] where have is
     False, and compare it with mats there for every (b, a): one
-    broadcast product per block of the table, each product array at most
-    CLOSURE_CHUNK entries or one matrix of mats (a table of 400 x 400
-    pairs of 8 x 8 matrices would need 82 MB whole).  A block is whole
-    rows, unless one row is past the chunk: a row is |hom(x, z)|
+    broadcast product per block of the table, each product array one
+    chunk (eicat.chunks) of matrices of mats (a table of 400 x 400 pairs
+    of 8 x 8 matrices would need 82 MB whole).  The rows are chunked
+    first, whole rows at a time, then each row's columns, so a block is
+    whole rows unless one row is past the chunk: a row is |hom(x, z)|
     matrices of hom(x, y), and no size check bounds that product."""
     each = max(1, math.prod(mats.shape[1:]))
-    cols = max(1, min(table.shape[1], CLOSURE_CHUNK // each))
-    rows = max(1, CLOSURE_CHUNK // (cols * each))
-    for b0 in range(0, len(table), rows):
-        for a0 in range(0, table.shape[1], cols):
-            targets = table[b0:b0 + rows, a0:a0 + cols].ravel()
-            prod = linalg.matmul(outer[b0:b0 + rows, None],
-                                 inner[None, a0:a0 + cols], p)
+    for bs in chunks(len(table), table.shape[1] * each):
+        for cs in chunks(table.shape[1], each):
+            targets = table[bs, cs].ravel()
+            prod = linalg.matmul(outer[bs, None], inner[None, cs], p)
             prod = prod.reshape(len(targets), *mats.shape[1:])
             fresh = ~have[targets]
             mats[targets[fresh]] = prod[fresh]

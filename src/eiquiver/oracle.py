@@ -28,12 +28,11 @@ fixed-point counts,
 
     mult(V, W) = (|G||H|)^{-1} Σ_{h,g} #{β : h·β·g^{-1} = β} χ_W(h^{-1}) χ_V(g).
 
-The fixed points are one gather per chunk of h, each chunk at most
-eicat.CLOSURE_CHUNK entries, and the character sums two matrix products
-mod p.  Any disagreement with the stabilizer-quotient
-computation raises OracleMismatch.  Only the category's actions and
-composition tables are read: nothing is shared with quiveralg's
-stabilizer data.
+The fixed points are one gather per chunk of h (eicat.chunks), and the
+character sums two matrix products mod p.  Any disagreement with the
+stabilizer-quotient computation raises OracleMismatch.  Only the
+category's actions and composition tables are read: nothing is shared
+with quiveralg's stabilizer data.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .chartab import SplittingPrime
-from .eicat import CLOSURE_CHUNK, EICategory, incoming_tables
+from .eicat import EICategory, chunks, incoming_tables
 from .errors import InvariantError, OracleMismatch
 from .quiveralg import BuiltQuiver
 
@@ -114,9 +113,8 @@ def ext_quiver_oracle(cat: EICategory, prime: SplittingPrime,
         left = np.array(hs.left_elem, dtype=np.intp)
         # after[g, k] = β_k∘g^{-1}, so fix[h, g] = #{β : h·β·g^{-1} = β}
         after = np.array(hs.right_elem, dtype=np.intp)[G.inverse][:, beta]
-        step = max(1, CLOSURE_CHUNK // after.size)
-        fix = np.concatenate([(left[h:h + step][:, after] == beta).sum(axis=2)
-                              for h in range(0, len(H), step)]) % p
+        fix = np.concatenate([(left[hc][:, after] == beta).sum(axis=2)
+                              for hc in chunks(len(H), after.size)]) % p
         tG, tH = tables[x], tables[y]
         chi_g = tG.values                       # χ_V(g)
         chi_h = tH.values[:, H.inverse]         # χ_W(h⁻¹)

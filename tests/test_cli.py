@@ -492,6 +492,34 @@ def test_huge_sizes_are_rejected_before_allocation(capsys, tmp_path, doc):
         "exceeds" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode, entry", [("explicit", "hom"),
+                                         ("ei-quiver", "arrow")])
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("to", None, "bad {} entry: 'to'", id="missing-to"),
+    pytest.param("to", "w", "{} references unknown object 'x' or 'w'",
+                 id="unknown-object"),
+    pytest.param("size", "2",
+                 "bad {} entry: size '2' is not a nonnegative integer",
+                 id="string-size"),
+    pytest.param("size", -5,
+                 "bad {} entry: size -5 is not a nonnegative integer",
+                 id="negative-size"),
+])
+def test_both_modes_refuse_a_bad_entry_alike(capsys, tmp_path, mode, entry,
+                                             field, value, message):
+    # one reader for explicit homs and ei-quiver arrows: the same finding
+    # and exit code, the entry named for its mode
+    doc = _one_hom(1, mode)
+    if value is None:
+        del doc["homs"][0][field]
+    else:
+        doc["homs"][0][field] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(f)) == \
+        (3, "", f"schema error: {message.format(entry)}\n")
+
+
 def test_a_hom_whose_action_tables_are_past_their_bound_is_refused(
         capsys, tmp_path):
     # S7 acting on 100,000 points from a trivial object: two generator

@@ -93,6 +93,18 @@ def test_endo_hom_entry_rejected():
     assert exc.value.finding == "endo-hom"
 
 
+def test_parallel_arrows_are_kept_in_document_order():
+    # two arrows x -> y into C2: the hom-set is the first one's element,
+    # then the second's two, which C2 swaps
+    doc = {"mode": "ei-quiver",
+           "objects": [{"id": "x", "degree": 1, "generators": []},
+                       {"id": "y", "degree": 2, "generators": [[1, 0]]}],
+           "homs": [{"from": "x", "to": "y", "size": 1, "left_action": [[0]]},
+                    {"from": "x", "to": "y", "size": 2,
+                     "left_action": [[1, 0]]}]}
+    assert load_category(doc).homs[("x", "y")].left_gen == ((0, 2, 1),)
+
+
 def _line_doc(wz_size=1, wyz_table=None, wxz_table=None):
     """Full line category w->x->y->z in explicit mode."""
     homs = [("w", "x"), ("x", "y"), ("y", "z"),

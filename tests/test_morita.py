@@ -31,7 +31,7 @@ from eiquiver.morita import (MoritaContext, QuiverRep, apply_functor,
                              expanded_arrows, hom_dim_cat, hom_dim_quiver,
                              inverse_functor, irreducible_model, load_catrep,
                              quiverrep_document)
-from eiquiver.oracle import build_algebra, radical_report
+from eiquiver.oracle import build_algebra, ext_quiver_oracle, radical_report
 from eiquiver.permgrp import SubgroupHandle, enumerate_group, quotient
 from eiquiver.quiveralg import build_quiver
 from groups import as_group, named_group, whole_group
@@ -347,7 +347,7 @@ def test_a_non_multiplicative_linear_row_is_an_invariant_error(
 
 def test_linear_models_do_no_elimination(monkeypatch, fresh_groups):
     # a linear character is its own model: no elimination and no Cayley
-    # table, only the rows of the generators
+    # table
     groups = [enumerate_group(g.degree, g.generators) for g in map(
         _group, ("C24", "C48", "C72", "V4", "A4", "S3"))]
     tables = [character_table(g, choose_splitting_prime([g]))
@@ -368,6 +368,18 @@ def test_linear_models_do_no_elimination(monkeypatch, fresh_groups):
     assert all("cayley" not in g.__dict__ for g in groups)
 
 
+def test_linear_models_build_no_cayley_row(monkeypatch, fresh_groups):
+    # their relations are checked on generator_maps, as check_group_rep
+    # checks a representation's: no row of the Cayley table is kept
+    g = enumerate_group(6, [[1, 2, 3, 4, 5, 0]])
+    table = character_table(g, choose_splitting_prime([g]))
+    monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
+    assert table.dims == (1,) * 6
+    for i in range(6):
+        irreducible_model(g, table, i)
+    assert all(r is None for r in g._rows)
+
+
 # the retraction's sums: one element per chunk at 1 and 7 entries; at
 # 2^11, S5's degree-4 cuts sum 120 elements in chunks of 10 and of 16
 # (the last one short), and at the default its degree-6 cut in 75 and 45
@@ -382,13 +394,13 @@ def test_retraction_sums_in_chunks(monkeypatch):
     commutant = morita.commutant
 
     def counted(w, piv, cayley, inverse, p, base=None):
-        retractions[morita.CLOSURE_CHUNK] += base is not None
+        retractions[eicat.CLOSURE_CHUNK] += base is not None
         return commutant(w, piv, cayley, inverse, p, base)
 
     monkeypatch.setattr(morita, "commutant", counted)
     digests = set()
     for chunk in RETRACTION_CHUNKS:
-        monkeypatch.setattr(morita, "CLOSURE_CHUNK", chunk)
+        monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
         monkeypatch.setattr(chartab, "_MODEL_CACHE", {})
         h = hashlib.sha256()
         for g, table in tables:
@@ -986,6 +998,45 @@ def test_build_catrep_multiplies_on_generators_and_pairs(monkeypatch):
     zero = build(cat, p, {}, alphas, dims)
     assert calls == [True] * chunks(cat, dims) and len(calls) == 200
     assert not any(m.any() for m in zero.mor_mats.values())
+
+
+def test_lowering_the_chunk_alone_splits_the_oracle_and_composites(
+        monkeypatch, categories):
+    # eicat.chunks reads eicat.CLOSURE_CHUNK at each call, so lowering
+    # that one binding splits the oracle's fixed-point gathers down to
+    # one h each, and the wide table's composites (64 entries a matrix,
+    # 400 matrices a row) down to one row per product, with the same
+    # results
+    cat = categories["four_object_mixed"]
+    q = build_quiver(cat)
+    orders = [len(cat.groups[y]) for (x, y), u in cat.unfactorizables.items()
+              if u]
+    wide, p, alphas, dims = _zero_functor_on_a_wide_table()
+    concatenate, matmul = np.concatenate, linalg.matmul
+
+    def gathers(chunk):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(eicat, "CLOSURE_CHUNK", chunk)
+            m.setattr(np, "concatenate", lambda arrays: (
+                seen.append(len(arrays)) or concatenate(arrays)))
+            return seen, ext_quiver_oracle(cat, q.prime, q.tables)
+
+    def products(chunk):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(eicat, "CLOSURE_CHUNK", chunk)
+            m.setattr(linalg, "matmul", lambda a, b, mod: (
+                seen.append(len(a)) or matmul(a, b, mod)))
+            rep = build_catrep(wide, p, {}, alphas, dims)
+        return seen, {k: m.tobytes() for k, m in rep.mor_mats.items()}
+
+    (whole, mults), (split, low_mults) = gathers(1 << 16), gathers(1)
+    assert whole == [1] * len(orders) and max(orders) > 1
+    assert (split, low_mults) == (orders, mults)
+    (whole, mats), (split, low_mats) = products(1 << 16), products(64 * 400)
+    assert (whole, split) == ([2] * 200, [1] * 400)
+    assert low_mats == mats
 
 
 def test_a_wide_composition_table_is_checked_in_chunks():

@@ -211,7 +211,7 @@ def test_fixed_point_counts_in_chunks_match_the_per_h_loop(categories,
         q = build_quiver(cat)
         want = list(ref.ext_quiver_oracle(cat, q.prime, q.tables).items())
         for chunk in (1, 40, eicat.CLOSURE_CHUNK):
-            monkeypatch.setattr(oracle, "CLOSURE_CHUNK", chunk)
+            monkeypatch.setattr(eicat, "CLOSURE_CHUNK", chunk)
             assert list(ext_quiver_oracle(cat, q.prime,
                                           q.tables).items()) == want
         seen += bool(want)
